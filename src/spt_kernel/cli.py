@@ -182,8 +182,10 @@ def main(argv=None) -> int:
         if args.only is not None and args.only not in verify_mod.CHECKS:
             parser.error(f"unknown check {args.only!r}; choose from "
                          f"{sorted(verify_mod.CHECKS)}")
-    if args.command == "table" and args.t < 1:
-        parser.error("--t must be >= 1")
+    # Row n of SB has z-exponents in [-n, n], so a modulus above 2N+1 only
+    # pads every row with zero classes.
+    if args.command == "table" and not 1 <= args.t <= 2 * args.order + 1:
+        parser.error("--t must be between 1 and 2*order+1")
     handler = {"table": cmd_table, "verify": cmd_verify, "export": cmd_export}
     return handler[args.command](args)
 

@@ -2,7 +2,9 @@
 
 Three coefficient domains: plain Python integers, Laurent polynomials in a
 single variable z with integer coefficients, and cyclotomic integers
-Z[zeta_t] for t in {3, 5}.  Everything is exact; no floats anywhere.
+Z[zeta_t] for t in {3, 5}.  Laurent polynomials also have a packed form,
+one integer each, for the fast series builders.  Everything is exact; no
+floats anywhere.
 """
 
 from __future__ import annotations
@@ -390,6 +392,86 @@ class CyclotomicRing:
 
     def __repr__(self):
         return self.name
+
+
+# ---------------------------------------------------------------------------
+# Laurent polynomials packed into integers (Kronecker substitution)
+# ---------------------------------------------------------------------------
+
+class _ZShift:
+    """Multiplication by z^{+1} or z^{-1} on packed integers: a shift."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: int):
+        self.bits = bits
+
+    def __mul__(self, x: int) -> int:
+        if self.bits > 0:
+            return x << self.bits
+        k = -self.bits
+        if x & ((1 << k) - 1):
+            raise RingError("z^-1 would move a term below the packing offset")
+        return x >> k
+
+    __rmul__ = __mul__
+
+
+class PackedLaurentRing:
+    """Laurent polynomials in z over Z, each packed into one integer.
+
+    A polynomial p is stored as p(2^B) * 2^(B*S): Kronecker substitution
+    (Schoenhage 1982; D. Harvey, J. Symbolic Comput. 44 (2009)).  Sums,
+    differences and integer multiples are plain integer operations, and
+    ``z * x`` and ``z_inv * x`` are shifts by B bits, so a packed value is
+    exact however large its coefficients grow.  ``unpack`` reads balanced
+    base-2^B digits, which is exact only while every coefficient satisfies
+    |c| < 2^(B-1) and every exponent is >= -S; the caller must prove both.
+    """
+
+    zero = 0
+
+    def __init__(self, bits: int, offset: int):
+        if bits < 1 or offset < 0:
+            raise RingError("packing needs bits >= 1 and offset >= 0")
+        self.bits = bits
+        self.offset = offset
+        self.one = 1 << (bits * offset)
+        self.z = _ZShift(bits)
+        self.z_inv = _ZShift(-bits)
+
+    def coerce(self, n: int) -> int:
+        """The constant polynomial n."""
+        return int(n) << (self.bits * self.offset)
+
+    def pack(self, p: LaurentPolynomial) -> int:
+        if p.c and min(p.c) < -self.offset:
+            raise RingError(f"exponent {min(p.c)} below the packing offset")
+        b, s = self.bits, self.offset
+        return sum(v << (b * (e + s)) for e, v in p.c.items())
+
+    def unpack(self, x: int) -> LaurentPolynomial:
+        b = self.bits
+        mask = (1 << b) - 1
+        half = 1 << (b - 1)
+        coeffs = {}
+        e = -self.offset
+        if x:
+            # drop the zero digits below the lowest term with one shift
+            skip = ((x & -x).bit_length() - 1) // b
+            x >>= b * skip
+            e += skip
+        while x:
+            d = x & mask
+            if d >= half:
+                d -= 1 << b
+            if d:
+                coeffs[e] = d
+            x = (x - d) >> b
+            e += 1
+        r = LaurentPolynomial.__new__(LaurentPolynomial)
+        r.c = coeffs
+        return r
 
 
 ZZ = IntegerRing()

@@ -25,6 +25,7 @@ from .rings import (
     ZZ,
     CyclotomicRing,
     LaurentPolynomial,
+    PackedLaurentRing,
     RingError,
     residue_class_sums,
 )
@@ -44,60 +45,56 @@ from .series import (
 # Series construction
 # ---------------------------------------------------------------------------
 
-def _poch_list(c, j, k, order, zero=0, one=1):
-    out = [zero] * (order + 1)
-    out[0] = one
-    e = j
-    while e <= order:
-        mul_binomial_list(out, c, e)
-        e += k
-    return out
+def _sb_walk(ring, z, z_inv, c, order: int) -> list:
+    """Coefficients 0..order of
+
+        sum_{n>=1} q^{2n} (c q^{4n+2}; q^2)_inf
+                   / ((z q^{2n}, z_inv q^{2n}; q^2)_inf (q^{2n+1}; q^2)_inf^2)
+
+    in one pass over the summands.  The state is summand n divided by
+    q^{2n}, kept to q^{order-2n}; summand n+1 differs from it by four
+    binomial factors and two binomial divisors, each an O(order) pass.
+    c = 1 gives SB(z,q), since (-q^{2n+1};q)_inf (q^{2n+1};q)_inf equals
+    (q^{4n+2};q^2)_inf.  c = -1 with z = z_inv = 1 gives a majorant over Z:
+    its coefficient of q^n bounds the sum of |coefficients| of row n of SB.
+    """
+    if z * (z_inv * ring.one) != ring.one:
+        raise RingError("z and z_inv must be inverse units")
+    total = [ring.zero] * (order + 1)
+    if order < 2:
+        return total
+    top = order - 2
+    # the z-free factors of summand 1, over Z
+    w = pochhammer_inf(ZZ, c, 6, 2, top).coeffs
+    for e in range(3, top + 1, 2):
+        div_binomial_list(w, 1, e)
+        div_binomial_list(w, 1, e)
+    state = [ring.coerce(x) for x in w]
+    for e in range(2, top + 1, 2):
+        div_binomial_list(state, z, e)
+        div_binomial_list(state, z_inv, e)
+    for n in range(1, order // 2 + 1):
+        base = 2 * n
+        for i, x in enumerate(state):
+            if x:
+                total[base + i] = total[base + i] + x
+        del state[-2:]
+        mul_binomial_list(state, z, 2 * n)
+        mul_binomial_list(state, z_inv, 2 * n)
+        mul_binomial_list(state, 1, 2 * n + 1)
+        mul_binomial_list(state, 1, 2 * n + 1)
+        div_binomial_list(state, c, 4 * n + 2)
+        div_binomial_list(state, c, 4 * n + 4)
+    return total
 
 
 def sb_coefficients(ring, z, z_inv, order: int) -> list:
     """Coefficient list of SB(z,q) with z specialized to a ring element.
 
-    Walks the defining sum incrementally: the z-free factors are kept as
-    integer lists and the z-carrying inverse product is updated by sparse
-    binomial multiplications between consecutive summands.
+    z and z_inv multiply ring elements from the left; integer constants act
+    as scalars.
     """
-    z = ring.coerce(z)
-    z_inv = ring.coerce(z_inv)
-    if not (z * z_inv == ring.one):
-        raise RingError("z and z_inv must be inverse units")
-    total = [ring.zero] * (order + 1)
-    if order < 2:
-        return total
-    # state at summand n=1:
-    #   u    = (q^{4n+2}; q^2)_inf                     (z-free, integer)
-    #   winv = 1/(q^{2n+1}; q^2)_inf^2                 (z-free, integer)
-    #   vinv = 1/((z q^{2n}, z^{-1} q^{2n}; q^2)_inf)  (ring elements)
-    u = _poch_list(1, 6, 2, order)
-    w = _poch_list(1, 3, 2, order)
-    winv = invert_list(mul_lists(w, w, order, 0), ZZ)
-    v = mul_lists(
-        _poch_list(z, 2, 2, order, ring.zero, ring.one),
-        _poch_list(z_inv, 2, 2, order, ring.zero, ring.one),
-        order, ring.zero,
-    )
-    vinv = invert_list(v, ring)
-    for n in range(1, order // 2 + 1):
-        upto = order - 2 * n
-        x = mul_lists(u, winv, upto, 0)
-        x = [ring.coerce(c) for c in x]
-        x = mul_lists(x, vinv, upto, ring.zero)
-        base = 2 * n
-        for i, c in enumerate(x):
-            if c:
-                total[base + i] = total[base + i] + c
-        # advance the state to summand n+1
-        div_binomial_list(u, 1, 4 * n + 2)
-        div_binomial_list(u, 1, 4 * n + 4)
-        mul_binomial_list(winv, 1, 2 * n + 1)
-        mul_binomial_list(winv, 1, 2 * n + 1)
-        mul_binomial_list(vinv, z, 2 * n)
-        mul_binomial_list(vinv, z_inv, 2 * n)
-    return total
+    return _sb_walk(ring, z, z_inv, 1, order)
 
 
 def sb_coefficients_naive(ring, z, z_inv, order: int) -> list:
@@ -155,10 +152,19 @@ class SptCrankTable:
 
 
 def sb_series(order: int) -> SptCrankTable:
+    """SB(z,q) over Z[z,1/z], built on packed integers.
+
+    The packing width is proved, not guessed: every coefficient of row n is
+    at most the q^n coefficient of the majorant walk in absolute value, and
+    every z-exponent of a coefficient of q^m along the walk lies in
+    [-m/2, m/2], because each power of z comes with at least q^2.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs = sb_coefficients(LAURENT, LAURENT.z, LAURENT.z_inv, order)
-    return SptCrankTable(order, tuple(coeffs))
+    bound = max(_sb_walk(ZZ, 1, 1, -1, order))
+    ring = PackedLaurentRing(bound.bit_length() + 1, order // 2 + 1)
+    coeffs = sb_coefficients(ring, ring.z, ring.z_inv, order)
+    return SptCrankTable(order, tuple(ring.unpack(x) for x in coeffs))
 
 
 def sb_at_root(t: int, order: int) -> TruncatedSeries:
@@ -181,8 +187,8 @@ def sptbar2_series(order: int) -> TruncatedSeries:
     if order < 1:
         raise ValueError("order must be >= 1")
     total = [0] * (order + 1)
-    p = _poch_list(-1, 3, 1, order)          # (-q^{2n+1}; q)_inf at n=1
-    qinv = invert_list(_poch_list(1, 3, 1, order), ZZ)
+    p = pochhammer_inf(ZZ, -1, 3, 1, order).coeffs   # (-q^{2n+1}; q)_inf at n=1
+    qinv = invert_list(pochhammer_inf(ZZ, 1, 3, 1, order).coeffs, ZZ)
     for n in range(1, order // 2 + 1):
         upto = order - 2 * n
         x = mul_lists(p, qinv, upto, 0)

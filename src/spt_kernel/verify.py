@@ -14,6 +14,7 @@ from typing import Callable, Optional
 from .partitions import m2_rank_distribution, residual_m2_crank_distribution
 from .rings import CYCLO3, LAURENT, ZZ, LaurentPolynomial
 from .series import (
+    SeriesError,
     TruncatedSeries,
     geometric,
     lambert_sum,
@@ -50,11 +51,14 @@ class VerificationReport:
 
 
 def _compare(check: str, order: int, subchecks) -> VerificationReport:
-    """subchecks: iterable of (label, lhs_series, rhs_series); series are
-    compared coefficient-wise at the smaller of the two orders."""
+    """subchecks: iterable of (label, lhs_series, rhs_series); the two series
+    of a subcheck must have the same order and are compared coefficient-wise
+    at every index up to it."""
     for label, lhs, rhs in subchecks:
-        top = min(lhs.order, rhs.order)
-        for n in range(top + 1):
+        if lhs.order != rhs.order:
+            raise SeriesError(f"{check} subcheck {label!r} pairs orders "
+                              f"{lhs.order} and {rhs.order}")
+        for n in range(lhs.order + 1):
             a, b = lhs.coefficient(n), rhs.coefficient(n)
             if a != b:
                 return VerificationReport(check, order, "fail", {
@@ -162,7 +166,7 @@ def bailey_beta(n: int, order: int) -> TruncatedSeries:
 # The checks
 # ---------------------------------------------------------------------------
 
-def verify_theorem1(order: int) -> VerificationReport:
+def verify_theorem1(order: int, n_oracle: int = 0) -> VerificationReport:
     """3-dissection of SB(zeta_3,q): components 0 and 1 vanish, component 2
     is the product-plus-Lambert formula."""
     if order < 8:
@@ -199,7 +203,7 @@ def verify_theorem2(order: int, n_oracle: int = 12) -> VerificationReport:
     return _compare("theorem2", order, subchecks)
 
 
-def verify_theorem3(order: int) -> VerificationReport:
+def verify_theorem3(order: int, n_oracle: int = 0) -> VerificationReport:
     """3-dissection of the M2-rank generating function at zeta_3."""
     if order < 9:
         raise ValueError("order must be >= 9")
@@ -211,7 +215,7 @@ def verify_theorem3(order: int) -> VerificationReport:
     return _compare("theorem3", order, subchecks)
 
 
-def verify_theorem4(order: int) -> VerificationReport:
+def verify_theorem4(order: int, n_oracle: int = 0) -> VerificationReport:
     """Residual-crank dissection at zeta_3, with its proof steps:
     (i) the zeta_3 product simplification, (ii) the Jacobi-triple-product
     3-dissection of psi, (iii) the three component formulas."""
@@ -235,10 +239,14 @@ def verify_theorem4(order: int) -> VerificationReport:
     return _compare("theorem4", order, subchecks)
 
 
-def verify_bailey_pair(n_max: int = 30, order: int = 120) -> VerificationReport:
+def verify_bailey_pair(order: int = 120, n_oracle: int = 0,
+                       n_max: int | None = None) -> VerificationReport:
     """Defining relation of the Bailey pair relative to (1, q^2):
     beta_n = sum_{r<=n} alpha_r / ((q^2;q^2)_{n-r} (q^2;q^2)_{n+r})
-    with alpha_0 = 1 and alpha_r = (-1)^r 2 q^{r^2}."""
+    with alpha_0 = 1 and alpha_r = (-1)^r 2 q^{r^2}, for n = 0..n_max
+    (default min(30, order // 4), at least 1)."""
+    if n_max is None:
+        n_max = min(30, max(1, order // 4))
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     subchecks = []
@@ -257,7 +265,7 @@ def verify_bailey_pair(n_max: int = 30, order: int = 120) -> VerificationReport:
     return _compare("bailey_pair", order, subchecks)
 
 
-def verify_bailey_limit(order: int) -> VerificationReport:
+def verify_bailey_limit(order: int, n_oracle: int = 0) -> VerificationReport:
     """The limiting Bailey Lemma instance (rho_1 = z, rho_2 = 1/z, a = 1,
     base q^2), in the cleared-denominator form: the Bailey-side sum with
     its infinite-product prefactor equals the closed rank generating
@@ -283,7 +291,7 @@ def verify_bailey_limit(order: int) -> VerificationReport:
     return _compare("bailey_limit", order, [("bailey-vs-rank", lhs, rhs)])
 
 
-def verify_congruences(order: int) -> VerificationReport:
+def verify_congruences(order: int, n_oracle: int = 0) -> VerificationReport:
     """The three spt congruences and the mod-3 crank refinement:
     spt2bar(3n), spt2bar(3n+1) divisible by 3; spt2bar(5n+3) divisible by
     5; residue classes of the spt-crank mod 3 all equal at 3n and 3n+1."""
@@ -321,13 +329,14 @@ def verify_congruences(order: int) -> VerificationReport:
 # Suite driver
 # ---------------------------------------------------------------------------
 
-CHECKS: dict[str, Callable[..., VerificationReport]] = {
+# Every check is called as check(order, n_oracle).  n_oracle bounds the
+# enumeration cross-checks; checks that make none ignore it.
+CHECKS: dict[str, Callable[[int, int], VerificationReport]] = {
     "bailey_limit": verify_bailey_limit,
-    "bailey_pair": lambda order, **kw: verify_bailey_pair(
-        n_max=min(30, max(1, order // 4)), order=order),
+    "bailey_pair": verify_bailey_pair,
     "congruences": verify_congruences,
     "theorem1": verify_theorem1,
-    "theorem2": None,  # bound below; needs the oracle bound
+    "theorem2": verify_theorem2,
     "theorem3": verify_theorem3,
     "theorem4": verify_theorem4,
 }
@@ -341,10 +350,4 @@ def run_all(order: int, oracle_bound: int = 20,
         if only not in CHECKS:
             raise ValueError(f"unknown check {only!r}; choose from {names}")
         names = [only]
-    reports = []
-    for name in names:
-        if name == "theorem2":
-            reports.append(verify_theorem2(order, n_oracle=oracle_bound))
-        else:
-            reports.append(CHECKS[name](order))
-    return reports
+    return [CHECKS[name](order, oracle_bound) for name in names]

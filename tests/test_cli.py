@@ -40,6 +40,26 @@ class TestTable:
             main(["table", "--order", "0"])
         assert exc.value.code == 2
 
+    def test_modulus_above_row_width_is_usage_error(self, capsys, monkeypatch):
+        import spt_kernel.cli as cli
+
+        code, out = run_cli(capsys, "table", "--order", "5", "--t", "11",
+                            "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[0].endswith(",class9,class10")
+
+        def unreachable(order):
+            raise AssertionError("series built before argument checks")
+
+        monkeypatch.setattr(cli, "sb_series", unreachable)
+        monkeypatch.setattr(cli, "sptbar2_series", unreachable)
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--order", "5", "--t", "1000000000"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--order", "5", "--t", "12"])
+        assert exc.value.code == 2
+
 
 class TestVerify:
     def test_all_pass_exit_zero(self, capsys):

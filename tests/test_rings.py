@@ -8,6 +8,7 @@ from spt_kernel.rings import (
     LAURENT,
     CyclotomicInteger,
     LaurentPolynomial,
+    PackedLaurentRing,
     RingError,
     eval_at_root,
     residue_class_sums,
@@ -131,3 +132,36 @@ class TestResidueClassSums:
     @settings(max_examples=80)
     def test_classes_sum_to_z1_evaluation(self, p, t):
         assert sum(residue_class_sums(p, t)) == p.eval_at_one()
+
+
+class TestPackedLaurent:
+    def test_round_trip_at_the_digit_bound(self):
+        ring = PackedLaurentRing(bits=9, offset=4)
+        big = (1 << 8) - 1
+        p = LaurentPolynomial({-4: -big, -3: big, -1: 1, 0: -big, 2: big,
+                               5: -1, 7: big})
+        x = ring.pack(p)
+        assert ring.unpack(x) == p
+        assert ring.unpack(-x) == -p
+
+    @given(laurents)
+    @settings(max_examples=80)
+    def test_ring_operations_match_dict_form(self, p):
+        # laurents have |coefficients| <= 9 and exponents >= -12, so every
+        # result below keeps |coefficients| < 2^7 and exponents >= -14
+        ring = PackedLaurentRing(bits=8, offset=14)
+        x = ring.pack(p)
+        assert ring.unpack(x) == p
+        assert ring.unpack(ring.z * x) == Z * p
+        assert ring.unpack(ring.z_inv * x) == ZI * p
+        assert ring.unpack(x + ring.pack(Z * p)) == p + Z * p
+        assert ring.unpack(x - 3 * ring.one) == p - 3
+        assert ring.unpack(-x) == -p
+
+    def test_inexact_z_inverse_raises(self):
+        ring = PackedLaurentRing(bits=6, offset=1)
+        x = ring.pack(LaurentPolynomial({-1: 5, 2: 1}))
+        with pytest.raises(RingError):
+            ring.z_inv * x  # noqa: B018
+        with pytest.raises(RingError):
+            ring.pack(LaurentPolynomial({-2: 1}))

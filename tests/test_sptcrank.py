@@ -1,10 +1,19 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spt_kernel.partitions import (
     enumerate_overpartitions,
     spt_family,
 )
-from spt_kernel.rings import CYCLO3, LAURENT, ZZ, LaurentPolynomial, RingError
+from spt_kernel.rings import (
+    CYCLO3,
+    CYCLO5,
+    LAURENT,
+    ZZ,
+    LaurentPolynomial,
+    RingError,
+)
 from spt_kernel.sptcrank import (
     pair_crank_series,
     partition_pair_oracle,
@@ -49,6 +58,31 @@ class TestSbSeries:
     def test_incremental_matches_naive_cyclotomic(self):
         assert (sb_coefficients(CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv, 30)
                 == sb_coefficients_naive(CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv, 30))
+
+    @pytest.mark.parametrize("ring, z, z_inv", [
+        (CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv),
+        (CYCLO5, CYCLO5.zeta, CYCLO5.zeta_inv),
+        (LAURENT, LAURENT.z, LAURENT.z_inv),
+    ], ids=["zeta3", "zeta5", "laurent"])
+    @given(order=st.integers(1, 30))
+    @example(order=1)
+    @example(order=2)
+    @example(order=3)
+    @settings(max_examples=15, deadline=None)
+    def test_walk_matches_naive(self, ring, z, z_inv, order):
+        assert (sb_coefficients(ring, z, z_inv, order)
+                == sb_coefficients_naive(ring, z, z_inv, order))
+
+    @given(order=st.integers(1, 30))
+    @example(order=1)
+    @example(order=2)
+    @example(order=3)
+    @settings(max_examples=20, deadline=None)
+    def test_packed_rows_match_naive(self, order):
+        rows = sb_series(order).rows
+        assert len(rows) == order + 1
+        assert list(rows) == sb_coefficients_naive(
+            LAURENT, LAURENT.z, LAURENT.z_inv, order)
 
     def test_csv_rows_exact(self, table):
         triples = dict(((n, m), c) for n, m, c in table.csv_rows())

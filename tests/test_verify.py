@@ -3,7 +3,7 @@ import json
 import pytest
 
 from spt_kernel.rings import ZZ
-from spt_kernel.series import TruncatedSeries
+from spt_kernel.series import SeriesError, TruncatedSeries
 from spt_kernel.verify import (
     _compare,
     a2_formula,
@@ -85,6 +85,13 @@ def test_failure_reporting_is_exact():
     assert rep.status == "fail"
     assert rep.first_failure == {
         "n": 2, "expected": "4", "actual": "3", "where": "injected"}
+
+
+def test_order_mismatch_is_an_error():
+    lhs = TruncatedSeries(ZZ, 5, [1, 2, 3])
+    rhs = TruncatedSeries(ZZ, 4, [1, 2, 3])
+    with pytest.raises(SeriesError):
+        _compare("mismatch", 5, [("short-rhs", lhs, rhs)])
 
 
 def test_preconditions():
