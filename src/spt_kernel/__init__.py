@@ -24,6 +24,7 @@ from .series import (
     TruncatedSeries,
     geometric,
     lambert_sum,
+    poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
     theta_sum,
@@ -56,7 +57,8 @@ __all__ = [
     "CyclotomicInteger", "CyclotomicRing", "IntegerRing",
     "LaurentPolynomial", "LaurentRing", "RingError",
     "SeriesError", "TruncatedSeries",
-    "geometric", "lambert_sum", "pochhammer_finite", "pochhammer_inf",
+    "geometric", "lambert_sum", "poch_quotient", "pochhammer_finite",
+    "pochhammer_inf",
     "theta_sum", "eval_at_root", "residue_class_sums",
     "Overpartition", "ag_crank", "enumerate_overpartitions",
     "enumerate_partitions", "m2_rank", "m2_rank_distribution",

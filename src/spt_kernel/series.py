@@ -264,55 +264,101 @@ class TruncatedSeries:
 # Builders
 # ---------------------------------------------------------------------------
 
-def pochhammer_inf(ring, c, j: int, k: int, order: int) -> TruncatedSeries:
-    """(c*q^j; q^k)_inf = prod_{i>=0} (1 - c*q^{j+ik}), truncated.
-
-    Factors whose exponent exceeds the order are omitted; they cannot touch
-    the tracked coefficients.
-    """
+def _poch_exponents(j: int, k: int, n: int | None, order: int) -> range:
+    """Exponents e <= order of the factors (1 - c*q^e) of (c*q^j; q^k)_n."""
     if k < 1:
         raise SeriesError("pochhammer step must be positive")
-    if j < 1:
-        raise SeriesError("pochhammer base exponent must be >= 1")
-    c = ring.coerce(c)
-    out = [ring.zero] * (order + 1)
-    out[0] = ring.one
-    e = j
-    while e <= order:
-        mul_binomial_list(out, c, e)
-        e += k
+    if n is None:
+        if j < 1:
+            raise SeriesError("pochhammer base exponent must be >= 1")
+        return range(j, order + 1, k)
+    if n < 0:
+        raise SeriesError("pochhammer length must be >= 0")
+    return range(j, min(order + 1, j + n * k), k)
+
+
+def poch_quotient(ring, order: int, numer=(), denom=(),
+                  start: TruncatedSeries | None = None) -> TruncatedSeries:
+    """start * prod(numer) / prod(denom), truncated at q^order.
+
+    A factor (c, j, k, n) stands for (c*q^j; q^k)_n, the product of
+    (1 - c*q^{j+ik}) over 0 <= i < n, and n = None for the infinite product.
+    c is a ring element or an integer scalar.  Each binomial factor whose
+    exponent is at most the order is one O(order) pass -- a multiplication
+    for the numerator, a geometric division for the denominator -- so no
+    series is ever inverted.  start defaults to 1.
+    """
+    if start is None:
+        out = [ring.zero] * (order + 1)
+        out[0] = ring.one
+    else:
+        if start.ring != ring or start.order != order:
+            raise SeriesError("start must have the quotient's ring and order")
+        out = list(start.coeffs)
+    for factors, apply in ((numer, mul_binomial_list), (denom, div_binomial_list)):
+        for c, j, k, n in factors:
+            for e in _poch_exponents(j, k, n, order):
+                apply(out, c, e)
     return TruncatedSeries(ring, order, out)
+
+
+def pochhammer_inf(ring, c, j: int, k: int, order: int) -> TruncatedSeries:
+    """(c*q^j; q^k)_inf = prod_{i>=0} (1 - c*q^{j+ik}), truncated; j >= 1."""
+    return poch_quotient(ring, order, [(c, j, k, None)])
 
 
 def pochhammer_finite(ring, c, j: int, k: int, n: int, order: int) -> TruncatedSeries:
     """(c*q^j; q^k)_n, a finite product of n factors; j = 0 is allowed."""
-    if k < 1:
-        raise SeriesError("pochhammer step must be positive")
-    if n < 0:
-        raise SeriesError("pochhammer length must be >= 0")
-    c = ring.coerce(c)
-    out = [ring.zero] * (order + 1)
-    out[0] = ring.one
-    for i in range(n):
-        e = j + i * k
-        if e > order:
-            break
-        mul_binomial_list(out, c, e)
-    return TruncatedSeries(ring, order, out)
+    return poch_quotient(ring, order, [(c, j, k, n)])
 
 
 def geometric(ring, c, e: int, order: int) -> TruncatedSeries:
     """1/(1 - c*q^e)."""
-    out = [ring.zero] * (order + 1)
-    out[0] = ring.one
-    div_binomial_list(out, ring.coerce(c), e)
-    return TruncatedSeries(ring, order, out)
+    return poch_quotient(ring, order, denom=[(c, e, 1, 1)])
 
 
-def _scan_range(order: int) -> range:
-    # All exponent maps in this artifact grow at least linearly in |n|,
-    # so |n| <= order + 2 covers every contributing index.
-    return range(-(order + 2), order + 3)
+def summand_walk(ring, state: list, n: int, order: int, step) -> list:
+    """Coefficients 0..order of sum_{m>=n} q^{2m} s_m, in one pass.
+
+    state holds s_n to q^{order-2n} and is consumed.  step(m) returns the
+    binomial factors (numer, denom), each a list of (c, e), that take s_m to
+    s_{m+1} = s_m * prod_numer (1 - c*q^e) / prod_denom (1 - c*q^e).  Each
+    step adds the state into the total at q^{2m}, drops the two top
+    coefficients that s_{m+1} no longer reaches, and applies its factors,
+    one O(order) binomial pass each.
+    """
+    total = [ring.zero] * (order + 1)
+    while 2 * n <= order:
+        base = 2 * n
+        for i, x in enumerate(state):
+            if x:
+                total[base + i] = total[base + i] + x
+        del state[-2:]
+        numer, denom = step(n)
+        for c, e in numer:
+            mul_binomial_list(state, c, e)
+        for c, e in denom:
+            div_binomial_list(state, c, e)
+        n += 1
+    return total
+
+
+def _scan_range(order: int, exponent: Callable[[int], int],
+                bilateral: bool = True) -> range:
+    """Indices n with |n| <= order + 2 (n >= 0 unless bilateral).
+
+    This covers every contributing index only when the exponent map grows at
+    least linearly in |n|; a map whose exponent at an end of the range is
+    still within the order may have terms beyond it, so the sum is refused.
+    """
+    hi = order + 2
+    for n in ((-hi, hi) if bilateral else (hi,)):
+        e = exponent(n)
+        if e <= order:
+            raise SeriesError(
+                f"term n={n} at the end of the scanned range has exponent "
+                f"{e} <= order {order}; the sum is not truncated there")
+    return range(-hi if bilateral else 0, hi + 1)
 
 
 def theta_sum(ring, exponent: Callable[[int], int],
@@ -320,9 +366,7 @@ def theta_sum(ring, exponent: Callable[[int], int],
               order: int, bilateral: bool = True) -> TruncatedSeries:
     """Sum of coefficient(n) * q^{exponent(n)} over n with exponent <= order."""
     s = TruncatedSeries(ring, order)
-    for n in _scan_range(order):
-        if not bilateral and n < 0:
-            continue
+    for n in _scan_range(order, exponent, bilateral):
         e = exponent(n)
         if 0 <= e <= order:
             s.coeffs[e] = s.coeffs[e] + ring.coerce(coefficient(n))
@@ -339,8 +383,11 @@ def lambert_sum(ring, sign: Callable[[int], int],
     1/(1 - q^{-m}) = -q^m/(1 - q^m); terms that are still not power series
     after the rewrite are an error, not a guess.
     """
+    def rewritten_exponent(n):
+        return numerator_exponent(n) - min(denominator_exponent(n), 0)
+
     acc = TruncatedSeries(ring, order)
-    for n in _scan_range(order):
+    for n in _scan_range(order, rewritten_exponent):
         e = numerator_exponent(n)
         d = denominator_exponent(n)
         sgn = sign(n)

@@ -31,13 +31,11 @@ from .rings import (
 )
 from .series import (
     TruncatedSeries,
-    div_binomial_list,
     geometric,
-    invert_list,
-    mul_binomial_list,
-    mul_lists,
+    poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
+    summand_walk,
 )
 
 
@@ -45,47 +43,41 @@ from .series import (
 # Series construction
 # ---------------------------------------------------------------------------
 
+def sb_summand_ratio(z, z_inv, c):
+    """Step of the SB walk: summand n+1 over summand n, divided by q^2, is
+
+        (1 - z q^{2n}) (1 - z_inv q^{2n}) (1 - q^{2n+1})^2
+        / ((1 - c q^{4n+2}) (1 - c q^{4n+4})),
+
+    returned as the (numer, denom) binomial lists ``summand_walk`` takes.
+    """
+    return lambda n: ([(z, 2 * n), (z_inv, 2 * n),
+                       (1, 2 * n + 1), (1, 2 * n + 1)],
+                      [(c, 4 * n + 2), (c, 4 * n + 4)])
+
+
 def _sb_walk(ring, z, z_inv, c, order: int) -> list:
     """Coefficients 0..order of
 
         sum_{n>=1} q^{2n} (c q^{4n+2}; q^2)_inf
                    / ((z q^{2n}, z_inv q^{2n}; q^2)_inf (q^{2n+1}; q^2)_inf^2)
 
-    in one pass over the summands.  The state is summand n divided by
-    q^{2n}, kept to q^{order-2n}; summand n+1 differs from it by four
-    binomial factors and two binomial divisors, each an O(order) pass.
-    c = 1 gives SB(z,q), since (-q^{2n+1};q)_inf (q^{2n+1};q)_inf equals
-    (q^{4n+2};q^2)_inf.  c = -1 with z = z_inv = 1 gives a majorant over Z:
-    its coefficient of q^n bounds the sum of |coefficients| of row n of SB.
+    in one ``summand_walk``; summand n+1 differs from summand n by four
+    binomial factors and two binomial divisors.  c = 1 gives SB(z,q), since
+    (-q^{2n+1};q)_inf (q^{2n+1};q)_inf equals (q^{4n+2};q^2)_inf.  c = -1
+    with z = z_inv = 1 gives a majorant over Z: its coefficient of q^n
+    bounds the sum of |coefficients| of row n of SB.
     """
     if z * (z_inv * ring.one) != ring.one:
         raise RingError("z and z_inv must be inverse units")
-    total = [ring.zero] * (order + 1)
     if order < 2:
-        return total
+        return [ring.zero] * (order + 1)
     top = order - 2
-    # the z-free factors of summand 1, over Z
-    w = pochhammer_inf(ZZ, c, 6, 2, top).coeffs
-    for e in range(3, top + 1, 2):
-        div_binomial_list(w, 1, e)
-        div_binomial_list(w, 1, e)
-    state = [ring.coerce(x) for x in w]
-    for e in range(2, top + 1, 2):
-        div_binomial_list(state, z, e)
-        div_binomial_list(state, z_inv, e)
-    for n in range(1, order // 2 + 1):
-        base = 2 * n
-        for i, x in enumerate(state):
-            if x:
-                total[base + i] = total[base + i] + x
-        del state[-2:]
-        mul_binomial_list(state, z, 2 * n)
-        mul_binomial_list(state, z_inv, 2 * n)
-        mul_binomial_list(state, 1, 2 * n + 1)
-        mul_binomial_list(state, 1, 2 * n + 1)
-        div_binomial_list(state, c, 4 * n + 2)
-        div_binomial_list(state, c, 4 * n + 4)
-    return total
+    # summand 1 over q^2: the z-free factors over Z, then the z divisions
+    w = poch_quotient(ZZ, top, [(c, 6, 2, None)], [(1, 3, 2, None)] * 2)
+    state = poch_quotient(ring, top, denom=[(z, 2, 2, None), (z_inv, 2, 2, None)],
+                          start=w.embed(ring)).coeffs
+    return summand_walk(ring, state, 1, order, sb_summand_ratio(z, z_inv, c))
 
 
 def sb_coefficients(ring, z, z_inv, order: int) -> list:
@@ -186,22 +178,15 @@ def sptbar2_series(order: int) -> TruncatedSeries:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    total = [0] * (order + 1)
-    p = pochhammer_inf(ZZ, -1, 3, 1, order).coeffs   # (-q^{2n+1}; q)_inf at n=1
-    qinv = invert_list(pochhammer_inf(ZZ, 1, 3, 1, order).coeffs, ZZ)
-    for n in range(1, order // 2 + 1):
-        upto = order - 2 * n
-        x = mul_lists(p, qinv, upto, 0)
-        div_binomial_list(x, 1, 2 * n)
-        div_binomial_list(x, 1, 2 * n)
-        base = 2 * n
-        for i, c in enumerate(x):
-            if c:
-                total[base + i] += c
-        div_binomial_list(p, -1, 2 * n + 1)
-        div_binomial_list(p, -1, 2 * n + 2)
-        mul_binomial_list(qinv, 1, 2 * n + 1)
-        mul_binomial_list(qinv, 1, 2 * n + 2)
+    if order < 2:
+        return TruncatedSeries(ZZ, order)
+    # summand n+1 over summand n, divided by q^2, is
+    # (1-q^{2n})^2 (1-q^{2n+1}) / ((1+q^{2n+1}) (1-q^{4n+4}))
+    state = poch_quotient(ZZ, order - 2, [(-1, 3, 1, None)],
+                          [(1, 3, 1, None)] + [(1, 2, 1, 1)] * 2).coeffs
+    total = summand_walk(ZZ, state, 1, order, lambda n: (
+        [(1, 2 * n), (1, 2 * n), (1, 2 * n + 1)],
+        [(-1, 2 * n + 1), (1, 4 * n + 4)]))
     return TruncatedSeries(ZZ, order, total)
 
 
@@ -221,13 +206,15 @@ def rank_series(ring, z, z_inv, order: int) -> TruncatedSeries:
     u = (ring.one - z) * (ring.one - z_inv)
     n = 1
     while n * n + 2 * n <= order:
-        g = geometric(ring, z, 2 * n, order) * geometric(ring, z_inv, 2 * n, order)
         sign = -2 if n % 2 else 2
-        inner = inner + g.shift(n * n + 2 * n).scale(u * sign)
+        term = TruncatedSeries.monomial(ring, u * sign, n * n + 2 * n, order)
+        inner = inner + poch_quotient(
+            ring, order, denom=[(z, 2 * n, 1, 1), (z_inv, 2 * n, 1, 1)],
+            start=term)
         n += 1
-    pref = (pochhammer_inf(ring, ring.coerce(-1), 1, 1, order)
-            * pochhammer_inf(ring, ring.one, 1, 1, order).invert())
-    return pref * inner
+    # the prefactor over Z, then one product with the dense inner sum
+    pref = poch_quotient(ZZ, order, [(-1, 1, 1, None)], [(1, 1, 1, None)])
+    return pref.embed(ring) * inner
 
 
 def rank_series_bailey_sum(ring, z, z_inv, order: int) -> TruncatedSeries:
@@ -252,12 +239,10 @@ def crank_series(ring, z, z_inv, order: int) -> TruncatedSeries:
     """
     z = ring.coerce(z)
     z_inv = ring.coerce(z_inv)
-    num = (pochhammer_inf(ring, ring.coerce(-1), 1, 1, order)
-           * pochhammer_inf(ring, ring.one, 2, 2, order))
-    den = (pochhammer_inf(ring, ring.one, 1, 2, order)
-           * pochhammer_inf(ring, z, 2, 2, order)
-           * pochhammer_inf(ring, z_inv, 2, 2, order))
-    return num * den.invert()
+    w = poch_quotient(ZZ, order, [(-1, 1, 1, None), (1, 2, 2, None)],
+                      [(1, 1, 2, None)])
+    return poch_quotient(ring, order, denom=[(z, 2, 2, None), (z_inv, 2, 2, None)],
+                         start=w.embed(ring))
 
 
 # ---------------------------------------------------------------------------

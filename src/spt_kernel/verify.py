@@ -16,16 +16,16 @@ from .rings import CYCLO3, LAURENT, ZZ, LaurentPolynomial
 from .series import (
     SeriesError,
     TruncatedSeries,
-    geometric,
     lambert_sum,
-    pochhammer_finite,
-    pochhammer_inf,
+    poch_quotient,
+    summand_walk,
 )
 from .sptcrank import (
     crank_series,
     rank_series,
     sb_at_root,
     sb_series,
+    sb_summand_ratio,
     sptbar2_series,
 )
 
@@ -74,10 +74,6 @@ def _compare(check: str, order: int, subchecks) -> VerificationReport:
 # Shared formula pieces (all over Z; callers embed into Z[zeta_3] as needed)
 # ---------------------------------------------------------------------------
 
-def _e(order: int, c: int, j: int, k: int) -> TruncatedSeries:
-    return pochhammer_inf(ZZ, c, j, k, order)
-
-
 def lambert_theorem1(ring, order: int) -> TruncatedSeries:
     """sum_{n in Z} (-1)^n q^{3n^2+6n} / (1 - q^{6n+2})."""
     return lambert_sum(
@@ -91,17 +87,14 @@ def lambert_theorem1(ring, order: int) -> TruncatedSeries:
 
 def _eta_quotient_piece(order: int) -> TruncatedSeries:
     """(q^6;q^6)^4 / ((q^2;q^2)(q^3;q^3)^2)."""
-    p6 = _e(order, 1, 6, 6)
-    p6sq = p6 * p6
-    p3 = _e(order, 1, 3, 3)
-    return p6sq * p6sq * (_e(order, 1, 2, 2) * p3 * p3).invert()
+    return poch_quotient(ZZ, order, [(1, 6, 6, None)] * 4,
+                         [(1, 2, 2, None)] + [(1, 3, 3, None)] * 2)
 
 
 def _lambert_piece(order: int) -> TruncatedSeries:
     """q (-q^3;q^3)/(q^3;q^3) * the theorem-1 Lambert sum."""
-    t = (_e(order, -1, 3, 3) * _e(order, 1, 3, 3).invert()
-         * lambert_theorem1(ZZ, order))
-    return t.shift(1)
+    return poch_quotient(ZZ, order, [(-1, 3, 3, None)], [(1, 3, 3, None)],
+                         start=lambert_theorem1(ZZ, order)).shift(1)
 
 
 def a2_formula(order: int) -> TruncatedSeries:
@@ -112,13 +105,11 @@ def a2_formula(order: int) -> TruncatedSeries:
 def rank_component(j: int, order: int) -> TruncatedSeries:
     """Component formulas of the M2-rank 3-dissection."""
     if j == 0:
-        p3 = _e(order, 1, 3, 3)
-        m3 = _e(order, -1, 3, 3)
-        return (_e(order, -1, 1, 1) * p3 * p3
-                * (_e(order, 1, 1, 1) * m3 * m3).invert())
+        return poch_quotient(ZZ, order, [(-1, 1, 1, None)] + [(1, 3, 3, None)] * 2,
+                             [(1, 1, 1, None)] + [(-1, 3, 3, None)] * 2)
     if j == 1:
-        return (_e(order, 1, 3, 3) * _e(order, 1, 6, 6)
-                * _e(order, 1, 1, 1).invert()).scale(2)
+        return poch_quotient(ZZ, order, [(1, 3, 3, None), (1, 6, 6, None)],
+                             [(1, 1, 1, None)]).scale(2)
     if j == 2:
         return _eta_quotient_piece(order).scale(4) + _lambert_piece(order).scale(6)
     raise ValueError("component index must be 0, 1 or 2")
@@ -135,7 +126,7 @@ def crank_component(j: int, order: int) -> TruncatedSeries:
 
 def gauss_psi(order: int) -> TruncatedSeries:
     """(q^2;q^2)_inf / (q;q^2)_inf."""
-    return _e(order, 1, 2, 2) * _e(order, 1, 1, 2).invert()
+    return poch_quotient(ZZ, order, [(1, 2, 2, None)], [(1, 1, 2, None)])
 
 
 def gauss_theta(order: int) -> TruncatedSeries:
@@ -150,16 +141,15 @@ def gauss_theta(order: int) -> TruncatedSeries:
 
 def jtp_psi_dissection(order: int) -> TruncatedSeries:
     """(-q^6,-q^3,q^9;q^9)_inf + q(-q^9,-q^9,q^9;q^9)_inf."""
-    p9 = _e(order, 1, 9, 9)
-    first = _e(order, -1, 6, 9) * _e(order, -1, 3, 9) * p9
-    m9 = _e(order, -1, 9, 9)
-    return first + (m9 * m9 * p9).shift(1)
+    first = poch_quotient(ZZ, order, [(-1, 6, 9, None), (-1, 3, 9, None),
+                                      (1, 9, 9, None)])
+    second = poch_quotient(ZZ, order, [(-1, 9, 9, None)] * 2 + [(1, 9, 9, None)])
+    return first + second.shift(1)
 
 
 def bailey_beta(n: int, order: int) -> TruncatedSeries:
     """beta_n = (q;q^2)_n^2 / (q^2;q^2)_{2n}."""
-    num = pochhammer_finite(ZZ, 1, 1, 2, n, order)
-    return num * num * pochhammer_finite(ZZ, 1, 2, 2, 2 * n, order).invert()
+    return poch_quotient(ZZ, order, [(1, 1, 2, n)] * 2, [(1, 2, 2, 2 * n)])
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +213,9 @@ def verify_theorem4(order: int, n_oracle: int = 0) -> VerificationReport:
         raise ValueError("order must be >= 9")
     lhs = crank_series(CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv, order)
     psi = gauss_psi(order)
-    simplified = (psi * psi * _e(order, 1, 6, 6).invert()).embed(CYCLO3)
+    simplified = poch_quotient(ZZ, order, [(1, 2, 2, None)],
+                               [(1, 1, 2, None), (1, 6, 6, None)],
+                               start=psi).embed(CYCLO3)
     subchecks = [
         ("zeta3-simplification", lhs, simplified),
         ("jtp-dissection", psi, jtp_psi_dissection(order)),
@@ -255,12 +247,11 @@ def verify_bailey_pair(order: int = 120, n_oracle: int = 0,
         for r in range(n + 1):
             if r * r > order:
                 break
-            den = (pochhammer_finite(ZZ, 1, 2, 2, n - r, order)
-                   * pochhammer_finite(ZZ, 1, 2, 2, n + r, order))
-            term = den.invert()
-            if r:
-                term = term.shift(r * r).scale(-2 if r % 2 else 2)
-            rhs = rhs + term
+            alpha = TruncatedSeries.monomial(
+                ZZ, (-1) ** r * 2 if r else 1, r * r, order)
+            rhs = rhs + poch_quotient(
+                ZZ, order, denom=[(1, 2, 2, n - r), (1, 2, 2, n + r)],
+                start=alpha)
         subchecks.append((f"n={n}", bailey_beta(n, order), rhs))
     return _compare("bailey_pair", order, subchecks)
 
@@ -274,19 +265,14 @@ def verify_bailey_limit(order: int, n_oracle: int = 0) -> VerificationReport:
         raise ValueError("order must be >= 4")
     ring = LAURENT
     z, z_inv = LAURENT.z, LAURENT.z_inv
-    acc = TruncatedSeries(ring, order)
-    for n in range(order // 2 + 1):
-        term = (pochhammer_finite(ring, z, 0, 2, n, order)
-                * pochhammer_finite(ring, z_inv, 0, 2, n, order)
-                * bailey_beta(n, order).embed(ring))
-        acc = acc + term.shift(2 * n)
-    half = pochhammer_inf(ring, ring.one, 1, 2, order)
-    prefactor = pochhammer_inf(ring, ring.one, 2, 2, order) * (
-        pochhammer_inf(ring, z, 2, 2, order)
-        * pochhammer_inf(ring, z_inv, 2, 2, order)
-        * half * half
-    ).invert()
-    lhs = prefactor * acc
+    # sum_{n>=0} q^{2n} (z, z_inv; q^2)_n beta_n: the summand ratio is SB's
+    # with c = 1, walked from the n = 0 summand, 1
+    start = [ring.one] + [ring.zero] * order
+    acc = summand_walk(ring, start, 0, order, sb_summand_ratio(z, z_inv, 1))
+    lhs = poch_quotient(
+        ring, order, [(1, 2, 2, None)],
+        [(z, 2, 2, None), (z_inv, 2, 2, None)] + [(1, 1, 2, None)] * 2,
+        start=TruncatedSeries(ring, order, acc))
     rhs = rank_series(ring, z, z_inv, order)
     return _compare("bailey_limit", order, [("bailey-vs-rank", lhs, rhs)])
 

@@ -3,12 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spt_kernel.partitions import distinct_partition_list, partition_list
-from spt_kernel.rings import LAURENT, ZZ
+from spt_kernel.rings import CYCLO3, LAURENT, ZZ, LaurentPolynomial
 from spt_kernel.series import (
     SeriesError,
     TruncatedSeries,
     geometric,
     lambert_sum,
+    poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
     theta_sum,
@@ -108,6 +109,69 @@ class TestPochhammer:
         assert s.coeffs[:2] == [2, 2]
 
 
+# (ring, strategy for a factor's c) for the differential test
+RING_ELEMENTS = [
+    (ZZ, st.integers(-3, 3)),
+    (CYCLO3, st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+        lambda ab: ab[0] * CYCLO3.one + ab[1] * CYCLO3.zeta)),
+    (LAURENT, st.builds(LaurentPolynomial.monomial,
+                        st.integers(-2, 2), st.integers(-2, 2))),
+]
+
+
+@st.composite
+def quotients(draw):
+    ring, elements = draw(st.sampled_from(RING_ELEMENTS))
+    order = draw(st.integers(0, 10))
+
+    def factor(min_j):
+        n = draw(st.none() | st.integers(0, 4))
+        j = draw(st.integers(max(min_j, 1 if n is None else 0), 4))
+        return draw(elements), j, draw(st.integers(1, 3)), n
+
+    numer = [factor(0) for _ in range(draw(st.integers(0, 3)))]
+    denom = [factor(1) for _ in range(draw(st.integers(0, 3)))]
+    start = None
+    if draw(st.booleans()):
+        start = TruncatedSeries(ring, order, draw(
+            st.lists(elements, min_size=order + 1, max_size=order + 1)))
+    return ring, order, numer, denom, start
+
+
+class TestPochQuotient:
+    @given(quotients())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_products_and_inversion(self, case):
+        ring, order, numer, denom, start = case
+
+        def poch(c, j, k, n):
+            if n is None:
+                return pochhammer_inf(ring, c, j, k, order)
+            return pochhammer_finite(ring, c, j, k, n, order)
+
+        want = start if start is not None else TruncatedSeries.one(ring, order)
+        den = TruncatedSeries.one(ring, order)
+        for f in numer:
+            want = want * poch(*f)
+        for f in denom:
+            den = den * poch(*f)
+        assert poch_quotient(ring, order, numer, denom, start) == want * den.invert()
+
+    @pytest.mark.parametrize("build", [
+        lambda: pochhammer_inf(ZZ, 1, 1, 0, 5),           # step k < 1
+        lambda: pochhammer_finite(ZZ, 1, 1, 0, 2, 5),
+        lambda: pochhammer_finite(ZZ, 1, 1, 1, -1, 5),    # length n < 0
+        lambda: pochhammer_inf(ZZ, 1, 0, 1, 5),           # base j < 1
+        lambda: geometric(ZZ, 1, 0, 5),                   # divide at q^0
+        lambda: geometric(ZZ, 1, -2, 5),
+        lambda: poch_quotient(ZZ, 5, denom=[(1, 0, 1, 2)]),
+        lambda: poch_quotient(ZZ, 5, start=TruncatedSeries.one(ZZ, 4)),
+    ])
+    def test_argument_errors(self, build):
+        with pytest.raises(SeriesError):
+            build()
+
+
 class TestThetaAndLambert:
     def test_gauss_triangular_support(self):
         s = theta_sum(ZZ, lambda n: n * (n + 1) // 2, lambda n: 1, 10,
@@ -140,8 +204,17 @@ class TestThetaAndLambert:
         assert all(c == 1 for c in s.coeffs if c)
 
     def test_lambert_zero_denominator_rejected(self):
-        with pytest.raises(SeriesError):
-            lambert_sum(ZZ, lambda n: 1, lambda n: 0, lambda n: 0, 4)
+        with pytest.raises(SeriesError, match="zero series"):
+            lambert_sum(ZZ, lambda n: 1, lambda n: 0 if n == 0 else 10**6,
+                        lambda n: 0, 4)
+
+    def test_divergent_sums_are_refused(self):
+        # constant exponent maps give divergent sums; summing only the 15
+        # scanned indices once returned 15 at q^0 and 15 q^2/(1-q)
+        with pytest.raises(SeriesError, match="scanned range"):
+            theta_sum(ZZ, lambda n: 0, lambda n: 1, 5)
+        with pytest.raises(SeriesError, match="scanned range"):
+            lambert_sum(ZZ, lambda n: 1, lambda n: 2, lambda n: 1, 5)
 
     def test_lambert_negative_valuation_rejected(self):
         with pytest.raises(SeriesError):

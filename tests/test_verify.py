@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from spt_kernel import verify
 from spt_kernel.rings import ZZ
 from spt_kernel.series import SeriesError, TruncatedSeries
 from spt_kernel.verify import (
@@ -85,6 +86,37 @@ def test_failure_reporting_is_exact():
     assert rep.status == "fail"
     assert rep.first_failure == {
         "n": 2, "expected": "4", "actual": "3", "where": "injected"}
+
+
+# check, the builder it calls, the first argument that selects the faulty
+# call (None: every call), the coefficient changed, the subcheck that sees it
+FAULTS = [
+    ("bailey_limit", "rank_series", None, 17, "bailey-vs-rank"),
+    ("bailey_pair", "bailey_beta", 3, 11, "n=3"),
+    ("congruences", "sptbar2_series", None, 7, "z=1-consistency"),
+    ("theorem1", "a2_formula", None, 4, "A2"),
+    ("theorem2", "crank_series", None, 9, "rank-crank"),
+    ("theorem3", "rank_component", 1, 5, "N2rank1"),
+    ("theorem4", "crank_component", 2, 6, "M2crank2"),
+]
+
+
+@pytest.mark.parametrize("check, builder, selector, n, where", FAULTS,
+                         ids=[f[0] for f in FAULTS])
+def test_fault_in_one_coefficient_is_reported_exactly(
+        monkeypatch, check, builder, selector, n, where):
+    original = getattr(verify, builder)
+
+    def faulty(*args):
+        s = original(*args)
+        if selector is None or args[0] == selector:
+            s.coeffs[n] = s.coeffs[n] + s.ring.one
+        return s
+
+    monkeypatch.setattr(verify, builder, faulty)
+    (rep,) = run_all(ORDER, oracle_bound=6, only=check)
+    assert rep.status == "fail"
+    assert (rep.first_failure["n"], rep.first_failure["where"]) == (n, where)
 
 
 def test_order_mismatch_is_an_error():
