@@ -181,11 +181,7 @@ def m2_rank_distribution(n: int) -> LaurentPolynomial:
     """Sum of z^{m2_rank(pi)} over overpartitions of n; 1 for n = 0."""
     if n == 0:
         return LaurentPolynomial.from_int(1)
-    counts: dict[int, int] = {}
-    for op in enumerate_overpartitions(n):
-        r = m2_rank(op)
-        counts[r] = counts.get(r, 0) + 1
-    return LaurentPolynomial(counts)
+    return m2_statistics(n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +225,54 @@ def residual_m2_crank_distribution(n: int) -> LaurentPolynomial:
     """
     if n == 0:
         return LaurentPolynomial.from_int(1)
-    acc = LaurentPolynomial()
-    for op in enumerate_overpartitions(n):
-        acc = acc + residual_crank_weight(op)
-    return acc
+    return m2_statistics(n)[1]
+
+
+def _ordinary_statistics(plain: Partition):
+    """(largest part, #parts, #odd parts, residual-crank weight as
+    (exponent, coefficient) pairs) of the ordinary parts of an
+    overpartition; the residual crank depends on them alone."""
+    halved = tuple(v // 2 for v in plain if v % 2 == 0)
+    if not halved:
+        weight = ((0, 1),)
+    elif halved == (1,):
+        weight = tuple(_FAILURE_WEIGHT.c.items())
+    else:
+        weight = ((ag_crank(halved), 1),)
+    odd = len(plain) - len(halved)
+    return (plain[0] if plain else 0), len(plain), odd, weight
+
+
+@lru_cache(maxsize=None)
+def m2_statistics(n: int) -> tuple[LaurentPolynomial, LaurentPolynomial, int]:
+    """(M2-rank distribution, residual-crank distribution, pairs visited)
+    over the overpartitions of n >= 1, in one enumeration.
+
+    The walk visits each overpartition once, as a pair (distinct overlined
+    parts, ordinary parts), as ``enumerate_overpartitions`` does, and reads
+    both statistics off the two part lists without building an
+    ``Overpartition``: the largest part is overlined when the overlined
+    list reaches it (the overlined copy comes first among equal values).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    ranks: dict[int, int] = {}
+    cranks: dict[int, int] = {}
+    visits = 0
+    for m in range(n + 1):
+        plains = [_ordinary_statistics(p) for p in partition_list(n - m)]
+        for over in distinct_partition_list(m):
+            top_over = over[0] if over else 0
+            for top, count, odd, weight in plains:
+                visits += 1
+                largest = max(top, top_over)
+                # chi: the largest part is odd and carries no overline
+                chi = 1 if largest % 2 and top > top_over else 0
+                r = (largest + 1) // 2 - len(over) - count + odd - chi
+                ranks[r] = ranks.get(r, 0) + 1
+                for e, v in weight:
+                    cranks[e] = cranks.get(e, 0) + v
+    return LaurentPolynomial(ranks), LaurentPolynomial(cranks), visits
 
 
 def count_partitions(n: int) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Sequence
 
-from .rings import RingError
+from .rings import ZZ, PackedLaurentRing, RingError
 
 
 class SeriesError(ValueError):
@@ -39,9 +39,9 @@ def mul_lists(a, b, upto, zero):
 def mul_binomial_list(a, c, e):
     """In place: a *= (1 - c*q^e)."""
     if e == 0:
-        f = 1 - c
         for i, ai in enumerate(a):
-            a[i] = ai * f
+            if ai:
+                a[i] = ai - c * ai
         return
     for i in range(len(a) - 1, e - 1, -1):
         lo = a[i - e]
@@ -341,6 +341,42 @@ def summand_walk(ring, state: list, n: int, order: int, step) -> list:
             div_binomial_list(state, c, e)
         n += 1
     return total
+
+
+def binomials(numer, denom, bound: bool):
+    """The factor lists (numer, denom) of a product, or, with bound, those
+    of its majorant over Z at z = 1.
+
+    A factor is a tuple whose first entry is the c of (1 - c*q^e); in the
+    majorant each numerator factor becomes (1 + |c| q^e) and each
+    denominator 1/(1 - |c| q^e).  Since the sum of |coefficients| of a
+    Laurent polynomial is subadditive and submultiplicative, and |z| counts
+    as 1, the majorant's coefficient of q^n bounds that sum for the
+    product's coefficient of q^n -- whether or not its factors cancel.
+    """
+    if not bound:
+        return numer, denom
+    return ([(-abs(c), *rest) for c, *rest in numer],
+            [(abs(c), *rest) for c, *rest in denom])
+
+
+def packed_laurent(build, order: int) -> list:
+    """Coefficients 0..order of a series over Z[z,1/z], computed on packed
+    integers and unpacked once.
+
+    build(ring, z, z_inv, order, bound) returns a coefficient list over
+    ring; build(ZZ, 1, 1, order, True) must return a majorant, whose
+    coefficient of q^n bounds the sum of |coefficients| of the Laurent
+    polynomial at q^n.  That fixes the width B, so every coefficient is
+    below 2^(B-1) and the balanced-digit unpack is exact.  The offset keeps
+    each 1/z shift exact while z-exponents stay above -(order//2 + 2); a
+    shift that is not exact raises RingError rather than losing a term, and
+    an exact integer result whose coefficients are below 2^(B-1) cannot
+    hold an exponent below the offset.
+    """
+    width = max(build(ZZ, 1, 1, order, True)).bit_length() + 1
+    ring = PackedLaurentRing(width, order // 2 + 2)
+    return [ring.unpack(x) for x in build(ring, ring.z, ring.z_inv, order, False)]
 
 
 def _scan_range(order: int, exponent: Callable[[int], int],

@@ -25,13 +25,15 @@ from .rings import (
     ZZ,
     CyclotomicRing,
     LaurentPolynomial,
-    PackedLaurentRing,
     RingError,
     residue_class_sums,
 )
 from .series import (
     TruncatedSeries,
+    binomials,
     geometric,
+    mul_lists,
+    packed_laurent,
     poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
@@ -56,7 +58,7 @@ def sb_summand_ratio(z, z_inv, c):
                       [(c, 4 * n + 2), (c, 4 * n + 4)])
 
 
-def _sb_walk(ring, z, z_inv, c, order: int) -> list:
+def _sb_walk(ring, z, z_inv, order: int, bound: bool = False) -> list:
     """Coefficients 0..order of
 
         sum_{n>=1} q^{2n} (c q^{4n+2}; q^2)_inf
@@ -64,19 +66,23 @@ def _sb_walk(ring, z, z_inv, c, order: int) -> list:
 
     in one ``summand_walk``; summand n+1 differs from summand n by four
     binomial factors and two binomial divisors.  c = 1 gives SB(z,q), since
-    (-q^{2n+1};q)_inf (q^{2n+1};q)_inf equals (q^{4n+2};q^2)_inf.  c = -1
-    with z = z_inv = 1 gives a majorant over Z: its coefficient of q^n
-    bounds the sum of |coefficients| of row n of SB.
+    (-q^{2n+1};q)_inf (q^{2n+1};q)_inf equals (q^{4n+2};q^2)_inf.  With
+    bound, over Z at z = z_inv = 1, c = -1 gives a majorant: its
+    coefficient of q^n bounds the sum of |coefficients| of row n of SB.
+    The step factors cancel factors of the summands, so this product-form
+    majorant is tighter than the one ``binomials`` would give.
     """
     if z * (z_inv * ring.one) != ring.one:
         raise RingError("z and z_inv must be inverse units")
     if order < 2:
         return [ring.zero] * (order + 1)
+    c = -1 if bound else 1
     top = order - 2
     # summand 1 over q^2: the z-free factors over Z, then the z divisions
     w = poch_quotient(ZZ, top, [(c, 6, 2, None)], [(1, 3, 2, None)] * 2)
+    start = TruncatedSeries(ring, top, [x * ring.one for x in w.coeffs])
     state = poch_quotient(ring, top, denom=[(z, 2, 2, None), (z_inv, 2, 2, None)],
-                          start=w.embed(ring)).coeffs
+                          start=start).coeffs
     return summand_walk(ring, state, 1, order, sb_summand_ratio(z, z_inv, c))
 
 
@@ -86,7 +92,7 @@ def sb_coefficients(ring, z, z_inv, order: int) -> list:
     z and z_inv multiply ring elements from the left; integer constants act
     as scalars.
     """
-    return _sb_walk(ring, z, z_inv, 1, order)
+    return _sb_walk(ring, z, z_inv, order)
 
 
 def sb_coefficients_naive(ring, z, z_inv, order: int) -> list:
@@ -144,19 +150,12 @@ class SptCrankTable:
 
 
 def sb_series(order: int) -> SptCrankTable:
-    """SB(z,q) over Z[z,1/z], built on packed integers.
-
-    The packing width is proved, not guessed: every coefficient of row n is
-    at most the q^n coefficient of the majorant walk in absolute value, and
-    every z-exponent of a coefficient of q^m along the walk lies in
-    [-m/2, m/2], because each power of z comes with at least q^2.
-    """
+    """SB(z,q) over Z[z,1/z], built on packed integers (``packed_laurent``);
+    each power of z comes with at least q^2, so row n has z-exponents in
+    [-n/2, n/2]."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    bound = max(_sb_walk(ZZ, 1, 1, -1, order))
-    ring = PackedLaurentRing(bound.bit_length() + 1, order // 2 + 1)
-    coeffs = sb_coefficients(ring, ring.z, ring.z_inv, order)
-    return SptCrankTable(order, tuple(ring.unpack(x) for x in coeffs))
+    return SptCrankTable(order, tuple(packed_laurent(_sb_walk, order)))
 
 
 def sb_at_root(t: int, order: int) -> TruncatedSeries:
@@ -194,27 +193,42 @@ def sptbar2_series(order: int) -> TruncatedSeries:
 # Rank and residual-crank generating functions
 # ---------------------------------------------------------------------------
 
+def _rank_coeffs(ring, z, z_inv, order: int, bound: bool = False) -> list:
+    """Coefficients 0..order of the rank generating function (see
+    ``rank_series``); with bound, over Z at z = z_inv = 1, its majorant."""
+    inner = [ring.zero] * (order + 1)
+    inner[0] = ring.one
+    n = 1
+    while n * n + 2 * n <= order:
+        # 2 (-1)^n (1-z)(1-1/z) / ((1-z q^{2n})(1-q^{2n}/z)), at q^{n^2+2n}
+        e = n * n + 2 * n
+        sign = -2 if n % 2 and not bound else 2
+        term = poch_quotient(
+            ring, order - e, *binomials(
+                [(z, 0, 1, 1), (z_inv, 0, 1, 1)],
+                [(z, 2 * n, 1, 1), (z_inv, 2 * n, 1, 1)], bound),
+            start=TruncatedSeries(ring, order - e, [sign * ring.one]))
+        for i, x in enumerate(term.coeffs, e):
+            if x:
+                inner[i] = inner[i] + x
+        n += 1
+    # the prefactor over Z acts by integer scalars on the dense inner sum
+    pref = poch_quotient(ZZ, order, *binomials([(-1, 1, 1, None)],
+                                               [(1, 1, 1, None)], bound))
+    return mul_lists(pref.coeffs, inner, order, ring.zero)
+
+
 def rank_series(ring, z, z_inv, order: int) -> TruncatedSeries:
     """M2-rank generating function in product-plus-Lambert form:
 
     (-q;q)_inf/(q;q)_inf * (1 + 2 sum_{n>=1} (1-z)(1-1/z)(-1)^n q^{n^2+2n}
                                 / ((1-z q^{2n})(1-q^{2n}/z))).
+
+    Over Z[z,1/z] with z = LAURENT.z it runs on packed integers.
     """
-    z = ring.coerce(z)
-    z_inv = ring.coerce(z_inv)
-    inner = TruncatedSeries.one(ring, order)
-    u = (ring.one - z) * (ring.one - z_inv)
-    n = 1
-    while n * n + 2 * n <= order:
-        sign = -2 if n % 2 else 2
-        term = TruncatedSeries.monomial(ring, u * sign, n * n + 2 * n, order)
-        inner = inner + poch_quotient(
-            ring, order, denom=[(z, 2 * n, 1, 1), (z_inv, 2 * n, 1, 1)],
-            start=term)
-        n += 1
-    # the prefactor over Z, then one product with the dense inner sum
-    pref = poch_quotient(ZZ, order, [(-1, 1, 1, None)], [(1, 1, 1, None)])
-    return pref.embed(ring) * inner
+    if ring == LAURENT and (z, z_inv) == (LAURENT.z, LAURENT.z_inv):
+        return TruncatedSeries(ring, order, packed_laurent(_rank_coeffs, order))
+    return TruncatedSeries(ring, order, _rank_coeffs(ring, z, z_inv, order))
 
 
 def rank_series_bailey_sum(ring, z, z_inv, order: int) -> TruncatedSeries:
@@ -233,16 +247,26 @@ def rank_series_bailey_sum(ring, z, z_inv, order: int) -> TruncatedSeries:
     return acc
 
 
+def _crank_coeffs(ring, z, z_inv, order: int, bound: bool = False) -> list:
+    """Coefficients 0..order of the residual-crank generating function (see
+    ``crank_series``); with bound, over Z at z = z_inv = 1, its majorant."""
+    # the z-free part over Z, then the z divisions
+    w = poch_quotient(ZZ, order, *binomials(
+        [(-1, 1, 1, None), (1, 2, 2, None)], [(1, 1, 2, None)], bound))
+    return poch_quotient(
+        ring, order, *binomials((), [(z, 2, 2, None), (z_inv, 2, 2, None)], bound),
+        start=TruncatedSeries(ring, order, [x * ring.one for x in w.coeffs])).coeffs
+
+
 def crank_series(ring, z, z_inv, order: int) -> TruncatedSeries:
     """Residual-crank generating function
     (-q;q)_inf (q^2;q^2)_inf / ((q;q^2)_inf (z q^2;q^2)_inf (q^2/z;q^2)_inf).
+
+    Over Z[z,1/z] with z = LAURENT.z it runs on packed integers.
     """
-    z = ring.coerce(z)
-    z_inv = ring.coerce(z_inv)
-    w = poch_quotient(ZZ, order, [(-1, 1, 1, None), (1, 2, 2, None)],
-                      [(1, 1, 2, None)])
-    return poch_quotient(ring, order, denom=[(z, 2, 2, None), (z_inv, 2, 2, None)],
-                         start=w.embed(ring))
+    if ring == LAURENT and (z, z_inv) == (LAURENT.z, LAURENT.z_inv):
+        return TruncatedSeries(ring, order, packed_laurent(_crank_coeffs, order))
+    return TruncatedSeries(ring, order, _crank_coeffs(ring, z, z_inv, order))
 
 
 # ---------------------------------------------------------------------------

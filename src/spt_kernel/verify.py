@@ -16,7 +16,9 @@ from .rings import CYCLO3, LAURENT, ZZ, LaurentPolynomial
 from .series import (
     SeriesError,
     TruncatedSeries,
+    binomials,
     lambert_sum,
+    packed_laurent,
     poch_quotient,
     summand_walk,
 )
@@ -256,24 +258,35 @@ def verify_bailey_pair(order: int = 120, n_oracle: int = 0,
     return _compare("bailey_pair", order, subchecks)
 
 
+def bailey_side(ring, z, z_inv, order: int, bound: bool = False) -> list:
+    """Coefficients 0..order of the Bailey side of the limiting Bailey Lemma
+    instance (rho_1 = z, rho_2 = 1/z, a = 1, base q^2) times its prefactor:
+
+        (q^2;q^2)_inf / ((z q^2, z_inv q^2; q^2)_inf (q;q^2)_inf^2)
+        * sum_{n>=0} q^{2n} (z, z_inv; q^2)_n beta_n;
+
+    with bound, over Z at z = z_inv = 1, its majorant (see ``binomials``).
+    """
+    # the summand ratio is SB's with c = 1, walked from the n = 0 summand, 1
+    step = sb_summand_ratio(z, z_inv, 1)
+    start = [ring.one] + [ring.zero] * order
+    acc = summand_walk(ring, start, 0, order, lambda n: binomials(*step(n), bound))
+    return poch_quotient(
+        ring, order, *binomials(
+            [(1, 2, 2, None)],
+            [(z, 2, 2, None), (z_inv, 2, 2, None)] + [(1, 1, 2, None)] * 2, bound),
+        start=TruncatedSeries(ring, order, acc)).coeffs
+
+
 def verify_bailey_limit(order: int, n_oracle: int = 0) -> VerificationReport:
-    """The limiting Bailey Lemma instance (rho_1 = z, rho_2 = 1/z, a = 1,
-    base q^2), in the cleared-denominator form: the Bailey-side sum with
-    its infinite-product prefactor equals the closed rank generating
-    function, over the Laurent ring."""
+    """The limiting Bailey Lemma instance in the cleared-denominator form:
+    the Bailey side with its infinite-product prefactor equals the closed
+    rank generating function, over the Laurent ring (both run on packed
+    integers)."""
     if order < 4:
         raise ValueError("order must be >= 4")
-    ring = LAURENT
-    z, z_inv = LAURENT.z, LAURENT.z_inv
-    # sum_{n>=0} q^{2n} (z, z_inv; q^2)_n beta_n: the summand ratio is SB's
-    # with c = 1, walked from the n = 0 summand, 1
-    start = [ring.one] + [ring.zero] * order
-    acc = summand_walk(ring, start, 0, order, sb_summand_ratio(z, z_inv, 1))
-    lhs = poch_quotient(
-        ring, order, [(1, 2, 2, None)],
-        [(z, 2, 2, None), (z_inv, 2, 2, None)] + [(1, 1, 2, None)] * 2,
-        start=TruncatedSeries(ring, order, acc))
-    rhs = rank_series(ring, z, z_inv, order)
+    lhs = TruncatedSeries(LAURENT, order, packed_laurent(bailey_side, order))
+    rhs = rank_series(LAURENT, LAURENT.z, LAURENT.z_inv, order)
     return _compare("bailey_limit", order, [("bailey-vs-rank", lhs, rhs)])
 
 

@@ -11,6 +11,8 @@ from spt_kernel.partitions import (
     enumerate_partitions,
     m2_rank,
     m2_rank_distribution,
+    m2_statistics,
+    residual_crank_weight,
     residual_m2_crank_distribution,
     spt_family,
 )
@@ -132,3 +134,16 @@ class TestResidualCrank:
     @settings(max_examples=11, deadline=None)
     def test_symmetry(self, n):
         assert residual_m2_crank_distribution(n).is_symmetric()
+
+
+def test_shared_walk_matches_enumeration():
+    # one walk gives both oracles; it must agree with the statistics of each
+    # Overpartition that enumerate_overpartitions builds, visiting each once
+    for n in range(1, 13):
+        ranks = {}
+        cranks = LaurentPolynomial()
+        for op in enumerate_overpartitions(n):
+            ranks[m2_rank(op)] = ranks.get(m2_rank(op), 0) + 1
+            cranks = cranks + residual_crank_weight(op)
+        assert m2_statistics(n) == (LaurentPolynomial(ranks), cranks,
+                                    count_overpartitions(n))

@@ -3,12 +3,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spt_kernel.partitions import distinct_partition_list, partition_list
-from spt_kernel.rings import CYCLO3, LAURENT, ZZ, LaurentPolynomial
+from spt_kernel.rings import (
+    CYCLO3,
+    LAURENT,
+    ZZ,
+    LaurentPolynomial,
+    PackedLaurentRing,
+)
 from spt_kernel.series import (
     SeriesError,
     TruncatedSeries,
     geometric,
     lambert_sum,
+    mul_binomial_list,
     poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
@@ -107,6 +114,20 @@ class TestPochhammer:
         # (-1;q)_2 = (1+1)(1+q) = 2 + 2q
         s = pochhammer_finite(ZZ, -1, 0, 1, 2, 4)
         assert s.coeffs[:2] == [2, 2]
+
+    def test_packed_pass_at_exponent_zero_matches_dict_form(self):
+        # (1 - z)(1 - 1/z)(1 - 3): the factors with no power of q; the
+        # results keep |coefficients| <= 80 < 2^7 and exponents >= -3
+        ring = PackedLaurentRing(bits=8, offset=4)
+        rows = [LaurentPolynomial({0: 1}), LaurentPolynomial({-2: 3, 1: -5}),
+                LaurentPolynomial()]
+        packed = [ring.pack(p) for p in rows]
+        for c, packed_c in ((LAURENT.z, ring.z), (LAURENT.z_inv, ring.z_inv),
+                            (3, 3)):
+            mul_binomial_list(rows, c, 0)
+            mul_binomial_list(packed, packed_c, 0)
+        assert [ring.unpack(x) for x in packed] == rows
+        assert rows[0] == LaurentPolynomial({-1: 2, 0: -4, 1: 2})
 
 
 # (ring, strategy for a factor's c) for the differential test

@@ -14,7 +14,17 @@ from spt_kernel.rings import (
     LaurentPolynomial,
     RingError,
 )
+from spt_kernel.series import (
+    TruncatedSeries,
+    packed_laurent,
+    pochhammer_finite,
+    pochhammer_inf,
+)
 from spt_kernel.sptcrank import (
+    _crank_coeffs,
+    _rank_coeffs,
+    _sb_walk,
+    crank_series,
     pair_crank_series,
     partition_pair_oracle,
     rank_series,
@@ -26,6 +36,7 @@ from spt_kernel.sptcrank import (
     sptbar2_series,
     vector_partition_oracle,
 )
+from spt_kernel.verify import bailey_side
 
 ROW4 = LaurentPolynomial({1: 1, 0: 1, -1: 1})
 ROW8 = LaurentPolynomial({3: 1, 2: 1, 1: 3, 0: 5, -1: 3, -2: 1, -3: 1})
@@ -172,3 +183,76 @@ class TestRankSeriesRoutes:
         for n in range(17):
             assert a.coefficient(n) == sum(
                 1 for _ in enumerate_overpartitions(n))
+
+
+def assert_within_majorant(rows, build, order):
+    """Row n's sum of |coefficients| is at most the majorant's coefficient
+    of q^n, so every coefficient is below 2^(B-1) for the packing width B."""
+    majorant = build(ZZ, 1, 1, order, True)
+    width = max(majorant).bit_length() + 1
+    for row, bound in zip(rows, majorant, strict=True):
+        assert sum(abs(c) for c in row.c.values()) <= bound
+        assert all(abs(c) < 1 << (width - 1) for c in row.c.values())
+
+
+def bailey_side_by_inversion(order):
+    """The Bailey side and its prefactor from Pochhammer products and
+    .invert() over the dict Laurent ring."""
+    ring, z, z_inv = LAURENT, LAURENT.z, LAURENT.z_inv
+    acc = TruncatedSeries(ring, order)
+    for n in range(order // 2 + 1):
+        num = (pochhammer_finite(ring, z, 0, 2, n, order)
+               * pochhammer_finite(ring, z_inv, 0, 2, n, order)
+               * pochhammer_finite(ring, 1, 1, 2, n, order)
+               * pochhammer_finite(ring, 1, 1, 2, n, order))
+        beta_den = pochhammer_finite(ring, 1, 2, 2, 2 * n, order)
+        acc = acc + (num * beta_den.invert()).shift(2 * n)
+    den = (pochhammer_inf(ring, z, 2, 2, order)
+           * pochhammer_inf(ring, z_inv, 2, 2, order)
+           * pochhammer_inf(ring, 1, 1, 2, order)
+           * pochhammer_inf(ring, 1, 1, 2, order))
+    return pochhammer_inf(ring, 1, 2, 2, order) * den.invert() * acc
+
+
+class TestPackedSeries:
+    """The packed rank, crank and Bailey-side rows against dict-Laurent
+    references built by another formula or by Cauchy products and
+    .invert(), and within the majorants that fixed their packing width."""
+
+    @given(order=st.integers(1, 40))
+    @example(order=1)
+    @example(order=2)
+    @example(order=3)
+    @settings(max_examples=10, deadline=None)
+    def test_rank_matches_bailey_sum(self, order):
+        rank = rank_series(LAURENT, LAURENT.z, LAURENT.z_inv, order)
+        assert rank == rank_series_bailey_sum(
+            LAURENT, LAURENT.z, LAURENT.z_inv, order)
+        assert_within_majorant(rank.coeffs, _rank_coeffs, order)
+
+    @given(order=st.integers(1, 40))
+    @example(order=1)
+    @example(order=2)
+    @settings(max_examples=10, deadline=None)
+    def test_crank_matches_inverted_products(self, order):
+        ring, z, z_inv = LAURENT, LAURENT.z, LAURENT.z_inv
+        num = (pochhammer_inf(ring, -1, 1, 1, order)
+               * pochhammer_inf(ring, 1, 2, 2, order))
+        den = (pochhammer_inf(ring, 1, 1, 2, order)
+               * pochhammer_inf(ring, z, 2, 2, order)
+               * pochhammer_inf(ring, z_inv, 2, 2, order))
+        crank = crank_series(ring, z, z_inv, order)
+        assert crank == num * den.invert()
+        assert_within_majorant(crank.coeffs, _crank_coeffs, order)
+
+    @given(order=st.integers(1, 40))
+    @example(order=1)
+    @example(order=2)
+    @settings(max_examples=10, deadline=None)
+    def test_bailey_side_matches_inverted_products(self, order):
+        rows = packed_laurent(bailey_side, order)
+        assert rows == bailey_side_by_inversion(order).coeffs
+        assert_within_majorant(rows, bailey_side, order)
+
+    def test_sb_rows_within_majorant(self):
+        assert_within_majorant(sb_series(40).rows, _sb_walk, 40)
