@@ -176,6 +176,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.order < 1:
         parser.error("--order must be >= 1")
+    # a coefficient list holds order + 1 references of 8 bytes, and no
+    # object may exceed sys.maxsize bytes
+    if args.order > sys.maxsize // 8:
+        parser.error(f"--order must be at most {sys.maxsize // 8}")
     if args.command == "verify":
         if not 0 <= args.oracle_bound <= 30:
             parser.error("--oracle-bound must be between 0 and 30")

@@ -74,16 +74,8 @@ class Overpartition:
     parts: tuple[tuple[int, bool], ...]
 
     @property
-    def size(self) -> int:
-        return sum(v for v, _ in self.parts)
-
-    @property
     def largest(self) -> int:
         return self.parts[0][0]
-
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
 
     def values(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.parts)

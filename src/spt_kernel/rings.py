@@ -119,12 +119,6 @@ class LaurentPolynomial:
 
     __rmul__ = __mul__
 
-    def reciprocal(self) -> "LaurentPolynomial":
-        """Substitute z -> 1/z."""
-        r = LaurentPolynomial.__new__(LaurentPolynomial)
-        r.c = {-e: v for e, v in self.c.items()}
-        return r
-
     def is_symmetric(self) -> bool:
         return self.c == {-e: v for e, v in self.c.items()}
 
@@ -239,11 +233,6 @@ class CyclotomicInteger:
         self._check(other)
         t = self.t
         a, b = self.coeffs, other.coeffs
-        if t == 3:
-            # (a0 + a1 z)(b0 + b1 z) with z^2 = -1 - z
-            p = a[1] * b[1]
-            return CyclotomicInteger(3, (a[0] * b[0] - p,
-                                         a[0] * b[1] + a[1] * b[0] - p))
         # generic small convolution, fold with zeta^t = 1, then kill zeta^{t-1}
         conv = [0] * (2 * t - 3)
         for i, ai in enumerate(a):
@@ -264,13 +253,16 @@ class CyclotomicInteger:
 
 
 def eval_at_root(p: LaurentPolynomial, t: int) -> CyclotomicInteger:
-    """Substitute z = zeta_t into a Laurent polynomial, t in {3, 5}."""
+    """Substitute z = zeta_t into a Laurent polynomial, t in {3, 5}.
+
+    With s_k the residue-class sums of p mod t, p(zeta) is
+    sum_k s_k zeta^k, and zeta^{t-1} = -(1 + ... + zeta^{t-2}) makes the
+    coordinate of zeta^k equal to s_k - s_{t-1}.
+    """
     if t not in _SUPPORTED_T:
         raise RingError(f"unsupported cyclotomic order t={t}")
-    acc = CyclotomicInteger.from_int(t, 0)
-    for e, v in p.c.items():
-        acc = acc + CyclotomicInteger.root_power(t, e % t) * v
-    return acc
+    s = residue_class_sums(p, t)
+    return CyclotomicInteger(t, tuple(s[k] - s[t - 1] for k in range(t - 1)))
 
 
 def residue_class_sums(p: LaurentPolynomial, t: int) -> list[int]:
@@ -366,10 +358,14 @@ class CyclotomicRing:
         self.name = f"Z[zeta_{t}]"
 
     def coerce(self, n):
+        """An integer, an element of Z[zeta_t], or a Laurent polynomial
+        evaluated at z = zeta_t."""
         if isinstance(n, CyclotomicInteger):
             if n.t != self.t:
                 raise RingError(f"mixed cyclotomic orders {n.t} and {self.t}")
             return n
+        if isinstance(n, LaurentPolynomial):
+            return eval_at_root(n, self.t)
         return CyclotomicInteger.from_int(self.t, n)
 
     def unit_inverse(self, x):

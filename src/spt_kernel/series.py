@@ -98,10 +98,6 @@ class TruncatedSeries:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zeros(ring, order: int) -> "TruncatedSeries":
-        return TruncatedSeries(ring, order)
-
-    @staticmethod
     def one(ring, order: int) -> "TruncatedSeries":
         s = TruncatedSeries(ring, order)
         s.coeffs[0] = ring.one
@@ -191,12 +187,6 @@ class TruncatedSeries:
             raise SeriesError(f"constant term is not a unit: {exc}") from exc
         return TruncatedSeries(self.ring, self.order, coeffs)
 
-    def mul_binomial(self, c, e: int) -> "TruncatedSeries":
-        """Return self * (1 - c*q^e)."""
-        out = list(self.coeffs)
-        mul_binomial_list(out, self.ring.coerce(c), e)
-        return TruncatedSeries(self.ring, self.order, out)
-
     def div_binomial(self, c, e: int) -> "TruncatedSeries":
         """Return self / (1 - c*q^e)."""
         out = list(self.coeffs)
@@ -209,7 +199,8 @@ class TruncatedSeries:
         return TruncatedSeries(self.ring, order, self.coeffs[: order + 1])
 
     def embed(self, ring) -> "TruncatedSeries":
-        """Coerce coefficients into another ring (e.g. Z into Z[zeta_3])."""
+        """Coerce coefficients into another ring (e.g. Z into Z[zeta_3], or
+        Z[z,1/z] into Z[zeta_3] by z = zeta_3)."""
         return TruncatedSeries(ring, self.order, [ring.coerce(c) for c in self.coeffs])
 
     # -- dissection ----------------------------------------------------------

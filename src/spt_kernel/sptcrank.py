@@ -23,7 +23,6 @@ from .rings import (
     CYCLO5,
     LAURENT,
     ZZ,
-    CyclotomicRing,
     LaurentPolynomial,
     RingError,
     residue_class_sums,
@@ -84,15 +83,6 @@ def _sb_walk(ring, z, z_inv, order: int, bound: bool = False) -> list:
     state = poch_quotient(ring, top, denom=[(z, 2, 2, None), (z_inv, 2, 2, None)],
                           start=start).coeffs
     return summand_walk(ring, state, 1, order, sb_summand_ratio(z, z_inv, c))
-
-
-def sb_coefficients(ring, z, z_inv, order: int) -> list:
-    """Coefficient list of SB(z,q) with z specialized to a ring element.
-
-    z and z_inv multiply ring elements from the left; integer constants act
-    as scalars.
-    """
-    return _sb_walk(ring, z, z_inv, order)
 
 
 def sb_coefficients_naive(ring, z, z_inv, order: int) -> list:
@@ -159,12 +149,12 @@ def sb_series(order: int) -> SptCrankTable:
 
 
 def sb_at_root(t: int, order: int) -> TruncatedSeries:
-    """SB(zeta_t, q) over Z[zeta_t], t in {3, 5}."""
+    """SB(zeta_t, q) over Z[zeta_t], t in {3, 5}: the rows of ``sb_series``
+    evaluated at z = zeta_t."""
     ring = {3: CYCLO3, 5: CYCLO5}.get(t)
     if ring is None:
         raise RingError(f"unsupported root order t={t}")
-    coeffs = sb_coefficients(ring, ring.zeta, ring.zeta_inv, order)
-    return TruncatedSeries(ring, order, coeffs)
+    return sb_series(order).as_series().embed(ring)
 
 
 def sptbar2_series(order: int) -> TruncatedSeries:
@@ -218,17 +208,14 @@ def _rank_coeffs(ring, z, z_inv, order: int, bound: bool = False) -> list:
     return mul_lists(pref.coeffs, inner, order, ring.zero)
 
 
-def rank_series(ring, z, z_inv, order: int) -> TruncatedSeries:
-    """M2-rank generating function in product-plus-Lambert form:
+def rank_series(order: int) -> TruncatedSeries:
+    """M2-rank generating function in product-plus-Lambert form over
+    Z[z,1/z], built on packed integers:
 
     (-q;q)_inf/(q;q)_inf * (1 + 2 sum_{n>=1} (1-z)(1-1/z)(-1)^n q^{n^2+2n}
                                 / ((1-z q^{2n})(1-q^{2n}/z))).
-
-    Over Z[z,1/z] with z = LAURENT.z it runs on packed integers.
     """
-    if ring == LAURENT and (z, z_inv) == (LAURENT.z, LAURENT.z_inv):
-        return TruncatedSeries(ring, order, packed_laurent(_rank_coeffs, order))
-    return TruncatedSeries(ring, order, _rank_coeffs(ring, z, z_inv, order))
+    return TruncatedSeries(LAURENT, order, packed_laurent(_rank_coeffs, order))
 
 
 def rank_series_bailey_sum(ring, z, z_inv, order: int) -> TruncatedSeries:
@@ -258,15 +245,12 @@ def _crank_coeffs(ring, z, z_inv, order: int, bound: bool = False) -> list:
         start=TruncatedSeries(ring, order, [x * ring.one for x in w.coeffs])).coeffs
 
 
-def crank_series(ring, z, z_inv, order: int) -> TruncatedSeries:
-    """Residual-crank generating function
+def crank_series(order: int) -> TruncatedSeries:
+    """Residual-crank generating function over Z[z,1/z], built on packed
+    integers:
     (-q;q)_inf (q^2;q^2)_inf / ((q;q^2)_inf (z q^2;q^2)_inf (q^2/z;q^2)_inf).
-
-    Over Z[z,1/z] with z = LAURENT.z it runs on packed integers.
     """
-    if ring == LAURENT and (z, z_inv) == (LAURENT.z, LAURENT.z_inv):
-        return TruncatedSeries(ring, order, packed_laurent(_crank_coeffs, order))
-    return TruncatedSeries(ring, order, _crank_coeffs(ring, z, z_inv, order))
+    return TruncatedSeries(LAURENT, order, packed_laurent(_crank_coeffs, order))
 
 
 # ---------------------------------------------------------------------------

@@ -179,8 +179,8 @@ def verify_theorem2(order: int, n_oracle: int = 12) -> VerificationReport:
     if order < 4:
         raise ValueError("order must be >= 4")
     table = sb_series(order)
-    rank = rank_series(LAURENT, LAURENT.z, LAURENT.z_inv, order)
-    crank = crank_series(LAURENT, LAURENT.z, LAURENT.z_inv, order)
+    rank = rank_series(order)
+    crank = crank_series(order)
     u = LaurentPolynomial({1: -1, 0: 2, -1: -1})
     lhs = table.as_series().scale(u)
     rhs = rank - crank
@@ -199,7 +199,7 @@ def verify_theorem3(order: int, n_oracle: int = 0) -> VerificationReport:
     """3-dissection of the M2-rank generating function at zeta_3."""
     if order < 9:
         raise ValueError("order must be >= 9")
-    comps = rank_series(CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv, order).dissect(3)
+    comps = rank_series(order).embed(CYCLO3).dissect(3)
     subchecks = [
         (f"N2rank{j}", comps[j], rank_component(j, comps[j].order).embed(CYCLO3))
         for j in range(3)
@@ -213,7 +213,7 @@ def verify_theorem4(order: int, n_oracle: int = 0) -> VerificationReport:
     3-dissection of psi, (iii) the three component formulas."""
     if order < 9:
         raise ValueError("order must be >= 9")
-    lhs = crank_series(CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv, order)
+    lhs = crank_series(order).embed(CYCLO3)
     psi = gauss_psi(order)
     simplified = poch_quotient(ZZ, order, [(1, 2, 2, None)],
                                [(1, 1, 2, None), (1, 6, 6, None)],
@@ -286,7 +286,7 @@ def verify_bailey_limit(order: int, n_oracle: int = 0) -> VerificationReport:
     if order < 4:
         raise ValueError("order must be >= 4")
     lhs = TruncatedSeries(LAURENT, order, packed_laurent(bailey_side, order))
-    rhs = rank_series(LAURENT, LAURENT.z, LAURENT.z_inv, order)
+    rhs = rank_series(order)
     return _compare("bailey_limit", order, [("bailey-vs-rank", lhs, rhs)])
 
 
@@ -298,7 +298,7 @@ def verify_congruences(order: int, n_oracle: int = 0) -> VerificationReport:
         raise ValueError("order must be >= 8")
     s2 = sptbar2_series(order)
     table = sb_series(order)
-    zeta3 = sb_at_root(3, order)
+    zeta3 = table.as_series().embed(CYCLO3)
 
     def fail(n, expected, actual, where):
         return VerificationReport("congruences", order, "fail", {

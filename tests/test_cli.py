@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -59,6 +60,18 @@ class TestTable:
         with pytest.raises(SystemExit) as exc:
             main(["table", "--order", "5", "--t", "12"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["table"], ["verify"], ["export", "--what", "A2"],
+], ids=["table", "verify", "export"])
+@pytest.mark.parametrize("order", [10**20, sys.maxsize // 8 + 1],
+                         ids=["1e20", "maxsize/8+1"])
+def test_order_beyond_any_list_is_usage_error(capsys, argv, order):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--order", str(order)])
+    assert exc.value.code == 2
+    assert "--order must be at most" in capsys.readouterr().err
 
 
 class TestVerify:

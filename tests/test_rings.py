@@ -109,6 +109,17 @@ class TestEvalAtRoot:
         with pytest.raises(RingError):
             eval_at_root(Z, 7)
 
+    @given(laurents, st.sampled_from([3, 5]))
+    @settings(max_examples=120)
+    def test_matches_sum_of_root_powers(self, p, t):
+        # the definition: sum of v * zeta_t^e over the terms v z^e of p
+        expected = CyclotomicInteger.from_int(t, 0)
+        for e, v in p.c.items():
+            expected = expected + CyclotomicInteger.root_power(t, e) * v
+        assert eval_at_root(p, t) == expected
+        ring = CYCLO3 if t == 3 else CYCLO5
+        assert ring.coerce(p) == expected
+
 
 class TestResidueClassSums:
     def test_q8_row_mod5(self):

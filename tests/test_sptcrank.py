@@ -30,7 +30,6 @@ from spt_kernel.sptcrank import (
     rank_series,
     rank_series_bailey_sum,
     sb_at_root,
-    sb_coefficients,
     sb_coefficients_naive,
     sb_series,
     sptbar2_series,
@@ -63,26 +62,31 @@ class TestSbSeries:
             assert table.row(n).is_symmetric()
 
     def test_incremental_matches_naive_laurent(self):
-        assert (sb_coefficients(LAURENT, LAURENT.z, LAURENT.z_inv, 24)
+        assert (_sb_walk(LAURENT, LAURENT.z, LAURENT.z_inv, 24)
                 == sb_coefficients_naive(LAURENT, LAURENT.z, LAURENT.z_inv, 24))
 
     def test_incremental_matches_naive_cyclotomic(self):
-        assert (sb_coefficients(CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv, 30)
+        # the packed walk evaluated at zeta_3 against summands over Z[zeta_3]
+        assert (sb_at_root(3, 30).coeffs
                 == sb_coefficients_naive(CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv, 30))
 
-    @pytest.mark.parametrize("ring, z, z_inv", [
-        (CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv),
-        (CYCLO5, CYCLO5.zeta, CYCLO5.zeta_inv),
-        (LAURENT, LAURENT.z, LAURENT.z_inv),
+    # the walk over Z[z,1/z], and SB(zeta_t, q) read off the packed rows,
+    # against every summand built from scratch over the same ring
+    @pytest.mark.parametrize("build, ring, z, z_inv", [
+        (lambda order: sb_at_root(3, order).coeffs,
+         CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv),
+        (lambda order: sb_at_root(5, order).coeffs,
+         CYCLO5, CYCLO5.zeta, CYCLO5.zeta_inv),
+        (lambda order: _sb_walk(LAURENT, LAURENT.z, LAURENT.z_inv, order),
+         LAURENT, LAURENT.z, LAURENT.z_inv),
     ], ids=["zeta3", "zeta5", "laurent"])
-    @given(order=st.integers(1, 30))
+    @given(order=st.integers(1, 40))
     @example(order=1)
     @example(order=2)
     @example(order=3)
     @settings(max_examples=15, deadline=None)
-    def test_walk_matches_naive(self, ring, z, z_inv, order):
-        assert (sb_coefficients(ring, z, z_inv, order)
-                == sb_coefficients_naive(ring, z, z_inv, order))
+    def test_walk_matches_naive(self, build, ring, z, z_inv, order):
+        assert build(order) == sb_coefficients_naive(ring, z, z_inv, order)
 
     @given(order=st.integers(1, 30))
     @example(order=1)
@@ -173,16 +177,26 @@ class TestPairCrankSeries:
 class TestRankSeriesRoutes:
     def test_sum_form_matches_product_form(self):
         # the rank generating function has a q-hypergeometric sum form and
-        a = rank_series(LAURENT, LAURENT.z, LAURENT.z_inv, 24)
+        a = rank_series(24)
         # a closed product form; both must agree
         b = rank_series_bailey_sum(LAURENT, LAURENT.z, LAURENT.z_inv, 24)
         assert a == b
 
     def test_z1_counts_overpartitions(self):
-        a = rank_series(ZZ, 1, 1, 16)
+        a = rank_series(16)
         for n in range(17):
-            assert a.coefficient(n) == sum(
+            assert a.coefficient(n).eval_at_one() == sum(
                 1 for _ in enumerate_overpartitions(n))
+
+
+def crank_by_inversion(ring, z, z_inv, order):
+    """The residual-crank product from Pochhammer products and .invert()."""
+    num = (pochhammer_inf(ring, -1, 1, 1, order)
+           * pochhammer_inf(ring, 1, 2, 2, order))
+    den = (pochhammer_inf(ring, 1, 1, 2, order)
+           * pochhammer_inf(ring, z, 2, 2, order)
+           * pochhammer_inf(ring, z_inv, 2, 2, order))
+    return num * den.invert()
 
 
 def assert_within_majorant(rows, build, order):
@@ -225,7 +239,7 @@ class TestPackedSeries:
     @example(order=3)
     @settings(max_examples=10, deadline=None)
     def test_rank_matches_bailey_sum(self, order):
-        rank = rank_series(LAURENT, LAURENT.z, LAURENT.z_inv, order)
+        rank = rank_series(order)
         assert rank == rank_series_bailey_sum(
             LAURENT, LAURENT.z, LAURENT.z_inv, order)
         assert_within_majorant(rank.coeffs, _rank_coeffs, order)
@@ -235,14 +249,9 @@ class TestPackedSeries:
     @example(order=2)
     @settings(max_examples=10, deadline=None)
     def test_crank_matches_inverted_products(self, order):
-        ring, z, z_inv = LAURENT, LAURENT.z, LAURENT.z_inv
-        num = (pochhammer_inf(ring, -1, 1, 1, order)
-               * pochhammer_inf(ring, 1, 2, 2, order))
-        den = (pochhammer_inf(ring, 1, 1, 2, order)
-               * pochhammer_inf(ring, z, 2, 2, order)
-               * pochhammer_inf(ring, z_inv, 2, 2, order))
-        crank = crank_series(ring, z, z_inv, order)
-        assert crank == num * den.invert()
+        crank = crank_series(order)
+        assert crank == crank_by_inversion(LAURENT, LAURENT.z, LAURENT.z_inv,
+                                           order)
         assert_within_majorant(crank.coeffs, _crank_coeffs, order)
 
     @given(order=st.integers(1, 40))
@@ -253,6 +262,24 @@ class TestPackedSeries:
         rows = packed_laurent(bailey_side, order)
         assert rows == bailey_side_by_inversion(order).coeffs
         assert_within_majorant(rows, bailey_side, order)
+
+    @given(order=st.integers(1, 40))
+    @example(order=1)
+    @example(order=2)
+    @example(order=3)
+    @settings(max_examples=10, deadline=None)
+    def test_rank_at_zeta3_matches_bailey_sum(self, order):
+        assert rank_series(order).embed(CYCLO3) == rank_series_bailey_sum(
+            CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv, order)
+
+    @given(order=st.integers(1, 40))
+    @example(order=1)
+    @example(order=2)
+    @example(order=3)
+    @settings(max_examples=10, deadline=None)
+    def test_crank_at_zeta3_matches_inverted_products(self, order):
+        assert crank_series(order).embed(CYCLO3) == crank_by_inversion(
+            CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv, order)
 
     def test_sb_rows_within_majorant(self):
         assert_within_majorant(sb_series(40).rows, _sb_walk, 40)
