@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import verify as verify_mod
-from .sptcrank import sb_series, sptbar2_series
+from .sptcrank import sb_residues, sb_series, sptbar2_series
 from .verify import (
     a2_formula,
     crank_component,
@@ -97,9 +97,16 @@ def _emit(lines, out_path) -> int:
 
 
 def cmd_table(args) -> int:
-    table = sb_series(args.order)
+    # A residue value is t*B bits wide and a packed Laurent row about
+    # (n/2 + order/2)*B, so the residues are cheaper only while t is at
+    # most about half the order; above that the rows are built instead.
+    if args.t <= args.order // 2:
+        residues = sb_residues(args.order, args.t)
+    else:
+        table = sb_series(args.order)
+        residues = [table.residue_sums(n, args.t) for n in range(args.order + 1)]
     s2 = sptbar2_series(args.order)
-    rows = [(n, s2.coefficient(n), table.residue_sums(n, args.t))
+    rows = [(n, s2.coefficient(n), residues[n])
             for n in range(1, args.order + 1)]
     if args.format == "json":
         lines = [json.dumps({
@@ -186,8 +193,9 @@ def main(argv=None) -> int:
         if args.only is not None and args.only not in verify_mod.CHECKS:
             parser.error(f"unknown check {args.only!r}; choose from "
                          f"{sorted(verify_mod.CHECKS)}")
-    # Row n of SB has z-exponents in [-n, n], so a modulus above 2N+1 only
-    # pads every row with zero classes.
+    # Row n of SB has z-exponents in [-n/2, n/2] (see sb_series), so a
+    # modulus above N+1 only pads every row with zero classes; up to 2N+1
+    # is accepted.
     if args.command == "table" and not 1 <= args.t <= 2 * args.order + 1:
         parser.error("--t must be between 1 and 2*order+1")
     handler = {"table": cmd_table, "verify": cmd_verify, "export": cmd_export}

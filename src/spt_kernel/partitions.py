@@ -267,9 +267,5 @@ def m2_statistics(n: int) -> tuple[LaurentPolynomial, LaurentPolynomial, int]:
     return LaurentPolynomial(ranks), LaurentPolynomial(cranks), visits
 
 
-def count_partitions(n: int) -> int:
-    return len(partition_list(n))
-
-
 def count_overpartitions(n: int) -> int:
     return sum(1 for _ in enumerate_overpartitions(n))

@@ -119,9 +119,6 @@ class LaurentPolynomial:
 
     __rmul__ = __mul__
 
-    def is_symmetric(self) -> bool:
-        return self.c == {-e: v for e, v in self.c.items()}
-
     def eval_at_one(self) -> int:
         return sum(self.c.values())
 
@@ -253,16 +250,23 @@ class CyclotomicInteger:
 
 
 def eval_at_root(p: LaurentPolynomial, t: int) -> CyclotomicInteger:
-    """Substitute z = zeta_t into a Laurent polynomial, t in {3, 5}.
+    """Substitute z = zeta_t into a Laurent polynomial, t in {3, 5}."""
+    return root_value(residue_class_sums(p, t), t)
 
-    With s_k the residue-class sums of p mod t, p(zeta) is
-    sum_k s_k zeta^k, and zeta^{t-1} = -(1 + ... + zeta^{t-2}) makes the
-    coordinate of zeta^k equal to s_k - s_{t-1}.
+
+def root_value(sums, t: int) -> CyclotomicInteger:
+    """The value at z = zeta_t, t in {3, 5}, of a Laurent polynomial whose
+    residue-class sums mod t are sums = (s_0, ..., s_{t-1}).
+
+    p(zeta) is sum_k s_k zeta^k, and zeta^{t-1} = -(1 + ... + zeta^{t-2})
+    makes the coordinate of zeta^k equal to s_k - s_{t-1} (Andrews-Garvan,
+    "Dyson's crank of a partition", Bull. AMS 18 (1988)).
     """
     if t not in _SUPPORTED_T:
         raise RingError(f"unsupported cyclotomic order t={t}")
-    s = residue_class_sums(p, t)
-    return CyclotomicInteger(t, tuple(s[k] - s[t - 1] for k in range(t - 1)))
+    if len(sums) != t:
+        raise RingError(f"need {t} residue-class sums for Z[zeta_{t}]")
+    return CyclotomicInteger(t, tuple(sums[k] - sums[t - 1] for k in range(t - 1)))
 
 
 def residue_class_sums(p: LaurentPolynomial, t: int) -> list[int]:
@@ -395,14 +399,25 @@ class CyclotomicRing:
 # ---------------------------------------------------------------------------
 
 class _ZShift:
-    """Multiplication by z^{+1} or z^{-1} on packed integers: a shift."""
+    """Multiplication by a power of z on packed integers: a shift by bits.
 
-    __slots__ = ("bits",)
+    Without fold, a negative shift is exact or raises RingError.  With fold
+    = t*B, values are integers modulo M = 2^fold - 1 and the bits above fold
+    are added back in: y = 2^fold * (y >> fold) + (y & M) is congruent to
+    (y >> fold) + (y & M) mod M, for negative y too.
+    """
 
-    def __init__(self, bits: int):
+    __slots__ = ("bits", "fold", "mask")
+
+    def __init__(self, bits: int, fold: int = 0):
         self.bits = bits
+        self.fold = fold
+        self.mask = (1 << fold) - 1
 
     def __mul__(self, x: int) -> int:
+        if self.fold:
+            y = x << self.bits
+            return (y & self.mask) + (y >> self.fold)
         if self.bits > 0:
             return x << self.bits
         k = -self.bits
@@ -468,6 +483,60 @@ class PackedLaurentRing:
         r = LaurentPolynomial.__new__(LaurentPolynomial)
         r.c = coeffs
         return r
+
+
+class PackedResidueRing:
+    """Z[z]/(z^t - 1), each element packed into one integer mod 2^(tB) - 1.
+
+    An element sum_{k<t} s_k z^k is stored as any integer congruent to
+    sum_k s_k 2^(kB) modulo M = 2^(tB) - 1: Kronecker substitution reduced
+    modulo 2^(tB) - 1, the cyclic convolution of Schoenhage-Strassen (see
+    Harvey, cited above).  A Laurent polynomial maps to its residue-class
+    sums mod t, since z^t = 1.  Sums, differences and integer multiples
+    are plain integer operations; ``z * x`` is a shift by B bits folded
+    back below tB bits, and ``z_inv * x`` the same shift by (t-1)*B bits,
+    because z^(t-1) = 1/z.  Values are reduced only there and in
+    ``unpack``.
+
+    ``unpack`` is exact when the caller proves |s_k| < 2^(B-1) for every
+    k, as a majorant of the sum of |coefficients| of the Laurent
+    polynomial below 2^(B-1) does: then |sum_k s_k 2^(kB)| is at most
+    (2^(B-1) - 1)(2^(tB) - 1)/(2^B - 1) < M/2, so the balanced residue mod M
+    is that sum exactly, and its t balanced base-2^B digits are unique.
+    """
+
+    zero = 0
+    one = 1
+
+    def __init__(self, bits: int, t: int):
+        if bits < 1 or t < 1:
+            raise RingError("packing needs bits >= 1 and modulus t >= 1")
+        self.bits = bits
+        self.t = t
+        self.modulus = (1 << (t * bits)) - 1
+        self.z = _ZShift(bits, t * bits)
+        self.z_inv = _ZShift((t - 1) * bits, t * bits)
+
+    def unpack(self, x: int) -> list[int]:
+        """The residue-class sums (s_0, ..., s_{t-1}) that x packs."""
+        m = self.modulus
+        x %= m
+        if 2 * x > m:
+            x -= m
+        b = self.bits
+        mask = (1 << b) - 1
+        half = 1 << (b - 1)
+        sums = []
+        for _ in range(self.t):
+            d = x & mask
+            if d >= half:
+                d -= 1 << b
+            sums.append(d)
+            x = (x - d) >> b
+        if x:
+            raise RingError(f"residue does not decode into {self.t} digits "
+                            f"of {b} bits")
+        return sums
 
 
 ZZ = IntegerRing()

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Sequence
 
-from .rings import ZZ, PackedLaurentRing, RingError
+from .rings import ZZ, PackedLaurentRing, PackedResidueRing, RingError
 
 
 class SeriesError(ValueError):
@@ -98,12 +98,6 @@ class TruncatedSeries:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def one(ring, order: int) -> "TruncatedSeries":
-        s = TruncatedSeries(ring, order)
-        s.coeffs[0] = ring.one
-        return s
-
-    @staticmethod
     def monomial(ring, c, e: int, order: int) -> "TruncatedSeries":
         s = TruncatedSeries(ring, order)
         if 0 <= e <= order:
@@ -187,12 +181,6 @@ class TruncatedSeries:
             raise SeriesError(f"constant term is not a unit: {exc}") from exc
         return TruncatedSeries(self.ring, self.order, coeffs)
 
-    def div_binomial(self, c, e: int) -> "TruncatedSeries":
-        """Return self / (1 - c*q^e)."""
-        out = list(self.coeffs)
-        div_binomial_list(out, self.ring.coerce(c), e)
-        return TruncatedSeries(self.ring, self.order, out)
-
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise SeriesError("cannot extend a truncated series")
@@ -220,17 +208,6 @@ class TruncatedSeries:
                 [self.coeffs[t * i + j] for i in range(comp_order + 1)],
             ))
         return out
-
-    def inflate(self, t: int, order: int) -> "TruncatedSeries":
-        """Substitute q -> q^t, re-truncated at the given target order."""
-        if t < 1:
-            raise SeriesError("inflation step must be positive")
-        s = TruncatedSeries(self.ring, order)
-        for i, c in enumerate(self.coeffs):
-            if t * i > order:
-                break
-            s.coeffs[t * i] = c
-        return s
 
     # -- rendering -----------------------------------------------------------
 
@@ -351,6 +328,14 @@ def binomials(numer, denom, bound: bool):
             [(abs(c), *rest) for c, *rest in denom])
 
 
+def _packing_width(build, order: int) -> int:
+    """The width B of a packed run of build: one bit more than the largest
+    coefficient of its majorant build(ZZ, 1, 1, order, True), so the sum
+    of |coefficients| of every Laurent polynomial it returns is below
+    2^(B-1)."""
+    return max(build(ZZ, 1, 1, order, True)).bit_length() + 1
+
+
 def packed_laurent(build, order: int) -> list:
     """Coefficients 0..order of a series over Z[z,1/z], computed on packed
     integers and unpacked once.
@@ -365,8 +350,21 @@ def packed_laurent(build, order: int) -> list:
     an exact integer result whose coefficients are below 2^(B-1) cannot
     hold an exponent below the offset.
     """
-    width = max(build(ZZ, 1, 1, order, True)).bit_length() + 1
-    ring = PackedLaurentRing(width, order // 2 + 2)
+    ring = PackedLaurentRing(_packing_width(build, order), order // 2 + 2)
+    return [ring.unpack(x) for x in build(ring, ring.z, ring.z_inv, order, False)]
+
+
+def packed_residues(build, order: int, t: int) -> list[list[int]]:
+    """Residue-class sums mod t of coefficients 0..order of a series over
+    Z[z,1/z]: entry n is ``residue_class_sums`` of the Laurent polynomial
+    at q^n, computed over Z[z]/(z^t - 1) without building it.
+
+    build is as for ``packed_laurent`` and runs on ``PackedResidueRing``
+    with the same width B.  Each value is t*B bits, against about
+    0.75*order*B bits for a packed Laurent row, so this is the cheaper
+    route while t is small next to the order.
+    """
+    ring = PackedResidueRing(_packing_width(build, order), t)
     return [ring.unpack(x) for x in build(ring, ring.z, ring.z_inv, order, False)]
 
 

@@ -10,7 +10,7 @@ even-smallest-part overpartition spt function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .partitions import (
     Partition,
@@ -26,6 +26,7 @@ from .rings import (
     LaurentPolynomial,
     RingError,
     residue_class_sums,
+    root_value,
 )
 from .series import (
     TruncatedSeries,
@@ -33,6 +34,7 @@ from .series import (
     geometric,
     mul_lists,
     packed_laurent,
+    packed_residues,
     poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
@@ -148,13 +150,37 @@ def sb_series(order: int) -> SptCrankTable:
     return SptCrankTable(order, tuple(packed_laurent(_sb_walk, order)))
 
 
-def sb_at_root(t: int, order: int) -> TruncatedSeries:
-    """SB(zeta_t, q) over Z[zeta_t], t in {3, 5}: the rows of ``sb_series``
-    evaluated at z = zeta_t."""
+def sb_residues(order: int, t: int) -> list[list[int]]:
+    """Residue-class sums mod t of rows 0..order of SB(z,q), built over
+    Z[z]/(z^t - 1) (``packed_residues``) without the rows.
+
+    A residue sum adds counts, so a negative one is refused like a negative
+    count in ``SptCrankTable``.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    sums = packed_residues(_sb_walk, order, t)
+    for n, row in enumerate(sums):
+        if min(row) < 0:
+            raise ValueError(f"negative spt-crank residue sum at n={n}: {row}")
+    return sums
+
+
+def _at_root(t: int, order: int, residues) -> TruncatedSeries:
+    """The series over Z[zeta_t], t in {3, 5}, whose coefficient of q^n is
+    ``root_value`` of entry n of residues(order, t); t is checked before
+    anything is built."""
     ring = {3: CYCLO3, 5: CYCLO5}.get(t)
     if ring is None:
         raise RingError(f"unsupported root order t={t}")
-    return sb_series(order).as_series().embed(ring)
+    return TruncatedSeries(ring, order,
+                           [root_value(s, t) for s in residues(order, t)])
+
+
+def sb_at_root(t: int, order: int) -> TruncatedSeries:
+    """SB(zeta_t, q) over Z[zeta_t], t in {3, 5}, read off the residue sums
+    of ``sb_residues``."""
+    return _at_root(t, order, sb_residues)
 
 
 def sptbar2_series(order: int) -> TruncatedSeries:
@@ -218,6 +244,12 @@ def rank_series(order: int) -> TruncatedSeries:
     return TruncatedSeries(LAURENT, order, packed_laurent(_rank_coeffs, order))
 
 
+def rank_at_root(t: int, order: int) -> TruncatedSeries:
+    """The rank generating function at z = zeta_t, t in {3, 5}, read off
+    residue sums mod t built over Z[z]/(z^t - 1)."""
+    return _at_root(t, order, partial(packed_residues, _rank_coeffs))
+
+
 def rank_series_bailey_sum(ring, z, z_inv, order: int) -> TruncatedSeries:
     """The same rank generating function via the q-hypergeometric sum
     sum_{n>=0} (-1;q)_{2n} q^n / ((z q^2, q^2/z; q^2)_n).  O(N^3); use for
@@ -251,6 +283,12 @@ def crank_series(order: int) -> TruncatedSeries:
     (-q;q)_inf (q^2;q^2)_inf / ((q;q^2)_inf (z q^2;q^2)_inf (q^2/z;q^2)_inf).
     """
     return TruncatedSeries(LAURENT, order, packed_laurent(_crank_coeffs, order))
+
+
+def crank_at_root(t: int, order: int) -> TruncatedSeries:
+    """The residual-crank generating function at z = zeta_t, t in {3, 5},
+    read off residue sums mod t built over Z[z]/(z^t - 1)."""
+    return _at_root(t, order, partial(packed_residues, _crank_coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .partitions import m2_rank_distribution, residual_m2_crank_distribution
-from .rings import CYCLO3, LAURENT, ZZ, LaurentPolynomial
+from .rings import CYCLO3, LAURENT, ZZ, LaurentPolynomial, root_value
 from .series import (
     SeriesError,
     TruncatedSeries,
@@ -23,9 +23,12 @@ from .series import (
     summand_walk,
 )
 from .sptcrank import (
+    crank_at_root,
     crank_series,
+    rank_at_root,
     rank_series,
     sb_at_root,
+    sb_residues,
     sb_series,
     sb_summand_ratio,
     sptbar2_series,
@@ -131,16 +134,6 @@ def gauss_psi(order: int) -> TruncatedSeries:
     return poch_quotient(ZZ, order, [(1, 2, 2, None)], [(1, 1, 2, None)])
 
 
-def gauss_theta(order: int) -> TruncatedSeries:
-    """sum_{n>=0} q^{n(n+1)/2}."""
-    s = TruncatedSeries(ZZ, order)
-    n = 0
-    while n * (n + 1) // 2 <= order:
-        s.coeffs[n * (n + 1) // 2] = 1
-        n += 1
-    return s
-
-
 def jtp_psi_dissection(order: int) -> TruncatedSeries:
     """(-q^6,-q^3,q^9;q^9)_inf + q(-q^9,-q^9,q^9;q^9)_inf."""
     first = poch_quotient(ZZ, order, [(-1, 6, 9, None), (-1, 3, 9, None),
@@ -199,7 +192,7 @@ def verify_theorem3(order: int, n_oracle: int = 0) -> VerificationReport:
     """3-dissection of the M2-rank generating function at zeta_3."""
     if order < 9:
         raise ValueError("order must be >= 9")
-    comps = rank_series(order).embed(CYCLO3).dissect(3)
+    comps = rank_at_root(3, order).dissect(3)
     subchecks = [
         (f"N2rank{j}", comps[j], rank_component(j, comps[j].order).embed(CYCLO3))
         for j in range(3)
@@ -213,7 +206,7 @@ def verify_theorem4(order: int, n_oracle: int = 0) -> VerificationReport:
     3-dissection of psi, (iii) the three component formulas."""
     if order < 9:
         raise ValueError("order must be >= 9")
-    lhs = crank_series(order).embed(CYCLO3)
+    lhs = crank_at_root(3, order)
     psi = gauss_psi(order)
     simplified = poch_quotient(ZZ, order, [(1, 2, 2, None)],
                                [(1, 1, 2, None), (1, 6, 6, None)],
@@ -293,12 +286,19 @@ def verify_bailey_limit(order: int, n_oracle: int = 0) -> VerificationReport:
 def verify_congruences(order: int, n_oracle: int = 0) -> VerificationReport:
     """The three spt congruences and the mod-3 crank refinement:
     spt2bar(3n), spt2bar(3n+1) divisible by 3; spt2bar(5n+3) divisible by
-    5; residue classes of the spt-crank mod 3 all equal at 3n and 3n+1."""
+    5; residue classes of the spt-crank mod 3 all equal at 3n and 3n+1.
+
+    The residue sums mod 3 of SB's rows (``sb_residues``) give
+    ``mod3-refinement``; their total, the row at z = 1, is compared with
+    ``sptbar2_series`` (``z=1-consistency``).  ``zeta3-vanishing`` is the
+    value (s_0 - s_2, s_1 - s_2) of the same sums, which is zero exactly
+    when they are equal, so it cannot fail on its own; theorem1 checks
+    SB(zeta_3, q) against a product-plus-Lambert formula instead.
+    """
     if order < 8:
         raise ValueError("order must be >= 8")
     s2 = sptbar2_series(order)
-    table = sb_series(order)
-    zeta3 = table.as_series().embed(CYCLO3)
+    residues = sb_residues(order, 3)
 
     def fail(n, expected, actual, where):
         return VerificationReport("congruences", order, "fail", {
@@ -307,17 +307,18 @@ def verify_congruences(order: int, n_oracle: int = 0) -> VerificationReport:
 
     for n in range(1, order + 1):
         v = s2.coefficient(n)
-        if table.spt2(n) != v:
-            return fail(n, str(v), str(table.spt2(n)), "z=1-consistency")
+        sums = residues[n]
+        if sum(sums) != v:
+            return fail(n, str(v), str(sum(sums)), "z=1-consistency")
         if n % 3 in (0, 1):
             if v % 3:
                 return fail(n, "0 (mod 3)", str(v), "mod3-congruence")
-            sums = table.residue_sums(n, 3)
             if len(set(sums)) != 1:
                 return fail(n, "equal residue classes", str(sums),
                             "mod3-refinement")
-            if zeta3.coefficient(n):
-                return fail(n, "(0, 0)", CYCLO3.render(zeta3.coefficient(n)),
+            zeta3 = root_value(sums, 3)
+            if zeta3:
+                return fail(n, "(0, 0)", CYCLO3.render(zeta3),
                             "zeta3-vanishing")
         if n % 5 == 3 and v % 5:
             return fail(n, "0 (mod 5)", str(v), "mod5-congruence")

@@ -1,0 +1,52 @@
+"""Small series and polynomial helpers that only the tests use.
+
+They were members of the package with no production caller; each is a
+direct definition, kept independent of the fast builders.
+"""
+
+from spt_kernel.partitions import partition_list
+from spt_kernel.rings import ZZ, LaurentPolynomial
+from spt_kernel.series import TruncatedSeries, div_binomial_list
+
+
+def one(ring, order):
+    """The series 1 + O(q^{order+1}) over ring."""
+    s = TruncatedSeries(ring, order)
+    s.coeffs[0] = ring.one
+    return s
+
+
+def div_binomial(s, c, e):
+    """s / (1 - c*q^e)."""
+    out = list(s.coeffs)
+    div_binomial_list(out, s.ring.coerce(c), e)
+    return TruncatedSeries(s.ring, s.order, out)
+
+
+def inflate(s, t, order):
+    """s with q -> q^t, truncated at the given order."""
+    out = TruncatedSeries(s.ring, order)
+    for i, c in enumerate(s.coeffs):
+        if t * i > order:
+            break
+        out.coeffs[t * i] = c
+    return out
+
+
+def gauss_theta(order):
+    """sum_{n>=0} q^{n(n+1)/2}."""
+    s = TruncatedSeries(ZZ, order)
+    n = 0
+    while n * (n + 1) // 2 <= order:
+        s.coeffs[n * (n + 1) // 2] = 1
+        n += 1
+    return s
+
+
+def is_symmetric(p: LaurentPolynomial) -> bool:
+    """p(z) == p(1/z)."""
+    return p.c == {-e: v for e, v in p.c.items()}
+
+
+def count_partitions(n):
+    return len(partition_list(n))

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from helpers import div_binomial, gauss_theta
 from spt_kernel.partitions import spt_family
 from spt_kernel.rings import LAURENT, ZZ, LaurentPolynomial
 from spt_kernel.series import TruncatedSeries, pochhammer_inf
@@ -24,7 +25,6 @@ from spt_kernel.sptcrank import (
 )
 from spt_kernel.verify import (
     gauss_psi,
-    gauss_theta,
     jtp_psi_dissection,
     verify_bailey_limit,
     verify_bailey_pair,
@@ -53,7 +53,7 @@ def _spt_variant_series(order, overlined, parity):
         term = pochhammer_inf(ZZ, 1, n + 1, 1, order).invert()
         if overlined:
             term = term * pochhammer_inf(ZZ, -1, n + 1, 1, order)
-        acc = acc + term.shift(n).div_binomial(1, n).div_binomial(1, n)
+        acc = acc + div_binomial(div_binomial(term.shift(n), 1, n), 1, n)
     return acc
 
 

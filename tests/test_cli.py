@@ -4,6 +4,8 @@ import sys
 import pytest
 
 from spt_kernel.cli import main
+from spt_kernel.rings import residue_class_sums
+from spt_kernel.sptcrank import sb_series
 
 
 def run_cli(capsys, *argv):
@@ -52,7 +54,11 @@ class TestTable:
         def unreachable(order):
             raise AssertionError("series built before argument checks")
 
+        def unreachable_residues(order, t):
+            raise AssertionError("residues built before argument checks")
+
         monkeypatch.setattr(cli, "sb_series", unreachable)
+        monkeypatch.setattr(cli, "sb_residues", unreachable_residues)
         monkeypatch.setattr(cli, "sptbar2_series", unreachable)
         with pytest.raises(SystemExit) as exc:
             main(["table", "--order", "5", "--t", "1000000000"])
@@ -60,6 +66,37 @@ class TestTable:
         with pytest.raises(SystemExit) as exc:
             main(["table", "--order", "5", "--t", "12"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("t, route", [(20, "sb_residues"),
+                                          (21, "sb_series")])
+    def test_classes_on_both_sides_of_route_choice(self, capsys, monkeypatch,
+                                                   t, route):
+        # t <= order // 2 reads the residues, a larger t the Laurent rows;
+        # either way the classes are the residue sums of the rows
+        import spt_kernel.cli as cli
+
+        calls = []
+
+        def spy(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for name in ("sb_residues", "sb_series"):
+            monkeypatch.setattr(cli, name, spy(name))
+        code, out = run_cli(capsys, "table", "--order", "40", "--t", str(t),
+                            "--format", "csv")
+        assert code == 0
+        assert calls == [route]
+        table = sb_series(40)
+        lines = out.strip().splitlines()[1:]
+        assert len(lines) == 40
+        for n, line in enumerate(lines, 1):
+            classes = [int(c) for c in line.split(",")[2:]]
+            assert classes == residue_class_sums(table.row(n), t)
 
 
 @pytest.mark.parametrize("argv", [

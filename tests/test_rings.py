@@ -9,6 +9,7 @@ from spt_kernel.rings import (
     CyclotomicInteger,
     LaurentPolynomial,
     PackedLaurentRing,
+    PackedResidueRing,
     RingError,
     eval_at_root,
     residue_class_sums,
@@ -176,3 +177,55 @@ class TestPackedLaurent:
             ring.z_inv * x  # noqa: B018
         with pytest.raises(RingError):
             ring.pack(LaurentPolynomial({-2: 1}))
+
+
+def residue_pack(ring, p):
+    """p packed in Z[z]/(z^t - 1) through the ring's own shifts, so every
+    power of z below -t or above t passes through the fold."""
+    x = ring.zero
+    for e, v in p.c.items():
+        term = ring.one
+        for _ in range(abs(e)):
+            term = (ring.z if e > 0 else ring.z_inv) * term
+        x = x + v * term
+    return x
+
+
+class TestPackedResidue:
+    @given(laurents, st.integers(1, 7), st.integers(-3, 3))
+    @settings(max_examples=120)
+    def test_ring_operations_match_residue_sums(self, p, t, k):
+        # laurents have at most 8 terms with |coefficients| <= 9, so every
+        # residue sum below is at most 160 < 2^9 in absolute value
+        ring = PackedResidueRing(bits=10, t=t)
+        x = residue_pack(ring, p)
+        assert ring.unpack(x) == residue_class_sums(p, t)
+        # any representative mod 2^(tB) - 1 unpacks to the same sums
+        assert ring.unpack(x + k * ring.modulus) == residue_class_sums(p, t)
+        assert ring.unpack(ring.z * x) == residue_class_sums(Z * p, t)
+        assert ring.unpack(ring.z_inv * x) == residue_class_sums(ZI * p, t)
+        assert (ring.unpack(x + ring.z * x)
+                == residue_class_sums(p + Z * p, t))
+        assert ring.unpack(x - 3 * ring.one) == residue_class_sums(p - 3, t)
+        assert ring.unpack(-x) == residue_class_sums(-p, t)
+
+    def test_z_times_z_inv_is_one(self):
+        for t in (1, 2, 3, 5):
+            ring = PackedResidueRing(bits=4, t=t)
+            assert ring.z * (ring.z_inv * ring.one) == ring.one
+
+    def test_residue_beyond_t_digits_raises(self):
+        # three balanced digits of 4 bits reach 7*(1 + 16 + 256) = 1911 at
+        # most, so the balanced residues 1912..2047 mod M = 4095 do not decode
+        ring = PackedResidueRing(bits=4, t=3)
+        assert ring.unpack(1911) == [7, 7, 7]
+        assert ring.unpack(-1911) == [-7, -7, -7]
+        for x in (1912, ring.modulus // 2, 1912 - 5 * ring.modulus):
+            with pytest.raises(RingError):
+                ring.unpack(x)
+
+    def test_bad_parameters_rejected(self):
+        with pytest.raises(RingError):
+            PackedResidueRing(bits=0, t=3)
+        with pytest.raises(RingError):
+            PackedResidueRing(bits=4, t=0)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import is_symmetric
 from spt_kernel.partitions import (
     enumerate_overpartitions,
     spt_family,
@@ -13,10 +14,12 @@ from spt_kernel.rings import (
     ZZ,
     LaurentPolynomial,
     RingError,
+    residue_class_sums,
 )
 from spt_kernel.series import (
     TruncatedSeries,
     packed_laurent,
+    packed_residues,
     pochhammer_finite,
     pochhammer_inf,
 )
@@ -24,13 +27,16 @@ from spt_kernel.sptcrank import (
     _crank_coeffs,
     _rank_coeffs,
     _sb_walk,
+    crank_at_root,
     crank_series,
     pair_crank_series,
     partition_pair_oracle,
+    rank_at_root,
     rank_series,
     rank_series_bailey_sum,
     sb_at_root,
     sb_coefficients_naive,
+    sb_residues,
     sb_series,
     sptbar2_series,
     vector_partition_oracle,
@@ -59,7 +65,7 @@ class TestSbSeries:
     def test_rows_symmetric_up_to_bound(self, table):
         # observed property, not claimed by the theory; guarded here
         for n in range(table.order + 1):
-            assert table.row(n).is_symmetric()
+            assert is_symmetric(table.row(n))
 
     def test_incremental_matches_naive_laurent(self):
         assert (_sb_walk(LAURENT, LAURENT.z, LAURENT.z_inv, 24)
@@ -269,8 +275,10 @@ class TestPackedSeries:
     @example(order=3)
     @settings(max_examples=10, deadline=None)
     def test_rank_at_zeta3_matches_bailey_sum(self, order):
-        assert rank_series(order).embed(CYCLO3) == rank_series_bailey_sum(
-            CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv, order)
+        want = rank_series_bailey_sum(CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv,
+                                      order)
+        assert rank_series(order).embed(CYCLO3) == want
+        assert rank_at_root(3, order) == want
 
     @given(order=st.integers(1, 40))
     @example(order=1)
@@ -278,8 +286,54 @@ class TestPackedSeries:
     @example(order=3)
     @settings(max_examples=10, deadline=None)
     def test_crank_at_zeta3_matches_inverted_products(self, order):
-        assert crank_series(order).embed(CYCLO3) == crank_by_inversion(
-            CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv, order)
+        want = crank_by_inversion(CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv, order)
+        assert crank_series(order).embed(CYCLO3) == want
+        assert crank_at_root(3, order) == want
 
     def test_sb_rows_within_majorant(self):
         assert_within_majorant(sb_series(40).rows, _sb_walk, 40)
+
+
+def laurent_residues(build, order, t):
+    return [residue_class_sums(row, t) for row in packed_laurent(build, order)]
+
+
+BUILDERS = [_sb_walk, _rank_coeffs, _crank_coeffs, bailey_side]
+
+
+class TestPackedResidues:
+    """Residue sums built over Z[z]/(z^t - 1) against the residue sums of
+    the packed Laurent rows of the same builder."""
+
+    @pytest.mark.parametrize("build", BUILDERS,
+                             ids=[b.__name__ for b in BUILDERS])
+    @given(order=st.integers(1, 60))
+    @example(order=1)
+    @example(order=2)
+    @example(order=3)
+    @settings(max_examples=8, deadline=None)
+    def test_matches_laurent_rows(self, build, order):
+        rows = packed_laurent(build, order)
+        for t in sorted({1, 2, 3, 5, 7, order + 1, 2 * order + 1}):
+            assert packed_residues(build, order, t) == [
+                residue_class_sums(row, t) for row in rows], t
+
+    @pytest.mark.parametrize("build", [_sb_walk, _rank_coeffs],
+                             ids=["sb", "rank"])
+    def test_matches_laurent_rows_at_order_300(self, build):
+        rows = packed_laurent(build, 300)
+        for t in (3, 5):
+            assert packed_residues(build, 300, t) == [
+                residue_class_sums(row, t) for row in rows], t
+
+    def test_sb_residues_match_table(self, table):
+        assert sb_residues(table.order, 5) == [
+            table.residue_sums(n, 5) for n in range(table.order + 1)]
+
+    def test_negative_residue_sum_refused(self, monkeypatch):
+        import spt_kernel.sptcrank as sptcrank
+
+        monkeypatch.setattr(sptcrank, "packed_residues",
+                            lambda build, order, t: [[0] * t, [1, -1, 0]])
+        with pytest.raises(ValueError, match="negative"):
+            sb_residues(1, 3)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from helpers import gauss_theta
 from spt_kernel import verify
 from spt_kernel.rings import ZZ
 from spt_kernel.series import SeriesError, TruncatedSeries
@@ -9,7 +10,6 @@ from spt_kernel.verify import (
     _compare,
     a2_formula,
     gauss_psi,
-    gauss_theta,
     jtp_psi_dissection,
     run_all,
     verify_bailey_limit,
