@@ -71,40 +71,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(path: str | None):
-    if path is None:
-        return sys.stdout, False
+def _open_out(path: str, mode: str):
     if not os.path.isabs(path):
-        base = os.environ.get("SPT_KERNEL_OUT_DIR")
-        if base:
-            path = os.path.join(base, path)
-    return open(path, "w"), True
+        path = os.path.join(os.environ.get("SPT_KERNEL_OUT_DIR", ""), path)
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        print(f"spt-kernel: cannot open output: {exc}", file=sys.stderr)
+        return None
 
 
 def _emit(lines, out_path) -> int:
-    try:
-        fh, close = _open_out(out_path)
-    except OSError as exc:
-        print(f"spt-kernel: cannot open output: {exc}", file=sys.stderr)
+    fh = sys.stdout if out_path is None else _open_out(out_path, "w")
+    if fh is None:
         return 1
     try:
         for line in lines:
             fh.write(line + "\n")
     finally:
-        if close:
+        if fh is not sys.stdout:
             fh.close()
     return 0
 
 
 def cmd_table(args) -> int:
-    # A residue value is t*B bits wide and a packed Laurent row about
-    # (n/2 + order/2)*B, so the residues are cheaper only while t is at
-    # most about half the order; above that the rows are built instead.
-    if args.t <= args.order // 2:
-        residues = sb_residues(args.order, args.t)
-    else:
-        table = sb_series(args.order)
-        residues = [table.residue_sums(n, args.t) for n in range(args.order + 1)]
+    residues = sb_residues(args.order, args.t)
     s2 = sptbar2_series(args.order)
     rows = [(n, s2.coefficient(n), residues[n])
             for n in range(1, args.order + 1)]
@@ -198,6 +189,12 @@ def main(argv=None) -> int:
     # is accepted.
     if args.command == "table" and not 1 <= args.t <= 2 * args.order + 1:
         parser.error("--t must be between 1 and 2*order+1")
+    # an unwritable --out fails before any work; mode "a" truncates nothing
+    if args.out is not None:
+        fh = _open_out(args.out, "a")
+        if fh is None:
+            return 1
+        fh.close()
     handler = {"table": cmd_table, "verify": cmd_verify, "export": cmd_export}
     return handler[args.command](args)
 

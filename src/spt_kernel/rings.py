@@ -398,26 +398,38 @@ class CyclotomicRing:
 # Laurent polynomials packed into integers (Kronecker substitution)
 # ---------------------------------------------------------------------------
 
+def _balanced_digits(x: int, b: int, k: int) -> tuple[list[int], int]:
+    """The k lowest balanced base-2^b digits of x, lowest first, each in
+    [-2^(b-1), 2^(b-1)), and the carry c with x = sum_j d_j 2^(bj) + c 2^(bk);
+    b >= 2.  Runs above 24 digits split in halves: O(k log k), not O(k^2)."""
+    if not x:
+        return [0] * k, 0
+    if k > 24:
+        h = k // 2
+        low, c = _balanced_digits(x & ((1 << b * h) - 1), b, h)
+        high, c = _balanced_digits((x >> b * h) + c, b, k - h)
+        return low + high, c
+    mask, half = (1 << b) - 1, 1 << (b - 1)
+    digits = []
+    for _ in range(k):
+        d = x & mask
+        if d >= half:
+            d -= 1 << b
+        digits.append(d)
+        x = (x - d) >> b
+    return digits, x
+
+
 class _ZShift:
-    """Multiplication by a power of z on packed integers: a shift by bits.
+    """Multiplication by a power of z on packed Laurent polynomials: a shift
+    by bits; a negative shift is exact or raises RingError."""
 
-    Without fold, a negative shift is exact or raises RingError.  With fold
-    = t*B, values are integers modulo M = 2^fold - 1 and the bits above fold
-    are added back in: y = 2^fold * (y >> fold) + (y & M) is congruent to
-    (y >> fold) + (y & M) mod M, for negative y too.
-    """
+    __slots__ = ("bits",)
 
-    __slots__ = ("bits", "fold", "mask")
-
-    def __init__(self, bits: int, fold: int = 0):
+    def __init__(self, bits: int):
         self.bits = bits
-        self.fold = fold
-        self.mask = (1 << fold) - 1
 
     def __mul__(self, x: int) -> int:
-        if self.fold:
-            y = x << self.bits
-            return (y & self.mask) + (y >> self.fold)
         if self.bits > 0:
             return x << self.bits
         k = -self.bits
@@ -451,10 +463,6 @@ class PackedLaurentRing:
         self.z = _ZShift(bits)
         self.z_inv = _ZShift(-bits)
 
-    def coerce(self, n: int) -> int:
-        """The constant polynomial n."""
-        return int(n) << (self.bits * self.offset)
-
     def pack(self, p: LaurentPolynomial) -> int:
         if p.c and min(p.c) < -self.offset:
             raise RingError(f"exponent {min(p.c)} below the packing offset")
@@ -462,81 +470,89 @@ class PackedLaurentRing:
         return sum(v << (b * (e + s)) for e, v in p.c.items())
 
     def unpack(self, x: int) -> LaurentPolynomial:
+        if not x:
+            return LaurentPolynomial()
+        # the span from the lowest nonzero digit up, with no carry left
         b = self.bits
-        mask = (1 << b) - 1
-        half = 1 << (b - 1)
-        coeffs = {}
-        e = -self.offset
-        if x:
-            # drop the zero digits below the lowest term with one shift
-            skip = ((x & -x).bit_length() - 1) // b
-            x >>= b * skip
-            e += skip
-        while x:
-            d = x & mask
-            if d >= half:
-                d -= 1 << b
-            if d:
-                coeffs[e] = d
-            x = (x - d) >> b
-            e += 1
+        low = ((x & -x).bit_length() - 1) // b
+        x >>= b * low
+        digits, _ = _balanced_digits(x, b, x.bit_length() // b + 2)
         r = LaurentPolynomial.__new__(LaurentPolynomial)
-        r.c = coeffs
+        r.c = {e: d for e, d in enumerate(digits, low - self.offset) if d}
         return r
 
 
+class _ResidueShift:
+    """z or 1/z on ``PackedResidueRing``, one subclass each."""
+
+    __slots__ = ("bits", "width", "low", "high", "top")
+
+    def __init__(self, bits: int, t: int):
+        self.bits, self.width, self.top = bits, t * bits, (t - 1) * bits
+        self.low, self.high = (1 << bits) - 1, (1 << t * bits) - 1
+
+
+class _ZFold(_ResidueShift):
+    """z: a shift left by B bits, the bits above tB folded back."""
+
+    def __mul__(self, x: int) -> int:
+        y = x << self.bits
+        high = y >> self.width
+        if high:
+            return (y & self.high) + high
+        return y
+
+
+class _ZRotate(_ResidueShift):
+    """1/z: a shift right by B bits, the low digit rotated to the top."""
+
+    def __mul__(self, x: int) -> int:
+        low = x & self.low
+        if low:
+            return (x >> self.bits) + (low << self.top)
+        return x >> self.bits
+
+
 class PackedResidueRing:
-    """Z[z]/(z^t - 1), each element packed into one integer mod 2^(tB) - 1.
+    """Z[z]/(z^t - 1), each element packed into one integer mod M = 2^(tB) - 1.
 
-    An element sum_{k<t} s_k z^k is stored as any integer congruent to
-    sum_k s_k 2^(kB) modulo M = 2^(tB) - 1: Kronecker substitution reduced
-    modulo 2^(tB) - 1, the cyclic convolution of Schoenhage-Strassen (see
-    Harvey, cited above).  A Laurent polynomial maps to its residue-class
-    sums mod t, since z^t = 1.  Sums, differences and integer multiples
-    are plain integer operations; ``z * x`` is a shift by B bits folded
-    back below tB bits, and ``z_inv * x`` the same shift by (t-1)*B bits,
-    because z^(t-1) = 1/z.  Values are reduced only there and in
-    ``unpack``.
+    sum_{k<t} s_k z^k is any integer congruent to sum_k s_k 2^(((k+S) mod t)B)
+    mod M, for an offset S: Kronecker substitution reduced mod 2^(tB) - 1,
+    the cyclic convolution of Schoenhage-Strassen (see Harvey, cited above).
+    As 2^(tB) = 1 mod M, ``z * x`` is y = x << B with y >> tB added to
+    y & M, and ``z_inv * x`` is (x >> B) + (x mod 2^B) 2^((t-1)B); on a
+    nonnegative packed Laurent polynomial with exponents in [-S, t - S)
+    both are the shifts of ``PackedLaurentRing`` with offset S.
 
-    ``unpack`` is exact when the caller proves |s_k| < 2^(B-1) for every
-    k, as a majorant of the sum of |coefficients| of the Laurent
-    polynomial below 2^(B-1) does: then |sum_k s_k 2^(kB)| is at most
-    (2^(B-1) - 1)(2^(tB) - 1)/(2^B - 1) < M/2, so the balanced residue mod M
-    is that sum exactly, and its t balanced base-2^B digits are unique.
+    ``unpack`` is exact when the caller proves |s_k| < 2^(B-1) for every k:
+    the digits (k + S) mod t run over 0..t-1, so the packed sum is at most
+    (2^(B-1) - 1)(2^(tB) - 1)/(2^B - 1) < M/2 in absolute value, the
+    balanced residue mod M is that sum, and its t balanced digits are unique.
     """
 
     zero = 0
-    one = 1
 
-    def __init__(self, bits: int, t: int):
-        if bits < 1 or t < 1:
-            raise RingError("packing needs bits >= 1 and modulus t >= 1")
+    def __init__(self, bits: int, t: int, offset: int):
+        if bits < 1 or t < 1 or offset < 0:
+            raise RingError("packing needs bits >= 1, t >= 1 and offset >= 0")
         self.bits = bits
         self.t = t
+        self.start = offset % t
         self.modulus = (1 << (t * bits)) - 1
-        self.z = _ZShift(bits, t * bits)
-        self.z_inv = _ZShift((t - 1) * bits, t * bits)
+        self.one = 1 << (bits * self.start)
+        self.z = _ZFold(bits, t)
+        self.z_inv = _ZRotate(bits, t)
 
     def unpack(self, x: int) -> list[int]:
-        """The residue-class sums (s_0, ..., s_{t-1}) that x packs."""
+        """The residue-class sums (s_0, ..., s_{t-1}) that x packs: digit j
+        holds class (j - S) mod t."""
         m = self.modulus
-        x %= m
-        if 2 * x > m:
-            x -= m
-        b = self.bits
-        mask = (1 << b) - 1
-        half = 1 << (b - 1)
-        sums = []
-        for _ in range(self.t):
-            d = x & mask
-            if d >= half:
-                d -= 1 << b
-            sums.append(d)
-            x = (x - d) >> b
-        if x:
+        x = (x + (m >> 1)) % m - (m >> 1)  # the balanced residue
+        digits, carry = _balanced_digits(x, self.bits, self.t)
+        if carry:
             raise RingError(f"residue does not decode into {self.t} digits "
-                            f"of {b} bits")
-        return sums
+                            f"of {self.bits} bits")
+        return digits[self.start:] + digits[:self.start]
 
 
 ZZ = IntegerRing()

@@ -328,12 +328,12 @@ def binomials(numer, denom, bound: bool):
             [(abs(c), *rest) for c, *rest in denom])
 
 
-def _packing_width(build, order: int) -> int:
-    """The width B of a packed run of build: one bit more than the largest
-    coefficient of its majorant build(ZZ, 1, 1, order, True), so the sum
-    of |coefficients| of every Laurent polynomial it returns is below
-    2^(B-1)."""
-    return max(build(ZZ, 1, 1, order, True)).bit_length() + 1
+def _packing(build, order: int) -> tuple[int, int]:
+    """The width B and offset S of a packed run of build: B is one bit more
+    than the largest coefficient of its majorant build(ZZ, 1, 1, order,
+    True), so the sum of |coefficients| of every Laurent polynomial it
+    returns is below 2^(B-1), and S = order//2 + 2."""
+    return max(build(ZZ, 1, 1, order, True)).bit_length() + 1, order // 2 + 2
 
 
 def packed_laurent(build, order: int) -> list:
@@ -350,21 +350,18 @@ def packed_laurent(build, order: int) -> list:
     an exact integer result whose coefficients are below 2^(B-1) cannot
     hold an exponent below the offset.
     """
-    ring = PackedLaurentRing(_packing_width(build, order), order // 2 + 2)
+    ring = PackedLaurentRing(*_packing(build, order))
     return [ring.unpack(x) for x in build(ring, ring.z, ring.z_inv, order, False)]
 
 
 def packed_residues(build, order: int, t: int) -> list[list[int]]:
     """Residue-class sums mod t of coefficients 0..order of a series over
     Z[z,1/z]: entry n is ``residue_class_sums`` of the Laurent polynomial
-    at q^n, computed over Z[z]/(z^t - 1) without building it.
-
-    build is as for ``packed_laurent`` and runs on ``PackedResidueRing``
-    with the same width B.  Each value is t*B bits, against about
-    0.75*order*B bits for a packed Laurent row, so this is the cheaper
-    route while t is small next to the order.
+    at q^n.  build is as for ``packed_laurent`` and runs on
+    ``PackedResidueRing`` with the same width and offset.
     """
-    ring = PackedResidueRing(_packing_width(build, order), t)
+    bits, offset = _packing(build, order)
+    ring = PackedResidueRing(bits, t, offset)
     return [ring.unpack(x) for x in build(ring, ring.z, ring.z_inv, order, False)]
 
 

@@ -67,33 +67,22 @@ class TestTable:
             main(["table", "--order", "5", "--t", "12"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("t, route", [(20, "sb_residues"),
-                                          (21, "sb_series")])
-    def test_classes_on_both_sides_of_route_choice(self, capsys, monkeypatch,
-                                                   t, route):
-        # t <= order // 2 reads the residues, a larger t the Laurent rows;
-        # either way the classes are the residue sums of the rows
+    @pytest.mark.parametrize("t", [1, 2, 3, 30, 31, 60, 61, 121])
+    def test_classes_are_residue_sums_of_rows(self, capsys, monkeypatch, t):
+        # every modulus up to 2N+1 reads the residues, never the rows
         import spt_kernel.cli as cli
 
-        calls = []
+        table = sb_series(60)
 
-        def spy(name):
-            real = getattr(cli, name)
+        def unreachable(order):
+            raise AssertionError("table built the Laurent rows")
 
-            def wrapper(*args):
-                calls.append(name)
-                return real(*args)
-            return wrapper
-
-        for name in ("sb_residues", "sb_series"):
-            monkeypatch.setattr(cli, name, spy(name))
-        code, out = run_cli(capsys, "table", "--order", "40", "--t", str(t),
+        monkeypatch.setattr(cli, "sb_series", unreachable)
+        code, out = run_cli(capsys, "table", "--order", "60", "--t", str(t),
                             "--format", "csv")
         assert code == 0
-        assert calls == [route]
-        table = sb_series(40)
         lines = out.strip().splitlines()[1:]
-        assert len(lines) == 40
+        assert len(lines) == 60
         for n, line in enumerate(lines, 1):
             classes = [int(c) for c in line.split(",")[2:]]
             assert classes == residue_class_sums(table.row(n), t)
@@ -188,3 +177,28 @@ class TestExport:
         code = main(["export", "--what", "A2", "--order", "5",
                      "--out", "/nonexistent-dir/a2.csv"])
         assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["table"], ["verify"], ["export", "--what", "table"],
+    ["export", "--what", "spt2"],
+], ids=["table", "verify", "export-table", "export-spt2"])
+def test_unwritable_path_fails_before_any_series(capsys, monkeypatch, argv):
+    import spt_kernel.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built before the output path was checked")
+
+    for name in ("run_all", "sb_residues", "sb_series", "sptbar2_series"):
+        monkeypatch.setattr(cli, name, unreachable)
+    code = main([*argv, "--order", "300", "--out", "/nonexistent-dir/r.json"])
+    assert code == 1
+    assert "cannot open output" in capsys.readouterr().err
+
+
+def test_usage_error_leaves_existing_output(capsys, tmp_path):
+    target = tmp_path / "r.json"
+    target.write_text("kept\n")
+    code = main(["verify", "--order", "5", "--out", str(target)])
+    assert code == 2
+    assert target.read_text() == "kept\n"

@@ -170,6 +170,23 @@ class TestPackedLaurent:
         assert ring.unpack(x - 3 * ring.one) == p - 3
         assert ring.unpack(-x) == -p
 
+    @given(st.sampled_from([2, 3, 8, 61]).flatmap(lambda b: st.tuples(
+        st.just(b),
+        st.dictionaries(
+            st.integers(-60, 60),
+            st.one_of(st.sampled_from([1 - (1 << b - 1), (1 << b - 1) - 1]),
+                      st.integers(1 - (1 << b - 1), (1 << b - 1) - 1)),
+            max_size=120))))
+    @settings(max_examples=80)
+    def test_round_trip_across_the_decoder_split(self, case):
+        # up to 121 digits, so the balanced decoder splits its span in halves
+        bits, coeffs = case
+        ring = PackedLaurentRing(bits=bits, offset=60)
+        p = LaurentPolynomial(coeffs)
+        x = ring.pack(p)
+        assert ring.unpack(x) == p
+        assert ring.unpack(-x) == -p
+
     def test_inexact_z_inverse_raises(self):
         ring = PackedLaurentRing(bits=6, offset=1)
         x = ring.pack(LaurentPolynomial({-1: 5, 2: 1}))
@@ -180,8 +197,8 @@ class TestPackedLaurent:
 
 
 def residue_pack(ring, p):
-    """p packed in Z[z]/(z^t - 1) through the ring's own shifts, so every
-    power of z below -t or above t passes through the fold."""
+    """p packed in Z[z]/(z^t - 1) through the ring's own shifts, so powers
+    of z that leave digits 0..t-1 pass through the fold or the rotation."""
     x = ring.zero
     for e, v in p.c.items():
         term = ring.one
@@ -191,19 +208,27 @@ def residue_pack(ring, p):
     return x
 
 
+# where z^0 sits, at digit offset mod t: at the bottom, one above, at the
+# top, and offsets of t and more
+OFFSETS = (lambda t: 0, lambda t: 1, lambda t: t - 1, lambda t: t,
+           lambda t: 7 * t + 3)
+
+
 class TestPackedResidue:
-    @given(laurents, st.integers(1, 7), st.integers(-3, 3))
+    @given(laurents, st.integers(1, 7), st.integers(-3, 3),
+           st.sampled_from(OFFSETS))
     @settings(max_examples=120)
-    def test_ring_operations_match_residue_sums(self, p, t, k):
+    def test_ring_operations_match_residue_sums(self, p, t, k, offset_of):
         # laurents have at most 8 terms with |coefficients| <= 9, so every
         # residue sum below is at most 160 < 2^9 in absolute value
-        ring = PackedResidueRing(bits=10, t=t)
+        ring = PackedResidueRing(bits=10, t=t, offset=offset_of(t))
         x = residue_pack(ring, p)
         assert ring.unpack(x) == residue_class_sums(p, t)
         # any representative mod 2^(tB) - 1 unpacks to the same sums
         assert ring.unpack(x + k * ring.modulus) == residue_class_sums(p, t)
         assert ring.unpack(ring.z * x) == residue_class_sums(Z * p, t)
         assert ring.unpack(ring.z_inv * x) == residue_class_sums(ZI * p, t)
+        assert ring.unpack(ring.z_inv * -x) == residue_class_sums(-ZI * p, t)
         assert (ring.unpack(x + ring.z * x)
                 == residue_class_sums(p + Z * p, t))
         assert ring.unpack(x - 3 * ring.one) == residue_class_sums(p - 3, t)
@@ -211,13 +236,14 @@ class TestPackedResidue:
 
     def test_z_times_z_inv_is_one(self):
         for t in (1, 2, 3, 5):
-            ring = PackedResidueRing(bits=4, t=t)
-            assert ring.z * (ring.z_inv * ring.one) == ring.one
+            for offset_of in OFFSETS:
+                ring = PackedResidueRing(bits=4, t=t, offset=offset_of(t))
+                assert ring.z * (ring.z_inv * ring.one) == ring.one
 
     def test_residue_beyond_t_digits_raises(self):
         # three balanced digits of 4 bits reach 7*(1 + 16 + 256) = 1911 at
         # most, so the balanced residues 1912..2047 mod M = 4095 do not decode
-        ring = PackedResidueRing(bits=4, t=3)
+        ring = PackedResidueRing(bits=4, t=3, offset=0)
         assert ring.unpack(1911) == [7, 7, 7]
         assert ring.unpack(-1911) == [-7, -7, -7]
         for x in (1912, ring.modulus // 2, 1912 - 5 * ring.modulus):
@@ -226,6 +252,8 @@ class TestPackedResidue:
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(RingError):
-            PackedResidueRing(bits=0, t=3)
+            PackedResidueRing(bits=0, t=3, offset=0)
         with pytest.raises(RingError):
-            PackedResidueRing(bits=4, t=0)
+            PackedResidueRing(bits=4, t=0, offset=0)
+        with pytest.raises(RingError):
+            PackedResidueRing(bits=4, t=3, offset=-1)
