@@ -71,14 +71,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(path: str, mode: str):
+def _out_path(path: str) -> str:
     if not os.path.isabs(path):
         path = os.path.join(os.environ.get("SPT_KERNEL_OUT_DIR", ""), path)
+    return path
+
+
+def _open_out(path: str, mode: str):
     try:
-        return open(path, mode)
+        return open(_out_path(path), mode)
     except OSError as exc:
         print(f"spt-kernel: cannot open output: {exc}", file=sys.stderr)
         return None
+
+
+def _probe_out(path: str) -> bool:
+    """Whether path opens for writing.  Mode "a" truncates no existing
+    file, and a file the probe created is removed again."""
+    full = _out_path(path)
+    existed = os.path.lexists(full)
+    fh = _open_out(path, "a")
+    if fh is None:
+        return False
+    fh.close()
+    if not existed:
+        os.remove(full)
+    return True
 
 
 def _emit(lines, out_path) -> int:
@@ -184,17 +202,19 @@ def main(argv=None) -> int:
         if args.only is not None and args.only not in verify_mod.CHECKS:
             parser.error(f"unknown check {args.only!r}; choose from "
                          f"{sorted(verify_mod.CHECKS)}")
+        try:
+            verify_mod.selected_checks(args.order, args.only)
+        except ValueError as exc:
+            print(f"spt-kernel: {exc}", file=sys.stderr)
+            return 2
     # Row n of SB has z-exponents in [-n/2, n/2] (see sb_series), so a
     # modulus above N+1 only pads every row with zero classes; up to 2N+1
     # is accepted.
     if args.command == "table" and not 1 <= args.t <= 2 * args.order + 1:
         parser.error("--t must be between 1 and 2*order+1")
-    # an unwritable --out fails before any work; mode "a" truncates nothing
-    if args.out is not None:
-        fh = _open_out(args.out, "a")
-        if fh is None:
-            return 1
-        fh.close()
+    # an unwritable --out fails before any work
+    if args.out is not None and not _probe_out(args.out):
+        return 1
     handler = {"table": cmd_table, "verify": cmd_verify, "export": cmd_export}
     return handler[args.command](args)
 

@@ -236,6 +236,13 @@ def _ordinary_statistics(plain: Partition):
 
 
 @lru_cache(maxsize=None)
+def _plain_statistics(k: int) -> tuple:
+    """``_ordinary_statistics`` of every partition of k, in the order of
+    ``partition_list``; every n > k reuses them."""
+    return tuple(_ordinary_statistics(p) for p in partition_list(k))
+
+
+@lru_cache(maxsize=None)
 def m2_statistics(n: int) -> tuple[LaurentPolynomial, LaurentPolynomial, int]:
     """(M2-rank distribution, residual-crank distribution, pairs visited)
     over the overpartitions of n >= 1, in one enumeration.
@@ -252,7 +259,7 @@ def m2_statistics(n: int) -> tuple[LaurentPolynomial, LaurentPolynomial, int]:
     cranks: dict[int, int] = {}
     visits = 0
     for m in range(n + 1):
-        plains = [_ordinary_statistics(p) for p in partition_list(n - m)]
+        plains = _plain_statistics(n - m)
         for over in distinct_partition_list(m):
             top_over = over[0] if over else 0
             for top, count, odd, weight in plains:

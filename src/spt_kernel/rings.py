@@ -493,13 +493,13 @@ class _ResidueShift:
 
 
 class _ZFold(_ResidueShift):
-    """z: a shift left by B bits, the bits above tB folded back."""
+    """z: a shift left by B bits, the bits above tB folded back once
+    |y| >= 2^(tB); a value below that, negative ones too, stays as it is."""
 
     def __mul__(self, x: int) -> int:
         y = x << self.bits
-        high = y >> self.width
-        if high:
-            return (y & self.high) + high
+        if y.bit_length() > self.width:
+            return (y & self.high) + (y >> self.width)
         return y
 
 
@@ -519,9 +519,10 @@ class PackedResidueRing:
     sum_{k<t} s_k z^k is any integer congruent to sum_k s_k 2^(((k+S) mod t)B)
     mod M, for an offset S: Kronecker substitution reduced mod 2^(tB) - 1,
     the cyclic convolution of Schoenhage-Strassen (see Harvey, cited above).
-    As 2^(tB) = 1 mod M, ``z * x`` is y = x << B with y >> tB added to
-    y & M, and ``z_inv * x`` is (x >> B) + (x mod 2^B) 2^((t-1)B); on a
-    nonnegative packed Laurent polynomial with exponents in [-S, t - S)
+    As 2^(tB) = 1 mod M, ``z * x`` is y = x << B, with y >> tB added to
+    y & M once |y| >= 2^(tB), and ``z_inv * x`` is
+    (x >> B) + (x mod 2^B) 2^((t-1)B).  While the exponents stay in
+    [-S, t - S) and the coefficients below 2^(B-1), negative ones too,
     both are the shifts of ``PackedLaurentRing`` with offset S.
 
     ``unpack`` is exact when the caller proves |s_k| < 2^(B-1) for every k:

@@ -25,7 +25,6 @@ from .rings import (
     ZZ,
     LaurentPolynomial,
     RingError,
-    residue_class_sums,
     root_value,
 )
 from .series import (
@@ -127,9 +126,6 @@ class SptCrankTable:
 
     def spt2(self, n: int) -> int:
         return self.row(n).eval_at_one()
-
-    def residue_sums(self, n: int, t: int) -> list[int]:
-        return residue_class_sums(self.row(n), t)
 
     def as_series(self) -> TruncatedSeries:
         return TruncatedSeries(LAURENT, self.order, list(self.rows))

@@ -17,6 +17,7 @@ from .series import (
     SeriesError,
     TruncatedSeries,
     binomials,
+    div_binomial_list,
     lambert_sum,
     packed_laurent,
     poch_quotient,
@@ -27,7 +28,6 @@ from .sptcrank import (
     crank_series,
     rank_at_root,
     rank_series,
-    sb_at_root,
     sb_residues,
     sb_series,
     sb_summand_ratio,
@@ -73,6 +73,44 @@ def _compare(check: str, order: int, subchecks) -> VerificationReport:
                     "where": label,
                 })
     return VerificationReport(check, order, "pass")
+
+
+def _call(fn, *args):
+    """The default ``build`` of a check: build the series afresh."""
+    return fn(*args)
+
+
+def _run_memo():
+    """A ``build`` that calls fn(*args) once per key and returns that result
+    to every later caller, for the checks of one run.  The key holds the
+    function object the check looked up when it called, so a builder
+    replaced in the check's module is called as the replacement."""
+    built = {}
+
+    def build(fn, *args):
+        key = (fn, *args)
+        if key not in built:
+            built[key] = fn(*args)
+        return built[key]
+
+    return build
+
+
+# The smallest order each check accepts.
+_MIN_ORDER = {
+    "bailey_limit": 4,
+    "bailey_pair": 1,
+    "congruences": 8,
+    "theorem1": 8,
+    "theorem2": 4,
+    "theorem3": 9,
+    "theorem4": 9,
+}
+
+
+def _require_order(check: str, order: int) -> None:
+    if order < _MIN_ORDER[check]:
+        raise ValueError(f"order must be >= {_MIN_ORDER[check]}")
 
 
 # ---------------------------------------------------------------------------
@@ -142,21 +180,50 @@ def jtp_psi_dissection(order: int) -> TruncatedSeries:
     return first + second.shift(1)
 
 
+def bailey_alpha(r: int, order: int) -> TruncatedSeries:
+    """alpha_0 = 1 and alpha_r = (-1)^r 2 q^{r^2}."""
+    return TruncatedSeries.monomial(ZZ, (-1) ** r * 2 if r else 1, r * r, order)
+
+
 def bailey_beta(n: int, order: int) -> TruncatedSeries:
     """beta_n = (q;q^2)_n^2 / (q^2;q^2)_{2n}."""
     return poch_quotient(ZZ, order, [(1, 1, 2, n)] * 2, [(1, 2, 2, 2 * n)])
+
+
+def bailey_pair_rhs(order: int, n_max: int) -> list[TruncatedSeries]:
+    """sum_{r<=n} alpha_r / ((q^2;q^2)_{n-r} (q^2;q^2)_{n+r}) for
+    n = 0..n_max, walked in n.
+
+    Term r starts at n = r as alpha_r / (q^2;q^2)_{2r}; going from n - 1
+    to n divides it by (1 - q^{2(n-r)}) (1 - q^{2(n+r)}), two binomial
+    passes.  Terms with r^2 > order are zero and never start.
+    """
+    terms: list[list[int]] = []
+    out = []
+    for n in range(n_max + 1):
+        for r, term in enumerate(terms):
+            div_binomial_list(term, 1, 2 * (n - r))
+            div_binomial_list(term, 1, 2 * (n + r))
+        if n * n <= order:
+            terms.append(poch_quotient(ZZ, order, denom=[(1, 2, 2, 2 * n)],
+                                       start=bailey_alpha(n, order)).coeffs)
+        out.append(TruncatedSeries(ZZ, order, [sum(c) for c in zip(*terms)]))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # The checks
 # ---------------------------------------------------------------------------
 
-def verify_theorem1(order: int, n_oracle: int = 0) -> VerificationReport:
+def verify_theorem1(order: int, n_oracle: int = 0,
+                    build=_call) -> VerificationReport:
     """3-dissection of SB(zeta_3,q): components 0 and 1 vanish, component 2
-    is the product-plus-Lambert formula."""
-    if order < 8:
-        raise ValueError("order must be >= 8")
-    comps = sb_at_root(3, order).dissect(3)
+    is the product-plus-Lambert formula.  SB(zeta_3, q) is read off SB's
+    residue sums mod 3, as ``sb_at_root`` does."""
+    _require_order("theorem1", order)
+    residues = build(sb_residues, order, 3)
+    comps = TruncatedSeries(CYCLO3, order,
+                            [root_value(s, 3) for s in residues]).dissect(3)
     subchecks = [
         ("A0", comps[0], TruncatedSeries(CYCLO3, comps[0].order)),
         ("A1", comps[1], TruncatedSeries(CYCLO3, comps[1].order)),
@@ -165,14 +232,14 @@ def verify_theorem1(order: int, n_oracle: int = 0) -> VerificationReport:
     return _compare("theorem1", order, subchecks)
 
 
-def verify_theorem2(order: int, n_oracle: int = 12) -> VerificationReport:
+def verify_theorem2(order: int, n_oracle: int = 12,
+                    build=_call) -> VerificationReport:
     """Cleared-denominator rank-minus-crank identity:
     (-z + 2 - 1/z) * [q^n] SB(z,q) = [q^n] rank - [q^n] crank, plus an
     enumeration cross-check of the rank and crank rows up to n_oracle."""
-    if order < 4:
-        raise ValueError("order must be >= 4")
+    _require_order("theorem2", order)
     table = sb_series(order)
-    rank = rank_series(order)
+    rank = build(rank_series, order)
     crank = crank_series(order)
     u = LaurentPolynomial({1: -1, 0: 2, -1: -1})
     lhs = table.as_series().scale(u)
@@ -188,10 +255,10 @@ def verify_theorem2(order: int, n_oracle: int = 12) -> VerificationReport:
     return _compare("theorem2", order, subchecks)
 
 
-def verify_theorem3(order: int, n_oracle: int = 0) -> VerificationReport:
+def verify_theorem3(order: int, n_oracle: int = 0,
+                    build=_call) -> VerificationReport:
     """3-dissection of the M2-rank generating function at zeta_3."""
-    if order < 9:
-        raise ValueError("order must be >= 9")
+    _require_order("theorem3", order)
     comps = rank_at_root(3, order).dissect(3)
     subchecks = [
         (f"N2rank{j}", comps[j], rank_component(j, comps[j].order).embed(CYCLO3))
@@ -200,12 +267,16 @@ def verify_theorem3(order: int, n_oracle: int = 0) -> VerificationReport:
     return _compare("theorem3", order, subchecks)
 
 
-def verify_theorem4(order: int, n_oracle: int = 0) -> VerificationReport:
+def verify_theorem4(order: int, n_oracle: int = 0,
+                    build=_call) -> VerificationReport:
     """Residual-crank dissection at zeta_3, with its proof steps:
     (i) the zeta_3 product simplification, (ii) the Jacobi-triple-product
-    3-dissection of psi, (iii) the three component formulas."""
-    if order < 9:
-        raise ValueError("order must be >= 9")
+    3-dissection of psi, (iii) the three component formulas.
+
+    M2crank0 = N2rank0 needs no subcheck of its own: ``crank_component(0)``
+    is ``rank_component(0)``, so ``M2crank0`` here and ``N2rank0`` in
+    theorem3 compare both sides of it with the same product formula."""
+    _require_order("theorem4", order)
     lhs = crank_at_root(3, order)
     psi = gauss_psi(order)
     simplified = poch_quotient(ZZ, order, [(1, 2, 2, None)],
@@ -220,34 +291,25 @@ def verify_theorem4(order: int, n_oracle: int = 0) -> VerificationReport:
         subchecks.append(
             (f"M2crank{j}", comps[j],
              crank_component(j, comps[j].order).embed(CYCLO3)))
-    subchecks.append(
-        ("M2crank0-equals-N2rank0", crank_component(0, order),
-         rank_component(0, order)))
     return _compare("theorem4", order, subchecks)
 
 
 def verify_bailey_pair(order: int = 120, n_oracle: int = 0,
-                       n_max: int | None = None) -> VerificationReport:
+                       build=_call, n_max: int | None = None
+                       ) -> VerificationReport:
     """Defining relation of the Bailey pair relative to (1, q^2):
     beta_n = sum_{r<=n} alpha_r / ((q^2;q^2)_{n-r} (q^2;q^2)_{n+r})
     with alpha_0 = 1 and alpha_r = (-1)^r 2 q^{r^2}, for n = 0..n_max
-    (default min(30, order // 4), at least 1)."""
+    (default min(30, order // 4), at least 1).  beta_n is built from its
+    definition for each n; the right side is walked in n
+    (``bailey_pair_rhs``)."""
+    _require_order("bailey_pair", order)
     if n_max is None:
         n_max = min(30, max(1, order // 4))
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    subchecks = []
-    for n in range(n_max + 1):
-        rhs = TruncatedSeries(ZZ, order)
-        for r in range(n + 1):
-            if r * r > order:
-                break
-            alpha = TruncatedSeries.monomial(
-                ZZ, (-1) ** r * 2 if r else 1, r * r, order)
-            rhs = rhs + poch_quotient(
-                ZZ, order, denom=[(1, 2, 2, n - r), (1, 2, 2, n + r)],
-                start=alpha)
-        subchecks.append((f"n={n}", bailey_beta(n, order), rhs))
+    subchecks = [(f"n={n}", bailey_beta(n, order), rhs)
+                 for n, rhs in enumerate(bailey_pair_rhs(order, n_max))]
     return _compare("bailey_pair", order, subchecks)
 
 
@@ -271,19 +333,20 @@ def bailey_side(ring, z, z_inv, order: int, bound: bool = False) -> list:
         start=TruncatedSeries(ring, order, acc)).coeffs
 
 
-def verify_bailey_limit(order: int, n_oracle: int = 0) -> VerificationReport:
+def verify_bailey_limit(order: int, n_oracle: int = 0,
+                        build=_call) -> VerificationReport:
     """The limiting Bailey Lemma instance in the cleared-denominator form:
     the Bailey side with its infinite-product prefactor equals the closed
     rank generating function, over the Laurent ring (both run on packed
     integers)."""
-    if order < 4:
-        raise ValueError("order must be >= 4")
+    _require_order("bailey_limit", order)
     lhs = TruncatedSeries(LAURENT, order, packed_laurent(bailey_side, order))
-    rhs = rank_series(order)
+    rhs = build(rank_series, order)
     return _compare("bailey_limit", order, [("bailey-vs-rank", lhs, rhs)])
 
 
-def verify_congruences(order: int, n_oracle: int = 0) -> VerificationReport:
+def verify_congruences(order: int, n_oracle: int = 0,
+                       build=_call) -> VerificationReport:
     """The three spt congruences and the mod-3 crank refinement:
     spt2bar(3n), spt2bar(3n+1) divisible by 3; spt2bar(5n+3) divisible by
     5; residue classes of the spt-crank mod 3 all equal at 3n and 3n+1.
@@ -295,10 +358,9 @@ def verify_congruences(order: int, n_oracle: int = 0) -> VerificationReport:
     when they are equal, so it cannot fail on its own; theorem1 checks
     SB(zeta_3, q) against a product-plus-Lambert formula instead.
     """
-    if order < 8:
-        raise ValueError("order must be >= 8")
+    _require_order("congruences", order)
     s2 = sptbar2_series(order)
-    residues = sb_residues(order, 3)
+    residues = build(sb_residues, order, 3)
 
     def fail(n, expected, actual, where):
         return VerificationReport("congruences", order, "fail", {
@@ -329,9 +391,11 @@ def verify_congruences(order: int, n_oracle: int = 0) -> VerificationReport:
 # Suite driver
 # ---------------------------------------------------------------------------
 
-# Every check is called as check(order, n_oracle).  n_oracle bounds the
-# enumeration cross-checks; checks that make none ignore it.
-CHECKS: dict[str, Callable[[int, int], VerificationReport]] = {
+# Every check is called as check(order, n_oracle, build).  n_oracle bounds
+# the enumeration cross-checks; checks that make none ignore it.  build(fn,
+# *args) returns fn(*args); run_all passes one that builds each series once
+# per run.
+CHECKS: dict[str, Callable[..., VerificationReport]] = {
     "bailey_limit": verify_bailey_limit,
     "bailey_pair": verify_bailey_pair,
     "congruences": verify_congruences,
@@ -342,12 +406,24 @@ CHECKS: dict[str, Callable[[int, int], VerificationReport]] = {
 }
 
 
-def run_all(order: int, oracle_bound: int = 20,
-            only: str | None = None) -> list[VerificationReport]:
-    """Run the verification checks in deterministic (name) order."""
+def selected_checks(order: int, only: str | None = None) -> list[str]:
+    """The names of the checks ``run_all`` runs, in deterministic (name)
+    order; ValueError unless each accepts the order, so a run that cannot
+    finish builds nothing."""
     names = sorted(CHECKS)
     if only is not None:
         if only not in CHECKS:
             raise ValueError(f"unknown check {only!r}; choose from {names}")
         names = [only]
-    return [CHECKS[name](order, oracle_bound) for name in names]
+    for name in names:
+        _require_order(name, order)
+    return names
+
+
+def run_all(order: int, oracle_bound: int = 20,
+            only: str | None = None) -> list[VerificationReport]:
+    """Run the verification checks in deterministic (name) order, sharing
+    each series they build within the run."""
+    names = selected_checks(order, only)
+    build = _run_memo()
+    return [CHECKS[name](order, oracle_bound, build) for name in names]

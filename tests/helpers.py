@@ -6,7 +6,7 @@ direct definition, kept independent of the fast builders.
 
 from spt_kernel.partitions import partition_list
 from spt_kernel.rings import ZZ, LaurentPolynomial
-from spt_kernel.series import TruncatedSeries, div_binomial_list
+from spt_kernel.series import TruncatedSeries, div_binomial_list, poch_quotient
 
 
 def one(ring, order):
@@ -41,6 +41,22 @@ def gauss_theta(order):
         s.coeffs[n * (n + 1) // 2] = 1
         n += 1
     return s
+
+
+def bailey_pair_rhs_from_scratch(n, order):
+    """sum_{r<=n} alpha_r / ((q^2;q^2)_{n-r} (q^2;q^2)_{n+r}) with
+    alpha_0 = 1 and alpha_r = (-1)^r 2 q^{r^2}, every term built on its
+    own."""
+    rhs = TruncatedSeries(ZZ, order)
+    for r in range(n + 1):
+        if r * r > order:
+            break
+        alpha = TruncatedSeries.monomial(
+            ZZ, (-1) ** r * 2 if r else 1, r * r, order)
+        rhs = rhs + poch_quotient(
+            ZZ, order, denom=[(1, 2, 2, n - r), (1, 2, 2, n + r)],
+            start=alpha)
+    return rhs
 
 
 def is_symmetric(p: LaurentPolynomial) -> bool:

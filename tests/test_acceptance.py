@@ -13,7 +13,7 @@ import pytest
 
 from helpers import div_binomial, gauss_theta
 from spt_kernel.partitions import spt_family
-from spt_kernel.rings import LAURENT, ZZ, LaurentPolynomial
+from spt_kernel.rings import LAURENT, ZZ, LaurentPolynomial, residue_class_sums
 from spt_kernel.series import TruncatedSeries, pochhammer_inf
 from spt_kernel.sptcrank import (
     pair_crank_series,
@@ -79,7 +79,7 @@ def test_criterion_02_q8_test_vector():
     table = sb_series(8)
     assert table.row(8) == LaurentPolynomial(
         {3: 1, 2: 1, 1: 3, 0: 5, -1: 3, -2: 1, -3: 1})
-    assert table.residue_sums(8, 5) == [5, 3, 2, 2, 3]
+    assert residue_class_sums(table.row(8), 5) == [5, 3, 2, 2, 3]
     assert table.spt2(8) == 15
     assert 15 % 5 == 0
     assert bool(sb_at_root(5, 8).coefficient(8))

@@ -202,3 +202,48 @@ def test_usage_error_leaves_existing_output(capsys, tmp_path):
     code = main(["verify", "--order", "5", "--out", str(target)])
     assert code == 2
     assert target.read_text() == "kept\n"
+
+
+def test_usage_error_leaves_no_new_output(capsys, tmp_path):
+    target = tmp_path / "new.json"
+    code = main(["verify", "--order", "5", "--out", str(target)])
+    assert code == 2
+    assert "order must be >= 8" in capsys.readouterr().err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("order, only, minimum", [
+    (8, [], 9), (5, [], 8), (8, ["--only", "theorem3"], 9),
+    (3, ["--only", "bailey_limit"], 4),
+])
+def test_order_too_small_runs_no_check(capsys, monkeypatch, tmp_path,
+                                       order, only, minimum):
+    import spt_kernel.verify as verify_mod
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a check ran before the order was checked")
+
+    for name in verify_mod.CHECKS:
+        monkeypatch.setitem(verify_mod.CHECKS, name, unreachable)
+    target = tmp_path / "r.json"
+    code = main(["verify", "--order", str(order), *only, "--out", str(target)])
+    assert code == 2
+    assert f"order must be >= {minimum}" in capsys.readouterr().err
+    assert not target.exists()
+
+
+def test_usage_error_comes_before_the_output_check(capsys):
+    code = main(["verify", "--order", "5", "--out", "/nonexistent-dir/r.json"])
+    assert code == 2
+    assert "order must be >= 8" in capsys.readouterr().err
+
+
+def test_output_probe_creates_and_truncates_nothing(capsys, tmp_path):
+    from spt_kernel.cli import _probe_out
+
+    new, kept = tmp_path / "new.json", tmp_path / "kept.json"
+    kept.write_text("kept\n")
+    assert _probe_out(str(new)) and not new.exists()
+    assert _probe_out(str(kept)) and kept.read_text() == "kept\n"
+    assert not _probe_out(str(tmp_path / "no-dir" / "r.json"))
+    assert "cannot open output" in capsys.readouterr().err

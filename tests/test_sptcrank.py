@@ -13,11 +13,14 @@ from spt_kernel.rings import (
     LAURENT,
     ZZ,
     LaurentPolynomial,
+    PackedLaurentRing,
+    PackedResidueRing,
     RingError,
     residue_class_sums,
 )
 from spt_kernel.series import (
     TruncatedSeries,
+    _packing,
     packed_laurent,
     packed_residues,
     pochhammer_finite,
@@ -60,7 +63,7 @@ class TestSbSeries:
 
     def test_q8_residue_classes_mod5(self, table):
         assert table.row(8) == ROW8
-        assert table.residue_sums(8, 5) == [5, 3, 2, 2, 3]
+        assert residue_class_sums(table.row(8), 5) == [5, 3, 2, 2, 3]
 
     def test_rows_symmetric_up_to_bound(self, table):
         # observed property, not claimed by the theory; guarded here
@@ -328,7 +331,21 @@ class TestPackedResidues:
 
     def test_sb_residues_match_table(self, table):
         assert sb_residues(table.order, 5) == [
-            table.residue_sums(n, 5) for n in range(table.order + 1)]
+            residue_class_sums(table.row(n), 5)
+            for n in range(table.order + 1)]
+
+    def test_rank_stays_as_narrow_as_its_laurent_rows(self):
+        # the rank walk hands negative values to z; at t = 2N+1 nothing
+        # folds, so each residue value is the packed Laurent value itself
+        order, t = 300, 601
+        bits, offset = _packing(_rank_coeffs, order)
+        rings = (PackedLaurentRing(bits, offset),
+                 PackedResidueRing(bits, t, offset))
+        laurent, residue = (_rank_coeffs(r, r.z, r.z_inv, order) for r in rings)
+        assert [x.bit_length() for x in residue] == [
+            x.bit_length() for x in laurent]
+        assert packed_residues(_rank_coeffs, order, t) == [
+            residue_class_sums(rings[0].unpack(x), t) for x in laurent]
 
     def test_negative_residue_sum_refused(self, monkeypatch):
         import spt_kernel.sptcrank as sptcrank

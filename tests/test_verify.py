@@ -2,13 +2,15 @@ import json
 
 import pytest
 
-from helpers import gauss_theta
+from helpers import bailey_pair_rhs_from_scratch, gauss_theta
 from spt_kernel import verify
 from spt_kernel.rings import ZZ
 from spt_kernel.series import SeriesError, TruncatedSeries
 from spt_kernel.verify import (
     _compare,
     a2_formula,
+    bailey_beta,
+    bailey_pair_rhs,
     gauss_psi,
     jtp_psi_dissection,
     run_all,
@@ -73,6 +75,50 @@ def test_theorem_implication_chain():
 def test_bailey_checks_at_spot_orders():
     assert verify_bailey_pair(n_max=8, order=40).passed
     assert verify_bailey_limit(40).passed
+
+
+def test_walked_bailey_rhs_matches_from_scratch_sum():
+    walked = bailey_pair_rhs(120, 30)
+    assert len(walked) == 31
+    for n, rhs in enumerate(walked):
+        assert rhs == bailey_pair_rhs_from_scratch(n, 120), n
+
+
+def test_fault_in_one_alpha_term_is_reported_exactly(monkeypatch):
+    original = verify.bailey_alpha
+
+    def faulty(r, order):
+        s = original(r, order)
+        if r == 2:
+            s.coeffs[7] += 1
+        return s
+
+    monkeypatch.setattr(verify, "bailey_alpha", faulty)
+    (rep,) = run_all(ORDER, oracle_bound=6, only="bailey_pair")
+    # beta_2 = rhs_2 holds at q^7 without the fault, and the fault adds
+    # q^7 / ((q^2;q^2)_0 (q^2;q^2)_4), which starts with q^7
+    beta = bailey_beta(2, ORDER).coefficient(7)
+    assert rep.first_failure == {
+        "n": 7, "expected": str(beta + 1), "actual": str(beta),
+        "where": "n=2"}
+
+
+def test_run_builds_each_shared_series_once(monkeypatch):
+    calls = {"rank_series": 0, "sb_residues": 0}
+
+    def counted(name):
+        original = getattr(verify, name)
+
+        def build(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return build
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counted(name))
+    assert all(r.passed for r in run_all(60, oracle_bound=6))
+    assert calls == {"rank_series": 1, "sb_residues": 1}
 
 
 def test_congruences_small():
