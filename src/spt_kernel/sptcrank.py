@@ -131,10 +131,11 @@ class SptCrankTable:
         return TruncatedSeries(LAURENT, self.order, list(self.rows))
 
     def csv_rows(self):
-        """(n, m, coefficient) triples, exact integers."""
+        """(n, m, coefficient) triples, exact integers, increasing in
+        (n, m) whatever order each row's dict was filled in."""
         for n, row in enumerate(self.rows):
-            for m in row.support():
-                yield n, m, row.coefficient(m)
+            for m, c in sorted(row.c.items()):
+                yield n, m, c
 
 
 def sb_series(order: int) -> SptCrankTable:

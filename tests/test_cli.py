@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from spt_kernel.cli import main
+import spt_kernel
+from spt_kernel.cli import _row_json, _spt2_json, _table_json, main
 from spt_kernel.rings import residue_class_sums
 from spt_kernel.sptcrank import sb_series
 
@@ -247,3 +253,64 @@ def test_output_probe_creates_and_truncates_nothing(capsys, tmp_path):
     assert _probe_out(str(kept)) and kept.read_text() == "kept\n"
     assert not _probe_out(str(tmp_path / "no-dir" / "r.json"))
     assert "cannot open output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, sort_keys", [
+    (["table"], True),
+    (["export", "--what", "table"], False),
+    (["export", "--what", "spt2"], False),
+], ids=["table", "export-table", "export-spt2"])
+@pytest.mark.parametrize("order", [1, 8, 60])
+def test_json_records_match_the_encoder(capsys, argv, sort_keys, order):
+    code, out = run_cli(capsys, *argv, "--order", str(order), "--format", "json")
+    assert code == 0
+    for line in out.splitlines():
+        assert json.dumps(json.loads(line), sort_keys=sort_keys) == line
+
+
+# negative, zero and wider than 64 bits
+wide_ints = st.integers(min_value=-(2**200), max_value=2**200)
+
+
+@given(wide_ints, wide_ints, wide_ints)
+def test_row_record_is_json_dumps(n, m, c):
+    assert _row_json(n, m, c) == json.dumps(
+        {"n": n, "m": m, "coefficient": str(c)})
+
+
+@given(wide_ints, wide_ints)
+def test_spt2_record_is_json_dumps(n, v):
+    assert _spt2_json(n, v) == json.dumps({"n": n, "spt2": str(v)})
+
+
+@given(wide_ints, wide_ints, wide_ints, st.lists(wide_ints, min_size=1))
+def test_table_record_is_json_dumps(n, v, t, classes):
+    assert _table_json(n, v, t, classes) == json.dumps({
+        "n": n, "spt2": str(v), "t": t,
+        "classes": [str(c) for c in classes],
+    }, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    (["export", "--what", "table", "--order", "200", "--format", "csv"], 1),
+    (["table", "--order", "200", "--t", "401", "--format", "csv"], 1),
+    (["verify", "--order", "20", "--only", "theorem1"], 0),
+    (["export", "--what", "A2", "--order", "20"], 0),
+], ids=["export-table", "table", "verify", "export-A2"])
+def test_closed_pipe_exits_one_and_writes_no_stderr(argv, lines_read):
+    # The rows (about 290 KB each, far more than a pipe buffer holds) break
+    # the pipe inside the write loop; the short outputs, whose reader closes
+    # before they are written, break it at the final flush.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(spt_kernel.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, the default
+    with subprocess.Popen([sys.executable, "-m", "spt_kernel.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        lines = [proc.stdout.readline() for _ in range(lines_read)]
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    assert all(line.startswith(b"n,") for line in lines)
+    assert code == 1
+    assert err == b""

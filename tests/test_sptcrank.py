@@ -27,6 +27,7 @@ from spt_kernel.series import (
     pochhammer_inf,
 )
 from spt_kernel.sptcrank import (
+    SptCrankTable,
     _crank_coeffs,
     _rank_coeffs,
     _sb_walk,
@@ -113,6 +114,15 @@ class TestSbSeries:
         assert triples[(8, 0)] == 5
         assert triples[(8, -3)] == 1
         assert all(isinstance(c, int) for c in triples.values())
+
+    def test_csv_rows_increase_whatever_the_dict_order(self):
+        rows = (LaurentPolynomial({2: 1, -1: 3, 0: 5}),
+                LaurentPolynomial({1: 7, -3: 2}))
+        triples = list(SptCrankTable(1, rows).csv_rows())
+        assert triples == [(0, -1, 3), (0, 0, 5), (0, 2, 1),
+                           (1, -3, 2), (1, 1, 7)]
+        keys = [(n, m) for n, m, _ in triples]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 class TestSptbar2:
