@@ -2,9 +2,10 @@
 
 Three coefficient domains: plain Python integers, Laurent polynomials in a
 single variable z with integer coefficients, and cyclotomic integers
-Z[zeta_t] for t in {3, 5}.  Laurent polynomials also have a packed form,
-one integer each, for the fast series builders.  Everything is exact; no
-floats anywhere.
+Z[zeta_t] for t in {3, 5}.  The fast series builders run on one packed
+ring, Z[z]/(z^t - 1) with one integer per element; at t wider than a
+series' z-range its elements are the Laurent rows themselves.  Everything
+is exact; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -395,7 +396,7 @@ class CyclotomicRing:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials packed into integers (Kronecker substitution)
+# Z[z]/(z^t - 1) packed into integers (Kronecker substitution)
 # ---------------------------------------------------------------------------
 
 def _balanced_digits(x: int, b: int, k: int) -> tuple[list[int], int]:
@@ -418,68 +419,6 @@ def _balanced_digits(x: int, b: int, k: int) -> tuple[list[int], int]:
         digits.append(d)
         x = (x - d) >> b
     return digits, x
-
-
-class _ZShift:
-    """Multiplication by a power of z on packed Laurent polynomials: a shift
-    by bits; a negative shift is exact or raises RingError."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: int):
-        self.bits = bits
-
-    def __mul__(self, x: int) -> int:
-        if self.bits > 0:
-            return x << self.bits
-        k = -self.bits
-        if x & ((1 << k) - 1):
-            raise RingError("z^-1 would move a term below the packing offset")
-        return x >> k
-
-    __rmul__ = __mul__
-
-
-class PackedLaurentRing:
-    """Laurent polynomials in z over Z, each packed into one integer.
-
-    A polynomial p is stored as p(2^B) * 2^(B*S): Kronecker substitution
-    (Schoenhage 1982; D. Harvey, J. Symbolic Comput. 44 (2009)).  Sums,
-    differences and integer multiples are plain integer operations, and
-    ``z * x`` and ``z_inv * x`` are shifts by B bits, so a packed value is
-    exact however large its coefficients grow.  ``unpack`` reads balanced
-    base-2^B digits, which is exact only while every coefficient satisfies
-    |c| < 2^(B-1) and every exponent is >= -S; the caller must prove both.
-    """
-
-    zero = 0
-
-    def __init__(self, bits: int, offset: int):
-        if bits < 1 or offset < 0:
-            raise RingError("packing needs bits >= 1 and offset >= 0")
-        self.bits = bits
-        self.offset = offset
-        self.one = 1 << (bits * offset)
-        self.z = _ZShift(bits)
-        self.z_inv = _ZShift(-bits)
-
-    def pack(self, p: LaurentPolynomial) -> int:
-        if p.c and min(p.c) < -self.offset:
-            raise RingError(f"exponent {min(p.c)} below the packing offset")
-        b, s = self.bits, self.offset
-        return sum(v << (b * (e + s)) for e, v in p.c.items())
-
-    def unpack(self, x: int) -> LaurentPolynomial:
-        if not x:
-            return LaurentPolynomial()
-        # the span from the lowest nonzero digit up, with no carry left
-        b = self.bits
-        low = ((x & -x).bit_length() - 1) // b
-        x >>= b * low
-        digits, _ = _balanced_digits(x, b, x.bit_length() // b + 2)
-        r = LaurentPolynomial.__new__(LaurentPolynomial)
-        r.c = {e: d for e, d in enumerate(digits, low - self.offset) if d}
-        return r
 
 
 class _ResidueShift:
@@ -517,18 +456,22 @@ class PackedResidueRing:
     """Z[z]/(z^t - 1), each element packed into one integer mod M = 2^(tB) - 1.
 
     sum_{k<t} s_k z^k is any integer congruent to sum_k s_k 2^(((k+S) mod t)B)
-    mod M, for an offset S: Kronecker substitution reduced mod 2^(tB) - 1,
-    the cyclic convolution of Schoenhage-Strassen (see Harvey, cited above).
-    As 2^(tB) = 1 mod M, ``z * x`` is y = x << B, with y >> tB added to
-    y & M once |y| >= 2^(tB), and ``z_inv * x`` is
-    (x >> B) + (x mod 2^B) 2^((t-1)B).  While the exponents stay in
-    [-S, t - S) and the coefficients below 2^(B-1), negative ones too,
-    both are the shifts of ``PackedLaurentRing`` with offset S.
+    mod M, for an offset S: Kronecker substitution (Schoenhage 1982;
+    D. Harvey, J. Symbolic Comput. 44 (2009)) reduced mod 2^(tB) - 1, the
+    cyclic convolution of Schoenhage-Strassen.  Sums, differences and
+    integer multiples are plain integer operations, so a packed value is
+    exact however large its coefficients grow.  As 2^(tB) = 1 mod M,
+    ``z * x`` is y = x << B, with y >> tB added to y & M once
+    |y| >= 2^(tB), and ``z_inv * x`` is (x >> B) + (x mod 2^B) 2^((t-1)B).
+    While the exponents of a Laurent polynomial p stay in [-S, t - S) and
+    its coefficients below 2^(B-1), negative ones too, x is p(2^B) 2^(BS)
+    and both are plain shifts by B bits: nothing folds or rotates.
 
-    ``unpack`` is exact when the caller proves |s_k| < 2^(B-1) for every k:
-    the digits (k + S) mod t run over 0..t-1, so the packed sum is at most
-    (2^(B-1) - 1)(2^(tB) - 1)/(2^B - 1) < M/2 in absolute value, the
-    balanced residue mod M is that sum, and its t balanced digits are unique.
+    ``digits`` and ``unpack`` are exact when the caller proves
+    |s_k| < 2^(B-1) for every k: the digits (k + S) mod t run over 0..t-1,
+    so the packed sum is at most (2^(B-1) - 1)(2^(tB) - 1)/(2^B - 1) < M/2
+    in absolute value, the balanced residue mod M is that sum, and its t
+    balanced digits are unique.
     """
 
     zero = 0
@@ -544,15 +487,20 @@ class PackedResidueRing:
         self.z = _ZFold(bits, t)
         self.z_inv = _ZRotate(bits, t)
 
-    def unpack(self, x: int) -> list[int]:
-        """The residue-class sums (s_0, ..., s_{t-1}) that x packs: digit j
-        holds class (j - S) mod t."""
+    def digits(self, x: int) -> list[int]:
+        """The t balanced base-2^B digits of the balanced residue of x mod
+        M, lowest first: digit j holds class (j - S) mod t."""
         m = self.modulus
         x = (x + (m >> 1)) % m - (m >> 1)  # the balanced residue
         digits, carry = _balanced_digits(x, self.bits, self.t)
         if carry:
             raise RingError(f"residue does not decode into {self.t} digits "
                             f"of {self.bits} bits")
+        return digits
+
+    def unpack(self, x: int) -> list[int]:
+        """The residue-class sums (s_0, ..., s_{t-1}) that x packs."""
+        digits = self.digits(x)
         return digits[self.start:] + digits[:self.start]
 
 

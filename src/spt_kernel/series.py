@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Sequence
 
-from .rings import ZZ, PackedLaurentRing, PackedResidueRing, RingError
+from .rings import ZZ, LaurentPolynomial, PackedResidueRing, RingError
 
 
 class SeriesError(ValueError):
@@ -338,27 +338,39 @@ def _packing(build, order: int) -> tuple[int, int]:
 
 def packed_laurent(build, order: int) -> list:
     """Coefficients 0..order of a series over Z[z,1/z], computed on packed
-    integers and unpacked once.
+    integers and read off once.
 
     build(ring, z, z_inv, order, bound) returns a coefficient list over
     ring; build(ZZ, 1, 1, order, True) must return a majorant, whose
     coefficient of q^n bounds the sum of |coefficients| of the Laurent
     polynomial at q^n.  That fixes the width B, so every coefficient is
-    below 2^(B-1) and the balanced-digit unpack is exact.  The offset keeps
-    each 1/z shift exact while z-exponents stay above -(order//2 + 2); a
-    shift that is not exact raises RingError rather than losing a term, and
-    an exact integer result whose coefficients are below 2^(B-1) cannot
-    hold an exponent below the offset.
+    below 2^(B-1) and the balanced digits are exact.  build runs on
+    Z[z]/(z^t - 1) with t = 2S + 1 and S = order//2 + 2, which is exact
+    whatever exponents an intermediate value reaches, and digit j of a
+    result holds the exponents congruent to j - S mod t.  A row inside
+    [-(S - 1), S - 1] is read exactly, digit j as the coefficient of
+    z^(j - S); a row whose digit 0 or 2S (z^-S or z^S) is nonzero is at
+    the edge of that window and raises RingError.
     """
-    ring = PackedLaurentRing(*_packing(build, order))
-    return [ring.unpack(x) for x in build(ring, ring.z, ring.z_inv, order, False)]
+    bits, offset = _packing(build, order)
+    ring = PackedResidueRing(bits, 2 * offset + 1, offset)
+    rows = []
+    for x in build(ring, ring.z, ring.z_inv, order, False):
+        digits = ring.digits(x)
+        if digits[0] or digits[-1]:
+            raise RingError(f"a row reaches z^-{offset} or z^{offset}, the "
+                            f"edge of the packed window")
+        row = LaurentPolynomial.__new__(LaurentPolynomial)
+        row.c = {e: d for e, d in enumerate(digits, -offset) if d}
+        rows.append(row)
+    return rows
 
 
 def packed_residues(build, order: int, t: int) -> list[list[int]]:
     """Residue-class sums mod t of coefficients 0..order of a series over
     Z[z,1/z]: entry n is ``residue_class_sums`` of the Laurent polynomial
-    at q^n.  build is as for ``packed_laurent`` and runs on
-    ``PackedResidueRing`` with the same width and offset.
+    at q^n.  build is as for ``packed_laurent`` and runs on the same ring,
+    ``PackedResidueRing`` with the same width and offset, at modulus t.
     """
     bits, offset = _packing(build, order)
     ring = PackedResidueRing(bits, t, offset)

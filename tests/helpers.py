@@ -1,12 +1,19 @@
 """Small series and polynomial helpers that only the tests use.
 
-They were members of the package with no production caller; each is a
-direct definition, kept independent of the fast builders.
+Most were members of the package with no production caller; each is a
+direct definition, kept independent of the fast builders.  The last two
+pack Laurent polynomials on the packed ring and read them back through
+``packed_laurent``, for the tests of that ring.
 """
 
 from spt_kernel.partitions import partition_list
 from spt_kernel.rings import ZZ, LaurentPolynomial
-from spt_kernel.series import TruncatedSeries, div_binomial_list, poch_quotient
+from spt_kernel.series import (
+    TruncatedSeries,
+    div_binomial_list,
+    packed_laurent,
+    poch_quotient,
+)
 
 
 def one(ring, order):
@@ -66,3 +73,24 @@ def is_symmetric(p: LaurentPolynomial) -> bool:
 
 def count_partitions(n):
     return len(partition_list(n))
+
+
+def residue_pack(ring, p):
+    """p packed in Z[z]/(z^t - 1) through the ring's own shifts, so powers
+    of z that leave digits 0..t-1 pass through the fold or the rotation."""
+    x = ring.zero
+    for e, v in p.c.items():
+        term = ring.one
+        for _ in range(abs(e)):
+            term = (ring.z if e > 0 else ring.z_inv) * term
+        x = x + v * term
+    return x
+
+
+def packed_rows(make, order, majorant):
+    """The rows ``packed_laurent`` reads off the packed values make(ring),
+    on the ring it sets up for order: offset S = order//2 + 2, and width B
+    one bit more than majorant's bit length."""
+    def build(ring, z, z_inv, order, bound):
+        return [majorant] if bound else make(ring)
+    return packed_laurent(build, order)

@@ -115,7 +115,7 @@ def test_criterion_06_theorems3_and_4_to_150():
 
 
 def test_criterion_07_bailey_pair_and_limit():
-    rp = verify_bailey_pair(n_max=30, order=120)
+    rp = verify_bailey_pair(order=120)
     rl = verify_bailey_limit(60)
     assert rp.passed, rp.to_json()
     assert rl.passed, rl.to_json()

@@ -9,7 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spt_kernel
-from spt_kernel.cli import _row_json, _spt2_json, _table_json, main
+from spt_kernel.cli import (
+    _BLOCK,
+    _emit,
+    _row_json,
+    _spt2_json,
+    _table_json,
+    main,
+)
 from spt_kernel.rings import residue_class_sums
 from spt_kernel.sptcrank import sb_series
 
@@ -131,6 +138,18 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--oracle-bound", "40"])
         assert exc.value.code == 2
+
+    def test_error_inside_a_check_is_not_a_usage_error(self, monkeypatch):
+        # the arguments are valid; a ValueError raised while a check runs
+        # (here from the residue sums) is a fault, not exit code 2
+        import spt_kernel.verify as verify
+
+        def broken(order, t):
+            raise ValueError("negative spt-crank residue sum")
+
+        monkeypatch.setattr(verify, "sb_residues", broken)
+        with pytest.raises(ValueError, match="negative"):
+            main(["verify", "--order", "20", "--only", "congruences"])
 
     def test_byte_identical_runs(self, capsys):
         _, first = run_cli(capsys, "verify", "--order", "20",
@@ -291,19 +310,30 @@ def test_table_record_is_json_dumps(n, v, t, classes):
     }, sort_keys=True)
 
 
-@pytest.mark.parametrize("argv, lines_read", [
-    (["export", "--what", "table", "--order", "200", "--format", "csv"], 1),
-    (["table", "--order", "200", "--t", "401", "--format", "csv"], 1),
-    (["verify", "--order", "20", "--only", "theorem1"], 0),
-    (["export", "--what", "A2", "--order", "20"], 0),
-], ids=["export-table", "table", "verify", "export-A2"])
-def test_closed_pipe_exits_one_and_writes_no_stderr(argv, lines_read):
+EXPORT_TABLE = ["export", "--what", "table", "--order", "200", "--format", "csv"]
+
+
+@pytest.mark.parametrize("argv, lines_read, unbuffered", [
+    (EXPORT_TABLE, 1, False),
+    (["table", "--order", "200", "--t", "401", "--format", "csv"], 1, False),
+    (["verify", "--order", "20", "--only", "theorem1"], 0, False),
+    (["export", "--what", "A2", "--order", "20"], 0, False),
+    (EXPORT_TABLE, 1, True),
+    (["export", "--what", "A2", "--order", "20"], 0, True),
+], ids=["export-table", "table", "verify", "export-A2",
+        "export-table-unbuffered", "export-A2-unbuffered"])
+def test_closed_pipe_exits_one_and_writes_no_stderr(argv, lines_read,
+                                                    unbuffered):
     # The rows (about 290 KB each, far more than a pipe buffer holds) break
     # the pipe inside the write loop; the short outputs, whose reader closes
-    # before they are written, break it at the final flush.
+    # before they are written, break it at the final flush, or, with
+    # PYTHONUNBUFFERED set, at their one write.
     env = dict(os.environ,
                PYTHONPATH=str(Path(spt_kernel.__file__).resolve().parents[1]))
-    env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, the default
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"  # each write goes straight to the fd
+    else:
+        env.pop("PYTHONUNBUFFERED", None)  # block-buffered, the default
     with subprocess.Popen([sys.executable, "-m", "spt_kernel.cli", *argv],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           env=env) as proc:
@@ -314,3 +344,13 @@ def test_closed_pipe_exits_one_and_writes_no_stderr(argv, lines_read):
     assert all(line.startswith(b"n,") for line in lines)
     assert code == 1
     assert err == b""
+
+
+def test_blocks_write_every_line_once(tmp_path):
+    # two full blocks and a partial one: no line lost or merged at a seam
+    lines = [f"line {i}" for i in range(2 * _BLOCK + 3)]
+    out = tmp_path / "out.txt"
+    assert _emit(lines, str(out)) == 0
+    assert out.read_text() == "".join(line + "\n" for line in lines)
+    assert _emit([], str(out)) == 0
+    assert out.read_text() == ""

@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import packed_rows, residue_pack
 from spt_kernel.rings import (
     CYCLO3,
     CYCLO5,
     LAURENT,
     CyclotomicInteger,
     LaurentPolynomial,
-    PackedLaurentRing,
     PackedResidueRing,
     RingError,
     eval_at_root,
@@ -147,28 +147,31 @@ class TestResidueClassSums:
 
 
 class TestPackedLaurent:
+    """Laurent rows read off Z[z]/(z^t - 1) at t = 2S + 1 by
+    ``packed_laurent``: S = order//2 + 2, and the majorant fixes B."""
+
     def test_round_trip_at_the_digit_bound(self):
-        ring = PackedLaurentRing(bits=9, offset=4)
+        # order 12: S = 8, rows read in [-7, 7]; majorant 255: B = 9
         big = (1 << 8) - 1
         p = LaurentPolynomial({-4: -big, -3: big, -1: 1, 0: -big, 2: big,
                                5: -1, 7: big})
-        x = ring.pack(p)
-        assert ring.unpack(x) == p
-        assert ring.unpack(-x) == -p
+        assert packed_rows(lambda ring: [residue_pack(ring, p),
+                                         -residue_pack(ring, p)],
+                           12, big) == [p, -p]
 
     @given(laurents)
     @settings(max_examples=80)
     def test_ring_operations_match_dict_form(self, p):
-        # laurents have |coefficients| <= 9 and exponents >= -12, so every
-        # result below keeps |coefficients| < 2^7 and exponents >= -14
-        ring = PackedLaurentRing(bits=8, offset=14)
-        x = ring.pack(p)
-        assert ring.unpack(x) == p
-        assert ring.unpack(ring.z * x) == Z * p
-        assert ring.unpack(ring.z_inv * x) == ZI * p
-        assert ring.unpack(x + ring.pack(Z * p)) == p + Z * p
-        assert ring.unpack(x - 3 * ring.one) == p - 3
-        assert ring.unpack(-x) == -p
+        # laurents have |coefficients| <= 9 and exponents in [-12, 12], so
+        # every result below keeps |coefficients| < 2^7 and exponents in
+        # [-13, 13]; order 24: S = 14, rows read in [-13, 13]; B = 8
+        def make(ring):
+            x = residue_pack(ring, p)
+            return [x, ring.z * x, ring.z_inv * x,
+                    x + residue_pack(ring, Z * p), x - 3 * ring.one, -x]
+
+        assert packed_rows(make, 24, (1 << 7) - 1) == [
+            p, Z * p, ZI * p, p + Z * p, p - 3, -p]
 
     @given(st.sampled_from([2, 3, 8, 61]).flatmap(lambda b: st.tuples(
         st.just(b),
@@ -179,33 +182,33 @@ class TestPackedLaurent:
             max_size=120))))
     @settings(max_examples=80)
     def test_round_trip_across_the_decoder_split(self, case):
-        # up to 121 digits, so the balanced decoder splits its span in halves
+        # order 118: S = 61, t = 123 digits, so the balanced decoder splits
+        # them in halves; majorant 2^(b-1) - 1: B = b
         bits, coeffs = case
-        ring = PackedLaurentRing(bits=bits, offset=60)
         p = LaurentPolynomial(coeffs)
-        x = ring.pack(p)
-        assert ring.unpack(x) == p
-        assert ring.unpack(-x) == -p
+        assert packed_rows(lambda ring: [residue_pack(ring, p),
+                                         -residue_pack(ring, p)],
+                           118, (1 << bits - 1) - 1) == [p, -p]
 
-    def test_inexact_z_inverse_raises(self):
-        ring = PackedLaurentRing(bits=6, offset=1)
-        x = ring.pack(LaurentPolynomial({-1: 5, 2: 1}))
-        with pytest.raises(RingError):
-            ring.z_inv * x  # noqa: B018
-        with pytest.raises(RingError):
-            ring.pack(LaurentPolynomial({-2: 1}))
+    def test_term_below_the_window_comes_back_exactly(self):
+        # order 4: S = 4, t = 9.  Twice 1/z takes the z^-3 term to z^-5,
+        # below z^-S, where a shift by B bits would lose it; z^-5 is z^4
+        # in Z[z]/(z^9 - 1), and twice z brings it back.
+        p = LaurentPolynomial({-3: 5, 2: 1})
 
+        def make(ring):
+            x = ring.z_inv * (ring.z_inv * residue_pack(ring, p))
+            return [ring.z * (ring.z * x)]
 
-def residue_pack(ring, p):
-    """p packed in Z[z]/(z^t - 1) through the ring's own shifts, so powers
-    of z that leave digits 0..t-1 pass through the fold or the rotation."""
-    x = ring.zero
-    for e, v in p.c.items():
-        term = ring.one
-        for _ in range(abs(e)):
-            term = (ring.z if e > 0 else ring.z_inv) * term
-        x = x + v * term
-    return x
+        assert packed_rows(make, 4, 5) == [p]
+
+    @pytest.mark.parametrize("exp", [-5, -4, 4, 5])
+    def test_row_on_an_edge_digit_raises(self, exp):
+        # order 4: S = 4, t = 9; z^-4 and z^5 are digit 0, z^4 and z^-5
+        # digit 8 = 2S
+        p = LaurentPolynomial({exp: 1, 0: 2})
+        with pytest.raises(RingError, match="edge"):
+            packed_rows(lambda ring: [residue_pack(ring, p)], 4, 3)
 
 
 # where z^0 sits, at digit offset mod t: at the bottom, one above, at the

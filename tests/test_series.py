@@ -2,14 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import inflate, one
+from helpers import inflate, one, packed_rows, residue_pack
 from spt_kernel.partitions import distinct_partition_list, partition_list
 from spt_kernel.rings import (
     CYCLO3,
     LAURENT,
     ZZ,
     LaurentPolynomial,
-    PackedLaurentRing,
 )
 from spt_kernel.series import (
     SeriesError,
@@ -118,16 +117,21 @@ class TestPochhammer:
 
     def test_packed_pass_at_exponent_zero_matches_dict_form(self):
         # (1 - z)(1 - 1/z)(1 - 3): the factors with no power of q; the
-        # results keep |coefficients| <= 80 < 2^7 and exponents >= -3
-        ring = PackedLaurentRing(bits=8, offset=4)
+        # results keep |coefficients| <= 80 < 2^7 and exponents in [-3, 2],
+        # read at order 4 (S = 4, rows in [-3, 3]) with B = 8
         rows = [LaurentPolynomial({0: 1}), LaurentPolynomial({-2: 3, 1: -5}),
                 LaurentPolynomial()]
-        packed = [ring.pack(p) for p in rows]
-        for c, packed_c in ((LAURENT.z, ring.z), (LAURENT.z_inv, ring.z_inv),
-                            (3, 3)):
+
+        def make(ring):
+            packed = [residue_pack(ring, p) for p in rows]
+            for c in (ring.z, ring.z_inv, 3):
+                mul_binomial_list(packed, c, 0)
+            return packed
+
+        got = packed_rows(make, 4, 80)
+        for c in (LAURENT.z, LAURENT.z_inv, 3):
             mul_binomial_list(rows, c, 0)
-            mul_binomial_list(packed, packed_c, 0)
-        assert [ring.unpack(x) for x in packed] == rows
+        assert got == rows
         assert rows[0] == LaurentPolynomial({-1: 2, 0: -4, 1: 2})
 
 

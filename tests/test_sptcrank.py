@@ -13,7 +13,6 @@ from spt_kernel.rings import (
     LAURENT,
     ZZ,
     LaurentPolynomial,
-    PackedLaurentRing,
     PackedResidueRing,
     RingError,
     residue_class_sums,
@@ -345,17 +344,19 @@ class TestPackedResidues:
             for n in range(table.order + 1)]
 
     def test_rank_stays_as_narrow_as_its_laurent_rows(self):
-        # the rank walk hands negative values to z; at t = 2N+1 nothing
-        # folds, so each residue value is the packed Laurent value itself
+        # the rank walk hands negative values to z; at t = 2N+1, as at the
+        # t = 2S+1 its Laurent rows are read at, nothing folds, so the
+        # packed values have the same widths
         order, t = 300, 601
         bits, offset = _packing(_rank_coeffs, order)
-        rings = (PackedLaurentRing(bits, offset),
+        rings = (PackedResidueRing(bits, 2 * offset + 1, offset),
                  PackedResidueRing(bits, t, offset))
         laurent, residue = (_rank_coeffs(r, r.z, r.z_inv, order) for r in rings)
         assert [x.bit_length() for x in residue] == [
             x.bit_length() for x in laurent]
         assert packed_residues(_rank_coeffs, order, t) == [
-            residue_class_sums(rings[0].unpack(x), t) for x in laurent]
+            residue_class_sums(row, t)
+            for row in packed_laurent(_rank_coeffs, order)]
 
     def test_negative_residue_sum_refused(self, monkeypatch):
         import spt_kernel.sptcrank as sptcrank

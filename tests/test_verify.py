@@ -73,7 +73,7 @@ def test_theorem_implication_chain():
 
 
 def test_bailey_checks_at_spot_orders():
-    assert verify_bailey_pair(n_max=8, order=40).passed
+    assert verify_bailey_pair(order=40).passed
     assert verify_bailey_limit(40).passed
 
 
