@@ -7,7 +7,6 @@ its dissection identities and congruences.
 
 from .rings import (
     CYCLO3,
-    CYCLO5,
     LAURENT,
     ZZ,
     CyclotomicInteger,
@@ -16,8 +15,8 @@ from .rings import (
     LaurentPolynomial,
     LaurentRing,
     RingError,
-    eval_at_root,
     residue_class_sums,
+    root_value,
 )
 from .series import (
     SeriesError,
@@ -27,13 +26,11 @@ from .series import (
     poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
-    theta_sum,
 )
 from .partitions import (
     Overpartition,
     ag_crank,
     enumerate_overpartitions,
-    enumerate_partitions,
     m2_rank,
     m2_rank_distribution,
     residual_m2_crank_distribution,
@@ -41,8 +38,8 @@ from .partitions import (
 )
 from .sptcrank import (
     SptCrankTable,
+    at_zeta3,
     crank_series,
-    pair_crank_series,
     partition_pair_oracle,
     rank_series,
     sb_at_root,
@@ -53,17 +50,17 @@ from .sptcrank import (
 from .verify import VerificationReport, run_all
 
 __all__ = [
-    "CYCLO3", "CYCLO5", "LAURENT", "ZZ",
+    "CYCLO3", "LAURENT", "ZZ",
     "CyclotomicInteger", "CyclotomicRing", "IntegerRing",
     "LaurentPolynomial", "LaurentRing", "RingError",
     "SeriesError", "TruncatedSeries",
     "geometric", "lambert_sum", "poch_quotient", "pochhammer_finite",
     "pochhammer_inf",
-    "theta_sum", "eval_at_root", "residue_class_sums",
+    "residue_class_sums", "root_value",
     "Overpartition", "ag_crank", "enumerate_overpartitions",
-    "enumerate_partitions", "m2_rank", "m2_rank_distribution",
+    "m2_rank", "m2_rank_distribution",
     "residual_m2_crank_distribution", "spt_family",
-    "SptCrankTable", "crank_series", "pair_crank_series",
+    "SptCrankTable", "at_zeta3", "crank_series",
     "partition_pair_oracle", "rank_series", "sb_at_root", "sb_series",
     "sptbar2_series", "vector_partition_oracle",
     "VerificationReport", "run_all",

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain, islice
 
 from . import verify as verify_mod
 from .sptcrank import sb_residues, sb_series, sptbar2_series
@@ -124,12 +125,15 @@ _BLOCK = 1024
 
 
 def _emit(lines, out_path) -> int:
+    """Write lines, any iterable of strings, in blocks of ``_BLOCK``; a
+    generator is consumed block by block, so the output is never held."""
     fh = sys.stdout if out_path is None else _open_out(out_path, "w")
     if fh is None:
         return 1
+    lines = iter(lines)
     try:
-        for i in range(0, len(lines), _BLOCK):
-            fh.write("\n".join(lines[i:i + _BLOCK]) + "\n")
+        for block in iter(lambda: list(islice(lines, _BLOCK)), []):
+            fh.write("\n".join(block) + "\n")
         fh.flush()
     except BrokenPipeError:
         # The reader is gone.  Point the descriptor at /dev/null, so that
@@ -178,14 +182,14 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     if args.what == "table":
-        table = sb_series(args.order)
-        triples = list(table.csv_rows())
+        triples = sb_series(args.order).csv_rows()
         if args.format == "json":
-            lines = [_row_json(n, m, c) for n, m, c in triples]
+            lines = (_row_json(n, m, c) for n, m, c in triples)
         elif args.format == "csv":
-            lines = ["n,m,coefficient"] + [f"{n},{m},{c}" for n, m, c in triples]
+            lines = chain(["n,m,coefficient"],
+                          (f"{n},{m},{c}" for n, m, c in triples))
         else:
-            lines = [f"N_SB(m={m}, n={n}) = {c}" for n, m, c in triples]
+            lines = (f"N_SB(m={m}, n={n}) = {c}" for n, m, c in triples)
         return _emit(lines, args.out)
     if args.what == "spt2":
         s2 = sptbar2_series(args.order)

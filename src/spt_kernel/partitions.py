@@ -51,10 +51,6 @@ def distinct_partition_list(n: int, min_part: int = 1) -> tuple[Partition, ...]:
     return tuple(_gen_distinct(n, n, min_part))
 
 
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    yield from partition_list(n)
-
-
 def num_even_parts(p: Partition) -> int:
     return sum(1 for x in p if x % 2 == 0)
 
@@ -272,7 +268,3 @@ def m2_statistics(n: int) -> tuple[LaurentPolynomial, LaurentPolynomial, int]:
                 for e, v in weight:
                     cranks[e] = cranks.get(e, 0) + v
     return LaurentPolynomial(ranks), LaurentPolynomial(cranks), visits
-
-
-def count_overpartitions(n: int) -> int:
-    return sum(1 for _ in enumerate_overpartitions(n))

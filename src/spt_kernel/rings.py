@@ -1,16 +1,19 @@
 """Exact coefficient rings for the q-series kernel.
 
 Three coefficient domains: plain Python integers, Laurent polynomials in a
-single variable z with integer coefficients, and cyclotomic integers
-Z[zeta_t] for t in {3, 5}.  The fast series builders run on one packed
-ring, Z[z]/(z^t - 1) with one integer per element; at t wider than a
-series' z-range its elements are the Laurent rows themselves.  Everything
-is exact; no floats anywhere.
+single variable z with integer coefficients, and the cyclotomic integers
+Z[zeta_3], where the checks read the spt-crank and its companions at a
+cube root of unity.  The checks read those values off residue-class sums
+mod 3 (``root_value``); only the naive reference builders multiply in
+Z[zeta_3].  The fast series builders
+run on one packed ring, Z[z]/(z^t - 1) with one integer per element; at t
+wider than a series' z-range its elements are the Laurent rows themselves.
+Everything is exact; no floats anywhere.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class RingError(ValueError):
@@ -139,135 +142,92 @@ class LaurentPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic integers Z[zeta_t], t in {3, 5}
+# Cyclotomic integers Z[zeta_3]
 # ---------------------------------------------------------------------------
 
-_SUPPORTED_T = (3, 5)
-
-
 class CyclotomicInteger:
-    """Element of Z[zeta_t] reduced modulo the t-th cyclotomic polynomial.
-
-    Stored as a vector (a_0, ..., a_{t-2}) meaning a_0 + a_1*zeta + ... ;
-    reduction uses zeta^{t-1} = -(1 + zeta + ... + zeta^{t-2}).  The
-    representation is unique, so x == 0 iff all coordinates vanish.
+    """a + b*zeta in Z[zeta_3], zeta a primitive cube root of unity, stored
+    as the pair coeffs = (a, b).  zeta^2 = -1 - zeta reduces every product
+    to that form, and the form is unique, so x == 0 iff a = b = 0.
     """
 
-    __slots__ = ("t", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, t: int, coeffs: Iterable[int]):
-        if t not in _SUPPORTED_T:
-            raise RingError(f"unsupported cyclotomic order t={t}")
-        coeffs = tuple(coeffs)
-        if len(coeffs) != t - 1:
-            raise RingError(f"need {t - 1} coordinates for Z[zeta_{t}]")
-        self.t = t
-        self.coeffs = coeffs
+    def __init__(self, a: int, b: int = 0):
+        self.coeffs = (a, b)
 
     @staticmethod
-    def from_int(t: int, n: int) -> "CyclotomicInteger":
-        return CyclotomicInteger(t, (n,) + (0,) * (t - 2))
-
-    @staticmethod
-    def root_power(t: int, k: int) -> "CyclotomicInteger":
-        """zeta_t^k, reduced."""
-        k %= t
-        if k < t - 1:
-            v = [0] * (t - 1)
-            v[k] = 1
-            return CyclotomicInteger(t, v)
-        return CyclotomicInteger(t, (-1,) * (t - 1))
+    def root_power(k: int) -> "CyclotomicInteger":
+        """zeta^k, reduced."""
+        return (CyclotomicInteger(1), CyclotomicInteger(0, 1),
+                CyclotomicInteger(-1, -1))[k % 3]
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
 
-    def _check(self, other: "CyclotomicInteger") -> None:
-        if self.t != other.t:
-            raise RingError(f"mixed cyclotomic orders {self.t} and {other.t}")
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self.coeffs == (other,) + (0,) * (self.t - 2)
+            return self.coeffs == (other, 0)
         if isinstance(other, CyclotomicInteger):
-            return self.t == other.t and self.coeffs == other.coeffs
+            return self.coeffs == other.coeffs
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.t, self.coeffs))
+        return hash(self.coeffs)
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = CyclotomicInteger.from_int(self.t, other)
+            other = CyclotomicInteger(other)
         elif not isinstance(other, CyclotomicInteger):
             return NotImplemented
-        self._check(other)
-        return CyclotomicInteger(
-            self.t, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        (a, b), (c, d) = self.coeffs, other.coeffs
+        return CyclotomicInteger(a + c, b + d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicInteger(self.t, tuple(-a for a in self.coeffs))
+        a, b = self.coeffs
+        return CyclotomicInteger(-a, -b)
 
     def __sub__(self, other):
         if isinstance(other, int):
-            other = CyclotomicInteger.from_int(self.t, other)
+            other = CyclotomicInteger(other)
         elif not isinstance(other, CyclotomicInteger):
             return NotImplemented
-        self._check(other)
-        return CyclotomicInteger(
-            self.t, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        (a, b), (c, d) = self.coeffs, other.coeffs
+        return CyclotomicInteger(a - c, b - d)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        a, b = self.coeffs
         if isinstance(other, int):
-            return CyclotomicInteger(self.t, tuple(a * other for a in self.coeffs))
+            return CyclotomicInteger(a * other, b * other)
         if not isinstance(other, CyclotomicInteger):
             return NotImplemented
-        self._check(other)
-        t = self.t
-        a, b = self.coeffs, other.coeffs
-        # generic small convolution, fold with zeta^t = 1, then kill zeta^{t-1}
-        conv = [0] * (2 * t - 3)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        folded = [0] * t
-        for e, v in enumerate(conv):
-            folded[e % t] += v
-        top = folded[t - 1]
-        return CyclotomicInteger(t, tuple(folded[i] - top for i in range(t - 1)))
+        # (a + b zeta)(c + d zeta) = ac + (ad + bc) zeta + bd zeta^2
+        c, d = other.coeffs
+        return CyclotomicInteger(a * c - b * d, a * d + b * c - b * d)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        return f"CyclotomicInteger({self.t}, {self.coeffs})"
+        return f"CyclotomicInteger{self.coeffs}"
 
 
-def eval_at_root(p: LaurentPolynomial, t: int) -> CyclotomicInteger:
-    """Substitute z = zeta_t into a Laurent polynomial, t in {3, 5}."""
-    return root_value(residue_class_sums(p, t), t)
+def root_value(sums) -> CyclotomicInteger:
+    """The value at z = zeta_3 of a Laurent polynomial whose residue-class
+    sums mod 3 are sums = (s_0, s_1, s_2).
 
-
-def root_value(sums, t: int) -> CyclotomicInteger:
-    """The value at z = zeta_t, t in {3, 5}, of a Laurent polynomial whose
-    residue-class sums mod t are sums = (s_0, ..., s_{t-1}).
-
-    p(zeta) is sum_k s_k zeta^k, and zeta^{t-1} = -(1 + ... + zeta^{t-2})
-    makes the coordinate of zeta^k equal to s_k - s_{t-1} (Andrews-Garvan,
-    "Dyson's crank of a partition", Bull. AMS 18 (1988)).
+    p(zeta) is s_0 + s_1 zeta + s_2 zeta^2, and zeta^2 = -1 - zeta makes it
+    (s_0 - s_2) + (s_1 - s_2) zeta (Andrews-Garvan, "Dyson's crank of a
+    partition", Bull. AMS 18 (1988)).
     """
-    if t not in _SUPPORTED_T:
-        raise RingError(f"unsupported cyclotomic order t={t}")
-    if len(sums) != t:
-        raise RingError(f"need {t} residue-class sums for Z[zeta_{t}]")
-    return CyclotomicInteger(t, tuple(sums[k] - sums[t - 1] for k in range(t - 1)))
+    if len(sums) != 3:
+        raise RingError(f"need the 3 residue-class sums mod 3, got {len(sums)}")
+    s0, s1, s2 = sums
+    return CyclotomicInteger(s0 - s2, s1 - s2)
 
 
 def residue_class_sums(p: LaurentPolynomial, t: int) -> list[int]:
@@ -281,7 +241,8 @@ def residue_class_sums(p: LaurentPolynomial, t: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Ring tags used by the series engine
+# Ring tags used by the series engine, one instance each (ZZ, LAURENT,
+# CYCLO3), so they compare by identity
 # ---------------------------------------------------------------------------
 
 class IntegerRing:
@@ -303,12 +264,6 @@ class IntegerRing:
 
     def render(self, x) -> str:
         return str(x)
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("Z")
 
     def __repr__(self):
         return "Z"
@@ -339,57 +294,37 @@ class LaurentRing:
     def render(self, x) -> str:
         return repr(self.coerce(x))
 
-    def __eq__(self, other):
-        return isinstance(other, LaurentRing)
-
-    def __hash__(self):
-        return hash("Laurent")
-
     def __repr__(self):
         return "Z[z,z^-1]"
 
 
 class CyclotomicRing:
-    """Z[zeta_t] for t in {3, 5}."""
+    """Z[zeta_3]."""
 
-    def __init__(self, t: int):
-        if t not in _SUPPORTED_T:
-            raise RingError(f"unsupported cyclotomic order t={t}")
-        self.t = t
-        self.zero = CyclotomicInteger.from_int(t, 0)
-        self.one = CyclotomicInteger.from_int(t, 1)
-        self.zeta = CyclotomicInteger.root_power(t, 1)
-        self.zeta_inv = CyclotomicInteger.root_power(t, t - 1)
-        self.name = f"Z[zeta_{t}]"
+    zero = CyclotomicInteger(0)
+    one = CyclotomicInteger(1)
+    zeta = CyclotomicInteger.root_power(1)
+    zeta_inv = CyclotomicInteger.root_power(2)
+    name = "Z[zeta_3]"
 
     def coerce(self, n):
-        """An integer, an element of Z[zeta_t], or a Laurent polynomial
-        evaluated at z = zeta_t."""
+        """An integer or an element of Z[zeta_3]."""
         if isinstance(n, CyclotomicInteger):
-            if n.t != self.t:
-                raise RingError(f"mixed cyclotomic orders {n.t} and {self.t}")
             return n
-        if isinstance(n, LaurentPolynomial):
-            return eval_at_root(n, self.t)
-        return CyclotomicInteger.from_int(self.t, n)
+        return CyclotomicInteger(int(n))
 
     def unit_inverse(self, x):
+        """The inverse of x among the units +-zeta^k."""
         x = self.coerce(x)
-        for k in range(self.t):
+        for k in range(3):
             for s in (1, -1):
-                cand = CyclotomicInteger.root_power(self.t, k) * s
+                cand = CyclotomicInteger.root_power(k) * s
                 if x * cand == self.one:
                     return cand
         raise RingError(f"{x!r} has no unit inverse in {self.name}")
 
     def render(self, x) -> str:
-        return str(tuple(self.coerce(x).coeffs))
-
-    def __eq__(self, other):
-        return isinstance(other, CyclotomicRing) and other.t == self.t
-
-    def __hash__(self):
-        return hash(("cyclo", self.t))
+        return str(self.coerce(x).coeffs)
 
     def __repr__(self):
         return self.name
@@ -506,5 +441,4 @@ class PackedResidueRing:
 
 ZZ = IntegerRing()
 LAURENT = LaurentRing()
-CYCLO3 = CyclotomicRing(3)
-CYCLO5 = CyclotomicRing(5)
+CYCLO3 = CyclotomicRing()

@@ -91,7 +91,7 @@ class TruncatedSeries:
         else:
             coeffs = list(coeffs)
             if len(coeffs) > order + 1:
-                coeffs = coeffs[: order + 1]
+                raise SeriesError(f"{len(coeffs)} coefficients for order {order}")
             coeffs += [ring.zero] * (order + 1 - len(coeffs))
             self.coeffs = coeffs
 
@@ -169,6 +169,7 @@ class TruncatedSeries:
         """Multiply by q^e; top e coefficients fall off the truncation."""
         if e < 0:
             raise SeriesError("negative shift would leave the power-series ring")
+        e = min(e, self.order + 1)
         return TruncatedSeries(
             self.ring, self.order,
             [self.ring.zero] * e + self.coeffs[: self.order + 1 - e],
@@ -187,8 +188,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.ring, order, self.coeffs[: order + 1])
 
     def embed(self, ring) -> "TruncatedSeries":
-        """Coerce coefficients into another ring (e.g. Z into Z[zeta_3], or
-        Z[z,1/z] into Z[zeta_3] by z = zeta_3)."""
+        """Coerce coefficients into another ring (e.g. Z into Z[zeta_3])."""
         return TruncatedSeries(ring, self.order, [ring.coerce(c) for c in self.coeffs])
 
     # -- dissection ----------------------------------------------------------
@@ -393,18 +393,6 @@ def _scan_range(order: int, exponent: Callable[[int], int],
                 f"term n={n} at the end of the scanned range has exponent "
                 f"{e} <= order {order}; the sum is not truncated there")
     return range(-hi if bilateral else 0, hi + 1)
-
-
-def theta_sum(ring, exponent: Callable[[int], int],
-              coefficient: Callable[[int], object],
-              order: int, bilateral: bool = True) -> TruncatedSeries:
-    """Sum of coefficient(n) * q^{exponent(n)} over n with exponent <= order."""
-    s = TruncatedSeries(ring, order)
-    for n in _scan_range(order, exponent, bilateral):
-        e = exponent(n)
-        if 0 <= e <= order:
-            s.coeffs[e] = s.coeffs[e] + ring.coerce(coefficient(n))
-    return s
 
 
 def lambert_sum(ring, sign: Callable[[int], int],

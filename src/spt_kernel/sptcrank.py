@@ -10,7 +10,7 @@ even-smallest-part overpartition spt function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .partitions import (
     Partition,
@@ -20,7 +20,6 @@ from .partitions import (
 )
 from .rings import (
     CYCLO3,
-    CYCLO5,
     LAURENT,
     ZZ,
     LaurentPolynomial,
@@ -30,7 +29,6 @@ from .rings import (
 from .series import (
     TruncatedSeries,
     binomials,
-    geometric,
     mul_lists,
     packed_laurent,
     packed_residues,
@@ -163,21 +161,18 @@ def sb_residues(order: int, t: int) -> list[list[int]]:
     return sums
 
 
-def _at_root(t: int, order: int, residues) -> TruncatedSeries:
-    """The series over Z[zeta_t], t in {3, 5}, whose coefficient of q^n is
-    ``root_value`` of entry n of residues(order, t); t is checked before
-    anything is built."""
-    ring = {3: CYCLO3, 5: CYCLO5}.get(t)
-    if ring is None:
-        raise RingError(f"unsupported root order t={t}")
-    return TruncatedSeries(ring, order,
-                           [root_value(s, t) for s in residues(order, t)])
+def at_zeta3(sums) -> TruncatedSeries:
+    """The series over Z[zeta_3] whose coefficient of q^n is ``root_value``
+    of sums[n], the residue-class sums mod 3 of the Laurent row at q^n."""
+    return TruncatedSeries(CYCLO3, len(sums) - 1, [root_value(s) for s in sums])
 
 
-def sb_at_root(t: int, order: int) -> TruncatedSeries:
-    """SB(zeta_t, q) over Z[zeta_t], t in {3, 5}, read off the residue sums
-    of ``sb_residues``."""
-    return _at_root(t, order, sb_residues)
+def sb_at_root(order: int) -> TruncatedSeries:
+    """SB(zeta_3, q) over Z[zeta_3], read off the residue sums of
+    ``sb_residues``.  The checks call ``at_zeta3`` on their shared residue
+    sums; this name stays for the benchmark tracer's ``sptcrank.sb_cyclo``
+    span, which wraps it."""
+    return at_zeta3(sb_residues(order, 3))
 
 
 def sptbar2_series(order: int) -> TruncatedSeries:
@@ -241,12 +236,6 @@ def rank_series(order: int) -> TruncatedSeries:
     return TruncatedSeries(LAURENT, order, packed_laurent(_rank_coeffs, order))
 
 
-def rank_at_root(t: int, order: int) -> TruncatedSeries:
-    """The rank generating function at z = zeta_t, t in {3, 5}, read off
-    residue sums mod t built over Z[z]/(z^t - 1)."""
-    return _at_root(t, order, partial(packed_residues, _rank_coeffs))
-
-
 def rank_series_bailey_sum(ring, z, z_inv, order: int) -> TruncatedSeries:
     """The same rank generating function via the q-hypergeometric sum
     sum_{n>=0} (-1;q)_{2n} q^n / ((z q^2, q^2/z; q^2)_n).  O(N^3); use for
@@ -280,12 +269,6 @@ def crank_series(order: int) -> TruncatedSeries:
     (-q;q)_inf (q^2;q^2)_inf / ((q;q^2)_inf (z q^2;q^2)_inf (q^2/z;q^2)_inf).
     """
     return TruncatedSeries(LAURENT, order, packed_laurent(_crank_coeffs, order))
-
-
-def crank_at_root(t: int, order: int) -> TruncatedSeries:
-    """The residual-crank generating function at z = zeta_t, t in {3, 5},
-    read off residue sums mod t built over Z[z]/(z^t - 1)."""
-    return _at_root(t, order, partial(packed_residues, _crank_coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -361,39 +344,3 @@ def partition_pair_oracle(n: int) -> LaurentPolynomial:
                 c = pair_statistic(p1, p2) - num_even_parts(p2) - 1
                 counts[c] = counts.get(c, 0) + 1
     return LaurentPolynomial(counts)
-
-
-def pair_crank_series(order: int) -> TruncatedSeries:
-    """The q-binomial two-sum decomposition of SB(z,q):
-
-    sum_n q^{2n} / ((z q^{2n};q^2)_inf (q^{2n+1};q^2)_inf^2)
-    + sum_{n,k>=1} q^{2n+2nk} z^{-k}
-        / ((1 - z q^{2n}) (q^{2n+2};q^2)_k (z q^{2n+2k+2};q^2)_inf
-           (q^{2n+1};q^2)_inf^2)
-        * (q^2;q^2)_{n+k} / ((q^2;q^2)_k (q^2;q^2)_n).
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    ring = LAURENT
-    z, z_inv = LAURENT.z, LAURENT.z_inv
-    acc = TruncatedSeries(ring, order)
-    for n in range(1, order // 2 + 1):
-        wsq = pochhammer_inf(ring, ring.one, 2 * n + 1, 2, order)
-        wsq = (wsq * wsq).invert()
-        first = pochhammer_inf(ring, z, 2 * n, 2, order).invert() * wsq
-        acc = acc + first.shift(2 * n)
-        k = 1
-        while 2 * n * (k + 1) <= order:
-            term = geometric(ring, z, 2 * n, order)
-            term = term * pochhammer_finite(ring, ring.one, 2 * n + 2, 2, k, order).invert()
-            if 2 * n + 2 * k + 2 <= order:
-                term = term * pochhammer_inf(ring, z, 2 * n + 2 * k + 2, 2, order).invert()
-            term = term * wsq
-            qbin = (pochhammer_finite(ring, ring.one, 2, 2, n + k, order)
-                    * (pochhammer_finite(ring, ring.one, 2, 2, k, order)
-                       * pochhammer_finite(ring, ring.one, 2, 2, n, order)).invert())
-            term = term * qbin
-            zc = LaurentPolynomial.monomial(1, -k)
-            acc = acc + term.shift(2 * n + 2 * n * k).scale(zc)
-            k += 1
-    return acc

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .partitions import m2_rank_distribution, residual_m2_crank_distribution
-from .rings import CYCLO3, LAURENT, ZZ, LaurentPolynomial, root_value
+from .rings import CYCLO3, LAURENT, ZZ, LaurentPolynomial
 from .series import (
     SeriesError,
     TruncatedSeries,
@@ -20,13 +20,15 @@ from .series import (
     div_binomial_list,
     lambert_sum,
     packed_laurent,
+    packed_residues,
     poch_quotient,
     summand_walk,
 )
 from .sptcrank import (
-    crank_at_root,
+    _crank_coeffs,
+    _rank_coeffs,
+    at_zeta3,
     crank_series,
-    rank_at_root,
     rank_series,
     sb_residues,
     sb_series,
@@ -117,10 +119,10 @@ def _require_order(check: str, order: int) -> None:
 # Shared formula pieces (all over Z; callers embed into Z[zeta_3] as needed)
 # ---------------------------------------------------------------------------
 
-def lambert_theorem1(ring, order: int) -> TruncatedSeries:
-    """sum_{n in Z} (-1)^n q^{3n^2+6n} / (1 - q^{6n+2})."""
+def lambert_theorem1(order: int) -> TruncatedSeries:
+    """sum_{n in Z} (-1)^n q^{3n^2+6n} / (1 - q^{6n+2}), over Z."""
     return lambert_sum(
-        ring,
+        ZZ,
         lambda n: -1 if n % 2 else 1,
         lambda n: 3 * n * n + 6 * n,
         lambda n: 6 * n + 2,
@@ -137,7 +139,7 @@ def _eta_quotient_piece(order: int) -> TruncatedSeries:
 def _lambert_piece(order: int) -> TruncatedSeries:
     """q (-q^3;q^3)/(q^3;q^3) * the theorem-1 Lambert sum."""
     return poch_quotient(ZZ, order, [(-1, 3, 3, None)], [(1, 3, 3, None)],
-                         start=lambert_theorem1(ZZ, order)).shift(1)
+                         start=lambert_theorem1(order)).shift(1)
 
 
 def a2_formula(order: int) -> TruncatedSeries:
@@ -219,11 +221,9 @@ def verify_theorem1(order: int, n_oracle: int = 0,
                     build=_call) -> VerificationReport:
     """3-dissection of SB(zeta_3,q): components 0 and 1 vanish, component 2
     is the product-plus-Lambert formula.  SB(zeta_3, q) is read off SB's
-    residue sums mod 3, as ``sb_at_root`` does."""
+    residue sums mod 3, shared with the congruences."""
     _require_order("theorem1", order)
-    residues = build(sb_residues, order, 3)
-    comps = TruncatedSeries(CYCLO3, order,
-                            [root_value(s, 3) for s in residues]).dissect(3)
+    comps = at_zeta3(build(sb_residues, order, 3)).dissect(3)
     subchecks = [
         ("A0", comps[0], TruncatedSeries(CYCLO3, comps[0].order)),
         ("A1", comps[1], TruncatedSeries(CYCLO3, comps[1].order)),
@@ -257,9 +257,10 @@ def verify_theorem2(order: int, n_oracle: int = 12,
 
 def verify_theorem3(order: int, n_oracle: int = 0,
                     build=_call) -> VerificationReport:
-    """3-dissection of the M2-rank generating function at zeta_3."""
+    """3-dissection of the M2-rank generating function at zeta_3, read
+    off its residue sums mod 3."""
     _require_order("theorem3", order)
-    comps = rank_at_root(3, order).dissect(3)
+    comps = at_zeta3(packed_residues(_rank_coeffs, order, 3)).dissect(3)
     subchecks = [
         (f"N2rank{j}", comps[j], rank_component(j, comps[j].order).embed(CYCLO3))
         for j in range(3)
@@ -275,9 +276,10 @@ def verify_theorem4(order: int, n_oracle: int = 0,
 
     M2crank0 = N2rank0 needs no subcheck of its own: ``crank_component(0)``
     is ``rank_component(0)``, so ``M2crank0`` here and ``N2rank0`` in
-    theorem3 compare both sides of it with the same product formula."""
+    theorem3 compare both sides of it with the same product formula.  The
+    crank at zeta_3 is read off its residue sums mod 3."""
     _require_order("theorem4", order)
-    lhs = crank_at_root(3, order)
+    lhs = at_zeta3(packed_residues(_crank_coeffs, order, 3))
     psi = gauss_psi(order)
     simplified = poch_quotient(ZZ, order, [(1, 2, 2, None)],
                                [(1, 1, 2, None), (1, 6, 6, None)],
@@ -294,7 +296,7 @@ def verify_theorem4(order: int, n_oracle: int = 0,
     return _compare("theorem4", order, subchecks)
 
 
-def verify_bailey_pair(order: int = 120, n_oracle: int = 0,
+def verify_bailey_pair(order: int, n_oracle: int = 0,
                        build=_call) -> VerificationReport:
     """Defining relation of the Bailey pair relative to (1, q^2):
     beta_n = sum_{r<=n} alpha_r / ((q^2;q^2)_{n-r} (q^2;q^2)_{n+r})

@@ -352,5 +352,8 @@ def test_blocks_write_every_line_once(tmp_path):
     out = tmp_path / "out.txt"
     assert _emit(lines, str(out)) == 0
     assert out.read_text() == "".join(line + "\n" for line in lines)
+    # a generator is written the same, block by block
+    assert _emit((line for line in lines), str(out)) == 0
+    assert out.read_text() == "".join(line + "\n" for line in lines)
     assert _emit([], str(out)) == 0
     assert out.read_text() == ""

@@ -2,13 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_partitions, is_symmetric
+from helpers import (
+    count_overpartitions,
+    count_partitions,
+    enumerate_partitions,
+    is_symmetric,
+)
 from spt_kernel.partitions import (
     Overpartition,
     ag_crank,
-    count_overpartitions,
     enumerate_overpartitions,
-    enumerate_partitions,
     m2_rank,
     m2_rank_distribution,
     m2_statistics,

@@ -5,20 +5,19 @@ from hypothesis import strategies as st
 from helpers import packed_rows, residue_pack
 from spt_kernel.rings import (
     CYCLO3,
-    CYCLO5,
     LAURENT,
     CyclotomicInteger,
     LaurentPolynomial,
     PackedResidueRing,
     RingError,
-    eval_at_root,
     residue_class_sums,
+    root_value,
 )
 
 Z = LAURENT.z
 ZI = LAURENT.z_inv
 
-# the q^8 coefficient of the spt-crank series, used for t=5 evaluations
+# the q^8 coefficient of the spt-crank series, used for the mod-5 classes
 Q8_ROW = LaurentPolynomial({3: 1, 2: 1, 1: 3, 0: 5, -1: 3, -2: 1, -3: 1})
 
 
@@ -27,10 +26,13 @@ laurents = st.dictionaries(
 ).map(LaurentPolynomial)
 
 
-def cyclos(t):
-    return st.lists(
-        st.integers(-20, 20), min_size=t - 1, max_size=t - 1
-    ).map(lambda v: CyclotomicInteger(t, v))
+cyclos = st.builds(CyclotomicInteger, st.integers(-20, 20),
+                   st.integers(-20, 20))
+
+
+def at_zeta3(p):
+    """p(zeta_3), through the residue sums mod 3, as the checks read it."""
+    return root_value(residue_class_sums(p, 3))
 
 
 class TestCyclotomic:
@@ -39,38 +41,29 @@ class TestCyclotomic:
         assert x * x == CYCLO3.zeta
 
     def test_root_powers_reduce(self):
-        # 1 + zeta + zeta^2 = 0
+        # 1 + zeta + zeta^2 = 0, and zeta^3 = 1
         total = sum(
-            (CyclotomicInteger.root_power(3, k) for k in range(3)),
+            (CyclotomicInteger.root_power(k) for k in range(3)),
             CYCLO3.zero,
         )
         assert not total
-        total5 = sum(
-            (CyclotomicInteger.root_power(5, k) for k in range(5)),
-            CYCLO5.zero,
-        )
-        assert not total5
-
-    def test_mixed_orders_rejected(self):
-        with pytest.raises(RingError):
-            CYCLO3.zeta + CYCLO5.zeta  # noqa: B018
+        assert CyclotomicInteger.root_power(3) == CYCLO3.one
+        assert CYCLO3.zeta * CYCLO3.zeta * CYCLO3.zeta == CYCLO3.one
 
     def test_unit_inverse(self):
-        inv = CYCLO5.unit_inverse(CYCLO5.zeta)
-        assert CYCLO5.zeta * inv == CYCLO5.one
+        for x in (CYCLO3.zeta, -CYCLO3.zeta_inv, CYCLO3.one + CYCLO3.zeta):
+            assert x * CYCLO3.unit_inverse(x) == CYCLO3.one
         with pytest.raises(RingError):
             CYCLO3.unit_inverse(CYCLO3.coerce(2))
 
-    @given(cyclos(3), cyclos(3), cyclos(3))
+    def test_laurent_polynomial_is_not_coerced(self):
+        # a Laurent polynomial reaches Z[zeta_3] only through root_value
+        with pytest.raises(TypeError):
+            CYCLO3.coerce(Z)
+
+    @given(cyclos, cyclos, cyclos)
     @settings(max_examples=80)
     def test_ring_axioms_t3(self, a, b, c):
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-
-    @given(cyclos(5), cyclos(5), cyclos(5))
-    @settings(max_examples=60)
-    def test_ring_axioms_t5(self, a, b, c):
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
@@ -97,29 +90,33 @@ class TestLaurent:
 
 
 class TestEvalAtRoot:
+    """Values at z = zeta_3 read off residue sums mod 3 by ``root_value``."""
+
     def test_balanced_triple_vanishes(self):
-        assert not eval_at_root(Z + 1 + ZI, 3)
+        assert not at_zeta3(Z + 1 + ZI)
 
     def test_constant_fixed(self):
-        assert eval_at_root(LaurentPolynomial.from_int(7), 3) == 7
+        assert at_zeta3(LaurentPolynomial.from_int(7)) == 7
 
     def test_q8_row_nonzero_at_zeta5(self):
-        assert bool(eval_at_root(Q8_ROW, 5))
+        # 1, zeta_5, ..., zeta_5^3 are a basis and zeta_5^4 is minus their
+        # sum, so p(zeta_5) = sum_k s_k zeta_5^k vanishes exactly when the
+        # five residue sums s_k are equal; row 8's are not
+        assert len(set(residue_class_sums(Q8_ROW, 5))) > 1
 
     def test_unsupported_order(self):
+        # residue sums mod 7 are not read as a value at zeta_3
         with pytest.raises(RingError):
-            eval_at_root(Z, 7)
+            root_value(residue_class_sums(Z, 7))
 
-    @given(laurents, st.sampled_from([3, 5]))
+    @given(laurents)
     @settings(max_examples=120)
-    def test_matches_sum_of_root_powers(self, p, t):
-        # the definition: sum of v * zeta_t^e over the terms v z^e of p
-        expected = CyclotomicInteger.from_int(t, 0)
+    def test_matches_sum_of_root_powers(self, p):
+        # the definition: sum of v * zeta_3^e over the terms v z^e of p
+        expected = CYCLO3.zero
         for e, v in p.c.items():
-            expected = expected + CyclotomicInteger.root_power(t, e) * v
-        assert eval_at_root(p, t) == expected
-        ring = CYCLO3 if t == 3 else CYCLO5
-        assert ring.coerce(p) == expected
+            expected = expected + CyclotomicInteger.root_power(e) * v
+        assert at_zeta3(p) == expected
 
 
 class TestResidueClassSums:
@@ -132,13 +129,13 @@ class TestResidueClassSums:
     def test_zero_polynomial(self):
         assert residue_class_sums(LaurentPolynomial(), 4) == [0, 0, 0, 0]
 
-    @given(laurents, st.sampled_from([3, 5]))
+    @given(laurents)
     @settings(max_examples=120)
-    def test_vanishing_iff_equal_classes(self, p, t):
-        # minimal-polynomial argument: zeta_t evaluation vanishes exactly
+    def test_vanishing_iff_equal_classes(self, p):
+        # minimal-polynomial argument: zeta_3 evaluation vanishes exactly
         # when all residue classes carry the same total
-        sums = residue_class_sums(p, t)
-        assert (not eval_at_root(p, t)) == (len(set(sums)) == 1)
+        sums = residue_class_sums(p, 3)
+        assert (not at_zeta3(p)) == (len(set(sums)) == 1)
 
     @given(laurents, st.integers(1, 7))
     @settings(max_examples=80)

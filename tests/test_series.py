@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import inflate, one, packed_rows, residue_pack
+from helpers import inflate, one, packed_rows, residue_pack, theta_sum
 from spt_kernel.partitions import distinct_partition_list, partition_list
 from spt_kernel.rings import (
     CYCLO3,
@@ -19,7 +19,6 @@ from spt_kernel.series import (
     poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
-    theta_sum,
 )
 
 
@@ -51,6 +50,16 @@ class TestArithmetic:
     def test_monomial_shift_drops_top(self):
         s = TruncatedSeries(ZZ, 3, [1, 2, 3, 4])
         assert s.shift(2).coeffs == [0, 0, 1, 2]
+
+    def test_shift_past_the_order_is_zero(self):
+        s = TruncatedSeries(ZZ, 3, [1, 2, 3, 4])
+        for e in (4, 5, 9):
+            assert s.shift(e).coeffs == [0, 0, 0, 0], e
+
+    def test_too_many_coefficients_is_an_error(self):
+        # coefficients beyond the order are refused, never cut off
+        with pytest.raises(SeriesError, match="5 coefficients for order 3"):
+            TruncatedSeries(ZZ, 3, [1, 2, 3, 4, 5])
 
     def test_order_mismatch_is_an_error(self):
         with pytest.raises(SeriesError):

@@ -2,14 +2,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import is_symmetric
+from helpers import is_symmetric, pair_crank_series
 from spt_kernel.partitions import (
     enumerate_overpartitions,
     spt_family,
 )
 from spt_kernel.rings import (
     CYCLO3,
-    CYCLO5,
     LAURENT,
     ZZ,
     LaurentPolynomial,
@@ -30,11 +29,9 @@ from spt_kernel.sptcrank import (
     _crank_coeffs,
     _rank_coeffs,
     _sb_walk,
-    crank_at_root,
+    at_zeta3,
     crank_series,
-    pair_crank_series,
     partition_pair_oracle,
-    rank_at_root,
     rank_series,
     rank_series_bailey_sum,
     sb_at_root,
@@ -76,19 +73,17 @@ class TestSbSeries:
 
     def test_incremental_matches_naive_cyclotomic(self):
         # the packed walk evaluated at zeta_3 against summands over Z[zeta_3]
-        assert (sb_at_root(3, 30).coeffs
+        assert (sb_at_root(30).coeffs
                 == sb_coefficients_naive(CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv, 30))
 
-    # the walk over Z[z,1/z], and SB(zeta_t, q) read off the packed rows,
+    # the walk over Z[z,1/z], and SB(zeta_3, q) read off the residue sums,
     # against every summand built from scratch over the same ring
     @pytest.mark.parametrize("build, ring, z, z_inv", [
-        (lambda order: sb_at_root(3, order).coeffs,
+        (lambda order: sb_at_root(order).coeffs,
          CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv),
-        (lambda order: sb_at_root(5, order).coeffs,
-         CYCLO5, CYCLO5.zeta, CYCLO5.zeta_inv),
         (lambda order: _sb_walk(LAURENT, LAURENT.z, LAURENT.z_inv, order),
          LAURENT, LAURENT.z, LAURENT.z_inv),
-    ], ids=["zeta3", "zeta5", "laurent"])
+    ], ids=["zeta3", "laurent"])
     @given(order=st.integers(1, 40))
     @example(order=1)
     @example(order=2)
@@ -143,18 +138,21 @@ class TestSptbar2:
 
 class TestSbAtRoot:
     def test_theorem1_vanishing_pattern(self):
-        s = sb_at_root(3, 25)
+        s = sb_at_root(25)
         for n in range(26):
             if n % 3 in (0, 1):
                 assert not s.coefficient(n), n
         assert s.coefficient(2) == CYCLO3.one
 
     def test_zeta5_q8_nonzero(self):
-        assert bool(sb_at_root(5, 8).coefficient(8))
+        # SB's row 8 at zeta_5 vanishes exactly when its five residue sums
+        # mod 5 are equal (see test_rings); they are not
+        assert len(set(sb_residues(8, 5)[8])) > 1
 
     def test_unsupported_order(self):
+        # the zeta_3 reader refuses residue sums of another modulus
         with pytest.raises(RingError):
-            sb_at_root(7, 10)
+            at_zeta3(sb_residues(10, 7))
 
 
 class TestOracles:
@@ -205,6 +203,12 @@ class TestRankSeriesRoutes:
         for n in range(17):
             assert a.coefficient(n).eval_at_one() == sum(
                 1 for _ in enumerate_overpartitions(n))
+
+
+def laurent_at_zeta3(series):
+    """A series over Z[z,1/z] at z = zeta_3, row by row through its residue
+    sums mod 3."""
+    return at_zeta3([residue_class_sums(row, 3) for row in series.coeffs])
 
 
 def crank_by_inversion(ring, z, z_inv, order):
@@ -289,8 +293,8 @@ class TestPackedSeries:
     def test_rank_at_zeta3_matches_bailey_sum(self, order):
         want = rank_series_bailey_sum(CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv,
                                       order)
-        assert rank_series(order).embed(CYCLO3) == want
-        assert rank_at_root(3, order) == want
+        assert laurent_at_zeta3(rank_series(order)) == want
+        assert at_zeta3(packed_residues(_rank_coeffs, order, 3)) == want
 
     @given(order=st.integers(1, 40))
     @example(order=1)
@@ -299,8 +303,8 @@ class TestPackedSeries:
     @settings(max_examples=10, deadline=None)
     def test_crank_at_zeta3_matches_inverted_products(self, order):
         want = crank_by_inversion(CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv, order)
-        assert crank_series(order).embed(CYCLO3) == want
-        assert crank_at_root(3, order) == want
+        assert laurent_at_zeta3(crank_series(order)) == want
+        assert at_zeta3(packed_residues(_crank_coeffs, order, 3)) == want
 
     def test_sb_rows_within_majorant(self):
         assert_within_majorant(sb_series(40).rows, _sb_walk, 40)
