@@ -15,7 +15,6 @@ from .rings import (
     LaurentPolynomial,
     LaurentRing,
     RingError,
-    residue_class_sums,
     root_value,
 )
 from .series import (
@@ -56,7 +55,7 @@ __all__ = [
     "SeriesError", "TruncatedSeries",
     "geometric", "lambert_sum", "poch_quotient", "pochhammer_finite",
     "pochhammer_inf",
-    "residue_class_sums", "root_value",
+    "root_value",
     "Overpartition", "ag_crank", "enumerate_overpartitions",
     "m2_rank", "m2_rank_distribution",
     "residual_m2_crank_distribution", "spt_family",

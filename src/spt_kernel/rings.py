@@ -50,9 +50,6 @@ class LaurentPolynomial:
     def coefficient(self, m: int) -> int:
         return self.c.get(m, 0)
 
-    def support(self) -> list[int]:
-        return sorted(self.c)
-
     def __bool__(self) -> bool:
         return bool(self.c)
 
@@ -122,9 +119,6 @@ class LaurentPolynomial:
         return r
 
     __rmul__ = __mul__
-
-    def eval_at_one(self) -> int:
-        return sum(self.c.values())
 
     def __repr__(self) -> str:
         if not self.c:
@@ -228,16 +222,6 @@ def root_value(sums) -> CyclotomicInteger:
         raise RingError(f"need the 3 residue-class sums mod 3, got {len(sums)}")
     s0, s1, s2 = sums
     return CyclotomicInteger(s0 - s2, s1 - s2)
-
-
-def residue_class_sums(p: LaurentPolynomial, t: int) -> list[int]:
-    """Entry k is the sum of coefficients on exponents congruent to k mod t."""
-    if t < 1:
-        raise RingError("modulus t must be positive")
-    out = [0] * t
-    for e, v in p.c.items():
-        out[e % t] += v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +405,12 @@ class PackedResidueRing:
         self.one = 1 << (bits * self.start)
         self.z = _ZFold(bits, t)
         self.z_inv = _ZRotate(bits, t)
+
+    def pack(self, coeffs: Mapping[int, int]) -> int:
+        """The packed value of sum_e coeffs[e] z^e: coefficient e goes to
+        digit (e + S) mod t."""
+        t, start, bits = self.t, self.start, self.bits
+        return sum(v << bits * ((e + start) % t) for e, v in coeffs.items())
 
     def digits(self, x: int) -> list[int]:
         """The t balanced base-2^B digits of the balanced residue of x mod

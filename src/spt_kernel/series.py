@@ -8,6 +8,8 @@ and order -- a mismatch while checking an identity is a bug, not data.
 from __future__ import annotations
 
 import json
+from functools import partial
+from math import isqrt
 from typing import Callable, Sequence
 
 from .rings import ZZ, LaurentPolynomial, PackedResidueRing, RingError
@@ -336,7 +338,7 @@ def _packing(build, order: int) -> tuple[int, int]:
     return max(build(ZZ, 1, 1, order, True)).bit_length() + 1, order // 2 + 2
 
 
-def packed_laurent(build, order: int) -> list:
+def packed_laurent(build, order: int, reach: int | None = None) -> list:
     """Coefficients 0..order of a series over Z[z,1/z], computed on packed
     integers and read off once.
 
@@ -345,14 +347,18 @@ def packed_laurent(build, order: int) -> list:
     coefficient of q^n bounds the sum of |coefficients| of the Laurent
     polynomial at q^n.  That fixes the width B, so every coefficient is
     below 2^(B-1) and the balanced digits are exact.  build runs on
-    Z[z]/(z^t - 1) with t = 2S + 1 and S = order//2 + 2, which is exact
-    whatever exponents an intermediate value reaches, and digit j of a
-    result holds the exponents congruent to j - S mod t.  A row inside
-    [-(S - 1), S - 1] is read exactly, digit j as the coefficient of
-    z^(j - S); a row whose digit 0 or 2S (z^-S or z^S) is nonzero is at
-    the edge of that window and raises RingError.
+    Z[z]/(z^t - 1) with t = 2S + 1, where S is the z-reach of its rows:
+    order//2 + 2 by default, for full rows, and ``numerator_reach`` for
+    numerators (``packed_numerator``).  The ring is exact whatever
+    exponents an intermediate value reaches, and digit j of a result holds
+    the exponents congruent to j - S mod t.  A row inside [-(S - 1), S - 1]
+    is read exactly, digit j as the coefficient of z^(j - S); a row whose
+    digit 0 or 2S (z^-S or z^S) is nonzero is at the edge of that window
+    and raises RingError.
     """
     bits, offset = _packing(build, order)
+    if reach is not None:
+        offset = reach
     ring = PackedResidueRing(bits, 2 * offset + 1, offset)
     rows = []
     for x in build(ring, ring.z, ring.z_inv, order, False):
@@ -366,10 +372,64 @@ def packed_laurent(build, order: int) -> list:
     return rows
 
 
+def d_factors(z, z_inv) -> list:
+    """D = (z q^2, q^2/z; q^2)_inf as ``poch_quotient`` factors.  D is the
+    denominator of SB, of the rank and crank series and of the Bailey
+    side; D = 1 mod q, so it is a unit and X = Y to q^N exactly when
+    X*D = Y*D to q^N, with the same first differing q^n."""
+    return [(z, 2, 2, None), (z_inv, 2, 2, None)]
+
+
+def numerator_reach(order: int) -> int:
+    """K = isqrt(order) + 2, the z-reach of a numerator X*D to q^order.
+
+    In (z q^2; q^2)_m the power z^k needs q^{k(k+1)}, and in (z; q^2)_m,
+    or with a factor (1 - z) in front, it needs q^{k(k-1)}; the same holds
+    for 1/z.  Every numerator is a sum of such products times z-free
+    series (each builder's docstring says which), so a power z^k at
+    q^i <= q^order has k(k - 1) <= order, hence |k| <= isqrt(order) + 1
+    = K - 1: the rows lie strictly inside the window [-K, K] that
+    ``packed_laurent`` checks.
+    """
+    return isqrt(order) + 2
+
+
+def packed_numerator(build, order: int) -> list:
+    """Rows 0..order of the numerator X*D of a series X over Z[z,1/z]:
+    build(..., cleared=True) is build with its division by D left out,
+    read off ``packed_laurent`` at z-reach ``numerator_reach(order)``, so
+    on t = 2K + 1 digits rather than order + 5."""
+    return packed_laurent(partial(build, cleared=True), order,
+                          numerator_reach(order))
+
+
+def divided_by_d(rows: list) -> list:
+    """Rows 0..m of X over Z[z,1/z], m = len(rows) - 1, from rows 0..m of
+    its numerator X*D: the rows are packed on the ring ``packed_laurent``
+    sets up for order m, divided there by D and read off.
+
+    The width comes from the rows themselves: the sum of |coefficients|
+    of row n of X is at most [q^n] of sum_i |rows[i]| q^i / (q^2; q^2)_inf^2,
+    |p| the sum of |coefficients| of p, since 1/(1 - z q^e) has the
+    majorant 1/(1 - q^e).
+    """
+    def build(ring, z, z_inv, order, bound):
+        if bound:
+            start = [sum(map(abs, p.c.values())) for p in rows]
+        else:
+            start = [ring.pack(p.c) for p in rows]
+        return poch_quotient(
+            ring, order, *binomials((), d_factors(z, z_inv), bound),
+            start=TruncatedSeries(ring, order, start)).coeffs
+
+    return packed_laurent(build, len(rows) - 1)
+
+
 def packed_residues(build, order: int, t: int) -> list[list[int]]:
     """Residue-class sums mod t of coefficients 0..order of a series over
-    Z[z,1/z]: entry n is ``residue_class_sums`` of the Laurent polynomial
-    at q^n.  build is as for ``packed_laurent`` and runs on the same ring,
+    Z[z,1/z]: entry k of row n is the sum of the coefficients of the
+    Laurent polynomial at q^n on the exponents congruent to k mod t.  build
+    is as for ``packed_laurent`` and runs on the same ring,
     ``PackedResidueRing`` with the same width and offset, at modulus t.
     """
     bits, offset = _packing(build, order)
@@ -377,22 +437,21 @@ def packed_residues(build, order: int, t: int) -> list[list[int]]:
     return [ring.unpack(x) for x in build(ring, ring.z, ring.z_inv, order, False)]
 
 
-def _scan_range(order: int, exponent: Callable[[int], int],
-                bilateral: bool = True) -> range:
-    """Indices n with |n| <= order + 2 (n >= 0 unless bilateral).
+def _scan_range(order: int, exponent: Callable[[int], int]) -> range:
+    """Indices n with |n| <= order + 2.
 
     This covers every contributing index only when the exponent map grows at
     least linearly in |n|; a map whose exponent at an end of the range is
     still within the order may have terms beyond it, so the sum is refused.
     """
     hi = order + 2
-    for n in ((-hi, hi) if bilateral else (hi,)):
+    for n in (-hi, hi):
         e = exponent(n)
         if e <= order:
             raise SeriesError(
                 f"term n={n} at the end of the scanned range has exponent "
                 f"{e} <= order {order}; the sum is not truncated there")
-    return range(-hi if bilateral else 0, hi + 1)
+    return range(-hi, hi + 1)
 
 
 def lambert_sum(ring, sign: Callable[[int], int],

@@ -29,8 +29,10 @@ from .rings import (
 from .series import (
     TruncatedSeries,
     binomials,
+    d_factors,
     mul_lists,
     packed_laurent,
+    packed_numerator,
     packed_residues,
     poch_quotient,
     pochhammer_finite,
@@ -56,7 +58,8 @@ def sb_summand_ratio(z, z_inv, c):
                       [(c, 4 * n + 2), (c, 4 * n + 4)])
 
 
-def _sb_walk(ring, z, z_inv, order: int, bound: bool = False) -> list:
+def _sb_walk(ring, z, z_inv, order: int, bound: bool = False,
+             cleared: bool = False) -> list:
     """Coefficients 0..order of
 
         sum_{n>=1} q^{2n} (c q^{4n+2}; q^2)_inf
@@ -69,18 +72,28 @@ def _sb_walk(ring, z, z_inv, order: int, bound: bool = False) -> list:
     coefficient of q^n bounds the sum of |coefficients| of row n of SB.
     The step factors cancel factors of the summands, so this product-form
     majorant is tighter than the one ``binomials`` would give.
+
+    With cleared, the walk starts from the z-free summand 1 without its
+    division by D = (z q^2, z_inv q^2; q^2)_inf, so it returns SB*D, whose
+    summand n is q^{2n} (z q^2, z_inv q^2; q^2)_{n-1} (c q^{4n+2}; q^2)_inf
+    / (q^{2n+1}; q^2)_inf^2: z^k needs q^{k(k+1)} there and q^{2k+2} more
+    in front.  Its majorant runs at z = z_inv = -1, which turns the step's
+    z-factors into (1 + q^{2n})^2.
     """
     if z * (z_inv * ring.one) != ring.one:
         raise RingError("z and z_inv must be inverse units")
     if order < 2:
         return [ring.zero] * (order + 1)
     c = -1 if bound else 1
+    if bound and cleared:
+        z = z_inv = -1
     top = order - 2
     # summand 1 over q^2: the z-free factors over Z, then the z divisions
     w = poch_quotient(ZZ, top, [(c, 6, 2, None)], [(1, 3, 2, None)] * 2)
-    start = TruncatedSeries(ring, top, [x * ring.one for x in w.coeffs])
-    state = poch_quotient(ring, top, denom=[(z, 2, 2, None), (z_inv, 2, 2, None)],
-                          start=start).coeffs
+    state = [x * ring.one for x in w.coeffs]
+    if not cleared:
+        state = poch_quotient(ring, top, denom=d_factors(z, z_inv),
+                              start=TruncatedSeries(ring, top, state)).coeffs
     return summand_walk(ring, state, 1, order, sb_summand_ratio(z, z_inv, c))
 
 
@@ -117,14 +130,6 @@ class SptCrankTable:
                     raise ValueError(
                         f"negative spt-crank count at (m={m}, n={n})")
 
-    def row(self, n: int) -> LaurentPolynomial:
-        if not 0 <= n <= self.order:
-            raise ValueError(f"row {n} outside 0..{self.order}")
-        return self.rows[n]
-
-    def spt2(self, n: int) -> int:
-        return self.row(n).eval_at_one()
-
     def as_series(self) -> TruncatedSeries:
         return TruncatedSeries(LAURENT, self.order, list(self.rows))
 
@@ -143,6 +148,12 @@ def sb_series(order: int) -> SptCrankTable:
     if order < 1:
         raise ValueError("order must be >= 1")
     return SptCrankTable(order, tuple(packed_laurent(_sb_walk, order)))
+
+
+def sb_numerator(order: int) -> TruncatedSeries:
+    """SB*D over Z[z,1/z], D = (z q^2, q^2/z; q^2)_inf, read off the narrow
+    packed ring of ``packed_numerator``."""
+    return TruncatedSeries(LAURENT, order, packed_numerator(_sb_walk, order))
 
 
 def sb_residues(order: int, t: int) -> list[list[int]]:
@@ -201,22 +212,44 @@ def sptbar2_series(order: int) -> TruncatedSeries:
 # Rank and residual-crank generating functions
 # ---------------------------------------------------------------------------
 
-def _rank_coeffs(ring, z, z_inv, order: int, bound: bool = False) -> list:
+def _rank_term(ring, z, z_inv, n: int, start: list, bound: bool) -> list:
+    """Lambert term n of the rank series over q^{n^2+2n}, with start in
+    place of 1:
+
+        2 (-1)^n (1 - z)(1 - 1/z) start / ((1 - z q^{2n})(1 - q^{2n}/z)),
+
+    coefficients 0..len(start) - 1; with bound, its majorant (see
+    ``binomials``)."""
+    order = len(start) - 1
+    sign = -2 if n % 2 and not bound else 2
+    return poch_quotient(
+        ring, order, *binomials(
+            [(z, 0, 1, 1), (z_inv, 0, 1, 1)],
+            [(z, 2 * n, 1, 1), (z_inv, 2 * n, 1, 1)], bound),
+        start=TruncatedSeries(ring, order, [sign * x for x in start])).coeffs
+
+
+def _rank_coeffs(ring, z, z_inv, order: int, bound: bool = False,
+                 cleared: bool = False) -> list:
     """Coefficients 0..order of the rank generating function (see
-    ``rank_series``); with bound, over Z at z = z_inv = 1, its majorant."""
-    inner = [ring.zero] * (order + 1)
-    inner[0] = ring.one
+    ``rank_series``); with bound, over Z at z = z_inv = 1, its majorant.
+
+    With cleared, the Lambert form runs with D = (z q^2, q^2/z; q^2)_inf in
+    place of 1 and returns rank*D: term n is a copy of D times
+    (1 - z)(1 - 1/z), divided by two of D's own factors, so z^k needs
+    q^{k(k-1)} in it, as in D.  Its majorant is D's,
+    (-q^2; q^2)_inf^2, with 4/(1 - q^{2n})^2 per term."""
+    if cleared:
+        start = poch_quotient(
+            ring, order, *binomials(d_factors(z, z_inv), (), bound)).coeffs
+    else:
+        start = [ring.one] + [ring.zero] * order
+    inner = list(start)
     n = 1
     while n * n + 2 * n <= order:
-        # 2 (-1)^n (1-z)(1-1/z) / ((1-z q^{2n})(1-q^{2n}/z)), at q^{n^2+2n}
         e = n * n + 2 * n
-        sign = -2 if n % 2 and not bound else 2
-        term = poch_quotient(
-            ring, order - e, *binomials(
-                [(z, 0, 1, 1), (z_inv, 0, 1, 1)],
-                [(z, 2 * n, 1, 1), (z_inv, 2 * n, 1, 1)], bound),
-            start=TruncatedSeries(ring, order - e, [sign * ring.one]))
-        for i, x in enumerate(term.coeffs, e):
+        term = _rank_term(ring, z, z_inv, n, start[:order - e + 1], bound)
+        for i, x in enumerate(term, e):
             if x:
                 inner[i] = inner[i] + x
         n += 1
@@ -236,6 +269,12 @@ def rank_series(order: int) -> TruncatedSeries:
     return TruncatedSeries(LAURENT, order, packed_laurent(_rank_coeffs, order))
 
 
+def rank_numerator(order: int) -> TruncatedSeries:
+    """rank*D over Z[z,1/z], D = (z q^2, q^2/z; q^2)_inf, read off the
+    narrow packed ring of ``packed_numerator``."""
+    return TruncatedSeries(LAURENT, order, packed_numerator(_rank_coeffs, order))
+
+
 def rank_series_bailey_sum(ring, z, z_inv, order: int) -> TruncatedSeries:
     """The same rank generating function via the q-hypergeometric sum
     sum_{n>=0} (-1;q)_{2n} q^n / ((z q^2, q^2/z; q^2)_n).  O(N^3); use for
@@ -252,14 +291,18 @@ def rank_series_bailey_sum(ring, z, z_inv, order: int) -> TruncatedSeries:
     return acc
 
 
-def _crank_coeffs(ring, z, z_inv, order: int, bound: bool = False) -> list:
+def _crank_coeffs(ring, z, z_inv, order: int, bound: bool = False,
+                  cleared: bool = False) -> list:
     """Coefficients 0..order of the residual-crank generating function (see
-    ``crank_series``); with bound, over Z at z = z_inv = 1, its majorant."""
-    # the z-free part over Z, then the z divisions
+    ``crank_series``); with bound, over Z at z = z_inv = 1, its majorant.
+    With cleared, crank*D, D = (z q^2, q^2/z; q^2)_inf: the z-free part,
+    over Z."""
     w = poch_quotient(ZZ, order, *binomials(
         [(-1, 1, 1, None), (1, 2, 2, None)], [(1, 1, 2, None)], bound))
+    if cleared:
+        return w.coeffs
     return poch_quotient(
-        ring, order, *binomials((), [(z, 2, 2, None), (z_inv, 2, 2, None)], bound),
+        ring, order, *binomials((), d_factors(z, z_inv), bound),
         start=TruncatedSeries(ring, order, [x * ring.one for x in w.coeffs])).coeffs
 
 
@@ -269,6 +312,12 @@ def crank_series(order: int) -> TruncatedSeries:
     (-q;q)_inf (q^2;q^2)_inf / ((q;q^2)_inf (z q^2;q^2)_inf (q^2/z;q^2)_inf).
     """
     return TruncatedSeries(LAURENT, order, packed_laurent(_crank_coeffs, order))
+
+
+def crank_numerator(order: int) -> TruncatedSeries:
+    """crank*D = (-q;q)_inf (q^2;q^2)_inf / (q;q^2)_inf, z-free, over Z."""
+    return TruncatedSeries(ZZ, order, _crank_coeffs(ZZ, 1, 1, order,
+                                                    cleared=True))
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,11 @@ from .series import (
     SeriesError,
     TruncatedSeries,
     binomials,
+    d_factors,
     div_binomial_list,
+    divided_by_d,
     lambert_sum,
-    packed_laurent,
+    packed_numerator,
     packed_residues,
     poch_quotient,
     summand_walk,
@@ -28,10 +30,12 @@ from .sptcrank import (
     _crank_coeffs,
     _rank_coeffs,
     at_zeta3,
+    crank_numerator,
     crank_series,
+    rank_numerator,
     rank_series,
+    sb_numerator,
     sb_residues,
-    sb_series,
     sb_summand_ratio,
     sptbar2_series,
 )
@@ -58,16 +62,22 @@ class VerificationReport:
 
 
 def _compare(check: str, order: int, subchecks) -> VerificationReport:
-    """subchecks: iterable of (label, lhs_series, rhs_series); the two series
-    of a subcheck must have the same order and are compared coefficient-wise
-    at every index up to it."""
-    for label, lhs, rhs in subchecks:
+    """subchecks: iterable of (label, lhs_series, rhs_series) or (label,
+    lhs_series, rhs_series, True); the two series of a subcheck must have
+    the same order and are compared coefficient-wise at every index up to
+    it.  A fourth entry True marks numerators X*D and Y*D over Z[z,1/z],
+    D = (z q^2, q^2/z; q^2)_inf: D = 1 mod q, so their first difference is
+    X's and Y's, and the report shows rows n of X and Y (``divided_by_d``)."""
+    for label, lhs, rhs, *cleared in subchecks:
         if lhs.order != rhs.order:
             raise SeriesError(f"{check} subcheck {label!r} pairs orders "
                               f"{lhs.order} and {rhs.order}")
         for n in range(lhs.order + 1):
             a, b = lhs.coefficient(n), rhs.coefficient(n)
             if a != b:
+                if cleared:
+                    a = divided_by_d(lhs.coeffs[:n + 1])[n]
+                    b = divided_by_d(rhs.coeffs[:n + 1])[n]
                 return VerificationReport(check, order, "fail", {
                     "n": n,
                     "expected": rhs.ring.render(b),
@@ -235,23 +245,22 @@ def verify_theorem1(order: int, n_oracle: int = 0,
 def verify_theorem2(order: int, n_oracle: int = 12,
                     build=_call) -> VerificationReport:
     """Cleared-denominator rank-minus-crank identity:
-    (-z + 2 - 1/z) * [q^n] SB(z,q) = [q^n] rank - [q^n] crank, plus an
-    enumeration cross-check of the rank and crank rows up to n_oracle."""
+    (-z + 2 - 1/z) * [q^n] SB(z,q) = [q^n] rank - [q^n] crank, compared on
+    the numerators times D = (z q^2, q^2/z; q^2)_inf (see ``_compare``),
+    plus an enumeration cross-check of the rank and crank rows up to
+    n_oracle."""
     _require_order("theorem2", order)
-    table = sb_series(order)
-    rank = build(rank_series, order)
-    crank = crank_series(order)
     u = LaurentPolynomial({1: -1, 0: 2, -1: -1})
-    lhs = table.as_series().scale(u)
-    rhs = rank - crank
-    subchecks = [("rank-crank", lhs, rhs)]
+    lhs = sb_numerator(order).scale(u)
+    rhs = build(rank_numerator, order) - crank_numerator(order).embed(LAURENT)
+    subchecks = [("rank-crank", lhs, rhs, True)]
     top = min(n_oracle, order)
     rank_enum = TruncatedSeries(
         LAURENT, top, [m2_rank_distribution(n) for n in range(top + 1)])
     crank_enum = TruncatedSeries(
         LAURENT, top, [residual_m2_crank_distribution(n) for n in range(top + 1)])
-    subchecks.append(("rank-enumeration", rank.truncate(top), rank_enum))
-    subchecks.append(("crank-enumeration", crank.truncate(top), crank_enum))
+    subchecks.append(("rank-enumeration", rank_series(top), rank_enum))
+    subchecks.append(("crank-enumeration", crank_series(top), crank_enum))
     return _compare("theorem2", order, subchecks)
 
 
@@ -311,7 +320,8 @@ def verify_bailey_pair(order: int, n_oracle: int = 0,
     return _compare("bailey_pair", order, subchecks)
 
 
-def bailey_side(ring, z, z_inv, order: int, bound: bool = False) -> list:
+def bailey_side(ring, z, z_inv, order: int, bound: bool = False,
+                cleared: bool = False) -> list:
     """Coefficients 0..order of the Bailey side of the limiting Bailey Lemma
     instance (rho_1 = z, rho_2 = 1/z, a = 1, base q^2) times its prefactor:
 
@@ -319,28 +329,52 @@ def bailey_side(ring, z, z_inv, order: int, bound: bool = False) -> list:
         * sum_{n>=0} q^{2n} (z, z_inv; q^2)_n beta_n;
 
     with bound, over Z at z = z_inv = 1, its majorant (see ``binomials``).
+
+    With cleared, the prefactor leaves out D = (z q^2, z_inv q^2; q^2)_inf
+    and the result is Bailey*D, whose summand n is q^{2n} (z, z_inv; q^2)_n
+    (q^{4n+2}; q^2)_inf / (q^{2n+1}; q^2)_inf^2: z^k needs q^{k(k-1)} in
+    (z; q^2)_n and q^{2k} more in front.  Its majorant is the formula at
+    z = z_inv = -1 with (-q^2; q^2)_inf for (q^2; q^2)_inf: summand n then
+    becomes q^{2n} (-1, -1; q^2)_n (-q^2; q^2)_inf / ((q^2; q^2)_{2n}
+    (q^{2n+1}; q^2)_inf^2), which has no negative coefficient and bounds
+    summand n's, as (-q^2; q^2)_inf / (q^2; q^2)_{2n} >= (-q^{4n+2}; q^2)_inf
+    coefficient-wise.  At order 1000 it fixes B = 124, where the one
+    ``binomials`` gives, with (1 + q^{2n+1}) for (1 - q^{2n+1}), fixes
+    B = 181.
     """
+    c = 1
+    if bound and cleared:
+        # the product-form majorant above is the formula itself at these values
+        z = z_inv = c = -1
+        bound = False
     # the summand ratio is SB's with c = 1, walked from the n = 0 summand, 1
     step = sb_summand_ratio(z, z_inv, 1)
     start = [ring.one] + [ring.zero] * order
     acc = summand_walk(ring, start, 0, order, lambda n: binomials(*step(n), bound))
+    denom = [(1, 1, 2, None)] * 2
+    if not cleared:
+        denom += d_factors(z, z_inv)
     return poch_quotient(
-        ring, order, *binomials(
-            [(1, 2, 2, None)],
-            [(z, 2, 2, None), (z_inv, 2, 2, None)] + [(1, 1, 2, None)] * 2, bound),
+        ring, order, *binomials([(c, 2, 2, None)], denom, bound),
         start=TruncatedSeries(ring, order, acc)).coeffs
+
+
+def bailey_numerator(order: int) -> TruncatedSeries:
+    """Bailey*D over Z[z,1/z], D = (z q^2, q^2/z; q^2)_inf, read off the
+    narrow packed ring of ``packed_numerator``."""
+    return TruncatedSeries(LAURENT, order, packed_numerator(bailey_side, order))
 
 
 def verify_bailey_limit(order: int, n_oracle: int = 0,
                         build=_call) -> VerificationReport:
     """The limiting Bailey Lemma instance in the cleared-denominator form:
     the Bailey side with its infinite-product prefactor equals the closed
-    rank generating function, over the Laurent ring (both run on packed
-    integers)."""
+    rank generating function over the Laurent ring, compared on both
+    numerators times D = (z q^2, q^2/z; q^2)_inf (see ``_compare``)."""
     _require_order("bailey_limit", order)
-    lhs = TruncatedSeries(LAURENT, order, packed_laurent(bailey_side, order))
-    rhs = build(rank_series, order)
-    return _compare("bailey_limit", order, [("bailey-vs-rank", lhs, rhs)])
+    lhs = bailey_numerator(order)
+    rhs = build(rank_numerator, order)
+    return _compare("bailey_limit", order, [("bailey-vs-rank", lhs, rhs, True)])
 
 
 def verify_congruences(order: int, n_oracle: int = 0,

@@ -6,6 +6,8 @@ direct definition, kept independent of the fast builders.
 the naive summands, that no check runs.  ``residue_pack`` and
 ``packed_rows`` pack Laurent polynomials on the packed ring and read them
 back through ``packed_laurent``, for the tests of that ring.
+``residue_class_sums`` is the dict-form reference for the residue sums the
+packed ring reads off.
 """
 
 from typing import Callable, Iterator
@@ -15,8 +17,9 @@ from spt_kernel.partitions import (
     enumerate_overpartitions,
     partition_list,
 )
-from spt_kernel.rings import LAURENT, ZZ, LaurentPolynomial
+from spt_kernel.rings import LAURENT, ZZ, LaurentPolynomial, RingError
 from spt_kernel.series import (
+    SeriesError,
     TruncatedSeries,
     _scan_range,
     div_binomial_list,
@@ -78,6 +81,31 @@ def bailey_pair_rhs_from_scratch(n, order):
     return rhs
 
 
+def eval_at_one(p: LaurentPolynomial) -> int:
+    """p(1), the sum of its coefficients."""
+    return sum(p.c.values())
+
+
+def support(p: LaurentPolynomial) -> list[int]:
+    """The exponents of p's nonzero coefficients, increasing."""
+    return sorted(p.c)
+
+
+def residue_class_sums(p: LaurentPolynomial, t: int) -> list[int]:
+    """Entry k is the sum of coefficients on exponents congruent to k mod t."""
+    if t < 1:
+        raise RingError("modulus t must be positive")
+    out = [0] * t
+    for e, v in p.c.items():
+        out[e % t] += v
+    return out
+
+
+def spt2(table, n: int) -> int:
+    """spt2bar(n), row n of an ``SptCrankTable`` at z = 1."""
+    return eval_at_one(table.rows[n])
+
+
 def is_symmetric(p: LaurentPolynomial) -> bool:
     """p(z) == p(1/z)."""
     return p.c == {-e: v for e, v in p.c.items()}
@@ -98,9 +126,20 @@ def count_overpartitions(n: int) -> int:
 def theta_sum(ring, exponent: Callable[[int], int],
               coefficient: Callable[[int], object],
               order: int, bilateral: bool = True) -> TruncatedSeries:
-    """Sum of coefficient(n) * q^{exponent(n)} over n with exponent <= order."""
+    """Sum of coefficient(n) * q^{exponent(n)} over n with exponent <= order,
+    n in Z, or n >= 0 unless bilateral; the sum is refused, as by
+    ``_scan_range``, when the exponent at n = order + 2 is still within the
+    order."""
+    if bilateral:
+        indices = _scan_range(order, exponent)
+    else:
+        hi = order + 2
+        if exponent(hi) <= order:
+            raise SeriesError(f"term n={hi} at the end of the scanned range "
+                              f"has exponent {exponent(hi)} <= order {order}")
+        indices = range(hi + 1)
     s = TruncatedSeries(ring, order)
-    for n in _scan_range(order, exponent, bilateral):
+    for n in indices:
         e = exponent(n)
         if 0 <= e <= order:
             s.coeffs[e] = s.coeffs[e] + ring.coerce(coefficient(n))
@@ -155,10 +194,11 @@ def residue_pack(ring, p):
     return x
 
 
-def packed_rows(make, order, majorant):
+def packed_rows(make, order, majorant, reach=None):
     """The rows ``packed_laurent`` reads off the packed values make(ring),
-    on the ring it sets up for order: offset S = order//2 + 2, and width B
-    one bit more than majorant's bit length."""
+    on the ring it sets up for order and reach: offset S = reach, by
+    default order//2 + 2, and width B one bit more than majorant's bit
+    length."""
     def build(ring, z, z_inv, order, bound):
         return [majorant] if bound else make(ring)
-    return packed_laurent(build, order)
+    return packed_laurent(build, order, reach)

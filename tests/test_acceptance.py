@@ -11,9 +11,15 @@ import time
 
 import pytest
 
-from helpers import div_binomial, gauss_theta, pair_crank_series
+from helpers import (
+    div_binomial,
+    gauss_theta,
+    pair_crank_series,
+    residue_class_sums,
+    spt2,
+)
 from spt_kernel.partitions import spt_family
-from spt_kernel.rings import LAURENT, ZZ, LaurentPolynomial, residue_class_sums
+from spt_kernel.rings import LAURENT, ZZ, LaurentPolynomial
 from spt_kernel.series import TruncatedSeries, pochhammer_inf
 from spt_kernel.sptcrank import (
     partition_pair_oracle,
@@ -75,13 +81,13 @@ def test_criterion_01_spt_values_at_four():
 
 def test_criterion_02_q8_test_vector():
     table = sb_series(8)
-    assert table.row(8) == LaurentPolynomial(
+    assert table.rows[8] == LaurentPolynomial(
         {3: 1, 2: 1, 1: 3, 0: 5, -1: 3, -2: 1, -3: 1})
-    assert residue_class_sums(table.row(8), 5) == [5, 3, 2, 2, 3]
-    assert table.spt2(8) == 15
+    assert residue_class_sums(table.rows[8], 5) == [5, 3, 2, 2, 3]
+    assert spt2(table, 8) == 15
     assert 15 % 5 == 0
     # unequal classes: row 8 is nonzero at a primitive 5th root of unity
-    assert len(set(residue_class_sums(table.row(8), 5))) > 1
+    assert len(set(residue_class_sums(table.rows[8], 5))) > 1
     _ok("2 (q^8 residue classes mod 5)")
 
 
@@ -125,7 +131,7 @@ def test_criterion_08_oracle_equivalence_to_20():
     table = sb_series(20)
     pcs = pair_crank_series(20)
     for n in range(1, 21):
-        row = table.row(n)
+        row = table.rows[n]
         pair = partition_pair_oracle(n)
         assert vector_partition_oracle(n) == row, n
         assert pair == row, n

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import residue_class_sums
 import spt_kernel
 from spt_kernel.cli import (
     _BLOCK,
@@ -17,7 +18,6 @@ from spt_kernel.cli import (
     _table_json,
     main,
 )
-from spt_kernel.rings import residue_class_sums
 from spt_kernel.sptcrank import sb_series
 
 
@@ -98,7 +98,7 @@ class TestTable:
         assert len(lines) == 60
         for n, line in enumerate(lines, 1):
             classes = [int(c) for c in line.split(",")[2:]]
-            assert classes == residue_class_sums(table.row(n), t)
+            assert classes == residue_class_sums(table.rows[n], t)
 
 
 @pytest.mark.parametrize("argv", [

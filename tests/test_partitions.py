@@ -6,6 +6,7 @@ from helpers import (
     count_overpartitions,
     count_partitions,
     enumerate_partitions,
+    eval_at_one,
     is_symmetric,
 )
 from spt_kernel.partitions import (
@@ -107,7 +108,7 @@ class TestM2Rank:
     def test_symmetry_and_total(self, n):
         dist = m2_rank_distribution(n)
         assert is_symmetric(dist)
-        assert dist.eval_at_one() == count_overpartitions(n)
+        assert eval_at_one(dist) == count_overpartitions(n)
 
 
 class TestResidualCrank:

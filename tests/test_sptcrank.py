@@ -1,8 +1,16 @@
+from functools import partial
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import is_symmetric, pair_crank_series
+from helpers import (
+    eval_at_one,
+    is_symmetric,
+    pair_crank_series,
+    residue_class_sums,
+    spt2,
+)
 from spt_kernel.partitions import (
     enumerate_overpartitions,
     spt_family,
@@ -14,13 +22,17 @@ from spt_kernel.rings import (
     LaurentPolynomial,
     PackedResidueRing,
     RingError,
-    residue_class_sums,
 )
 from spt_kernel.series import (
     TruncatedSeries,
     _packing,
+    d_factors,
+    divided_by_d,
+    numerator_reach,
     packed_laurent,
+    packed_numerator,
     packed_residues,
+    poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
 )
@@ -30,18 +42,21 @@ from spt_kernel.sptcrank import (
     _rank_coeffs,
     _sb_walk,
     at_zeta3,
+    crank_numerator,
     crank_series,
     partition_pair_oracle,
+    rank_numerator,
     rank_series,
     rank_series_bailey_sum,
     sb_at_root,
     sb_coefficients_naive,
+    sb_numerator,
     sb_residues,
     sb_series,
     sptbar2_series,
     vector_partition_oracle,
 )
-from spt_kernel.verify import bailey_side
+from spt_kernel.verify import bailey_numerator, bailey_side
 
 ROW4 = LaurentPolynomial({1: 1, 0: 1, -1: 1})
 ROW8 = LaurentPolynomial({3: 1, 2: 1, 1: 3, 0: 5, -1: 3, -2: 1, -3: 1})
@@ -54,18 +69,18 @@ def table():
 
 class TestSbSeries:
     def test_low_rows(self, table):
-        assert table.row(2) == 1
-        assert table.row(3) == 0
-        assert table.row(4) == ROW4
+        assert table.rows[2] == 1
+        assert table.rows[3] == 0
+        assert table.rows[4] == ROW4
 
     def test_q8_residue_classes_mod5(self, table):
-        assert table.row(8) == ROW8
-        assert residue_class_sums(table.row(8), 5) == [5, 3, 2, 2, 3]
+        assert table.rows[8] == ROW8
+        assert residue_class_sums(table.rows[8], 5) == [5, 3, 2, 2, 3]
 
     def test_rows_symmetric_up_to_bound(self, table):
         # observed property, not claimed by the theory; guarded here
         for n in range(table.order + 1):
-            assert is_symmetric(table.row(n))
+            assert is_symmetric(table.rows[n])
 
     def test_incremental_matches_naive_laurent(self):
         assert (_sb_walk(LAURENT, LAURENT.z, LAURENT.z_inv, 24)
@@ -133,7 +148,7 @@ class TestSptbar2:
     def test_matches_z1_specialization(self, table):
         s = sptbar2_series(table.order)
         for n in range(1, table.order + 1):
-            assert s.coefficient(n) == table.spt2(n)
+            assert s.coefficient(n) == spt2(table, n)
 
 
 class TestSbAtRoot:
@@ -168,7 +183,7 @@ class TestOracles:
 
     def test_oracles_match_series(self, table):
         for n in range(1, 13):
-            row = table.row(n)
+            row = table.rows[n]
             assert vector_partition_oracle(n) == row
             assert partition_pair_oracle(n) == row
 
@@ -181,13 +196,13 @@ class TestPairCrankSeries:
     def test_rows_match_table(self, table):
         pcs = pair_crank_series(16)
         for n in range(17):
-            assert pcs.coefficient(n) == table.row(n)
+            assert pcs.coefficient(n) == table.rows[n]
 
     def test_z1_collapse(self):
         pcs = pair_crank_series(14)
         s2 = sptbar2_series(14)
         for n in range(1, 15):
-            assert pcs.coefficient(n).eval_at_one() == s2.coefficient(n)
+            assert eval_at_one(pcs.coefficient(n)) == s2.coefficient(n)
 
 
 class TestRankSeriesRoutes:
@@ -201,7 +216,7 @@ class TestRankSeriesRoutes:
     def test_z1_counts_overpartitions(self):
         a = rank_series(16)
         for n in range(17):
-            assert a.coefficient(n).eval_at_one() == sum(
+            assert eval_at_one(a.coefficient(n)) == sum(
                 1 for _ in enumerate_overpartitions(n))
 
 
@@ -310,6 +325,56 @@ class TestPackedSeries:
         assert_within_majorant(sb_series(40).rows, _sb_walk, 40)
 
 
+# name, numerator X*D, the full rows of X, the builder of both
+NUMERATORS = [
+    ("sb", sb_numerator, lambda order: sb_series(order).as_series(), _sb_walk),
+    ("rank", rank_numerator, rank_series, _rank_coeffs),
+    ("crank", lambda order: crank_numerator(order).embed(LAURENT),
+     crank_series, _crank_coeffs),
+    ("bailey", bailey_numerator,
+     lambda order: TruncatedSeries(LAURENT, order,
+                                   packed_laurent(bailey_side, order)),
+     bailey_side),
+]
+
+
+class TestNumerators:
+    """The numerators X*D, D = (z q^2, q^2/z; q^2)_inf, that theorem 2 and
+    the limiting Bailey instance compare, read off the ring of z-reach
+    K = isqrt(N) + 2, against the full rows of X times D in the dict
+    Laurent ring."""
+
+    @pytest.mark.parametrize("order", [4, 5, 9, 40, 41, 100])
+    @pytest.mark.parametrize("name, numerator, full, build", NUMERATORS,
+                             ids=[n[0] for n in NUMERATORS])
+    def test_full_rows_times_d(self, name, numerator, full, build, order):
+        num, rows = numerator(order), full(order)
+        d = poch_quotient(LAURENT, order, d_factors(LAURENT.z, LAURENT.z_inv))
+        assert num == rows * d
+        reach = numerator_reach(order) - 1
+        assert all(abs(e) <= reach for row in num.coeffs for e in row.c)
+        assert_within_majorant(num.coeffs, partial(build, cleared=True), order)
+        # what a failing check reports: the rows of X, back from X*D
+        assert divided_by_d(num.coeffs) == rows.coeffs
+
+    @pytest.mark.parametrize("side", ["z", "z_inv"])
+    def test_row_at_the_reach_raises(self, side):
+        # a z^K or z^-K term added to the top row of SB*D at order 40, K = 8
+        order = 40
+        power = numerator_reach(order)
+
+        def build(ring, z, z_inv, order, bound=False, cleared=False):
+            rows = _sb_walk(ring, z, z_inv, order, bound, cleared)
+            x = ring.one
+            for _ in range(power):
+                x = (z if side == "z" else z_inv) * x
+            rows[order] = rows[order] + x
+            return rows
+
+        with pytest.raises(RingError, match="edge"):
+            packed_numerator(build, order)
+
+
 def laurent_residues(build, order, t):
     return [residue_class_sums(row, t) for row in packed_laurent(build, order)]
 
@@ -344,7 +409,7 @@ class TestPackedResidues:
 
     def test_sb_residues_match_table(self, table):
         assert sb_residues(table.order, 5) == [
-            residue_class_sums(table.row(n), 5)
+            residue_class_sums(table.rows[n], 5)
             for n in range(table.order + 1)]
 
     def test_rank_stays_as_narrow_as_its_laurent_rows(self):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from helpers import bailey_pair_rhs_from_scratch, gauss_theta
-from spt_kernel import verify
+from spt_kernel import sptcrank, verify
 from spt_kernel.rings import ZZ
 from spt_kernel.series import SeriesError, TruncatedSeries
 from spt_kernel.verify import (
@@ -104,7 +104,7 @@ def test_fault_in_one_alpha_term_is_reported_exactly(monkeypatch):
 
 
 def test_run_builds_each_shared_series_once(monkeypatch):
-    calls = {"rank_series": 0, "sb_residues": 0}
+    calls = {"rank_numerator": 0, "sb_residues": 0}
 
     def counted(name):
         original = getattr(verify, name)
@@ -118,7 +118,7 @@ def test_run_builds_each_shared_series_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(verify, name, counted(name))
     assert all(r.passed for r in run_all(60, oracle_bound=6))
-    assert calls == {"rank_series": 1, "sb_residues": 1}
+    assert calls == {"rank_numerator": 1, "sb_residues": 1}
 
 
 def test_congruences_small():
@@ -137,11 +137,11 @@ def test_failure_reporting_is_exact():
 # check, the builder it calls, the first argument that selects the faulty
 # call (None: every call), the coefficient changed, the subcheck that sees it
 FAULTS = [
-    ("bailey_limit", "rank_series", None, 17, "bailey-vs-rank"),
+    ("bailey_limit", "rank_numerator", None, 17, "bailey-vs-rank"),
     ("bailey_pair", "bailey_beta", 3, 11, "n=3"),
     ("congruences", "sptbar2_series", None, 7, "z=1-consistency"),
     ("theorem1", "a2_formula", None, 4, "A2"),
-    ("theorem2", "crank_series", None, 9, "rank-crank"),
+    ("theorem2", "crank_numerator", None, 9, "rank-crank"),
     ("theorem3", "rank_component", 1, 5, "N2rank1"),
     ("theorem4", "crank_component", 2, 6, "M2crank2"),
 ]
@@ -163,6 +163,48 @@ def test_fault_in_one_coefficient_is_reported_exactly(
     (rep,) = run_all(ORDER, oracle_bound=6, only=check)
     assert rep.status == "fail"
     assert (rep.first_failure["n"], rep.first_failure["where"]) == (n, where)
+    assert rep.first_failure["expected"] != rep.first_failure["actual"]
+
+
+# rows 24 of u*SB and of rank - crank with the faulty term, u = -z + 2 - 1/z,
+# and of the Bailey side and of the rank with the faulty term
+_U_SB_24 = ("-1*z^-12 + z^-11 + -2*z^-10 + -2*z^-9 + -4*z^-8 + -8*z^-7 + "
+            "-16*z^-6 + -22*z^-5 + -34*z^-4 + -35*z^-3 + z^-2 + {} + "
+            "z^2 + -35*z^3 + -34*z^4 + -22*z^5 + -16*z^6 + -8*z^7 + "
+            "-4*z^8 + -2*z^9 + -2*z^10 + z^11 + -1*z^12")
+_BAILEY_24 = ("4*z^-11 + 8*z^-10 + 24*z^-9 + 56*z^-8 + 124*z^-7 + 256*z^-6 + "
+              "510*z^-5 + 952*z^-4 + 1660*z^-3 + 2620*z^-2 + {} + "
+              "2620*z^2 + 1660*z^3 + 952*z^4 + 510*z^5 + 256*z^6 + "
+              "124*z^7 + 56*z^8 + 24*z^9 + 8*z^10 + 4*z^11")
+RANK_TERM_FAULTS = [
+    ("theorem2", {
+        "n": 24, "where": "rank-crank",
+        "expected": _U_SB_24.format("72*z^-1 + 100 + 72*z"),
+        "actual": _U_SB_24.format("68*z^-1 + 108 + 68*z")}),
+    ("bailey_limit", {
+        "n": 24, "where": "bailey-vs-rank",
+        "expected": _BAILEY_24.format("3566*z^-1 + 3968 + 3566*z"),
+        "actual": _BAILEY_24.format("3562*z^-1 + 3976 + 3562*z")}),
+]
+
+
+@pytest.mark.parametrize("check, failure", RANK_TERM_FAULTS,
+                         ids=[f[0] for f in RANK_TERM_FAULTS])
+def test_fault_in_one_rank_lambert_term_is_reported_exactly(
+        monkeypatch, check, failure):
+    # the sign of Lambert term n = 4, which starts at q^{4^2 + 2*4} = q^24,
+    # flipped in the rank series (not in its majorant): the rank changes by
+    # 4 (2 - z - 1/z) there, and both checks report rows of the series
+    # themselves, not of their numerators
+    original = sptcrank._rank_term
+
+    def faulty(ring, z, z_inv, n, start, bound):
+        term = original(ring, z, z_inv, n, start, bound)
+        return [-x for x in term] if n == 4 and not bound else term
+
+    monkeypatch.setattr(sptcrank, "_rank_term", faulty)
+    (rep,) = run_all(ORDER, oracle_bound=6, only=check)
+    assert rep.first_failure == failure
 
 
 def test_order_mismatch_is_an_error():
