@@ -7,7 +7,6 @@ free of generating-function shortcuts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
 from typing import Iterator
@@ -59,15 +58,33 @@ def num_even_parts(p: Partition) -> int:
 # Overpartitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Overpartition:
     """Multiset of (value, overlined) parts, at most one overline per value.
 
     Canonical order: values weakly decreasing, the overlined copy first
-    among equal values.
+    among equal values.  Immutable, and equal when the parts are.
     """
 
-    parts: tuple[tuple[int, bool], ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[tuple[int, bool], ...]):
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not Overpartition:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return f"Overpartition(parts={self.parts!r})"
 
     @property
     def largest(self) -> int:

@@ -10,9 +10,17 @@ from __future__ import annotations
 import json
 from functools import partial
 from math import isqrt
+from operator import add, sub
 from typing import Callable, Sequence
 
-from .rings import ZZ, LaurentPolynomial, PackedResidueRing, RingError
+from .rings import (
+    ZZ,
+    LaurentPolynomial,
+    PackedResidueRing,
+    RingError,
+    _ZFold,
+    _ZRotate,
+)
 
 
 class SeriesError(ValueError):
@@ -38,27 +46,107 @@ def mul_lists(a, b, upto, zero):
     return out
 
 
+def _times(c, xs: list) -> list:
+    """c*x for each x of xs: xs itself for c = 1, and for the packed ring's
+    z and 1/z the shift, fold or rotate of ``_ZFold``/``_ZRotate`` inline,
+    with no multiplication call per element."""
+    if type(c) is _ZFold:
+        bits, width, high = c.bits, c.width, c.high
+        return [(y & high) + (y >> width)
+                if (y := x << bits).bit_length() > width else y for x in xs]
+    if type(c) is _ZRotate:
+        bits, low, top = c.bits, c.low, c.top
+        return [(x >> bits) + (r << top) if (r := x & low) else x >> bits
+                for x in xs]
+    if c == 1:
+        return xs
+    return [c * x for x in xs]
+
+
+# Coefficients per slice operation of the kernels below.  Each slice makes
+# its new values before it frees the old ones, so a bounded slice keeps the
+# extra memory of a pass on wide packed values small and reuses it.
+_CHUNK = 64
+
+
 def mul_binomial_list(a, c, e):
-    """In place: a *= (1 - c*q^e)."""
-    if e == 0:
-        for i, ai in enumerate(a):
-            if ai:
-                a[i] = ai - c * ai
-        return
-    for i in range(len(a) - 1, e - 1, -1):
-        lo = a[i - e]
-        if lo:
-            a[i] = a[i] - c * lo
+    """In place: a *= (1 - c*q^e), from the top down in slices of at most
+    ``_CHUNK`` coefficients, each one shifted slice subtraction (an
+    addition for c = -1)."""
+    op = sub
+    if c == -1:
+        op, c = add, 1
+    for hi in range(len(a), e, -_CHUNK):
+        lo = max(hi - _CHUNK, e)
+        a[lo:hi] = map(op, a[lo:hi], _times(c, a[lo - e:hi - e]))
 
 
 def div_binomial_list(a, c, e):
-    """In place: a *= 1/(1 - c*q^e) (geometric recurrence)."""
+    """In place: a *= 1/(1 - c*q^e) (geometric recurrence), from the bottom
+    up in slices of at most min(e, ``_CHUNK``) coefficients, each one slice
+    addition of c times the slice e below it, which is final."""
     if e <= 0:
         raise SeriesError("geometric division needs a positive q-exponent")
-    for i in range(e, len(a)):
-        prev = a[i - e]
-        if prev:
-            a[i] = a[i] + c * prev
+    op = add
+    if c == -1:
+        op, c = sub, 1
+    step = min(e, _CHUNK)
+    for i in range(e, len(a), step):
+        a[i:i + step] = map(op, a[i:i + step],
+                            _times(c, a[i - e:i - e + step]))
+
+
+def _pentagonal(k: int, order: int) -> list:
+    """The terms (e, s) of (q^k; q^k)_inf = 1 + sum s q^e with
+    0 < e <= order, by increasing e.  Euler's pentagonal number theorem:
+    (q; q)_inf = sum_m (-1)^m q^{m(3m-1)/2} over all integers m, so the
+    exponents are k m(3m -+ 1)/2 for m >= 1, each with sign (-1)^m."""
+    terms = []
+    m = 1
+    while k * m * (3 * m - 1) // 2 <= order:
+        s = -1 if m % 2 else 1
+        for e in (k * m * (3 * m - 1) // 2, k * m * (3 * m + 1) // 2):
+            if e <= order:
+                terms.append((e, s))
+        m += 1
+    return terms
+
+
+def mul_eta_list(a, k: int):
+    """In place: a *= (q^k; q^k)_inf, from the top down in slices of at
+    most ``_CHUNK`` coefficients: each slice adds or subtracts the slice
+    e_g below it, still unchanged, for each pentagonal term s_g q^{e_g}."""
+    terms = _pentagonal(k, len(a) - 1)
+    for hi in range(len(a), 0, -_CHUNK):
+        lo = max(hi - _CHUNK, 0)
+        acc = a[lo:hi]
+        for e, s in terms:
+            if e >= hi:
+                break
+            i = max(lo, e)
+            acc[i - lo:] = map(add if s > 0 else sub, acc[i - lo:],
+                               a[i - e:hi - e])
+        a[lo:hi] = acc
+
+
+def div_eta_list(a, k: int):
+    """In place: a /= (q^k; q^k)_inf by the recurrence
+    b[i] = a[i] - sum_g s_g b[i - e_g] over the pentagonal terms s_g q^{e_g}
+    with e_g <= i."""
+    terms = _pentagonal(k, len(a) - 1)
+    plus, minus = [], []
+    t = 0
+    for i in range(k, len(a)):
+        while t < len(terms) and terms[t][0] <= i:
+            e, s = terms[t]
+            (plus if s > 0 else minus).append(e)
+            t += 1
+        x = a[i]
+        for e in minus:
+            x = x + a[i - e]
+        for e in plus:
+            x = x - a[i - e]
+        a[i] = x
 
 
 def invert_list(a, ring):
@@ -247,16 +335,65 @@ def _poch_exponents(j: int, k: int, n: int | None, order: int) -> range:
     return range(j, min(order + 1, j + n * k), k)
 
 
+def _eta_form(c: int, j: int, k: int):
+    """(c*q^j; q^k)_inf for c = 1 or -1 as (powers, finite): powers maps m
+    to the exponent of (q^m; q^m)_inf, and finite lists (side, factor), the
+    finite factor (1, j', k', n') multiplying for side 1 and dividing for
+    side -1.  None unless these identities give it:
+
+        (q^j; q^k)_inf = (q^k; q^k)_inf / (q^k; q^k)_{j/k - 1}  if k | j;
+        (q^j; q^k)_inf = (q^r; q^r)_inf
+                         / ((q^k; q^k)_inf (q^r; q^k)_{(j-r)/k})
+                                                  if k = 2r, j = r mod k;
+        (-q^j; q^k)_inf = (q^{2j}; q^{2k})_inf / (q^j; q^k)_inf.
+    """
+    if c == -1:
+        num, den = _eta_form(1, 2 * j, 2 * k), _eta_form(1, j, k)
+        if num is None or den is None:
+            return None
+        powers = dict(num[0])
+        for m, a in den[0].items():
+            powers[m] = powers.get(m, 0) - a
+        return powers, num[1] + [(-side, f) for side, f in den[1]]
+    if j % k == 0:
+        return {k: 1}, [(-1, (1, k, k, j // k - 1))]
+    r = k // 2
+    if k % 2 == 0 and j % k == r:
+        return {r: 1, k: -1}, [(-1, (1, r, k, (j - r) // k))]
+    return None
+
+
+def _eta_route(c, j: int, k: int, passes: int, order: int):
+    """``_eta_form`` of the infinite factor (c*q^j; q^k)_inf, if c is the
+    plain integer 1 or -1 and the form costs no more than the factor's
+    binomial passes: one per finite factor of it, and one per pentagonal
+    term of each (q^m; q^m)_inf it multiplies or divides by; else None."""
+    if type(c) is not int or c not in (1, -1):
+        return None
+    form = _eta_form(c, j, k)
+    if form is None:
+        return None
+    powers, finite = form
+    cost = sum(abs(a) * len(_pentagonal(m, order)) for m, a in powers.items())
+    cost += sum(len(_poch_exponents(*f[1:], order)) for _, f in finite)
+    return form if cost <= passes else None
+
+
 def poch_quotient(ring, order: int, numer=(), denom=(),
                   start: TruncatedSeries | None = None) -> TruncatedSeries:
     """start * prod(numer) / prod(denom), truncated at q^order.
 
     A factor (c, j, k, n) stands for (c*q^j; q^k)_n, the product of
     (1 - c*q^{j+ik}) over 0 <= i < n, and n = None for the infinite product.
-    c is a ring element or an integer scalar.  Each binomial factor whose
-    exponent is at most the order is one O(order) pass -- a multiplication
-    for the numerator, a geometric division for the denominator -- so no
-    series is ever inverted.  start defaults to 1.
+    c is a ring element or an integer scalar.  An infinite factor with c
+    the integer 1 or -1 is rewritten by ``_eta_form`` into powers of
+    (q^m; q^m)_inf and finite factors, where that costs no more; the powers
+    are summed over all factors, and each (q^m; q^m)_inf left is one sparse
+    pass over its pentagonal terms (``mul_eta_list``, ``div_eta_list``).
+    Every other binomial factor whose exponent is at most the order is one
+    O(order) pass -- a multiplication for the numerator, a geometric
+    division for the denominator -- so no series is ever inverted.  start
+    defaults to 1.
     """
     if start is None:
         out = [ring.zero] * (order + 1)
@@ -265,10 +402,29 @@ def poch_quotient(ring, order: int, numer=(), denom=(),
         if start.ring != ring or start.order != order:
             raise SeriesError("start must have the quotient's ring and order")
         out = list(start.coeffs)
-    for factors, apply in ((numer, mul_binomial_list), (denom, div_binomial_list)):
-        for c, j, k, n in factors:
-            for e in _poch_exponents(j, k, n, order):
-                apply(out, c, e)
+    # every factor is validated before any is rewritten or applied
+    factors = [(1, f) for f in numer] + [(-1, f) for f in denom]
+    exponents = [_poch_exponents(j, k, n, order)
+                 for _, (c, j, k, n) in factors]
+    etas: dict[int, int] = {}
+    passes = []  # (side, c, exponents): side 1 multiplies, -1 divides
+    for (side, (c, j, k, n)), exps in zip(factors, exponents):
+        form = None if n is not None else _eta_route(c, j, k, len(exps), order)
+        if form is None:
+            passes.append((side, c, exps))
+            continue
+        powers, finite = form
+        for m, a in powers.items():
+            etas[m] = etas.get(m, 0) + side * a
+        for s, (c1, j1, k1, n1) in finite:
+            passes.append((side * s, c1, _poch_exponents(j1, k1, n1, order)))
+    for m, a in sorted(etas.items()):
+        for _ in range(abs(a)):
+            (mul_eta_list if a > 0 else div_eta_list)(out, m)
+    for side, c, exps in passes:
+        apply = mul_binomial_list if side > 0 else div_binomial_list
+        for e in exps:
+            apply(out, c, e)
     return TruncatedSeries(ring, order, out)
 
 

@@ -9,7 +9,6 @@ even-smallest-part overpartition spt function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .partitions import (
@@ -26,7 +25,9 @@ from .rings import (
     RingError,
     root_value,
 )
-from .series import (
+# mul_lists is not called here; bench/test_bench.py reads it as
+# sptcrank.mul_lists
+from .series import (  # noqa: F401
     TruncatedSeries,
     binomials,
     d_factors,
@@ -116,19 +117,37 @@ def sb_coefficients_naive(ring, z, z_inv, order: int) -> list:
     return acc.coeffs
 
 
-@dataclass(frozen=True)
 class SptCrankTable:
-    """Rows n = 0..order of SB(z,q) as Laurent polynomials in z."""
+    """Rows n = 0..order of SB(z,q) as Laurent polynomials in z; immutable,
+    and equal when the order and the rows are.  A negative count is
+    refused."""
 
-    order: int
-    rows: tuple[LaurentPolynomial, ...] = field(repr=False)
+    __slots__ = ("order", "rows")
 
-    def __post_init__(self):
-        for n, row in enumerate(self.rows):
+    def __init__(self, order: int, rows: tuple[LaurentPolynomial, ...]):
+        for n, row in enumerate(rows):
             for m, c in row.c.items():
                 if c < 0:
                     raise ValueError(
                         f"negative spt-crank count at (m={m}, n={n})")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not SptCrankTable:
+            return NotImplemented
+        return (self.order, self.rows) == (other.order, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.rows))
+
+    def __repr__(self) -> str:
+        return f"SptCrankTable(order={self.order!r})"
 
     def as_series(self) -> TruncatedSeries:
         return TruncatedSeries(LAURENT, self.order, list(self.rows))
@@ -253,10 +272,11 @@ def _rank_coeffs(ring, z, z_inv, order: int, bound: bool = False,
             if x:
                 inner[i] = inner[i] + x
         n += 1
-    # the prefactor over Z acts by integer scalars on the dense inner sum
-    pref = poch_quotient(ZZ, order, *binomials([(-1, 1, 1, None)],
-                                               [(1, 1, 1, None)], bound))
-    return mul_lists(pref.coeffs, inner, order, ring.zero)
+    # the prefactor (-q;q)_inf/(q;q)_inf = (q^2;q^2)_inf/(q;q)_inf^2 on the
+    # ring: one pentagonal multiplication and two divisions (poch_quotient)
+    return poch_quotient(
+        ring, order, *binomials([(-1, 1, 1, None)], [(1, 1, 1, None)], bound),
+        start=TruncatedSeries(ring, order, inner)).coeffs
 
 
 def rank_series(order: int) -> TruncatedSeries:

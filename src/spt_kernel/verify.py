@@ -8,20 +8,18 @@ There are no tolerances anywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .partitions import m2_rank_distribution, residual_m2_crank_distribution
 from .rings import CYCLO3, LAURENT, ZZ, LaurentPolynomial
 from .series import (
     SeriesError,
     TruncatedSeries,
-    binomials,
-    d_factors,
     div_binomial_list,
     divided_by_d,
     lambert_sum,
-    packed_numerator,
+    numerator_reach,
+    packed_laurent,
     packed_residues,
     poch_quotient,
     summand_walk,
@@ -41,12 +39,40 @@ from .sptcrank import (
 )
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    check: str
-    order: int
-    status: str  # "pass" | "fail"
-    first_failure: Optional[dict] = None
+    """The outcome of one check: status "pass" or "fail", and for a failure
+    the first differing coefficient.  Immutable, and equal when every
+    field is."""
+
+    __slots__ = ("check", "order", "status", "first_failure")
+
+    def __init__(self, check: str, order: int, status: str,
+                 first_failure: dict | None = None):
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "first_failure", first_failure)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return (self.check, self.order, self.status, self.first_failure)
+
+    def __eq__(self, other):
+        if other.__class__ is not VerificationReport:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return ("VerificationReport(" + ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__slots__, self._fields())) + ")")
 
     @property
     def passed(self) -> bool:
@@ -320,21 +346,20 @@ def verify_bailey_pair(order: int, n_oracle: int = 0,
     return _compare("bailey_pair", order, subchecks)
 
 
-def bailey_side(ring, z, z_inv, order: int, bound: bool = False,
-                cleared: bool = False) -> list:
-    """Coefficients 0..order of the Bailey side of the limiting Bailey Lemma
-    instance (rho_1 = z, rho_2 = 1/z, a = 1, base q^2) times its prefactor:
+def bailey_side(ring, z, z_inv, order: int, bound: bool = False) -> list:
+    """Coefficients 0..order of Bailey*D, D = (z q^2, z_inv q^2; q^2)_inf,
+    where Bailey is the Bailey side of the limiting Bailey Lemma instance
+    (rho_1 = z, rho_2 = 1/z, a = 1, base q^2) times its prefactor:
 
         (q^2;q^2)_inf / ((z q^2, z_inv q^2; q^2)_inf (q;q^2)_inf^2)
-        * sum_{n>=0} q^{2n} (z, z_inv; q^2)_n beta_n;
+        * sum_{n>=0} q^{2n} (z, z_inv; q^2)_n beta_n.
 
-    with bound, over Z at z = z_inv = 1, its majorant (see ``binomials``).
+    The prefactor leaves out D, so summand n of Bailey*D is q^{2n}
+    (z, z_inv; q^2)_n (q^{4n+2}; q^2)_inf / (q^{2n+1}; q^2)_inf^2: z^k needs
+    q^{k(k-1)} in (z; q^2)_n and q^{2k} more in front.
 
-    With cleared, the prefactor leaves out D = (z q^2, z_inv q^2; q^2)_inf
-    and the result is Bailey*D, whose summand n is q^{2n} (z, z_inv; q^2)_n
-    (q^{4n+2}; q^2)_inf / (q^{2n+1}; q^2)_inf^2: z^k needs q^{k(k-1)} in
-    (z; q^2)_n and q^{2k} more in front.  Its majorant is the formula at
-    z = z_inv = -1 with (-q^2; q^2)_inf for (q^2; q^2)_inf: summand n then
+    With bound, over Z, it returns a majorant: the formula at
+    z = z_inv = -1 with (-q^2; q^2)_inf for (q^2; q^2)_inf.  Summand n then
     becomes q^{2n} (-1, -1; q^2)_n (-q^2; q^2)_inf / ((q^2; q^2)_{2n}
     (q^{2n+1}; q^2)_inf^2), which has no negative coefficient and bounds
     summand n's, as (-q^2; q^2)_inf / (q^2; q^2)_{2n} >= (-q^{4n+2}; q^2)_inf
@@ -343,26 +368,20 @@ def bailey_side(ring, z, z_inv, order: int, bound: bool = False,
     B = 181.
     """
     c = 1
-    if bound and cleared:
-        # the product-form majorant above is the formula itself at these values
+    if bound:
         z = z_inv = c = -1
-        bound = False
     # the summand ratio is SB's with c = 1, walked from the n = 0 summand, 1
-    step = sb_summand_ratio(z, z_inv, 1)
     start = [ring.one] + [ring.zero] * order
-    acc = summand_walk(ring, start, 0, order, lambda n: binomials(*step(n), bound))
-    denom = [(1, 1, 2, None)] * 2
-    if not cleared:
-        denom += d_factors(z, z_inv)
-    return poch_quotient(
-        ring, order, *binomials([(c, 2, 2, None)], denom, bound),
-        start=TruncatedSeries(ring, order, acc)).coeffs
+    acc = summand_walk(ring, start, 0, order, sb_summand_ratio(z, z_inv, 1))
+    return poch_quotient(ring, order, [(c, 2, 2, None)], [(1, 1, 2, None)] * 2,
+                         start=TruncatedSeries(ring, order, acc)).coeffs
 
 
 def bailey_numerator(order: int) -> TruncatedSeries:
     """Bailey*D over Z[z,1/z], D = (z q^2, q^2/z; q^2)_inf, read off the
-    narrow packed ring of ``packed_numerator``."""
-    return TruncatedSeries(LAURENT, order, packed_numerator(bailey_side, order))
+    narrow packed ring at z-reach ``numerator_reach(order)``."""
+    return TruncatedSeries(LAURENT, order, packed_laurent(
+        bailey_side, order, numerator_reach(order)))
 
 
 def verify_bailey_limit(order: int, n_oracle: int = 0,

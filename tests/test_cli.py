@@ -357,3 +357,19 @@ def test_blocks_write_every_line_once(tmp_path):
     assert out.read_text() == "".join(line + "\n" for line in lines)
     assert _emit([], str(out)) == 0
     assert out.read_text() == ""
+
+
+def test_cold_import_loads_no_introspection_modules():
+    # dataclasses imports inspect, ast, dis and tokenize, about 9 ms of every
+    # cold start; the package's records are plain classes.  -S leaves out
+    # whatever the site packages import.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(spt_kernel.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-S", "-X", "importtime", "-c",
+                          "import spt_kernel.cli"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    loaded = {line.rsplit("|", 1)[-1].strip()
+              for line in run.stderr.splitlines()}
+    assert "spt_kernel.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

@@ -3,19 +3,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import inflate, one, packed_rows, residue_pack, theta_sum
+from spt_kernel import series, verify
 from spt_kernel.partitions import distinct_partition_list, partition_list
 from spt_kernel.rings import (
     CYCLO3,
     LAURENT,
     ZZ,
     LaurentPolynomial,
+    PackedResidueRing,
 )
 from spt_kernel.series import (
     SeriesError,
     TruncatedSeries,
+    _eta_form,
+    div_eta_list,
     geometric,
     lambert_sum,
     mul_binomial_list,
+    mul_eta_list,
     poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
@@ -205,6 +210,111 @@ class TestPochQuotient:
     def test_argument_errors(self, build):
         with pytest.raises(SeriesError):
             build()
+
+
+def eta_rewritable(j, k):
+    """Whether (+-q^j; q^k)_inf is a quotient of products (q^m; q^m)_inf
+    and finite products: when k | j, or k is even and j = k/2 mod k."""
+    return j % k == 0 or (k % 2 == 0 and j % k == k // 2)
+
+
+# (c, j, k) of every rewritable infinite factor (c q^j; q^k)_inf
+ETA_SHAPES = [(c, j, k) for c in (1, -1) for j in range(1, 13)
+              for k in range(1, 10) if eta_rewritable(j, k)]
+ETA_TOP = 60
+
+
+def binomial_passes(a, c, exponents, side):
+    """a times prod (1 - c q^e) over exponents for side 1, divided by it for
+    side -1, one coefficient at a time."""
+    a = list(a)
+    top = len(a) - 1
+    for e in exponents:
+        if e > top:
+            break
+        if side > 0:
+            for i in range(top, e - 1, -1):
+                a[i] = a[i] - c * a[i - e]
+        else:
+            for i in range(e, top + 1):
+                a[i] = a[i] + c * a[i - e]
+    return a
+
+
+def eta_starts(name, with_start):
+    """The ring and a start list to q^ETA_TOP: 1, or a fixed mix of values."""
+    ring = {"Z": ZZ, "laurent": LAURENT,
+            "packed": PackedResidueRing(24, 7, 3)}[name]
+    if not with_start:
+        return ring, [ring.one] + [ring.zero] * ETA_TOP
+    values = [{(i % 5) - 2: (7 * i * i + 3) % 11 - 5, i % 3: i % 4 - 1}
+              for i in range(ETA_TOP + 1)]
+    if name == "Z":
+        return ring, [sum(v.values()) for v in values]
+    if name == "laurent":
+        return ring, [LaurentPolynomial(v) for v in values]
+    return ring, [ring.pack(v) for v in values]
+
+
+# every order for Z and the packed ring; for the dict Laurent ring the
+# orders below and at each k and j, and a few above
+ETA_ORDERS = {"Z": range(ETA_TOP + 1), "packed": range(ETA_TOP + 1),
+              "laurent": [0, 1, 2, 3, 5, 8, 9, 11, 12, 13, 30, ETA_TOP]}
+
+
+class TestEtaRoute:
+    """Infinite factors with c = +-1, which ``poch_quotient`` may rewrite
+    into sparse passes over (q^m; q^m)_inf, against plain binomial passes."""
+
+    @pytest.mark.parametrize("with_start", [False, True],
+                             ids=["one", "start"])
+    @pytest.mark.parametrize("name", ["Z", "laurent", "packed"])
+    def test_matches_binomial_passes(self, name, with_start):
+        ring, first = eta_starts(name, with_start)
+        for c, j, k in ETA_SHAPES:
+            for side in (1, -1):
+                want = binomial_passes(first, c, range(j, ETA_TOP + 1, k),
+                                       side)
+                # the identities themselves, at any cost
+                powers, finite = _eta_form(c, j, k)
+                got = list(first)
+                for m, a in powers.items():
+                    apply = mul_eta_list if a * side > 0 else div_eta_list
+                    for _ in range(abs(a)):
+                        apply(got, m)
+                for s, (c1, j1, k1, n1) in finite:
+                    got = binomial_passes(got, c1, range(j1, j1 + n1 * k1, k1),
+                                          side * s)
+                assert got == want, (c, j, k, side)
+                # poch_quotient, whichever route it takes, at each order
+                factor = [(c, j, k, None)]
+                numer, denom = (factor, ()) if side > 0 else ((), factor)
+                for order in ETA_ORDERS[name]:
+                    start = (TruncatedSeries(ring, order, first[:order + 1])
+                             if with_start else None)
+                    got = poch_quotient(ring, order, numer, denom, start)
+                    assert got.coeffs == want[:order + 1], (
+                        c, j, k, side, order)
+
+    def test_partition_numbers(self):
+        p = poch_quotient(ZZ, 1000, denom=[(1, 1, 1, None)]).coeffs
+        assert p[:31] == [len(partition_list(n)) for n in range(31)]
+        assert p[200] == 3972999029388
+        assert p[1000] == 24061467864032622473692149727991
+
+    def test_flipped_pentagonal_sign_is_reported(self, monkeypatch):
+        # both sides of theorems 3 and 4 read (q^m; q^m)_inf through the
+        # sparse passes; a sign flipped in one of its terms must still show
+        original = series._pentagonal
+
+        def flipped(k, order):
+            return [(e, -s if e == 5 * k else s)
+                    for e, s in original(k, order)]
+
+        monkeypatch.setattr(series, "_pentagonal", flipped)
+        reports = [verify.run_all(60, only=check)[0]
+                   for check in ("theorem3", "theorem4")]
+        assert all(r.first_failure is not None for r in reports), reports
 
 
 class TestThetaAndLambert:

@@ -118,6 +118,16 @@ class TestSbSeries:
         assert list(rows) == sb_coefficients_naive(
             LAURENT, LAURENT.z, LAURENT.z_inv, order)
 
+    def test_table_is_an_immutable_value(self, table):
+        assert table == SptCrankTable(30, table.rows)
+        assert table != SptCrankTable(29, table.rows[:30])
+        assert repr(table) == "SptCrankTable(order=30)"
+        with pytest.raises(AttributeError):
+            table.order = 31
+        with pytest.raises(ValueError,
+                           match=r"negative spt-crank count at \(m=1, n=1\)"):
+            SptCrankTable(1, (LaurentPolynomial(), LaurentPolynomial({1: -1})))
+
     def test_csv_rows_exact(self, table):
         triples = dict(((n, m), c) for n, m, c in table.csv_rows())
         assert triples[(8, 0)] == 5
@@ -296,9 +306,11 @@ class TestPackedSeries:
     @example(order=2)
     @settings(max_examples=10, deadline=None)
     def test_bailey_side_matches_inverted_products(self, order):
-        rows = packed_laurent(bailey_side, order)
-        assert rows == bailey_side_by_inversion(order).coeffs
-        assert_within_majorant(rows, bailey_side, order)
+        # the rows of the Bailey side, back from its numerator Bailey*D
+        numerator = bailey_numerator(order).coeffs
+        want = bailey_side_by_inversion(order).coeffs
+        assert divided_by_d(numerator) == want
+        assert_within_majorant(numerator, bailey_side, order)
 
     @given(order=st.integers(1, 40))
     @example(order=1)
@@ -325,15 +337,18 @@ class TestPackedSeries:
         assert_within_majorant(sb_series(40).rows, _sb_walk, 40)
 
 
-# name, numerator X*D, the full rows of X, the builder of both
+# name, numerator X*D, the full rows of X, the builder of X*D; the Bailey
+# side has no builder of its own full rows: they are divided_by_d of its
+# numerator, compared with inverted products in TestPackedSeries
 NUMERATORS = [
-    ("sb", sb_numerator, lambda order: sb_series(order).as_series(), _sb_walk),
-    ("rank", rank_numerator, rank_series, _rank_coeffs),
+    ("sb", sb_numerator, lambda order: sb_series(order).as_series(),
+     partial(_sb_walk, cleared=True)),
+    ("rank", rank_numerator, rank_series, partial(_rank_coeffs, cleared=True)),
     ("crank", lambda order: crank_numerator(order).embed(LAURENT),
-     crank_series, _crank_coeffs),
+     crank_series, partial(_crank_coeffs, cleared=True)),
     ("bailey", bailey_numerator,
-     lambda order: TruncatedSeries(LAURENT, order,
-                                   packed_laurent(bailey_side, order)),
+     lambda order: TruncatedSeries(
+         LAURENT, order, divided_by_d(bailey_numerator(order).coeffs)),
      bailey_side),
 ]
 
@@ -353,7 +368,7 @@ class TestNumerators:
         assert num == rows * d
         reach = numerator_reach(order) - 1
         assert all(abs(e) <= reach for row in num.coeffs for e in row.c)
-        assert_within_majorant(num.coeffs, partial(build, cleared=True), order)
+        assert_within_majorant(num.coeffs, build, order)
         # what a failing check reports: the rows of X, back from X*D
         assert divided_by_d(num.coeffs) == rows.coeffs
 

@@ -7,6 +7,7 @@ from spt_kernel import sptcrank, verify
 from spt_kernel.rings import ZZ
 from spt_kernel.series import SeriesError, TruncatedSeries
 from spt_kernel.verify import (
+    VerificationReport,
     _compare,
     a2_formula,
     bailey_beta,
@@ -48,6 +49,16 @@ def test_report_json_schema(reports):
     data = json.loads(reports["theorem1"].to_json())
     assert set(data) == {"check", "order", "status", "first_failure"}
     assert data["status"] == "pass"
+
+
+def test_report_is_an_immutable_value():
+    report = VerificationReport("theorem1", 30, "pass")
+    assert report == VerificationReport("theorem1", 30, "pass", None)
+    assert report != VerificationReport("theorem1", 30, "fail", {"n": 1})
+    assert repr(report) == ("VerificationReport(check='theorem1', order=30, "
+                            "status='pass', first_failure=None)")
+    with pytest.raises(AttributeError):
+        report.status = "fail"
 
 
 def test_a2_low_coefficients():
