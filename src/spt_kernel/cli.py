@@ -12,7 +12,6 @@ All emitted numbers are exact decimal strings; there are no floats.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import chain, islice
@@ -204,6 +203,7 @@ def cmd_export(args) -> int:
     series = _EXPORT_TARGETS[args.what](args.order)
     coeffs = [(n, series.coefficient(n)) for n in range(series.order + 1)]
     if args.format == "json":
+        import json  # imported here: the text outputs never load it
         lines = [json.dumps({
             "target": args.what, "order": series.order,
             "coefficients": [str(c) for _, c in coeffs],

@@ -391,6 +391,13 @@ class PackedResidueRing:
     so the packed sum is at most (2^(B-1) - 1)(2^(tB) - 1)/(2^B - 1) < M/2
     in absolute value, the balanced residue mod M is that sum, and its t
     balanced digits are unique.
+
+    Any integer c with c = sum_k m_k 2^(B (k mod t)) acts as the Laurent
+    polynomial sum_k m_k z^k: x*c packs that polynomial times the one x
+    packs.  The theta route of ``series.poch_quotient`` multiplies so by
+    z^(1-n) + ... + z^(n-1) and folds the sum of a coefficient's products
+    once mod M; only the representative changes, so the widths and the
+    proof above hold as they are.
     """
 
     zero = 0

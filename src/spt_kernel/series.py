@@ -7,7 +7,6 @@ and order -- a mismatch while checking an identity is a bug, not data.
 
 from __future__ import annotations
 
-import json
 from functools import partial
 from math import isqrt
 from operator import add, sub
@@ -147,6 +146,87 @@ def div_eta_list(a, k: int):
         for e in plus:
             x = x - a[i - e]
         a[i] = x
+
+
+def _theta_terms(order: int) -> list:
+    """The terms (e, s, n) of E(z, q) = 1 + sum s chi_{2n-1}(z) q^e with
+    0 < e <= order, by increasing e: e = n(n - 1) and s = (-1)^(n+1) for
+    n >= 2, where chi_{2n-1}(z) = z^(1-n) + ... + z^(n-1).  Jacobi's
+    triple product in base q^2 (Andrews, The Theory of Partitions,
+    Thm 2.8), with n paired with 1 - n and divided by (1 - z), gives
+    E = (z q^2, q^2/z; q^2)_inf (q^2; q^2)_inf."""
+    terms = []
+    n = 2
+    while n * (n - 1) <= order:
+        terms.append((n * (n - 1), 1 if n % 2 else -1, n))
+        n += 1
+    return terms
+
+
+def _theta_multipliers(ring, order: int) -> list:
+    """(e, s*c_n) for each term (e, s, n) of ``_theta_terms``, on the packed
+    ring: c_n = sum_{k=1-n}^{n-1} 2^(B (k mod t)) is chi_{2n-1}(z) as an
+    integer, so x*c_n packs chi_{2n-1}*p when x packs p.  It has no offset
+    and t digits, each at most ceil((2n - 1)/t)."""
+    bits, t = ring.bits, ring.t
+    out = []
+    c, m = 1, 1
+    for e, s, n in _theta_terms(order):
+        while m < n:
+            c += (1 << bits * (m % t)) + (1 << bits * (-m % t))
+            m += 1
+        out.append((e, s * c))
+    return out
+
+
+def _fold(x: int, width: int, mask: int) -> int:
+    """x mod mask = 2^width - 1 as a value below 2^width in absolute value:
+    the bits above width are added back to the low ones (2^width = 1 mod
+    mask) until none are left, for negative x too."""
+    while x.bit_length() > width:
+        x = (x & mask) + (x >> width)
+    return x
+
+
+def theta_list(ring, order: int) -> list:
+    """Coefficients 0..order of E on the packed ring (``_theta_terms``),
+    written directly: s*chi_{2n-1} at q^{n(n-1)}, no multiplication of
+    series."""
+    width, mask = ring.t * ring.bits, ring.modulus
+    out = [0] * (order + 1)
+    out[0] = ring.one
+    for e, m in _theta_multipliers(ring, order):
+        out[e] = _fold(m * ring.one, width, mask)
+    return out
+
+
+def mul_theta_list(a, ring):
+    """In place: a *= E on the packed ring, from the top down: a[i] plus
+    s*chi_{2n-1}*a[i - n(n-1)] over the terms of ``_theta_terms``, the
+    products of one coefficient summed unreduced and folded once."""
+    terms = _theta_multipliers(ring, len(a) - 1)
+    width, mask = ring.t * ring.bits, ring.modulus
+    live = len(terms)
+    for i in range(len(a) - 1, 1, -1):
+        while live and terms[live - 1][0] > i:
+            live -= 1
+        a[i] = _fold(a[i] + sum([m * a[i - e] for e, m in terms[:live]]),
+                     width, mask)
+
+
+def div_theta_list(a, ring):
+    """In place: a /= E on the packed ring by the recurrence
+    b[i] = a[i] - sum s*chi_{2n-1}*b[i - n(n-1)] over the terms of
+    ``_theta_terms`` with n(n-1) <= i, the products of one coefficient
+    summed unreduced and folded once."""
+    terms = _theta_multipliers(ring, len(a) - 1)
+    width, mask = ring.t * ring.bits, ring.modulus
+    live = []
+    for i in range(2, len(a)):
+        if len(live) < len(terms) and terms[len(live)][0] == i:
+            live.append(terms[len(live)])
+        a[i] = _fold(a[i] - sum([m * a[i - e] for e, m in live]),
+                     width, mask)
 
 
 def invert_list(a, ring):
@@ -311,6 +391,7 @@ class TruncatedSeries:
         return f"{body} + O(q^{self.order + 1})"
 
     def to_json(self) -> str:
+        import json  # imported here: the text outputs never load it
         return json.dumps({
             "ring": self.ring.name,
             "order": self.order,
@@ -379,21 +460,62 @@ def _eta_route(c, j: int, k: int, passes: int, order: int):
     return form if cost <= passes else None
 
 
+def _theta_route(ring, factors: list, order: int, written: bool) -> int:
+    """The side, 1 for the numerator and -1 for the denominator, of the
+    pair D = ``d_factors(ring.z, ring.z_inv)`` among factors, a list of
+    (side, factor, exponents), if ``poch_quotient`` takes it through E =
+    D (q^2; q^2)_inf (``_theta_terms``); the pair is then removed from
+    factors.  0, with factors unchanged, off ``PackedResidueRing`` or
+    without such a pair.
+
+    E is written directly for D on the numerator side of a quotient with
+    no start (written).  Otherwise the theta route is taken when t times
+    its term applications to q^order is at most the coefficient updates of
+    D's binomial passes, sum_{e=2,4,..,order} 2(order + 1 - e): a theta
+    step multiplies t-digit values, a binomial update shifts one.  So
+    t = 3, 5, 7 take it and full rows at t = 2S + 1 keep binomial passes.
+    """
+    if type(ring) is not PackedResidueRing:
+        return 0
+    for side in (1, -1):
+        pair = []
+        for z in (ring.z, ring.z_inv):
+            pair += [i for i, (s, (c, *rest), _) in enumerate(factors)
+                     if s == side and c is z and rest == [2, 2, None]][:1]
+        if len(pair) < 2:
+            continue
+        if not (written and side > 0):
+            applications = sum(order + 1 - e for e, _, _ in _theta_terms(order))
+            updates = sum(2 * (order + 1 - e) for e in range(2, order + 1, 2))
+            if ring.t * applications > updates:
+                return 0
+        for i in sorted(pair, reverse=True):
+            del factors[i]
+        return side
+    return 0
+
+
 def poch_quotient(ring, order: int, numer=(), denom=(),
                   start: TruncatedSeries | None = None) -> TruncatedSeries:
     """start * prod(numer) / prod(denom), truncated at q^order.
 
     A factor (c, j, k, n) stands for (c*q^j; q^k)_n, the product of
     (1 - c*q^{j+ik}) over 0 <= i < n, and n = None for the infinite product.
-    c is a ring element or an integer scalar.  An infinite factor with c
-    the integer 1 or -1 is rewritten by ``_eta_form`` into powers of
-    (q^m; q^m)_inf and finite factors, where that costs no more; the powers
-    are summed over all factors, and each (q^m; q^m)_inf left is one sparse
-    pass over its pentagonal terms (``mul_eta_list``, ``div_eta_list``).
-    Every other binomial factor whose exponent is at most the order is one
-    O(order) pass -- a multiplication for the numerator, a geometric
-    division for the denominator -- so no series is ever inverted.  start
-    defaults to 1.
+    c is a ring element or an integer scalar.  On ``PackedResidueRing``
+    the pair D = (z q^2, q^2/z; q^2)_inf of ``d_factors(ring.z,
+    ring.z_inv)`` is E / (q^2; q^2)_inf, and ``_theta_route`` decides from
+    t and the order whether it is applied so: E is written directly
+    (``theta_list``) or multiplied or divided in O(order sqrt(order))
+    (``mul_theta_list``, ``div_theta_list``), and (q^2; q^2)_inf joins the
+    eta powers.  An infinite factor with c the integer 1 or -1 is
+    rewritten by ``_eta_form`` into powers of (q^m; q^m)_inf and finite
+    factors, where that costs no more; the powers are summed over all
+    factors, and each (q^m; q^m)_inf left is one sparse pass over its
+    pentagonal terms (``mul_eta_list``, ``div_eta_list``).  Every other
+    binomial factor whose exponent is at most the order is one O(order)
+    pass -- a multiplication for the numerator, a geometric division for
+    the denominator -- so no series is ever inverted.  start defaults
+    to 1.
     """
     if start is None:
         out = [ring.zero] * (order + 1)
@@ -403,12 +525,12 @@ def poch_quotient(ring, order: int, numer=(), denom=(),
             raise SeriesError("start must have the quotient's ring and order")
         out = list(start.coeffs)
     # every factor is validated before any is rewritten or applied
-    factors = [(1, f) for f in numer] + [(-1, f) for f in denom]
-    exponents = [_poch_exponents(j, k, n, order)
-                 for _, (c, j, k, n) in factors]
-    etas: dict[int, int] = {}
+    factors = [(side, f, _poch_exponents(*f[1:], order))
+               for side, fs in ((1, numer), (-1, denom)) for f in fs]
+    theta = _theta_route(ring, factors, order, start is None)
+    etas: dict[int, int] = {2: -theta} if theta else {}
     passes = []  # (side, c, exponents): side 1 multiplies, -1 divides
-    for (side, (c, j, k, n)), exps in zip(factors, exponents):
+    for side, (c, j, k, n), exps in factors:
         form = None if n is not None else _eta_route(c, j, k, len(exps), order)
         if form is None:
             passes.append((side, c, exps))
@@ -418,6 +540,10 @@ def poch_quotient(ring, order: int, numer=(), denom=(),
             etas[m] = etas.get(m, 0) + side * a
         for s, (c1, j1, k1, n1) in finite:
             passes.append((side * s, c1, _poch_exponents(j1, k1, n1, order)))
+    if theta > 0 and start is None:
+        out = theta_list(ring, order)
+    elif theta:
+        (mul_theta_list if theta > 0 else div_theta_list)(out, ring)
     for m, a in sorted(etas.items()):
         for _ in range(abs(a)):
             (mul_eta_list if a > 0 else div_eta_list)(out, m)
@@ -532,7 +658,9 @@ def d_factors(z, z_inv) -> list:
     """D = (z q^2, q^2/z; q^2)_inf as ``poch_quotient`` factors.  D is the
     denominator of SB, of the rank and crank series and of the Bailey
     side; D = 1 mod q, so it is a unit and X = Y to q^N exactly when
-    X*D = Y*D to q^N, with the same first differing q^n."""
+    X*D = Y*D to q^N, with the same first differing q^n.  With the packed
+    ring's own z and 1/z, ``poch_quotient`` may apply the pair through
+    Jacobi's triple product, D = E / (q^2; q^2)_inf (``_theta_route``)."""
     return [(z, 2, 2, None), (z_inv, 2, 2, None)]
 
 

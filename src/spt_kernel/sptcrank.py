@@ -175,16 +175,25 @@ def sb_numerator(order: int) -> TruncatedSeries:
     return TruncatedSeries(LAURENT, order, packed_numerator(_sb_walk, order))
 
 
-def sb_residues(order: int, t: int) -> list[list[int]]:
+def sb_residue_sums(order: int, t: int) -> list[list[int]]:
     """Residue-class sums mod t of rows 0..order of SB(z,q), built over
     Z[z]/(z^t - 1) (``packed_residues``) without the rows.
 
-    A residue sum adds counts, so a negative one is refused like a negative
-    count in ``SptCrankTable``.
+    The checks read these: each compares every row with an independent
+    series, so a wrong row, negative or not, is reported where it first
+    differs.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    sums = packed_residues(_sb_walk, order, t)
+    return packed_residues(_sb_walk, order, t)
+
+
+def sb_residues(order: int, t: int) -> list[list[int]]:
+    """``sb_residue_sums``, for the ``table`` command.  A residue sum adds
+    counts, so a negative one is refused like a negative count in
+    ``SptCrankTable``.
+    """
+    sums = sb_residue_sums(order, t)
     for n, row in enumerate(sums):
         if min(row) < 0:
             raise ValueError(f"negative spt-crank residue sum at n={n}: {row}")

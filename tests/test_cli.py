@@ -147,7 +147,7 @@ class TestVerify:
         def broken(order, t):
             raise ValueError("negative spt-crank residue sum")
 
-        monkeypatch.setattr(verify, "sb_residues", broken)
+        monkeypatch.setattr(verify, "sb_residue_sums", broken)
         with pytest.raises(ValueError, match="negative"):
             main(["verify", "--order", "20", "--only", "congruences"])
 
@@ -359,10 +359,9 @@ def test_blocks_write_every_line_once(tmp_path):
     assert out.read_text() == ""
 
 
-def test_cold_import_loads_no_introspection_modules():
-    # dataclasses imports inspect, ast, dis and tokenize, about 9 ms of every
-    # cold start; the package's records are plain classes.  -S leaves out
-    # whatever the site packages import.
+def cold_import_modules():
+    """The modules a cold ``import spt_kernel.cli`` loads; -S leaves out
+    whatever the site packages import."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(spt_kernel.__file__).resolve().parents[1]))
     run = subprocess.run([sys.executable, "-S", "-X", "importtime", "-c",
@@ -372,4 +371,17 @@ def test_cold_import_loads_no_introspection_modules():
     loaded = {line.rsplit("|", 1)[-1].strip()
               for line in run.stderr.splitlines()}
     assert "spt_kernel.cli" in loaded
+    return loaded
+
+
+def test_cold_import_loads_no_introspection_modules():
+    # dataclasses imports inspect, ast, dis and tokenize, about 9 ms of every
+    # cold start; the package's records are plain classes
+    loaded = cold_import_modules()
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_cold_import_loads_no_json():
+    # json is imported where a JSON string is built, so the text outputs
+    # never pay for it
+    assert "json" not in cold_import_modules()

@@ -11,20 +11,29 @@ from spt_kernel.rings import (
     ZZ,
     LaurentPolynomial,
     PackedResidueRing,
+    RingError,
 )
 from spt_kernel.series import (
     SeriesError,
     TruncatedSeries,
     _eta_form,
+    _fold,
+    _theta_terms,
+    d_factors,
     div_eta_list,
+    div_theta_list,
     geometric,
     lambert_sum,
     mul_binomial_list,
     mul_eta_list,
+    mul_theta_list,
+    numerator_reach,
     poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
+    theta_list,
 )
+from spt_kernel.sptcrank import _crank_coeffs, _rank_coeffs, crank_series
 
 
 def pentagonal_series(order):
@@ -315,6 +324,162 @@ class TestEtaRoute:
         reports = [verify.run_all(60, only=check)[0]
                    for check in ("theorem3", "theorem4")]
         assert all(r.first_failure is not None for r in reports), reports
+
+
+THETA_TOP = 60
+# t = 1, 2, 3, 5, 7, 2K + 1 and 2S + 1 at order THETA_TOP
+THETA_MODULI = [1, 2, 3, 5, 7, 2 * numerator_reach(THETA_TOP) + 1,
+                2 * (THETA_TOP // 2 + 2) + 1]
+
+
+def theta_series(order):
+    """E(z, q) = sum_{n>=1} (-1)^{n+1} q^{n(n-1)} (z^{1-n} + ... + z^{n-1})
+    over the dict Laurent ring, term by term."""
+    coeffs = [LAURENT.zero] * (order + 1)
+    n = 1
+    while n * (n - 1) <= order:
+        coeffs[n * (n - 1)] = LaurentPolynomial(
+            {k: 1 if n % 2 else -1 for k in range(1 - n, n)})
+        n += 1
+    return coeffs
+
+
+def d_passes(ring, first, side):
+    """first times D = (z q^2, q^2/z; q^2)_inf for side 1, divided by it for
+    side -1, by plain binomial passes."""
+    out = first
+    for c in (ring.z, ring.z_inv):
+        out = binomial_passes(out, c, range(2, len(first), 2), side)
+    return out
+
+
+def theta_starts(ring, with_start):
+    """1, or a fixed mix of packed values, to q^THETA_TOP on ring."""
+    if not with_start:
+        return [ring.one] + [ring.zero] * THETA_TOP
+    return [ring.pack({(i % 5) - 2: (7 * i * i + 3) % 11 - 5, i % 3: i % 4 - 1})
+            for i in range(THETA_TOP + 1)]
+
+
+class TestThetaRoute:
+    """D = (z q^2, q^2/z; q^2)_inf through E = D (q^2; q^2)_inf, Jacobi's
+    triple product, against plain binomial passes."""
+
+    def test_triple_product_identity(self):
+        d_eta = binomial_passes(
+            d_passes(LAURENT, [LAURENT.one] + [LAURENT.zero] * THETA_TOP, 1),
+            1, range(2, THETA_TOP + 1, 2), 1)
+        assert d_eta == theta_series(THETA_TOP)
+        assert [e for e, _, _ in _theta_terms(THETA_TOP)] == [
+            n * (n - 1) for n in range(2, 9)]
+
+    @pytest.mark.parametrize("with_start", [False, True],
+                             ids=["one", "start"])
+    @pytest.mark.parametrize("t", THETA_MODULI)
+    def test_matches_binomial_passes(self, t, with_start):
+        ring = PackedResidueRing(48, t, THETA_TOP // 2 + 2)
+        first = theta_starts(ring, with_start)
+        for side in (1, -1):
+            want = [ring.digits(x) for x in d_passes(ring, first, side)]
+            # the kernels themselves, whatever route poch_quotient takes
+            got = list(first)
+            if side > 0:
+                if with_start:
+                    mul_theta_list(got, ring)
+                else:
+                    got = theta_list(ring, THETA_TOP)
+                div_eta_list(got, 2)
+            else:
+                div_theta_list(got, ring)
+                mul_eta_list(got, 2)
+            assert [ring.digits(x) for x in got] == want, side
+            factors = d_factors(ring.z, ring.z_inv)
+            numer, denom = (factors, ()) if side > 0 else ((), factors)
+            for order in range(THETA_TOP + 1):
+                start = (TruncatedSeries(ring, order, first[:order + 1])
+                         if with_start else None)
+                got = poch_quotient(ring, order, numer, denom, start)
+                assert [ring.digits(x) for x in got.coeffs] == \
+                    want[:order + 1], (side, order)
+
+    @pytest.mark.parametrize("t, bits", [(1, 5), (3, 7), (7, 20)])
+    def test_fold_keeps_the_residue(self, t, bits):
+        width = t * bits
+        mask = (1 << width) - 1
+        values = [0, 1, -1, mask, -mask, mask + 1, -mask - 1, 1 << width,
+                  -(1 << width), (1 << 3 * width) + 12345,
+                  -(1 << 3 * width) - 12345, 7 ** 200, -(7 ** 200),
+                  mask * (mask + 2), -mask * (mask + 2) + 5]
+        for x in values:
+            y = _fold(x, width, mask)
+            assert y.bit_length() <= width, x
+            assert (y - x) % mask == 0, x
+
+
+class TestThetaRouteChoice:
+    """Which route each production use of D takes on the packed ring."""
+
+    @staticmethod
+    def count(monkeypatch, name):
+        calls = []
+        original = getattr(series, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(series, name, counted)
+        return calls
+
+    def test_residue_crank_makes_no_binomial_division(self, monkeypatch):
+        divisions = self.count(monkeypatch, "div_binomial_list")
+        thetas = self.count(monkeypatch, "div_theta_list")
+        series.packed_residues(_crank_coeffs, 300, 3)
+        assert not divisions
+        assert len(thetas) == 1
+
+    def test_full_crank_rows_keep_binomial_passes(self, monkeypatch):
+        divisions = self.count(monkeypatch, "div_binomial_list")
+        thetas = self.count(monkeypatch, "div_theta_list")
+        crank_series(300)
+        assert len(divisions) == 2 * 150
+        assert not thetas
+
+    @pytest.mark.parametrize("t", [1, 3, 5, 2 * numerator_reach(300) + 1,
+                                   2 * (300 // 2 + 2) + 1])
+    def test_rank_times_d_writes_e(self, monkeypatch, t):
+        written = self.count(monkeypatch, "theta_list")
+        passes = [self.count(monkeypatch, name) for name in (
+            "mul_theta_list", "div_theta_list", "mul_binomial_list",
+            "div_binomial_list")]
+        ring = PackedResidueRing(170, t, 300 // 2 + 2)
+        d = poch_quotient(ring, 300, d_factors(ring.z, ring.z_inv))
+        assert len(written) == 1
+        assert not any(passes)
+        # rank*D's D is that same quotient, so it is written there too
+        _rank_coeffs(ring, ring.z, ring.z_inv, 300, cleared=True)
+        assert len(written) == 2
+        assert written[1] == (ring, 300)
+
+    def test_flipped_theta_sign_is_reported(self, monkeypatch):
+        # the sign of the n = 3 term of E, at q^6, flipped: no identity has
+        # E on both sides, so every check that reads D through it fails
+        original = series._theta_terms
+
+        def flipped(order):
+            return [(e, -s if n == 3 else s, n)
+                    for e, s, n in original(order)]
+
+        monkeypatch.setattr(series, "_theta_terms", flipped)
+        reports = [verify.run_all(60, only=check)[0]
+                   for check in ("theorem1", "theorem4", "congruences")]
+        assert all(r.first_failure is not None for r in reports), reports
+        # rank*D with a wrong D no longer cancels the Lambert terms'
+        # (1 - z q^{2n}) divisors, so its rows leave the z-window that the
+        # numerator proof gives, and reading them is refused
+        for check in ("theorem2", "bailey_limit"):
+            with pytest.raises(RingError, match="edge"):
+                verify.run_all(60, only=check)
 
 
 class TestThetaAndLambert:
