@@ -200,33 +200,89 @@ def theta_list(ring, order: int) -> list:
     return out
 
 
-def mul_theta_list(a, ring):
-    """In place: a *= E on the packed ring, from the top down: a[i] plus
-    s*chi_{2n-1}*a[i - n(n-1)] over the terms of ``_theta_terms``, the
-    products of one coefficient summed unreduced and folded once."""
+def _theta_by_multipliers(a, src, ring, sign):
+    """a[i] += sign * sum s*chi_{2n-1}*src[i - n(n-1)] for i = 2, 3, ...
+    in turn, over the terms of ``_theta_terms``: each product x*c_n of
+    ``_theta_multipliers`` multiplies two values of up to t*B bits, and the
+    products of one coefficient are summed unreduced and folded once."""
     terms = _theta_multipliers(ring, len(a) - 1)
     width, mask = ring.t * ring.bits, ring.modulus
-    live = len(terms)
-    for i in range(len(a) - 1, 1, -1):
-        while live and terms[live - 1][0] > i:
-            live -= 1
-        a[i] = _fold(a[i] + sum([m * a[i - e] for e, m in terms[:live]]),
-                     width, mask)
+    live = 0
+    for i in range(2, len(a)):
+        if live < len(terms) and terms[live][0] <= i:
+            live += 1
+        acc = sum([m * src[i - e] for e, m in terms[:live]])
+        a[i] = _fold(a[i] + acc if sign > 0 else a[i] - acc, width, mask)
+
+
+def _theta_by_growth(a, src, ring, sign):
+    """As ``_theta_by_multipliers``, with no multiplication of values:
+    chi[j] holds chi_{2n-1}*src[j] for the last term n that src[j] met,
+    and the next term n + 1 (at i = j + n(n+1)) extends it to
+    chi_{2n+1}*src[j] by z^n*src[j] + z^(-n)*src[j], two shifts folded
+    once each modulo 2^(tB) - 1.  A term application costs O(t*B) bit
+    operations whatever t is; src[j] joins chi once a[j] is final, and
+    chi[j] is dropped once its next term would be past the top."""
+    bits, t, top = ring.bits, ring.t, len(a) - 1
+    width, mask = t * bits, ring.modulus
+    # term n meets src[j] at i = j + n(n-1), and term n + 1 at i + 2n
+    terms = [(e, s, bits * ((n - 1) % t), bits * ((1 - n) % t), top - 2 * n)
+             for e, s, n in _theta_terms(top)]
+    chi = src[:2]
+    live = 0
+    for i in range(2, len(a)):
+        if live < len(terms) and terms[live][0] <= i:
+            live += 1
+        plus = minus = 0
+        for e, s, up, down, last in terms[:live]:
+            j = i - e
+            x = src[j]
+            y, w = x << up, x << down
+            if y.bit_length() > width:
+                y = (y & mask) + (y >> width)
+            if w.bit_length() > width:
+                w = (w & mask) + (w >> width)
+            c = chi[j] + y + w
+            chi[j] = c if i <= last else None
+            if s > 0:
+                plus += c
+            else:
+                minus += c
+        acc = plus - minus
+        a[i] = _fold(a[i] + acc if sign > 0 else a[i] - acc, width, mask)
+        chi.append(src[i])
+
+
+# The packed width t*B, in bits, from which ``_theta_by_growth`` applies a
+# term faster than ``_theta_by_multipliers``: below it one product x*c_n
+# costs less than the two shifts, folds and sums that replace it.  On
+# random values the two cross at 560 bits (B = 80, t = 7) and below 755
+# (B = 151, t = 5).
+_GROWTH_BITS = 600
+
+
+def _theta_pass(a, ring, sign):
+    """In place: a *= E for sign 1, a /= E for sign -1, on the packed ring,
+    from the bottom up.  A product reads the values of a as they were
+    (a copy of the list), a quotient the values already divided."""
+    src = list(a) if sign > 0 else a
+    form = (_theta_by_growth if ring.t * ring.bits >= _GROWTH_BITS
+            else _theta_by_multipliers)
+    form(a, src, ring, sign)
+
+
+def mul_theta_list(a, ring):
+    """In place: a *= E on the packed ring: a[i] plus
+    s*chi_{2n-1}*a[i - n(n-1)] over the terms of ``_theta_terms``
+    (``_theta_pass``)."""
+    _theta_pass(a, ring, 1)
 
 
 def div_theta_list(a, ring):
     """In place: a /= E on the packed ring by the recurrence
     b[i] = a[i] - sum s*chi_{2n-1}*b[i - n(n-1)] over the terms of
-    ``_theta_terms`` with n(n-1) <= i, the products of one coefficient
-    summed unreduced and folded once."""
-    terms = _theta_multipliers(ring, len(a) - 1)
-    width, mask = ring.t * ring.bits, ring.modulus
-    live = []
-    for i in range(2, len(a)):
-        if len(live) < len(terms) and terms[len(live)][0] == i:
-            live.append(terms[len(live)])
-        a[i] = _fold(a[i] - sum([m * a[i - e] for e, m in live]),
-                     width, mask)
+    ``_theta_terms`` with n(n-1) <= i (``_theta_pass``)."""
+    _theta_pass(a, ring, -1)
 
 
 def invert_list(a, ring):
@@ -460,20 +516,16 @@ def _eta_route(c, j: int, k: int, passes: int, order: int):
     return form if cost <= passes else None
 
 
-def _theta_route(ring, factors: list, order: int, written: bool) -> int:
+def _theta_route(ring, factors: list) -> int:
     """The side, 1 for the numerator and -1 for the denominator, of the
     pair D = ``d_factors(ring.z, ring.z_inv)`` among factors, a list of
-    (side, factor, exponents), if ``poch_quotient`` takes it through E =
-    D (q^2; q^2)_inf (``_theta_terms``); the pair is then removed from
+    (side, factor, exponents); ``poch_quotient`` then applies it through
+    E = D (q^2; q^2)_inf (``_theta_terms``) and the pair is removed from
     factors.  0, with factors unchanged, off ``PackedResidueRing`` or
-    without such a pair.
-
-    E is written directly for D on the numerator side of a quotient with
-    no start (written).  Otherwise the theta route is taken when t times
-    its term applications to q^order is at most the coefficient updates of
-    D's binomial passes, sum_{e=2,4,..,order} 2(order + 1 - e): a theta
-    step multiplies t-digit values, a binomial update shifts one.  So
-    t = 3, 5, 7 take it and full rows at t = 2S + 1 keep binomial passes.
+    without such a pair.  On the packed ring the theta route is always
+    taken: its ~(2/3) order^{3/2} term applications each cost O(t*B) bit
+    operations (``_theta_pass``), where D's ~order binomial passes make
+    ~order^2/2 coefficient updates of that cost.
     """
     if type(ring) is not PackedResidueRing:
         return 0
@@ -484,11 +536,6 @@ def _theta_route(ring, factors: list, order: int, written: bool) -> int:
                      if s == side and c is z and rest == [2, 2, None]][:1]
         if len(pair) < 2:
             continue
-        if not (written and side > 0):
-            applications = sum(order + 1 - e for e, _, _ in _theta_terms(order))
-            updates = sum(2 * (order + 1 - e) for e in range(2, order + 1, 2))
-            if ring.t * applications > updates:
-                return 0
         for i in sorted(pair, reverse=True):
             del factors[i]
         return side
@@ -503,9 +550,9 @@ def poch_quotient(ring, order: int, numer=(), denom=(),
     (1 - c*q^{j+ik}) over 0 <= i < n, and n = None for the infinite product.
     c is a ring element or an integer scalar.  On ``PackedResidueRing``
     the pair D = (z q^2, q^2/z; q^2)_inf of ``d_factors(ring.z,
-    ring.z_inv)`` is E / (q^2; q^2)_inf, and ``_theta_route`` decides from
-    t and the order whether it is applied so: E is written directly
-    (``theta_list``) or multiplied or divided in O(order sqrt(order))
+    ring.z_inv)`` is applied as E / (q^2; q^2)_inf (``_theta_route``): E
+    is written directly (``theta_list``) or multiplied or divided in
+    O(order sqrt(order)) term applications of O(t*B) each
     (``mul_theta_list``, ``div_theta_list``), and (q^2; q^2)_inf joins the
     eta powers.  An infinite factor with c the integer 1 or -1 is
     rewritten by ``_eta_form`` into powers of (q^m; q^m)_inf and finite
@@ -527,7 +574,7 @@ def poch_quotient(ring, order: int, numer=(), denom=(),
     # every factor is validated before any is rewritten or applied
     factors = [(side, f, _poch_exponents(*f[1:], order))
                for side, fs in ((1, numer), (-1, denom)) for f in fs]
-    theta = _theta_route(ring, factors, order, start is None)
+    theta = _theta_route(ring, factors)
     etas: dict[int, int] = {2: -theta} if theta else {}
     passes = []  # (side, c, exponents): side 1 multiplies, -1 divides
     for side, (c, j, k, n), exps in factors:
@@ -613,45 +660,11 @@ def binomials(numer, denom, bound: bool):
 
 
 def _packing(build, order: int) -> tuple[int, int]:
-    """The width B and offset S of a packed run of build: B is one bit more
-    than the largest coefficient of its majorant build(ZZ, 1, 1, order,
-    True), so the sum of |coefficients| of every Laurent polynomial it
-    returns is below 2^(B-1), and S = order//2 + 2."""
+    """The width B of a packed run of build and the z-reach S of its full
+    rows: B is one bit more than the largest coefficient of its majorant
+    build(ZZ, 1, 1, order, True), so the sum of |coefficients| of every
+    Laurent polynomial it returns is below 2^(B-1), and S = order//2 + 2."""
     return max(build(ZZ, 1, 1, order, True)).bit_length() + 1, order // 2 + 2
-
-
-def packed_laurent(build, order: int, reach: int | None = None) -> list:
-    """Coefficients 0..order of a series over Z[z,1/z], computed on packed
-    integers and read off once.
-
-    build(ring, z, z_inv, order, bound) returns a coefficient list over
-    ring; build(ZZ, 1, 1, order, True) must return a majorant, whose
-    coefficient of q^n bounds the sum of |coefficients| of the Laurent
-    polynomial at q^n.  That fixes the width B, so every coefficient is
-    below 2^(B-1) and the balanced digits are exact.  build runs on
-    Z[z]/(z^t - 1) with t = 2S + 1, where S is the z-reach of its rows:
-    order//2 + 2 by default, for full rows, and ``numerator_reach`` for
-    numerators (``packed_numerator``).  The ring is exact whatever
-    exponents an intermediate value reaches, and digit j of a result holds
-    the exponents congruent to j - S mod t.  A row inside [-(S - 1), S - 1]
-    is read exactly, digit j as the coefficient of z^(j - S); a row whose
-    digit 0 or 2S (z^-S or z^S) is nonzero is at the edge of that window
-    and raises RingError.
-    """
-    bits, offset = _packing(build, order)
-    if reach is not None:
-        offset = reach
-    ring = PackedResidueRing(bits, 2 * offset + 1, offset)
-    rows = []
-    for x in build(ring, ring.z, ring.z_inv, order, False):
-        digits = ring.digits(x)
-        if digits[0] or digits[-1]:
-            raise RingError(f"a row reaches z^-{offset} or z^{offset}, the "
-                            f"edge of the packed window")
-        row = LaurentPolynomial.__new__(LaurentPolynomial)
-        row.c = {e: d for e, d in enumerate(digits, -offset) if d}
-        rows.append(row)
-    return rows
 
 
 def d_factors(z, z_inv) -> list:
@@ -659,8 +672,11 @@ def d_factors(z, z_inv) -> list:
     denominator of SB, of the rank and crank series and of the Bailey
     side; D = 1 mod q, so it is a unit and X = Y to q^N exactly when
     X*D = Y*D to q^N, with the same first differing q^n.  With the packed
-    ring's own z and 1/z, ``poch_quotient`` may apply the pair through
-    Jacobi's triple product, D = E / (q^2; q^2)_inf (``_theta_route``)."""
+    ring's own z and 1/z, ``poch_quotient`` applies the pair through
+    Jacobi's triple product, D = E / (q^2; q^2)_inf (``_theta_route``), in
+    O(N sqrt(N)) steps of O(t*B) bit operations at any t: a series over
+    Z[z,1/z] is built as its numerator X*D and divided by D once
+    (``packed_laurent``, ``packed_residues``)."""
     return [(z, 2, 2, None), (z_inv, 2, 2, None)]
 
 
@@ -678,6 +694,62 @@ def numerator_reach(order: int) -> int:
     return isqrt(order) + 2
 
 
+def _over_d(build, ring, order: int) -> list:
+    """Coefficients 0..order of build's series X on ring, whose offset is
+    K = ``numerator_reach(order)``: the numerator X*D of build(...,
+    cleared=True), whose packed values stay (2K + 1)*B bits wide whatever
+    t is, divided once by D."""
+    numer = build(ring, ring.z, ring.z_inv, order, False, cleared=True)
+    return poch_quotient(ring, order, denom=d_factors(ring.z, ring.z_inv),
+                         start=TruncatedSeries(ring, order, numer)).coeffs
+
+
+def packed_laurent(build, order: int, reach: int | None = None) -> list:
+    """Coefficients 0..order of a series over Z[z,1/z], computed on packed
+    integers and read off once.
+
+    build(ring, z, z_inv, order, bound, cleared) returns a coefficient
+    list over ring; build(ZZ, 1, 1, order, True) must return a majorant,
+    whose coefficient of q^n bounds the sum of |coefficients| of the
+    Laurent polynomial at q^n.  That fixes the width B, so every
+    coefficient is below 2^(B-1) and the balanced digits are exact.
+
+    The rows are read on Z[z]/(z^t - 1) with t = 2S + 1, where S is their
+    z-reach.  By default they are full rows, S = order//2 + 2: build runs
+    with cleared=True, as the numerator X*D of ``_over_d``, on the ring of
+    offset ``numerator_reach(order)``, and the quotient is read there.
+    With reach, S = reach and build's own values are read (the numerators
+    of ``packed_numerator``).  The ring is exact whatever exponents an
+    intermediate value reaches, and a result's exponents congruent to
+    e mod t share one digit.  A row inside [-(S - 1), S - 1] is read
+    exactly, the digit of class e as the coefficient of z^e for e in
+    [-S, S]; a row whose z^-S or z^S digit is nonzero is at the edge of
+    that window and raises RingError.
+    """
+    bits, offset = _packing(build, order)
+    if reach is None:
+        ring = PackedResidueRing(bits, 2 * offset + 1, numerator_reach(order))
+        values = _over_d(build, ring, order)
+    else:
+        offset = reach
+        ring = PackedResidueRing(bits, 2 * offset + 1, offset)
+        values = build(ring, ring.z, ring.z_inv, order, False)
+    low = (ring.start - offset) % ring.t  # the digit of class -S
+    rows = []
+    for k, x in enumerate(values):
+        values[k] = None  # each packed value is freed as its row is read
+        digits = ring.digits(x)
+        if low:
+            digits = digits[low:] + digits[:low]
+        if digits[0] or digits[-1]:
+            raise RingError(f"a row reaches z^-{offset} or z^{offset}, the "
+                            f"edge of the packed window")
+        row = LaurentPolynomial.__new__(LaurentPolynomial)
+        row.c = {e: d for e, d in enumerate(digits, -offset) if d}
+        rows.append(row)
+    return rows
+
+
 def packed_numerator(build, order: int) -> list:
     """Rows 0..order of the numerator X*D of a series X over Z[z,1/z]:
     build(..., cleared=True) is build with its division by D left out,
@@ -689,22 +761,21 @@ def packed_numerator(build, order: int) -> list:
 
 def divided_by_d(rows: list) -> list:
     """Rows 0..m of X over Z[z,1/z], m = len(rows) - 1, from rows 0..m of
-    its numerator X*D: the rows are packed on the ring ``packed_laurent``
-    sets up for order m, divided there by D and read off.
+    its numerator X*D: the rows, packed, are the numerator that
+    ``packed_laurent`` divides by D and reads off.
 
     The width comes from the rows themselves: the sum of |coefficients|
     of row n of X is at most [q^n] of sum_i |rows[i]| q^i / (q^2; q^2)_inf^2,
     |p| the sum of |coefficients| of p, since 1/(1 - z q^e) has the
     majorant 1/(1 - q^e).
     """
-    def build(ring, z, z_inv, order, bound):
+    # packed_laurent asks only for the majorant and the numerator
+    def build(ring, z, z_inv, order, bound, cleared=True):
         if bound:
             start = [sum(map(abs, p.c.values())) for p in rows]
-        else:
-            start = [ring.pack(p.c) for p in rows]
-        return poch_quotient(
-            ring, order, *binomials((), d_factors(z, z_inv), bound),
-            start=TruncatedSeries(ring, order, start)).coeffs
+            return poch_quotient(ZZ, order, denom=[(1, 2, 2, None)] * 2,
+                                 start=TruncatedSeries(ZZ, order, start)).coeffs
+        return [ring.pack(p.c) for p in rows]
 
     return packed_laurent(build, len(rows) - 1)
 
@@ -713,12 +784,24 @@ def packed_residues(build, order: int, t: int) -> list[list[int]]:
     """Residue-class sums mod t of coefficients 0..order of a series over
     Z[z,1/z]: entry k of row n is the sum of the coefficients of the
     Laurent polynomial at q^n on the exponents congruent to k mod t.  build
-    is as for ``packed_laurent`` and runs on the same ring,
-    ``PackedResidueRing`` with the same width and offset, at modulus t.
+    is as for ``packed_laurent``, with the same width B, on
+    ``PackedResidueRing`` at modulus t and offset K =
+    ``numerator_reach(order)``.
+
+    Where t > 2K + 1 the ring is wider than the numerator's window, and X
+    is its numerator divided by D once (``_over_d``), as the full rows
+    are.  At t <= 2K + 1 build runs as it is: at t = 3 and order 300
+    rank*D's walk takes 9.5 ms against rank's 2.5 ms, and SB*D then / D
+    18.0 ms against SB's 15.4 ms.
     """
-    bits, offset = _packing(build, order)
-    ring = PackedResidueRing(bits, t, offset)
-    return [ring.unpack(x) for x in build(ring, ring.z, ring.z_inv, order, False)]
+    bits, _ = _packing(build, order)
+    reach = numerator_reach(order)
+    ring = PackedResidueRing(bits, t, reach)
+    if t > 2 * reach + 1:
+        values = _over_d(build, ring, order)
+    else:
+        values = build(ring, ring.z, ring.z_inv, order, False)
+    return [ring.unpack(x) for x in values]
 
 
 def _scan_range(order: int, exponent: Callable[[int], int]) -> range:

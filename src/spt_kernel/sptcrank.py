@@ -63,31 +63,46 @@ def _sb_walk(ring, z, z_inv, order: int, bound: bool = False,
              cleared: bool = False) -> list:
     """Coefficients 0..order of
 
-        sum_{n>=1} q^{2n} (c q^{4n+2}; q^2)_inf
+        sum_{n>=1} q^{2n} (q^{4n+2}; q^2)_inf
                    / ((z q^{2n}, z_inv q^{2n}; q^2)_inf (q^{2n+1}; q^2)_inf^2)
 
     in one ``summand_walk``; summand n+1 differs from summand n by four
-    binomial factors and two binomial divisors.  c = 1 gives SB(z,q), since
-    (-q^{2n+1};q)_inf (q^{2n+1};q)_inf equals (q^{4n+2};q^2)_inf.  With
-    bound, over Z at z = z_inv = 1, c = -1 gives a majorant: its
-    coefficient of q^n bounds the sum of |coefficients| of row n of SB.
-    The step factors cancel factors of the summands, so this product-form
-    majorant is tighter than the one ``binomials`` would give.
+    binomial factors and two binomial divisors.  This is SB(z,q), since
+    (-q^{2n+1};q)_inf (q^{2n+1};q)_inf equals (q^{4n+2};q^2)_inf.
+
+    With bound, over Z, it returns a majorant in product form, whose
+    coefficient of q^n bounds the sum of |coefficients| of row n of SB:
+
+        q^2 (-q^6; q^2)_inf / ((1 - q^2) (q^2; q^2)_inf^2 (q^3; q^2)_inf^2),
+
+    in O(order sqrt(order)) through the eta route of ``poch_quotient``.
+    Coefficient-wise, for n >= 1 and |z| = 1: the numerator
+    (q^{4n+2}; q^2)_inf is at most (-q^{4n+2}; q^2)_inf <= (-q^6; q^2)_inf;
+    1/(z q^{2n}; q^2)_inf and 1/(q^{2n}/z; q^2)_inf are each at most
+    1/(q^{2n}; q^2)_inf <= 1/(q^2; q^2)_inf; 1/(q^{2n+1}; q^2)_inf^2 <=
+    1/(q^3; q^2)_inf^2; and sum_{n>=1} q^{2n} = q^2/(1 - q^2).  All these
+    series have no negative coefficient, so their products keep the order.
 
     With cleared, the walk starts from the z-free summand 1 without its
     division by D = (z q^2, z_inv q^2; q^2)_inf, so it returns SB*D, whose
-    summand n is q^{2n} (z q^2, z_inv q^2; q^2)_{n-1} (c q^{4n+2}; q^2)_inf
+    summand n is q^{2n} (z q^2, z_inv q^2; q^2)_{n-1} (q^{4n+2}; q^2)_inf
     / (q^{2n+1}; q^2)_inf^2: z^k needs q^{k(k+1)} there and q^{2k+2} more
-    in front.  Its majorant runs at z = z_inv = -1, which turns the step's
+    in front.  Its majorant is this walk with c = -1 in
+    (c q^{4n+2}; q^2)_inf, at z = z_inv = -1, which turns the step's
     z-factors into (1 + q^{2n})^2.
     """
     if z * (z_inv * ring.one) != ring.one:
         raise RingError("z and z_inv must be inverse units")
     if order < 2:
         return [ring.zero] * (order + 1)
-    c = -1 if bound else 1
-    if bound and cleared:
-        z = z_inv = -1
+    if bound and not cleared:
+        w = poch_quotient(ZZ, order - 2, [(-1, 6, 2, None)],
+                          [(1, 2, 1, 1)] + [(1, 2, 2, None)] * 2
+                          + [(1, 3, 2, None)] * 2)
+        return [0, 0] + w.coeffs
+    c = 1
+    if bound:
+        z = z_inv = c = -1
     top = order - 2
     # summand 1 over q^2: the z-free factors over Z, then the z divisions
     w = poch_quotient(ZZ, top, [(c, 6, 2, None)], [(1, 3, 2, None)] * 2)
@@ -325,14 +340,15 @@ def _crank_coeffs(ring, z, z_inv, order: int, bound: bool = False,
     """Coefficients 0..order of the residual-crank generating function (see
     ``crank_series``); with bound, over Z at z = z_inv = 1, its majorant.
     With cleared, crank*D, D = (z q^2, q^2/z; q^2)_inf: the z-free part,
-    over Z."""
+    built over Z and returned as ring values."""
     w = poch_quotient(ZZ, order, *binomials(
         [(-1, 1, 1, None), (1, 2, 2, None)], [(1, 1, 2, None)], bound))
+    start = [x * ring.one for x in w.coeffs]
     if cleared:
-        return w.coeffs
+        return start
     return poch_quotient(
         ring, order, *binomials((), d_factors(z, z_inv), bound),
-        start=TruncatedSeries(ring, order, [x * ring.one for x in w.coeffs])).coeffs
+        start=TruncatedSeries(ring, order, start)).coeffs
 
 
 def crank_series(order: int) -> TruncatedSeries:

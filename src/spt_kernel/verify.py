@@ -14,11 +14,12 @@ from .rings import CYCLO3, LAURENT, ZZ, LaurentPolynomial
 from .series import (
     SeriesError,
     TruncatedSeries,
+    binomials,
+    d_factors,
     div_binomial_list,
     divided_by_d,
     lambert_sum,
-    numerator_reach,
-    packed_laurent,
+    packed_numerator,
     packed_residues,
     poch_quotient,
     summand_walk,
@@ -346,26 +347,29 @@ def verify_bailey_pair(order: int, n_oracle: int = 0,
     return _compare("bailey_pair", order, subchecks)
 
 
-def bailey_side(ring, z, z_inv, order: int, bound: bool = False) -> list:
-    """Coefficients 0..order of Bailey*D, D = (z q^2, z_inv q^2; q^2)_inf,
-    where Bailey is the Bailey side of the limiting Bailey Lemma instance
-    (rho_1 = z, rho_2 = 1/z, a = 1, base q^2) times its prefactor:
+def bailey_side(ring, z, z_inv, order: int, bound: bool = False,
+                cleared: bool = False) -> list:
+    """Coefficients 0..order of the Bailey side of the limiting Bailey
+    Lemma instance (rho_1 = z, rho_2 = 1/z, a = 1, base q^2) times its
+    prefactor:
 
         (q^2;q^2)_inf / ((z q^2, z_inv q^2; q^2)_inf (q;q^2)_inf^2)
         * sum_{n>=0} q^{2n} (z, z_inv; q^2)_n beta_n.
 
-    The prefactor leaves out D, so summand n of Bailey*D is q^{2n}
+    With cleared, Bailey*D, D = (z q^2, z_inv q^2; q^2)_inf: the
+    prefactor leaves out D, so summand n of Bailey*D is q^{2n}
     (z, z_inv; q^2)_n (q^{4n+2}; q^2)_inf / (q^{2n+1}; q^2)_inf^2: z^k needs
     q^{k(k-1)} in (z; q^2)_n and q^{2k} more in front.
 
-    With bound, over Z, it returns a majorant: the formula at
-    z = z_inv = -1 with (-q^2; q^2)_inf for (q^2; q^2)_inf.  Summand n then
-    becomes q^{2n} (-1, -1; q^2)_n (-q^2; q^2)_inf / ((q^2; q^2)_{2n}
+    With bound, over Z, it returns a majorant.  Bailey*D's is the formula
+    at z = z_inv = -1 with (-q^2; q^2)_inf for (q^2; q^2)_inf.  Summand n
+    then becomes q^{2n} (-1, -1; q^2)_n (-q^2; q^2)_inf / ((q^2; q^2)_{2n}
     (q^{2n+1}; q^2)_inf^2), which has no negative coefficient and bounds
     summand n's, as (-q^2; q^2)_inf / (q^2; q^2)_{2n} >= (-q^{4n+2}; q^2)_inf
     coefficient-wise.  At order 1000 it fixes B = 124, where the one
     ``binomials`` gives, with (1 + q^{2n+1}) for (1 - q^{2n+1}), fixes
-    B = 181.
+    B = 181.  The Bailey side's own majorant divides it by
+    (q^2; q^2)_inf^2, since 1/D has the majorant 1/(q^2; q^2)_inf^2.
     """
     c = 1
     if bound:
@@ -373,15 +377,17 @@ def bailey_side(ring, z, z_inv, order: int, bound: bool = False) -> list:
     # the summand ratio is SB's with c = 1, walked from the n = 0 summand, 1
     start = [ring.one] + [ring.zero] * order
     acc = summand_walk(ring, start, 0, order, sb_summand_ratio(z, z_inv, 1))
-    return poch_quotient(ring, order, [(c, 2, 2, None)], [(1, 1, 2, None)] * 2,
+    denom = [(1, 1, 2, None)] * 2
+    if not cleared:
+        denom += binomials((), d_factors(z, z_inv), bound)[1]
+    return poch_quotient(ring, order, [(c, 2, 2, None)], denom,
                          start=TruncatedSeries(ring, order, acc)).coeffs
 
 
 def bailey_numerator(order: int) -> TruncatedSeries:
     """Bailey*D over Z[z,1/z], D = (z q^2, q^2/z; q^2)_inf, read off the
-    narrow packed ring at z-reach ``numerator_reach(order)``."""
-    return TruncatedSeries(LAURENT, order, packed_laurent(
-        bailey_side, order, numerator_reach(order)))
+    narrow packed ring of ``packed_numerator``."""
+    return TruncatedSeries(LAURENT, order, packed_numerator(bailey_side, order))
 
 
 def verify_bailey_limit(order: int, n_oracle: int = 0,

@@ -201,4 +201,6 @@ def packed_rows(make, order, majorant, reach=None):
     length."""
     def build(ring, z, z_inv, order, bound):
         return [majorant] if bound else make(ring)
-    return packed_laurent(build, order, reach)
+    # with its reach given, packed_laurent reads build's values as they are
+    return packed_laurent(build, order,
+                          order // 2 + 2 if reach is None else reach)

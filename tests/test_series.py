@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import inflate, one, packed_rows, residue_pack, theta_sum
-from spt_kernel import series, verify
+from spt_kernel import series, sptcrank, verify
 from spt_kernel.partitions import distinct_partition_list, partition_list
 from spt_kernel.rings import (
     CYCLO3,
@@ -12,12 +12,16 @@ from spt_kernel.rings import (
     LaurentPolynomial,
     PackedResidueRing,
     RingError,
+    _ZFold,
+    _ZRotate,
 )
 from spt_kernel.series import (
     SeriesError,
     TruncatedSeries,
     _eta_form,
     _fold,
+    _theta_by_growth,
+    _theta_by_multipliers,
     _theta_terms,
     d_factors,
     div_eta_list,
@@ -332,6 +336,12 @@ THETA_MODULI = [1, 2, 3, 5, 7, 2 * numerator_reach(THETA_TOP) + 1,
                 2 * (THETA_TOP // 2 + 2) + 1]
 
 
+# moduli at which both forms of the theta pass run, whichever of them the
+# kernels pick at that t*B (``series._GROWTH_BITS``)
+FORM_MODULI = [1, 2, 3, 5, 7, 9, 11, 13, 2 * numerator_reach(THETA_TOP) + 1,
+               2 * (THETA_TOP // 2 + 2) + 1]
+
+
 def theta_series(order):
     """E(z, q) = sum_{n>=1} (-1)^{n+1} q^{n(n-1)} (z^{1-n} + ... + z^{n-1})
     over the dict Laurent ring, term by term."""
@@ -402,6 +412,31 @@ class TestThetaRoute:
                 assert [ring.digits(x) for x in got.coeffs] == \
                     want[:order + 1], (side, order)
 
+    @pytest.mark.parametrize("start", ["one", "start", "wide"])
+    @pytest.mark.parametrize("form", [_theta_by_multipliers, _theta_by_growth],
+                             ids=["multipliers", "growth"])
+    @pytest.mark.parametrize("t", FORM_MODULI)
+    def test_both_forms_match_binomial_passes(self, t, form, start):
+        # each form on its own, whatever t*B the kernels would pick it at;
+        # "wide" adds multiples of the modulus to the packed values, so
+        # they are negative or wider than t*B bits
+        ring = PackedResidueRing(12, t, THETA_TOP // 2 + 2)
+        first = theta_starts(ring, start != "one")
+        if start == "wide":
+            first = [x + (-1) ** i * (i * i + 1) * ring.modulus ** (1 + i % 3)
+                     for i, x in enumerate(first)]
+        for sign in (1, -1):
+            want = [ring.digits(x) for x in d_passes(ring, first, sign)]
+            for order in range(THETA_TOP + 1):
+                got = first[:order + 1]
+                form(got, list(got) if sign > 0 else got, ring, sign)
+                if sign > 0:
+                    div_eta_list(got, 2)
+                else:
+                    mul_eta_list(got, 2)
+                assert [ring.digits(x) for x in got] == \
+                    want[:order + 1], (sign, order)
+
     @pytest.mark.parametrize("t, bits", [(1, 5), (3, 7), (7, 20)])
     def test_fold_keeps_the_residue(self, t, bits):
         width = t * bits
@@ -438,12 +473,28 @@ class TestThetaRouteChoice:
         assert not divisions
         assert len(thetas) == 1
 
-    def test_full_crank_rows_keep_binomial_passes(self, monkeypatch):
+    def test_full_crank_rows_divide_by_d_once(self, monkeypatch):
+        # the full rows are crank*D, z-free, divided by D once through E
         divisions = self.count(monkeypatch, "div_binomial_list")
         thetas = self.count(monkeypatch, "div_theta_list")
         crank_series(300)
-        assert len(divisions) == 2 * 150
-        assert not thetas
+        assert not [c for _, c, _ in divisions
+                    if isinstance(c, (_ZFold, _ZRotate))]
+        assert len(thetas) == 1
+
+    @pytest.mark.parametrize("t", [3, 2 * numerator_reach(300) + 2, 601])
+    def test_sb_makes_no_binomial_division_by_z(self, monkeypatch, t):
+        # SB's walk divides only by z-free binomials, and its D goes
+        # through E, in the builder's own shape (t = 3) and in the
+        # numerator shape (t > 2K + 1), for the residues and the rows
+        divisions = self.count(monkeypatch, "div_binomial_list")
+        thetas = self.count(monkeypatch, "div_theta_list")
+        sptcrank.sb_residue_sums(300, t)
+        if t == 601:
+            sptcrank.sb_series(300)
+        assert not [c for _, c, _ in divisions
+                    if isinstance(c, (_ZFold, _ZRotate))]
+        assert len(thetas) == (2 if t == 601 else 1)
 
     @pytest.mark.parametrize("t", [1, 3, 5, 2 * numerator_reach(300) + 1,
                                    2 * (300 // 2 + 2) + 1])

@@ -11,6 +11,7 @@ from helpers import (
     residue_class_sums,
     spt2,
 )
+from spt_kernel import series
 from spt_kernel.partitions import (
     enumerate_overpartitions,
     spt_family,
@@ -310,7 +311,8 @@ class TestPackedSeries:
         numerator = bailey_numerator(order).coeffs
         want = bailey_side_by_inversion(order).coeffs
         assert divided_by_d(numerator) == want
-        assert_within_majorant(numerator, bailey_side, order)
+        assert_within_majorant(numerator, partial(bailey_side, cleared=True),
+                               order)
 
     @given(order=st.integers(1, 40))
     @example(order=1)
@@ -349,7 +351,7 @@ NUMERATORS = [
     ("bailey", bailey_numerator,
      lambda order: TruncatedSeries(
          LAURENT, order, divided_by_d(bailey_numerator(order).coeffs)),
-     bailey_side),
+     partial(bailey_side, cleared=True)),
 ]
 
 
@@ -388,6 +390,52 @@ class TestNumerators:
 
         with pytest.raises(RingError, match="edge"):
             packed_numerator(build, order)
+
+
+class TestNumeratorShape:
+    """Full rows, and residues mod t > 2K + 1, K = isqrt(N) + 2, built as
+    the numerator X*D on a ring of offset K and divided by D once."""
+
+    @pytest.mark.parametrize("order", [40, 300])
+    def test_walk_stays_numerator_wide(self, monkeypatch, order):
+        # every state of SB*D's walk, after each of its binomial passes,
+        # and the walk's total: at most (2K + 1)*B bits, at t = 2S + 1 as
+        # at t = 2N + 1, though the ring's modulus has t*B bits
+        widest = []
+
+        def recorded(name):
+            original = getattr(series, name)
+
+            def apply(a, c, e):
+                original(a, c, e)
+                widest.append(max((abs(x).bit_length() for x in a),
+                                  default=0))
+            return apply
+
+        for name in ("mul_binomial_list", "div_binomial_list"):
+            monkeypatch.setattr(series, name, recorded(name))
+        bits, offset = _packing(_sb_walk, order)
+        reach = numerator_reach(order)
+        for t in (2 * offset + 1, 2 * order + 1):
+            ring = PackedResidueRing(bits, t, reach)
+            widest.clear()
+            total = _sb_walk(ring, ring.z, ring.z_inv, order, cleared=True)
+            assert len(widest) >= 6 * (order // 2)
+            widest.append(max(abs(x).bit_length() for x in total))
+            assert max(widest) <= (2 * reach + 1) * bits, t
+
+    def test_full_rows_match_dict_references(self):
+        # orders 1..40 take in t = 2S + 1 <= 2K + 1 (orders 1 to 5), where
+        # the ring is no wider than the numerator's window, and t > 2K + 1
+        # (from order 6 on); the references to order 40 truncate to each
+        # lower order
+        top = 40
+        sb = sb_coefficients_naive(LAURENT, LAURENT.z, LAURENT.z_inv, top)
+        bailey = bailey_side_by_inversion(top).coeffs
+        for order in range(1, top + 1):
+            assert packed_laurent(_sb_walk, order) == sb[:order + 1], order
+            assert packed_laurent(bailey_side, order) == \
+                bailey[:order + 1], order
 
 
 def laurent_residues(build, order, t):
