@@ -26,6 +26,17 @@ class SeriesError(ValueError):
     """Order/ring mismatch or an operation leaving the power-series ring."""
 
 
+class WindowError(RingError):
+    """``packed_laurent``'s refusal of row n, which reaches z^-reach or
+    z^reach, the edge of its packed window."""
+
+    def __init__(self, n: int, reach: int):
+        super().__init__(f"row {n} reaches z^-{reach} or z^{reach}, the "
+                         f"edge of the packed window")
+        self.n = n
+        self.reach = reach
+
+
 # -- list-level kernels (shared with the spt-crank builders) ----------------
 
 def mul_lists(a, b, upto, zero):
@@ -669,14 +680,14 @@ def _packing(build, order: int) -> tuple[int, int]:
 
 def d_factors(z, z_inv) -> list:
     """D = (z q^2, q^2/z; q^2)_inf as ``poch_quotient`` factors.  D is the
-    denominator of SB, of the rank and crank series and of the Bailey
-    side; D = 1 mod q, so it is a unit and X = Y to q^N exactly when
-    X*D = Y*D to q^N, with the same first differing q^n.  With the packed
-    ring's own z and 1/z, ``poch_quotient`` applies the pair through
-    Jacobi's triple product, D = E / (q^2; q^2)_inf (``_theta_route``), in
-    O(N sqrt(N)) steps of O(t*B) bit operations at any t: a series over
-    Z[z,1/z] is built as its numerator X*D and divided by D once
-    (``packed_laurent``, ``packed_residues``)."""
+    denominator of SB and of the rank and crank series; D = 1 mod q, so it
+    is a unit and X = Y to q^N exactly when X*D = Y*D to q^N, with the same
+    first differing q^n.  With the packed ring's own z and 1/z,
+    ``poch_quotient`` applies the pair through Jacobi's triple product,
+    D = E / (q^2; q^2)_inf (``_theta_route``), in O(N sqrt(N)) steps of
+    O(t*B) bit operations at any t: a series over Z[z,1/z] is built as its
+    numerator X*D and divided by D once (``packed_laurent``,
+    ``packed_residues``)."""
     return [(z, 2, 2, None), (z_inv, 2, 2, None)]
 
 
@@ -724,7 +735,7 @@ def packed_laurent(build, order: int, reach: int | None = None) -> list:
     e mod t share one digit.  A row inside [-(S - 1), S - 1] is read
     exactly, the digit of class e as the coefficient of z^e for e in
     [-S, S]; a row whose z^-S or z^S digit is nonzero is at the edge of
-    that window and raises RingError.
+    that window and raises ``WindowError`` with its index.
     """
     bits, offset = _packing(build, order)
     if reach is None:
@@ -742,8 +753,7 @@ def packed_laurent(build, order: int, reach: int | None = None) -> list:
         if low:
             digits = digits[low:] + digits[:low]
         if digits[0] or digits[-1]:
-            raise RingError(f"a row reaches z^-{offset} or z^{offset}, the "
-                            f"edge of the packed window")
+            raise WindowError(k, offset)
         row = LaurentPolynomial.__new__(LaurentPolynomial)
         row.c = {e: d for e, d in enumerate(digits, -offset) if d}
         rows.append(row)

@@ -46,19 +46,6 @@ from .series import (  # noqa: F401
 # Series construction
 # ---------------------------------------------------------------------------
 
-def sb_summand_ratio(z, z_inv, c):
-    """Step of the SB walk: summand n+1 over summand n, divided by q^2, is
-
-        (1 - z q^{2n}) (1 - z_inv q^{2n}) (1 - q^{2n+1})^2
-        / ((1 - c q^{4n+2}) (1 - c q^{4n+4})),
-
-    returned as the (numer, denom) binomial lists ``summand_walk`` takes.
-    """
-    return lambda n: ([(z, 2 * n), (z_inv, 2 * n),
-                       (1, 2 * n + 1), (1, 2 * n + 1)],
-                      [(c, 4 * n + 2), (c, 4 * n + 4)])
-
-
 def _sb_walk(ring, z, z_inv, order: int, bound: bool = False,
              cleared: bool = False) -> list:
     """Coefficients 0..order of
@@ -66,8 +53,9 @@ def _sb_walk(ring, z, z_inv, order: int, bound: bool = False,
         sum_{n>=1} q^{2n} (q^{4n+2}; q^2)_inf
                    / ((z q^{2n}, z_inv q^{2n}; q^2)_inf (q^{2n+1}; q^2)_inf^2)
 
-    in one ``summand_walk``; summand n+1 differs from summand n by four
-    binomial factors and two binomial divisors.  This is SB(z,q), since
+    in one ``summand_walk``, whose step from summand n to n+1 is q^2 times
+    (1 - z q^{2n}) (1 - z_inv q^{2n}) (1 - q^{2n+1})^2
+    / ((1 - c q^{4n+2}) (1 - c q^{4n+4})), c = 1.  This is SB(z,q), since
     (-q^{2n+1};q)_inf (q^{2n+1};q)_inf equals (q^{4n+2};q^2)_inf.
 
     With bound, over Z, it returns a majorant in product form, whose
@@ -110,7 +98,9 @@ def _sb_walk(ring, z, z_inv, order: int, bound: bool = False,
     if not cleared:
         state = poch_quotient(ring, top, denom=d_factors(z, z_inv),
                               start=TruncatedSeries(ring, top, state)).coeffs
-    return summand_walk(ring, state, 1, order, sb_summand_ratio(z, z_inv, c))
+    return summand_walk(ring, state, 1, order, lambda n: (
+        [(z, 2 * n), (z_inv, 2 * n), (1, 2 * n + 1), (1, 2 * n + 1)],
+        [(c, 4 * n + 2), (c, 4 * n + 4)]))
 
 
 def sb_coefficients_naive(ring, z, z_inv, order: int) -> list:

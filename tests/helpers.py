@@ -7,7 +7,9 @@ the naive summands, that no check runs.  ``residue_pack`` and
 ``packed_rows`` pack Laurent polynomials on the packed ring and read them
 back through ``packed_laurent``, for the tests of that ring.
 ``residue_class_sums`` is the dict-form reference for the residue sums the
-packed ring reads off.
+packed ring reads off.  ``bailey_side`` walks the Bailey side of the
+limiting Bailey instance from n = 0, with its own step: an independent route
+to the left side that ``verify_bailey_limit`` reads off SB*D and crank*D.
 """
 
 from typing import Callable, Iterator
@@ -22,12 +24,15 @@ from spt_kernel.series import (
     SeriesError,
     TruncatedSeries,
     _scan_range,
+    binomials,
+    d_factors,
     div_binomial_list,
     geometric,
     packed_laurent,
     poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
+    summand_walk,
 )
 
 
@@ -180,6 +185,47 @@ def pair_crank_series(order: int) -> TruncatedSeries:
             acc = acc + term.shift(2 * n + 2 * n * k).scale(zc)
             k += 1
     return acc
+
+
+def bailey_side(ring, z, z_inv, order: int, bound: bool = False,
+                cleared: bool = False) -> list:
+    """Coefficients 0..order of the Bailey side of the limiting Bailey
+    Lemma instance (rho_1 = z, rho_2 = 1/z, a = 1, base q^2) times its
+    prefactor:
+
+        (q^2;q^2)_inf / ((z q^2, z_inv q^2; q^2)_inf (q;q^2)_inf^2)
+        * sum_{n>=0} q^{2n} (z, z_inv; q^2)_n beta_n,
+
+    beta_n = (q;q^2)_n^2 / (q^2;q^2)_{2n}, walked from the n = 0 summand,
+    1: summand n+1 over summand n, divided by q^2, is
+    (1 - z q^{2n}) (1 - z_inv q^{2n}) (1 - q^{2n+1})^2
+    / ((1 - q^{4n+2}) (1 - q^{4n+4})).  A builder for ``packed_laurent``.
+
+    With cleared, Bailey*D, D = (z q^2, z_inv q^2; q^2)_inf: the
+    prefactor leaves out D, so summand n of Bailey*D is q^{2n}
+    (z, z_inv; q^2)_n (q^{4n+2}; q^2)_inf / (q^{2n+1}; q^2)_inf^2: z^k needs
+    q^{k(k-1)} in (z; q^2)_n and q^{2k} more in front.
+
+    With bound, over Z, it returns a majorant.  Bailey*D's is the formula
+    at z = z_inv = -1 with (-q^2; q^2)_inf for (q^2; q^2)_inf.  Summand n
+    then becomes q^{2n} (-1, -1; q^2)_n (-q^2; q^2)_inf / ((q^2; q^2)_{2n}
+    (q^{2n+1}; q^2)_inf^2), which has no negative coefficient and bounds
+    summand n's, as (-q^2; q^2)_inf / (q^2; q^2)_{2n} >= (-q^{4n+2}; q^2)_inf
+    coefficient-wise.  The Bailey side's own majorant divides it by
+    (q^2; q^2)_inf^2, since 1/D has the majorant 1/(q^2; q^2)_inf^2.
+    """
+    c = 1
+    if bound:
+        z = z_inv = c = -1
+    start = [ring.one] + [ring.zero] * order
+    acc = summand_walk(ring, start, 0, order, lambda n: (
+        [(z, 2 * n), (z_inv, 2 * n), (1, 2 * n + 1), (1, 2 * n + 1)],
+        [(1, 4 * n + 2), (1, 4 * n + 4)]))
+    denom = [(1, 1, 2, None)] * 2
+    if not cleared:
+        denom += binomials((), d_factors(z, z_inv), bound)[1]
+    return poch_quotient(ring, order, [(c, 2, 2, None)], denom,
+                         start=TruncatedSeries(ring, order, acc)).coeffs
 
 
 def residue_pack(ring, p):

@@ -1,9 +1,11 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import inflate, one, packed_rows, residue_pack, theta_sum
-from spt_kernel import series, sptcrank, verify
+from spt_kernel import cli, series, sptcrank, verify
 from spt_kernel.partitions import distinct_partition_list, partition_list
 from spt_kernel.rings import (
     CYCLO3,
@@ -11,7 +13,6 @@ from spt_kernel.rings import (
     ZZ,
     LaurentPolynomial,
     PackedResidueRing,
-    RingError,
     _ZFold,
     _ZRotate,
 )
@@ -512,7 +513,8 @@ class TestThetaRouteChoice:
         assert len(written) == 2
         assert written[1] == (ring, 300)
 
-    def test_flipped_theta_sign_is_reported(self, monkeypatch):
+    @staticmethod
+    def flip_theta_sign(monkeypatch):
         # the sign of the n = 3 term of E, at q^6, flipped: no identity has
         # E on both sides, so every check that reads D through it fails
         original = series._theta_terms
@@ -522,15 +524,37 @@ class TestThetaRouteChoice:
                     for e, s, n in original(order)]
 
         monkeypatch.setattr(series, "_theta_terms", flipped)
+
+    def test_flipped_theta_sign_is_reported(self, monkeypatch):
+        self.flip_theta_sign(monkeypatch)
         reports = [verify.run_all(60, only=check)[0]
                    for check in ("theorem1", "theorem4", "congruences")]
         assert all(r.first_failure is not None for r in reports), reports
         # rank*D with a wrong D no longer cancels the Lambert terms'
         # (1 - z q^{2n}) divisors, so its rows leave the z-window that the
-        # numerator proof gives, and reading them is refused
+        # numerator proof gives (K = 9 at order 60); reading them is
+        # refused, and the check fails at the first such row
         for check in ("theorem2", "bailey_limit"):
-            with pytest.raises(RingError, match="edge"):
-                verify.run_all(60, only=check)
+            assert verify.run_all(60, only=check) == [
+                verify.VerificationReport(check, 60, "fail", {
+                    "n": 21,
+                    "expected": "z-exponents within [-8, 8]",
+                    "actual": "a nonzero digit at z^-9 or z^9",
+                    "where": "z-window",
+                })]
+
+    def test_row_outside_window_is_a_report(self, monkeypatch, capsys):
+        # the refusal ends the command with exit code 1 and a report on
+        # stdout, not a traceback, and the other checks still run
+        self.flip_theta_sign(monkeypatch)
+        assert cli.main(["verify", "--order", "60", "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert [r["check"] for r in reports] == sorted(verify.CHECKS)
+        assert [r["first_failure"]["where"] for r in reports
+                if r["check"] in ("bailey_limit", "theorem2")] == [
+                    "z-window", "z-window"]
 
 
 class TestThetaAndLambert:

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bailey_side,
     eval_at_one,
     is_symmetric,
     pair_crank_series,
@@ -57,7 +58,6 @@ from spt_kernel.sptcrank import (
     sptbar2_series,
     vector_partition_oracle,
 )
-from spt_kernel.verify import bailey_numerator, bailey_side
 
 ROW4 = LaurentPolynomial({1: 1, 0: 1, -1: 1})
 ROW8 = LaurentPolynomial({3: 1, 2: 1, 1: 3, 0: 5, -1: 3, -2: 1, -3: 1})
@@ -276,6 +276,11 @@ def bailey_side_by_inversion(order):
     return pochhammer_inf(ring, 1, 2, 2, order) * den.invert() * acc
 
 
+def bailey_numerator(order):
+    """Bailey*D over Z[z,1/z], read off the narrow packed ring."""
+    return TruncatedSeries(LAURENT, order, packed_numerator(bailey_side, order))
+
+
 class TestPackedSeries:
     """The packed rank, crank and Bailey-side rows against dict-Laurent
     references built by another formula or by Cauchy products and
@@ -360,6 +365,14 @@ class TestNumerators:
     the limiting Bailey instance compare, read off the ring of z-reach
     K = isqrt(N) + 2, against the full rows of X times D in the dict
     Laurent ring."""
+
+    @pytest.mark.parametrize("order", [*range(1, 61), 300])
+    def test_bailey_side_is_crank_plus_u_sb(self, order):
+        # the left side of bailey_limit, crank*D + (2 - z - 1/z) SB*D,
+        # against the Bailey-lemma walk from n = 0 with its own step
+        u = LaurentPolynomial({1: -1, 0: 2, -1: -1})
+        lhs = crank_numerator(order).embed(LAURENT) + sb_numerator(order).scale(u)
+        assert lhs.coeffs == packed_numerator(bailey_side, order)
 
     @pytest.mark.parametrize("order", [4, 5, 9, 40, 41, 100])
     @pytest.mark.parametrize("name, numerator, full, build", NUMERATORS,

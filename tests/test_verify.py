@@ -115,7 +115,7 @@ def test_fault_in_one_alpha_term_is_reported_exactly(monkeypatch):
 
 
 def test_run_builds_each_shared_series_once(monkeypatch):
-    calls = {"rank_numerator": 0, "sb_residue_sums": 0}
+    calls = {"rank_numerator": 0, "sb_numerator": 0, "sb_residue_sums": 0}
 
     def counted(name):
         original = getattr(verify, name)
@@ -129,7 +129,8 @@ def test_run_builds_each_shared_series_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(verify, name, counted(name))
     assert all(r.passed for r in run_all(60, oracle_bound=6))
-    assert calls == {"rank_numerator": 1, "sb_residue_sums": 1}
+    assert calls == {"rank_numerator": 1, "sb_numerator": 1,
+                     "sb_residue_sums": 1}
 
 
 def test_congruences_small():
