@@ -2,11 +2,16 @@
 
 Everything here is brute-force enumeration.  These functions are the
 independent oracles the series engine is checked against, so they must stay
-free of generating-function shortcuts.
+free of generating-function shortcuts.  The part lists are memoized by
+(size, largest part allowed, smallest part allowed), so a suffix list is
+built once; ``m2_statistics`` still reads every part list one at a time,
+and only multiplies the sizes of statistic classes where it would pair
+each overlined list with each ordinary one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from math import ceil
 from typing import Iterator
@@ -16,38 +21,48 @@ from .rings import LaurentPolynomial
 Partition = tuple[int, ...]  # weakly decreasing positive parts
 
 
-def _gen_partitions(n: int, max_part: int, min_part: int) -> Iterator[Partition]:
+@lru_cache(maxsize=None)
+def _partitions_at_most(n: int, max_part: int,
+                        min_part: int) -> tuple[Partition, ...]:
+    """Partitions of n >= 0 with parts in [min_part, max_part], max_part
+    <= n, in reverse-lexicographic order: by first part from the largest
+    down, each followed by the memoized list of its suffixes."""
     if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), min_part - 1, -1):
-        for rest in _gen_partitions(n - first, first, min_part):
-            yield (first,) + rest
-
-
-def _gen_distinct(n: int, max_part: int, min_part: int) -> Iterator[Partition]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), min_part - 1, -1):
-        for rest in _gen_distinct(n - first, first - 1, min_part):
-            yield (first,) + rest
+        return ((),)
+    return tuple((first,) + rest
+                 for first in range(max_part, min_part - 1, -1)
+                 for rest in _partitions_at_most(
+                     n - first, min(first, n - first), min_part))
 
 
 @lru_cache(maxsize=None)
+def _distinct_at_most(n: int, max_part: int,
+                      min_part: int) -> tuple[Partition, ...]:
+    """Partitions of n >= 0 into distinct parts in [min_part, max_part],
+    max_part <= n, in reverse-lexicographic order."""
+    if n == 0:
+        return ((),)
+    return tuple((first,) + rest
+                 for first in range(max_part, min_part - 1, -1)
+                 for rest in _distinct_at_most(
+                     n - first, min(first - 1, n - first), min_part))
+
+
 def partition_list(n: int, min_part: int = 1) -> tuple[Partition, ...]:
-    """All partitions of n with every part >= min_part."""
+    """All partitions of n with every part >= min_part, in
+    reverse-lexicographic order."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return tuple(_gen_partitions(n, n, min_part))
+    return _partitions_at_most(n, n, min_part)
 
 
-@lru_cache(maxsize=None)
-def distinct_partition_list(n: int, min_part: int = 1) -> tuple[Partition, ...]:
-    """All partitions of n into distinct parts, each >= min_part."""
+def distinct_partition_list(n: int,
+                            min_part: int = 1) -> tuple[Partition, ...]:
+    """All partitions of n into distinct parts, each >= min_part, in
+    reverse-lexicographic order."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return tuple(_gen_distinct(n, n, min_part))
+    return _distinct_at_most(n, n, min_part)
 
 
 def num_even_parts(p: Partition) -> int:
@@ -234,9 +249,10 @@ def residual_m2_crank_distribution(n: int) -> LaurentPolynomial:
 
 
 def _ordinary_statistics(plain: Partition):
-    """(largest part, #parts, #odd parts, residual-crank weight as
-    (exponent, coefficient) pairs) of the ordinary parts of an
-    overpartition; the residual crank depends on them alone."""
+    """(largest part, #even parts, residual-crank weight as (exponent,
+    coefficient) pairs) of the ordinary parts of an overpartition: all that
+    the M2-rank reads of them, and the residual crank, which depends on
+    them alone."""
     halved = tuple(v // 2 for v in plain if v % 2 == 0)
     if not halved:
         weight = ((0, 1),)
@@ -244,27 +260,50 @@ def _ordinary_statistics(plain: Partition):
         weight = tuple(_FAILURE_WEIGHT.c.items())
     else:
         weight = ((ag_crank(halved), 1),)
-    odd = len(plain) - len(halved)
-    return (plain[0] if plain else 0), len(plain), odd, weight
+    return (plain[0] if plain else 0), len(halved), weight
 
 
 @lru_cache(maxsize=None)
-def _plain_statistics(k: int) -> tuple:
-    """``_ordinary_statistics`` of every partition of k, in the order of
-    ``partition_list``; every n > k reuses them."""
-    return tuple(_ordinary_statistics(p) for p in partition_list(k))
+def _plain_classes(k: int) -> tuple:
+    """The partitions of k read one at a time (``_ordinary_statistics``):
+    ((largest part, #even parts), how many) for each class that occurs,
+    and the sum of their residual-crank weights as (exponent, coefficient)
+    pairs.  Every n > k reuses them."""
+    classes: Counter = Counter()
+    weights: Counter = Counter()
+    for plain in partition_list(k):
+        top, evens, weight = _ordinary_statistics(plain)
+        classes[top, evens] += 1
+        for e, v in weight:
+            weights[e] += v
+    return tuple(classes.items()), tuple(weights.items())
+
+
+@lru_cache(maxsize=None)
+def _overlined_classes(m: int) -> tuple:
+    """((largest part, #parts), how many) over the partitions of m into
+    distinct parts, read one at a time: all that the M2-rank reads of the
+    overlined parts of an overpartition."""
+    return tuple(Counter(((over[0] if over else 0), len(over))
+                         for over in distinct_partition_list(m)).items())
 
 
 @lru_cache(maxsize=None)
 def m2_statistics(n: int) -> tuple[LaurentPolynomial, LaurentPolynomial, int]:
-    """(M2-rank distribution, residual-crank distribution, pairs visited)
-    over the overpartitions of n >= 1, in one enumeration.
+    """(M2-rank distribution, residual-crank distribution, overpartitions
+    counted) over the overpartitions of n >= 1, in one enumeration.
 
-    The walk visits each overpartition once, as a pair (distinct overlined
-    parts, ordinary parts), as ``enumerate_overpartitions`` does, and reads
-    both statistics off the two part lists without building an
-    ``Overpartition``: the largest part is overlined when the overlined
-    list reaches it (the overlined copy comes first among equal values).
+    Each overpartition is a pair (distinct overlined parts of size m,
+    ordinary parts of size n - m), as in ``enumerate_overpartitions``.
+    Every part list is still generated and read one at a time, but no
+    ``Overpartition`` is built and the pairs are counted by class: the
+    M2-rank reads only (largest part, #parts) of the overlined list and
+    (largest part, #even parts) of the ordinary one, so a pair of classes
+    adds the product of their sizes to one rank; the largest part is
+    overlined when the overlined list reaches it (the overlined copy comes
+    first among equal values).  The residual crank reads the ordinary
+    parts alone, so the sum of its weights over the partitions of n - m
+    counts once for each distinct partition of m.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -272,16 +311,16 @@ def m2_statistics(n: int) -> tuple[LaurentPolynomial, LaurentPolynomial, int]:
     cranks: dict[int, int] = {}
     visits = 0
     for m in range(n + 1):
-        plains = _plain_statistics(n - m)
-        for over in distinct_partition_list(m):
-            top_over = over[0] if over else 0
-            for top, count, odd, weight in plains:
-                visits += 1
+        plains, weights = _plain_classes(n - m)
+        overs = len(distinct_partition_list(m))
+        visits += overs * len(partition_list(n - m))
+        for (top_over, parts_over), c_over in _overlined_classes(m):
+            for (top, evens), c in plains:
                 largest = max(top, top_over)
                 # chi: the largest part is odd and carries no overline
                 chi = 1 if largest % 2 and top > top_over else 0
-                r = (largest + 1) // 2 - len(over) - count + odd - chi
-                ranks[r] = ranks.get(r, 0) + 1
-                for e, v in weight:
-                    cranks[e] = cranks.get(e, 0) + v
+                r = (largest + 1) // 2 - parts_over - evens - chi
+                ranks[r] = ranks.get(r, 0) + c_over * c
+        for e, v in weights:
+            cranks[e] = cranks.get(e, 0) + overs * v
     return LaurentPolynomial(ranks), LaurentPolynomial(cranks), visits

@@ -12,15 +12,17 @@ from helpers import (
 from spt_kernel.partitions import (
     Overpartition,
     ag_crank,
+    distinct_partition_list,
     enumerate_overpartitions,
     m2_rank,
     m2_rank_distribution,
     m2_statistics,
+    partition_list,
     residual_crank_weight,
     residual_m2_crank_distribution,
     spt_family,
 )
-from spt_kernel.rings import LaurentPolynomial
+from spt_kernel.rings import ZZ, LaurentPolynomial
 from spt_kernel.series import pochhammer_inf
 from spt_kernel.sptcrank import crank_series, rank_series
 
@@ -143,7 +145,7 @@ class TestResidualCrank:
 def test_shared_walk_matches_enumeration():
     # one walk gives both oracles; it must agree with the statistics of each
     # Overpartition that enumerate_overpartitions builds, visiting each once
-    for n in range(1, 13):
+    for n in range(1, 17):
         ranks = {}
         cranks = LaurentPolynomial()
         for op in enumerate_overpartitions(n):
@@ -151,3 +153,27 @@ def test_shared_walk_matches_enumeration():
             cranks = cranks + residual_crank_weight(op)
         assert m2_statistics(n) == (LaurentPolynomial(ranks), cranks,
                                     count_overpartitions(n))
+
+
+@pytest.mark.parametrize("min_part", [1, 2, 3, 4])
+def test_part_lists_are_ordered_and_complete(min_part):
+    # each list is every partition of n with parts >= min_part (into
+    # distinct parts for distinct_partition_list), once, in reverse-
+    # lexicographic order; the counts are the coefficients of
+    # 1/(q^min_part;q)_inf and (-q^min_part;q)_inf
+    n_max = 25
+    plain_gf = pochhammer_inf(ZZ, 1, min_part, 1, n_max).invert()
+    distinct_gf = pochhammer_inf(ZZ, -1, min_part, 1, n_max)
+    for n in range(n_max + 1):
+        for parts, strict, gf in (
+                (partition_list(n, min_part), False, plain_gf),
+                (distinct_partition_list(n, min_part), True, distinct_gf)):
+            assert list(parts) == sorted(set(parts), reverse=True), n
+            for p in parts:
+                assert sum(p) == n and all(x >= min_part for x in p), p
+                steps = list(zip(p, p[1:]))
+                if strict:
+                    assert all(a > b for a, b in steps), p
+                else:
+                    assert all(a >= b for a, b in steps), p
+            assert len(parts) == gf.coefficient(n), (n, strict)

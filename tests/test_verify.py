@@ -11,6 +11,7 @@ from spt_kernel.verify import (
     _compare,
     a2_formula,
     bailey_beta,
+    bailey_betas,
     bailey_pair_rhs,
     gauss_psi,
     jtp_psi_dissection,
@@ -95,6 +96,30 @@ def test_walked_bailey_rhs_matches_from_scratch_sum():
         assert rhs == bailey_pair_rhs_from_scratch(n, 120), n
 
 
+def test_walked_bailey_betas_match_definition():
+    walked = bailey_betas(120, 30)
+    assert len(walked) == 31
+    for n, beta in enumerate(walked):
+        assert beta == bailey_beta(n, 120), n
+
+
+def test_fault_in_one_beta_coefficient_is_reported_exactly(monkeypatch):
+    original = verify.bailey_betas
+
+    def faulty(order, n_max):
+        betas = original(order, n_max)
+        betas[3].coeffs[11] += 1
+        return betas
+
+    monkeypatch.setattr(verify, "bailey_betas", faulty)
+    (rep,) = run_all(ORDER, oracle_bound=6, only="bailey_pair")
+    # beta_3 = (q;q^2)_3^2 / (q^2;q^2)_6 = 1 - 2q + ... - 56 q^11 + ...;
+    # beta_0..beta_2 and beta_3 below q^11 still equal their right sides
+    assert bailey_beta(3, ORDER).coefficient(11) == -56
+    assert rep.first_failure == {
+        "n": 11, "expected": "-56", "actual": "-55", "where": "n=3"}
+
+
 def test_fault_in_one_alpha_term_is_reported_exactly(monkeypatch):
     original = verify.bailey_alpha
 
@@ -115,7 +140,8 @@ def test_fault_in_one_alpha_term_is_reported_exactly(monkeypatch):
 
 
 def test_run_builds_each_shared_series_once(monkeypatch):
-    calls = {"rank_numerator": 0, "sb_numerator": 0, "sb_residue_sums": 0}
+    calls = {"crank_numerator": 0, "rank_numerator": 0, "sb_numerator": 0,
+             "sb_residue_sums": 0}
 
     def counted(name):
         original = getattr(verify, name)
@@ -129,8 +155,8 @@ def test_run_builds_each_shared_series_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(verify, name, counted(name))
     assert all(r.passed for r in run_all(60, oracle_bound=6))
-    assert calls == {"rank_numerator": 1, "sb_numerator": 1,
-                     "sb_residue_sums": 1}
+    assert calls == {"crank_numerator": 1, "rank_numerator": 1,
+                     "sb_numerator": 1, "sb_residue_sums": 1}
 
 
 def test_congruences_small():
@@ -147,10 +173,10 @@ def test_failure_reporting_is_exact():
 
 
 # check, the builder it calls, the first argument that selects the faulty
-# call (None: every call), the coefficient changed, the subcheck that sees it
+# call (None: every call), the coefficient changed, the subcheck that sees it;
+# bailey_pair's row is test_fault_in_one_beta_coefficient_is_reported_exactly
 FAULTS = [
     ("bailey_limit", "rank_numerator", None, 17, "bailey-vs-rank"),
-    ("bailey_pair", "bailey_beta", 3, 11, "n=3"),
     ("congruences", "sptbar2_series", None, 7, "z=1-consistency"),
     ("theorem1", "a2_formula", None, 4, "A2"),
     ("theorem2", "crank_numerator", None, 9, "rank-crank"),
