@@ -148,9 +148,13 @@ def _emit(lines, out_path) -> int:
 
 
 def cmd_table(args) -> int:
+    """Rows n = 1..order: spt2bar(n) and the residue-class sums mod t of
+    row n of SB.  SB(1, q) is the spt2bar series, so spt2 is the z = 1
+    total of the classes, read off the one walk, and refused with them if
+    negative (``sb_residues``); the ``congruences`` check and CI compare
+    it with the separate ``sptbar2_series`` walk."""
     residues = sb_residues(args.order, args.t)
-    s2 = sptbar2_series(args.order)
-    rows = [(n, s2.coefficient(n), residues[n])
+    rows = [(n, sum(residues[n]), residues[n])
             for n in range(1, args.order + 1)]
     if args.format == "json":
         lines = [_table_json(n, v, args.t, classes) for n, v, classes in rows]

@@ -106,6 +106,28 @@ def div_binomial_list(a, c, e):
                             _times(c, a[i - e:i - e + step]))
 
 
+def mul_pair_list(a, ring, e):
+    """In place: a *= (1 - z q^e)(1 - q^e/z) = 1 - (z + 1/z) q^e + q^{2e}
+    on ``PackedResidueRing``, from the top down in slices of at most
+    ``_CHUNK`` coefficients: one comprehension per slice makes z*x + x/z
+    with the fold and the rotate of ``_times`` inline, subtracted from the
+    slice, and the slice 2e below is added.  One pass in place of the two
+    of ``mul_binomial_list`` with z and then 1/z."""
+    bits, width, high = ring.z.bits, ring.z.width, ring.z.high
+    low, top = ring.z_inv.low, ring.z_inv.top
+    for hi in range(len(a), e, -_CHUNK):
+        lo = max(hi - _CHUNK, e)
+        new = list(map(sub, a[lo:hi], [
+            ((y & high) + (y >> width) if (y := x << bits).bit_length() > width
+             else y)
+            + ((x >> bits) + (r << top) if (r := x & low) else x >> bits)
+            for x in a[lo - e:hi - e]]))
+        cut = max(2 * e - lo, 0)
+        if cut < hi - lo:
+            new[cut:] = map(add, new[cut:], a[lo + cut - 2 * e:hi - 2 * e])
+        a[lo:hi] = new
+
+
 def _pentagonal(k: int, order: int) -> list:
     """The terms (e, s) of (q^k; q^k)_inf = 1 + sum s q^e with
     0 < e <= order, by increasing e.  Euler's pentagonal number theorem:
@@ -627,30 +649,43 @@ def geometric(ring, c, e: int, order: int) -> TruncatedSeries:
     return poch_quotient(ring, order, denom=[(c, e, 1, 1)])
 
 
-def summand_walk(ring, state: list, n: int, order: int, step) -> list:
-    """Coefficients 0..order of sum_{m>=n} q^{2m} s_m, in one pass.
+def summand_walk(ring, first, order: int, step) -> list:
+    """Coefficients 0..order of S = sum_{n>=1} q^{2n} s_n, in Horner form.
 
-    state holds s_n to q^{order-2n} and is consumed.  step(m) returns the
-    binomial factors (numer, denom), each a list of (c, e), that take s_m to
-    s_{m+1} = s_m * prod_numer (1 - c*q^e) / prod_denom (1 - c*q^e).  Each
-    step adds the state into the total at q^{2m}, drops the two top
-    coefficients that s_{m+1} no longer reaches, and applies its factors,
-    one O(order) binomial pass each.
+    first is the pair (numer, denom) of ``poch_quotient`` factors of s_1.
+    step(n) returns the binomial factors (numer, denom), each a list of
+    (c, e), of the ratio r_n = s_{n+1}/s_n = prod_numer (1 - c*q^e) /
+    prod_denom (1 - c*q^e).  S = q^2 s_1 T_1 with T_n = 1 + q^2 r_n T_{n+1}:
+    n runs from order//2 - 1 down to 1, each step applies r_n to T_{n+1},
+    held to q^{order-2n-2}, one O(order) binomial pass per factor, and puts
+    [1, 0] in front.  s_1 is applied once, to T_1.  No summand is added
+    into a total.
+
+    On ``PackedResidueRing`` a numerator that holds the ring's own z and
+    1/z at one exponent e, matched by identity, applies the two as one
+    pass (``mul_pair_list``).
     """
-    total = [ring.zero] * (order + 1)
-    while 2 * n <= order:
-        base = 2 * n
-        for i, x in enumerate(state):
-            if x:
-                total[base + i] = total[base + i] + x
-        del state[-2:]
+    if order < 2:
+        return [ring.zero] * (order + 1)
+    paired = type(ring) is PackedResidueRing
+    tail = [ring.one] + [ring.zero] * (order % 2)
+    for n in range(order // 2 - 1, 0, -1):
         numer, denom = step(n)
+        if paired:
+            numer = list(numer)
+            for e in [e for c, e in numer if c is ring.z]:
+                if (ring.z_inv, e) in numer:
+                    numer.remove((ring.z, e))
+                    numer.remove((ring.z_inv, e))
+                    mul_pair_list(tail, ring, e)
         for c, e in numer:
-            mul_binomial_list(state, c, e)
+            mul_binomial_list(tail, c, e)
         for c, e in denom:
-            div_binomial_list(state, c, e)
-        n += 1
-    return total
+            div_binomial_list(tail, c, e)
+        tail[:0] = [ring.one, ring.zero]
+    w = poch_quotient(ring, order - 2, *first,
+                      start=TruncatedSeries(ring, order - 2, tail))
+    return [ring.zero] * 2 + w.coeffs
 
 
 def binomials(numer, denom, bound: bool):

@@ -54,9 +54,16 @@ def _sb_walk(ring, z, z_inv, order: int, bound: bool = False,
                    / ((z q^{2n}, z_inv q^{2n}; q^2)_inf (q^{2n+1}; q^2)_inf^2)
 
     in one ``summand_walk``, whose step from summand n to n+1 is q^2 times
-    (1 - z q^{2n}) (1 - z_inv q^{2n}) (1 - q^{2n+1})^2
-    / ((1 - c q^{4n+2}) (1 - c q^{4n+4})), c = 1.  This is SB(z,q), since
-    (-q^{2n+1};q)_inf (q^{2n+1};q)_inf equals (q^{4n+2};q^2)_inf.
+
+        (1 - z q^{2n}) (1 - z_inv q^{2n}) (1 - q^{2n+1})
+        / ((1 + q^{2n+1}) (1 - q^{4n+4})),
+
+    (1 - q^{2n+1})^2 / ((1 - q^{4n+2}) (1 - q^{4n+4})) with the common
+    factor 1 - q^{2n+1} cancelled: four passes, the z pair one of them on
+    the packed ring.  This is SB(z,q), since (-q^{2n+1};q)_inf
+    (q^{2n+1};q)_inf equals (q^{4n+2};q^2)_inf.  The walk's first summand
+    over q^2, (q^6; q^2)_inf / ((q^3; q^2)_inf^2 D), D = (z q^2, z_inv q^2;
+    q^2)_inf, is applied once at its end.
 
     With bound, over Z, it returns a majorant in product form, whose
     coefficient of q^n bounds the sum of |coefficients| of row n of SB:
@@ -71,13 +78,13 @@ def _sb_walk(ring, z, z_inv, order: int, bound: bool = False,
     1/(q^3; q^2)_inf^2; and sum_{n>=1} q^{2n} = q^2/(1 - q^2).  All these
     series have no negative coefficient, so their products keep the order.
 
-    With cleared, the walk starts from the z-free summand 1 without its
-    division by D = (z q^2, z_inv q^2; q^2)_inf, so it returns SB*D, whose
-    summand n is q^{2n} (z q^2, z_inv q^2; q^2)_{n-1} (q^{4n+2}; q^2)_inf
-    / (q^{2n+1}; q^2)_inf^2: z^k needs q^{k(k+1)} there and q^{2k+2} more
-    in front.  Its majorant is this walk with c = -1 in
-    (c q^{4n+2}; q^2)_inf, at z = z_inv = -1, which turns the step's
-    z-factors into (1 + q^{2n})^2.
+    With cleared, the walk leaves D out of its first summand, so it
+    returns SB*D, whose summand n is q^{2n} (z q^2, z_inv q^2; q^2)_{n-1}
+    (q^{4n+2}; q^2)_inf / (q^{2n+1}; q^2)_inf^2: z^k needs q^{k(k+1)} there
+    and q^{2k+2} more in front.  Its majorant is this walk in its
+    uncancelled form, (1 - q^{2n+1})^2 / ((1 - c q^{4n+2}) (1 - c q^{4n+4})),
+    with c = -1 and z = z_inv = -1, which turns the step's z-factors into
+    (1 + q^{2n})^2.
     """
     if z * (z_inv * ring.one) != ring.one:
         raise RingError("z and z_inv must be inverse units")
@@ -91,16 +98,15 @@ def _sb_walk(ring, z, z_inv, order: int, bound: bool = False,
     c = 1
     if bound:
         z = z_inv = c = -1
-    top = order - 2
-    # summand 1 over q^2: the z-free factors over Z, then the z divisions
-    w = poch_quotient(ZZ, top, [(c, 6, 2, None)], [(1, 3, 2, None)] * 2)
-    state = [x * ring.one for x in w.coeffs]
-    if not cleared:
-        state = poch_quotient(ring, top, denom=d_factors(z, z_inv),
-                              start=TruncatedSeries(ring, top, state)).coeffs
-    return summand_walk(ring, state, 1, order, lambda n: (
-        [(z, 2 * n), (z_inv, 2 * n), (1, 2 * n + 1), (1, 2 * n + 1)],
-        [(c, 4 * n + 2), (c, 4 * n + 4)]))
+    first = ([(c, 6, 2, None)],
+             [(1, 3, 2, None)] * 2 + ([] if cleared else d_factors(z, z_inv)))
+    if bound:
+        return summand_walk(ring, first, order, lambda n: (
+            [(z, 2 * n), (z_inv, 2 * n), (1, 2 * n + 1), (1, 2 * n + 1)],
+            [(c, 4 * n + 2), (c, 4 * n + 4)]))
+    return summand_walk(ring, first, order, lambda n: (
+        [(z, 2 * n), (z_inv, 2 * n), (1, 2 * n + 1)],
+        [(-1, 2 * n + 1), (1, 4 * n + 4)]))
 
 
 def sb_coefficients_naive(ring, z, z_inv, order: int) -> list:
@@ -225,17 +231,18 @@ def sptbar2_series(order: int) -> TruncatedSeries:
     sum_{n>=1} q^{2n} (-q^{2n+1};q)_inf / ((1-q^{2n})^2 (q^{2n+1};q)_inf).
 
     Distinct from the z=1 specialization of SB(z,q), so the two act as
-    cross-checks on each other.
+    cross-checks on each other: ``table`` prints SB's z = 1 total, the sum
+    of its residue classes, and the congruences check (``z=1-consistency``)
+    and CI compare that total with this walk.  A ``summand_walk`` over Z
+    from the first summand over q^2, (-q^3; q)_inf / ((q^3; q)_inf
+    (1 - q^2)^2).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order < 2:
-        return TruncatedSeries(ZZ, order)
     # summand n+1 over summand n, divided by q^2, is
     # (1-q^{2n})^2 (1-q^{2n+1}) / ((1+q^{2n+1}) (1-q^{4n+4}))
-    state = poch_quotient(ZZ, order - 2, [(-1, 3, 1, None)],
-                          [(1, 3, 1, None)] + [(1, 2, 1, 1)] * 2).coeffs
-    total = summand_walk(ZZ, state, 1, order, lambda n: (
+    first = ([(-1, 3, 1, None)], [(1, 3, 1, None)] + [(1, 2, 1, 1)] * 2)
+    total = summand_walk(ZZ, first, order, lambda n: (
         [(1, 2 * n), (1, 2 * n), (1, 2 * n + 1)],
         [(-1, 2 * n + 1), (1, 4 * n + 4)]))
     return TruncatedSeries(ZZ, order, total)

@@ -452,14 +452,17 @@ CHECKS: dict[str, Callable[..., VerificationReport]] = {
 def selected_checks(order: int, only: str | None = None) -> list[str]:
     """The names of the checks ``run_all`` runs, in deterministic (name)
     order; ValueError unless each accepts the order, so a run that cannot
-    finish builds nothing."""
+    finish builds nothing.  Its message states the largest minimum order
+    of the selected checks and names the checks that need it."""
     names = sorted(CHECKS)
     if only is not None:
         if only not in CHECKS:
             raise ValueError(f"unknown check {only!r}; choose from {names}")
         names = [only]
-    for name in names:
-        _require_order(name, order)
+    need = max(_MIN_ORDER[name] for name in names)
+    if order < need:
+        short = ", ".join(name for name in names if _MIN_ORDER[name] == need)
+        raise ValueError(f"order must be >= {need} ({short})")
     return names
 
 

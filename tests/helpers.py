@@ -7,9 +7,12 @@ the naive summands, that no check runs.  ``residue_pack`` and
 ``packed_rows`` pack Laurent polynomials on the packed ring and read them
 back through ``packed_laurent``, for the tests of that ring.
 ``residue_class_sums`` is the dict-form reference for the residue sums the
-packed ring reads off.  ``bailey_side`` walks the Bailey side of the
-limiting Bailey instance from n = 0, with its own step: an independent route
-to the left side that ``verify_bailey_limit`` reads off SB*D and crank*D.
+packed ring reads off.  ``accumulation_walk`` sums the summands of a walk
+one by one into a total, the form ``series.summand_walk`` had before it
+took Horner's; the references below run on it, never on the production
+walk.  ``bailey_side`` walks the Bailey side of the limiting Bailey
+instance from n = 0, with its own step: an independent route to the left
+side that ``verify_bailey_limit`` reads off SB*D and crank*D.
 """
 
 from typing import Callable, Iterator
@@ -31,8 +34,8 @@ from spt_kernel.series import (
     packed_laurent,
     poch_quotient,
     pochhammer_finite,
+    mul_binomial_list,
     pochhammer_inf,
-    summand_walk,
 )
 
 
@@ -187,6 +190,68 @@ def pair_crank_series(order: int) -> TruncatedSeries:
     return acc
 
 
+def accumulation_walk(ring, state: list, n: int, order: int, step) -> list:
+    """Coefficients 0..order of sum_{m>=n} q^{2m} s_m, summand by summand.
+
+    state holds s_n to q^{order-2n} and is consumed.  step(m) returns the
+    binomial factors (numer, denom), each a list of (c, e), that take s_m to
+    s_{m+1} = s_m * prod_numer (1 - c*q^e) / prod_denom (1 - c*q^e).  Each
+    step adds the state into the total at q^{2m}, drops the two top
+    coefficients that s_{m+1} no longer reaches, and applies its factors,
+    one binomial pass each.
+    """
+    total = [ring.zero] * (order + 1)
+    while 2 * n <= order:
+        base = 2 * n
+        for i, x in enumerate(state):
+            if x:
+                total[base + i] = total[base + i] + x
+        del state[-2:]
+        numer, denom = step(n)
+        for c, e in numer:
+            mul_binomial_list(state, c, e)
+        for c, e in denom:
+            div_binomial_list(state, c, e)
+        n += 1
+    return total
+
+
+def sb_by_accumulation(ring, z, z_inv, order: int, bound: bool = False,
+                       cleared: bool = False) -> list:
+    """``sptcrank._sb_walk``'s walk (SB, SB*D with cleared, and the cleared
+    majorant with bound) on ``accumulation_walk``: the first summand over
+    q^2 built first, over Z, and the step
+    (1 - z q^{2n}) (1 - z_inv q^{2n}) (1 - q^{2n+1})^2
+    / ((1 - c q^{4n+2}) (1 - c q^{4n+4})) in six passes, c = 1, or -1
+    with z = z_inv = -1 for the majorant."""
+    if order < 2:
+        return [ring.zero] * (order + 1)
+    c = 1
+    if bound:
+        z = z_inv = c = -1
+    top = order - 2
+    w = poch_quotient(ZZ, top, [(c, 6, 2, None)], [(1, 3, 2, None)] * 2)
+    state = [x * ring.one for x in w.coeffs]
+    if not cleared:
+        state = poch_quotient(ring, top, denom=d_factors(z, z_inv),
+                              start=TruncatedSeries(ring, top, state)).coeffs
+    return accumulation_walk(ring, state, 1, order, lambda n: (
+        [(z, 2 * n), (z_inv, 2 * n), (1, 2 * n + 1), (1, 2 * n + 1)],
+        [(c, 4 * n + 2), (c, 4 * n + 4)]))
+
+
+def sptbar2_by_accumulation(order: int) -> list:
+    """``sptcrank.sptbar2_series``'s coefficients on ``accumulation_walk``,
+    from its first summand over q^2 built over Z."""
+    if order < 2:
+        return [0] * (order + 1)
+    state = poch_quotient(ZZ, order - 2, [(-1, 3, 1, None)],
+                          [(1, 3, 1, None)] + [(1, 2, 1, 1)] * 2).coeffs
+    return accumulation_walk(ZZ, state, 1, order, lambda n: (
+        [(1, 2 * n), (1, 2 * n), (1, 2 * n + 1)],
+        [(-1, 2 * n + 1), (1, 4 * n + 4)]))
+
+
 def bailey_side(ring, z, z_inv, order: int, bound: bool = False,
                 cleared: bool = False) -> list:
     """Coefficients 0..order of the Bailey side of the limiting Bailey
@@ -197,7 +262,8 @@ def bailey_side(ring, z, z_inv, order: int, bound: bool = False,
         * sum_{n>=0} q^{2n} (z, z_inv; q^2)_n beta_n,
 
     beta_n = (q;q^2)_n^2 / (q^2;q^2)_{2n}, walked from the n = 0 summand,
-    1: summand n+1 over summand n, divided by q^2, is
+    1, on ``accumulation_walk``: summand n+1 over summand n, divided by
+    q^2, is
     (1 - z q^{2n}) (1 - z_inv q^{2n}) (1 - q^{2n+1})^2
     / ((1 - q^{4n+2}) (1 - q^{4n+4})).  A builder for ``packed_laurent``.
 
@@ -218,7 +284,7 @@ def bailey_side(ring, z, z_inv, order: int, bound: bool = False,
     if bound:
         z = z_inv = c = -1
     start = [ring.one] + [ring.zero] * order
-    acc = summand_walk(ring, start, 0, order, lambda n: (
+    acc = accumulation_walk(ring, start, 0, order, lambda n: (
         [(z, 2 * n), (z_inv, 2 * n), (1, 2 * n + 1), (1, 2 * n + 1)],
         [(1, 4 * n + 2), (1, 4 * n + 4)]))
     denom = [(1, 1, 2, None)] * 2

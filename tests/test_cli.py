@@ -233,12 +233,12 @@ def test_usage_error_leaves_no_new_output(capsys, tmp_path):
     target = tmp_path / "new.json"
     code = main(["verify", "--order", "5", "--out", str(target)])
     assert code == 2
-    assert "order must be >= 8" in capsys.readouterr().err
+    assert "order must be >= 9" in capsys.readouterr().err
     assert not target.exists()
 
 
 @pytest.mark.parametrize("order, only, minimum", [
-    (8, [], 9), (5, [], 8), (8, ["--only", "theorem3"], 9),
+    (8, [], 9), (5, [], 9), (8, ["--only", "theorem3"], 9),
     (3, ["--only", "bailey_limit"], 4),
 ])
 def test_order_too_small_runs_no_check(capsys, monkeypatch, tmp_path,
@@ -257,10 +257,23 @@ def test_order_too_small_runs_no_check(capsys, monkeypatch, tmp_path,
     assert not target.exists()
 
 
+@pytest.mark.parametrize("order, only, message", [
+    (1, [], "order must be >= 9 (theorem3, theorem4)"),
+    (8, [], "order must be >= 9 (theorem3, theorem4)"),
+    (5, ["--only", "congruences"], "order must be >= 8 (congruences)"),
+])
+def test_order_message_states_the_largest_minimum(capsys, order, only,
+                                                  message):
+    # one message, at any order below it, not one minimum per retry
+    code = main(["verify", "--order", str(order), *only])
+    assert code == 2
+    assert capsys.readouterr().err == f"spt-kernel: {message}\n"
+
+
 def test_usage_error_comes_before_the_output_check(capsys):
     code = main(["verify", "--order", "5", "--out", "/nonexistent-dir/r.json"])
     assert code == 2
-    assert "order must be >= 8" in capsys.readouterr().err
+    assert "order must be >= 9" in capsys.readouterr().err
 
 
 def test_output_probe_creates_and_truncates_nothing(capsys, tmp_path):

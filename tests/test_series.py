@@ -31,6 +31,7 @@ from spt_kernel.series import (
     lambert_sum,
     mul_binomial_list,
     mul_eta_list,
+    mul_pair_list,
     mul_theta_list,
     numerator_reach,
     poch_quotient,
@@ -253,6 +254,54 @@ def binomial_passes(a, c, exponents, side):
             for i in range(e, top + 1):
                 a[i] = a[i] + c * a[i - e]
     return a
+
+
+@st.composite
+def pair_cases(draw):
+    """A packed ring, a list of its values and an exponent e for
+    ``mul_pair_list``: t = 3 and 5, where z folds and 1/z rotates, or a
+    wide ring; coefficients small enough that every result decodes, some
+    representatives shifted by multiples of the modulus, negative ones
+    too; lists over two slices of ``_CHUNK`` long; e up to past the end
+    of the list."""
+    bits, t = draw(st.sampled_from([(10, 3), (10, 5), (40, 41)]))
+    ring = PackedResidueRing(bits, t, draw(st.integers(0, t - 1)))
+    size = draw(st.integers(0, 140))
+    terms = draw(st.lists(
+        st.tuples(st.integers(-t, t),
+                  st.integers(-(1 << bits - 4), 1 << bits - 4),
+                  st.integers(-3, 3)),
+        min_size=size, max_size=size))
+    a = [ring.pack({e: c}) + k * ring.modulus for e, c, k in terms]
+    return ring, a, draw(st.integers(1, size + 3))
+
+
+class TestPairPass:
+    @given(pair_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_two_binomial_passes(self, case):
+        ring, a, e = case
+        want = list(a)
+        mul_binomial_list(want, ring.z, e)
+        mul_binomial_list(want, ring.z_inv, e)
+        got = list(a)
+        mul_pair_list(got, ring, e)
+        assert [ring.digits(x) for x in got] == \
+            [ring.digits(x) for x in want]
+
+    @pytest.mark.parametrize("e", [1, 2, 5, 64, 65, 130])
+    def test_matches_binomial_passes_one_at_a_time(self, e):
+        # a fixed mix of packed values across several slices, against
+        # ``binomial_passes``, which updates one coefficient at a time
+        ring = PackedResidueRing(12, 5, 2)
+        a = [ring.pack({(i % 5) - 2: (7 * i * i + 3) % 11 - 5,
+                        i % 3: i % 4 - 1}) for i in range(200)]
+        want = binomial_passes(binomial_passes(a, ring.z, [e], 1),
+                               ring.z_inv, [e], 1)
+        got = list(a)
+        mul_pair_list(got, ring, e)
+        assert [ring.digits(x) for x in got] == \
+            [ring.digits(x) for x in want]
 
 
 def eta_starts(name, with_start):

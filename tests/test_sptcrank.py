@@ -10,7 +10,9 @@ from helpers import (
     is_symmetric,
     pair_crank_series,
     residue_class_sums,
+    sb_by_accumulation,
     spt2,
+    sptbar2_by_accumulation,
 )
 from spt_kernel import series
 from spt_kernel.partitions import (
@@ -411,9 +413,9 @@ class TestNumeratorShape:
 
     @pytest.mark.parametrize("order", [40, 300])
     def test_walk_stays_numerator_wide(self, monkeypatch, order):
-        # every state of SB*D's walk, after each of its binomial passes,
-        # and the walk's total: at most (2K + 1)*B bits, at t = 2S + 1 as
-        # at t = 2N + 1, though the ring's modulus has t*B bits
+        # every state of SB*D's walk, after each of its binomial and pair
+        # passes, and the walk's total: at most (2K + 1)*B bits, at
+        # t = 2S + 1 as at t = 2N + 1, though the ring's modulus has t*B bits
         widest = []
 
         def recorded(name):
@@ -425,7 +427,8 @@ class TestNumeratorShape:
                                   default=0))
             return apply
 
-        for name in ("mul_binomial_list", "div_binomial_list"):
+        for name in ("mul_binomial_list", "div_binomial_list",
+                     "mul_pair_list"):
             monkeypatch.setattr(series, name, recorded(name))
         bits, offset = _packing(_sb_walk, order)
         reach = numerator_reach(order)
@@ -433,7 +436,9 @@ class TestNumeratorShape:
             ring = PackedResidueRing(bits, t, reach)
             widest.clear()
             total = _sb_walk(ring, ring.z, ring.z_inv, order, cleared=True)
-            assert len(widest) >= 6 * (order // 2)
+            # steps n = order//2 - 1 .. 1, four passes each: the z pair,
+            # 1 - q^{2n+1}, 1/(1 + q^{2n+1}) and 1/(1 - q^{4n+4})
+            assert len(widest) >= 4 * (order // 2 - 1)
             widest.append(max(abs(x).bit_length() for x in total))
             assert max(widest) <= (2 * reach + 1) * bits, t
 
@@ -449,6 +454,34 @@ class TestNumeratorShape:
             assert packed_laurent(_sb_walk, order) == sb[:order + 1], order
             assert packed_laurent(bailey_side, order) == \
                 bailey[:order + 1], order
+
+
+class TestHornerWalk:
+    """The Horner-form ``summand_walk`` against the summand-by-summand walk
+    of the test helpers, on every ring an SB walk runs on; packed values
+    are compared modulo the ring's modulus, the ring's own equality."""
+
+    @pytest.mark.parametrize("order", [*range(1, 61), 301])
+    def test_matches_accumulation(self, order):
+        for bound, cleared in ((True, True), (False, True), (False, False)):
+            assert _sb_walk(ZZ, 1, 1, order, bound, cleared) == \
+                sb_by_accumulation(ZZ, 1, 1, order, bound, cleared), \
+                (bound, cleared)
+        assert sptbar2_series(order).coeffs == sptbar2_by_accumulation(order)
+        reach = numerator_reach(order)
+        bits, offset = _packing(_sb_walk, order)
+        numer_bits, _ = _packing(partial(_sb_walk, cleared=True), order)
+        # t = 3 (the table's residues, SB itself), the numerator ring
+        # t = 2K + 1 and the full rows' ring t = 2S + 1 (SB*D)
+        for ring, cleared in (
+                (PackedResidueRing(bits, 3, reach), False),
+                (PackedResidueRing(numer_bits, 2 * reach + 1, reach), True),
+                (PackedResidueRing(bits, 2 * offset + 1, reach), True)):
+            m = ring.modulus
+            got = _sb_walk(ring, ring.z, ring.z_inv, order, cleared=cleared)
+            want = sb_by_accumulation(ring, ring.z, ring.z_inv, order,
+                                      cleared=cleared)
+            assert [x % m for x in got] == [x % m for x in want], ring.t
 
 
 def laurent_residues(build, order, t):
