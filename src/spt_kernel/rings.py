@@ -394,16 +394,17 @@ class PackedResidueRing:
 
     Any integer c with c = sum_k m_k 2^(B (k mod t)) acts as the Laurent
     polynomial sum_k m_k z^k: x*c packs that polynomial times the one x
-    packs.  The theta route of ``series.poch_quotient`` applies
+    packs.  The division by D of ``series.poch_quotient`` applies
     z^(1-n) + ... + z^(n-1) so, as one product where t*B is small, or, on
     wider rings, grown by the two shifts z^(n-1) x and z^(1-n) x from the
     value for n - 1; it folds the sum of a coefficient's terms once mod M.
     Only the representative changes, so the widths and the proof above
     hold as they are.
 
-    The offset need not be central.  ``series.packed_laurent`` and
-    ``packed_residues`` build a numerator X*D, whose z-exponents lie in
-    [-K, K], at offset K on a ring of t > 2K + 1 digits: its values stay
+    The offset need not be central.  ``series._packed``, which builds
+    every ring of this kind that the CLI reads, puts z^0 at K =
+    ``series.numerator_reach(N)``.  A numerator X*D has its z-exponents
+    in [-K, K], so on a ring of t > 2K + 1 digits its values stay
     (2K + 1) B bits wide, and only the division by D fills the t digits.
     """
 

@@ -7,7 +7,6 @@ and order -- a mismatch while checking an identity is a bug, not data.
 
 from __future__ import annotations
 
-from functools import partial
 from math import isqrt
 from operator import add, sub
 from typing import Callable, Sequence
@@ -233,35 +232,36 @@ def theta_list(ring, order: int) -> list:
     return out
 
 
-def _theta_by_multipliers(a, src, ring, sign):
-    """a[i] += sign * sum s*chi_{2n-1}*src[i - n(n-1)] for i = 2, 3, ...
-    in turn, over the terms of ``_theta_terms``: each product x*c_n of
-    ``_theta_multipliers`` multiplies two values of up to t*B bits, and the
-    products of one coefficient are summed unreduced and folded once."""
+def _theta_by_multipliers(a, ring):
+    """a[i] -= sum s*chi_{2n-1}*a[i - n(n-1)] for i = 2, 3, ... in turn,
+    over the terms of ``_theta_terms``, each a[i - n(n-1)] already divided:
+    each product x*c_n of ``_theta_multipliers`` multiplies two values of
+    up to t*B bits, and the products of one coefficient are summed
+    unreduced and folded once."""
     terms = _theta_multipliers(ring, len(a) - 1)
     width, mask = ring.t * ring.bits, ring.modulus
     live = 0
     for i in range(2, len(a)):
         if live < len(terms) and terms[live][0] <= i:
             live += 1
-        acc = sum([m * src[i - e] for e, m in terms[:live]])
-        a[i] = _fold(a[i] + acc if sign > 0 else a[i] - acc, width, mask)
+        acc = sum([m * a[i - e] for e, m in terms[:live]])
+        a[i] = _fold(a[i] - acc, width, mask)
 
 
-def _theta_by_growth(a, src, ring, sign):
+def _theta_by_growth(a, ring):
     """As ``_theta_by_multipliers``, with no multiplication of values:
-    chi[j] holds chi_{2n-1}*src[j] for the last term n that src[j] met,
-    and the next term n + 1 (at i = j + n(n+1)) extends it to
-    chi_{2n+1}*src[j] by z^n*src[j] + z^(-n)*src[j], two shifts folded
-    once each modulo 2^(tB) - 1.  A term application costs O(t*B) bit
-    operations whatever t is; src[j] joins chi once a[j] is final, and
-    chi[j] is dropped once its next term would be past the top."""
+    chi[j] holds chi_{2n-1}*a[j] for the last term n that a[j] met, and
+    the next term n + 1 (at i = j + n(n+1)) extends it to
+    chi_{2n+1}*a[j] by z^n*a[j] + z^(-n)*a[j], two shifts folded once
+    each modulo 2^(tB) - 1.  A term application costs O(t*B) bit
+    operations whatever t is; a[j] joins chi once it is final, and chi[j]
+    is dropped once its next term would be past the top."""
     bits, t, top = ring.bits, ring.t, len(a) - 1
     width, mask = t * bits, ring.modulus
-    # term n meets src[j] at i = j + n(n-1), and term n + 1 at i + 2n
+    # term n meets a[j] at i = j + n(n-1), and term n + 1 at i + 2n
     terms = [(e, s, bits * ((n - 1) % t), bits * ((1 - n) % t), top - 2 * n)
              for e, s, n in _theta_terms(top)]
-    chi = src[:2]
+    chi = a[:2]
     live = 0
     for i in range(2, len(a)):
         if live < len(terms) and terms[live][0] <= i:
@@ -269,7 +269,7 @@ def _theta_by_growth(a, src, ring, sign):
         plus = minus = 0
         for e, s, up, down, last in terms[:live]:
             j = i - e
-            x = src[j]
+            x = a[j]
             y, w = x << up, x << down
             if y.bit_length() > width:
                 y = (y & mask) + (y >> width)
@@ -281,9 +281,8 @@ def _theta_by_growth(a, src, ring, sign):
                 plus += c
             else:
                 minus += c
-        acc = plus - minus
-        a[i] = _fold(a[i] + acc if sign > 0 else a[i] - acc, width, mask)
-        chi.append(src[i])
+        a[i] = _fold(a[i] - plus + minus, width, mask)
+        chi.append(a[i])
 
 
 # The packed width t*B, in bits, from which ``_theta_by_growth`` applies a
@@ -294,28 +293,15 @@ def _theta_by_growth(a, src, ring, sign):
 _GROWTH_BITS = 600
 
 
-def _theta_pass(a, ring, sign):
-    """In place: a *= E for sign 1, a /= E for sign -1, on the packed ring,
-    from the bottom up.  A product reads the values of a as they were
-    (a copy of the list), a quotient the values already divided."""
-    src = list(a) if sign > 0 else a
-    form = (_theta_by_growth if ring.t * ring.bits >= _GROWTH_BITS
-            else _theta_by_multipliers)
-    form(a, src, ring, sign)
-
-
-def mul_theta_list(a, ring):
-    """In place: a *= E on the packed ring: a[i] plus
-    s*chi_{2n-1}*a[i - n(n-1)] over the terms of ``_theta_terms``
-    (``_theta_pass``)."""
-    _theta_pass(a, ring, 1)
-
-
 def div_theta_list(a, ring):
-    """In place: a /= E on the packed ring by the recurrence
-    b[i] = a[i] - sum s*chi_{2n-1}*b[i - n(n-1)] over the terms of
-    ``_theta_terms`` with n(n-1) <= i (``_theta_pass``)."""
-    _theta_pass(a, ring, -1)
+    """In place: a /= E on the packed ring, from the bottom up, by the
+    recurrence b[i] = a[i] - sum s*chi_{2n-1}*b[i - n(n-1)] over the terms
+    of ``_theta_terms`` with n(n-1) <= i, in the form that costs less at
+    the ring's width t*B."""
+    if ring.t * ring.bits >= _GROWTH_BITS:
+        _theta_by_growth(a, ring)
+    else:
+        _theta_by_multipliers(a, ring)
 
 
 def invert_list(a, ring):
@@ -505,11 +491,12 @@ def _poch_exponents(j: int, k: int, n: int | None, order: int) -> range:
     return range(j, min(order + 1, j + n * k), k)
 
 
-def _eta_form(c: int, j: int, k: int):
-    """(c*q^j; q^k)_inf for c = 1 or -1 as (powers, finite): powers maps m
-    to the exponent of (q^m; q^m)_inf, and finite lists (side, factor), the
-    finite factor (1, j', k', n') multiplying for side 1 and dividing for
-    side -1.  None unless these identities give it:
+def _eta_form(c, j: int, k: int):
+    """(c*q^j; q^k)_inf for c the plain integer 1 or -1 as (powers,
+    finite): powers maps m to the exponent of (q^m; q^m)_inf, and finite
+    lists (side, factor), the finite factor (1, j', k', n') multiplying for
+    side 1 and dividing for side -1.  None for any other c, or unless these
+    identities give it:
 
         (q^j; q^k)_inf = (q^k; q^k)_inf / (q^k; q^k)_{j/k - 1}  if k | j;
         (q^j; q^k)_inf = (q^r; q^r)_inf
@@ -517,6 +504,8 @@ def _eta_form(c: int, j: int, k: int):
                                                   if k = 2r, j = r mod k;
         (-q^j; q^k)_inf = (q^{2j}; q^{2k})_inf / (q^j; q^k)_inf.
     """
+    if type(c) is not int or c not in (1, -1):
+        return None
     if c == -1:
         num, den = _eta_form(1, 2 * j, 2 * k), _eta_form(1, j, k)
         if num is None or den is None:
@@ -533,36 +522,21 @@ def _eta_form(c: int, j: int, k: int):
     return None
 
 
-def _eta_route(c, j: int, k: int, passes: int, order: int):
-    """``_eta_form`` of the infinite factor (c*q^j; q^k)_inf, if c is the
-    plain integer 1 or -1 and the form costs no more than the factor's
-    binomial passes: one per finite factor of it, and one per pentagonal
-    term of each (q^m; q^m)_inf it multiplies or divides by; else None."""
-    if type(c) is not int or c not in (1, -1):
-        return None
-    form = _eta_form(c, j, k)
-    if form is None:
-        return None
-    powers, finite = form
-    cost = sum(abs(a) * len(_pentagonal(m, order)) for m, a in powers.items())
-    cost += sum(len(_poch_exponents(*f[1:], order)) for _, f in finite)
-    return form if cost <= passes else None
-
-
-def _theta_route(ring, factors: list) -> int:
+def _theta_route(ring, factors: list, start) -> int:
     """The side, 1 for the numerator and -1 for the denominator, of the
     pair D = ``d_factors(ring.z, ring.z_inv)`` among factors, a list of
     (side, factor, exponents); ``poch_quotient`` then applies it through
     E = D (q^2; q^2)_inf (``_theta_terms``) and the pair is removed from
-    factors.  0, with factors unchanged, off ``PackedResidueRing`` or
-    without such a pair.  On the packed ring the theta route is always
-    taken: its ~(2/3) order^{3/2} term applications each cost O(t*B) bit
-    operations (``_theta_pass``), where D's ~order binomial passes make
-    ~order^2/2 coefficient updates of that cost.
+    factors.  A D in the numerator is taken only when start is None, as E
+    written out (``theta_list``).  0, with factors unchanged, off
+    ``PackedResidueRing`` or without such a pair.  On the packed ring the
+    division is always taken: its ~(2/3) order^{3/2} term applications
+    each cost O(t*B) bit operations (``div_theta_list``), where D's ~order
+    binomial passes make ~order^2/2 coefficient updates of that cost.
     """
     if type(ring) is not PackedResidueRing:
         return 0
-    for side in (1, -1):
+    for side in (1, -1) if start is None else (-1,):
         pair = []
         for z in (ring.z, ring.z_inv):
             pair += [i for i, (s, (c, *rest), _) in enumerate(factors)
@@ -583,15 +557,15 @@ def poch_quotient(ring, order: int, numer=(), denom=(),
     (1 - c*q^{j+ik}) over 0 <= i < n, and n = None for the infinite product.
     c is a ring element or an integer scalar.  On ``PackedResidueRing``
     the pair D = (z q^2, q^2/z; q^2)_inf of ``d_factors(ring.z,
-    ring.z_inv)`` is applied as E / (q^2; q^2)_inf (``_theta_route``): E
-    is written directly (``theta_list``) or multiplied or divided in
-    O(order sqrt(order)) term applications of O(t*B) each
-    (``mul_theta_list``, ``div_theta_list``), and (q^2; q^2)_inf joins the
-    eta powers.  An infinite factor with c the integer 1 or -1 is
-    rewritten by ``_eta_form`` into powers of (q^m; q^m)_inf and finite
-    factors, where that costs no more; the powers are summed over all
-    factors, and each (q^m; q^m)_inf left is one sparse pass over its
-    pentagonal terms (``mul_eta_list``, ``div_eta_list``).  Every other
+    ring.z_inv)`` is applied as E / (q^2; q^2)_inf (``_theta_route``),
+    where it divides or, with no start, multiplies: E is written directly
+    (``theta_list``) or divided by in O(order sqrt(order)) term
+    applications of O(t*B) each (``div_theta_list``), and (q^2; q^2)_inf
+    joins the eta powers.  An infinite factor with c the integer 1 or -1
+    is rewritten by ``_eta_form`` into powers of (q^m; q^m)_inf and finite
+    factors; the powers are summed over all factors, and each
+    (q^m; q^m)_inf left is one sparse pass over its pentagonal terms
+    (``mul_eta_list``, ``div_eta_list``).  Every other
     binomial factor whose exponent is at most the order is one O(order)
     pass -- a multiplication for the numerator, a geometric division for
     the denominator -- so no series is ever inverted.  start defaults
@@ -607,11 +581,11 @@ def poch_quotient(ring, order: int, numer=(), denom=(),
     # every factor is validated before any is rewritten or applied
     factors = [(side, f, _poch_exponents(*f[1:], order))
                for side, fs in ((1, numer), (-1, denom)) for f in fs]
-    theta = _theta_route(ring, factors)
+    theta = _theta_route(ring, factors, start)
     etas: dict[int, int] = {2: -theta} if theta else {}
     passes = []  # (side, c, exponents): side 1 multiplies, -1 divides
     for side, (c, j, k, n), exps in factors:
-        form = None if n is not None else _eta_route(c, j, k, len(exps), order)
+        form = None if n is not None else _eta_form(c, j, k)
         if form is None:
             passes.append((side, c, exps))
             continue
@@ -620,10 +594,10 @@ def poch_quotient(ring, order: int, numer=(), denom=(),
             etas[m] = etas.get(m, 0) + side * a
         for s, (c1, j1, k1, n1) in finite:
             passes.append((side * s, c1, _poch_exponents(j1, k1, n1, order)))
-    if theta > 0 and start is None:
+    if theta > 0:
         out = theta_list(ring, order)
     elif theta:
-        (mul_theta_list if theta > 0 else div_theta_list)(out, ring)
+        div_theta_list(out, ring)
     for m, a in sorted(etas.items()):
         for _ in range(abs(a)):
             (mul_eta_list if a > 0 else div_eta_list)(out, m)
@@ -705,14 +679,6 @@ def binomials(numer, denom, bound: bool):
             [(abs(c), *rest) for c, *rest in denom])
 
 
-def _packing(build, order: int) -> tuple[int, int]:
-    """The width B of a packed run of build and the z-reach S of its full
-    rows: B is one bit more than the largest coefficient of its majorant
-    build(ZZ, 1, 1, order, True), so the sum of |coefficients| of every
-    Laurent polynomial it returns is below 2^(B-1), and S = order//2 + 2."""
-    return max(build(ZZ, 1, 1, order, True)).bit_length() + 1, order // 2 + 2
-
-
 def d_factors(z, z_inv) -> list:
     """D = (z q^2, q^2/z; q^2)_inf as ``poch_quotient`` factors.  D is the
     denominator of SB and of the rank and crank series; D = 1 mod q, so it
@@ -721,8 +687,7 @@ def d_factors(z, z_inv) -> list:
     ``poch_quotient`` applies the pair through Jacobi's triple product,
     D = E / (q^2; q^2)_inf (``_theta_route``), in O(N sqrt(N)) steps of
     O(t*B) bit operations at any t: a series over Z[z,1/z] is built as its
-    numerator X*D and divided by D once (``packed_laurent``,
-    ``packed_residues``)."""
+    numerator X*D and divided by D once (``_packed``)."""
     return [(z, 2, 2, None), (z_inv, 2, 2, None)]
 
 
@@ -740,68 +705,69 @@ def numerator_reach(order: int) -> int:
     return isqrt(order) + 2
 
 
-def _over_d(build, ring, order: int) -> list:
-    """Coefficients 0..order of build's series X on ring, whose offset is
-    K = ``numerator_reach(order)``: the numerator X*D of build(...,
-    cleared=True), whose packed values stay (2K + 1)*B bits wide whatever
-    t is, divided once by D."""
-    numer = build(ring, ring.z, ring.z_inv, order, False, cleared=True)
-    return poch_quotient(ring, order, denom=d_factors(ring.z, ring.z_inv),
-                         start=TruncatedSeries(ring, order, numer)).coeffs
-
-
-def packed_laurent(build, order: int, reach: int | None = None) -> list:
-    """Coefficients 0..order of a series over Z[z,1/z], computed on packed
-    integers and read off once.
+def _packed(build, order: int, t: int, cleared: bool = False):
+    """(ring, values): coefficients 0..order of build's series over
+    Z[z,1/z] on ``PackedResidueRing`` at modulus t, the one place that
+    picks the width, the ring and whether to divide by D.
 
     build(ring, z, z_inv, order, bound, cleared) returns a coefficient
-    list over ring; build(ZZ, 1, 1, order, True) must return a majorant,
-    whose coefficient of q^n bounds the sum of |coefficients| of the
-    Laurent polynomial at q^n.  That fixes the width B, so every
-    coefficient is below 2^(B-1) and the balanced digits are exact.
+    list over ring, with cleared the numerator X*D of its series X;
+    build(ZZ, 1, 1, order, True, cleared) must return a majorant, whose
+    coefficient of q^n bounds the sum of |coefficients| of the Laurent
+    polynomial at q^n.  The width B is one bit more than the majorant's
+    largest coefficient, so every coefficient and every residue sum is
+    below 2^(B-1) and the ring's digits are exact.
 
-    The rows are read on Z[z]/(z^t - 1) with t = 2S + 1, where S is their
-    z-reach.  By default they are full rows, S = order//2 + 2: build runs
-    with cleared=True, as the numerator X*D of ``_over_d``, on the ring of
-    offset ``numerator_reach(order)``, and the quotient is read there.
-    With reach, S = reach and build's own values are read (the numerators
-    of ``packed_numerator``).  The ring is exact whatever exponents an
-    intermediate value reaches, and a result's exponents congruent to
-    e mod t share one digit.  A row inside [-(S - 1), S - 1] is read
-    exactly, the digit of class e as the coefficient of z^e for e in
-    [-S, S]; a row whose z^-S or z^S digit is nonzero is at the edge of
-    that window and raises ``WindowError`` with its index.
+    The ring's offset is K = ``numerator_reach(order)``.  With cleared, or
+    at t <= 2K + 1, build runs as it is, and a value is at most t*B bits
+    wide.  At t > 2K + 1 the ring is wider than a numerator's window, so
+    build runs as X*D, whose values stay (2K + 1)*B bits wide whatever t
+    is, and X is X*D divided by D once, which fills the t digits.  Below
+    that switch the division buys nothing: at t = 3 and order 300, in
+    process (medians of 41 runs, Python 3.11.7, 2-CPU Xeon), rank's own
+    walk takes 3.8 ms against 6.0 ms for rank*D then / D, and SB 10.5 ms
+    either way.
     """
-    bits, offset = _packing(build, order)
-    if reach is None:
-        ring = PackedResidueRing(bits, 2 * offset + 1, numerator_reach(order))
-        values = _over_d(build, ring, order)
-    else:
-        offset = reach
-        ring = PackedResidueRing(bits, 2 * offset + 1, offset)
-        values = build(ring, ring.z, ring.z_inv, order, False)
-    low = (ring.start - offset) % ring.t  # the digit of class -S
+    bits = max(build(ZZ, 1, 1, order, True, cleared)).bit_length() + 1
+    reach = numerator_reach(order)
+    ring = PackedResidueRing(bits, t, reach)
+    z, z_inv = ring.z, ring.z_inv
+    if cleared or t <= 2 * reach + 1:
+        return ring, build(ring, z, z_inv, order, False, cleared)
+    numer = TruncatedSeries(ring, order,
+                            build(ring, z, z_inv, order, False, True))
+    return ring, poch_quotient(ring, order, denom=d_factors(z, z_inv),
+                               start=numer).coeffs
+
+
+def packed_laurent(build, order: int, cleared: bool = False) -> list:
+    """Rows 0..order of build's series over Z[z,1/z], or with cleared of
+    its numerator X*D, read once off ``_packed`` at t = 2S + 1, where S
+    is their z-reach: S = K = ``numerator_reach(order)`` for a numerator,
+    and S = max(order//2 + 2, K + 1) for full rows, which keeps them on
+    the side of t > 2K + 1, X*D divided by D once.  Row n of SB lies in
+    [-n/2, n/2] (``sptcrank.sb_series``).
+
+    The ring is exact whatever exponents an intermediate value reaches,
+    and a result's exponents congruent to e mod t share one digit: entry
+    e of ``unpack``, read as the coefficient of z^e for e in [-S, S], a
+    negative e indexing from the top.  A row inside [-(S - 1), S - 1] is
+    read exactly; a row whose z^-S or z^S digit is nonzero is at the edge
+    of that window and raises ``WindowError`` with its index.
+    """
+    reach = numerator_reach(order)
+    s = reach if cleared else max(order // 2 + 2, reach + 1)
+    ring, values = _packed(build, order, 2 * s + 1, cleared)
     rows = []
     for k, x in enumerate(values):
         values[k] = None  # each packed value is freed as its row is read
-        digits = ring.digits(x)
-        if low:
-            digits = digits[low:] + digits[:low]
-        if digits[0] or digits[-1]:
-            raise WindowError(k, offset)
+        digits = ring.unpack(x)
+        if digits[s] or digits[-s]:
+            raise WindowError(k, s)
         row = LaurentPolynomial.__new__(LaurentPolynomial)
-        row.c = {e: d for e, d in enumerate(digits, -offset) if d}
+        row.c = {e: digits[e] for e in range(-s, s + 1) if digits[e]}
         rows.append(row)
     return rows
-
-
-def packed_numerator(build, order: int) -> list:
-    """Rows 0..order of the numerator X*D of a series X over Z[z,1/z]:
-    build(..., cleared=True) is build with its division by D left out,
-    read off ``packed_laurent`` at z-reach ``numerator_reach(order)``, so
-    on t = 2K + 1 digits rather than order + 5."""
-    return packed_laurent(partial(build, cleared=True), order,
-                          numerator_reach(order))
 
 
 def divided_by_d(rows: list) -> list:
@@ -814,8 +780,9 @@ def divided_by_d(rows: list) -> list:
     |p| the sum of |coefficients| of p, since 1/(1 - z q^e) has the
     majorant 1/(1 - q^e).
     """
-    # packed_laurent asks only for the majorant and the numerator
-    def build(ring, z, z_inv, order, bound, cleared=True):
+    # full rows are always read as the numerator divided by D, so build is
+    # asked only for the majorant and the numerator
+    def build(ring, z, z_inv, order, bound, cleared):
         if bound:
             start = [sum(map(abs, p.c.values())) for p in rows]
             return poch_quotient(ZZ, order, denom=[(1, 2, 2, None)] * 2,
@@ -826,26 +793,11 @@ def divided_by_d(rows: list) -> list:
 
 
 def packed_residues(build, order: int, t: int) -> list[list[int]]:
-    """Residue-class sums mod t of coefficients 0..order of a series over
-    Z[z,1/z]: entry k of row n is the sum of the coefficients of the
-    Laurent polynomial at q^n on the exponents congruent to k mod t.  build
-    is as for ``packed_laurent``, with the same width B, on
-    ``PackedResidueRing`` at modulus t and offset K =
-    ``numerator_reach(order)``.
-
-    Where t > 2K + 1 the ring is wider than the numerator's window, and X
-    is its numerator divided by D once (``_over_d``), as the full rows
-    are.  At t <= 2K + 1 build runs as it is: at t = 3 and order 300
-    rank*D's walk takes 9.5 ms against rank's 2.5 ms, and SB*D then / D
-    18.0 ms against SB's 15.4 ms.
-    """
-    bits, _ = _packing(build, order)
-    reach = numerator_reach(order)
-    ring = PackedResidueRing(bits, t, reach)
-    if t > 2 * reach + 1:
-        values = _over_d(build, ring, order)
-    else:
-        values = build(ring, ring.z, ring.z_inv, order, False)
+    """Residue-class sums mod t of coefficients 0..order of build's series
+    over Z[z,1/z] (``_packed``): entry k of row n is the sum of the
+    coefficients of the Laurent polynomial at q^n on the exponents
+    congruent to k mod t."""
+    ring, values = _packed(build, order, t)
     return [ring.unpack(x) for x in values]
 
 

@@ -33,7 +33,6 @@ from .series import (  # noqa: F401
     d_factors,
     mul_lists,
     packed_laurent,
-    packed_numerator,
     packed_residues,
     poch_quotient,
     pochhammer_finite,
@@ -182,29 +181,21 @@ def sb_series(order: int) -> SptCrankTable:
 
 def sb_numerator(order: int) -> TruncatedSeries:
     """SB*D over Z[z,1/z], D = (z q^2, q^2/z; q^2)_inf, read off the narrow
-    packed ring of ``packed_numerator``."""
-    return TruncatedSeries(LAURENT, order, packed_numerator(_sb_walk, order))
-
-
-def sb_residue_sums(order: int, t: int) -> list[list[int]]:
-    """Residue-class sums mod t of rows 0..order of SB(z,q), built over
-    Z[z]/(z^t - 1) (``packed_residues``) without the rows.
-
-    The checks read these: each compares every row with an independent
-    series, so a wrong row, negative or not, is reported where it first
-    differs.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return packed_residues(_sb_walk, order, t)
+    packed ring of ``packed_laurent`` with cleared."""
+    return TruncatedSeries(LAURENT, order,
+                           packed_laurent(_sb_walk, order, cleared=True))
 
 
 def sb_residues(order: int, t: int) -> list[list[int]]:
-    """``sb_residue_sums``, for the ``table`` command.  A residue sum adds
-    counts, so a negative one is refused like a negative count in
-    ``SptCrankTable``.
+    """Residue-class sums mod t of rows 0..order of SB(z,q), built over
+    Z[z]/(z^t - 1) (``packed_residues``) without the rows, for the
+    ``table`` command.  A residue sum adds counts, so a negative one is
+    refused like a negative count in ``SptCrankTable``.  The checks read
+    ``packed_residues`` of SB themselves: each compares every row with an
+    independent series, so a wrong row, negative or not, is reported where
+    it first differs.
     """
-    sums = sb_residue_sums(order, t)
+    sums = packed_residues(_sb_walk, order, t)
     for n, row in enumerate(sums):
         if min(row) < 0:
             raise ValueError(f"negative spt-crank residue sum at n={n}: {row}")
@@ -312,8 +303,9 @@ def rank_series(order: int) -> TruncatedSeries:
 
 def rank_numerator(order: int) -> TruncatedSeries:
     """rank*D over Z[z,1/z], D = (z q^2, q^2/z; q^2)_inf, read off the
-    narrow packed ring of ``packed_numerator``."""
-    return TruncatedSeries(LAURENT, order, packed_numerator(_rank_coeffs, order))
+    narrow packed ring of ``packed_laurent`` with cleared."""
+    return TruncatedSeries(LAURENT, order,
+                           packed_laurent(_rank_coeffs, order, cleared=True))
 
 
 def rank_series_bailey_sum(ring, z, z_inv, order: int) -> TruncatedSeries:

@@ -25,13 +25,13 @@ from .series import (
 from .sptcrank import (
     _crank_coeffs,
     _rank_coeffs,
+    _sb_walk,
     at_zeta3,
     crank_numerator,
     crank_series,
     rank_numerator,
     rank_series,
     sb_numerator,
-    sb_residue_sums,
     sptbar2_series,
 )
 
@@ -282,7 +282,7 @@ def verify_theorem1(order: int, n_oracle: int = 0,
     is the product-plus-Lambert formula.  SB(zeta_3, q) is read off SB's
     residue sums mod 3, shared with the congruences."""
     _require_order("theorem1", order)
-    comps = at_zeta3(build(sb_residue_sums, order, 3)).dissect(3)
+    comps = at_zeta3(build(packed_residues, _sb_walk, order, 3)).dissect(3)
     subchecks = [
         ("A0", comps[0], TruncatedSeries(CYCLO3, comps[0].order)),
         ("A1", comps[1], TruncatedSeries(CYCLO3, comps[1].order)),
@@ -398,7 +398,7 @@ def verify_congruences(order: int, n_oracle: int = 0,
     spt2bar(3n), spt2bar(3n+1) divisible by 3; spt2bar(5n+3) divisible by
     5; residue classes of the spt-crank mod 3 all equal at 3n and 3n+1.
 
-    The residue sums mod 3 of SB's rows (``sb_residue_sums``) give
+    The residue sums mod 3 of SB's rows (``packed_residues``) give
     ``mod3-refinement``; their total, the row at z = 1, is compared with
     ``sptbar2_series`` (``z=1-consistency``).  SB(zeta_3, q) at 3n and
     3n+1, (s_0 - s_2, s_1 - s_2), is zero exactly when those sums are
@@ -407,7 +407,7 @@ def verify_congruences(order: int, n_oracle: int = 0,
     """
     _require_order("congruences", order)
     s2 = sptbar2_series(order)
-    residues = build(sb_residue_sums, order, 3)
+    residues = build(packed_residues, _sb_walk, order, 3)
 
     def fail(n, expected, actual, where):
         return VerificationReport("congruences", order, "fail", {

@@ -5,7 +5,7 @@ direct definition, kept independent of the fast builders.
 ``pair_crank_series`` is a third route to SB(z,q), beside the fast walk and
 the naive summands, that no check runs.  ``residue_pack`` and
 ``packed_rows`` pack Laurent polynomials on the packed ring and read them
-back through ``packed_laurent``, for the tests of that ring.
+back as ``packed_laurent`` reads its rows, for the tests of that ring.
 ``residue_class_sums`` is the dict-form reference for the residue sums the
 packed ring reads off.  ``accumulation_walk`` sums the summands of a walk
 one by one into a total, the form ``series.summand_walk`` had before it
@@ -22,16 +22,22 @@ from spt_kernel.partitions import (
     enumerate_overpartitions,
     partition_list,
 )
-from spt_kernel.rings import LAURENT, ZZ, LaurentPolynomial, RingError
+from spt_kernel.rings import (
+    LAURENT,
+    ZZ,
+    LaurentPolynomial,
+    PackedResidueRing,
+    RingError,
+)
 from spt_kernel.series import (
     SeriesError,
     TruncatedSeries,
+    WindowError,
     _scan_range,
     binomials,
     d_factors,
     div_binomial_list,
     geometric,
-    packed_laurent,
     poch_quotient,
     pochhammer_finite,
     mul_binomial_list,
@@ -306,13 +312,18 @@ def residue_pack(ring, p):
     return x
 
 
-def packed_rows(make, order, majorant, reach=None):
-    """The rows ``packed_laurent`` reads off the packed values make(ring),
-    on the ring it sets up for order and reach: offset S = reach, by
-    default order//2 + 2, and width B one bit more than majorant's bit
-    length."""
-    def build(ring, z, z_inv, order, bound):
-        return [majorant] if bound else make(ring)
-    # with its reach given, packed_laurent reads build's values as they are
-    return packed_laurent(build, order,
-                          order // 2 + 2 if reach is None else reach)
+def packed_rows(make, order, majorant):
+    """The Laurent rows of the packed values make(ring), on Z[z]/(z^t - 1)
+    with t = 2S + 1, S = order//2 + 2, offset S and width B one bit more
+    than majorant's bit length, read as ``packed_laurent`` reads them:
+    entry e of ``unpack`` is the coefficient of z^e for e in [-S, S], and
+    a row with a nonzero z^-S or z^S digit raises ``WindowError``."""
+    s = order // 2 + 2
+    ring = PackedResidueRing(majorant.bit_length() + 1, 2 * s + 1, s)
+    rows = []
+    for n, x in enumerate(make(ring)):
+        digits = ring.unpack(x)
+        if digits[s] or digits[-s]:
+            raise WindowError(n, s)
+        rows.append(LaurentPolynomial({e: digits[e] for e in range(-s, s + 1)}))
+    return rows

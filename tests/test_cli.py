@@ -144,10 +144,10 @@ class TestVerify:
         # (here from the residue sums) is a fault, not exit code 2
         import spt_kernel.verify as verify
 
-        def broken(order, t):
+        def broken(build, order, t):
             raise ValueError("negative spt-crank residue sum")
 
-        monkeypatch.setattr(verify, "sb_residue_sums", broken)
+        monkeypatch.setattr(verify, "packed_residues", broken)
         with pytest.raises(ValueError, match="negative"):
             main(["verify", "--order", "20", "--only", "congruences"])
 

@@ -32,14 +32,18 @@ from spt_kernel.series import (
     mul_binomial_list,
     mul_eta_list,
     mul_pair_list,
-    mul_theta_list,
     numerator_reach,
     poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
     theta_list,
 )
-from spt_kernel.sptcrank import _crank_coeffs, _rank_coeffs, crank_series
+from spt_kernel.sptcrank import (
+    _crank_coeffs,
+    _rank_coeffs,
+    _sb_walk,
+    crank_series,
+)
 
 
 def pentagonal_series(order):
@@ -386,8 +390,8 @@ THETA_MODULI = [1, 2, 3, 5, 7, 2 * numerator_reach(THETA_TOP) + 1,
                 2 * (THETA_TOP // 2 + 2) + 1]
 
 
-# moduli at which both forms of the theta pass run, whichever of them the
-# kernels pick at that t*B (``series._GROWTH_BITS``)
+# moduli at which both forms of the division by E run, whichever of them
+# ``div_theta_list`` picks at that t*B (``series._GROWTH_BITS``)
 FORM_MODULI = [1, 2, 3, 5, 7, 9, 11, 13, 2 * numerator_reach(THETA_TOP) + 1,
                2 * (THETA_TOP // 2 + 2) + 1]
 
@@ -441,18 +445,19 @@ class TestThetaRoute:
         first = theta_starts(ring, with_start)
         for side in (1, -1):
             want = [ring.digits(x) for x in d_passes(ring, first, side)]
-            # the kernels themselves, whatever route poch_quotient takes
-            got = list(first)
-            if side > 0:
-                if with_start:
-                    mul_theta_list(got, ring)
-                else:
-                    got = theta_list(ring, THETA_TOP)
-                div_eta_list(got, 2)
-            else:
+            # the kernels themselves: E written out for D from 1, and the
+            # division by E; a product of D with a start has no kernel of
+            # its own, and poch_quotient below takes its binomial passes
+            got = None
+            if side < 0:
+                got = list(first)
                 div_theta_list(got, ring)
                 mul_eta_list(got, 2)
-            assert [ring.digits(x) for x in got] == want, side
+            elif not with_start:
+                got = theta_list(ring, THETA_TOP)
+                div_eta_list(got, 2)
+            if got is not None:
+                assert [ring.digits(x) for x in got] == want, side
             factors = d_factors(ring.z, ring.z_inv)
             numer, denom = (factors, ()) if side > 0 else ((), factors)
             for order in range(THETA_TOP + 1):
@@ -475,17 +480,12 @@ class TestThetaRoute:
         if start == "wide":
             first = [x + (-1) ** i * (i * i + 1) * ring.modulus ** (1 + i % 3)
                      for i, x in enumerate(first)]
-        for sign in (1, -1):
-            want = [ring.digits(x) for x in d_passes(ring, first, sign)]
-            for order in range(THETA_TOP + 1):
-                got = first[:order + 1]
-                form(got, list(got) if sign > 0 else got, ring, sign)
-                if sign > 0:
-                    div_eta_list(got, 2)
-                else:
-                    mul_eta_list(got, 2)
-                assert [ring.digits(x) for x in got] == \
-                    want[:order + 1], (sign, order)
+        want = [ring.digits(x) for x in d_passes(ring, first, -1)]
+        for order in range(THETA_TOP + 1):
+            got = first[:order + 1]
+            form(got, ring)
+            mul_eta_list(got, 2)
+            assert [ring.digits(x) for x in got] == want[:order + 1], order
 
     @pytest.mark.parametrize("t, bits", [(1, 5), (3, 7), (7, 20)])
     def test_fold_keeps_the_residue(self, t, bits):
@@ -539,7 +539,7 @@ class TestThetaRouteChoice:
         # numerator shape (t > 2K + 1), for the residues and the rows
         divisions = self.count(monkeypatch, "div_binomial_list")
         thetas = self.count(monkeypatch, "div_theta_list")
-        sptcrank.sb_residue_sums(300, t)
+        series.packed_residues(_sb_walk, 300, t)
         if t == 601:
             sptcrank.sb_series(300)
         assert not [c for _, c, _ in divisions
@@ -551,8 +551,7 @@ class TestThetaRouteChoice:
     def test_rank_times_d_writes_e(self, monkeypatch, t):
         written = self.count(monkeypatch, "theta_list")
         passes = [self.count(monkeypatch, name) for name in (
-            "mul_theta_list", "div_theta_list", "mul_binomial_list",
-            "div_binomial_list")]
+            "div_theta_list", "mul_binomial_list", "div_binomial_list")]
         ring = PackedResidueRing(170, t, 300 // 2 + 2)
         d = poch_quotient(ring, 300, d_factors(ring.z, ring.z_inv))
         assert len(written) == 1
@@ -561,6 +560,18 @@ class TestThetaRouteChoice:
         _rank_coeffs(ring, ring.z, ring.z_inv, 300, cleared=True)
         assert len(written) == 2
         assert written[1] == (ring, 300)
+
+    def test_product_with_a_start_takes_binomial_passes(self, monkeypatch):
+        # D in the numerator with a start: no kernel of E multiplies, so
+        # both of D's factors go through binomial passes
+        written = self.count(monkeypatch, "theta_list")
+        thetas = self.count(monkeypatch, "div_theta_list")
+        passes = self.count(monkeypatch, "mul_binomial_list")
+        ring = PackedResidueRing(40, 7, 3)
+        start = TruncatedSeries(ring, 40, [ring.one] * 41)
+        poch_quotient(ring, 40, d_factors(ring.z, ring.z_inv), start=start)
+        assert not written and not thetas
+        assert len(passes) == 2 * 20
 
     @staticmethod
     def flip_theta_sign(monkeypatch):

@@ -29,12 +29,10 @@ from spt_kernel.rings import (
 )
 from spt_kernel.series import (
     TruncatedSeries,
-    _packing,
     d_factors,
     divided_by_d,
     numerator_reach,
     packed_laurent,
-    packed_numerator,
     packed_residues,
     poch_quotient,
     pochhammer_finite,
@@ -280,7 +278,14 @@ def bailey_side_by_inversion(order):
 
 def bailey_numerator(order):
     """Bailey*D over Z[z,1/z], read off the narrow packed ring."""
-    return TruncatedSeries(LAURENT, order, packed_numerator(bailey_side, order))
+    return TruncatedSeries(LAURENT, order,
+                           packed_laurent(bailey_side, order, cleared=True))
+
+
+def packing_bits(build, order, cleared=False):
+    """The width B that ``series._packed`` gives build's packed values:
+    one bit more than its majorant's largest coefficient."""
+    return max(build(ZZ, 1, 1, order, True, cleared)).bit_length() + 1
 
 
 class TestPackedSeries:
@@ -374,7 +379,7 @@ class TestNumerators:
         # against the Bailey-lemma walk from n = 0 with its own step
         u = LaurentPolynomial({1: -1, 0: 2, -1: -1})
         lhs = crank_numerator(order).embed(LAURENT) + sb_numerator(order).scale(u)
-        assert lhs.coeffs == packed_numerator(bailey_side, order)
+        assert lhs.coeffs == packed_laurent(bailey_side, order, cleared=True)
 
     @pytest.mark.parametrize("order", [4, 5, 9, 40, 41, 100])
     @pytest.mark.parametrize("name, numerator, full, build", NUMERATORS,
@@ -404,7 +409,7 @@ class TestNumerators:
             return rows
 
         with pytest.raises(RingError, match="edge"):
-            packed_numerator(build, order)
+            packed_laurent(build, order, cleared=True)
 
 
 class TestNumeratorShape:
@@ -430,7 +435,7 @@ class TestNumeratorShape:
         for name in ("mul_binomial_list", "div_binomial_list",
                      "mul_pair_list"):
             monkeypatch.setattr(series, name, recorded(name))
-        bits, offset = _packing(_sb_walk, order)
+        bits, offset = packing_bits(_sb_walk, order), order // 2 + 2
         reach = numerator_reach(order)
         for t in (2 * offset + 1, 2 * order + 1):
             ring = PackedResidueRing(bits, t, reach)
@@ -443,10 +448,10 @@ class TestNumeratorShape:
             assert max(widest) <= (2 * reach + 1) * bits, t
 
     def test_full_rows_match_dict_references(self):
-        # orders 1..40 take in t = 2S + 1 <= 2K + 1 (orders 1 to 5), where
-        # the ring is no wider than the numerator's window, and t > 2K + 1
-        # (from order 6 on); the references to order 40 truncate to each
-        # lower order
+        # orders 1..40 take in S = K + 1 (orders 1 to 5), where
+        # S = order//2 + 2 would leave t = 2S + 1 <= 2K + 1, no wider than
+        # the numerator's window, and S = order//2 + 2 (from order 6 on);
+        # the references to order 40 truncate to each lower order
         top = 40
         sb = sb_coefficients_naive(LAURENT, LAURENT.z, LAURENT.z_inv, top)
         bailey = bailey_side_by_inversion(top).coeffs
@@ -469,8 +474,8 @@ class TestHornerWalk:
                 (bound, cleared)
         assert sptbar2_series(order).coeffs == sptbar2_by_accumulation(order)
         reach = numerator_reach(order)
-        bits, offset = _packing(_sb_walk, order)
-        numer_bits, _ = _packing(partial(_sb_walk, cleared=True), order)
+        bits, offset = packing_bits(_sb_walk, order), order // 2 + 2
+        numer_bits = packing_bits(_sb_walk, order, cleared=True)
         # t = 3 (the table's residues, SB itself), the numerator ring
         # t = 2K + 1 and the full rows' ring t = 2S + 1 (SB*D)
         for ring, cleared in (
@@ -491,20 +496,41 @@ def laurent_residues(build, order, t):
 BUILDERS = [_sb_walk, _rank_coeffs, _crank_coeffs, bailey_side]
 
 
+def residue_moduli(order):
+    """Small moduli, order + 1 and 2*order + 1, and the two sides of
+    ``series._packed``'s switch: t = 2K + 1, where a builder runs as it
+    is, and t = 2K + 2, its numerator divided by D, K =
+    ``numerator_reach(order)``."""
+    reach = numerator_reach(order)
+    return sorted({1, 2, 3, 5, 7, 2 * reach + 1, 2 * reach + 2, order + 1,
+                   2 * order + 1})
+
+
 class TestPackedResidues:
     """Residue sums built over Z[z]/(z^t - 1) against the residue sums of
     the packed Laurent rows of the same builder."""
 
+    # every order to 12 is an example: at orders 1 to 5 the full rows take
+    # S = K + 1, not order//2 + 2, so that they too are divided by D once
     @pytest.mark.parametrize("build", BUILDERS,
                              ids=[b.__name__ for b in BUILDERS])
     @given(order=st.integers(1, 60))
     @example(order=1)
     @example(order=2)
     @example(order=3)
+    @example(order=4)
+    @example(order=5)
+    @example(order=6)
+    @example(order=7)
+    @example(order=8)
+    @example(order=9)
+    @example(order=10)
+    @example(order=11)
+    @example(order=12)
     @settings(max_examples=8, deadline=None)
     def test_matches_laurent_rows(self, build, order):
         rows = packed_laurent(build, order)
-        for t in sorted({1, 2, 3, 5, 7, order + 1, 2 * order + 1}):
+        for t in residue_moduli(order):
             assert packed_residues(build, order, t) == [
                 residue_class_sums(row, t) for row in rows], t
 
@@ -526,7 +552,7 @@ class TestPackedResidues:
         # t = 2S+1 its Laurent rows are read at, nothing folds, so the
         # packed values have the same widths
         order, t = 300, 601
-        bits, offset = _packing(_rank_coeffs, order)
+        bits, offset = packing_bits(_rank_coeffs, order), order // 2 + 2
         rings = (PackedResidueRing(bits, 2 * offset + 1, offset),
                  PackedResidueRing(bits, t, offset))
         laurent, residue = (_rank_coeffs(r, r.z, r.z_inv, order) for r in rings)

@@ -5,7 +5,7 @@ import pytest
 from helpers import bailey_pair_rhs_from_scratch, gauss_theta
 from spt_kernel import sptcrank, verify
 from spt_kernel.rings import ZZ
-from spt_kernel.series import SeriesError, TruncatedSeries
+from spt_kernel.series import SeriesError, TruncatedSeries, packed_residues
 from spt_kernel.verify import (
     VerificationReport,
     _compare,
@@ -140,8 +140,10 @@ def test_fault_in_one_alpha_term_is_reported_exactly(monkeypatch):
 
 
 def test_run_builds_each_shared_series_once(monkeypatch):
-    calls = {"crank_numerator": 0, "rank_numerator": 0, "sb_numerator": 0,
-             "sb_residue_sums": 0}
+    # the numerators by name, and the residue sums by the builder they
+    # read: SB's sums mod 3 are shared by theorem1 and the congruences
+    calls = {"crank_numerator": 0, "rank_numerator": 0, "sb_numerator": 0}
+    residues = {}
 
     def counted(name):
         original = getattr(verify, name)
@@ -152,11 +154,19 @@ def test_run_builds_each_shared_series_once(monkeypatch):
 
         return build
 
+    def counted_residues(build, order, t):
+        key = build.__name__
+        residues[key] = residues.get(key, 0) + 1
+        return packed_residues(build, order, t)
+
     for name in calls:
         monkeypatch.setattr(verify, name, counted(name))
+    monkeypatch.setattr(verify, "packed_residues", counted_residues)
     assert all(r.passed for r in run_all(60, oracle_bound=6))
     assert calls == {"crank_numerator": 1, "rank_numerator": 1,
-                     "sb_numerator": 1, "sb_residue_sums": 1}
+                     "sb_numerator": 1}
+    assert residues == {"_sb_walk": 1, "_rank_coeffs": 1,
+                        "_crank_coeffs": 1}
 
 
 def test_congruences_small():
