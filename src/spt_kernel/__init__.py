@@ -20,8 +20,6 @@ from .rings import (
 from .series import (
     SeriesError,
     TruncatedSeries,
-    geometric,
-    lambert_sum,
     poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
@@ -53,8 +51,7 @@ __all__ = [
     "CyclotomicInteger", "CyclotomicRing", "IntegerRing",
     "LaurentPolynomial", "LaurentRing", "RingError",
     "SeriesError", "TruncatedSeries",
-    "geometric", "lambert_sum", "poch_quotient", "pochhammer_finite",
-    "pochhammer_inf",
+    "poch_quotient", "pochhammer_finite", "pochhammer_inf",
     "root_value",
     "Overpartition", "ag_crank", "enumerate_overpartitions",
     "m2_rank", "m2_rank_distribution",

@@ -60,8 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the identity/congruence checks")
     common(p_verify)
-    p_verify.add_argument("--oracle-bound", type=int, default=20,
-                          help="enumeration cross-check bound (default 20, max 30)")
+    p_verify.add_argument("--oracle-bound", type=int,
+                          default=verify_mod.ORACLE_BOUND,
+                          help=f"enumeration cross-check bound (default "
+                               f"{verify_mod.ORACLE_BOUND}, max "
+                               f"{verify_mod.MAX_ORACLE_BOUND})")
     p_verify.add_argument("--only", default=None,
                           help="run a single named check")
 
@@ -229,8 +232,9 @@ def main(argv=None) -> int:
     if args.order > sys.maxsize // 8:
         parser.error(f"--order must be at most {sys.maxsize // 8}")
     if args.command == "verify":
-        if not 0 <= args.oracle_bound <= 30:
-            parser.error("--oracle-bound must be between 0 and 30")
+        if not 0 <= args.oracle_bound <= verify_mod.MAX_ORACLE_BOUND:
+            parser.error(f"--oracle-bound must be between 0 and "
+                         f"{verify_mod.MAX_ORACLE_BOUND}")
         if args.only is not None and args.only not in verify_mod.CHECKS:
             parser.error(f"unknown check {args.only!r}; choose from "
                          f"{sorted(verify_mod.CHECKS)}")

@@ -234,6 +234,7 @@ class IntegerRing:
 
     zero = 0
     one = 1
+    z = z_inv = 1  # the builders' majorants run over Z at z = 1
     name = "Z"
 
     def coerce(self, n: int):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import isqrt
 from operator import add, sub
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .rings import (
     ZZ,
@@ -522,13 +522,13 @@ def _eta_form(c, j: int, k: int):
     return None
 
 
-def _theta_route(ring, factors: list, start) -> int:
+def _theta_route(ring, factors: list, a: list) -> int:
     """The side, 1 for the numerator and -1 for the denominator, of the
-    pair D = ``d_factors(ring.z, ring.z_inv)`` among factors, a list of
-    (side, factor, exponents); ``poch_quotient`` then applies it through
+    pair D = ``d_factors(ring)`` among factors, a list of (side, factor,
+    exponents); ``apply_factors`` then applies it through
     E = D (q^2; q^2)_inf (``_theta_terms``) and the pair is removed from
-    factors.  A D in the numerator is taken only when start is None, as E
-    written out (``theta_list``).  0, with factors unchanged, off
+    factors.  A D in the numerator is taken only when a is the series 1,
+    as E written out (``theta_list``).  0, with factors unchanged, off
     ``PackedResidueRing`` or without such a pair.  On the packed ring the
     division is always taken: its ~(2/3) order^{3/2} term applications
     each cost O(t*B) bit operations (``div_theta_list``), where D's ~order
@@ -536,7 +536,8 @@ def _theta_route(ring, factors: list, start) -> int:
     """
     if type(ring) is not PackedResidueRing:
         return 0
-    for side in (1, -1) if start is None else (-1,):
+    is_one = a[0] == ring.one and not any(a[1:])
+    for side in (1, -1) if is_one else (-1,):
         pair = []
         for z in (ring.z, ring.z_inv):
             pair += [i for i, (s, (c, *rest), _) in enumerate(factors)
@@ -549,39 +550,32 @@ def _theta_route(ring, factors: list, start) -> int:
     return 0
 
 
-def poch_quotient(ring, order: int, numer=(), denom=(),
-                  start: TruncatedSeries | None = None) -> TruncatedSeries:
-    """start * prod(numer) / prod(denom), truncated at q^order.
+def apply_factors(ring, a: list, numer=(), denom=()) -> list:
+    """In place: a * prod(numer) / prod(denom), truncated at
+    q^(len(a) - 1); returns a itself.
 
     A factor (c, j, k, n) stands for (c*q^j; q^k)_n, the product of
     (1 - c*q^{j+ik}) over 0 <= i < n, and n = None for the infinite product.
     c is a ring element or an integer scalar.  On ``PackedResidueRing``
-    the pair D = (z q^2, q^2/z; q^2)_inf of ``d_factors(ring.z,
-    ring.z_inv)`` is applied as E / (q^2; q^2)_inf (``_theta_route``),
-    where it divides or, with no start, multiplies: E is written directly
-    (``theta_list``) or divided by in O(order sqrt(order)) term
-    applications of O(t*B) each (``div_theta_list``), and (q^2; q^2)_inf
-    joins the eta powers.  An infinite factor with c the integer 1 or -1
-    is rewritten by ``_eta_form`` into powers of (q^m; q^m)_inf and finite
-    factors; the powers are summed over all factors, and each
-    (q^m; q^m)_inf left is one sparse pass over its pentagonal terms
-    (``mul_eta_list``, ``div_eta_list``).  Every other
-    binomial factor whose exponent is at most the order is one O(order)
-    pass -- a multiplication for the numerator, a geometric division for
-    the denominator -- so no series is ever inverted.  start defaults
-    to 1.
+    the pair D = (z q^2, q^2/z; q^2)_inf of ``d_factors(ring)`` is applied
+    as E / (q^2; q^2)_inf (``_theta_route``), where it divides or, when a
+    is the series 1, multiplies: E is written directly (``theta_list``)
+    or divided by in O(order sqrt(order)) term applications of O(t*B)
+    each (``div_theta_list``), and (q^2; q^2)_inf joins the eta powers.
+    An infinite factor with c the integer 1 or -1 is rewritten by
+    ``_eta_form`` into powers of (q^m; q^m)_inf and finite factors; the
+    powers are summed over all factors, and each (q^m; q^m)_inf left is
+    one sparse pass over its pentagonal terms (``mul_eta_list``,
+    ``div_eta_list``).  Every other binomial factor whose exponent is at
+    most the order is one O(order) pass -- a multiplication for the
+    numerator, a geometric division for the denominator -- so no series
+    is ever inverted.
     """
-    if start is None:
-        out = [ring.zero] * (order + 1)
-        out[0] = ring.one
-    else:
-        if start.ring != ring or start.order != order:
-            raise SeriesError("start must have the quotient's ring and order")
-        out = list(start.coeffs)
+    order = len(a) - 1
     # every factor is validated before any is rewritten or applied
     factors = [(side, f, _poch_exponents(*f[1:], order))
                for side, fs in ((1, numer), (-1, denom)) for f in fs]
-    theta = _theta_route(ring, factors, start)
+    theta = _theta_route(ring, factors, a)
     etas: dict[int, int] = {2: -theta} if theta else {}
     passes = []  # (side, c, exponents): side 1 multiplies, -1 divides
     for side, (c, j, k, n), exps in factors:
@@ -590,22 +584,37 @@ def poch_quotient(ring, order: int, numer=(), denom=(),
             passes.append((side, c, exps))
             continue
         powers, finite = form
-        for m, a in powers.items():
-            etas[m] = etas.get(m, 0) + side * a
+        for m, p in powers.items():
+            etas[m] = etas.get(m, 0) + side * p
         for s, (c1, j1, k1, n1) in finite:
             passes.append((side * s, c1, _poch_exponents(j1, k1, n1, order)))
     if theta > 0:
-        out = theta_list(ring, order)
+        a[:] = theta_list(ring, order)
     elif theta:
-        div_theta_list(out, ring)
-    for m, a in sorted(etas.items()):
-        for _ in range(abs(a)):
-            (mul_eta_list if a > 0 else div_eta_list)(out, m)
+        div_theta_list(a, ring)
+    for m, p in sorted(etas.items()):
+        for _ in range(abs(p)):
+            (mul_eta_list if p > 0 else div_eta_list)(a, m)
     for side, c, exps in passes:
         apply = mul_binomial_list if side > 0 else div_binomial_list
         for e in exps:
-            apply(out, c, e)
-    return TruncatedSeries(ring, order, out)
+            apply(a, c, e)
+    return a
+
+
+def poch_quotient(ring, order: int, numer=(), denom=(),
+                  start: TruncatedSeries | None = None) -> TruncatedSeries:
+    """start * prod(numer) / prod(denom), truncated at q^order, with the
+    factors of ``apply_factors``; start defaults to 1.  ``apply_factors``
+    works on a copy of start's coefficients, so start is unchanged."""
+    if start is None:
+        a = [ring.zero] * (order + 1)
+        a[0] = ring.one
+    elif start.ring != ring or start.order != order:
+        raise SeriesError("start must have the quotient's ring and order")
+    else:
+        a = list(start.coeffs)
+    return TruncatedSeries(ring, order, apply_factors(ring, a, numer, denom))
 
 
 def pochhammer_inf(ring, c, j: int, k: int, order: int) -> TruncatedSeries:
@@ -618,22 +627,18 @@ def pochhammer_finite(ring, c, j: int, k: int, n: int, order: int) -> TruncatedS
     return poch_quotient(ring, order, [(c, j, k, n)])
 
 
-def geometric(ring, c, e: int, order: int) -> TruncatedSeries:
-    """1/(1 - c*q^e)."""
-    return poch_quotient(ring, order, denom=[(c, e, 1, 1)])
-
-
 def summand_walk(ring, first, order: int, step) -> list:
     """Coefficients 0..order of S = sum_{n>=1} q^{2n} s_n, in Horner form.
 
-    first is the pair (numer, denom) of ``poch_quotient`` factors of s_1.
+    first is the pair (numer, denom) of ``apply_factors`` factors of s_1.
     step(n) returns the binomial factors (numer, denom), each a list of
     (c, e), of the ratio r_n = s_{n+1}/s_n = prod_numer (1 - c*q^e) /
     prod_denom (1 - c*q^e).  S = q^2 s_1 T_1 with T_n = 1 + q^2 r_n T_{n+1}:
     n runs from order//2 - 1 down to 1, each step applies r_n to T_{n+1},
     held to q^{order-2n-2}, one O(order) binomial pass per factor, and puts
-    [1, 0] in front.  s_1 is applied once, to T_1.  No summand is added
-    into a total.
+    [1, 0] in front.  s_1 is applied once, to T_1, by ``apply_factors``
+    on the walk's own list.  No summand is added into a total, and no
+    series is wrapped.
 
     On ``PackedResidueRing`` a numerator that holds the ring's own z and
     1/z at one exponent e, matched by identity, applies the two as one
@@ -657,9 +662,7 @@ def summand_walk(ring, first, order: int, step) -> list:
         for c, e in denom:
             div_binomial_list(tail, c, e)
         tail[:0] = [ring.one, ring.zero]
-    w = poch_quotient(ring, order - 2, *first,
-                      start=TruncatedSeries(ring, order - 2, tail))
-    return [ring.zero] * 2 + w.coeffs
+    return [ring.zero] * 2 + apply_factors(ring, tail, *first)
 
 
 def binomials(numer, denom, bound: bool):
@@ -679,16 +682,17 @@ def binomials(numer, denom, bound: bool):
             [(abs(c), *rest) for c, *rest in denom])
 
 
-def d_factors(z, z_inv) -> list:
-    """D = (z q^2, q^2/z; q^2)_inf as ``poch_quotient`` factors.  D is the
-    denominator of SB and of the rank and crank series; D = 1 mod q, so it
-    is a unit and X = Y to q^N exactly when X*D = Y*D to q^N, with the same
-    first differing q^n.  With the packed ring's own z and 1/z,
-    ``poch_quotient`` applies the pair through Jacobi's triple product,
-    D = E / (q^2; q^2)_inf (``_theta_route``), in O(N sqrt(N)) steps of
-    O(t*B) bit operations at any t: a series over Z[z,1/z] is built as its
-    numerator X*D and divided by D once (``_packed``)."""
-    return [(z, 2, 2, None), (z_inv, 2, 2, None)]
+def d_factors(ring) -> list:
+    """D = (z q^2, q^2/z; q^2)_inf as ``apply_factors`` factors, with the
+    ring's own z and 1/z (both 1 over Z).  D is the denominator of SB and
+    of the rank and crank series; D = 1 mod q, so it is a unit and X = Y
+    to q^N exactly when X*D = Y*D to q^N, with the same first differing
+    q^n.  On the packed ring ``apply_factors`` applies the pair through
+    Jacobi's triple product, D = E / (q^2; q^2)_inf (``_theta_route``), in
+    O(N sqrt(N)) steps of O(t*B) bit operations at any t: a series over
+    Z[z,1/z] is built as its numerator X*D and divided by D once
+    (``_packed``)."""
+    return [(ring.z, 2, 2, None), (ring.z_inv, 2, 2, None)]
 
 
 def numerator_reach(order: int) -> int:
@@ -710,34 +714,32 @@ def _packed(build, order: int, t: int, cleared: bool = False):
     Z[z,1/z] on ``PackedResidueRing`` at modulus t, the one place that
     picks the width, the ring and whether to divide by D.
 
-    build(ring, z, z_inv, order, bound, cleared) returns a coefficient
-    list over ring, with cleared the numerator X*D of its series X;
-    build(ZZ, 1, 1, order, True, cleared) must return a majorant, whose
-    coefficient of q^n bounds the sum of |coefficients| of the Laurent
-    polynomial at q^n.  The width B is one bit more than the majorant's
-    largest coefficient, so every coefficient and every residue sum is
-    below 2^(B-1) and the ring's digits are exact.
+    build(ring, order, bound, cleared) returns a coefficient list over
+    ring, with z and 1/z the ring's own ``ring.z`` and ``ring.z_inv``, and
+    with cleared the numerator X*D of its series X;
+    build(ZZ, order, True, cleared), where z = 1, must return a majorant,
+    whose coefficient of q^n bounds the sum of |coefficients| of the
+    Laurent polynomial at q^n.  The width B is one bit more than the
+    majorant's largest coefficient, so every coefficient and every residue
+    sum is below 2^(B-1) and the ring's digits are exact.
 
     The ring's offset is K = ``numerator_reach(order)``.  With cleared, or
     at t <= 2K + 1, build runs as it is, and a value is at most t*B bits
     wide.  At t > 2K + 1 the ring is wider than a numerator's window, so
     build runs as X*D, whose values stay (2K + 1)*B bits wide whatever t
-    is, and X is X*D divided by D once, which fills the t digits.  Below
-    that switch the division buys nothing: at t = 3 and order 300, in
-    process (medians of 41 runs, Python 3.11.7, 2-CPU Xeon), rank's own
-    walk takes 3.8 ms against 6.0 ms for rank*D then / D, and SB 10.5 ms
-    either way.
+    is, and X is X*D divided by D once, in place (``apply_factors``),
+    which fills the t digits.  Below that switch the division buys
+    nothing: at t = 3 and order 300, in process (medians of 41 runs,
+    Python 3.11.7, 2-CPU Xeon), rank's own walk takes 3.8 ms against
+    6.0 ms for rank*D then / D, and SB 10.5 ms either way.
     """
-    bits = max(build(ZZ, 1, 1, order, True, cleared)).bit_length() + 1
+    bits = max(build(ZZ, order, True, cleared)).bit_length() + 1
     reach = numerator_reach(order)
     ring = PackedResidueRing(bits, t, reach)
-    z, z_inv = ring.z, ring.z_inv
     if cleared or t <= 2 * reach + 1:
-        return ring, build(ring, z, z_inv, order, False, cleared)
-    numer = TruncatedSeries(ring, order,
-                            build(ring, z, z_inv, order, False, True))
-    return ring, poch_quotient(ring, order, denom=d_factors(z, z_inv),
-                               start=numer).coeffs
+        return ring, build(ring, order, False, cleared)
+    return ring, apply_factors(ring, build(ring, order, False, True),
+                               denom=d_factors(ring))
 
 
 def packed_laurent(build, order: int, cleared: bool = False) -> list:
@@ -782,11 +784,11 @@ def divided_by_d(rows: list) -> list:
     """
     # full rows are always read as the numerator divided by D, so build is
     # asked only for the majorant and the numerator
-    def build(ring, z, z_inv, order, bound, cleared):
+    def build(ring, order, bound, cleared):
         if bound:
-            start = [sum(map(abs, p.c.values())) for p in rows]
-            return poch_quotient(ZZ, order, denom=[(1, 2, 2, None)] * 2,
-                                 start=TruncatedSeries(ZZ, order, start)).coeffs
+            return apply_factors(ZZ, [sum(map(abs, p.c.values()))
+                                      for p in rows],
+                                 denom=[(1, 2, 2, None)] * 2)
         return [ring.pack(p.c) for p in rows]
 
     return packed_laurent(build, len(rows) - 1)
@@ -799,54 +801,3 @@ def packed_residues(build, order: int, t: int) -> list[list[int]]:
     congruent to k mod t."""
     ring, values = _packed(build, order, t)
     return [ring.unpack(x) for x in values]
-
-
-def _scan_range(order: int, exponent: Callable[[int], int]) -> range:
-    """Indices n with |n| <= order + 2.
-
-    This covers every contributing index only when the exponent map grows at
-    least linearly in |n|; a map whose exponent at an end of the range is
-    still within the order may have terms beyond it, so the sum is refused.
-    """
-    hi = order + 2
-    for n in (-hi, hi):
-        e = exponent(n)
-        if e <= order:
-            raise SeriesError(
-                f"term n={n} at the end of the scanned range has exponent "
-                f"{e} <= order {order}; the sum is not truncated there")
-    return range(-hi, hi + 1)
-
-
-def lambert_sum(ring, sign: Callable[[int], int],
-                numerator_exponent: Callable[[int], int],
-                denominator_exponent: Callable[[int], int],
-                order: int) -> TruncatedSeries:
-    """Sum of sign(n) * q^{e(n)} / (1 - q^{d(n)}), truncated.
-
-    Terms with d(n) < 0 are first rewritten via
-    1/(1 - q^{-m}) = -q^m/(1 - q^m); terms that are still not power series
-    after the rewrite are an error, not a guess.
-    """
-    def rewritten_exponent(n):
-        return numerator_exponent(n) - min(denominator_exponent(n), 0)
-
-    acc = TruncatedSeries(ring, order)
-    for n in _scan_range(order, rewritten_exponent):
-        e = numerator_exponent(n)
-        d = denominator_exponent(n)
-        sgn = sign(n)
-        if d < 0:
-            e += -d
-            d = -d
-            sgn = -sgn
-        if e > order:
-            continue
-        if d == 0:
-            raise SeriesError(f"lambert term n={n} divides by the zero series")
-        if e < 0:
-            raise SeriesError(
-                f"lambert term n={n} has negative valuation {e} after rewrite")
-        term = geometric(ring, ring.one, d, order).shift(e)
-        acc = acc + term if sgn > 0 else acc - term
-    return acc

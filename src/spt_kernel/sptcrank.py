@@ -22,19 +22,18 @@ from .rings import (
     LAURENT,
     ZZ,
     LaurentPolynomial,
-    RingError,
     root_value,
 )
 # mul_lists is not called here; bench/test_bench.py reads it as
 # sptcrank.mul_lists
 from .series import (  # noqa: F401
     TruncatedSeries,
+    apply_factors,
     binomials,
     d_factors,
     mul_lists,
     packed_laurent,
     packed_residues,
-    poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
     summand_walk,
@@ -45,23 +44,24 @@ from .series import (  # noqa: F401
 # Series construction
 # ---------------------------------------------------------------------------
 
-def _sb_walk(ring, z, z_inv, order: int, bound: bool = False,
+def _sb_walk(ring, order: int, bound: bool = False,
              cleared: bool = False) -> list:
     """Coefficients 0..order of
 
         sum_{n>=1} q^{2n} (q^{4n+2}; q^2)_inf
-                   / ((z q^{2n}, z_inv q^{2n}; q^2)_inf (q^{2n+1}; q^2)_inf^2)
+                   / ((z q^{2n}, q^{2n}/z; q^2)_inf (q^{2n+1}; q^2)_inf^2)
 
-    in one ``summand_walk``, whose step from summand n to n+1 is q^2 times
+    in one ``summand_walk``, z the ring's own, whose step from summand n
+    to n+1 is q^2 times
 
-        (1 - z q^{2n}) (1 - z_inv q^{2n}) (1 - q^{2n+1})
+        (1 - z q^{2n}) (1 - q^{2n}/z) (1 - q^{2n+1})
         / ((1 + q^{2n+1}) (1 - q^{4n+4})),
 
     (1 - q^{2n+1})^2 / ((1 - q^{4n+2}) (1 - q^{4n+4})) with the common
     factor 1 - q^{2n+1} cancelled: four passes, the z pair one of them on
     the packed ring.  This is SB(z,q), since (-q^{2n+1};q)_inf
     (q^{2n+1};q)_inf equals (q^{4n+2};q^2)_inf.  The walk's first summand
-    over q^2, (q^6; q^2)_inf / ((q^3; q^2)_inf^2 D), D = (z q^2, z_inv q^2;
+    over q^2, (q^6; q^2)_inf / ((q^3; q^2)_inf^2 D), D = (z q^2, q^2/z;
     q^2)_inf, is applied once at its end.
 
     With bound, over Z, it returns a majorant in product form, whose
@@ -69,7 +69,7 @@ def _sb_walk(ring, z, z_inv, order: int, bound: bool = False,
 
         q^2 (-q^6; q^2)_inf / ((1 - q^2) (q^2; q^2)_inf^2 (q^3; q^2)_inf^2),
 
-    in O(order sqrt(order)) through the eta route of ``poch_quotient``.
+    in O(order sqrt(order)) through the eta route of ``apply_factors``.
     Coefficient-wise, for n >= 1 and |z| = 1: the numerator
     (q^{4n+2}; q^2)_inf is at most (-q^{4n+2}; q^2)_inf <= (-q^6; q^2)_inf;
     1/(z q^{2n}; q^2)_inf and 1/(q^{2n}/z; q^2)_inf are each at most
@@ -78,27 +78,24 @@ def _sb_walk(ring, z, z_inv, order: int, bound: bool = False,
     series have no negative coefficient, so their products keep the order.
 
     With cleared, the walk leaves D out of its first summand, so it
-    returns SB*D, whose summand n is q^{2n} (z q^2, z_inv q^2; q^2)_{n-1}
+    returns SB*D, whose summand n is q^{2n} (z q^2, q^2/z; q^2)_{n-1}
     (q^{4n+2}; q^2)_inf / (q^{2n+1}; q^2)_inf^2: z^k needs q^{k(k+1)} there
     and q^{2k+2} more in front.  Its majorant is this walk in its
     uncancelled form, (1 - q^{2n+1})^2 / ((1 - c q^{4n+2}) (1 - c q^{4n+4})),
-    with c = -1 and z = z_inv = -1, which turns the step's z-factors into
+    with c = -1 and z = 1/z = -1, which turns the step's z-factors into
     (1 + q^{2n})^2.
     """
-    if z * (z_inv * ring.one) != ring.one:
-        raise RingError("z and z_inv must be inverse units")
     if order < 2:
         return [ring.zero] * (order + 1)
     if bound and not cleared:
-        w = poch_quotient(ZZ, order - 2, [(-1, 6, 2, None)],
-                          [(1, 2, 1, 1)] + [(1, 2, 2, None)] * 2
-                          + [(1, 3, 2, None)] * 2)
-        return [0, 0] + w.coeffs
-    c = 1
+        return [0, 0] + apply_factors(
+            ZZ, [1] + [0] * (order - 2), [(-1, 6, 2, None)],
+            [(1, 2, 1, 1)] + [(1, 2, 2, None)] * 2 + [(1, 3, 2, None)] * 2)
+    z, z_inv, c = ring.z, ring.z_inv, 1
     if bound:
         z = z_inv = c = -1
     first = ([(c, 6, 2, None)],
-             [(1, 3, 2, None)] * 2 + ([] if cleared else d_factors(z, z_inv)))
+             [(1, 3, 2, None)] * 2 + ([] if cleared else d_factors(ring)))
     if bound:
         return summand_walk(ring, first, order, lambda n: (
             [(z, 2 * n), (z_inv, 2 * n), (1, 2 * n + 1), (1, 2 * n + 1)],
@@ -243,52 +240,47 @@ def sptbar2_series(order: int) -> TruncatedSeries:
 # Rank and residual-crank generating functions
 # ---------------------------------------------------------------------------
 
-def _rank_term(ring, z, z_inv, n: int, start: list, bound: bool) -> list:
+def _rank_term(ring, n: int, start: list, bound: bool) -> list:
     """Lambert term n of the rank series over q^{n^2+2n}, with start in
     place of 1:
 
         2 (-1)^n (1 - z)(1 - 1/z) start / ((1 - z q^{2n})(1 - q^{2n}/z)),
 
-    coefficients 0..len(start) - 1; with bound, its majorant (see
-    ``binomials``)."""
-    order = len(start) - 1
+    coefficients 0..len(start) - 1, z the ring's own; with bound, its
+    majorant (see ``binomials``)."""
     sign = -2 if n % 2 and not bound else 2
-    return poch_quotient(
-        ring, order, *binomials(
-            [(z, 0, 1, 1), (z_inv, 0, 1, 1)],
-            [(z, 2 * n, 1, 1), (z_inv, 2 * n, 1, 1)], bound),
-        start=TruncatedSeries(ring, order, [sign * x for x in start])).coeffs
+    z, z_inv = ring.z, ring.z_inv
+    return apply_factors(ring, [sign * x for x in start], *binomials(
+        [(z, 0, 1, 1), (z_inv, 0, 1, 1)],
+        [(z, 2 * n, 1, 1), (z_inv, 2 * n, 1, 1)], bound))
 
 
-def _rank_coeffs(ring, z, z_inv, order: int, bound: bool = False,
+def _rank_coeffs(ring, order: int, bound: bool = False,
                  cleared: bool = False) -> list:
     """Coefficients 0..order of the rank generating function (see
-    ``rank_series``); with bound, over Z at z = z_inv = 1, its majorant.
+    ``rank_series``); with bound, over Z at z = 1, its majorant.
 
     With cleared, the Lambert form runs with D = (z q^2, q^2/z; q^2)_inf in
     place of 1 and returns rank*D: term n is a copy of D times
     (1 - z)(1 - 1/z), divided by two of D's own factors, so z^k needs
     q^{k(k-1)} in it, as in D.  Its majorant is D's,
     (-q^2; q^2)_inf^2, with 4/(1 - q^{2n})^2 per term."""
+    start = [ring.one] + [ring.zero] * order
     if cleared:
-        start = poch_quotient(
-            ring, order, *binomials(d_factors(z, z_inv), (), bound)).coeffs
-    else:
-        start = [ring.one] + [ring.zero] * order
+        apply_factors(ring, start, *binomials(d_factors(ring), (), bound))
     inner = list(start)
     n = 1
     while n * n + 2 * n <= order:
         e = n * n + 2 * n
-        term = _rank_term(ring, z, z_inv, n, start[:order - e + 1], bound)
+        term = _rank_term(ring, n, start[:order - e + 1], bound)
         for i, x in enumerate(term, e):
             if x:
                 inner[i] = inner[i] + x
         n += 1
     # the prefactor (-q;q)_inf/(q;q)_inf = (q^2;q^2)_inf/(q;q)_inf^2 on the
-    # ring: one pentagonal multiplication and two divisions (poch_quotient)
-    return poch_quotient(
-        ring, order, *binomials([(-1, 1, 1, None)], [(1, 1, 1, None)], bound),
-        start=TruncatedSeries(ring, order, inner)).coeffs
+    # ring: one pentagonal multiplication and two divisions (apply_factors)
+    return apply_factors(ring, inner, *binomials(
+        [(-1, 1, 1, None)], [(1, 1, 1, None)], bound))
 
 
 def rank_series(order: int) -> TruncatedSeries:
@@ -324,20 +316,18 @@ def rank_series_bailey_sum(ring, z, z_inv, order: int) -> TruncatedSeries:
     return acc
 
 
-def _crank_coeffs(ring, z, z_inv, order: int, bound: bool = False,
+def _crank_coeffs(ring, order: int, bound: bool = False,
                   cleared: bool = False) -> list:
     """Coefficients 0..order of the residual-crank generating function (see
-    ``crank_series``); with bound, over Z at z = z_inv = 1, its majorant.
-    With cleared, crank*D, D = (z q^2, q^2/z; q^2)_inf: the z-free part,
-    built over Z and returned as ring values."""
-    w = poch_quotient(ZZ, order, *binomials(
+    ``crank_series``); with bound, over Z at z = 1, its majorant.  With
+    cleared, crank*D, D = (z q^2, q^2/z; q^2)_inf: the z-free part, built
+    over Z and returned as ring values."""
+    w = apply_factors(ZZ, [1] + [0] * order, *binomials(
         [(-1, 1, 1, None), (1, 2, 2, None)], [(1, 1, 2, None)], bound))
-    start = [x * ring.one for x in w.coeffs]
+    start = [x * ring.one for x in w]
     if cleared:
         return start
-    return poch_quotient(
-        ring, order, *binomials((), d_factors(z, z_inv), bound),
-        start=TruncatedSeries(ring, order, start)).coeffs
+    return apply_factors(ring, start, *binomials((), d_factors(ring), bound))
 
 
 def crank_series(order: int) -> TruncatedSeries:
@@ -350,8 +340,7 @@ def crank_series(order: int) -> TruncatedSeries:
 
 def crank_numerator(order: int) -> TruncatedSeries:
     """crank*D = (-q;q)_inf (q^2;q^2)_inf / (q;q^2)_inf, z-free, over Z."""
-    return TruncatedSeries(ZZ, order, _crank_coeffs(ZZ, 1, 1, order,
-                                                    cleared=True))
+    return TruncatedSeries(ZZ, order, _crank_coeffs(ZZ, order, cleared=True))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from .series import (
     WindowError,
     div_binomial_list,
     divided_by_d,
-    lambert_sum,
     mul_binomial_list,
     packed_residues,
     poch_quotient,
@@ -132,6 +131,12 @@ def _run_memo():
     return build
 
 
+# The enumeration bound of theorem 2's oracle cross-check: the default of
+# ``run_all`` and of ``verify --oracle-bound``, and the largest the CLI
+# accepts.
+ORACLE_BOUND = 20
+MAX_ORACLE_BOUND = 30
+
 # The smallest order each check accepts.
 _MIN_ORDER = {
     "bailey_limit": 4,
@@ -154,14 +159,22 @@ def _require_order(check: str, order: int) -> None:
 # ---------------------------------------------------------------------------
 
 def lambert_theorem1(order: int) -> TruncatedSeries:
-    """sum_{n in Z} (-1)^n q^{3n^2+6n} / (1 - q^{6n+2}), over Z."""
-    return lambert_sum(
-        ZZ,
-        lambda n: -1 if n % 2 else 1,
-        lambda n: 3 * n * n + 6 * n,
-        lambda n: 6 * n + 2,
-        order,
-    )
+    """sum_{n in Z} (-1)^n q^{3n^2+6n} / (1 - q^{6n+2}), over Z, written
+    out.  Term n >= 0 puts (-1)^n at q^{3n^2+6n} and every 6n + 2 after
+    it.  Term n <= -1, by 1/(1 - q^{6n+2}) = -q^d/(1 - q^d) with
+    d = -6n - 2, puts -(-1)^n at q^{3n^2-2} and every d after it; for
+    n = -m - 1 that is (-1)^m at one past term m's first exponent, every
+    6m + 4 after it, so one loop over m >= 0 writes both."""
+    out = [0] * (order + 1)
+    m = 0
+    while (e := 3 * m * m + 6 * m) <= order:
+        s = -1 if m % 2 else 1
+        for i in range(e, order + 1, 6 * m + 2):
+            out[i] += s
+        for i in range(e + 1, order + 1, 6 * m + 4):
+            out[i] += s
+        m += 1
+    return TruncatedSeries(ZZ, order, out)
 
 
 def _eta_quotient_piece(order: int) -> TruncatedSeries:
@@ -291,7 +304,7 @@ def verify_theorem1(order: int, n_oracle: int = 0,
     return _compare("theorem1", order, subchecks)
 
 
-def verify_theorem2(order: int, n_oracle: int = 12,
+def verify_theorem2(order: int, n_oracle: int = ORACLE_BOUND,
                     build=_call) -> VerificationReport:
     """Cleared-denominator rank-minus-crank identity:
     (-z + 2 - 1/z) * [q^n] SB(z,q) = [q^n] rank - [q^n] crank, compared on
@@ -466,7 +479,7 @@ def selected_checks(order: int, only: str | None = None) -> list[str]:
     return names
 
 
-def run_all(order: int, oracle_bound: int = 20,
+def run_all(order: int, oracle_bound: int = ORACLE_BOUND,
             only: str | None = None) -> list[VerificationReport]:
     """Run the verification checks in deterministic (name) order, sharing
     each series they build within the run.  A check whose packed rows leave

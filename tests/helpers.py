@@ -7,7 +7,9 @@ the naive summands, that no check runs.  ``residue_pack`` and
 ``packed_rows`` pack Laurent polynomials on the packed ring and read them
 back as ``packed_laurent`` reads its rows, for the tests of that ring.
 ``residue_class_sums`` is the dict-form reference for the residue sums the
-packed ring reads off.  ``accumulation_walk`` sums the summands of a walk
+packed ring reads off.  ``lambert_theorem1_by_terms`` is theorem 1's
+Lambert sum built term by term, the reference for the written-out sum.
+``accumulation_walk`` sums the summands of a walk
 one by one into a total, the form ``series.summand_walk`` had before it
 took Horner's; the references below run on it, never on the production
 walk.  ``bailey_side`` walks the Bailey side of the limiting Bailey
@@ -33,11 +35,9 @@ from spt_kernel.series import (
     SeriesError,
     TruncatedSeries,
     WindowError,
-    _scan_range,
     binomials,
     d_factors,
     div_binomial_list,
-    geometric,
     poch_quotient,
     pochhammer_finite,
     mul_binomial_list,
@@ -141,23 +141,42 @@ def theta_sum(ring, exponent: Callable[[int], int],
               coefficient: Callable[[int], object],
               order: int, bilateral: bool = True) -> TruncatedSeries:
     """Sum of coefficient(n) * q^{exponent(n)} over n with exponent <= order,
-    n in Z, or n >= 0 unless bilateral; the sum is refused, as by
-    ``_scan_range``, when the exponent at n = order + 2 is still within the
-    order."""
-    if bilateral:
-        indices = _scan_range(order, exponent)
-    else:
-        hi = order + 2
-        if exponent(hi) <= order:
-            raise SeriesError(f"term n={hi} at the end of the scanned range "
-                              f"has exponent {exponent(hi)} <= order {order}")
-        indices = range(hi + 1)
+    n in Z, or n >= 0 unless bilateral, scanned for |n| <= order + 2.
+
+    The scan covers every contributing index only when the exponent grows
+    at least linearly in |n|; a map whose exponent at an end of the scanned
+    range is still within the order may have terms beyond it, so the sum
+    is refused."""
+    hi = order + 2
+    for n in (-hi, hi) if bilateral else (hi,):
+        if exponent(n) <= order:
+            raise SeriesError(f"term n={n} at the end of the scanned range "
+                              f"has exponent {exponent(n)} <= order {order}")
     s = TruncatedSeries(ring, order)
-    for n in indices:
+    for n in range(-hi if bilateral else 0, hi + 1):
         e = exponent(n)
         if 0 <= e <= order:
             s.coeffs[e] = s.coeffs[e] + ring.coerce(coefficient(n))
     return s
+
+
+def lambert_theorem1_by_terms(order: int) -> TruncatedSeries:
+    """Theorem 1's Lambert sum sum_{n in Z} (-1)^n q^{3n^2+6n}
+    / (1 - q^{6n+2}) term by term, the reference for
+    ``verify.lambert_theorem1``: each term is the geometric series
+    1/(1 - q^d) of ``poch_quotient``, shifted to q^e and added or
+    subtracted, a term with d = 6n + 2 < 0 first rewritten by
+    1/(1 - q^d) = -q^{-d}/(1 - q^{-d}).  |n| <= order + 2 covers every
+    term, since e >= n^2 - 2 after the rewrite."""
+    acc = TruncatedSeries(ZZ, order)
+    for n in range(-order - 2, order + 3):
+        sign, e, d = -1 if n % 2 else 1, 3 * n * n + 6 * n, 6 * n + 2
+        if d < 0:
+            sign, e, d = -sign, e - d, -d
+        if e <= order:
+            term = poch_quotient(ZZ, order, denom=[(1, d, 1, 1)]).shift(e)
+            acc = acc + term if sign > 0 else acc - term
+    return acc
 
 
 def pair_crank_series(order: int) -> TruncatedSeries:
@@ -181,7 +200,7 @@ def pair_crank_series(order: int) -> TruncatedSeries:
         acc = acc + first.shift(2 * n)
         k = 1
         while 2 * n * (k + 1) <= order:
-            term = geometric(ring, z, 2 * n, order)
+            term = poch_quotient(ring, order, denom=[(z, 2 * n, 1, 1)])
             term = term * pochhammer_finite(ring, ring.one, 2 * n + 2, 2, k, order).invert()
             if 2 * n + 2 * k + 2 <= order:
                 term = term * pochhammer_inf(ring, z, 2 * n + 2 * k + 2, 2, order).invert()
@@ -222,24 +241,24 @@ def accumulation_walk(ring, state: list, n: int, order: int, step) -> list:
     return total
 
 
-def sb_by_accumulation(ring, z, z_inv, order: int, bound: bool = False,
+def sb_by_accumulation(ring, order: int, bound: bool = False,
                        cleared: bool = False) -> list:
     """``sptcrank._sb_walk``'s walk (SB, SB*D with cleared, and the cleared
     majorant with bound) on ``accumulation_walk``: the first summand over
     q^2 built first, over Z, and the step
     (1 - z q^{2n}) (1 - z_inv q^{2n}) (1 - q^{2n+1})^2
     / ((1 - c q^{4n+2}) (1 - c q^{4n+4})) in six passes, c = 1, or -1
-    with z = z_inv = -1 for the majorant."""
+    with z = z_inv = -1 for the majorant, z the ring's own."""
     if order < 2:
         return [ring.zero] * (order + 1)
-    c = 1
+    z, z_inv, c = ring.z, ring.z_inv, 1
     if bound:
         z = z_inv = c = -1
     top = order - 2
     w = poch_quotient(ZZ, top, [(c, 6, 2, None)], [(1, 3, 2, None)] * 2)
     state = [x * ring.one for x in w.coeffs]
     if not cleared:
-        state = poch_quotient(ring, top, denom=d_factors(z, z_inv),
+        state = poch_quotient(ring, top, denom=d_factors(ring),
                               start=TruncatedSeries(ring, top, state)).coeffs
     return accumulation_walk(ring, state, 1, order, lambda n: (
         [(z, 2 * n), (z_inv, 2 * n), (1, 2 * n + 1), (1, 2 * n + 1)],
@@ -258,11 +277,11 @@ def sptbar2_by_accumulation(order: int) -> list:
         [(-1, 2 * n + 1), (1, 4 * n + 4)]))
 
 
-def bailey_side(ring, z, z_inv, order: int, bound: bool = False,
+def bailey_side(ring, order: int, bound: bool = False,
                 cleared: bool = False) -> list:
     """Coefficients 0..order of the Bailey side of the limiting Bailey
-    Lemma instance (rho_1 = z, rho_2 = 1/z, a = 1, base q^2) times its
-    prefactor:
+    Lemma instance (rho_1 = z, rho_2 = 1/z, a = 1, base q^2, z the ring's
+    own) times its prefactor:
 
         (q^2;q^2)_inf / ((z q^2, z_inv q^2; q^2)_inf (q;q^2)_inf^2)
         * sum_{n>=0} q^{2n} (z, z_inv; q^2)_n beta_n,
@@ -286,7 +305,7 @@ def bailey_side(ring, z, z_inv, order: int, bound: bool = False,
     coefficient-wise.  The Bailey side's own majorant divides it by
     (q^2; q^2)_inf^2, since 1/D has the majorant 1/(q^2; q^2)_inf^2.
     """
-    c = 1
+    z, z_inv, c = ring.z, ring.z_inv, 1
     if bound:
         z = z_inv = c = -1
     start = [ring.one] + [ring.zero] * order
@@ -295,7 +314,7 @@ def bailey_side(ring, z, z_inv, order: int, bound: bool = False,
         [(1, 4 * n + 2), (1, 4 * n + 4)]))
     denom = [(1, 1, 2, None)] * 2
     if not cleared:
-        denom += binomials((), d_factors(z, z_inv), bound)[1]
+        denom += binomials((), d_factors(ring), bound)[1]
     return poch_quotient(ring, order, [(c, 2, 2, None)], denom,
                          start=TruncatedSeries(ring, order, acc)).coeffs
 

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import inflate, one, packed_rows, residue_pack, theta_sum
+from helpers import (
+    inflate,
+    lambert_theorem1_by_terms,
+    one,
+    packed_rows,
+    residue_pack,
+    theta_sum,
+)
 from spt_kernel import cli, series, sptcrank, verify
 from spt_kernel.partitions import distinct_partition_list, partition_list
 from spt_kernel.rings import (
@@ -24,11 +31,10 @@ from spt_kernel.series import (
     _theta_by_growth,
     _theta_by_multipliers,
     _theta_terms,
+    apply_factors,
     d_factors,
     div_eta_list,
     div_theta_list,
-    geometric,
-    lambert_sum,
     mul_binomial_list,
     mul_eta_list,
     mul_pair_list,
@@ -105,7 +111,7 @@ class TestInvert:
 
     def test_laurent_geometric(self):
         z = LAURENT.z
-        s = geometric(LAURENT, z, 2, 6)
+        s = poch_quotient(LAURENT, 6, denom=[(z, 2, 1, 1)])
         for k in range(4):
             assert s.coefficient(2 * k).c == {k: 1}
         assert not s.coefficient(1)
@@ -197,6 +203,16 @@ def quotients(draw):
     return ring, order, numer, denom, start
 
 
+_PACKED = PackedResidueRing(20, 5, 4)
+# (ring, numer, denom) for the in-place core: plain factors over Z, and D
+# in the numerator and in the denominator on the packed ring
+CORE_CASES = [
+    (ZZ, [(1, 1, 1, 2), (-1, 3, 3, None)], [(2, 2, 1, 1)]),
+    (_PACKED, d_factors(_PACKED), []),
+    (_PACKED, [], d_factors(_PACKED)),
+]
+
+
 class TestPochQuotient:
     @given(quotients())
     @settings(max_examples=150, deadline=None)
@@ -216,13 +232,31 @@ class TestPochQuotient:
             den = den * poch(*f)
         assert poch_quotient(ring, order, numer, denom, start) == want * den.invert()
 
+    @pytest.mark.parametrize("ring, numer, denom", CORE_CASES,
+                             ids=["Z", "packed-times-d", "packed-over-d"])
+    def test_core_works_in_place_and_start_is_kept(self, ring, numer, denom):
+        # apply_factors changes its list and returns that same list, also
+        # where D is written out as E (from 1) or divided by through E;
+        # poch_quotient works on a copy, so one start used twice gives
+        # equal results
+        mixed = TruncatedSeries(ring, 12, [(i % 4 + 1) * ring.one
+                                           for i in range(13)])
+        for start in (one(ring, 12), mixed):
+            kept = list(start.coeffs)
+            first = poch_quotient(ring, 12, numer, denom, start)
+            assert start.coeffs == kept
+            assert poch_quotient(ring, 12, numer, denom, start) == first
+            a = list(kept)
+            assert apply_factors(ring, a, numer, denom) is a
+            assert a == first.coeffs and a != kept
+
     @pytest.mark.parametrize("build", [
         lambda: pochhammer_inf(ZZ, 1, 1, 0, 5),           # step k < 1
         lambda: pochhammer_finite(ZZ, 1, 1, 0, 2, 5),
         lambda: pochhammer_finite(ZZ, 1, 1, 1, -1, 5),    # length n < 0
         lambda: pochhammer_inf(ZZ, 1, 0, 1, 5),           # base j < 1
-        lambda: geometric(ZZ, 1, 0, 5),                   # divide at q^0
-        lambda: geometric(ZZ, 1, -2, 5),
+        lambda: poch_quotient(ZZ, 5, denom=[(1, 0, 1, 1)]),  # divide at q^0
+        lambda: poch_quotient(ZZ, 5, denom=[(1, -2, 1, 1)]),
         lambda: poch_quotient(ZZ, 5, denom=[(1, 0, 1, 2)]),
         lambda: poch_quotient(ZZ, 5, start=one(ZZ, 4)),
     ])
@@ -458,7 +492,7 @@ class TestThetaRoute:
                 div_eta_list(got, 2)
             if got is not None:
                 assert [ring.digits(x) for x in got] == want, side
-            factors = d_factors(ring.z, ring.z_inv)
+            factors = d_factors(ring)
             numer, denom = (factors, ()) if side > 0 else ((), factors)
             for order in range(THETA_TOP + 1):
                 start = (TruncatedSeries(ring, order, first[:order + 1])
@@ -553,11 +587,11 @@ class TestThetaRouteChoice:
         passes = [self.count(monkeypatch, name) for name in (
             "div_theta_list", "mul_binomial_list", "div_binomial_list")]
         ring = PackedResidueRing(170, t, 300 // 2 + 2)
-        d = poch_quotient(ring, 300, d_factors(ring.z, ring.z_inv))
+        d = poch_quotient(ring, 300, d_factors(ring))
         assert len(written) == 1
         assert not any(passes)
         # rank*D's D is that same quotient, so it is written there too
-        _rank_coeffs(ring, ring.z, ring.z_inv, 300, cleared=True)
+        _rank_coeffs(ring, 300, cleared=True)
         assert len(written) == 2
         assert written[1] == (ring, 300)
 
@@ -569,7 +603,7 @@ class TestThetaRouteChoice:
         passes = self.count(monkeypatch, "mul_binomial_list")
         ring = PackedResidueRing(40, 7, 3)
         start = TruncatedSeries(ring, 40, [ring.one] * 41)
-        poch_quotient(ring, 40, d_factors(ring.z, ring.z_inv), start=start)
+        poch_quotient(ring, 40, d_factors(ring), start=start)
         assert not written and not thetas
         assert len(passes) == 2 * 20
 
@@ -633,39 +667,23 @@ class TestThetaAndLambert:
 
     def test_lambert_theorem1_low_coefficients(self):
         # n=0 contributes 1 + q^2 + q^4, the rewritten n=-1 term q + q^5
-        s = lambert_sum(ZZ, lambda n: -1 if n % 2 else 1,
-                        lambda n: 3 * n * n + 6 * n,
-                        lambda n: 6 * n + 2, 5)
-        assert s.coeffs == [1, 1, 1, 0, 1, 1]
+        assert verify.lambert_theorem1(5).coeffs == [1, 1, 1, 0, 1, 1]
 
-    def test_lambert_negative_denominator_rewrite(self):
-        # (-1) q^-3/(1-q^-4) rewrites to +q/(1-q^4)
-        def only_minus_one(f):
-            return lambda n: f if n == -1 else 10**6
-
-        s = lambert_sum(ZZ, lambda n: -1, only_minus_one(-3),
-                        lambda n: -4 if n == -1 else 1, 9)
-        assert [n for n, c in enumerate(s.coeffs) if c] == [1, 5, 9]
-        assert all(c == 1 for c in s.coeffs if c)
-
-    def test_lambert_zero_denominator_rejected(self):
-        with pytest.raises(SeriesError, match="zero series"):
-            lambert_sum(ZZ, lambda n: 1, lambda n: 0 if n == 0 else 10**6,
-                        lambda n: 0, 4)
+    def test_lambert_theorem1_matches_terms(self):
+        # the sum written out against its terms one by one, at every order
+        # to 300, where a term's first exponent or its step is off by one
+        # shows, and at 1000
+        for order in [*range(301), 1000]:
+            assert verify.lambert_theorem1(order) == \
+                lambert_theorem1_by_terms(order), order
 
     def test_divergent_sums_are_refused(self):
-        # constant exponent maps give divergent sums; summing only the 15
-        # scanned indices once returned 15 at q^0 and 15 q^2/(1-q)
+        # a constant exponent map gives a divergent sum; summing only the 15
+        # scanned indices once returned 15 at q^0
         with pytest.raises(SeriesError, match="scanned range"):
             theta_sum(ZZ, lambda n: 0, lambda n: 1, 5)
         with pytest.raises(SeriesError, match="scanned range"):
-            lambert_sum(ZZ, lambda n: 1, lambda n: 2, lambda n: 1, 5)
-
-    def test_lambert_negative_valuation_rejected(self):
-        with pytest.raises(SeriesError):
-            lambert_sum(ZZ, lambda n: 1,
-                        lambda n: -1 if n == 0 else 10**6,
-                        lambda n: 2, 4)
+            theta_sum(ZZ, lambda n: 0, lambda n: 1, 5, bilateral=False)
 
 
 int_series = st.lists(st.integers(-9, 9), min_size=1, max_size=24).map(
