@@ -17,7 +17,7 @@ import sys
 from itertools import chain, islice
 
 from . import verify as verify_mod
-from .sptcrank import sb_residues, sb_series, sptbar2_series
+from .sptcrank import sb_residues, sb_rows, sptbar2_series
 from .verify import (
     a2_formula,
     crank_component,
@@ -107,8 +107,11 @@ def _probe_out(path: str) -> bool:
 # int, so these f-strings print exactly what json.dumps does for the same
 # dict (same key order, ", " and ": " separators, nothing to escape), at a
 # fraction of its cost per record.
-def _row_json(n: int, m: int, c: int) -> str:
-    return f'{{"n": {n}, "m": {m}, "coefficient": "{c}"}}'
+def _row_json(n: int, digits, o: int) -> list[str]:
+    """The records of row n, one per nonzero digits[k], the count at
+    m = k - o."""
+    return [f'{{"n": {n}, "m": {k - o}, "coefficient": "{c}"}}'
+            for k, c in enumerate(digits) if c]
 
 
 def _spt2_json(n: int, v: int) -> str:
@@ -188,14 +191,21 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     if args.what == "table":
-        triples = sb_series(args.order).csv_rows()
+        # the lines of each row as soon as ``sb_rows`` has it: one line per
+        # nonzero count, in (n, m) order
+        rows = enumerate(sb_rows(args.order))
         if args.format == "json":
-            lines = (_row_json(n, m, c) for n, m, c in triples)
+            lines = chain.from_iterable(
+                _row_json(n, digits, o) for n, (digits, o) in rows)
         elif args.format == "csv":
-            lines = chain(["n,m,coefficient"],
-                          (f"{n},{m},{c}" for n, m, c in triples))
+            lines = chain(["n,m,coefficient"], chain.from_iterable(
+                [f"{n},{k - o},{c}" for k, c in enumerate(digits) if c]
+                for n, (digits, o) in rows))
         else:
-            lines = (f"N_SB(m={m}, n={n}) = {c}" for n, m, c in triples)
+            lines = chain.from_iterable(
+                [f"N_SB(m={k - o}, n={n}) = {c}"
+                 for k, c in enumerate(digits) if c]
+                for n, (digits, o) in rows)
         return _emit(lines, args.out)
     if args.what == "spt2":
         s2 = sptbar2_series(args.order)
@@ -243,7 +253,7 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"spt-kernel: {exc}", file=sys.stderr)
             return 2
-    # Row n of SB has z-exponents in [-n/2, n/2] (see sb_series), so a
+    # Row n of SB has z-exponents in [-n/2, n/2] (see sb_rows), so a
     # modulus above N+1 only pads every row with zero classes; up to 2N+1
     # is accepted.
     if args.command == "table" and not 1 <= args.t <= 2 * args.order + 1:

@@ -402,11 +402,14 @@ class PackedResidueRing:
     Only the representative changes, so the widths and the proof above
     hold as they are.
 
-    The offset need not be central.  ``series._packed``, which builds
-    every ring of this kind that the CLI reads, puts z^0 at K =
-    ``series.numerator_reach(N)``.  A numerator X*D has its z-exponents
-    in [-K, K], so on a ring of t > 2K + 1 digits its values stay
-    (2K + 1) B bits wide, and only the division by D fills the t digits.
+    The offset need not be central.  ``series._packed`` and
+    ``series.full_rows``, which build every ring of this kind that the
+    CLI reads, put z^0 at K = ``series.numerator_reach(N)``.  A numerator
+    X*D has its z-exponents in [-K, K], so on a ring of t > 2K + 1 digits
+    its values stay (2K + 1) B bits wide.  Residues mod such a t are X*D
+    divided by D on the ring, which fills the t digits; full rows leave
+    the ring as X*D and are divided by D row by row, each row at its own
+    width, on plain integers (``series._rows_over_d``).
     """
 
     zero = 0
@@ -421,12 +424,6 @@ class PackedResidueRing:
         self.one = 1 << (bits * self.start)
         self.z = _ZFold(bits, t)
         self.z_inv = _ZRotate(bits, t)
-
-    def pack(self, coeffs: Mapping[int, int]) -> int:
-        """The packed value of sum_e coeffs[e] z^e: coefficient e goes to
-        digit (e + S) mod t."""
-        t, start, bits = self.t, self.start, self.bits
-        return sum(v << bits * ((e + start) % t) for e, v in coeffs.items())
 
     def digits(self, x: int) -> list[int]:
         """The t balanced base-2^B digits of the balanced residue of x mod

@@ -18,6 +18,7 @@ from .rings import (
     RingError,
     _ZFold,
     _ZRotate,
+    _balanced_digits,
 )
 
 
@@ -26,8 +27,9 @@ class SeriesError(ValueError):
 
 
 class WindowError(RingError):
-    """``packed_laurent``'s refusal of row n, which reaches z^-reach or
-    z^reach, the edge of its packed window."""
+    """The refusal of row n of a packed read (``packed_laurent``,
+    ``full_rows``), which reaches z^-reach or z^reach, the edge of its
+    window."""
 
     def __init__(self, n: int, reach: int):
         super().__init__(f"row {n} reaches z^-{reach} or z^{reach}, the "
@@ -742,56 +744,175 @@ def _packed(build, order: int, t: int, cleared: bool = False):
                                denom=d_factors(ring))
 
 
-def packed_laurent(build, order: int, cleared: bool = False) -> list:
-    """Rows 0..order of build's series over Z[z,1/z], or with cleared of
-    its numerator X*D, read once off ``_packed`` at t = 2S + 1, where S
-    is their z-reach: S = K = ``numerator_reach(order)`` for a numerator,
-    and S = max(order//2 + 2, K + 1) for full rows, which keeps them on
-    the side of t > 2K + 1, X*D divided by D once.  Row n of SB lies in
-    [-n/2, n/2] (``sptcrank.sb_series``).
+def _laurent(digits: list, offset: int) -> LaurentPolynomial:
+    """The Laurent polynomial whose coefficient of z^(k - offset) is
+    digits[k]."""
+    row = LaurentPolynomial.__new__(LaurentPolynomial)
+    row.c = {k - offset: v for k, v in enumerate(digits) if v}
+    return row
 
+
+def packed_laurent(build, order: int, cleared: bool = False) -> list:
+    """Rows 0..order of build's series X over Z[z,1/z] (``full_rows``),
+    or with cleared of its numerator X*D, as Laurent polynomials.
+
+    The numerator is read once off ``_packed`` at t = 2K + 1 and offset
+    K = ``numerator_reach(order)``: digit j is the coefficient of z^(j - K).
     The ring is exact whatever exponents an intermediate value reaches,
-    and a result's exponents congruent to e mod t share one digit: entry
-    e of ``unpack``, read as the coefficient of z^e for e in [-S, S], a
-    negative e indexing from the top.  A row inside [-(S - 1), S - 1] is
-    read exactly; a row whose z^-S or z^S digit is nonzero is at the edge
-    of that window and raises ``WindowError`` with its index.
+    so a row inside [-(K - 1), K - 1] is read exactly; a row whose z^-K or
+    z^K digit is nonzero is at the edge of that window and raises
+    ``WindowError`` with its index.
     """
+    if not cleared:
+        return [_laurent(digits, o) for digits, o in full_rows(build, order)]
     reach = numerator_reach(order)
-    s = reach if cleared else max(order // 2 + 2, reach + 1)
-    ring, values = _packed(build, order, 2 * s + 1, cleared)
+    ring, values = _packed(build, order, 2 * reach + 1, True)
     rows = []
     for k, x in enumerate(values):
         values[k] = None  # each packed value is freed as its row is read
-        digits = ring.unpack(x)
-        if digits[s] or digits[-s]:
-            raise WindowError(k, s)
-        row = LaurentPolynomial.__new__(LaurentPolynomial)
-        row.c = {e: digits[e] for e in range(-s, s + 1) if digits[e]}
-        rows.append(row)
+        digits = ring.digits(x)
+        if digits[0] or digits[-1]:
+            raise WindowError(k, reach)
+        rows.append(_laurent(digits, reach))
     return rows
+
+
+def _rows_over_d(values: list, bits: int, base: int, reach: int):
+    """Rows 0..N of X = A/D, N = len(values) - 1, one at a time, from the
+    plain integers values[i] = A_i(2^B) 2^(B*base) of the rows of its
+    numerator A = X*D, which it consumes; B bounds X: every coefficient
+    of X is below 2^(B-1) in absolute value.
+
+    Row i is yielded as (digits, o) as soon as it is final: digits[k] is
+    the coefficient of z^(k - o), k = 0..2o, with o = r + 1 and r =
+    max(i//2 + 1, K), K = reach.  Its window is [-r, r]: a row with a
+    nonzero digit at z^-o or z^o, or beyond them, raises ``WindowError(i,
+    o)``, after the rows below it were yielded.  For the last row of a
+    numerator read to q^N, o is max(N//2 + 2, K + 1).
+
+    A is multiplied by (q^2; q^2)_inf first, while its values are narrow,
+    and X = A (q^2; q^2)_inf / E is then divided by E (``_theta_terms``)
+    from the bottom up: X_i = A'_i - sum s chi_{2n-1} X_{i - n(n-1)},
+    A' = A (q^2; q^2)_inf.
+    There is no modulus, so nothing folds or rotates, and every step is
+    exact on plain integers:
+
+    - Row i is held at its own offset d_i = i//2 + 2 + lift, as
+      X_i(2^B) 2^(B d_i).  A'_i moves there from base by a shift of
+      B (d_i - base) bits; lift >= 0 is the least that makes every such
+      shift to the right drop only zero bits, so each is exact.
+    - c_j = (1 + z + ... + z^(2n-2)) X_j = z^(n-1) chi_{2n-1} X_j, for
+      the last term n that met X_j, is all left shifts at offset d_j, and
+      grows for term n + 1 by z^(2n-1) (1 + z) X_j, one shift of the
+      pair (1 + z) X_j kept beside it.  Both are dropped once
+      j + n(n+1) > N.
+    - Term n takes X_j to row i = j + n(n-1), where d_i - d_j = n(n-1)/2,
+      as chi_{2n-1} X_j = z^(1-n) c_j: c_j shifted left by B (d_i - d_j -
+      (n - 1)) = B (n-1)(n-2)/2 bits, which is never negative.
+
+    So the integer held for row i is X_i(2^B) 2^(B d_i) exactly.  As X_i's
+    coefficients are below 2^(B-1), that integer has no term below
+    z^-d_i (it would leave a fraction), its balanced base-2^B digits are
+    unique, and each of its shifts to offset o, with the bits dropped
+    checked to be zero, keeps it exact.  When the rows of X lie in
+    [-(i//2 + 1), i//2 + 1], as those of SB, the rank, the crank and
+    (2 - z - 1/z) SB do, so do those of X E, and lift is 0.
+    """
+    order = len(values) - 1
+    mul_eta_list(values, 2)
+    lift = 0
+    for i, x in enumerate(values[:max(2 * base - 4, 0)]):  # i//2 + 2 < base
+        if x:
+            low = ((x & -x).bit_length() - 1) // bits
+            lift = max(lift, base - low - i // 2 - 2)
+    # (e, s, the growth shift z^(2n-3), the landing shift, the last i)
+    terms = [(e, s, bits * (2 * n - 3), bits * ((n - 1) * (n - 2) // 2),
+              order - 2 * n) for e, s, n in _theta_terms(order)]
+    pairs, grown = [], []
+    live = 0
+    for i in range(order + 1):
+        d = i // 2 + 2 + lift
+        shift = bits * (d - base)
+        x = values[i]
+        values[i] = None
+        x = x << shift if shift >= 0 else x >> -shift
+        if live < len(terms) and terms[live][0] <= i:
+            live += 1
+        plus = minus = 0
+        for e, s, up, land, last in terms[:live]:
+            j = i - e
+            c = grown[j] + (pairs[j] << up)
+            if i <= last:
+                grown[j] = c
+            else:
+                grown[j] = pairs[j] = None
+            if s > 0:
+                plus += c << land
+            else:
+                minus += c << land
+        x = x - plus + minus
+        pairs.append(x + (x << bits))
+        grown.append(x)
+        o = max(i // 2 + 1, reach) + 1
+        shift = bits * (o - d)
+        if shift < 0:
+            if x & ((1 << -shift) - 1):
+                raise WindowError(i, o)
+            x >>= -shift
+        digits, carry = _balanced_digits(x << max(shift, 0), bits, 2 * o + 1)
+        if carry or digits[0] or digits[-1]:
+            raise WindowError(i, o)
+        yield digits, o
+
+
+def full_rows(build, order: int):
+    """Rows 0..order of build's series X over Z[z,1/z], one (digits, o)
+    pair at a time (``_rows_over_d``), from its numerator X*D.
+
+    build has the contract of ``_packed``.  The width B is one bit more
+    than the largest coefficient of X's majorant build(ZZ, N, True), N =
+    order, as for X's residues.  X*D is built on the ring of offset K =
+    ``numerator_reach(N)`` and t = 2K + 2 + N//B digits, and each value
+    is replaced by its balanced residue mod M = 2^(tB) - 1.  That is
+    exactly row i of X*D packed at offset K as a plain integer, whatever
+    folded or rotated on the way:
+
+    - the value is that integer mod M, as z -> 2^B is a ring map to Z/M;
+    - row i of X*D lies in [-(K - 1), K - 1] (``numerator_reach``);
+    - the sum of its |coefficients| is at most [q^i] of the majorant
+      times (-q^2; q^2)_inf^2, D's majorant, so below 2^(B-1) 4^(i/2);
+    - so the integer is below 2^(2KB + N - 1) in absolute value, under
+      M/2, as tB >= 2KB + N + 2.
+    """
+    bits = max(build(ZZ, order, True)).bit_length() + 1
+    reach = numerator_reach(order)
+    ring = PackedResidueRing(bits, 2 * reach + 2 + order // bits, reach)
+    values = build(ring, order, False, True)
+    m = ring.modulus
+    h = m >> 1
+    for i, x in enumerate(values):
+        if not -h <= x <= h:
+            values[i] = (x + h) % m - h
+    return _rows_over_d(values, bits, reach, reach)
 
 
 def divided_by_d(rows: list) -> list:
     """Rows 0..m of X over Z[z,1/z], m = len(rows) - 1, from rows 0..m of
-    its numerator X*D: the rows, packed, are the numerator that
-    ``packed_laurent`` divides by D and reads off.
+    its numerator X*D, packed at one offset as plain integers and divided
+    by D row by row (``_rows_over_d``, window K = ``numerator_reach(m)``).
 
     The width comes from the rows themselves: the sum of |coefficients|
     of row n of X is at most [q^n] of sum_i |rows[i]| q^i / (q^2; q^2)_inf^2,
     |p| the sum of |coefficients| of p, since 1/(1 - z q^e) has the
     majorant 1/(1 - q^e).
     """
-    # full rows are always read as the numerator divided by D, so build is
-    # asked only for the majorant and the numerator
-    def build(ring, order, bound, cleared):
-        if bound:
-            return apply_factors(ZZ, [sum(map(abs, p.c.values()))
-                                      for p in rows],
-                                 denom=[(1, 2, 2, None)] * 2)
-        return [ring.pack(p.c) for p in rows]
-
-    return packed_laurent(build, len(rows) - 1)
+    bits = max(apply_factors(ZZ, [sum(map(abs, p.c.values())) for p in rows],
+                             denom=[(1, 2, 2, None)] * 2)).bit_length() + 1
+    base = max([-e for p in rows for e in p.c] + [0])
+    values = [sum(v << bits * (e + base) for e, v in p.c.items())
+              for p in rows]
+    return [_laurent(digits, o) for digits, o in
+            _rows_over_d(values, bits, base, numerator_reach(len(rows) - 1))]
 
 
 def packed_residues(build, order: int, t: int) -> list[list[int]]:

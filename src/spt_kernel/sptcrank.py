@@ -28,9 +28,11 @@ from .rings import (
 # sptcrank.mul_lists
 from .series import (  # noqa: F401
     TruncatedSeries,
+    _laurent,
     apply_factors,
     binomials,
     d_factors,
+    full_rows,
     mul_lists,
     packed_laurent,
     packed_residues,
@@ -167,13 +169,25 @@ class SptCrankTable:
                 yield n, m, c
 
 
-def sb_series(order: int) -> SptCrankTable:
-    """SB(z,q) over Z[z,1/z], built on packed integers (``packed_laurent``);
-    each power of z comes with at least q^2, so row n has z-exponents in
-    [-n/2, n/2]."""
+def sb_rows(order: int):
+    """Rows 0..order of SB(z,q), one at a time, as ``full_rows`` yields
+    them: (digits, o), digits[k] the count of z^(k - o).  Each power of z
+    comes with at least q^2, so row n has z-exponents in [-n/2, n/2].  A
+    negative count is refused, as ``SptCrankTable`` refuses it, once its
+    row is reached: the rows below it have been yielded by then."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return SptCrankTable(order, tuple(packed_laurent(_sb_walk, order)))
+    for n, (digits, o) in enumerate(full_rows(_sb_walk, order)):
+        if min(digits) < 0:
+            m = next(k for k, c in enumerate(digits) if c < 0) - o
+            raise ValueError(f"negative spt-crank count at (m={m}, n={n})")
+        yield digits, o
+
+
+def sb_series(order: int) -> SptCrankTable:
+    """SB(z,q) over Z[z,1/z], the rows of ``sb_rows`` collected."""
+    return SptCrankTable(order, tuple(_laurent(digits, o)
+                                      for digits, o in sb_rows(order)))
 
 
 def sb_numerator(order: int) -> TruncatedSeries:

@@ -5,7 +5,11 @@ direct definition, kept independent of the fast builders.
 ``pair_crank_series`` is a third route to SB(z,q), beside the fast walk and
 the naive summands, that no check runs.  ``residue_pack`` and
 ``packed_rows`` pack Laurent polynomials on the packed ring and read them
-back as ``packed_laurent`` reads its rows, for the tests of that ring.
+back off one ring of t = 2S + 1 digits, for the tests of that ring.
+``wide_ring_rows`` and ``wide_ring_divided_by_d`` read full rows that way,
+every row divided by D on that one ring: the reference for
+``series.full_rows`` and ``series.divided_by_d``, which give each row its
+own width.
 ``residue_class_sums`` is the dict-form reference for the residue sums the
 packed ring reads off.  ``lambert_theorem1_by_terms`` is theorem 1's
 Lambert sum built term by term, the reference for the written-out sum.
@@ -35,12 +39,15 @@ from spt_kernel.series import (
     SeriesError,
     TruncatedSeries,
     WindowError,
+    _packed,
+    apply_factors,
     binomials,
     d_factors,
     div_binomial_list,
     poch_quotient,
     pochhammer_finite,
     mul_binomial_list,
+    numerator_reach,
     pochhammer_inf,
 )
 
@@ -290,7 +297,8 @@ def bailey_side(ring, order: int, bound: bool = False,
     1, on ``accumulation_walk``: summand n+1 over summand n, divided by
     q^2, is
     (1 - z q^{2n}) (1 - z_inv q^{2n}) (1 - q^{2n+1})^2
-    / ((1 - q^{4n+2}) (1 - q^{4n+4})).  A builder for ``packed_laurent``.
+    / ((1 - q^{4n+2}) (1 - q^{4n+4})).  A builder for ``packed_laurent``
+    and ``full_rows``.
 
     With cleared, Bailey*D, D = (z q^2, z_inv q^2; q^2)_inf: the
     prefactor leaves out D, so summand n of Bailey*D is q^{2n}
@@ -319,6 +327,13 @@ def bailey_side(ring, order: int, bound: bool = False,
                          start=TruncatedSeries(ring, order, acc)).coeffs
 
 
+def pack(ring, coeffs):
+    """The packed value of sum_e coeffs[e] z^e on ring: coefficient e goes
+    to digit (e + S) mod t, S the ring's offset."""
+    t, start, bits = ring.t, ring.start, ring.bits
+    return sum(v << bits * ((e + start) % t) for e, v in coeffs.items())
+
+
 def residue_pack(ring, p):
     """p packed in Z[z]/(z^t - 1) through the ring's own shifts, so powers
     of z that leave digits 0..t-1 pass through the fold or the rotation."""
@@ -334,15 +349,49 @@ def residue_pack(ring, p):
 def packed_rows(make, order, majorant):
     """The Laurent rows of the packed values make(ring), on Z[z]/(z^t - 1)
     with t = 2S + 1, S = order//2 + 2, offset S and width B one bit more
-    than majorant's bit length, read as ``packed_laurent`` reads them:
+    than majorant's bit length, read as ``wide_ring_rows`` reads them:
     entry e of ``unpack`` is the coefficient of z^e for e in [-S, S], and
     a row with a nonzero z^-S or z^S digit raises ``WindowError``."""
     s = order // 2 + 2
     ring = PackedResidueRing(majorant.bit_length() + 1, 2 * s + 1, s)
+    return _wide_rows(ring, make(ring), s)
+
+
+def _wide_rows(ring, values, s):
+    """The Laurent rows of values on a ring of t = 2s + 1 digits: entry e
+    of ``unpack`` is the coefficient of z^e for e in [-s, s]; a row with a
+    nonzero z^-s or z^s digit raises ``WindowError(n, s)``."""
     rows = []
-    for n, x in enumerate(make(ring)):
+    for n, x in enumerate(values):
         digits = ring.unpack(x)
         if digits[s] or digits[-s]:
             raise WindowError(n, s)
-        rows.append(LaurentPolynomial({e: digits[e] for e in range(-s, s + 1)}))
+        rows.append(LaurentPolynomial(
+            {e: digits[e] for e in range(-s, s + 1)}))
     return rows
+
+
+def wide_ring_rows(build, order):
+    """Rows 0..order of build's series over Z[z,1/z] read as one ring of
+    t = 2S + 1 digits, S = max(order//2 + 2, K + 1), K =
+    ``numerator_reach(order)``: its numerator X*D divided by D once on
+    that ring (``series._packed``), and entry e of ``unpack`` read as the
+    coefficient of z^e for e in [-S, S].  A row with a nonzero z^-S or z^S
+    digit raises ``WindowError(n, S)``.  The reference for
+    ``series.full_rows``, which gives each row its own width."""
+    s = max(order // 2 + 2, numerator_reach(order) + 1)
+    ring, values = _packed(build, order, 2 * s + 1)
+    return _wide_rows(ring, values, s)
+
+
+def wide_ring_divided_by_d(rows):
+    """``series.divided_by_d`` read by ``wide_ring_rows``: the numerator
+    rows packed as they are, with the width from the same majorant."""
+    def build(ring, order, bound, cleared):
+        if bound:
+            return apply_factors(ZZ, [sum(map(abs, p.c.values()))
+                                      for p in rows],
+                                 denom=[(1, 2, 2, None)] * 2)
+        return [pack(ring, p.c) for p in rows]
+
+    return wide_ring_rows(build, len(rows) - 1)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import residue_class_sums
 import spt_kernel
+from spt_kernel import sptcrank
 from spt_kernel.cli import (
     _BLOCK,
     _emit,
@@ -70,7 +71,8 @@ class TestTable:
         def unreachable_residues(order, t):
             raise AssertionError("residues built before argument checks")
 
-        monkeypatch.setattr(cli, "sb_series", unreachable)
+        monkeypatch.setattr(sptcrank, "sb_series", unreachable)
+        monkeypatch.setattr(cli, "sb_rows", unreachable)
         monkeypatch.setattr(cli, "sb_residues", unreachable_residues)
         monkeypatch.setattr(cli, "sptbar2_series", unreachable)
         with pytest.raises(SystemExit) as exc:
@@ -90,7 +92,8 @@ class TestTable:
         def unreachable(order):
             raise AssertionError("table built the Laurent rows")
 
-        monkeypatch.setattr(cli, "sb_series", unreachable)
+        monkeypatch.setattr(sptcrank, "sb_series", unreachable)
+        monkeypatch.setattr(cli, "sb_rows", unreachable)
         code, out = run_cli(capsys, "table", "--order", "60", "--t", str(t),
                             "--format", "csv")
         assert code == 0
@@ -184,6 +187,35 @@ class TestExport:
         assert lines[0] == "n,m,coefficient"
         assert "8,0,5" in lines
 
+    def test_negative_count_ends_the_export(self, capsys, tmp_path,
+                                            monkeypatch):
+        # a negative count at row 90 of the SB reader ends the export with
+        # the refusal SptCrankTable gives.  The rows stream, so the blocks
+        # of _BLOCK lines that rows below 90 filled have been written by
+        # then, and no line of row 90 or above
+        argv = ["export", "--what", "table", "--order", "100", "--format",
+                "csv"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        full = out.splitlines()
+        original = sptcrank.full_rows
+
+        def negated(build, order):
+            for n, (digits, o) in enumerate(original(build, order)):
+                if n == 90:
+                    digits[o] = -digits[o]
+                yield digits, o
+
+        monkeypatch.setattr(sptcrank, "full_rows", negated)
+        target = tmp_path / "rows.csv"
+        with pytest.raises(ValueError, match=(
+                r"negative spt-crank count at \(m=0, n=90\)")):
+            main([*argv, "--out", str(target)])
+        written = target.read_text().splitlines()
+        assert written and len(written) % _BLOCK == 0
+        assert written == full[:len(written)]
+        assert all(int(line.split(",")[0]) < 90 for line in written[1:])
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "a2.csv"
         code, _ = run_cli(capsys, "export", "--what", "A2", "--order", "5",
@@ -214,8 +246,9 @@ def test_unwritable_path_fails_before_any_series(capsys, monkeypatch, argv):
     def unreachable(*args, **kwargs):
         raise AssertionError("built before the output path was checked")
 
-    for name in ("run_all", "sb_residues", "sb_series", "sptbar2_series"):
+    for name in ("run_all", "sb_residues", "sb_rows", "sptbar2_series"):
         monkeypatch.setattr(cli, name, unreachable)
+    monkeypatch.setattr(sptcrank, "sb_series", unreachable)
     code = main([*argv, "--order", "300", "--out", "/nonexistent-dir/r.json"])
     assert code == 1
     assert "cannot open output" in capsys.readouterr().err
@@ -306,8 +339,9 @@ wide_ints = st.integers(min_value=-(2**200), max_value=2**200)
 
 @given(wide_ints, wide_ints, wide_ints)
 def test_row_record_is_json_dumps(n, m, c):
-    assert _row_json(n, m, c) == json.dumps(
-        {"n": n, "m": m, "coefficient": str(c)})
+    # digits [0, c] at offset 1 - m: one record for c at m, none for 0
+    assert _row_json(n, [0, c], 1 - m) == ([json.dumps(
+        {"n": n, "m": m, "coefficient": str(c)})] if c else [])
 
 
 @given(wide_ints, wide_ints)

@@ -149,9 +149,10 @@ class TestResidueClassSums:
 
 
 class TestPackedLaurent:
-    """Laurent rows read off Z[z]/(z^t - 1) at t = 2S + 1 as
-    ``packed_laurent`` reads them (``helpers.packed_rows``):
-    S = order//2 + 2, and the majorant fixes B."""
+    """Laurent rows read off Z[z]/(z^t - 1) at t = 2S + 1
+    (``helpers.packed_rows``), as the full-row reference
+    ``helpers.wide_ring_rows`` reads them: S = order//2 + 2, and the
+    majorant fixes B."""
 
     def test_round_trip_at_the_digit_bound(self):
         # order 12: S = 8, rows read in [-7, 7]; majorant 255: B = 9

@@ -8,6 +8,7 @@ from helpers import (
     inflate,
     lambert_theorem1_by_terms,
     one,
+    pack,
     packed_rows,
     residue_pack,
     theta_sum,
@@ -310,7 +311,7 @@ def pair_cases(draw):
                   st.integers(-(1 << bits - 4), 1 << bits - 4),
                   st.integers(-3, 3)),
         min_size=size, max_size=size))
-    a = [ring.pack({e: c}) + k * ring.modulus for e, c, k in terms]
+    a = [pack(ring, {e: c}) + k * ring.modulus for e, c, k in terms]
     return ring, a, draw(st.integers(1, size + 3))
 
 
@@ -332,8 +333,8 @@ class TestPairPass:
         # a fixed mix of packed values across several slices, against
         # ``binomial_passes``, which updates one coefficient at a time
         ring = PackedResidueRing(12, 5, 2)
-        a = [ring.pack({(i % 5) - 2: (7 * i * i + 3) % 11 - 5,
-                        i % 3: i % 4 - 1}) for i in range(200)]
+        a = [pack(ring, {(i % 5) - 2: (7 * i * i + 3) % 11 - 5,
+                         i % 3: i % 4 - 1}) for i in range(200)]
         want = binomial_passes(binomial_passes(a, ring.z, [e], 1),
                                ring.z_inv, [e], 1)
         got = list(a)
@@ -354,7 +355,7 @@ def eta_starts(name, with_start):
         return ring, [sum(v.values()) for v in values]
     if name == "laurent":
         return ring, [LaurentPolynomial(v) for v in values]
-    return ring, [ring.pack(v) for v in values]
+    return ring, [pack(ring, v) for v in values]
 
 
 # every order for Z and the packed ring; for the dict Laurent ring the
@@ -455,7 +456,8 @@ def theta_starts(ring, with_start):
     """1, or a fixed mix of packed values, to q^THETA_TOP on ring."""
     if not with_start:
         return [ring.one] + [ring.zero] * THETA_TOP
-    return [ring.pack({(i % 5) - 2: (7 * i * i + 3) % 11 - 5, i % 3: i % 4 - 1})
+    return [pack(ring, {(i % 5) - 2: (7 * i * i + 3) % 11 - 5,
+                        i % 3: i % 4 - 1})
             for i in range(THETA_TOP + 1)]
 
 
@@ -558,13 +560,15 @@ class TestThetaRouteChoice:
         assert len(thetas) == 1
 
     def test_full_crank_rows_divide_by_d_once(self, monkeypatch):
-        # the full rows are crank*D, z-free, divided by D once through E
+        # the full rows are crank*D, z-free, divided by D once through E,
+        # row by row (_rows_over_d), not on the packed ring
         divisions = self.count(monkeypatch, "div_binomial_list")
         thetas = self.count(monkeypatch, "div_theta_list")
+        rows = self.count(monkeypatch, "_rows_over_d")
         crank_series(300)
         assert not [c for _, c, _ in divisions
                     if isinstance(c, (_ZFold, _ZRotate))]
-        assert len(thetas) == 1
+        assert (len(thetas), len(rows)) == (0, 1)
 
     @pytest.mark.parametrize("t", [3, 2 * numerator_reach(300) + 2, 601])
     def test_sb_makes_no_binomial_division_by_z(self, monkeypatch, t):
@@ -573,12 +577,14 @@ class TestThetaRouteChoice:
         # numerator shape (t > 2K + 1), for the residues and the rows
         divisions = self.count(monkeypatch, "div_binomial_list")
         thetas = self.count(monkeypatch, "div_theta_list")
+        rows = self.count(monkeypatch, "_rows_over_d")
         series.packed_residues(_sb_walk, 300, t)
         if t == 601:
             sptcrank.sb_series(300)
         assert not [c for _, c, _ in divisions
                     if isinstance(c, (_ZFold, _ZRotate))]
-        assert len(thetas) == (2 if t == 601 else 1)
+        assert len(thetas) == 1
+        assert len(rows) == (1 if t == 601 else 0)
 
     @pytest.mark.parametrize("t", [1, 3, 5, 2 * numerator_reach(300) + 1,
                                    2 * (300 // 2 + 2) + 1])

@@ -13,6 +13,8 @@ from helpers import (
     sb_by_accumulation,
     spt2,
     sptbar2_by_accumulation,
+    wide_ring_divided_by_d,
+    wide_ring_rows,
 )
 from spt_kernel import series
 from spt_kernel.partitions import (
@@ -29,8 +31,10 @@ from spt_kernel.rings import (
 )
 from spt_kernel.series import (
     TruncatedSeries,
+    WindowError,
     d_factors,
     divided_by_d,
+    full_rows,
     numerator_reach,
     packed_laurent,
     packed_residues,
@@ -448,10 +452,10 @@ class TestNumeratorShape:
             assert max(widest) <= (2 * reach + 1) * bits, t
 
     def test_full_rows_match_dict_references(self):
-        # orders 1..40 take in S = K + 1 (orders 1 to 5), where
-        # S = order//2 + 2 would leave t = 2S + 1 <= 2K + 1, no wider than
-        # the numerator's window, and S = order//2 + 2 (from order 6 on);
-        # the references to order 40 truncate to each lower order
+        # orders 1..40 take in rows whose window [-r, r],
+        # r = max(n//2 + 1, K), is set by K = isqrt(order) + 2 (the low
+        # rows, and every row at orders 1 to 5) and by n//2 + 1; the
+        # references to order 40 truncate to each lower order
         top = 40
         sb = sb_coefficients_naive(LAURENT, LAURENT.z, LAURENT.z_inv, top)
         bailey = bailey_side_by_inversion(top).coeffs
@@ -459,6 +463,70 @@ class TestNumeratorShape:
             assert packed_laurent(_sb_walk, order) == sb[:order + 1], order
             assert packed_laurent(bailey_side, order) == \
                 bailey[:order + 1], order
+
+
+# u = 2 - z - 1/z: u*SB*D is theorem 2's left side, and its rows reach one
+# power of z further than SB's
+U = LaurentPolynomial({1: -1, 0: 2, -1: -1})
+
+# the numerators whose rows a failing check divides by D
+REPORTED = [
+    ("u-sb", lambda order: sb_numerator(order).scale(U).coeffs),
+    ("rank-minus-crank", lambda order: (
+        rank_numerator(order) - crank_numerator(order).embed(LAURENT)).coeffs),
+    ("bailey", lambda order: bailey_numerator(order).coeffs),
+]
+
+
+class TestFullRows:
+    """``full_rows``, each row divided by D at its own width, against the
+    reference that reads every row off one ring of t = 2S + 1 digits
+    (``helpers.wide_ring_rows``)."""
+
+    @pytest.mark.parametrize("order", [*range(1, 13), 60, 300])
+    @pytest.mark.parametrize("build", [_sb_walk, _rank_coeffs, _crank_coeffs],
+                             ids=["sb", "rank", "crank"])
+    def test_matches_wide_ring(self, build, order):
+        rows = [series._laurent(digits, o)
+                for digits, o in full_rows(build, order)]
+        assert rows == wide_ring_rows(build, order)
+
+    @pytest.mark.parametrize("order", [*range(1, 13), 60, 300])
+    @pytest.mark.parametrize("name, numerator", REPORTED,
+                             ids=[r[0] for r in REPORTED])
+    def test_divided_by_d_matches_wide_ring(self, name, numerator, order):
+        rows = numerator(order)
+        assert divided_by_d(rows) == wide_ring_divided_by_d(rows)
+
+    @pytest.mark.parametrize("order", [4, 5, 9, 12, 40, 41, 100])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["z", "z_inv"])
+    def test_last_row_window(self, order, sign):
+        # the window of row n is [-r, r], r = max(n//2 + 1, K): at the
+        # orders below 12, K = isqrt(n) + 2 is the larger.  A term two
+        # powers out is refused too, wherever the row is held
+        reach = max(order // 2 + 1, numerator_reach(order))
+        want = sb_series(order).rows[order]
+        for power, fits in ((reach, True), (reach + 1, False),
+                            (reach + 2, False)):
+            rows = sb_numerator(order).coeffs
+            term = LaurentPolynomial({sign * power: 1})
+            rows[order] = rows[order] + term
+            if fits:
+                assert divided_by_d(rows)[order] == want + term
+                continue
+            with pytest.raises(WindowError) as exc:
+                divided_by_d(rows)
+            assert (exc.value.n, exc.value.reach) == (order, reach + 1)
+
+    def test_each_row_has_its_own_offset(self):
+        # o = max(i//2 + 1, K) + 1: K + 1 for the first rows, N//2 + 2 for
+        # the last, rising by at most one from row to row
+        rows = full_rows(_sb_walk, 300)
+        digits, o = next(rows)
+        assert (digits, o) == ([0] * (2 * o + 1), numerator_reach(300) + 1)
+        offsets = [o for _, o in rows]
+        assert offsets[-1] == 300 // 2 + 2
+        assert all(b - a in (0, 1) for a, b in zip(offsets, offsets[1:]))
 
 
 class TestHornerWalk:
@@ -509,8 +577,8 @@ class TestPackedResidues:
     """Residue sums built over Z[z]/(z^t - 1) against the residue sums of
     the packed Laurent rows of the same builder."""
 
-    # every order to 12 is an example: at orders 1 to 5 the full rows take
-    # S = K + 1, not order//2 + 2, so that they too are divided by D once
+    # every order to 12 is an example: there K = isqrt(order) + 2 sets the
+    # window of the last rows of the full rows, not order//2 + 1
     @pytest.mark.parametrize("build", BUILDERS,
                              ids=[b.__name__ for b in BUILDERS])
     @given(order=st.integers(1, 60))
@@ -547,9 +615,9 @@ class TestPackedResidues:
             for n in range(table.order + 1)]
 
     def test_rank_stays_as_narrow_as_its_laurent_rows(self):
-        # the rank walk hands negative values to z; at t = 2N+1, as at the
-        # t = 2S+1 its Laurent rows are read at, nothing folds, so the
-        # packed values have the same widths
+        # the rank walk hands negative values to z; at t = 2N+1, as at
+        # t = 2S+1, nothing folds, so the packed values have the same
+        # widths
         order, t = 300, 601
         bits, offset = packing_bits(_rank_coeffs, order), order // 2 + 2
         rings = (PackedResidueRing(bits, 2 * offset + 1, offset),
