@@ -395,21 +395,22 @@ class PackedResidueRing:
 
     Any integer c with c = sum_k m_k 2^(B (k mod t)) acts as the Laurent
     polynomial sum_k m_k z^k: x*c packs that polynomial times the one x
-    packs.  The division by D of ``series.poch_quotient`` applies
-    z^(1-n) + ... + z^(n-1) so, as one product where t*B is small, or, on
-    wider rings, grown by the two shifts z^(n-1) x and z^(1-n) x from the
-    value for n - 1; it folds the sum of a coefficient's terms once mod M.
-    Only the representative changes, so the widths and the proof above
-    hold as they are.
+    packs.  The division by D of ``series.apply_factors`` never forms
+    such a product: it grows (z^(1-n) + ... + z^(n-1)) x from the value
+    for n - 1 by the two shifts z^(n-1) x and z^(1-n) x, folds that sum
+    once mod M as it is kept, and folds the sum of a coefficient's terms
+    once more.  Only the representative changes, so the widths and the
+    proof above hold as they are.
 
     The offset need not be central.  ``series._packed`` and
     ``series.full_rows``, which build every ring of this kind that the
     CLI reads, put z^0 at K = ``series.numerator_reach(N)``.  A numerator
     X*D has its z-exponents in [-K, K], so on a ring of t > 2K + 1 digits
-    its values stay (2K + 1) B bits wide.  Residues mod such a t are X*D
-    divided by D on the ring, which fills the t digits; full rows leave
-    the ring as X*D and are divided by D row by row, each row at its own
-    width, on plain integers (``series._rows_over_d``).
+    its values stay (2K + 1) B bits wide.  A builder divides by D after
+    every other pass, so its values are a numerator's until that one
+    division fills the t digits; full rows leave the ring as X*D and are
+    divided by D row by row, each row at its own width, on plain integers
+    (``series._rows_over_d``).
     """
 
     zero = 0

@@ -197,22 +197,6 @@ def _theta_terms(order: int) -> list:
     return terms
 
 
-def _theta_multipliers(ring, order: int) -> list:
-    """(e, s*c_n) for each term (e, s, n) of ``_theta_terms``, on the packed
-    ring: c_n = sum_{k=1-n}^{n-1} 2^(B (k mod t)) is chi_{2n-1}(z) as an
-    integer, so x*c_n packs chi_{2n-1}*p when x packs p.  It has no offset
-    and t digits, each at most ceil((2n - 1)/t)."""
-    bits, t = ring.bits, ring.t
-    out = []
-    c, m = 1, 1
-    for e, s, n in _theta_terms(order):
-        while m < n:
-            c += (1 << bits * (m % t)) + (1 << bits * (-m % t))
-            m += 1
-        out.append((e, s * c))
-    return out
-
-
 def _fold(x: int, width: int, mask: int) -> int:
     """x mod mask = 2^width - 1 as a value below 2^width in absolute value:
     the bits above width are added back to the low ones (2^width = 1 mod
@@ -224,43 +208,33 @@ def _fold(x: int, width: int, mask: int) -> int:
 
 def theta_list(ring, order: int) -> list:
     """Coefficients 0..order of E on the packed ring (``_theta_terms``),
-    written directly: s*chi_{2n-1} at q^{n(n-1)}, no multiplication of
-    series."""
-    width, mask = ring.t * ring.bits, ring.modulus
-    out = [0] * (order + 1)
-    out[0] = ring.one
-    for e, m in _theta_multipliers(ring, order):
-        out[e] = _fold(m * ring.one, width, mask)
+    written directly: s*chi_{2n-1} at q^{n(n-1)}, chi_{2n-1} grown from
+    chi_{2n-3} by z^(n-1) + z^(1-n), the ring's own z and 1/z applied to
+    the last two powers; no multiplication of series."""
+    out = [ring.zero] * (order + 1)
+    out[0] = up = down = chi = ring.one
+    for e, s, _ in _theta_terms(order):
+        up, down = ring.z * up, ring.z_inv * down
+        chi = chi + up + down
+        out[e] = s * chi
     return out
 
 
-def _theta_by_multipliers(a, ring):
-    """a[i] -= sum s*chi_{2n-1}*a[i - n(n-1)] for i = 2, 3, ... in turn,
-    over the terms of ``_theta_terms``, each a[i - n(n-1)] already divided:
-    each product x*c_n of ``_theta_multipliers`` multiplies two values of
-    up to t*B bits, and the products of one coefficient are summed
-    unreduced and folded once."""
-    terms = _theta_multipliers(ring, len(a) - 1)
-    width, mask = ring.t * ring.bits, ring.modulus
-    live = 0
-    for i in range(2, len(a)):
-        if live < len(terms) and terms[live][0] <= i:
-            live += 1
-        acc = sum([m * a[i - e] for e, m in terms[:live]])
-        a[i] = _fold(a[i] - acc, width, mask)
-
-
-def _theta_by_growth(a, ring):
-    """As ``_theta_by_multipliers``, with no multiplication of values:
-    chi[j] holds chi_{2n-1}*a[j] for the last term n that a[j] met, and
-    the next term n + 1 (at i = j + n(n+1)) extends it to
-    chi_{2n+1}*a[j] by z^n*a[j] + z^(-n)*a[j], two shifts folded once
-    each modulo 2^(tB) - 1.  A term application costs O(t*B) bit
-    operations whatever t is; a[j] joins chi once it is final, and chi[j]
-    is dropped once its next term would be past the top."""
+def div_theta_list(a, ring):
+    """In place: a /= E on the packed ring, from the bottom up, by the
+    recurrence b[i] = a[i] - sum s*chi_{2n-1}*b[i - n(n-1)] over the terms
+    of ``_theta_terms`` with n(n-1) <= i, with no multiplication of
+    values: chi[j] holds chi_{2n-1}*b[j] for the last term n that b[j]
+    met, and the next term n + 1 (at i = j + n(n+1)) extends it to
+    chi_{2n+1}*b[j] by z^n*b[j] + z^(-n)*b[j], two shifts whose sum with
+    chi[j] is folded once modulo 2^(tB) - 1 as it is stored, which keeps
+    chi[j] about t*B bits wide.  A term application costs O(t*B) bit
+    operations whatever t is; b[j] joins chi once it is final, and chi[j]
+    is dropped once its next term would be past the top.  Every b[i],
+    i >= 2, is below 2^(tB) in absolute value."""
     bits, t, top = ring.bits, ring.t, len(a) - 1
     width, mask = t * bits, ring.modulus
-    # term n meets a[j] at i = j + n(n-1), and term n + 1 at i + 2n
+    # term n meets b[j] at i = j + n(n-1), and term n + 1 at i + 2n
     terms = [(e, s, bits * ((n - 1) % t), bits * ((1 - n) % t), top - 2 * n)
              for e, s, n in _theta_terms(top)]
     chi = a[:2]
@@ -272,12 +246,8 @@ def _theta_by_growth(a, ring):
         for e, s, up, down, last in terms[:live]:
             j = i - e
             x = a[j]
-            y, w = x << up, x << down
-            if y.bit_length() > width:
-                y = (y & mask) + (y >> width)
-            if w.bit_length() > width:
-                w = (w & mask) + (w >> width)
-            c = chi[j] + y + w
+            c = chi[j] + (x << up) + (x << down)
+            c = (c & mask) + (c >> width)
             chi[j] = c if i <= last else None
             if s > 0:
                 plus += c
@@ -285,25 +255,6 @@ def _theta_by_growth(a, ring):
                 minus += c
         a[i] = _fold(a[i] - plus + minus, width, mask)
         chi.append(a[i])
-
-
-# The packed width t*B, in bits, from which ``_theta_by_growth`` applies a
-# term faster than ``_theta_by_multipliers``: below it one product x*c_n
-# costs less than the two shifts, folds and sums that replace it.  On
-# random values the two cross at 560 bits (B = 80, t = 7) and below 755
-# (B = 151, t = 5).
-_GROWTH_BITS = 600
-
-
-def div_theta_list(a, ring):
-    """In place: a /= E on the packed ring, from the bottom up, by the
-    recurrence b[i] = a[i] - sum s*chi_{2n-1}*b[i - n(n-1)] over the terms
-    of ``_theta_terms`` with n(n-1) <= i, in the form that costs less at
-    the ring's width t*B."""
-    if ring.t * ring.bits >= _GROWTH_BITS:
-        _theta_by_growth(a, ring)
-    else:
-        _theta_by_multipliers(a, ring)
 
 
 def invert_list(a, ring):
@@ -528,13 +479,14 @@ def _theta_route(ring, factors: list, a: list) -> int:
     """The side, 1 for the numerator and -1 for the denominator, of the
     pair D = ``d_factors(ring)`` among factors, a list of (side, factor,
     exponents); ``apply_factors`` then applies it through
-    E = D (q^2; q^2)_inf (``_theta_terms``) and the pair is removed from
-    factors.  A D in the numerator is taken only when a is the series 1,
-    as E written out (``theta_list``).  0, with factors unchanged, off
-    ``PackedResidueRing`` or without such a pair.  On the packed ring the
-    division is always taken: its ~(2/3) order^{3/2} term applications
-    each cost O(t*B) bit operations (``div_theta_list``), where D's ~order
-    binomial passes make ~order^2/2 coefficient updates of that cost.
+    E = D (q^2; q^2)_inf (``_theta_terms``), last when it divides, and the
+    pair is removed from factors.  A D in the numerator is taken only when
+    a is the series 1, as E written out (``theta_list``).  0, with factors
+    unchanged, off ``PackedResidueRing`` or without such a pair.  On the
+    packed ring the division is always taken: its ~(2/3) order^{3/2} term
+    applications each cost O(t*B) bit operations (``div_theta_list``),
+    where D's ~order binomial passes make ~order^2/2 coefficient updates of
+    that cost.
     """
     if type(ring) is not PackedResidueRing:
         return 0
@@ -560,10 +512,14 @@ def apply_factors(ring, a: list, numer=(), denom=()) -> list:
     (1 - c*q^{j+ik}) over 0 <= i < n, and n = None for the infinite product.
     c is a ring element or an integer scalar.  On ``PackedResidueRing``
     the pair D = (z q^2, q^2/z; q^2)_inf of ``d_factors(ring)`` is applied
-    as E / (q^2; q^2)_inf (``_theta_route``), where it divides or, when a
-    is the series 1, multiplies: E is written directly (``theta_list``)
-    or divided by in O(order sqrt(order)) term applications of O(t*B)
-    each (``div_theta_list``), and (q^2; q^2)_inf joins the eta powers.
+    through E = D (q^2; q^2)_inf (``_theta_route``).  When a is the series
+    1 and D multiplies, E is written first (``theta_list``) and
+    (q^2; q^2)_inf joins the eta powers as a divisor.  When D divides, it
+    is applied last, after every other pass, as a division by E in
+    O(order sqrt(order)) term applications of O(t*B) each
+    (``div_theta_list``) and then a multiplication by (q^2; q^2)_inf: the
+    factors are power series, so the order does not change the result,
+    and the z-free passes run before the division widens the values.
     An infinite factor with c the integer 1 or -1 is rewritten by
     ``_eta_form`` into powers of (q^m; q^m)_inf and finite factors; the
     powers are summed over all factors, and each (q^m; q^m)_inf left is
@@ -578,7 +534,7 @@ def apply_factors(ring, a: list, numer=(), denom=()) -> list:
     factors = [(side, f, _poch_exponents(*f[1:], order))
                for side, fs in ((1, numer), (-1, denom)) for f in fs]
     theta = _theta_route(ring, factors, a)
-    etas: dict[int, int] = {2: -theta} if theta else {}
+    etas: dict[int, int] = {2: -1} if theta > 0 else {}
     passes = []  # (side, c, exponents): side 1 multiplies, -1 divides
     for side, (c, j, k, n), exps in factors:
         form = None if n is not None else _eta_form(c, j, k)
@@ -592,8 +548,6 @@ def apply_factors(ring, a: list, numer=(), denom=()) -> list:
             passes.append((side * s, c1, _poch_exponents(j1, k1, n1, order)))
     if theta > 0:
         a[:] = theta_list(ring, order)
-    elif theta:
-        div_theta_list(a, ring)
     for m, p in sorted(etas.items()):
         for _ in range(abs(p)):
             (mul_eta_list if p > 0 else div_eta_list)(a, m)
@@ -601,6 +555,9 @@ def apply_factors(ring, a: list, numer=(), denom=()) -> list:
         apply = mul_binomial_list if side > 0 else div_binomial_list
         for e in exps:
             apply(a, c, e)
+    if theta < 0:
+        div_theta_list(a, ring)
+        mul_eta_list(a, 2)
     return a
 
 
@@ -691,9 +648,8 @@ def d_factors(ring) -> list:
     to q^N exactly when X*D = Y*D to q^N, with the same first differing
     q^n.  On the packed ring ``apply_factors`` applies the pair through
     Jacobi's triple product, D = E / (q^2; q^2)_inf (``_theta_route``), in
-    O(N sqrt(N)) steps of O(t*B) bit operations at any t: a series over
-    Z[z,1/z] is built as its numerator X*D and divided by D once
-    (``_packed``)."""
+    O(N sqrt(N)) steps of O(t*B) bit operations at any t, and divides by
+    it after every other pass."""
     return [(ring.z, 2, 2, None), (ring.z_inv, 2, 2, None)]
 
 
@@ -714,7 +670,7 @@ def numerator_reach(order: int) -> int:
 def _packed(build, order: int, t: int, cleared: bool = False):
     """(ring, values): coefficients 0..order of build's series over
     Z[z,1/z] on ``PackedResidueRing`` at modulus t, the one place that
-    picks the width, the ring and whether to divide by D.
+    picks the width and the ring.
 
     build(ring, order, bound, cleared) returns a coefficient list over
     ring, with z and 1/z the ring's own ``ring.z`` and ``ring.z_inv``, and
@@ -725,23 +681,16 @@ def _packed(build, order: int, t: int, cleared: bool = False):
     majorant's largest coefficient, so every coefficient and every residue
     sum is below 2^(B-1) and the ring's digits are exact.
 
-    The ring's offset is K = ``numerator_reach(order)``.  With cleared, or
-    at t <= 2K + 1, build runs as it is, and a value is at most t*B bits
-    wide.  At t > 2K + 1 the ring is wider than a numerator's window, so
-    build runs as X*D, whose values stay (2K + 1)*B bits wide whatever t
-    is, and X is X*D divided by D once, in place (``apply_factors``),
-    which fills the t digits.  Below that switch the division buys
-    nothing: at t = 3 and order 300, in process (medians of 41 runs,
-    Python 3.11.7, 2-CPU Xeon), rank's own walk takes 3.8 ms against
-    6.0 ms for rank*D then / D, and SB 10.5 ms either way.
+    The ring's offset is K = ``numerator_reach(order)``, and build runs
+    as it is at every t.  A builder that divides by D (SB's, the crank's)
+    does so last (``apply_factors``), so up to that division its values
+    are those of a numerator, at most (2K + 1)*B bits wide whatever t is,
+    and the division fills the t digits.  The rank's Lambert form has no
+    division by D.
     """
     bits = max(build(ZZ, order, True, cleared)).bit_length() + 1
-    reach = numerator_reach(order)
-    ring = PackedResidueRing(bits, t, reach)
-    if cleared or t <= 2 * reach + 1:
-        return ring, build(ring, order, False, cleared)
-    return ring, apply_factors(ring, build(ring, order, False, True),
-                               denom=d_factors(ring))
+    ring = PackedResidueRing(bits, t, numerator_reach(order))
+    return ring, build(ring, order, False, cleared)
 
 
 def _laurent(digits: list, offset: int) -> LaurentPolynomial:

@@ -39,7 +39,6 @@ from spt_kernel.series import (
     SeriesError,
     TruncatedSeries,
     WindowError,
-    _packed,
     apply_factors,
     binomials,
     d_factors,
@@ -374,13 +373,18 @@ def _wide_rows(ring, values, s):
 def wide_ring_rows(build, order):
     """Rows 0..order of build's series over Z[z,1/z] read as one ring of
     t = 2S + 1 digits, S = max(order//2 + 2, K + 1), K =
-    ``numerator_reach(order)``: its numerator X*D divided by D once on
-    that ring (``series._packed``), and entry e of ``unpack`` read as the
-    coefficient of z^e for e in [-S, S].  A row with a nonzero z^-S or z^S
-    digit raises ``WindowError(n, S)``.  The reference for
-    ``series.full_rows``, which gives each row its own width."""
+    ``numerator_reach(order)``, offset K and the width of ``series._packed``
+    (one bit more than X's majorant): its numerator X*D, build(ring, N,
+    False, True), divided by D once on that ring (``apply_factors``), and
+    entry e of ``unpack`` read as the coefficient of z^e for e in [-S, S].
+    A row with a nonzero z^-S or z^S digit raises ``WindowError(n, S)``.
+    The reference for ``series.full_rows``, which gives each row its own
+    width."""
     s = max(order // 2 + 2, numerator_reach(order) + 1)
-    ring, values = _packed(build, order, 2 * s + 1)
+    bits = max(build(ZZ, order, True, False)).bit_length() + 1
+    ring = PackedResidueRing(bits, 2 * s + 1, numerator_reach(order))
+    values = apply_factors(ring, build(ring, order, False, True),
+                           denom=d_factors(ring))
     return _wide_rows(ring, values, s)
 
 

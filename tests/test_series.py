@@ -29,8 +29,6 @@ from spt_kernel.series import (
     TruncatedSeries,
     _eta_form,
     _fold,
-    _theta_by_growth,
-    _theta_by_multipliers,
     _theta_terms,
     apply_factors,
     d_factors,
@@ -425,8 +423,9 @@ THETA_MODULI = [1, 2, 3, 5, 7, 2 * numerator_reach(THETA_TOP) + 1,
                 2 * (THETA_TOP // 2 + 2) + 1]
 
 
-# moduli at which both forms of the division by E run, whichever of them
-# ``div_theta_list`` picks at that t*B (``series._GROWTH_BITS``)
+# moduli at which the division by E runs on its own: t = 1 to 13, where
+# the 2n - 1 powers of chi_{2n-1} overlap on the ring for the last terms
+# n <= 8 at order THETA_TOP, and 2K + 1 and 2S + 1, where they do not
 FORM_MODULI = [1, 2, 3, 5, 7, 9, 11, 13, 2 * numerator_reach(THETA_TOP) + 1,
                2 * (THETA_TOP // 2 + 2) + 1]
 
@@ -504,13 +503,12 @@ class TestThetaRoute:
                     want[:order + 1], (side, order)
 
     @pytest.mark.parametrize("start", ["one", "start", "wide"])
-    @pytest.mark.parametrize("form", [_theta_by_multipliers, _theta_by_growth],
-                             ids=["multipliers", "growth"])
+    @pytest.mark.parametrize("form", [div_theta_list], ids=["growth"])
     @pytest.mark.parametrize("t", FORM_MODULI)
     def test_both_forms_match_binomial_passes(self, t, form, start):
-        # each form on its own, whatever t*B the kernels would pick it at;
-        # "wide" adds multiples of the modulus to the packed values, so
-        # they are negative or wider than t*B bits
+        # the one form of the division by E, each term grown by two shifts,
+        # on its own at every order; "wide" adds multiples of the modulus
+        # to the packed values, so they are negative or wider than t*B bits
         ring = PackedResidueRing(12, t, THETA_TOP // 2 + 2)
         first = theta_starts(ring, start != "one")
         if start == "wide":
@@ -520,6 +518,8 @@ class TestThetaRoute:
         for order in range(THETA_TOP + 1):
             got = first[:order + 1]
             form(got, ring)
+            # every value the division writes is folded below 2^(tB)
+            assert all(abs(x) < 1 << t * ring.bits for x in got[2:]), order
             mul_eta_list(got, 2)
             assert [ring.digits(x) for x in got] == want[:order + 1], order
 
@@ -573,8 +573,7 @@ class TestThetaRouteChoice:
     @pytest.mark.parametrize("t", [3, 2 * numerator_reach(300) + 2, 601])
     def test_sb_makes_no_binomial_division_by_z(self, monkeypatch, t):
         # SB's walk divides only by z-free binomials, and its D goes
-        # through E, in the builder's own shape (t = 3) and in the
-        # numerator shape (t > 2K + 1), for the residues and the rows
+        # through E, at every modulus of the residues, and for the rows
         divisions = self.count(monkeypatch, "div_binomial_list")
         thetas = self.count(monkeypatch, "div_theta_list")
         rows = self.count(monkeypatch, "_rows_over_d")

@@ -417,8 +417,10 @@ class TestNumerators:
 
 
 class TestNumeratorShape:
-    """Full rows, and residues mod t > 2K + 1, K = isqrt(N) + 2, built as
-    the numerator X*D on a ring of offset K and divided by D once."""
+    """Builders on a ring of offset K = isqrt(N) + 2: full rows built as
+    the numerator X*D and divided by D once, and residues at every t,
+    whose builders divide by D after every other pass, so that until then
+    their values are a numerator's, at most (2K + 1)*B bits wide."""
 
     @pytest.mark.parametrize("order", [40, 300])
     def test_walk_stays_numerator_wide(self, monkeypatch, order):
@@ -450,6 +452,40 @@ class TestNumeratorShape:
             assert len(widest) >= 4 * (order // 2 - 1)
             widest.append(max(abs(x).bit_length() for x in total))
             assert max(widest) <= (2 * reach + 1) * bits, t
+
+    @pytest.mark.parametrize("order", [40, 300])
+    @pytest.mark.parametrize("build", [_sb_walk, _crank_coeffs],
+                             ids=["sb", "crank"])
+    def test_d_is_divided_last(self, monkeypatch, build, order):
+        # every eta, binomial and pair pass of the builder at t = 2S + 1,
+        # with the width of its input: the one division by E reads values
+        # at most (2K + 1)*B bits wide, and only the multiplication by
+        # (q^2; q^2)_inf, D's other factor, runs after it
+        passes = []
+
+        def recorded(name):
+            original = getattr(series, name)
+
+            def apply(a, *args):
+                k = args[0] if name.endswith("_eta_list") else None
+                passes.append((name, k, max((abs(x).bit_length() for x in a),
+                                            default=0)))
+                original(a, *args)
+            return apply
+
+        for name in ("mul_eta_list", "div_eta_list", "mul_binomial_list",
+                     "div_binomial_list", "mul_pair_list", "div_theta_list"):
+            monkeypatch.setattr(series, name, recorded(name))
+        bits, reach = packing_bits(build, order), numerator_reach(order)
+        ring = PackedResidueRing(bits, 2 * (order // 2 + 2) + 1, reach)
+        build(ring, order)
+        names = [name for name, _, _ in passes]
+        assert names.count("div_theta_list") == 1
+        last = names.index("div_theta_list")
+        assert [(name, k) for name, k, _ in passes[last + 1:]] == [
+            ("mul_eta_list", 2)]
+        assert max(width for _, _, width in passes[:last + 1]) <= \
+            (2 * reach + 1) * bits
 
     def test_full_rows_match_dict_references(self):
         # orders 1..40 take in rows whose window [-r, r],
@@ -564,10 +600,9 @@ BUILDERS = [_sb_walk, _rank_coeffs, _crank_coeffs, bailey_side]
 
 
 def residue_moduli(order):
-    """Small moduli, order + 1 and 2*order + 1, and the two sides of
-    ``series._packed``'s switch: t = 2K + 1, where a builder runs as it
-    is, and t = 2K + 2, its numerator divided by D, K =
-    ``numerator_reach(order)``."""
+    """Small moduli, order + 1 and 2*order + 1, and t = 2K + 1 and
+    2K + 2, K = ``numerator_reach(order)``: the widest ring a numerator's
+    window fills, and the first one wider."""
     reach = numerator_reach(order)
     return sorted({1, 2, 3, 5, 7, 2 * reach + 1, 2 * reach + 2, order + 1,
                    2 * order + 1})
