@@ -25,7 +25,6 @@ from .series import (
     pochhammer_inf,
 )
 from .partitions import (
-    Overpartition,
     ag_crank,
     enumerate_overpartitions,
     m2_rank,
@@ -53,7 +52,7 @@ __all__ = [
     "SeriesError", "TruncatedSeries",
     "poch_quotient", "pochhammer_finite", "pochhammer_inf",
     "root_value",
-    "Overpartition", "ag_crank", "enumerate_overpartitions",
+    "ag_crank", "enumerate_overpartitions",
     "m2_rank", "m2_rank_distribution",
     "residual_m2_crank_distribution", "spt_family",
     "SptCrankTable", "at_zeta3", "crank_series",

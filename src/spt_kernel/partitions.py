@@ -2,7 +2,9 @@
 
 Everything here is brute-force enumeration.  These functions are the
 independent oracles the series engine is checked against, so they must stay
-free of generating-function shortcuts.  The part lists are memoized by
+free of generating-function shortcuts.  A partition is the tuple of its
+parts, and an overpartition the tuple of its (value, overlined) parts, in
+the canonical order of ``Overpartition``.  The part lists are memoized by
 (size, largest part allowed, smallest part allowed), so a suffix list is
 built once; ``m2_statistics`` still reads every part list one at a time,
 and only multiplies the sizes of statistic classes where it would pair
@@ -19,6 +21,9 @@ from typing import Iterator
 from .rings import LaurentPolynomial
 
 Partition = tuple[int, ...]  # weakly decreasing positive parts
+# (value, overlined) parts, at most one overline per value; canonical order:
+# values weakly decreasing, the overlined copy first among equal values
+Overpartition = tuple[tuple[int, bool], ...]
 
 
 @lru_cache(maxsize=None)
@@ -73,60 +78,9 @@ def num_even_parts(p: Partition) -> int:
 # Overpartitions
 # ---------------------------------------------------------------------------
 
-class Overpartition:
-    """Multiset of (value, overlined) parts, at most one overline per value.
-
-    Canonical order: values weakly decreasing, the overlined copy first
-    among equal values.  Immutable, and equal when the parts are.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[tuple[int, bool], ...]):
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not Overpartition:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Overpartition(parts={self.parts!r})"
-
-    @property
-    def largest(self) -> int:
-        return self.parts[0][0]
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.parts)
-
-    def smallest_value(self) -> int:
-        return self.parts[-1][0]
-
-    def smallest_is_overlined(self) -> bool:
-        """True if any copy of the smallest part value carries an overline."""
-        s = self.smallest_value()
-        return any(v == s and o for v, o in self.parts)
-
-    def smallest_multiplicity(self) -> int:
-        s = self.smallest_value()
-        return sum(1 for v, _ in self.parts if v == s)
-
-    def even_nonoverlined_halved(self) -> Partition:
-        """The even non-overlined parts, each halved (residual-crank input)."""
-        return tuple(v // 2 for v, o in self.parts if not o and v % 2 == 0)
-
-
 def enumerate_overpartitions(n: int) -> Iterator[Overpartition]:
-    """Each overpartition of n exactly once.
+    """Each overpartition of n exactly once, as the tuple of its parts in
+    canonical order.
 
     Generated as (distinct overlined subset) x (ordinary partition), which
     mirrors the product (-q;q)_inf / (q;q)_inf and makes counting audits
@@ -139,7 +93,7 @@ def enumerate_overpartitions(n: int) -> Iterator[Overpartition]:
             for plain in partition_list(n - m):
                 parts = [(v, True) for v in over] + [(v, False) for v in plain]
                 parts.sort(key=lambda p: (-p[0], not p[1]))
-                yield Overpartition(tuple(parts))
+                yield tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +126,14 @@ def spt_family(n: int, variant: str) -> int:
         raise ValueError("n must be >= 1")
     total = 0
     for op in enumerate_overpartitions(n):
-        if op.smallest_is_overlined():
+        s = op[-1][0]
+        if (s, True) in op:
             continue
-        s = op.smallest_value()
         if variant == "sptbar1" and s % 2 == 0:
             continue
         if variant == "sptbar2" and s % 2 == 1:
             continue
-        total += op.smallest_multiplicity()
+        total += sum(1 for v, _ in op if v == s)
     return total
 
 
@@ -188,13 +142,14 @@ def spt_family(n: int, variant: str) -> int:
 # ---------------------------------------------------------------------------
 
 def m2_rank(op: Overpartition) -> int:
-    """ceil(l/2) - #parts + #(non-overlined odd parts) - chi."""
-    if not op.parts:
+    """ceil(l/2) - #parts + #(non-overlined odd parts) - chi, with the
+    largest part l and its overline read from op[0] (canonical order)."""
+    if not op:
         raise ValueError("rank of the empty overpartition is undefined")
-    largest, largest_over = op.parts[0]
-    odd_nonover = sum(1 for v, o in op.parts if v % 2 == 1 and not o)
+    largest, largest_over = op[0]
+    odd_nonover = sum(1 for v, o in op if v % 2 == 1 and not o)
     chi = 1 if (largest % 2 == 1 and not largest_over) else 0
-    return ceil(largest / 2) - len(op.parts) + odd_nonover - chi
+    return ceil(largest / 2) - len(op) + odd_nonover - chi
 
 
 def m2_rank_distribution(n: int) -> LaurentPolynomial:
@@ -229,7 +184,9 @@ _FAILURE_WEIGHT = LaurentPolynomial({1: 1, -1: 1, 0: -1})
 
 
 def residual_crank_weight(op: Overpartition) -> LaurentPolynomial:
-    halved = op.even_nonoverlined_halved()
+    """z^crank of the even non-overlined parts of op, each halved; 1 when
+    there are none, and z + 1/z - 1 when they halve to (1,)."""
+    halved = tuple(v // 2 for v, o in op if not o and v % 2 == 0)
     if not halved:
         return LaurentPolynomial.from_int(1)
     if halved == (1,):
@@ -296,7 +253,7 @@ def m2_statistics(n: int) -> tuple[LaurentPolynomial, LaurentPolynomial, int]:
     Each overpartition is a pair (distinct overlined parts of size m,
     ordinary parts of size n - m), as in ``enumerate_overpartitions``.
     Every part list is still generated and read one at a time, but no
-    ``Overpartition`` is built and the pairs are counted by class: the
+    overpartition tuple is built and the pairs are counted by class: the
     M2-rank reads only (largest part, #parts) of the overlined list and
     (largest part, #even parts) of the ordinary one, so a pair of classes
     adds the product of their sizes to one rank; the largest part is

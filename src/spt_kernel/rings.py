@@ -17,7 +17,8 @@ from typing import Mapping
 
 
 class RingError(ValueError):
-    """Mixing incompatible ring elements, or inverting a non-unit."""
+    """Mixing incompatible ring elements, or inverting a series whose
+    constant term is not 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +93,6 @@ class LaurentPolynomial:
         elif not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -191,9 +189,6 @@ class CyclotomicInteger:
         (a, b), (c, d) = self.coeffs, other.coeffs
         return CyclotomicInteger(a - c, b - d)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         a, b = self.coeffs
         if isinstance(other, int):
@@ -235,17 +230,9 @@ class IntegerRing:
     zero = 0
     one = 1
     z = z_inv = 1  # the builders' majorants run over Z at z = 1
-    name = "Z"
 
     def coerce(self, n: int):
         return int(n)
-
-    def unit_inverse(self, x):
-        if x == 1:
-            return 1
-        if x == -1:
-            return -1
-        raise RingError(f"{x!r} is not a unit in Z")
 
     def render(self, x) -> str:
         return str(x)
@@ -261,20 +248,11 @@ class LaurentRing:
     one = LaurentPolynomial.from_int(1)
     z = LaurentPolynomial.monomial(1, 1)
     z_inv = LaurentPolynomial.monomial(1, -1)
-    name = "Z[z,z^-1]"
 
     def coerce(self, n):
         if isinstance(n, LaurentPolynomial):
             return n
         return LaurentPolynomial.from_int(n)
-
-    def unit_inverse(self, x):
-        x = self.coerce(x)
-        if len(x.c) == 1:
-            (e, v), = x.c.items()
-            if v in (1, -1):
-                return LaurentPolynomial.monomial(v, -e)
-        raise RingError(f"{x!r} is not a unit in Z[z,z^-1]")
 
     def render(self, x) -> str:
         return repr(self.coerce(x))
@@ -290,7 +268,6 @@ class CyclotomicRing:
     one = CyclotomicInteger(1)
     zeta = CyclotomicInteger.root_power(1)
     zeta_inv = CyclotomicInteger.root_power(2)
-    name = "Z[zeta_3]"
 
     def coerce(self, n):
         """An integer or an element of Z[zeta_3]."""
@@ -298,21 +275,11 @@ class CyclotomicRing:
             return n
         return CyclotomicInteger(int(n))
 
-    def unit_inverse(self, x):
-        """The inverse of x among the units +-zeta^k."""
-        x = self.coerce(x)
-        for k in range(3):
-            for s in (1, -1):
-                cand = CyclotomicInteger.root_power(k) * s
-                if x * cand == self.one:
-                    return cand
-        raise RingError(f"{x!r} has no unit inverse in {self.name}")
-
     def render(self, x) -> str:
         return str(self.coerce(x).coeffs)
 
     def __repr__(self):
-        return self.name
+        return "Z[zeta_3]"
 
 
 # ---------------------------------------------------------------------------

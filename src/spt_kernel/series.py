@@ -258,11 +258,13 @@ def div_theta_list(a, ring):
 
 
 def invert_list(a, ring):
-    c0inv = ring.unit_inverse(a[0])
+    """The coefficients of 1/a, by b[m] = -sum_{k=1..m} a[k] b[m - k]; a
+    constant term other than ``ring.one`` is refused with ``RingError``."""
+    if a[0] != ring.one:
+        raise RingError(f"constant term {a[0]!r} is not 1")
     n = len(a)
     b = [ring.zero] * n
-    b[0] = c0inv
-    trivial = a[0] == ring.one
+    b[0] = ring.one
     for m in range(1, n):
         s = ring.zero
         for k in range(1, m + 1):
@@ -272,7 +274,7 @@ def invert_list(a, ring):
                 if bk:
                     s = s + ak * bk
         if s:
-            b[m] = -s if trivial else -(c0inv * s)
+            b[m] = -s
     return b
 
 
@@ -349,9 +351,6 @@ class TruncatedSeries:
             [a - b for a, b in zip(self.coeffs, other.coeffs)],
         )
 
-    def __neg__(self):
-        return TruncatedSeries(self.ring, self.order, [-a for a in self.coeffs])
-
     def __mul__(self, other):
         self._compat(other)
         return TruncatedSeries(
@@ -377,13 +376,8 @@ class TruncatedSeries:
         try:
             coeffs = invert_list(self.coeffs, self.ring)
         except RingError as exc:
-            raise SeriesError(f"constant term is not a unit: {exc}") from exc
+            raise SeriesError(f"cannot invert: {exc}") from exc
         return TruncatedSeries(self.ring, self.order, coeffs)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise SeriesError("cannot extend a truncated series")
-        return TruncatedSeries(self.ring, order, self.coeffs[: order + 1])
 
     def embed(self, ring) -> "TruncatedSeries":
         """Coerce coefficients into another ring (e.g. Z into Z[zeta_3])."""
@@ -417,14 +411,6 @@ class TruncatedSeries:
                 terms.append(f"({r})*q^{n}" if n else f"({r})")
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O(q^{self.order + 1})"
-
-    def to_json(self) -> str:
-        import json  # imported here: the text outputs never load it
-        return json.dumps({
-            "ring": self.ring.name,
-            "order": self.order,
-            "coefficients": [self.ring.render(c) for c in self.coeffs],
-        })
 
 
 # ---------------------------------------------------------------------------

@@ -158,16 +158,6 @@ class SptCrankTable:
     def __repr__(self) -> str:
         return f"SptCrankTable(order={self.order!r})"
 
-    def as_series(self) -> TruncatedSeries:
-        return TruncatedSeries(LAURENT, self.order, list(self.rows))
-
-    def csv_rows(self):
-        """(n, m, coefficient) triples, exact integers, increasing in
-        (n, m) whatever order each row's dict was filled in."""
-        for n, row in enumerate(self.rows):
-            for m, c in sorted(row.c.items()):
-                yield n, m, c
-
 
 def sb_rows(order: int):
     """Rows 0..order of SB(z,q), one at a time, as ``full_rows`` yields

@@ -10,7 +10,6 @@ from helpers import (
     is_symmetric,
 )
 from spt_kernel.partitions import (
-    Overpartition,
     ag_crank,
     distinct_partition_list,
     enumerate_overpartitions,
@@ -27,10 +26,6 @@ from spt_kernel.series import pochhammer_inf
 from spt_kernel.sptcrank import crank_series, rank_series
 
 
-def overpartition(*parts):
-    return Overpartition(tuple(parts))
-
-
 class TestEnumeration:
     def test_partitions_of_four(self):
         assert sorted(enumerate_partitions(4), reverse=True) == [
@@ -43,7 +38,7 @@ class TestEnumeration:
 
     def test_n_zero(self):
         assert list(enumerate_partitions(0)) == [()]
-        assert list(enumerate_overpartitions(0)) == [Overpartition(())]
+        assert list(enumerate_overpartitions(0)) == [()]
 
     def test_partition_counts_match_euler_product(self):
         from spt_kernel.rings import ZZ
@@ -61,6 +56,25 @@ class TestEnumeration:
             pochhammer_inf(ZZ, 1, 1, 1, n_max).invert()
         for n in range(n_max + 1):
             assert count_overpartitions(n) == gf.coefficient(n)
+
+    def test_overpartitions_are_canonical_tuples(self):
+        # m2_rank reads the largest part and its overline from op[0], so
+        # every overpartition must come in canonical order: values weakly
+        # decreasing, the overlined copy first among equal values
+        n_max = 10
+        gf = pochhammer_inf(ZZ, -1, 1, 1, n_max) * \
+            pochhammer_inf(ZZ, 1, 1, 1, n_max).invert()
+        for n in range(n_max + 1):
+            ops = list(enumerate_overpartitions(n))
+            for op in ops:
+                assert type(op) is tuple, op
+                assert all(type(v) is int and type(o) is bool
+                           for v, o in op), op
+                assert sum(v for v, _ in op) == n, op
+                assert list(op) == sorted(op, key=lambda p: (-p[0], not p[1]))
+                overlined = [v for v, o in op if o]
+                assert len(overlined) == len(set(overlined)), op
+            assert len(set(ops)) == len(ops) == gf.coefficient(n), n
 
 
 class TestSptFamily:
@@ -86,13 +100,13 @@ class TestSptFamily:
 
 class TestM2Rank:
     def test_hand_evaluations(self):
-        assert m2_rank(overpartition((2, False))) == 0
-        assert m2_rank(overpartition((3, False))) == 1
-        assert m2_rank(overpartition((1, True), (1, False))) == 0
+        assert m2_rank(((2, False),)) == 0
+        assert m2_rank(((3, False),)) == 1
+        assert m2_rank(((1, True), (1, False))) == 0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            m2_rank(Overpartition(()))
+            m2_rank(())
 
     def test_distribution_n2_all_rank_zero(self):
         assert m2_rank_distribution(2) == 4
@@ -144,7 +158,7 @@ class TestResidualCrank:
 
 def test_shared_walk_matches_enumeration():
     # one walk gives both oracles; it must agree with the statistics of each
-    # Overpartition that enumerate_overpartitions builds, visiting each once
+    # overpartition that enumerate_overpartitions yields, visiting each once
     for n in range(1, 17):
         ranks = {}
         cranks = LaurentPolynomial()

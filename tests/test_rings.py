@@ -55,12 +55,6 @@ class TestCyclotomic:
         assert CyclotomicInteger.root_power(3) == CYCLO3.one
         assert CYCLO3.zeta * CYCLO3.zeta * CYCLO3.zeta == CYCLO3.one
 
-    def test_unit_inverse(self):
-        for x in (CYCLO3.zeta, -CYCLO3.zeta_inv, CYCLO3.one + CYCLO3.zeta):
-            assert x * CYCLO3.unit_inverse(x) == CYCLO3.one
-        with pytest.raises(RingError):
-            CYCLO3.unit_inverse(CYCLO3.coerce(2))
-
     def test_laurent_polynomial_is_not_coerced(self):
         # a Laurent polynomial reaches Z[zeta_3] only through root_value
         with pytest.raises(TypeError):
