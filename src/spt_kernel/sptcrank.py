@@ -9,6 +9,7 @@ even-smallest-part overpartition spt function.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 from .partitions import (
@@ -126,34 +127,20 @@ def sb_coefficients_naive(ring, z, z_inv, order: int) -> list:
     return acc.coeffs
 
 
-class SptCrankTable:
+class SptCrankTable(namedtuple("SptCrankTable", "order rows")):
     """Rows n = 0..order of SB(z,q) as Laurent polynomials in z; immutable,
     and equal when the order and the rows are.  A negative count is
     refused."""
 
-    __slots__ = ("order", "rows")
+    __slots__ = ()
 
-    def __init__(self, order: int, rows: tuple[LaurentPolynomial, ...]):
+    def __new__(cls, order: int, rows: tuple[LaurentPolynomial, ...]):
         for n, row in enumerate(rows):
             for m, c in row.c.items():
                 if c < 0:
                     raise ValueError(
                         f"negative spt-crank count at (m={m}, n={n})")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not SptCrankTable:
-            return NotImplemented
-        return (self.order, self.rows) == (other.order, other.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.rows))
+        return super().__new__(cls, order, rows)
 
     def __repr__(self) -> str:
         return f"SptCrankTable(order={self.order!r})"

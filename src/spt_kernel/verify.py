@@ -7,6 +7,8 @@ VerificationReport.  There are no tolerances anywhere.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from functools import cache
 from typing import Callable
 
 from .partitions import m2_rank_distribution, residual_m2_crank_distribution
@@ -35,40 +37,14 @@ from .sptcrank import (
 )
 
 
-class VerificationReport:
+class VerificationReport(namedtuple(
+        "VerificationReport", "check order status first_failure",
+        defaults=(None,))):
     """The outcome of one check: status "pass" or "fail", and for a failure
     the first differing coefficient.  Immutable, and equal when every
     field is."""
 
-    __slots__ = ("check", "order", "status", "first_failure")
-
-    def __init__(self, check: str, order: int, status: str,
-                 first_failure: dict | None = None):
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "first_failure", first_failure)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _fields(self) -> tuple:
-        return (self.check, self.order, self.status, self.first_failure)
-
-    def __eq__(self, other):
-        if other.__class__ is not VerificationReport:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return ("VerificationReport(" + ", ".join(
-            f"{name}={value!r}"
-            for name, value in zip(self.__slots__, self._fields())) + ")")
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -76,12 +52,7 @@ class VerificationReport:
 
     def to_json(self) -> str:
         import json  # imported here: the text outputs never load it
-        return json.dumps({
-            "check": self.check,
-            "order": self.order,
-            "status": self.status,
-            "first_failure": self.first_failure,
-        }, sort_keys=True)
+        return json.dumps(self._asdict(), sort_keys=True)
 
 
 def _compare(check: str, order: int, subchecks) -> VerificationReport:
@@ -113,22 +84,6 @@ def _compare(check: str, order: int, subchecks) -> VerificationReport:
 def _call(fn, *args):
     """The default ``build`` of a check: build the series afresh."""
     return fn(*args)
-
-
-def _run_memo():
-    """A ``build`` that calls fn(*args) once per key and returns that result
-    to every later caller, for the checks of one run.  The key holds the
-    function object the check looked up when it called, so a builder
-    replaced in the check's module is called as the replacement."""
-    built = {}
-
-    def build(fn, *args):
-        key = (fn, *args)
-        if key not in built:
-            built[key] = fn(*args)
-        return built[key]
-
-    return build
 
 
 # The enumeration bound of theorem 2's oracle cross-check: the default of
@@ -486,7 +441,10 @@ def run_all(order: int, oracle_bound: int = ORACLE_BOUND,
     their proven z-window (``WindowError``) fails at the first such row,
     and the other checks still run."""
     names = selected_checks(order, only)
-    build = _run_memo()
+    # Keyed on (fn, *args), fn the object the check looked up when it
+    # called, so a builder replaced in the check's module is called as the
+    # replacement.
+    build = cache(_call)
     reports = []
     for name in names:
         try:

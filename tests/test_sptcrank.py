@@ -129,6 +129,11 @@ class TestSbSeries:
         assert repr(table) == "SptCrankTable(order=30)"
         with pytest.raises(AttributeError):
             table.order = 31
+        with pytest.raises(AttributeError):
+            table.note = 1
+        with pytest.raises(AttributeError):
+            del table.rows
+        assert hash(table) == hash(SptCrankTable(30, table.rows))
         with pytest.raises(ValueError,
                            match=r"negative spt-crank count at \(m=1, n=1\)"):
             SptCrankTable(1, (LaurentPolynomial(), LaurentPolynomial({1: -1})))

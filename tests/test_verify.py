@@ -60,6 +60,17 @@ def test_report_is_an_immutable_value():
                             "status='pass', first_failure=None)")
     with pytest.raises(AttributeError):
         report.status = "fail"
+    with pytest.raises(AttributeError):
+        report.note = 1
+    with pytest.raises(AttributeError):
+        del report.check
+    assert hash(report) == hash(VerificationReport("theorem1", 30, "pass"))
+    failed = VerificationReport("theorem2", 60, "fail", {
+        "n": 3, "where": "rank", "expected": "1", "actual": "-2"})
+    assert failed.to_json() == (
+        '{"check": "theorem2", "first_failure": {"actual": "-2", '
+        '"expected": "1", "n": 3, "where": "rank"}, "order": 60, '
+        '"status": "fail"}')
 
 
 def test_a2_low_coefficients():
@@ -167,6 +178,12 @@ def test_run_builds_each_shared_series_once(monkeypatch):
                      "sb_numerator": 1}
     assert residues == {"_sb_walk": 1, "_rank_coeffs": 1,
                         "_crank_coeffs": 1}
+    # the memo is per run: a second run builds every series again
+    assert all(r.passed for r in run_all(60, oracle_bound=6))
+    assert calls == {"crank_numerator": 2, "rank_numerator": 2,
+                     "sb_numerator": 2}
+    assert residues == {"_sb_walk": 2, "_rank_coeffs": 2,
+                        "_crank_coeffs": 2}
 
 
 def test_congruences_small():
