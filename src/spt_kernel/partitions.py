@@ -6,16 +6,24 @@ free of generating-function shortcuts.  A partition is the tuple of its
 parts, and an overpartition the tuple of its (value, overlined) parts, in
 the canonical order of ``Overpartition``.  The part lists are memoized by
 (size, largest part allowed, smallest part allowed), so a suffix list is
-built once; ``m2_statistics`` still reads every part list one at a time,
-and only multiplies the sizes of statistic classes where it would pair
-each overlined list with each ordinary one.
+built once.  ``m2_statistics`` still reads every part list one at a time:
+an ordinary one once, through the list of its even parts, which gives its
+class (largest part, #even parts) and its residual crank.  It multiplies
+the sizes of statistic classes where it would pair each overlined list
+with each ordinary one, and pairs each overlined class, of largest part
+T, with the ordinary classes split at T: those whose largest part is at
+most T, where the M2-rank reads T, summed into one count per #even parts,
+and those above T, where it reads their own largest part, summed by the
+rank they give.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from math import ceil
+from operator import neg
 from typing import Iterator
 
 from .rings import LaurentPolynomial
@@ -205,35 +213,54 @@ def residual_m2_crank_distribution(n: int) -> LaurentPolynomial:
     return m2_statistics(n)[1]
 
 
-def _ordinary_statistics(plain: Partition):
-    """(largest part, #even parts, residual-crank weight as (exponent,
-    coefficient) pairs) of the ordinary parts of an overpartition: all that
-    the M2-rank reads of them, and the residual crank, which depends on
-    them alone."""
-    halved = tuple(v // 2 for v in plain if v % 2 == 0)
-    if not halved:
-        weight = ((0, 1),)
-    elif halved == (1,):
-        weight = tuple(_FAILURE_WEIGHT.c.items())
-    else:
-        weight = ((ag_crank(halved), 1),)
-    return (plain[0] if plain else 0), len(halved), weight
-
-
 @lru_cache(maxsize=None)
 def _plain_classes(k: int) -> tuple:
-    """The partitions of k read one at a time (``_ordinary_statistics``):
-    ((largest part, #even parts), how many) for each class that occurs,
-    and the sum of their residual-crank weights as (exponent, coefficient)
-    pairs.  Every n > k reuses them."""
-    classes: Counter = Counter()
-    weights: Counter = Counter()
+    """The partitions of k, each read once through the list of its even
+    parts: (below, above, weights).
+
+    The M2-rank reads only (largest part top, #even parts) of the ordinary
+    parts, split at the overlined largest part T (``m2_statistics``):
+    below[T], for T = 0..k, is ((-#evens, how many), ...) over the
+    partitions with top <= T, and above[T] is ((top//2 - #evens, how
+    many), ...) over those with top > T; an overlined largest part above k
+    reads below[k] and above[k] = ().  weights is the sum of their
+    residual-crank weights (``ag_crank`` of the halved even parts,
+    inlined) as (exponent, coefficient) pairs.  Every n > k reuses them."""
+    tops = []  # (largest part, #even parts) of each partition
+    cranks = []  # ag_crank of its halved even parts, but for (1,)
+    failures = 0  # partitions whose even parts halve to (1,)
     for plain in partition_list(k):
-        top, evens, weight = _ordinary_statistics(plain)
-        classes[top, evens] += 1
-        for e, v in weight:
-            weights[e] += v
-    return tuple(classes.items()), tuple(weights.items())
+        evens = [v for v in plain if not v & 1]
+        tops.append((plain[0] if plain else 0, len(evens)))
+        if not evens:
+            cranks.append(0)
+        elif ones := evens.count(2):
+            if len(evens) == 1:
+                failures += 1
+                continue
+            # #halved parts greater than the number of ones, less that
+            # number; the even parts decrease, so a bisection counts them
+            cranks.append(bisect_left(evens, -2 * ones, key=neg) - ones)
+        else:
+            cranks.append(evens[0] >> 1)
+    weights = Counter(cranks)
+    for e, v in _FAILURE_WEIGHT.c.items():
+        weights[e] += failures * v
+    by_top: list[list] = [[] for _ in range(k + 1)]
+    for (top, evens), c in Counter(tops).items():
+        by_top[top].append((evens, c))
+    below, above = [], [()] * (k + 1)
+    acc: dict[int, int] = {}
+    for counts in by_top:
+        for evens, c in counts:
+            acc[-evens] = acc.get(-evens, 0) + c
+        below.append(tuple(acc.items()))
+    acc = {}
+    for top in range(k, -1, -1):
+        above[top] = tuple(acc.items())
+        for evens, c in by_top[top]:
+            acc[top // 2 - evens] = acc.get(top // 2 - evens, 0) + c
+    return below, above, tuple(weights.items())
 
 
 @lru_cache(maxsize=None)
@@ -253,31 +280,36 @@ def m2_statistics(n: int) -> tuple[LaurentPolynomial, LaurentPolynomial, int]:
     Each overpartition is a pair (distinct overlined parts of size m,
     ordinary parts of size n - m), as in ``enumerate_overpartitions``.
     Every part list is still generated and read one at a time, but no
-    overpartition tuple is built and the pairs are counted by class: the
-    M2-rank reads only (largest part, #parts) of the overlined list and
-    (largest part, #even parts) of the ordinary one, so a pair of classes
-    adds the product of their sizes to one rank; the largest part is
-    overlined when the overlined list reaches it (the overlined copy comes
-    first among equal values).  The residual crank reads the ordinary
-    parts alone, so the sum of its weights over the partitions of n - m
-    counts once for each distinct partition of m.
+    overpartition tuple is built and the pairs are counted by class.  The
+    M2-rank reads only (largest part T, #parts P) of the overlined list
+    and (largest part top, #even parts) of the ordinary one, so each
+    overlined class is paired with the ordinary classes split at T
+    (``_plain_classes``).  Where top <= T the largest part is overlined
+    (the overlined copy comes first among equal values) and the rank is
+    ceil(T/2) - P - #evens; above T it is ceil(top/2) - P - #evens - chi,
+    with chi = 1 for odd top, which is top//2 - P - #evens.  The residual
+    crank reads the ordinary parts alone, so the sum of its weights over
+    the partitions of n - m counts once for each distinct partition of m.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ranks: dict[int, int] = {}
+    ranks = [0] * (2 * n + 1)  # ranks[n + r]: every M2-rank is in [-n, n]
     cranks: dict[int, int] = {}
     visits = 0
     for m in range(n + 1):
-        plains, weights = _plain_classes(n - m)
+        k = n - m
+        below, above, weights = _plain_classes(k)
         overs = len(distinct_partition_list(m))
-        visits += overs * len(partition_list(n - m))
+        visits += overs * len(partition_list(k))
         for (top_over, parts_over), c_over in _overlined_classes(m):
-            for (top, evens), c in plains:
-                largest = max(top, top_over)
-                # chi: the largest part is odd and carries no overline
-                chi = 1 if largest % 2 and top > top_over else 0
-                r = (largest + 1) // 2 - parts_over - evens - chi
-                ranks[r] = ranks.get(r, 0) + c_over * c
+            t = min(top_over, k)
+            h = n + (top_over + 1) // 2 - parts_over
+            for d, c in below[t]:
+                ranks[h + d] += c_over * c
+            h = n - parts_over
+            for d, c in above[t]:
+                ranks[h + d] += c_over * c
         for e, v in weights:
             cranks[e] = cranks.get(e, 0) + overs * v
-    return LaurentPolynomial(ranks), LaurentPolynomial(cranks), visits
+    return (LaurentPolynomial({r - n: c for r, c in enumerate(ranks) if c}),
+            LaurentPolynomial(cranks), visits)

@@ -7,8 +7,9 @@ and order -- a mismatch while checking an identity is a bug, not data.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import isqrt
-from operator import add, sub
+from operator import add, neg, sub
 from typing import Sequence
 
 from .rings import (
@@ -93,11 +94,33 @@ def mul_binomial_list(a, c, e):
 
 
 def div_binomial_list(a, c, e):
-    """In place: a *= 1/(1 - c*q^e) (geometric recurrence), from the bottom
-    up in slices of at most min(e, ``_CHUNK``) coefficients, each one slice
-    addition of c times the slice e below it, which is final."""
+    """In place: a *= 1/(1 - c*q^e) (geometric recurrence), in one of two
+    forms.
+
+    For c the plain integer 1 or -1 with e^2 < len(a), each residue class
+    mod e, a[r], a[r + e], ..., is replaced by its running sums, one
+    ``accumulate`` per class (e classes of more than e coefficients each).
+    For c = -1 the recurrence b_k = a_k - b_{k-1} is the same running sum
+    on the class with every other sign flipped, so the signs are flipped
+    before and after it.
+
+    Otherwise, from the bottom up in slices of at most min(e, ``_CHUNK``)
+    coefficients, each one slice addition of c times the slice e below it,
+    which is final; that form makes about len(a)/e slice operations, few
+    when e is large and one per coefficient at e = 1."""
     if e <= 0:
         raise SeriesError("geometric division needs a positive q-exponent")
+    if type(c) is int and c in (1, -1) and e * e < len(a):
+        for r in range(e):
+            if c == 1:
+                a[r::e] = accumulate(a[r::e])
+                continue
+            run = a[r::e]
+            run[1::2] = map(neg, run[1::2])
+            run = list(accumulate(run))
+            run[1::2] = map(neg, run[1::2])
+            a[r::e] = run
+        return
     op = add
     if c == -1:
         op, c = sub, 1

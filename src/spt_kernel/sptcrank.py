@@ -130,7 +130,7 @@ def sb_coefficients_naive(ring, z, z_inv, order: int) -> list:
 class SptCrankTable(namedtuple("SptCrankTable", "order rows")):
     """Rows n = 0..order of SB(z,q) as Laurent polynomials in z; immutable,
     and equal when the order and the rows are.  A negative count is
-    refused."""
+    refused, by ``_make`` and ``_replace`` too."""
 
     __slots__ = ()
 
@@ -141,6 +141,11 @@ class SptCrankTable(namedtuple("SptCrankTable", "order rows")):
                     raise ValueError(
                         f"negative spt-crank count at (m={m}, n={n})")
         return super().__new__(cls, order, rows)
+
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, and so its check, for _replace too
+        return cls(*iterable)
 
     def __repr__(self) -> str:
         return f"SptCrankTable(order={self.order!r})"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
+from operator import add
 from typing import Callable
 
 from .partitions import m2_rank_distribution, residual_m2_crank_distribution
@@ -17,6 +18,7 @@ from .series import (
     SeriesError,
     TruncatedSeries,
     WindowError,
+    apply_factors,
     div_binomial_list,
     divided_by_d,
     mul_binomial_list,
@@ -59,13 +61,17 @@ def _compare(check: str, order: int, subchecks) -> VerificationReport:
     """subchecks: iterable of (label, lhs_series, rhs_series) or (label,
     lhs_series, rhs_series, True); the two series of a subcheck must have
     the same order and are compared coefficient-wise at every index up to
-    it.  A fourth entry True marks numerators X*D and Y*D over Z[z,1/z],
-    D = (z q^2, q^2/z; q^2)_inf: D = 1 mod q, so their first difference is
-    X's and Y's, and the report shows rows n of X and Y (``divided_by_d``)."""
+    it: as whole lists first, and n by n only when those differ, to find
+    the first difference.  A fourth entry True marks numerators X*D and
+    Y*D over Z[z,1/z], D = (z q^2, q^2/z; q^2)_inf: D = 1 mod q, so their
+    first difference is X's and Y's, and the report shows rows n of X and
+    Y (``divided_by_d``)."""
     for label, lhs, rhs, *cleared in subchecks:
         if lhs.order != rhs.order:
             raise SeriesError(f"{check} subcheck {label!r} pairs orders "
                               f"{lhs.order} and {rhs.order}")
+        if lhs.coeffs == rhs.coeffs:
+            continue
         for n in range(lhs.order + 1):
             a, b = lhs.coefficient(n), rhs.coefficient(n)
             if a != b:
@@ -221,18 +227,24 @@ def bailey_pair_rhs(order: int, n_max: int) -> list[TruncatedSeries]:
 
     Term r starts at n = r as alpha_r / (q^2;q^2)_{2r}; going from n - 1
     to n divides it by (1 - q^{2(n-r)}) (1 - q^{2(n+r)}), two binomial
-    passes.  Terms with r^2 > order are zero and never start.
+    passes.  Term r is held as its tail from q^{r^2}, its lowest nonzero
+    power (alpha_r's coefficients from there on, ``bailey_alpha``), so its
+    passes skip the r^2 zeros below; each sum adds the tails in at their
+    offsets.  Terms with r^2 > order are zero and never start.
     """
-    terms: list[list[int]] = []
+    tails: list[list[int]] = []
     out = []
     for n in range(n_max + 1):
-        for r, term in enumerate(terms):
-            div_binomial_list(term, 1, 2 * (n - r))
-            div_binomial_list(term, 1, 2 * (n + r))
+        for r, tail in enumerate(tails):
+            div_binomial_list(tail, 1, 2 * (n - r))
+            div_binomial_list(tail, 1, 2 * (n + r))
         if n * n <= order:
-            terms.append(poch_quotient(ZZ, order, denom=[(1, 2, 2, 2 * n)],
-                                       start=bailey_alpha(n, order)).coeffs)
-        out.append(TruncatedSeries(ZZ, order, [sum(c) for c in zip(*terms)]))
+            tail = bailey_alpha(n, order).coeffs[n * n:]
+            tails.append(apply_factors(ZZ, tail, denom=[(1, 2, 2, 2 * n)]))
+        total = [0] * (order + 1)
+        for r, tail in enumerate(tails):
+            total[r * r:] = map(add, total[r * r:], tail)
+        out.append(TruncatedSeries(ZZ, order, total))
     return out
 
 
@@ -242,6 +254,13 @@ def bailey_pair_rhs(order: int, n_max: int) -> list[TruncatedSeries]:
 
 # u = 2 - z - 1/z = (1 - z)(1 - 1/z)
 _U = LaurentPolynomial({1: -1, 0: 2, -1: -1})
+
+
+def u_sb_numerator(order: int) -> TruncatedSeries:
+    """u SB*D over Z[z,1/z]: theorem 2's left side, and the part of the
+    Bailey side that ``verify_bailey_limit`` reads off SB*D; built once
+    per run for both."""
+    return sb_numerator(order).scale(_U)
 
 
 def verify_theorem1(order: int, n_oracle: int = 0,
@@ -267,7 +286,7 @@ def verify_theorem2(order: int, n_oracle: int = ORACLE_BOUND,
     plus an enumeration cross-check of the rank and crank rows up to
     n_oracle."""
     _require_order("theorem2", order)
-    lhs = build(sb_numerator, order).scale(_U)
+    lhs = build(u_sb_numerator, order)
     rhs = (build(rank_numerator, order)
            - build(crank_numerator, order).embed(LAURENT))
     subchecks = [("rank-crank", lhs, rhs, True)]
@@ -355,7 +374,7 @@ def verify_bailey_limit(order: int, n_oracle: int = 0,
     """
     _require_order("bailey_limit", order)
     lhs = (build(crank_numerator, order).embed(LAURENT)
-           + build(sb_numerator, order).scale(_U))
+           + build(u_sb_numerator, order))
     rhs = build(rank_numerator, order)
     return _compare("bailey_limit", order, [("bailey-vs-rank", lhs, rhs, True)])
 

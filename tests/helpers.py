@@ -65,6 +65,25 @@ def div_binomial(s, c, e):
     return TruncatedSeries(s.ring, s.order, out)
 
 
+def binomial_passes(a, c, exponents, side):
+    """a times prod (1 - c q^e) over exponents for side 1, divided by it for
+    side -1, one coefficient at a time: the plain recurrence, the reference
+    for the slice and running-sum forms of ``mul_binomial_list`` and
+    ``div_binomial_list``."""
+    a = list(a)
+    top = len(a) - 1
+    for e in exponents:
+        if e > top:
+            break
+        if side > 0:
+            for i in range(top, e - 1, -1):
+                a[i] = a[i] - c * a[i - e]
+        else:
+            for i in range(e, top + 1):
+                a[i] = a[i] + c * a[i - e]
+    return a
+
+
 def inflate(s, t, order):
     """s with q -> q^t, truncated at the given order."""
     out = TruncatedSeries(s.ring, order)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    binomial_passes,
     inflate,
     lambert_theorem1_by_terms,
     one,
@@ -32,6 +33,7 @@ from spt_kernel.series import (
     _theta_terms,
     apply_factors,
     d_factors,
+    div_binomial_list,
     div_eta_list,
     div_theta_list,
     mul_binomial_list,
@@ -280,23 +282,6 @@ ETA_SHAPES = [(c, j, k) for c in (1, -1) for j in range(1, 13)
 ETA_TOP = 60
 
 
-def binomial_passes(a, c, exponents, side):
-    """a times prod (1 - c q^e) over exponents for side 1, divided by it for
-    side -1, one coefficient at a time."""
-    a = list(a)
-    top = len(a) - 1
-    for e in exponents:
-        if e > top:
-            break
-        if side > 0:
-            for i in range(top, e - 1, -1):
-                a[i] = a[i] - c * a[i - e]
-        else:
-            for i in range(e, top + 1):
-                a[i] = a[i] + c * a[i - e]
-    return a
-
-
 @st.composite
 def pair_cases(draw):
     """A packed ring, a list of its values and an exponent e for
@@ -315,6 +300,38 @@ def pair_cases(draw):
         min_size=size, max_size=size))
     a = [pack(ring, {e: c}) + k * ring.modulus for e, c, k in terms]
     return ring, a, draw(st.integers(1, size + 3))
+
+
+class TestGeometricDivision:
+    """``div_binomial_list`` against ``binomial_passes``, one coefficient
+    at a time, at every length 0..150 and every e from 1 to one past the
+    end of the list: both sides of e^2 < len(a), where c = +-1 switches
+    from the slices to the running sums per residue class."""
+
+    def test_over_z(self):
+        for length in range(151):
+            a = [(7 * i * i + 3) % 11 - 5 for i in range(length)]
+            for c in (1, -1):
+                for e in range(1, length + 2):
+                    got = list(a)
+                    div_binomial_list(got, c, e)
+                    assert got == binomial_passes(a, c, [e], -1), \
+                        (length, c, e)
+
+    def test_on_packed_ring(self):
+        # z folds and 1/z rotates at t = 5; values are compared mod M
+        ring = PackedResidueRing(12, 5, 2)
+        m = ring.modulus
+        for length in range(151):
+            a = [pack(ring, {(i % 5) - 2: (7 * i * i + 3) % 11 - 5,
+                             i % 3: i % 4 - 1}) for i in range(length)]
+            for c in (1, -1, ring.z, ring.z_inv):
+                for e in range(1, length + 2):
+                    got = list(a)
+                    div_binomial_list(got, c, e)
+                    want = binomial_passes(a, c, [e], -1)
+                    assert [x % m for x in got] == [x % m for x in want], \
+                        (length, c, e)
 
 
 class TestPairPass:

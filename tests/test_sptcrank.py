@@ -138,6 +138,21 @@ class TestSbSeries:
                            match=r"negative spt-crank count at \(m=1, n=1\)"):
             SptCrankTable(1, (LaurentPolynomial(), LaurentPolynomial({1: -1})))
 
+    def test_make_refuses_a_negative_count(self):
+        rows = (LaurentPolynomial(), LaurentPolynomial({1: -1}))
+        with pytest.raises(ValueError,
+                           match=r"negative spt-crank count at \(m=1, n=1\)"):
+            SptCrankTable._make((1, rows))
+        table = SptCrankTable._make((1, rows[:1] + (LaurentPolynomial({1: 2}),)))
+        assert table == SptCrankTable(1, table.rows)
+
+    def test_replace_refuses_a_negative_count(self, table):
+        with pytest.raises(ValueError,
+                           match=r"negative spt-crank count at \(m=-1, n=0\)"):
+            table._replace(rows=(LaurentPolynomial({-1: -1}),))
+        shorter = table._replace(order=29, rows=table.rows[:30])
+        assert shorter == SptCrankTable(29, table.rows[:30])
+
 
 class TestSptbar2:
     def test_known_coefficients(self):

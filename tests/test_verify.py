@@ -150,10 +150,36 @@ def test_fault_in_one_alpha_term_is_reported_exactly(monkeypatch):
         "where": "n=2"}
 
 
+@pytest.mark.parametrize("r", [3, 5])
+def test_fault_at_the_head_of_an_alpha_tail_is_reported_exactly(
+        monkeypatch, r):
+    # alpha_r's own coefficient at q^{r^2}, the first entry of term r's
+    # tail, off by one: term r starts at n = r, and its fault is
+    # q^{r^2} / ((q^2;q^2)_0 (q^2;q^2)_{2r}), which starts at q^{r^2}; a
+    # tail added one place off would be reported at another n, or in an
+    # earlier subcheck
+    original = verify.bailey_alpha
+
+    def faulty(k, order):
+        s = original(k, order)
+        if k == r:
+            s.coeffs[r * r] += 1
+        return s
+
+    monkeypatch.setattr(verify, "bailey_alpha", faulty)
+    (rep,) = run_all(ORDER, oracle_bound=6, only="bailey_pair")
+    beta = bailey_beta(r, ORDER).coefficient(r * r)
+    assert rep.first_failure == {
+        "n": r * r, "expected": str(beta + 1), "actual": str(beta),
+        "where": f"n={r}"}
+
+
 def test_run_builds_each_shared_series_once(monkeypatch):
     # the numerators by name, and the residue sums by the builder they
-    # read: SB's sums mod 3 are shared by theorem1 and the congruences
-    calls = {"crank_numerator": 0, "rank_numerator": 0, "sb_numerator": 0}
+    # read: SB's sums mod 3 are shared by theorem1 and the congruences, and
+    # u*SB*D by theorem2 and bailey_limit, which reads SB*D once
+    calls = {"crank_numerator": 0, "rank_numerator": 0, "sb_numerator": 0,
+             "u_sb_numerator": 0}
     residues = {}
 
     def counted(name):
@@ -175,13 +201,13 @@ def test_run_builds_each_shared_series_once(monkeypatch):
     monkeypatch.setattr(verify, "packed_residues", counted_residues)
     assert all(r.passed for r in run_all(60, oracle_bound=6))
     assert calls == {"crank_numerator": 1, "rank_numerator": 1,
-                     "sb_numerator": 1}
+                     "sb_numerator": 1, "u_sb_numerator": 1}
     assert residues == {"_sb_walk": 1, "_rank_coeffs": 1,
                         "_crank_coeffs": 1}
     # the memo is per run: a second run builds every series again
     assert all(r.passed for r in run_all(60, oracle_bound=6))
     assert calls == {"crank_numerator": 2, "rank_numerator": 2,
-                     "sb_numerator": 2}
+                     "sb_numerator": 2, "u_sb_numerator": 2}
     assert residues == {"_sb_walk": 2, "_rank_coeffs": 2,
                         "_crank_coeffs": 2}
 
