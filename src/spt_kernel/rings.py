@@ -362,8 +362,8 @@ class PackedResidueRing:
 
     Any integer c with c = sum_k m_k 2^(B (k mod t)) acts as the Laurent
     polynomial sum_k m_k z^k: x*c packs that polynomial times the one x
-    packs.  The division by D of ``series.apply_factors`` never forms
-    such a product: it grows (z^(1-n) + ... + z^(n-1)) x from the value
+    packs.  The division by D of ``series.div_d_list`` never forms such
+    a product: it grows (z^(1-n) + ... + z^(n-1)) x from the value
     for n - 1 by the two shifts z^(n-1) x and z^(1-n) x, folds that sum
     once mod M as it is kept, and folds the sum of a coefficient's terms
     once more.  Only the representative changes, so the widths and the

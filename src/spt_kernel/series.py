@@ -409,20 +409,17 @@ class TruncatedSeries:
     # -- dissection ----------------------------------------------------------
 
     def dissect(self, t: int) -> list["TruncatedSeries"]:
-        """Split by q-exponent residue mod t; component j keeps order (N-j)//t."""
+        """Split by q-exponent residue mod t; component j keeps order (N-j)//t.
+        A modulus t > N + 1 is refused: component N + 1 would hold no
+        tracked coefficient."""
         if t < 1:
             raise SeriesError("dissection modulus must be positive")
-        out = []
-        for j in range(t):
-            comp_order = (self.order - j) // t
-            if comp_order < 0:
-                out.append(TruncatedSeries(self.ring, 0))
-                continue
-            out.append(TruncatedSeries(
-                self.ring, comp_order,
-                [self.coeffs[t * i + j] for i in range(comp_order + 1)],
-            ))
-        return out
+        if t > self.order + 1:
+            raise SeriesError(f"dissection modulus {t} exceeds order "
+                              f"{self.order} + 1")
+        return [TruncatedSeries(self.ring, (self.order - j) // t,
+                                self.coeffs[j::t])
+                for j in range(t)]
 
     # -- rendering -----------------------------------------------------------
 
@@ -484,66 +481,28 @@ def _eta_form(c, j: int, k: int):
     return None
 
 
-def _theta_route(ring, factors: list, a: list) -> int:
-    """The side, 1 for the numerator and -1 for the denominator, of the
-    pair D = ``d_factors(ring)`` among factors, a list of (side, factor,
-    exponents); ``apply_factors`` then applies it through
-    E = D (q^2; q^2)_inf (``_theta_terms``), last when it divides, and the
-    pair is removed from factors.  A D in the numerator is taken only when
-    a is the series 1, as E written out (``theta_list``).  0, with factors
-    unchanged, off ``PackedResidueRing`` or without such a pair.  On the
-    packed ring the division is always taken: its ~(2/3) order^{3/2} term
-    applications each cost O(t*B) bit operations (``div_theta_list``),
-    where D's ~order binomial passes make ~order^2/2 coefficient updates of
-    that cost.
-    """
-    if type(ring) is not PackedResidueRing:
-        return 0
-    is_one = a[0] == ring.one and not any(a[1:])
-    for side in (1, -1) if is_one else (-1,):
-        pair = []
-        for z in (ring.z, ring.z_inv):
-            pair += [i for i, (s, (c, *rest), _) in enumerate(factors)
-                     if s == side and c is z and rest == [2, 2, None]][:1]
-        if len(pair) < 2:
-            continue
-        for i in sorted(pair, reverse=True):
-            del factors[i]
-        return side
-    return 0
-
-
-def apply_factors(ring, a: list, numer=(), denom=()) -> list:
+def apply_factors(a: list, numer=(), denom=()) -> list:
     """In place: a * prod(numer) / prod(denom), truncated at
     q^(len(a) - 1); returns a itself.
 
     A factor (c, j, k, n) stands for (c*q^j; q^k)_n, the product of
     (1 - c*q^{j+ik}) over 0 <= i < n, and n = None for the infinite product.
-    c is a ring element or an integer scalar.  On ``PackedResidueRing``
-    the pair D = (z q^2, q^2/z; q^2)_inf of ``d_factors(ring)`` is applied
-    through E = D (q^2; q^2)_inf (``_theta_route``).  When a is the series
-    1 and D multiplies, E is written first (``theta_list``) and
-    (q^2; q^2)_inf joins the eta powers as a divisor.  When D divides, it
-    is applied last, after every other pass, as a division by E in
-    O(order sqrt(order)) term applications of O(t*B) each
-    (``div_theta_list``) and then a multiplication by (q^2; q^2)_inf: the
-    factors are power series, so the order does not change the result,
-    and the z-free passes run before the division widens the values.
-    An infinite factor with c the integer 1 or -1 is rewritten by
-    ``_eta_form`` into powers of (q^m; q^m)_inf and finite factors; the
-    powers are summed over all factors, and each (q^m; q^m)_inf left is
-    one sparse pass over its pentagonal terms (``mul_eta_list``,
-    ``div_eta_list``).  Every other binomial factor whose exponent is at
-    most the order is one O(order) pass -- a multiplication for the
-    numerator, a geometric division for the denominator -- so no series
-    is ever inverted.
+    c is a ring element or an integer scalar.  An infinite factor with c
+    the integer 1 or -1 is rewritten by ``_eta_form`` into powers of
+    (q^m; q^m)_inf and finite factors; the powers are summed over all
+    factors, and each (q^m; q^m)_inf left is one sparse pass over its
+    pentagonal terms (``mul_eta_list``, ``div_eta_list``).  Every other
+    binomial factor whose exponent is at most the order is one O(order)
+    pass -- a multiplication for the numerator, a geometric division for
+    the denominator -- so no series is ever inverted.  D's factors
+    (``d_factors``) are binomial passes here like any others; ``d_list``
+    and ``div_d_list`` apply D through E on the packed ring.
     """
     order = len(a) - 1
     # every factor is validated before any is rewritten or applied
     factors = [(side, f, _poch_exponents(*f[1:], order))
                for side, fs in ((1, numer), (-1, denom)) for f in fs]
-    theta = _theta_route(ring, factors, a)
-    etas: dict[int, int] = {2: -1} if theta > 0 else {}
+    etas: dict[int, int] = {}
     passes = []  # (side, c, exponents): side 1 multiplies, -1 divides
     for side, (c, j, k, n), exps in factors:
         form = None if n is not None else _eta_form(c, j, k)
@@ -555,8 +514,6 @@ def apply_factors(ring, a: list, numer=(), denom=()) -> list:
             etas[m] = etas.get(m, 0) + side * p
         for s, (c1, j1, k1, n1) in finite:
             passes.append((side * s, c1, _poch_exponents(j1, k1, n1, order)))
-    if theta > 0:
-        a[:] = theta_list(ring, order)
     for m, p in sorted(etas.items()):
         for _ in range(abs(p)):
             (mul_eta_list if p > 0 else div_eta_list)(a, m)
@@ -564,9 +521,6 @@ def apply_factors(ring, a: list, numer=(), denom=()) -> list:
         apply = mul_binomial_list if side > 0 else div_binomial_list
         for e in exps:
             apply(a, c, e)
-    if theta < 0:
-        div_theta_list(a, ring)
-        mul_eta_list(a, 2)
     return a
 
 
@@ -582,7 +536,7 @@ def poch_quotient(ring, order: int, numer=(), denom=(),
         raise SeriesError("start must have the quotient's ring and order")
     else:
         a = list(start.coeffs)
-    return TruncatedSeries(ring, order, apply_factors(ring, a, numer, denom))
+    return TruncatedSeries(ring, order, apply_factors(a, numer, denom))
 
 
 def pochhammer_inf(ring, c, j: int, k: int, order: int) -> TruncatedSeries:
@@ -605,8 +559,9 @@ def summand_walk(ring, first, order: int, step) -> list:
     n runs from order//2 - 1 down to 1, each step applies r_n to T_{n+1},
     held to q^{order-2n-2}, one O(order) binomial pass per factor, and puts
     [1, 0] in front.  s_1 is applied once, to T_1, by ``apply_factors``
-    on the walk's own list.  No summand is added into a total, and no
-    series is wrapped.
+    on the walk's own list; a caller whose s_1 has D in its denominator
+    leaves D out of first and divides the finished walk (``div_d_list``).
+    No summand is added into a total, and no series is wrapped.
 
     On ``PackedResidueRing`` a numerator that holds the ring's own z and
     1/z at one exponent e, matched by identity, applies the two as one
@@ -630,7 +585,7 @@ def summand_walk(ring, first, order: int, step) -> list:
         for c, e in denom:
             div_binomial_list(tail, c, e)
         tail[:0] = [ring.one, ring.zero]
-    return [ring.zero] * 2 + apply_factors(ring, tail, *first)
+    return [ring.zero] * 2 + apply_factors(tail, *first)
 
 
 def binomials(numer, denom, bound: bool):
@@ -652,14 +607,44 @@ def binomials(numer, denom, bound: bool):
 
 def d_factors(ring) -> list:
     """D = (z q^2, q^2/z; q^2)_inf as ``apply_factors`` factors, with the
-    ring's own z and 1/z (both 1 over Z).  D is the denominator of SB and
-    of the rank and crank series; D = 1 mod q, so it is a unit and X = Y
-    to q^N exactly when X*D = Y*D to q^N, with the same first differing
-    q^n.  On the packed ring ``apply_factors`` applies the pair through
-    Jacobi's triple product, D = E / (q^2; q^2)_inf (``_theta_route``), in
-    O(N sqrt(N)) steps of O(t*B) bit operations at any t, and divides by
-    it after every other pass."""
+    ring's own z and 1/z (both 1 over Z): D's binomial passes, on Z, the
+    dict rings and, through ``binomials``, the majorants.  D is the
+    denominator of SB and of the rank and crank series; D = 1 mod q, so it
+    is a unit and X = Y to q^N exactly when X*D = Y*D to q^N, with the
+    same first differing q^n."""
     return [(ring.z, 2, 2, None), (ring.z_inv, 2, 2, None)]
+
+
+def d_list(ring, order: int, bound: bool = False) -> list:
+    """Coefficients 0..order of D, z the ring's own; with bound, over Z,
+    its majorant (-q^2; q^2)_inf^2 (``binomials``).  On
+    ``PackedResidueRing`` E = D (q^2; q^2)_inf is written out
+    (``theta_list``) and divided by (q^2; q^2)_inf; on any other ring D's
+    factors are applied to 1 (``d_factors``)."""
+    if type(ring) is PackedResidueRing:
+        a = theta_list(ring, order)
+        div_eta_list(a, 2)
+        return a
+    return apply_factors([ring.one] + [ring.zero] * order,
+                         *binomials(d_factors(ring), (), bound))
+
+
+def div_d_list(a, ring, bound: bool = False) -> list:
+    """In place: a /= D, z the ring's own, or with bound, over Z, a times
+    the majorant 1/(q^2; q^2)_inf^2 of 1/D; returns a itself.
+
+    On ``PackedResidueRing`` through Jacobi's triple product,
+    D = E / (q^2; q^2)_inf: a division by E (``div_theta_list``), then a
+    multiplication by (q^2; q^2)_inf.  Its ~(2/3) N^{3/2} term applications
+    each cost O(t*B) bit operations, at any t, where D's ~N binomial passes
+    make ~N^2/2 coefficient updates of that cost.  On any other ring, D's
+    factors (``d_factors``).  The builders divide by D last, after every
+    z-free pass, so those passes run on a numerator's narrow values."""
+    if type(ring) is PackedResidueRing:
+        div_theta_list(a, ring)
+        mul_eta_list(a, 2)
+        return a
+    return apply_factors(a, *binomials((), d_factors(ring), bound))
 
 
 def numerator_reach(order: int) -> int:
@@ -692,7 +677,7 @@ def _packed(build, order: int, t: int, cleared: bool = False):
 
     The ring's offset is K = ``numerator_reach(order)``, and build runs
     as it is at every t.  A builder that divides by D (SB's, the crank's)
-    does so last (``apply_factors``), so up to that division its values
+    does so last (``div_d_list``), so up to that division its values
     are those of a numerator, at most (2K + 1)*B bits wide whatever t is,
     and the division fills the t digits.  The rank's Lambert form has no
     division by D.
@@ -864,7 +849,7 @@ def divided_by_d(rows: list) -> list:
     |p| the sum of |coefficients| of p, since 1/(1 - z q^e) has the
     majorant 1/(1 - q^e).
     """
-    bits = max(apply_factors(ZZ, [sum(map(abs, p.c.values())) for p in rows],
+    bits = max(apply_factors([sum(map(abs, p.c.values())) for p in rows],
                              denom=[(1, 2, 2, None)] * 2)).bit_length() + 1
     base = max([-e for p in rows for e in p.c] + [0])
     values = [sum(v << bits * (e + base) for e, v in p.c.items())

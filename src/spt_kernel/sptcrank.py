@@ -32,7 +32,8 @@ from .series import (  # noqa: F401
     _laurent,
     apply_factors,
     binomials,
-    d_factors,
+    d_list,
+    div_d_list,
     full_rows,
     mul_lists,
     packed_laurent,
@@ -64,8 +65,9 @@ def _sb_walk(ring, order: int, bound: bool = False,
     factor 1 - q^{2n+1} cancelled: four passes, the z pair one of them on
     the packed ring.  This is SB(z,q), since (-q^{2n+1};q)_inf
     (q^{2n+1};q)_inf equals (q^{4n+2};q^2)_inf.  The walk's first summand
-    over q^2, (q^6; q^2)_inf / ((q^3; q^2)_inf^2 D), D = (z q^2, q^2/z;
-    q^2)_inf, is applied once at its end.
+    over q^2 is (q^6; q^2)_inf / ((q^3; q^2)_inf^2 D), D = (z q^2, q^2/z;
+    q^2)_inf: its z-free part is applied once at the walk's end, and D
+    divides the finished walk (``div_d_list``).
 
     With bound, over Z, it returns a majorant in product form, whose
     coefficient of q^n bounds the sum of |coefficients| of row n of SB:
@@ -80,8 +82,7 @@ def _sb_walk(ring, order: int, bound: bool = False,
     1/(q^3; q^2)_inf^2; and sum_{n>=1} q^{2n} = q^2/(1 - q^2).  All these
     series have no negative coefficient, so their products keep the order.
 
-    With cleared, the walk leaves D out of its first summand, so it
-    returns SB*D, whose summand n is q^{2n} (z q^2, q^2/z; q^2)_{n-1}
+    With cleared, the walk is not divided by D, so it returns SB*D, whose summand n is q^{2n} (z q^2, q^2/z; q^2)_{n-1}
     (q^{4n+2}; q^2)_inf / (q^{2n+1}; q^2)_inf^2: z^k needs q^{k(k+1)} there
     and q^{2k+2} more in front.  Its majorant is this walk in its
     uncancelled form, (1 - q^{2n+1})^2 / ((1 - c q^{4n+2}) (1 - c q^{4n+4})),
@@ -92,20 +93,20 @@ def _sb_walk(ring, order: int, bound: bool = False,
         return [ring.zero] * (order + 1)
     if bound and not cleared:
         return [0, 0] + apply_factors(
-            ZZ, [1] + [0] * (order - 2), [(-1, 6, 2, None)],
+            [1] + [0] * (order - 2), [(-1, 6, 2, None)],
             [(1, 2, 1, 1)] + [(1, 2, 2, None)] * 2 + [(1, 3, 2, None)] * 2)
     z, z_inv, c = ring.z, ring.z_inv, 1
     if bound:
         z = z_inv = c = -1
-    first = ([(c, 6, 2, None)],
-             [(1, 3, 2, None)] * 2 + ([] if cleared else d_factors(ring)))
+    first = ([(c, 6, 2, None)], [(1, 3, 2, None)] * 2)
     if bound:
         return summand_walk(ring, first, order, lambda n: (
             [(z, 2 * n), (z_inv, 2 * n), (1, 2 * n + 1), (1, 2 * n + 1)],
             [(c, 4 * n + 2), (c, 4 * n + 4)]))
-    return summand_walk(ring, first, order, lambda n: (
+    walk = summand_walk(ring, first, order, lambda n: (
         [(z, 2 * n), (z_inv, 2 * n), (1, 2 * n + 1)],
         [(-1, 2 * n + 1), (1, 4 * n + 4)]))
+    return walk if cleared else div_d_list(walk, ring)
 
 
 def sb_coefficients_naive(ring, z, z_inv, order: int) -> list:
@@ -246,7 +247,7 @@ def _rank_term(ring, n: int, start: list, bound: bool) -> list:
     majorant (see ``binomials``)."""
     sign = -2 if n % 2 and not bound else 2
     z, z_inv = ring.z, ring.z_inv
-    return apply_factors(ring, [sign * x for x in start], *binomials(
+    return apply_factors([sign * x for x in start], *binomials(
         [(z, 0, 1, 1), (z_inv, 0, 1, 1)],
         [(z, 2 * n, 1, 1), (z_inv, 2 * n, 1, 1)], bound))
 
@@ -256,14 +257,13 @@ def _rank_coeffs(ring, order: int, bound: bool = False,
     """Coefficients 0..order of the rank generating function (see
     ``rank_series``); with bound, over Z at z = 1, its majorant.
 
-    With cleared, the Lambert form runs with D = (z q^2, q^2/z; q^2)_inf in
-    place of 1 and returns rank*D: term n is a copy of D times
+    With cleared, the Lambert form runs with D = (z q^2, q^2/z; q^2)_inf
+    (``d_list``) in place of 1 and returns rank*D: term n is a copy of D times
     (1 - z)(1 - 1/z), divided by two of D's own factors, so z^k needs
     q^{k(k-1)} in it, as in D.  Its majorant is D's,
     (-q^2; q^2)_inf^2, with 4/(1 - q^{2n})^2 per term."""
-    start = [ring.one] + [ring.zero] * order
-    if cleared:
-        apply_factors(ring, start, *binomials(d_factors(ring), (), bound))
+    start = (d_list(ring, order, bound) if cleared
+             else [ring.one] + [ring.zero] * order)
     inner = list(start)
     n = 1
     while n * n + 2 * n <= order:
@@ -275,7 +275,7 @@ def _rank_coeffs(ring, order: int, bound: bool = False,
         n += 1
     # the prefactor (-q;q)_inf/(q;q)_inf = (q^2;q^2)_inf/(q;q)_inf^2 on the
     # ring: one pentagonal multiplication and two divisions (apply_factors)
-    return apply_factors(ring, inner, *binomials(
+    return apply_factors(inner, *binomials(
         [(-1, 1, 1, None)], [(1, 1, 1, None)], bound))
 
 
@@ -318,12 +318,12 @@ def _crank_coeffs(ring, order: int, bound: bool = False,
     ``crank_series``); with bound, over Z at z = 1, its majorant.  With
     cleared, crank*D, D = (z q^2, q^2/z; q^2)_inf: the z-free part, built
     over Z and returned as ring values."""
-    w = apply_factors(ZZ, [1] + [0] * order, *binomials(
+    w = apply_factors([1] + [0] * order, *binomials(
         [(-1, 1, 1, None), (1, 2, 2, None)], [(1, 1, 2, None)], bound))
     start = [x * ring.one for x in w]
     if cleared:
         return start
-    return apply_factors(ring, start, *binomials((), d_factors(ring), bound))
+    return div_d_list(start, ring, bound)
 
 
 def crank_series(order: int) -> TruncatedSeries:

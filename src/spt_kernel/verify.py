@@ -240,7 +240,7 @@ def bailey_pair_rhs(order: int, n_max: int) -> list[TruncatedSeries]:
             div_binomial_list(tail, 1, 2 * (n + r))
         if n * n <= order:
             tail = bailey_alpha(n, order).coeffs[n * n:]
-            tails.append(apply_factors(ZZ, tail, denom=[(1, 2, 2, 2 * n)]))
+            tails.append(apply_factors(tail, denom=[(1, 2, 2, 2 * n)]))
         total = [0] * (order + 1)
         for r, tail in enumerate(tails):
             total[r * r:] = map(add, total[r * r:], tail)
@@ -458,7 +458,11 @@ def run_all(order: int, oracle_bound: int = ORACLE_BOUND,
     """Run the verification checks in deterministic (name) order, sharing
     each series they build within the run.  A check whose packed rows leave
     their proven z-window (``WindowError``) fails at the first such row,
-    and the other checks still run."""
+    and the other checks still run.  A negative oracle bound is refused
+    with ValueError, as ``selected_checks`` refuses the order, before any
+    check runs."""
+    if oracle_bound < 0:
+        raise ValueError(f"oracle bound must be >= 0, not {oracle_bound}")
     names = selected_checks(order, only)
     # Keyed on (fn, *args), fn the object the check looked up when it
     # called, so a builder replaced in the check's module is called as the

@@ -9,7 +9,11 @@ back off one ring of t = 2S + 1 digits, for the tests of that ring.
 ``wide_ring_rows`` and ``wide_ring_divided_by_d`` read full rows that way,
 every row divided by D on that one ring: the reference for
 ``series.full_rows`` and ``series.divided_by_d``, which give each row its
-own width.
+own width.  Every reference here divides by D through D's binomial passes
+(``d_factors`` in ``apply_factors``), never through Jacobi's triple
+product, so the theta kernels of ``series.d_list`` and
+``series.div_d_list`` are checked against a route that shares nothing
+with them.
 ``residue_class_sums`` is the dict-form reference for the residue sums the
 packed ring reads off.  ``lambert_theorem1_by_terms`` is theorem 1's
 Lambert sum built term by term, the reference for the written-out sum.
@@ -273,7 +277,9 @@ def sb_by_accumulation(ring, order: int, bound: bool = False,
     q^2 built first, over Z, and the step
     (1 - z q^{2n}) (1 - z_inv q^{2n}) (1 - q^{2n+1})^2
     / ((1 - c q^{4n+2}) (1 - c q^{4n+4})) in six passes, c = 1, or -1
-    with z = z_inv = -1 for the majorant, z the ring's own."""
+    with z = z_inv = -1 for the majorant, z the ring's own.  Without
+    cleared the first summand is divided by D through D's binomial passes
+    (``d_factors``), not the theta kernels of ``series.div_d_list``."""
     if order < 2:
         return [ring.zero] * (order + 1)
     z, z_inv, c = ring.z, ring.z_inv, 1
@@ -330,6 +336,8 @@ def bailey_side(ring, order: int, bound: bool = False,
     summand n's, as (-q^2; q^2)_inf / (q^2; q^2)_{2n} >= (-q^{4n+2}; q^2)_inf
     coefficient-wise.  The Bailey side's own majorant divides it by
     (q^2; q^2)_inf^2, since 1/D has the majorant 1/(q^2; q^2)_inf^2.
+    Without cleared, D divides through its binomial passes
+    (``d_factors``), not the theta kernels of ``series.div_d_list``.
     """
     z, z_inv, c = ring.z, ring.z_inv, 1
     if bound:
@@ -394,7 +402,8 @@ def wide_ring_rows(build, order):
     t = 2S + 1 digits, S = max(order//2 + 2, K + 1), K =
     ``numerator_reach(order)``, offset K and the width of ``series._packed``
     (one bit more than X's majorant): its numerator X*D, build(ring, N,
-    False, True), divided by D once on that ring (``apply_factors``), and
+    False, True), divided by D once on that ring by D's binomial passes
+    (``apply_factors`` with ``d_factors``), and
     entry e of ``unpack`` read as the coefficient of z^e for e in [-S, S].
     A row with a nonzero z^-S or z^S digit raises ``WindowError(n, S)``.
     The reference for ``series.full_rows``, which gives each row its own
@@ -402,7 +411,7 @@ def wide_ring_rows(build, order):
     s = max(order // 2 + 2, numerator_reach(order) + 1)
     bits = max(build(ZZ, order, True, False)).bit_length() + 1
     ring = PackedResidueRing(bits, 2 * s + 1, numerator_reach(order))
-    values = apply_factors(ring, build(ring, order, False, True),
+    values = apply_factors(build(ring, order, False, True),
                            denom=d_factors(ring))
     return _wide_rows(ring, values, s)
 
@@ -412,8 +421,8 @@ def wide_ring_divided_by_d(rows):
     rows packed as they are, with the width from the same majorant."""
     def build(ring, order, bound, cleared):
         if bound:
-            return apply_factors(ZZ, [sum(map(abs, p.c.values()))
-                                      for p in rows],
+            return apply_factors([sum(map(abs, p.c.values()))
+                                  for p in rows],
                                  denom=[(1, 2, 2, None)] * 2)
         return [pack(ring, p.c) for p in rows]
 

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -33,7 +33,9 @@ from spt_kernel.series import (
     _theta_terms,
     apply_factors,
     d_factors,
+    d_list,
     div_binomial_list,
+    div_d_list,
     div_eta_list,
     div_theta_list,
     mul_binomial_list,
@@ -43,7 +45,6 @@ from spt_kernel.series import (
     poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
-    theta_list,
 )
 from spt_kernel.sptcrank import (
     _crank_coeffs,
@@ -241,9 +242,8 @@ class TestPochQuotient:
                              ids=["Z", "packed-times-d", "packed-over-d"])
     def test_core_works_in_place_and_start_is_kept(self, ring, numer, denom):
         # apply_factors changes its list and returns that same list, also
-        # where D is written out as E (from 1) or divided by through E;
-        # poch_quotient works on a copy, so one start used twice gives
-        # equal results
+        # with D's factors on the packed ring; poch_quotient works on a
+        # copy, so one start used twice gives equal results
         mixed = TruncatedSeries(ring, 12, [(i % 4 + 1) * ring.one
                                            for i in range(13)])
         for start in (one(ring, 12), mixed):
@@ -252,7 +252,7 @@ class TestPochQuotient:
             assert start.coeffs == kept
             assert poch_quotient(ring, 12, numer, denom, start) == first
             a = list(kept)
-            assert apply_factors(ring, a, numer, denom) is a
+            assert apply_factors(a, numer, denom) is a
             assert a == first.coeffs and a != kept
 
     @pytest.mark.parametrize("build", [
@@ -483,7 +483,8 @@ def theta_starts(ring, with_start):
 
 class TestThetaRoute:
     """D = (z q^2, q^2/z; q^2)_inf through E = D (q^2; q^2)_inf, Jacobi's
-    triple product, against plain binomial passes."""
+    triple product (``d_list``, ``div_d_list``), against plain binomial
+    passes."""
 
     def test_triple_product_identity(self):
         d_eta = binomial_passes(
@@ -501,22 +502,22 @@ class TestThetaRoute:
         first = theta_starts(ring, with_start)
         for side in (1, -1):
             want = [ring.digits(x) for x in d_passes(ring, first, side)]
-            # the kernels themselves: E written out for D from 1, and the
-            # division by E; a product of D with a start has no kernel of
-            # its own, and poch_quotient below takes its binomial passes
-            got = None
-            if side < 0:
-                got = list(first)
-                div_theta_list(got, ring)
-                mul_eta_list(got, 2)
-            elif not with_start:
-                got = theta_list(ring, THETA_TOP)
-                div_eta_list(got, 2)
-            if got is not None:
-                assert [ring.digits(x) for x in got] == want, side
             factors = d_factors(ring)
             numer, denom = (factors, ()) if side > 0 else ((), factors)
             for order in range(THETA_TOP + 1):
+                # the named operations: D written out from 1, and the
+                # division by D in place; a product of D with a start has
+                # no operation of its own
+                got = None
+                if side < 0:
+                    got = first[:order + 1]
+                    assert div_d_list(got, ring) is got
+                elif not with_start:
+                    got = d_list(ring, order)
+                if got is not None:
+                    assert [ring.digits(x) for x in got] == \
+                        want[:order + 1], (side, order)
+                # D's binomial passes through poch_quotient
                 start = (TruncatedSeries(ring, order, first[:order + 1])
                          if with_start else None)
                 got = poch_quotient(ring, order, numer, denom, start)
@@ -609,29 +610,22 @@ class TestThetaRouteChoice:
     @pytest.mark.parametrize("t", [1, 3, 5, 2 * numerator_reach(300) + 1,
                                    2 * (300 // 2 + 2) + 1])
     def test_rank_times_d_writes_e(self, monkeypatch, t):
+        # rank*D starts from D written out as E once (d_list)
         written = self.count(monkeypatch, "theta_list")
-        passes = [self.count(monkeypatch, name) for name in (
-            "div_theta_list", "mul_binomial_list", "div_binomial_list")]
         ring = PackedResidueRing(170, t, 300 // 2 + 2)
-        d = poch_quotient(ring, 300, d_factors(ring))
-        assert len(written) == 1
-        assert not any(passes)
-        # rank*D's D is that same quotient, so it is written there too
         _rank_coeffs(ring, 300, cleared=True)
-        assert len(written) == 2
-        assert written[1] == (ring, 300)
+        assert written == [(ring, 300)]
 
-    def test_product_with_a_start_takes_binomial_passes(self, monkeypatch):
-        # D in the numerator with a start: no kernel of E multiplies, so
-        # both of D's factors go through binomial passes
-        written = self.count(monkeypatch, "theta_list")
-        thetas = self.count(monkeypatch, "div_theta_list")
-        passes = self.count(monkeypatch, "mul_binomial_list")
-        ring = PackedResidueRing(40, 7, 3)
-        start = TruncatedSeries(ring, 40, [ring.one] * 41)
-        poch_quotient(ring, 40, d_factors(ring), start=start)
-        assert not written and not thetas
-        assert len(passes) == 2 * 20
+    def test_apply_factors_takes_no_theta_kernel(self, monkeypatch):
+        # D reaches E only by name (d_list, div_d_list): among other
+        # factors, on the packed ring too, it is two factors like any
+        kernels = [self.count(monkeypatch, name)
+                   for name in ("theta_list", "div_theta_list")]
+        for ring, numer, denom in CORE_CASES:
+            for start in ([ring.one] + [ring.zero] * 12,
+                          [(i % 4 + 1) * ring.one for i in range(13)]):
+                apply_factors(start, numer, denom)
+        assert kernels == [[], []]
 
     @staticmethod
     def flip_theta_sign(monkeypatch):
@@ -731,10 +725,19 @@ class TestDissection:
     @given(int_series, st.sampled_from([2, 3, 5]))
     @settings(max_examples=80)
     def test_roundtrip(self, s, t):
+        assume(t <= s.order + 1)
         back = TruncatedSeries(ZZ, s.order)
         for j, comp in enumerate(s.dissect(t)):
             back = back + inflate(comp, t, s.order).shift(j)
         assert back == s
+
+    def test_modulus_past_the_order_is_an_error(self):
+        # component j > N would hold no tracked coefficient, not a 0
+        s = TruncatedSeries(ZZ, 1, [5, 7])
+        assert [c.coeffs for c in s.dissect(2)] == [[5], [7]]
+        for t in (3, 4, 9):
+            with pytest.raises(SeriesError, match=f"modulus {t} exceeds"):
+                s.dissect(t)
 
     def test_inflate(self):
         s = TruncatedSeries(ZZ, 1, [1, 1])

@@ -310,3 +310,14 @@ def test_preconditions():
         verify_theorem1(4)
     with pytest.raises(ValueError):
         run_all(30, only="theorem9")
+
+
+@pytest.mark.parametrize("only", [None, "theorem2", "bailey_pair"])
+def test_negative_oracle_bound_runs_no_check(monkeypatch, only):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a check ran before the oracle bound was checked")
+
+    for name in verify.CHECKS:
+        monkeypatch.setitem(verify.CHECKS, name, unreachable)
+    with pytest.raises(ValueError, match="oracle bound must be >= 0, not -1"):
+        run_all(30, oracle_bound=-1, only=only)
