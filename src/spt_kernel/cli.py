@@ -129,15 +129,15 @@ def _table_json(n: int, v: int, t: int, classes) -> str:
 _BLOCK = 1024
 
 
-def _emit(lines, out_path) -> int:
-    """Write lines, any iterable of strings, in blocks of ``_BLOCK``; a
+def _emit(lines, out_path, block_lines: int = _BLOCK) -> int:
+    """Write lines, any iterable of strings, in blocks of block_lines; a
     generator is consumed block by block, so the output is never held."""
     fh = sys.stdout if out_path is None else _open_out(out_path, "w")
     if fh is None:
         return 1
     lines = iter(lines)
     try:
-        for block in iter(lambda: list(islice(lines, _BLOCK)), []):
+        for block in iter(lambda: list(islice(lines, block_lines)), []):
             fh.write("\n".join(block) + "\n")
         fh.flush()
     except BrokenPipeError:
@@ -158,20 +158,23 @@ def cmd_table(args) -> int:
     row n of SB.  SB(1, q) is the spt2bar series, so spt2 is the z = 1
     total of the classes, read off the one walk, and refused with them if
     negative (``sb_residues``); the ``congruences`` check and CI compare
-    it with the separate ``sptbar2_series`` walk."""
+    it with the separate ``sptbar2_series`` walk.  The lines are made as
+    ``_emit`` writes them, as ``export`` makes its own, in blocks of about
+    ``_BLOCK`` classes: a line holds t of them."""
     residues = sb_residues(args.order, args.t)
-    rows = [(n, sum(residues[n]), residues[n])
-            for n in range(1, args.order + 1)]
+    rows = ((n, sum(residues[n]), residues[n])
+            for n in range(1, args.order + 1))
     if args.format == "json":
-        lines = [_table_json(n, v, args.t, classes) for n, v, classes in rows]
+        lines = (_table_json(n, v, args.t, classes) for n, v, classes in rows)
     elif args.format == "csv":
-        lines = ["n,spt2," + ",".join(f"class{k}" for k in range(args.t))]
-        lines += [f"{n},{v}," + ",".join(str(c) for c in classes)
-                  for n, v, classes in rows]
+        lines = chain(
+            ["n,spt2," + ",".join(f"class{k}" for k in range(args.t))],
+            (f"{n},{v}," + ",".join(str(c) for c in classes)
+             for n, v, classes in rows))
     else:
-        lines = [f"n={n:<4d} spt2={v:<12d} classes(mod {args.t})={classes}"
-                 for n, v, classes in rows]
-    return _emit(lines, args.out)
+        lines = (f"n={n:<4d} spt2={v:<12d} classes(mod {args.t})={classes}"
+                 for n, v, classes in rows)
+    return _emit(lines, args.out, max(1, _BLOCK // args.t))
 
 
 def cmd_verify(args) -> int:

@@ -2,13 +2,15 @@
 
 Three coefficient domains: plain Python integers, Laurent polynomials in a
 single variable z with integer coefficients, and the cyclotomic integers
-Z[zeta_3], where the checks read the spt-crank and its companions at a
-cube root of unity.  The checks read those values off residue-class sums
-mod 3 (``root_value``); only the naive reference builders multiply in
-Z[zeta_3].  The fast series builders
-run on one packed ring, Z[z]/(z^t - 1) with one integer per element; at t
-wider than a series' z-range its elements are the Laurent rows themselves.
-Everything is exact; no floats anywhere.
+Z[zeta_3].  The checks read the spt-crank and its companions at a cube
+root of unity over Z: each series is unchanged under z <-> 1/z, so its
+value at zeta_3 is an integer, walked over Z by the builders of
+``sptcrank``.  Z[zeta_3] stays for the naive reference builders, the
+only ones that multiply in it, for ``root_value`` of residue-class sums
+mod 3, and for the names the benchmark tracer wraps.  The fast series
+builders run on one packed ring, Z[z]/(z^t - 1) with one integer per
+element; at t wider than a series' z-range its elements are the Laurent
+rows themselves.  Everything is exact; no floats anywhere.
 """
 
 from __future__ import annotations

@@ -186,13 +186,18 @@ def mul_eta_list(a, k: int):
 
 
 def div_eta_list(a, k: int):
-    """In place: a /= (q^k; q^k)_inf by the recurrence
-    b[i] = a[i] - sum_g s_g b[i - e_g] over the pentagonal terms s_g q^{e_g}
-    with e_g <= i."""
-    terms = _pentagonal(k, len(a) - 1)
+    """In place: a /= (q^k; q^k)_inf over its pentagonal terms
+    (``div_sparse_list``)."""
+    div_sparse_list(a, _pentagonal(k, len(a) - 1))
+
+
+def div_sparse_list(a, terms):
+    """In place: a /= 1 + sum s_g q^{e_g} over terms (e_g, s_g), s_g = 1
+    or -1 and 0 < e_g < len(a), by increasing e_g, by the recurrence
+    b[i] = a[i] - sum_g s_g b[i - e_g] over the terms with e_g <= i."""
     plus, minus = [], []
     t = 0
-    for i in range(k, len(a)):
+    for i in range(terms[0][0] if terms else len(a), len(a)):
         while t < len(terms) and terms[t][0] <= i:
             e, s = terms[t]
             (plus if s > 0 else minus).append(e)
@@ -218,6 +223,24 @@ def _theta_terms(order: int) -> list:
         terms.append((n * (n - 1), 1 if n % 2 else -1, n))
         n += 1
     return terms
+
+
+def div_d_at_zeta3(a) -> list:
+    """In place: a /= D(zeta_3, q), D = (z q^2, q^2/z; q^2)_inf, over Z;
+    returns a itself.  D = E / (q^2; q^2)_inf (``_theta_terms``), so a is
+    multiplied by (q^2; q^2)_inf and divided by E(zeta_3, q)
+    (``div_sparse_list``): chi_{2n-1}(zeta_3) is 1, 0 or -1 for
+    2n - 1 = 1, 0 or 2 mod 3, the sum of 2n - 1 consecutive powers of
+    zeta_3, so the terms of E there are sparse and all 1 or -1.  (As
+    (zeta_3 q^2, q^2/zeta_3; q^2)_inf = (q^6; q^6)_inf / (q^2; q^2)_inf,
+    E(zeta_3, q) is (q^6; q^6)_inf; the terms are read off the triple
+    product all the same, so that the checks' right sides, eta quotients,
+    stay independent of it.)"""
+    mul_eta_list(a, 2)
+    div_sparse_list(a, [(e, s if n % 3 == 1 else -s)
+                        for e, s, n in _theta_terms(len(a) - 1)
+                        if n % 3 != 2])
+    return a
 
 
 def _fold(x: int, width: int, mask: int) -> int:

@@ -33,6 +33,7 @@ from .series import (  # noqa: F401
     apply_factors,
     binomials,
     d_list,
+    div_d_at_zeta3,
     div_d_list,
     full_rows,
     mul_lists,
@@ -185,9 +186,8 @@ def sb_residues(order: int, t: int) -> list[list[int]]:
     Z[z]/(z^t - 1) (``packed_residues``) without the rows, for the
     ``table`` command.  A residue sum adds counts, so a negative one is
     refused like a negative count in ``SptCrankTable``.  The checks read
-    ``packed_residues`` of SB themselves: each compares every row with an
-    independent series, so a wrong row, negative or not, is reported where
-    it first differs.
+    SB's sums mod 3 off its values at z = 1 and z = zeta_3 over Z
+    (``sb_at_one``, ``sb_at_zeta3``) instead.
     """
     sums = packed_residues(_sb_walk, order, t)
     for n, row in enumerate(sums):
@@ -198,16 +198,49 @@ def sb_residues(order: int, t: int) -> list[list[int]]:
 
 def at_zeta3(sums) -> TruncatedSeries:
     """The series over Z[zeta_3] whose coefficient of q^n is ``root_value``
-    of sums[n], the residue-class sums mod 3 of the Laurent row at q^n."""
+    of sums[n], the residue-class sums mod 3 of the Laurent row at q^n.
+    The tests read Laurent rows at zeta_3 with it; the checks read values
+    at zeta_3 over Z (``sb_at_zeta3``, ``rank_at_zeta3``,
+    ``crank_at_zeta3``)."""
     return TruncatedSeries(CYCLO3, len(sums) - 1, [root_value(s) for s in sums])
 
 
 def sb_at_root(order: int) -> TruncatedSeries:
-    """SB(zeta_3, q) over Z[zeta_3], read off the residue sums of
-    ``sb_residues``.  The checks call ``at_zeta3`` on their shared residue
-    sums; this name stays for the benchmark tracer's ``sptcrank.sb_cyclo``
-    span, which wraps it."""
-    return at_zeta3(sb_residues(order, 3))
+    """SB(zeta_3, q) over Z[zeta_3]: ``sb_at_zeta3``, whose integer values
+    v are the elements (v, 0).  The checks read ``sb_at_zeta3`` itself;
+    this name stays for the benchmark tracer's ``sptcrank.sb_cyclo`` span,
+    which wraps it."""
+    return sb_at_zeta3(order).embed(CYCLO3)
+
+
+# Row n of SB(z,q) is unchanged under z <-> 1/z, so its residue sums mod 3
+# have s_1 = s_2, and its values at z = 1 and z = zeta_3 are the integers
+# s_0 + 2 s_1 and s_0 - s_1: the two walks below give SB's sums mod 3 with
+# no ring but Z.  In both, the summand walk's first summand over q^2 is
+# ``_sb_walk``'s, (q^6; q^2)_inf / ((q^3; q^2)_inf^2 D).
+
+def sb_at_one(order: int) -> TruncatedSeries:
+    """SB(1, q) over Z: ``_sb_walk`` at z = 1, where the pair
+    (1 - z q^{2n})(1 - q^{2n}/z) is (1 - q^{2n})^2 and D is
+    (q^2; q^2)_inf^2, z-free, so D goes into the first summand."""
+    walk = summand_walk(ZZ, ([(1, 6, 2, None)],
+                             [(1, 3, 2, None)] * 2 + [(1, 2, 2, None)] * 2),
+                        order, lambda n: (
+                            [(1, 2 * n), (1, 2 * n), (1, 2 * n + 1)],
+                            [(-1, 2 * n + 1), (1, 4 * n + 4)]))
+    return TruncatedSeries(ZZ, order, walk)
+
+
+def sb_at_zeta3(order: int) -> TruncatedSeries:
+    """SB(zeta_3, q) over Z: ``_sb_walk`` at z = zeta_3, where the pair
+    (1 - z q^{2n})(1 - q^{2n}/z) is 1 + q^{2n} + q^{4n}
+    = (1 - q^{6n})/(1 - q^{2n}), and the finished walk is divided by
+    D(zeta_3, q) through Jacobi's triple product (``div_d_at_zeta3``)."""
+    walk = summand_walk(ZZ, ([(1, 6, 2, None)], [(1, 3, 2, None)] * 2),
+                        order, lambda n: (
+                            [(1, 6 * n), (1, 2 * n + 1)],
+                            [(1, 2 * n), (-1, 2 * n + 1), (1, 4 * n + 4)]))
+    return TruncatedSeries(ZZ, order, div_d_at_zeta3(walk))
 
 
 def sptbar2_series(order: int) -> TruncatedSeries:
@@ -296,6 +329,38 @@ def rank_numerator(order: int) -> TruncatedSeries:
                            packed_laurent(_rank_coeffs, order, cleared=True))
 
 
+def _zeta3_rank_term(inner: list, n: int) -> None:
+    """In place: inner += Lambert term n of the rank at z = zeta_3,
+
+        6 (-1)^n q^{n^2+2n} (1 - q^{2n}) / (1 - q^{6n}),
+
+    to q^(len(inner) - 1), written out: (1 - z)(1 - 1/z) is 3 there, and
+    (1 - z q^{2n})(1 - q^{2n}/z) is (1 - q^{6n})/(1 - q^{2n}), so the
+    term puts 6 (-1)^n at q^{n^2+2n} and every 6n after it, and its
+    negative 2n above each of those."""
+    s = -6 if n % 2 else 6
+    e, step = n * n + 2 * n, 6 * n
+    for i in range(e, len(inner), step):
+        inner[i] += s
+    for i in range(e + 2 * n, len(inner), step):
+        inner[i] -= s
+
+
+def rank_at_zeta3(order: int) -> TruncatedSeries:
+    """The rank generating function at z = zeta_3 over Z (see
+    ``rank_series``), from its Lambert form:
+
+    (-q;q)_inf/(q;q)_inf * (1 + 6 sum_{n>=1} (-1)^n q^{n^2+2n}
+                                (1 - q^{2n}) / (1 - q^{6n}))."""
+    inner = [1] + [0] * order
+    n = 1
+    while n * n + 2 * n <= order:
+        _zeta3_rank_term(inner, n)
+        n += 1
+    return TruncatedSeries(ZZ, order, apply_factors(
+        inner, [(-1, 1, 1, None)], [(1, 1, 1, None)]))
+
+
 def rank_series_bailey_sum(ring, z, z_inv, order: int) -> TruncatedSeries:
     """The same rank generating function via the q-hypergeometric sum
     sum_{n>=0} (-1;q)_{2n} q^n / ((z q^2, q^2/z; q^2)_n).  O(N^3); use for
@@ -337,6 +402,14 @@ def crank_series(order: int) -> TruncatedSeries:
 def crank_numerator(order: int) -> TruncatedSeries:
     """crank*D = (-q;q)_inf (q^2;q^2)_inf / (q;q^2)_inf, z-free, over Z."""
     return TruncatedSeries(ZZ, order, _crank_coeffs(ZZ, order, cleared=True))
+
+
+def crank_at_zeta3(order: int) -> TruncatedSeries:
+    """The residual-crank generating function at z = zeta_3 over Z (see
+    ``crank_series``): the z-free crank*D divided by D(zeta_3, q)
+    (``div_d_at_zeta3``)."""
+    return TruncatedSeries(ZZ, order, div_d_at_zeta3(
+        _crank_coeffs(ZZ, order, cleared=True)))
 
 
 # ---------------------------------------------------------------------------

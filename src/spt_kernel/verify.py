@@ -13,7 +13,7 @@ from operator import add
 from typing import Callable
 
 from .partitions import m2_rank_distribution, residual_m2_crank_distribution
-from .rings import CYCLO3, LAURENT, ZZ, LaurentPolynomial
+from .rings import LAURENT, ZZ, LaurentPolynomial
 from .series import (
     SeriesError,
     TruncatedSeries,
@@ -22,18 +22,17 @@ from .series import (
     div_binomial_list,
     divided_by_d,
     mul_binomial_list,
-    packed_residues,
     poch_quotient,
 )
 from .sptcrank import (
-    _crank_coeffs,
-    _rank_coeffs,
-    _sb_walk,
-    at_zeta3,
+    crank_at_zeta3,
     crank_numerator,
     crank_series,
+    rank_at_zeta3,
     rank_numerator,
     rank_series,
+    sb_at_one,
+    sb_at_zeta3,
     sb_numerator,
     sptbar2_series,
 )
@@ -116,7 +115,8 @@ def _require_order(check: str, order: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Shared formula pieces (all over Z; callers embed into Z[zeta_3] as needed)
+# Shared formula pieces, all over Z, where the checks also read every value
+# at zeta_3
 # ---------------------------------------------------------------------------
 
 def lambert_theorem1(order: int) -> TruncatedSeries:
@@ -266,14 +266,14 @@ def u_sb_numerator(order: int) -> TruncatedSeries:
 def verify_theorem1(order: int, n_oracle: int = 0,
                     build=_call) -> VerificationReport:
     """3-dissection of SB(zeta_3,q): components 0 and 1 vanish, component 2
-    is the product-plus-Lambert formula.  SB(zeta_3, q) is read off SB's
-    residue sums mod 3, shared with the congruences."""
+    is the product-plus-Lambert formula, all over Z.  SB(zeta_3, q) is
+    its walk over Z (``sb_at_zeta3``), shared with the congruences."""
     _require_order("theorem1", order)
-    comps = at_zeta3(build(packed_residues, _sb_walk, order, 3)).dissect(3)
+    comps = build(sb_at_zeta3, order).dissect(3)
     subchecks = [
-        ("A0", comps[0], TruncatedSeries(CYCLO3, comps[0].order)),
-        ("A1", comps[1], TruncatedSeries(CYCLO3, comps[1].order)),
-        ("A2", comps[2], a2_formula(comps[2].order).embed(CYCLO3)),
+        ("A0", comps[0], TruncatedSeries(ZZ, comps[0].order)),
+        ("A1", comps[1], TruncatedSeries(ZZ, comps[1].order)),
+        ("A2", comps[2], a2_formula(comps[2].order)),
     ]
     return _compare("theorem1", order, subchecks)
 
@@ -302,14 +302,12 @@ def verify_theorem2(order: int, n_oracle: int = ORACLE_BOUND,
 
 def verify_theorem3(order: int, n_oracle: int = 0,
                     build=_call) -> VerificationReport:
-    """3-dissection of the M2-rank generating function at zeta_3, read
-    off its residue sums mod 3."""
+    """3-dissection of the M2-rank generating function at zeta_3, over Z
+    (``rank_at_zeta3``)."""
     _require_order("theorem3", order)
-    comps = at_zeta3(packed_residues(_rank_coeffs, order, 3)).dissect(3)
-    subchecks = [
-        (f"N2rank{j}", comps[j], rank_component(j, comps[j].order).embed(CYCLO3))
-        for j in range(3)
-    ]
+    comps = rank_at_zeta3(order).dissect(3)
+    subchecks = [(f"N2rank{j}", comps[j], rank_component(j, comps[j].order))
+                 for j in range(3)]
     return _compare("theorem3", order, subchecks)
 
 
@@ -322,13 +320,12 @@ def verify_theorem4(order: int, n_oracle: int = 0,
     M2crank0 = N2rank0 needs no subcheck of its own: ``crank_component(0)``
     is ``rank_component(0)``, so ``M2crank0`` here and ``N2rank0`` in
     theorem3 compare both sides of it with the same product formula.  The
-    crank at zeta_3 is read off its residue sums mod 3."""
+    crank at zeta_3 is read over Z (``crank_at_zeta3``)."""
     _require_order("theorem4", order)
-    lhs = at_zeta3(packed_residues(_crank_coeffs, order, 3))
+    lhs = crank_at_zeta3(order)
     psi = gauss_psi(order)
     simplified = poch_quotient(ZZ, order, [(1, 2, 2, None)],
-                               [(1, 1, 2, None), (1, 6, 6, None)],
-                               start=psi).embed(CYCLO3)
+                               [(1, 1, 2, None), (1, 6, 6, None)], start=psi)
     subchecks = [
         ("zeta3-simplification", lhs, simplified),
         ("jtp-dissection", psi, jtp_psi_dissection(order)),
@@ -336,8 +333,7 @@ def verify_theorem4(order: int, n_oracle: int = 0,
     comps = lhs.dissect(3)
     for j in range(3):
         subchecks.append(
-            (f"M2crank{j}", comps[j],
-             crank_component(j, comps[j].order).embed(CYCLO3)))
+            (f"M2crank{j}", comps[j], crank_component(j, comps[j].order)))
     return _compare("theorem4", order, subchecks)
 
 
@@ -385,16 +381,20 @@ def verify_congruences(order: int, n_oracle: int = 0,
     spt2bar(3n), spt2bar(3n+1) divisible by 3; spt2bar(5n+3) divisible by
     5; residue classes of the spt-crank mod 3 all equal at 3n and 3n+1.
 
-    The residue sums mod 3 of SB's rows (``packed_residues``) give
-    ``mod3-refinement``; their total, the row at z = 1, is compared with
-    ``sptbar2_series`` (``z=1-consistency``).  SB(zeta_3, q) at 3n and
-    3n+1, (s_0 - s_2, s_1 - s_2), is zero exactly when those sums are
-    equal, so it needs no subcheck here; theorem1 checks its components
-    A0 and A1 against zero on its own.
+    Row n of SB is unchanged under z <-> 1/z, so its residue sums mod 3
+    have s_1 = s_2, and A = SB(1, q) and C = SB(zeta_3, q) at q^n are
+    s_0 + 2 s_1 and s_0 - s_1 (``sb_at_one``, ``sb_at_zeta3``, both over
+    Z): s_1 = s_2 = (A - C)/3 and s_0 = A - 2 s_1.  A is compared with
+    ``sptbar2_series`` (``z=1-consistency``).  An A - C that is not a
+    multiple of 3, at any n, has no such s_1 and fails
+    ``mod3-refinement``; at 3n and 3n+1 the classes are equal exactly
+    when C = 0.  theorem1 checks C's components A0 and A1 against zero on
+    its own.
     """
     _require_order("congruences", order)
     s2 = sptbar2_series(order)
-    residues = build(packed_residues, _sb_walk, order, 3)
+    ones = sb_at_one(order).coeffs
+    roots = build(sb_at_zeta3, order).coeffs
 
     def fail(n, expected, actual, where):
         return VerificationReport("congruences", order, "fail", {
@@ -403,15 +403,19 @@ def verify_congruences(order: int, n_oracle: int = 0,
 
     for n in range(1, order + 1):
         v = s2.coefficient(n)
-        sums = residues[n]
-        if sum(sums) != v:
-            return fail(n, str(v), str(sum(sums)), "z=1-consistency")
-        if n % 3 in (0, 1):
-            if v % 3:
-                return fail(n, "0 (mod 3)", str(v), "mod3-congruence")
-            if len(set(sums)) != 1:
-                return fail(n, "equal residue classes", str(sums),
-                            "mod3-refinement")
+        a, c = ones[n], roots[n]
+        if a != v:
+            return fail(n, str(v), str(a), "z=1-consistency")
+        if n % 3 in (0, 1) and v % 3:
+            return fail(n, "0 (mod 3)", str(v), "mod3-congruence")
+        s1, r = divmod(a - c, 3)  # exact once r = 0
+        if r:
+            return fail(n, "equal residue classes",
+                        f"SB(1) - SB(zeta_3) = {a - c}, not 0 (mod 3)",
+                        "mod3-refinement")
+        if n % 3 in (0, 1) and c:
+            return fail(n, "equal residue classes",
+                        str([a - 2 * s1, s1, s1]), "mod3-refinement")
         if n % 5 == 3 and v % 5:
             return fail(n, "0 (mod 5)", str(v), "mod5-congruence")
     return VerificationReport("congruences", order, "pass")

@@ -35,6 +35,7 @@ from spt_kernel.series import (
     d_factors,
     d_list,
     div_binomial_list,
+    div_d_at_zeta3,
     div_d_list,
     div_eta_list,
     div_theta_list,
@@ -544,6 +545,21 @@ class TestThetaRoute:
             assert all(abs(x) < 1 << t * ring.bits for x in got[2:]), order
             mul_eta_list(got, 2)
             assert [ring.digits(x) for x in got] == want[:order + 1], order
+
+    def test_division_at_zeta3_matches_binomial_passes(self):
+        # D(zeta_3, q) = (zeta_3 q^2, q^2/zeta_3; q^2)_inf: its pair of
+        # factors at q^e is 1 + q^e + q^{2e} = (1 - q^{3e})/(1 - q^e),
+        # one multiplication and one division by binomials per e, against
+        # the division through E(zeta_3, q) at every order
+        start = [(-1) ** i * (i * i + 3) for i in range(THETA_TOP + 1)]
+        for order in range(THETA_TOP + 1):
+            want = start[:order + 1]
+            for e in range(2, order + 1, 2):
+                want = binomial_passes(want, 1, [e], 1)
+                want = binomial_passes(want, 1, [3 * e], -1)
+            got = start[:order + 1]
+            assert div_d_at_zeta3(got) is got
+            assert got == want, order
 
     @pytest.mark.parametrize("t, bits", [(1, 5), (3, 7), (7, 20)])
     def test_fold_keeps_the_residue(self, t, bits):

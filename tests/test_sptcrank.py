@@ -48,13 +48,17 @@ from spt_kernel.sptcrank import (
     _rank_coeffs,
     _sb_walk,
     at_zeta3,
+    crank_at_zeta3,
     crank_numerator,
     crank_series,
     partition_pair_oracle,
+    rank_at_zeta3,
     rank_numerator,
     rank_series,
     rank_series_bailey_sum,
+    sb_at_one,
     sb_at_root,
+    sb_at_zeta3,
     sb_coefficients_naive,
     sb_numerator,
     sb_residues,
@@ -188,6 +192,40 @@ class TestSbAtRoot:
         # the zeta_3 reader refuses residue sums of another modulus
         with pytest.raises(RingError):
             at_zeta3(sb_residues(10, 7))
+
+
+class TestValuesAtRootsOverZ:
+    """The values at z = zeta_3 (and SB's at z = 1) that the checks read,
+    walked over Z, against the two other routes: the residue sums mod 3 of
+    the packed ring, and the summands or products over Z[zeta_3]."""
+
+    BUILDS = [(sb_at_zeta3, _sb_walk), (rank_at_zeta3, _rank_coeffs),
+              (crank_at_zeta3, _crank_coeffs)]
+
+    @pytest.mark.parametrize("order", [*range(61), 300, 1000])
+    def test_match_packed_residues(self, order):
+        # every row is unchanged under z <-> 1/z, so its sums mod 3 have
+        # s_1 = s_2, its value at zeta_3 is s_0 - s_1, and at 1 s_0 + 2 s_1
+        for at_root, build in self.BUILDS:
+            sums = packed_residues(build, order, 3)
+            assert all(s1 == s2 for _, s1, s2 in sums), build.__name__
+            assert at_root(order).coeffs == [
+                s0 - s1 for s0, s1, _ in sums], build.__name__
+            if build is _sb_walk:
+                assert sb_at_one(order).coeffs == [
+                    s0 + 2 * s1 for s0, s1, _ in sums]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 8, 17, 30])
+    def test_match_references_over_cyclotomic_integers(self, order):
+        zeta = (CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv, order)
+        assert (sb_at_zeta3(order).embed(CYCLO3).coeffs
+                == sb_coefficients_naive(*zeta))
+        assert (rank_at_zeta3(order).embed(CYCLO3)
+                == rank_series_bailey_sum(*zeta))
+        assert (crank_at_zeta3(order).embed(CYCLO3)
+                == crank_by_inversion(*zeta))
+        assert sb_at_one(order).coeffs == sb_coefficients_naive(
+            ZZ, 1, 1, order)
 
 
 class TestOracles:

@@ -3,9 +3,9 @@ import json
 import pytest
 
 from helpers import bailey_pair_rhs_from_scratch, gauss_theta
-from spt_kernel import sptcrank, verify
+from spt_kernel import series, sptcrank, verify
 from spt_kernel.rings import ZZ
-from spt_kernel.series import SeriesError, TruncatedSeries, packed_residues
+from spt_kernel.series import SeriesError, TruncatedSeries
 from spt_kernel.verify import (
     VerificationReport,
     _compare,
@@ -175,12 +175,14 @@ def test_fault_at_the_head_of_an_alpha_tail_is_reported_exactly(
 
 
 def test_run_builds_each_shared_series_once(monkeypatch):
-    # the numerators by name, and the residue sums by the builder they
-    # read: SB's sums mod 3 are shared by theorem1 and the congruences, and
-    # u*SB*D by theorem2 and bailey_limit, which reads SB*D once
-    calls = {"crank_numerator": 0, "rank_numerator": 0, "sb_numerator": 0,
-             "u_sb_numerator": 0}
-    residues = {}
+    # the builders by name: SB(zeta_3, q) is shared by theorem1 and the
+    # congruences, and u*SB*D by theorem2 and bailey_limit, which reads
+    # SB*D once; the values at zeta_3 are walks over Z, and no check reads
+    # residue sums off the packed ring
+    names = ("crank_at_zeta3", "crank_numerator", "rank_at_zeta3",
+             "rank_numerator", "sb_at_one", "sb_at_zeta3", "sb_numerator",
+             "u_sb_numerator")
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         original = getattr(verify, name)
@@ -191,25 +193,18 @@ def test_run_builds_each_shared_series_once(monkeypatch):
 
         return build
 
-    def counted_residues(build, order, t):
-        key = build.__name__
-        residues[key] = residues.get(key, 0) + 1
-        return packed_residues(build, order, t)
+    def unreachable(*args):
+        raise AssertionError("a check read packed residue sums")
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(verify, name, counted(name))
-    monkeypatch.setattr(verify, "packed_residues", counted_residues)
+    monkeypatch.setattr(series, "packed_residues", unreachable)
+    monkeypatch.setattr(sptcrank, "packed_residues", unreachable)
     assert all(r.passed for r in run_all(60, oracle_bound=6))
-    assert calls == {"crank_numerator": 1, "rank_numerator": 1,
-                     "sb_numerator": 1, "u_sb_numerator": 1}
-    assert residues == {"_sb_walk": 1, "_rank_coeffs": 1,
-                        "_crank_coeffs": 1}
+    assert calls == dict.fromkeys(names, 1)
     # the memo is per run: a second run builds every series again
     assert all(r.passed for r in run_all(60, oracle_bound=6))
-    assert calls == {"crank_numerator": 2, "rank_numerator": 2,
-                     "sb_numerator": 2, "u_sb_numerator": 2}
-    assert residues == {"_sb_walk": 2, "_rank_coeffs": 2,
-                        "_crank_coeffs": 2}
+    assert calls == dict.fromkeys(names, 2)
 
 
 def test_congruences_small():
@@ -296,6 +291,52 @@ def test_fault_in_one_rank_lambert_term_is_reported_exactly(
     monkeypatch.setattr(sptcrank, "_rank_term", faulty)
     (rep,) = run_all(ORDER, oracle_bound=6, only=check)
     assert rep.first_failure == failure
+
+
+def test_fault_in_one_zeta3_rank_lambert_term_is_reported_exactly(
+        monkeypatch):
+    # the sign of Lambert term n = 4 of the rank at zeta_3 flipped: the
+    # term, 6 q^24 (1 - q^8)/(1 - q^24), is subtracted where it was added,
+    # so the rank at zeta_3 drops by 12 at q^24 = q^{3*8}, in component 0
+    original = sptcrank._zeta3_rank_term
+
+    def faulty(inner, n):
+        if n != 4:
+            return original(inner, n)
+        term = [0] * len(inner)
+        original(term, n)
+        inner[:] = [x - y for x, y in zip(inner, term)]
+
+    monkeypatch.setattr(sptcrank, "_zeta3_rank_term", faulty)
+    (rep,) = run_all(ORDER, oracle_bound=6, only="theorem3")
+    assert rep.first_failure == {
+        "n": 8, "where": "N2rank0", "expected": "20", "actual": "8"}
+
+
+# SB(zeta_3, q) off by d at q^6, where SB(1, q) is spt2bar(6) = 6 and
+# SB(zeta_3, q) is 0: for d = 1, A - C = 5 is no multiple of 3, and for
+# d = 3 the classes read s_1 = s_2 = (6 - 3)/3 = 1 and s_0 = 6 - 2 = 4
+ZETA3_SB_FAULTS = [
+    (1, "SB(1) - SB(zeta_3) = 5, not 0 (mod 3)"),
+    (3, "[4, 1, 1]"),
+]
+
+
+@pytest.mark.parametrize("d, actual", ZETA3_SB_FAULTS,
+                         ids=[str(f[0]) for f in ZETA3_SB_FAULTS])
+def test_fault_in_sb_at_zeta3_fails_the_refinement(monkeypatch, d, actual):
+    original = verify.sb_at_zeta3
+
+    def faulty(order):
+        s = original(order)
+        s.coeffs[6] += d
+        return s
+
+    monkeypatch.setattr(verify, "sb_at_zeta3", faulty)
+    (rep,) = run_all(ORDER, oracle_bound=6, only="congruences")
+    assert rep.first_failure == {
+        "n": 6, "where": "mod3-refinement",
+        "expected": "equal residue classes", "actual": actual}
 
 
 def test_order_mismatch_is_an_error():
