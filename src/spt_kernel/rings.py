@@ -8,13 +8,16 @@ value at zeta_3 is an integer, walked over Z by the builders of
 ``sptcrank``.  Z[zeta_3] stays for the naive reference builders, the
 only ones that multiply in it, for ``root_value`` of residue-class sums
 mod 3, and for the names the benchmark tracer wraps.  The fast series
-builders run on one packed ring, Z[z]/(z^t - 1) with one integer per
-element; at t wider than a series' z-range its elements are the Laurent
-rows themselves.  Everything is exact; no floats anywhere.
+builders run on two packed rings with one integer per element:
+Z[z]/(z^t - 1), whose elements at t wider than a series' z-range are the
+Laurent rows themselves, and Z[w], w = z + 1/z, for the numerators that
+the checks compare, whose rows are unchanged under z <-> 1/z.
+Everything is exact; no floats anywhere.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Mapping
 
 
@@ -410,6 +413,66 @@ class PackedResidueRing:
         """The residue-class sums (s_0, ..., s_{t-1}) that x packs."""
         digits = self.digits(x)
         return digits[self.start:] + digits[:self.start]
+
+
+# ---------------------------------------------------------------------------
+# Z[w], w = z + 1/z, packed into integers
+# ---------------------------------------------------------------------------
+
+class PackedSymmetricRing:
+    """Z[w], w = z + 1/z, each element packed into one plain integer.
+
+    The Laurent polynomials unchanged under z <-> 1/z are the polynomials
+    in w, and one of z-reach k has w-degree k, as z^k + z^-k is
+    w (z^(k-1) + z^(1-k)) - (z^(k-2) + z^(2-k)).  sum_k d_k w^k is packed
+    as sum_k d_k 2^(kB): Kronecker substitution w -> 2^B (see
+    ``PackedResidueRing``), a ring map Z[w] -> Z, so sums, differences and
+    integer multiples are plain integer operations, and w*x is x << B,
+    with no offset, modulus, fold or rotation, since a polynomial in w
+    has no negative powers.
+
+    The pair (1 - z q^e)(1 - q^e/z) = 1 - w q^e + q^{2e} and
+    u = (1 - z)(1 - 1/z) = 2 - w are in Z[w]; z and 1/z alone are not.
+    ``z`` and ``z_inv`` are bare objects, names that
+    ``series.summand_walk`` pairs at one exponent: a product with either
+    alone raises ``TypeError``.
+
+    ``window`` and ``laurent`` are exact when the caller proves
+    |d_k| < 2^(B-1) for every k: the k balanced base-2^B digits of an
+    integer, each in [-2^(B-1), 2^(B-1)), are unique when they exist.
+    """
+
+    zero = 0
+    one = 1
+
+    def __init__(self, bits: int):
+        if bits < 2:
+            raise RingError("packing in w needs bits >= 2")
+        self.bits = bits
+        self.z, self.z_inv = object(), object()
+
+    def window(self, k: int) -> tuple[int, int]:
+        """The least and the greatest integer with k balanced digits and
+        no carry: an element packs a polynomial of w-degree below k
+        exactly when it lies between the two."""
+        span = ((1 << k * self.bits) - 1) // ((1 << self.bits) - 1)
+        half = 1 << (self.bits - 1)
+        return -half * span, (half - 1) * span
+
+    def laurent(self, x: int, k: int) -> LaurentPolynomial:
+        """The Laurent polynomial that x packs, from its k balanced digits
+        d_j: sum_j d_j w^j, with w^j = sum_i C(j, i) z^(j - 2i).  A carry
+        out of the k digits is refused."""
+        digits, carry = _balanced_digits(x, self.bits, k)
+        if carry:
+            raise RingError(f"value does not decode into {k} digits of "
+                            f"{self.bits} bits")
+        c: dict[int, int] = {}
+        for j, d in enumerate(digits):
+            if d:
+                for i in range(j + 1):
+                    c[j - 2 * i] = c.get(j - 2 * i, 0) + d * comb(j, i)
+        return LaurentPolynomial(c)
 
 
 ZZ = IntegerRing()

@@ -16,6 +16,7 @@ from .rings import (
     ZZ,
     LaurentPolynomial,
     PackedResidueRing,
+    PackedSymmetricRing,
     RingError,
     _ZFold,
     _ZRotate,
@@ -28,9 +29,9 @@ class SeriesError(ValueError):
 
 
 class WindowError(RingError):
-    """The refusal of row n of a packed read (``packed_laurent``,
+    """The refusal of row n of a packed read (``symmetric_numerator``,
     ``full_rows``), which reaches z^-reach or z^reach, the edge of its
-    window."""
+    window; in w, a row of w-degree reach or more."""
 
     def __init__(self, n: int, reach: int):
         super().__init__(f"row {n} reaches z^-{reach} or z^{reach}, the "
@@ -152,6 +153,40 @@ def mul_pair_list(a, ring, e):
         a[lo:hi] = new
 
 
+def mul_w_pair_list(a, ring, e):
+    """In place: a *= (1 - z q^e)(1 - q^e/z) = 1 - w q^e + q^{2e} on
+    ``PackedSymmetricRing``: a_i - (a_{i-e} << B) + a_{i-2e}, from the top
+    down in slices of at most ``_CHUNK`` coefficients, with no fold and no
+    rotation."""
+    bits = ring.bits
+    for hi in range(len(a), e, -_CHUNK):
+        lo = max(hi - _CHUNK, e)
+        new = [x - (y << bits) for x, y in zip(a[lo:hi], a[lo - e:hi - e])]
+        cut = max(2 * e - lo, 0)
+        if cut < hi - lo:
+            new[cut:] = map(add, new[cut:], a[lo + cut - 2 * e:hi - 2 * e])
+        a[lo:hi] = new
+
+
+def div_w_pair_list(a, ring, e):
+    """In place: a /= 1 - w q^e + q^{2e} on ``PackedSymmetricRing``, e >= 1,
+    by the recurrence b_i = a_i + (b_{i-e} << B) - b_{i-2e}, from the
+    bottom up in slices of at most min(e, ``_CHUNK``) coefficients, each
+    final once written.  Z[w] -> Z is a ring map, so b packs the quotient
+    whatever its intermediate values."""
+    if e <= 0:
+        raise SeriesError("geometric division needs a positive q-exponent")
+    bits = ring.bits
+    step = min(e, _CHUNK)
+    for lo in range(e, len(a), step):
+        hi = min(lo + step, len(a))
+        new = [x + (y << bits) for x, y in zip(a[lo:hi], a[lo - e:hi - e])]
+        cut = max(2 * e - lo, 0)
+        if cut < hi - lo:
+            new[cut:] = map(sub, new[cut:], a[lo + cut - 2 * e:hi - 2 * e])
+        a[lo:hi] = new
+
+
 def _pentagonal(k: int, order: int) -> list:
     """The terms (e, s) of (q^k; q^k)_inf = 1 + sum s q^e with
     0 < e <= order, by increasing e.  Euler's pentagonal number theorem:
@@ -253,12 +288,22 @@ def _fold(x: int, width: int, mask: int) -> int:
 
 
 def theta_list(ring, order: int) -> list:
-    """Coefficients 0..order of E on the packed ring (``_theta_terms``),
+    """Coefficients 0..order of E on a packed ring (``_theta_terms``),
     written directly: s*chi_{2n-1} at q^{n(n-1)}, chi_{2n-1} grown from
-    chi_{2n-3} by z^(n-1) + z^(1-n), the ring's own z and 1/z applied to
-    the last two powers; no multiplication of series."""
+    chi_{2n-3} by V_{n-1} = z^(n-1) + z^(1-n); no multiplication of
+    series.  On ``PackedResidueRing`` the ring's own z and 1/z are applied
+    to the last two powers; on ``PackedSymmetricRing``
+    V_m = w V_{m-1} - V_{m-2}, V_0 = 2 and V_1 = w, one shift each."""
     out = [ring.zero] * (order + 1)
     out[0] = up = down = chi = ring.one
+    if type(ring) is PackedSymmetricRing:
+        bits = ring.bits
+        v, prev = 1 << bits, 2
+        for e, s, _ in _theta_terms(order):
+            chi = chi + v
+            out[e] = s * chi
+            v, prev = (v << bits) - prev, v
+        return out
     for e, s, _ in _theta_terms(order):
         up, down = ring.z * up, ring.z_inv * down
         chi = chi + up + down
@@ -586,23 +631,25 @@ def summand_walk(ring, first, order: int, step) -> list:
     leaves D out of first and divides the finished walk (``div_d_list``).
     No summand is added into a total, and no series is wrapped.
 
-    On ``PackedResidueRing`` a numerator that holds the ring's own z and
-    1/z at one exponent e, matched by identity, applies the two as one
-    pass (``mul_pair_list``).
+    On a packed ring a numerator that holds the ring's own z and 1/z at
+    one exponent e, matched by identity, applies the two as one pass:
+    ``mul_pair_list`` on ``PackedResidueRing``, ``mul_w_pair_list`` on
+    ``PackedSymmetricRing``, where z and 1/z exist only as that pair.
     """
     if order < 2:
         return [ring.zero] * (order + 1)
-    paired = type(ring) is PackedResidueRing
+    pair = {PackedResidueRing: mul_pair_list,
+            PackedSymmetricRing: mul_w_pair_list}.get(type(ring))
     tail = [ring.one] + [ring.zero] * (order % 2)
     for n in range(order // 2 - 1, 0, -1):
         numer, denom = step(n)
-        if paired:
+        if pair:
             numer = list(numer)
             for e in [e for c, e in numer if c is ring.z]:
                 if (ring.z_inv, e) in numer:
                     numer.remove((ring.z, e))
                     numer.remove((ring.z_inv, e))
-                    mul_pair_list(tail, ring, e)
+                    pair(tail, ring, e)
         for c, e in numer:
             mul_binomial_list(tail, c, e)
         for c, e in denom:
@@ -640,11 +687,11 @@ def d_factors(ring) -> list:
 
 def d_list(ring, order: int, bound: bool = False) -> list:
     """Coefficients 0..order of D, z the ring's own; with bound, over Z,
-    its majorant (-q^2; q^2)_inf^2 (``binomials``).  On
-    ``PackedResidueRing`` E = D (q^2; q^2)_inf is written out
-    (``theta_list``) and divided by (q^2; q^2)_inf; on any other ring D's
-    factors are applied to 1 (``d_factors``)."""
-    if type(ring) is PackedResidueRing:
+    its majorant (-q^2; q^2)_inf^2 (``binomials``).  On a packed ring
+    E = D (q^2; q^2)_inf is written out (``theta_list``) and divided by
+    (q^2; q^2)_inf; on any other ring D's factors are applied to 1
+    (``d_factors``)."""
+    if type(ring) in (PackedResidueRing, PackedSymmetricRing):
         a = theta_list(ring, order)
         div_eta_list(a, 2)
         return a
@@ -678,13 +725,15 @@ def numerator_reach(order: int) -> int:
     for 1/z.  Every numerator is a sum of such products times z-free
     series (each builder's docstring says which), so a power z^k at
     q^i <= q^order has k(k - 1) <= order, hence |k| <= isqrt(order) + 1
-    = K - 1: the rows lie strictly inside the window [-K, K] that
-    ``packed_laurent`` checks.
+    = K - 1: the rows lie strictly inside the window [-K, K].  A row
+    unchanged under z <-> 1/z has a w-degree equal to its z-reach, so
+    in w the window is the degree: ``symmetric_numerator`` refuses a row
+    of w-degree K or more, which needs more than K digits.
     """
     return isqrt(order) + 2
 
 
-def _packed(build, order: int, t: int, cleared: bool = False):
+def _packed(build, order: int, t: int):
     """(ring, values): coefficients 0..order of build's series over
     Z[z,1/z] on ``PackedResidueRing`` at modulus t, the one place that
     picks the width and the ring.
@@ -705,9 +754,9 @@ def _packed(build, order: int, t: int, cleared: bool = False):
     and the division fills the t digits.  The rank's Lambert form has no
     division by D.
     """
-    bits = max(build(ZZ, order, True, cleared)).bit_length() + 1
+    bits = max(build(ZZ, order, True)).bit_length() + 1
     ring = PackedResidueRing(bits, t, numerator_reach(order))
-    return ring, build(ring, order, False, cleared)
+    return ring, build(ring, order, False)
 
 
 def _laurent(digits: list, offset: int) -> LaurentPolynomial:
@@ -718,29 +767,33 @@ def _laurent(digits: list, offset: int) -> LaurentPolynomial:
     return row
 
 
-def packed_laurent(build, order: int, cleared: bool = False) -> list:
+def packed_laurent(build, order: int) -> list:
     """Rows 0..order of build's series X over Z[z,1/z] (``full_rows``),
-    or with cleared of its numerator X*D, as Laurent polynomials.
+    as Laurent polynomials."""
+    return [_laurent(digits, o) for digits, o in full_rows(build, order)]
 
-    The numerator is read once off ``_packed`` at t = 2K + 1 and offset
-    K = ``numerator_reach(order)``: digit j is the coefficient of z^(j - K).
-    The ring is exact whatever exponents an intermediate value reaches,
-    so a row inside [-(K - 1), K - 1] is read exactly; a row whose z^-K or
-    z^K digit is nonzero is at the edge of that window and raises
-    ``WindowError`` with its index.
+
+def symmetric_numerator(build, order: int, bits: int) -> list[int]:
+    """Rows 0..order of build's numerator X*D, D = (z q^2, q^2/z; q^2)_inf,
+    in Z[w], w = z + 1/z: build(ring, order, False, True) on
+    ``PackedSymmetricRing(bits)``, row n the plain integer p_n(2^bits).
+
+    build has the contract of ``_packed``, and X and D are unchanged under
+    z <-> 1/z, so every row is a polynomial in w.  The caller proves that
+    bits bounds the rows: every w-coefficient below 2^(bits-1) in absolute
+    value (``sptcrank.numerator_width``).  Row n has z-reach, and so
+    w-degree, at most K - 1, K = ``numerator_reach(order)``; a row that
+    does not fit K balanced digits, one that needs w^K or a higher power,
+    raises ``WindowError(n, K)``, as a z-row that reaches z^-K or z^K.
     """
-    if not cleared:
-        return [_laurent(digits, o) for digits, o in full_rows(build, order)]
+    ring = PackedSymmetricRing(bits)
+    values = build(ring, order, False, True)
     reach = numerator_reach(order)
-    ring, values = _packed(build, order, 2 * reach + 1, True)
-    rows = []
-    for k, x in enumerate(values):
-        values[k] = None  # each packed value is freed as its row is read
-        digits = ring.digits(x)
-        if digits[0] or digits[-1]:
-            raise WindowError(k, reach)
-        rows.append(_laurent(digits, reach))
-    return rows
+    lo, hi = ring.window(reach)
+    for n, x in enumerate(values):
+        if not lo <= x <= hi:
+            raise WindowError(n, reach)
+    return values
 
 
 def _rows_over_d(values: list, bits: int, base: int, reach: int):

@@ -23,6 +23,7 @@ from .rings import (
     LAURENT,
     ZZ,
     LaurentPolynomial,
+    PackedSymmetricRing,
     root_value,
 )
 # mul_lists is not called here; bench/test_bench.py reads it as
@@ -35,6 +36,7 @@ from .series import (  # noqa: F401
     d_list,
     div_d_at_zeta3,
     div_d_list,
+    div_w_pair_list,
     full_rows,
     mul_lists,
     packed_laurent,
@@ -42,6 +44,7 @@ from .series import (  # noqa: F401
     pochhammer_finite,
     pochhammer_inf,
     summand_walk,
+    symmetric_numerator,
 )
 
 
@@ -83,12 +86,14 @@ def _sb_walk(ring, order: int, bound: bool = False,
     1/(q^3; q^2)_inf^2; and sum_{n>=1} q^{2n} = q^2/(1 - q^2).  All these
     series have no negative coefficient, so their products keep the order.
 
-    With cleared, the walk is not divided by D, so it returns SB*D, whose summand n is q^{2n} (z q^2, q^2/z; q^2)_{n-1}
-    (q^{4n+2}; q^2)_inf / (q^{2n+1}; q^2)_inf^2: z^k needs q^{k(k+1)} there
-    and q^{2k+2} more in front.  Its majorant is this walk in its
-    uncancelled form, (1 - q^{2n+1})^2 / ((1 - c q^{4n+2}) (1 - c q^{4n+4})),
-    with c = -1 and z = 1/z = -1, which turns the step's z-factors into
-    (1 + q^{2n})^2.
+    With cleared, the walk is not divided by D, so it returns SB*D,
+    whose summand n is q^{2n} (z q^2, q^2/z; q^2)_{n-1} (q^{4n+2}; q^2)_inf
+    / (q^{2n+1}; q^2)_inf^2: z^k needs q^{k(k+1)} there and q^{2k+2} more
+    in front.  On ``PackedSymmetricRing`` the walk is that of SB*D in
+    w = z + 1/z, each pair 1 - w q^{2n} + q^{4n}.  Its majorant is this
+    walk in its uncancelled form, (1 - q^{2n+1})^2 / ((1 - c q^{4n+2})
+    (1 - c q^{4n+4})), with c = -1 and z = 1/z = -1, which turns the
+    step's z-factors into (1 + q^{2n})^2.
     """
     if order < 2:
         return [ring.zero] * (order + 1)
@@ -174,11 +179,42 @@ def sb_series(order: int) -> SptCrankTable:
                                       for digits, o in sb_rows(order)))
 
 
-def sb_numerator(order: int) -> TruncatedSeries:
-    """SB*D over Z[z,1/z], D = (z q^2, q^2/z; q^2)_inf, read off the narrow
-    packed ring of ``packed_laurent`` with cleared."""
-    return TruncatedSeries(LAURENT, order,
-                           packed_laurent(_sb_walk, order, cleared=True))
+def numerator_width(order: int) -> int:
+    """The width B at which a run packs SB*D, rank*D and crank*D in Z[w],
+    w = z + 1/z (``sb_numerator``, ``rank_numerator``, ``crank_numerator``):
+    B = max(B_SB + 2, B_rank, B_crank) + 1, each B_X one bit more than the
+    largest coefficient of its builder's majorant with cleared,
+    build(ZZ, order, True, True).
+
+    Exactness.  Let |p| be the sum of the absolute values of the
+    w-coefficients of p in Z[w]; it is subadditive and submultiplicative.
+    The majorants take |z| = 1 and bound each factor 1 - c z q^e by
+    1 + q^e, so the pair (1 - z q^e)(1 - q^e/z) by (1 + q^e)^2 and
+    u = (1 - z)(1 - 1/z) by 4.  In w the pair is 1 - w q^e + q^{2e}, of
+    |.| 1 + q^e + q^{2e}, and u is 2 - w, of |.| 3: no more.  SB*D is a sum
+    of products of pairs and z-free series, and a rank term, u D over one
+    of D's pairs, is u times D's other pairs, of |.| at most
+    3 (-q^2; q^2)_inf^2 / (1 + q^{2n})^2, below the
+    4 (-q^2; q^2)_inf^2 / (1 - q^{2n})^2 of its z majorant.  So each
+    majorant bounds |row n| in w as in z: every w-coefficient of SB*D is
+    below 2^(B_SB - 1), of u SB*D below 2^(B_SB + 1), of rank*D below
+    2^(B_rank - 1) and of crank*D below 2^(B_crank - 1), and every one of
+    each side that the checks compare, u SB*D, rank*D - crank*D,
+    crank*D + u SB*D or rank*D, is below 2^(B - 1).  Z[w] -> Z, w -> 2^B,
+    is a ring map, and an integer has at most one expansion in balanced
+    base-2^B digits below 2^(B - 1): two sides whose packed integers are
+    equal are equal polynomials, and two that differ pack different ones.
+    """
+    sb, rank, crank = (max(build(ZZ, order, True, True)).bit_length() + 1
+                       for build in (_sb_walk, _rank_coeffs, _crank_coeffs))
+    return max(sb + 2, rank, crank) + 1
+
+
+def sb_numerator(order: int, bits: int) -> TruncatedSeries:
+    """SB*D, D = (z q^2, q^2/z; q^2)_inf, in Z[w], w = z + 1/z: row n the
+    plain integer p_n(2^bits) (``symmetric_numerator``), held over Z."""
+    return TruncatedSeries(ZZ, order,
+                           symmetric_numerator(_sb_walk, order, bits))
 
 
 def sb_residues(order: int, t: int) -> list[list[int]]:
@@ -248,12 +284,17 @@ def sptbar2_series(order: int) -> TruncatedSeries:
 
     sum_{n>=1} q^{2n} (-q^{2n+1};q)_inf / ((1-q^{2n})^2 (q^{2n+1};q)_inf).
 
-    Distinct from the z=1 specialization of SB(z,q), so the two act as
-    cross-checks on each other: ``table`` prints SB's z = 1 total, the sum
-    of its residue classes, and the congruences check (``z=1-consistency``)
-    and CI compare that total with this walk.  A ``summand_walk`` over Z
-    from the first summand over q^2, (-q^3; q)_inf / ((q^3; q)_inf
-    (1 - q^2)^2).
+    A ``summand_walk`` over Z from the first summand over q^2,
+    (-q^3; q)_inf / ((q^3; q)_inf (1 - q^2)^2).  Its step is the step of
+    ``sb_at_one``, SB(z,q) at z = 1, factor for factor; only the first
+    summand is factored differently there, as (q^6; q^2)_inf /
+    ((q^3; q^2)_inf^2 (q^2; q^2)_inf^2).  So the congruences check
+    (``z=1-consistency``), which compares the two walks, checks that the
+    two factorings of the first summand agree through ``apply_factors``
+    (its eta rewriting), not the shared step: it is no independent route
+    to SB's z = 1 specialization.  ``table`` prints SB's z = 1 total, the
+    sum of its residue classes, from SB's own walk with z on the packed
+    ring, and CI compares that total with this walk.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -277,8 +318,14 @@ def _rank_term(ring, n: int, start: list, bound: bool) -> list:
         2 (-1)^n (1 - z)(1 - 1/z) start / ((1 - z q^{2n})(1 - q^{2n}/z)),
 
     coefficients 0..len(start) - 1, z the ring's own; with bound, its
-    majorant (see ``binomials``)."""
+    majorant (see ``binomials``).  On ``PackedSymmetricRing``,
+    (1 - z)(1 - 1/z) x is 2x - (x << B), and the pair's division its
+    recurrence (``div_w_pair_list``)."""
     sign = -2 if n % 2 and not bound else 2
+    if type(ring) is PackedSymmetricRing:
+        term = [sign * ((x << 1) - (x << ring.bits)) for x in start]
+        div_w_pair_list(term, ring, 2 * n)
+        return term
     z, z_inv = ring.z, ring.z_inv
     return apply_factors([sign * x for x in start], *binomials(
         [(z, 0, 1, 1), (z_inv, 0, 1, 1)],
@@ -322,11 +369,11 @@ def rank_series(order: int) -> TruncatedSeries:
     return TruncatedSeries(LAURENT, order, packed_laurent(_rank_coeffs, order))
 
 
-def rank_numerator(order: int) -> TruncatedSeries:
-    """rank*D over Z[z,1/z], D = (z q^2, q^2/z; q^2)_inf, read off the
-    narrow packed ring of ``packed_laurent`` with cleared."""
-    return TruncatedSeries(LAURENT, order,
-                           packed_laurent(_rank_coeffs, order, cleared=True))
+def rank_numerator(order: int, bits: int) -> TruncatedSeries:
+    """rank*D, D = (z q^2, q^2/z; q^2)_inf, in Z[w], w = z + 1/z: row n
+    the plain integer p_n(2^bits) (``symmetric_numerator``), held over Z."""
+    return TruncatedSeries(ZZ, order,
+                           symmetric_numerator(_rank_coeffs, order, bits))
 
 
 def _zeta3_rank_term(inner: list, n: int) -> None:
@@ -400,7 +447,8 @@ def crank_series(order: int) -> TruncatedSeries:
 
 
 def crank_numerator(order: int) -> TruncatedSeries:
-    """crank*D = (-q;q)_inf (q^2;q^2)_inf / (q;q^2)_inf, z-free, over Z."""
+    """crank*D = (-q;q)_inf (q^2;q^2)_inf / (q;q^2)_inf, z-free, over Z:
+    each row a constant, so also its own packing in Z[w] at every width."""
     return TruncatedSeries(ZZ, order, _crank_coeffs(ZZ, order, cleared=True))
 
 

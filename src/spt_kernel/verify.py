@@ -13,7 +13,7 @@ from operator import add
 from typing import Callable
 
 from .partitions import m2_rank_distribution, residual_m2_crank_distribution
-from .rings import LAURENT, ZZ, LaurentPolynomial
+from .rings import LAURENT, ZZ, PackedSymmetricRing
 from .series import (
     SeriesError,
     TruncatedSeries,
@@ -22,12 +22,14 @@ from .series import (
     div_binomial_list,
     divided_by_d,
     mul_binomial_list,
+    numerator_reach,
     poch_quotient,
 )
 from .sptcrank import (
     crank_at_zeta3,
     crank_numerator,
     crank_series,
+    numerator_width,
     rank_at_zeta3,
     rank_numerator,
     rank_series,
@@ -56,16 +58,31 @@ class VerificationReport(namedtuple(
         return json.dumps(self._asdict(), sort_keys=True)
 
 
+def _row_over_d(numerator: TruncatedSeries, n: int, bits: int):
+    """Row n of X, from rows 0..n of its numerator X*D in Z[w] packed at
+    w -> 2^bits: each decoded to z (``PackedSymmetricRing.laurent``), to
+    one w-degree past the window of ``numerator_reach``, as u = 2 - w
+    raises the degree of SB*D by one, and divided by D row by row
+    (``divided_by_d``)."""
+    ring = PackedSymmetricRing(bits)
+    digits = numerator_reach(numerator.order) + 1
+    return divided_by_d([ring.laurent(x, digits)
+                         for x in numerator.coeffs[:n + 1]])[n]
+
+
 def _compare(check: str, order: int, subchecks) -> VerificationReport:
     """subchecks: iterable of (label, lhs_series, rhs_series) or (label,
-    lhs_series, rhs_series, True); the two series of a subcheck must have
+    lhs_series, rhs_series, bits); the two series of a subcheck must have
     the same order and are compared coefficient-wise at every index up to
     it: as whole lists first, and n by n only when those differ, to find
-    the first difference.  A fourth entry True marks numerators X*D and
-    Y*D over Z[z,1/z], D = (z q^2, q^2/z; q^2)_inf: D = 1 mod q, so their
-    first difference is X's and Y's, and the report shows rows n of X and
-    Y (``divided_by_d``)."""
-    for label, lhs, rhs, *cleared in subchecks:
+    the first difference.  A fourth entry bits marks numerators X*D and
+    Y*D, D = (z q^2, q^2/z; q^2)_inf, in Z[w], w = z + 1/z, each row
+    packed as one plain integer at w -> 2^bits (``sptcrank.numerator_width``
+    proves the packing exact, so equal integers are equal rows): D = 1
+    mod q, so their first difference is X's and Y's, and only then are
+    rows 0..n decoded and divided by D, so that the report shows rows n of
+    X and Y as Laurent polynomials (``_row_over_d``)."""
+    for label, lhs, rhs, *packed in subchecks:
         if lhs.order != rhs.order:
             raise SeriesError(f"{check} subcheck {label!r} pairs orders "
                               f"{lhs.order} and {rhs.order}")
@@ -74,13 +91,14 @@ def _compare(check: str, order: int, subchecks) -> VerificationReport:
         for n in range(lhs.order + 1):
             a, b = lhs.coefficient(n), rhs.coefficient(n)
             if a != b:
-                if cleared:
-                    a = divided_by_d(lhs.coeffs[:n + 1])[n]
-                    b = divided_by_d(rhs.coeffs[:n + 1])[n]
+                ring = lhs.ring
+                if packed:
+                    a, b = (_row_over_d(s, n, *packed) for s in (lhs, rhs))
+                    ring = LAURENT
                 return VerificationReport(check, order, "fail", {
                     "n": n,
-                    "expected": rhs.ring.render(b),
-                    "actual": lhs.ring.render(a),
+                    "expected": ring.render(b),
+                    "actual": ring.render(a),
                     "where": label,
                 })
     return VerificationReport(check, order, "pass")
@@ -252,15 +270,13 @@ def bailey_pair_rhs(order: int, n_max: int) -> list[TruncatedSeries]:
 # The checks
 # ---------------------------------------------------------------------------
 
-# u = 2 - z - 1/z = (1 - z)(1 - 1/z)
-_U = LaurentPolynomial({1: -1, 0: 2, -1: -1})
-
-
-def u_sb_numerator(order: int) -> TruncatedSeries:
-    """u SB*D over Z[z,1/z]: theorem 2's left side, and the part of the
-    Bailey side that ``verify_bailey_limit`` reads off SB*D; built once
-    per run for both."""
-    return sb_numerator(order).scale(_U)
+def u_sb_numerator(order: int, bits: int) -> TruncatedSeries:
+    """u SB*D, u = 2 - z - 1/z = (1 - z)(1 - 1/z) = 2 - w, in Z[w] at
+    w -> 2^bits: 2x - (x << bits) for each row x of ``sb_numerator``.
+    Theorem 2's left side, and the part of the Bailey side that
+    ``verify_bailey_limit`` reads off SB*D; built once per run for both."""
+    return TruncatedSeries(ZZ, order, [
+        (x << 1) - (x << bits) for x in sb_numerator(order, bits).coeffs])
 
 
 def verify_theorem1(order: int, n_oracle: int = 0,
@@ -282,14 +298,14 @@ def verify_theorem2(order: int, n_oracle: int = ORACLE_BOUND,
                     build=_call) -> VerificationReport:
     """Cleared-denominator rank-minus-crank identity:
     (-z + 2 - 1/z) * [q^n] SB(z,q) = [q^n] rank - [q^n] crank, compared on
-    the numerators times D = (z q^2, q^2/z; q^2)_inf (see ``_compare``),
-    plus an enumeration cross-check of the rank and crank rows up to
-    n_oracle."""
+    the numerators times D = (z q^2, q^2/z; q^2)_inf, packed in Z[w] at
+    the run's one width (see ``_compare``), plus an enumeration
+    cross-check of the rank and crank rows up to n_oracle."""
     _require_order("theorem2", order)
-    lhs = build(u_sb_numerator, order)
-    rhs = (build(rank_numerator, order)
-           - build(crank_numerator, order).embed(LAURENT))
-    subchecks = [("rank-crank", lhs, rhs, True)]
+    bits = build(numerator_width, order)
+    lhs = build(u_sb_numerator, order, bits)
+    rhs = build(rank_numerator, order, bits) - build(crank_numerator, order)
+    subchecks = [("rank-crank", lhs, rhs, bits)]
     top = min(n_oracle, order)
     rank_enum = TruncatedSeries(
         LAURENT, top, [m2_rank_distribution(n) for n in range(top + 1)])
@@ -359,7 +375,8 @@ def verify_bailey_limit(order: int, n_oracle: int = 0,
     base q^2): the Bailey side times its prefactor, (q^2;q^2)_inf / (D
     (q;q^2)_inf^2) * sum_{n>=0} q^{2n} (z, 1/z; q^2)_n beta_n with
     D = (z q^2, q^2/z; q^2)_inf, equals the rank generating function; both
-    sides are compared times D (see ``_compare``).
+    sides are compared times D, packed in Z[w] at the run's one width
+    (see ``_compare``).
 
     Term by term, Bailey*D = crank*D + (2 - z - 1/z) SB*D, read off the
     run's numerators: the n = 0 term is (q^2;q^2)_inf / (q;q^2)_inf^2 =
@@ -369,10 +386,10 @@ def verify_bailey_limit(order: int, n_oracle: int = 0,
     SB*D.
     """
     _require_order("bailey_limit", order)
-    lhs = (build(crank_numerator, order).embed(LAURENT)
-           + build(u_sb_numerator, order))
-    rhs = build(rank_numerator, order)
-    return _compare("bailey_limit", order, [("bailey-vs-rank", lhs, rhs, True)])
+    bits = build(numerator_width, order)
+    lhs = build(crank_numerator, order) + build(u_sb_numerator, order, bits)
+    rhs = build(rank_numerator, order, bits)
+    return _compare("bailey_limit", order, [("bailey-vs-rank", lhs, rhs, bits)])
 
 
 def verify_congruences(order: int, n_oracle: int = 0,
@@ -385,8 +402,9 @@ def verify_congruences(order: int, n_oracle: int = 0,
     have s_1 = s_2, and A = SB(1, q) and C = SB(zeta_3, q) at q^n are
     s_0 + 2 s_1 and s_0 - s_1 (``sb_at_one``, ``sb_at_zeta3``, both over
     Z): s_1 = s_2 = (A - C)/3 and s_0 = A - 2 s_1.  A is compared with
-    ``sptbar2_series`` (``z=1-consistency``).  An A - C that is not a
-    multiple of 3, at any n, has no such s_1 and fails
+    ``sptbar2_series`` (``z=1-consistency``), a walk with the same step
+    whose first summand is factored differently (see its docstring).  An
+    A - C that is not a multiple of 3, at any n, has no such s_1 and fails
     ``mod3-refinement``; at 3n and 3n+1 the classes are equal exactly
     when C = 0.  theorem1 checks C's components A0 and A1 against zero on
     its own.

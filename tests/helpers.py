@@ -9,7 +9,9 @@ back off one ring of t = 2S + 1 digits, for the tests of that ring.
 ``wide_ring_rows`` and ``wide_ring_divided_by_d`` read full rows that way,
 every row divided by D on that one ring: the reference for
 ``series.full_rows`` and ``series.divided_by_d``, which give each row its
-own width.  Every reference here divides by D through D's binomial passes
+own width.  ``narrow_ring_numerator`` reads a numerator X*D off one ring of
+t = 2K + 1 digits, K = isqrt(N) + 2, as Laurent rows in z: the reference
+for the numerators in Z[w], w = z + 1/z, that the checks compare.  Every reference here divides by D through D's binomial passes
 (``d_factors`` in ``apply_factors``), never through Jacobi's triple
 product, so the theta kernels of ``series.d_list`` and
 ``series.div_d_list`` are checked against a route that shares nothing
@@ -414,6 +416,21 @@ def wide_ring_rows(build, order):
     values = apply_factors(build(ring, order, False, True),
                            denom=d_factors(ring))
     return _wide_rows(ring, values, s)
+
+
+def narrow_ring_numerator(build, order):
+    """Rows 0..order of build's numerator X*D over Z[z,1/z], build(ring, N,
+    False, True), read off one ring of t = 2K + 1 digits, K =
+    ``numerator_reach(order)``, offset K and the width of the numerator's
+    own majorant, build(ZZ, N, True, True): entry e of ``unpack`` is the
+    coefficient of z^e for e in [-K, K], and a row with a nonzero z^-K or
+    z^K digit raises ``WindowError(n, K)``.  The reference for
+    ``sptcrank.sb_numerator`` and ``rank_numerator``, which build the
+    numerators in Z[w], w = z + 1/z, on plain integers."""
+    reach = numerator_reach(order)
+    bits = max(build(ZZ, order, True, True)).bit_length() + 1
+    ring = PackedResidueRing(bits, 2 * reach + 1, reach)
+    return _wide_rows(ring, build(ring, order, False, True), reach)
 
 
 def wide_ring_divided_by_d(rows):

@@ -15,6 +15,7 @@ from spt_kernel.rings import (
     CyclotomicInteger,
     LaurentPolynomial,
     PackedResidueRing,
+    PackedSymmetricRing,
     RingError,
     root_value,
 )
@@ -258,3 +259,44 @@ class TestPackedResidue:
             PackedResidueRing(bits=4, t=0, offset=0)
         with pytest.raises(RingError):
             PackedResidueRing(bits=4, t=3, offset=-1)
+
+
+class TestPackedSymmetric:
+    """Z[w], w = z + 1/z, packed at w -> 2^B on plain integers."""
+
+    @given(st.lists(st.integers(-7, 7), max_size=9))
+    @settings(max_examples=60)
+    def test_decodes_powers_of_w(self, digits):
+        # sum_j d_j 2^(jB) decodes to sum_j d_j (z + 1/z)^j, a polynomial
+        # unchanged under z <-> 1/z; w*x is x << B
+        ring = PackedSymmetricRing(4)
+        x = sum(d << 4 * j for j, d in enumerate(digits))
+        want, power = LAURENT.zero, LAURENT.one
+        for d in digits:
+            want = want + power * d
+            power = power * (Z + ZI)
+        assert ring.laurent(x, len(digits)) == want
+        assert ring.laurent(x << 4, len(digits) + 1) == want * (Z + ZI)
+        assert want.c == {-e: v for e, v in want.c.items()}
+
+    def test_window_is_the_k_digit_range(self):
+        # three balanced digits of 4 bits, each in [-8, 7], span
+        # [-8*273, 7*273]; one past either end leaves a carry
+        ring = PackedSymmetricRing(4)
+        lo, hi = ring.window(3)
+        assert (lo, hi) == (-8 * 273, 7 * 273)
+        assert ring.laurent(hi, 3) == ring.laurent(7 + (7 << 4) + (7 << 8), 3)
+        ring.laurent(lo, 3)
+        for x in (lo - 1, hi + 1):
+            with pytest.raises(RingError):
+                ring.laurent(x, 3)
+
+    def test_z_alone_and_narrow_widths_are_refused(self):
+        ring = PackedSymmetricRing(4)
+        for half in (ring.z, ring.z_inv):
+            with pytest.raises(TypeError):
+                half * 3
+            with pytest.raises(TypeError):
+                3 * half
+        with pytest.raises(RingError):
+            PackedSymmetricRing(1)

@@ -22,6 +22,7 @@ from spt_kernel.rings import (
     ZZ,
     LaurentPolynomial,
     PackedResidueRing,
+    PackedSymmetricRing,
     _ZFold,
     _ZRotate,
 )
@@ -39,9 +40,11 @@ from spt_kernel.series import (
     div_d_list,
     div_eta_list,
     div_theta_list,
+    div_w_pair_list,
     mul_binomial_list,
     mul_eta_list,
     mul_pair_list,
+    mul_w_pair_list,
     numerator_reach,
     poch_quotient,
     pochhammer_finite,
@@ -363,6 +366,55 @@ class TestPairPass:
             [ring.digits(x) for x in want]
 
 
+def w_values(length, bits):
+    """A fixed mix of values of w-degree at most 2 on
+    ``PackedSymmetricRing(bits)``, negative digits too."""
+    return [(7 * i * i + 3) % 11 - 5 + ((i % 4 - 1) << bits)
+            + ((i % 3 - 1) << 2 * bits) for i in range(length)]
+
+
+class TestPairPassInW:
+    """The pair (1 - z q^e)(1 - q^e/z) = 1 - w q^e + q^{2e} on
+    ``PackedSymmetricRing``, multiplied (``mul_w_pair_list``) and divided
+    (``div_w_pair_list``), against ``binomial_passes`` with z and then
+    1/z over the dict Laurent ring, for lists over several slices of
+    ``_CHUNK`` and e up to past the end of the list."""
+
+    @pytest.mark.parametrize("e", [1, 2, 5, 64, 65, 130, 201])
+    def test_multiplication(self, e):
+        ring = PackedSymmetricRing(40)
+        a = w_values(200, 40)
+        rows = [ring.laurent(x, 3) for x in a]
+        want = binomial_passes(binomial_passes(rows, LAURENT.z, [e], 1),
+                               LAURENT.z_inv, [e], 1)
+        got = list(a)
+        mul_w_pair_list(got, ring, e)
+        assert [ring.laurent(x, 4) for x in got] == want
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 7, 41])
+    @pytest.mark.parametrize("length", [0, 1, 2, 5, 40])
+    def test_division(self, e, length):
+        # row i of the quotient has w-degree at most 2 + i/e, and its
+        # digits stay below 2^63 to q^40
+        ring = PackedSymmetricRing(64)
+        a = w_values(length, 64)
+        rows = [ring.laurent(x, 3) for x in a]
+        want = binomial_passes(binomial_passes(rows, LAURENT.z, [e], -1),
+                               LAURENT.z_inv, [e], -1)
+        got = list(a)
+        div_w_pair_list(got, ring, e)
+        assert [ring.laurent(x, 3 + length) for x in got] == want
+        mul_w_pair_list(got, ring, e)
+        assert got == a
+
+    def test_z_alone_is_refused(self):
+        # only the pair is in Z[w]: a pass with z or 1/z alone fails
+        ring = PackedSymmetricRing(8)
+        for c in (ring.z, ring.z_inv):
+            with pytest.raises(TypeError):
+                mul_binomial_list([1, 2, 3], c, 1)
+
+
 def eta_starts(name, with_start):
     """The ring and a start list to q^ETA_TOP: 1, or a fixed mix of values."""
     ring = {"Z": ZZ, "laurent": LAURENT,
@@ -494,6 +546,17 @@ class TestThetaRoute:
         assert d_eta == theta_series(THETA_TOP)
         assert [e for e, _, _ in _theta_terms(THETA_TOP)] == [
             n * (n - 1) for n in range(2, 9)]
+
+    def test_d_written_in_w(self):
+        # D from E in w, chi_{2n-1} = 1 + V_1 + ... + V_{n-1}, divided by
+        # (q^2; q^2)_inf, at every order
+        ring = PackedSymmetricRing(48)
+        want = d_passes(LAURENT, [LAURENT.one] + [LAURENT.zero] * THETA_TOP, 1)
+        for order in range(THETA_TOP + 1):
+            got = d_list(ring, order)
+            reach = numerator_reach(order)
+            assert [ring.laurent(x, reach) for x in got] == \
+                want[:order + 1], order
 
     @pytest.mark.parametrize("with_start", [False, True],
                              ids=["one", "start"])

@@ -8,6 +8,7 @@ from helpers import (
     bailey_side,
     eval_at_one,
     is_symmetric,
+    narrow_ring_numerator,
     pair_crank_series,
     residue_class_sums,
     sb_by_accumulation,
@@ -27,6 +28,7 @@ from spt_kernel.rings import (
     ZZ,
     LaurentPolynomial,
     PackedResidueRing,
+    PackedSymmetricRing,
     RingError,
 )
 from spt_kernel.series import (
@@ -41,6 +43,7 @@ from spt_kernel.series import (
     poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
+    symmetric_numerator,
 )
 from spt_kernel.sptcrank import (
     SptCrankTable,
@@ -51,6 +54,7 @@ from spt_kernel.sptcrank import (
     crank_at_zeta3,
     crank_numerator,
     crank_series,
+    numerator_width,
     partition_pair_oracle,
     rank_at_zeta3,
     rank_numerator,
@@ -323,10 +327,15 @@ def bailey_side_by_inversion(order):
     return pochhammer_inf(ring, 1, 2, 2, order) * den.invert() * acc
 
 
+def laurent_numerator(build, order):
+    """build's numerator X*D over Z[z,1/z], read off the narrow packed ring
+    (``helpers.narrow_ring_numerator``)."""
+    return TruncatedSeries(LAURENT, order, narrow_ring_numerator(build, order))
+
+
 def bailey_numerator(order):
     """Bailey*D over Z[z,1/z], read off the narrow packed ring."""
-    return TruncatedSeries(LAURENT, order,
-                           packed_laurent(bailey_side, order, cleared=True))
+    return laurent_numerator(bailey_side, order)
 
 
 def packing_bits(build, order, cleared=False):
@@ -402,10 +411,11 @@ class TestPackedSeries:
 # side has no builder of its own full rows: they are divided_by_d of its
 # numerator, compared with inverted products in TestPackedSeries
 NUMERATORS = [
-    ("sb", sb_numerator,
+    ("sb", partial(laurent_numerator, _sb_walk),
      lambda order: TruncatedSeries(LAURENT, order, list(sb_series(order).rows)),
      partial(_sb_walk, cleared=True)),
-    ("rank", rank_numerator, rank_series, partial(_rank_coeffs, cleared=True)),
+    ("rank", partial(laurent_numerator, _rank_coeffs), rank_series,
+     partial(_rank_coeffs, cleared=True)),
     ("crank", lambda order: crank_numerator(order).embed(LAURENT),
      crank_series, partial(_crank_coeffs, cleared=True)),
     ("bailey", bailey_numerator,
@@ -426,8 +436,9 @@ class TestNumerators:
         # the left side of bailey_limit, crank*D + (2 - z - 1/z) SB*D,
         # against the Bailey-lemma walk from n = 0 with its own step
         u = LaurentPolynomial({1: -1, 0: 2, -1: -1})
-        lhs = crank_numerator(order).embed(LAURENT) + sb_numerator(order).scale(u)
-        assert lhs.coeffs == packed_laurent(bailey_side, order, cleared=True)
+        lhs = (crank_numerator(order).embed(LAURENT)
+               + laurent_numerator(_sb_walk, order).scale(u))
+        assert lhs.coeffs == narrow_ring_numerator(bailey_side, order)
 
     @pytest.mark.parametrize("order", [4, 5, 9, 40, 41, 100])
     @pytest.mark.parametrize("name, numerator, full, build", NUMERATORS,
@@ -457,7 +468,124 @@ class TestNumerators:
             return rows
 
         with pytest.raises(RingError, match="edge"):
-            packed_laurent(build, order, cleared=True)
+            narrow_ring_numerator(build, order)
+
+
+def w_digits(values, bits, digits):
+    """The balanced base-2^bits digits of each packed value, lowest first,
+    with no carry left."""
+    rows = []
+    for x in values:
+        row, carry = series._balanced_digits(x, bits, digits)
+        assert not carry
+        rows.append(row)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def top_numerators():
+    """For N = 400 and 1000: the width B of ``numerator_width(N)``, and
+    SB*D and rank*D to q^N, each as its rows in Z[w] packed at B and as
+    the z read of the narrow packed ring (``narrow_ring_numerator``)."""
+    out = {}
+    for top in (400, 1000):
+        bits = numerator_width(top)
+        out[top] = bits, [
+            (numerator(top, bits).coeffs, narrow_ring_numerator(build, top))
+            for numerator, build in ((sb_numerator, _sb_walk),
+                                     (rank_numerator, _rank_coeffs))]
+    return out
+
+
+class TestSymmetricNumerators:
+    """SB*D and rank*D in Z[w], w = z + 1/z, on plain integers at a run's
+    one width (``numerator_width``), against the z read of the narrow
+    packed ring (``helpers.narrow_ring_numerator``), and that width
+    against the digits it must bound."""
+
+    @pytest.mark.parametrize("top", [400, 1000])
+    def test_decode_to_z_reference(self, top_numerators, top):
+        bits, numerators = top_numerators[top]
+        ring = PackedSymmetricRing(bits)
+        reach = numerator_reach(top)
+        for values, rows in numerators:
+            assert [ring.laurent(x, reach) for x in values] == rows
+
+    @pytest.mark.parametrize("order", range(0, 401))
+    def test_every_order_matches_z_reference(self, top_numerators, order):
+        # row n of a numerator to q^N is the same for every N >= n, so at
+        # the width of order 400, the widest any order below needs, the
+        # rows built to q^order are the first rows built to q^400, which
+        # decode to the z read (test_decode_to_z_reference)
+        bits, numerators = top_numerators[400]
+        for numerator, (values, _) in zip((sb_numerator, rank_numerator),
+                                          numerators):
+            got = numerator(order, bits)
+            assert (got.ring, got.order) == (ZZ, order)
+            assert got.coeffs == values[:order + 1], numerator.__name__
+
+    @pytest.mark.parametrize("order", range(0, 301))
+    def test_width_bounds_every_digit(self, order):
+        # each side the checks compare, built 16 bits wider than the run's
+        # width B: every w-digit is below 2^(B-1), so at B the packing is
+        # exact, and SB*D's and rank*D's digits sum to at most their
+        # majorants, as the proof in numerator_width's docstring has it
+        bits = numerator_width(order)
+        wide = bits + 16
+        digits = numerator_reach(order) + 1
+        sb = sb_numerator(order, wide).coeffs
+        u_sb = [(x << 1) - (x << wide) for x in sb]
+        rank = rank_numerator(order, wide).coeffs
+        crank = crank_numerator(order).coeffs
+        sides = {
+            "sb": sb, "u-sb": u_sb, "rank": rank,
+            "rank-minus-crank": [a - b for a, b in zip(rank, crank)],
+            "crank-plus-u-sb": [a + b for a, b in zip(crank, u_sb)],
+        }
+        for name, values in sides.items():
+            for n, row in enumerate(w_digits(values, wide, digits)):
+                assert max(map(abs, row)) < 1 << (bits - 1), (name, n)
+        for values, build in ((sb, _sb_walk), (rank, _rank_coeffs)):
+            majorant = build(ZZ, order, True, True)
+            for n, row in enumerate(w_digits(values, wide, digits)):
+                assert sum(map(abs, row)) <= majorant[n], (build, n)
+
+    @pytest.mark.parametrize("order", [0, 1, 4, 40, 300])
+    def test_width_is_one_bit_above_the_widest_side(self, order):
+        # B = max(B_SB + 2, B_rank, B_crank) + 1: u = 2 - w takes SB*D two
+        # bits wider, and a sum of two sides one more
+        assert numerator_width(order) == max(
+            packing_bits(_sb_walk, order, True) + 2,
+            packing_bits(_rank_coeffs, order, True),
+            packing_bits(_crank_coeffs, order, True)) + 1
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_row_at_the_reach_raises(self, sign):
+        # w^(K-1) added to the top row of SB*D at order 40, K = 8, fits its
+        # K digits; w^K or w^(K+1) is refused as a z-row at z^-K or z^K is
+        order = 40
+        reach, bits = numerator_reach(order), numerator_width(order)
+        for power in (reach - 1, reach, reach + 1):
+            def build(ring, order, bound=False, cleared=False):
+                rows = _sb_walk(ring, order, bound, cleared)
+                if not bound:
+                    rows[order] += sign << bits * power
+                return rows
+
+            if power < reach:
+                # w^(K-1) = (z + 1/z)^(K-1) on the row, the others as they are
+                term = LaurentPolynomial({0: sign})
+                for _ in range(power):
+                    term = term * (LAURENT.z + LAURENT.z_inv)
+                rows = symmetric_numerator(build, order, bits)
+                want = laurent_numerator(_sb_walk, order).coeffs
+                want[order] = want[order] + term
+                ring = PackedSymmetricRing(bits)
+                assert [ring.laurent(x, reach) for x in rows] == want
+                continue
+            with pytest.raises(WindowError) as exc:
+                symmetric_numerator(build, order, bits)
+            assert (exc.value.n, exc.value.reach) == (order, reach)
 
 
 class TestNumeratorShape:
@@ -551,9 +679,10 @@ U = LaurentPolynomial({1: -1, 0: 2, -1: -1})
 
 # the numerators whose rows a failing check divides by D
 REPORTED = [
-    ("u-sb", lambda order: sb_numerator(order).scale(U).coeffs),
+    ("u-sb", lambda order: laurent_numerator(_sb_walk, order).scale(U).coeffs),
     ("rank-minus-crank", lambda order: (
-        rank_numerator(order) - crank_numerator(order).embed(LAURENT)).coeffs),
+        laurent_numerator(_rank_coeffs, order)
+        - crank_numerator(order).embed(LAURENT)).coeffs),
     ("bailey", lambda order: bailey_numerator(order).coeffs),
 ]
 
@@ -588,7 +717,7 @@ class TestFullRows:
         want = sb_series(order).rows[order]
         for power, fits in ((reach, True), (reach + 1, False),
                             (reach + 2, False)):
-            rows = sb_numerator(order).coeffs
+            rows = laurent_numerator(_sb_walk, order).coeffs
             term = LaurentPolynomial({sign * power: 1})
             rows[order] = rows[order] + term
             if fits:

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import bailey_pair_rhs_from_scratch, gauss_theta
 from spt_kernel import series, sptcrank, verify
-from spt_kernel.rings import ZZ
+from spt_kernel.rings import ZZ, LaurentPolynomial
 from spt_kernel.series import SeriesError, TruncatedSeries
 from spt_kernel.verify import (
     VerificationReport,
@@ -176,12 +176,13 @@ def test_fault_at_the_head_of_an_alpha_tail_is_reported_exactly(
 
 def test_run_builds_each_shared_series_once(monkeypatch):
     # the builders by name: SB(zeta_3, q) is shared by theorem1 and the
-    # congruences, and u*SB*D by theorem2 and bailey_limit, which reads
-    # SB*D once; the values at zeta_3 are walks over Z, and no check reads
-    # residue sums off the packed ring
-    names = ("crank_at_zeta3", "crank_numerator", "rank_at_zeta3",
-             "rank_numerator", "sb_at_one", "sb_at_zeta3", "sb_numerator",
-             "u_sb_numerator")
+    # congruences, and the numerators' width, u*SB*D, rank*D and crank*D
+    # by theorem2 and bailey_limit, u*SB*D reading SB*D once; the values
+    # at zeta_3 are walks over Z, and no check reads residue sums off the
+    # packed ring
+    names = ("crank_at_zeta3", "crank_numerator", "numerator_width",
+             "rank_at_zeta3", "rank_numerator", "sb_at_one", "sb_at_zeta3",
+             "sb_numerator", "u_sb_numerator")
     calls = dict.fromkeys(names, 0)
 
     def counted(name):
@@ -205,6 +206,20 @@ def test_run_builds_each_shared_series_once(monkeypatch):
     # the memo is per run: a second run builds every series again
     assert all(r.passed for r in run_all(60, oracle_bound=6))
     assert calls == dict.fromkeys(names, 2)
+
+
+@pytest.mark.parametrize("check", ["theorem2", "bailey_limit"])
+def test_numerators_are_compared_as_integers(monkeypatch, check):
+    # a passing run of either check multiplies no Laurent polynomial: the
+    # numerators are compared in Z[w] as plain integers, and only a
+    # failing row would be decoded into z
+    def refused(self, other):
+        raise AssertionError("a Laurent polynomial was multiplied")
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", refused)
+    monkeypatch.setattr(LaurentPolynomial, "__rmul__", refused)
+    (rep,) = run_all(300, oracle_bound=6, only=check)
+    assert rep.passed, rep.to_json()
 
 
 def test_congruences_small():
