@@ -376,13 +376,16 @@ class PackedResidueRing:
 
     The offset need not be central.  ``series._packed`` and
     ``series.full_rows``, which build every ring of this kind that the
-    CLI reads, put z^0 at K = ``series.numerator_reach(N)``.  A numerator
-    X*D has its z-exponents in [-K, K], so on a ring of t > 2K + 1 digits
-    its values stay (2K + 1) B bits wide.  A builder divides by D after
-    every other pass, so its values are a numerator's until that one
-    division fills the t digits; full rows leave the ring as X*D and are
-    divided by D row by row, each row at its own width, on plain integers
-    (``series._rows_over_d``).
+    CLI reads, all of them for SB alone, put z^0 at
+    K = ``series.numerator_reach(N)``.  A numerator X*D has its
+    z-exponents in [-K, K], so on a ring of t > 2K + 1 digits its values
+    stay (2K + 1) B bits wide.  SB's walk divides by D after every other
+    pass, so its values are a numerator's until that one division fills
+    the t digits; full rows leave the ring as SB*D and are divided by D
+    row by row, each row at its own width, on plain integers
+    (``series._rows_over_d``).  The rank and the crank do not run here:
+    their rows are read off their numerators in Z[w]
+    (``series.numerator_rows``).
     """
 
     zero = 0

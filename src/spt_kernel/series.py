@@ -18,8 +18,6 @@ from .rings import (
     PackedResidueRing,
     PackedSymmetricRing,
     RingError,
-    _ZFold,
-    _ZRotate,
     _balanced_digits,
 )
 
@@ -60,17 +58,7 @@ def mul_lists(a, b, upto, zero):
 
 
 def _times(c, xs: list) -> list:
-    """c*x for each x of xs: xs itself for c = 1, and for the packed ring's
-    z and 1/z the shift, fold or rotate of ``_ZFold``/``_ZRotate`` inline,
-    with no multiplication call per element."""
-    if type(c) is _ZFold:
-        bits, width, high = c.bits, c.width, c.high
-        return [(y & high) + (y >> width)
-                if (y := x << bits).bit_length() > width else y for x in xs]
-    if type(c) is _ZRotate:
-        bits, low, top = c.bits, c.low, c.top
-        return [(x >> bits) + (r << top) if (r := x & low) else x >> bits
-                for x in xs]
+    """c*x for each x of xs: xs itself for c = 1."""
     if c == 1:
         return xs
     return [c * x for x in xs]
@@ -135,9 +123,9 @@ def mul_pair_list(a, ring, e):
     """In place: a *= (1 - z q^e)(1 - q^e/z) = 1 - (z + 1/z) q^e + q^{2e}
     on ``PackedResidueRing``, from the top down in slices of at most
     ``_CHUNK`` coefficients: one comprehension per slice makes z*x + x/z
-    with the fold and the rotate of ``_times`` inline, subtracted from the
-    slice, and the slice 2e below is added.  One pass in place of the two
-    of ``mul_binomial_list`` with z and then 1/z."""
+    with the fold of ``_ZFold`` and the rotate of ``_ZRotate`` inline,
+    subtracted from the slice, and the slice 2e below is added.  One pass
+    in place of the two of ``mul_binomial_list`` with z and then 1/z."""
     bits, width, high = ring.z.bits, ring.z.width, ring.z.high
     low, top = ring.z_inv.low, ring.z_inv.top
     for hi in range(len(a), e, -_CHUNK):
@@ -288,26 +276,19 @@ def _fold(x: int, width: int, mask: int) -> int:
 
 
 def theta_list(ring, order: int) -> list:
-    """Coefficients 0..order of E on a packed ring (``_theta_terms``),
-    written directly: s*chi_{2n-1} at q^{n(n-1)}, chi_{2n-1} grown from
-    chi_{2n-3} by V_{n-1} = z^(n-1) + z^(1-n); no multiplication of
-    series.  On ``PackedResidueRing`` the ring's own z and 1/z are applied
-    to the last two powers; on ``PackedSymmetricRing``
-    V_m = w V_{m-1} - V_{m-2}, V_0 = 2 and V_1 = w, one shift each."""
-    out = [ring.zero] * (order + 1)
-    out[0] = up = down = chi = ring.one
-    if type(ring) is PackedSymmetricRing:
-        bits = ring.bits
-        v, prev = 1 << bits, 2
-        for e, s, _ in _theta_terms(order):
-            chi = chi + v
-            out[e] = s * chi
-            v, prev = (v << bits) - prev, v
-        return out
+    """Coefficients 0..order of E on ``PackedSymmetricRing``
+    (``_theta_terms``), written directly: s*chi_{2n-1} at q^{n(n-1)},
+    chi_{2n-1} grown from chi_{2n-3} by V_{n-1} = z^(n-1) + z^(1-n), with
+    V_m = w V_{m-1} - V_{m-2}, V_0 = 2 and V_1 = w, one shift each; no
+    multiplication of series."""
+    bits = ring.bits
+    out = [0] * (order + 1)
+    out[0] = chi = 1
+    v, prev = 1 << bits, 2
     for e, s, _ in _theta_terms(order):
-        up, down = ring.z * up, ring.z_inv * down
-        chi = chi + up + down
+        chi = chi + v
         out[e] = s * chi
+        v, prev = (v << bits) - prev, v
     return out
 
 
@@ -564,7 +545,8 @@ def apply_factors(a: list, numer=(), denom=()) -> list:
     pass -- a multiplication for the numerator, a geometric division for
     the denominator -- so no series is ever inverted.  D's factors
     (``d_factors``) are binomial passes here like any others; ``d_list``
-    and ``div_d_list`` apply D through E on the packed ring.
+    writes D through E in Z[w], and ``div_d_list`` divides by it through
+    E on ``PackedResidueRing``.
     """
     order = len(a) - 1
     # every factor is validated before any is rewritten or applied
@@ -678,7 +660,9 @@ def binomials(numer, denom, bound: bool):
 def d_factors(ring) -> list:
     """D = (z q^2, q^2/z; q^2)_inf as ``apply_factors`` factors, with the
     ring's own z and 1/z (both 1 over Z): D's binomial passes, on Z, the
-    dict rings and, through ``binomials``, the majorants.  D is the
+    dict rings and ``PackedResidueRing`` (where ``d_list`` writes D out
+    for rank*D's reference z read in the tests) and, through
+    ``binomials``, the majorants.  D is the
     denominator of SB and of the rank and crank series; D = 1 mod q, so it
     is a unit and X = Y to q^N exactly when X*D = Y*D to q^N, with the
     same first differing q^n."""
@@ -687,11 +671,12 @@ def d_factors(ring) -> list:
 
 def d_list(ring, order: int, bound: bool = False) -> list:
     """Coefficients 0..order of D, z the ring's own; with bound, over Z,
-    its majorant (-q^2; q^2)_inf^2 (``binomials``).  On a packed ring
+    its majorant (-q^2; q^2)_inf^2 (``binomials``).  On
+    ``PackedSymmetricRing``, where rank*D starts from it,
     E = D (q^2; q^2)_inf is written out (``theta_list``) and divided by
     (q^2; q^2)_inf; on any other ring D's factors are applied to 1
     (``d_factors``)."""
-    if type(ring) in (PackedResidueRing, PackedSymmetricRing):
+    if type(ring) is PackedSymmetricRing:
         a = theta_list(ring, order)
         div_eta_list(a, 2)
         return a
@@ -699,22 +684,21 @@ def d_list(ring, order: int, bound: bool = False) -> list:
                          *binomials(d_factors(ring), (), bound))
 
 
-def div_d_list(a, ring, bound: bool = False) -> list:
-    """In place: a /= D, z the ring's own, or with bound, over Z, a times
-    the majorant 1/(q^2; q^2)_inf^2 of 1/D; returns a itself.
+def div_d_list(a, ring) -> list:
+    """In place: a /= D, z the ring's own; returns a itself.
 
     On ``PackedResidueRing`` through Jacobi's triple product,
     D = E / (q^2; q^2)_inf: a division by E (``div_theta_list``), then a
     multiplication by (q^2; q^2)_inf.  Its ~(2/3) N^{3/2} term applications
     each cost O(t*B) bit operations, at any t, where D's ~N binomial passes
     make ~N^2/2 coefficient updates of that cost.  On any other ring, D's
-    factors (``d_factors``).  The builders divide by D last, after every
+    factors (``d_factors``).  SB's walk divides by D last, after every
     z-free pass, so those passes run on a numerator's narrow values."""
     if type(ring) is PackedResidueRing:
         div_theta_list(a, ring)
         mul_eta_list(a, 2)
         return a
-    return apply_factors(a, *binomials((), d_factors(ring), bound))
+    return apply_factors(a, denom=d_factors(ring))
 
 
 def numerator_reach(order: int) -> int:
@@ -738,21 +722,19 @@ def _packed(build, order: int, t: int):
     Z[z,1/z] on ``PackedResidueRing`` at modulus t, the one place that
     picks the width and the ring.
 
-    build(ring, order, bound, cleared) returns a coefficient list over
-    ring, with z and 1/z the ring's own ``ring.z`` and ``ring.z_inv``, and
-    with cleared the numerator X*D of its series X;
-    build(ZZ, order, True, cleared), where z = 1, must return a majorant,
-    whose coefficient of q^n bounds the sum of |coefficients| of the
-    Laurent polynomial at q^n.  The width B is one bit more than the
-    majorant's largest coefficient, so every coefficient and every residue
-    sum is below 2^(B-1) and the ring's digits are exact.
+    build(ring, order, bound) returns a coefficient list over ring, with
+    z and 1/z the ring's own ``ring.z`` and ``ring.z_inv``;
+    build(ZZ, order, True), where z = 1, must return a majorant, whose
+    coefficient of q^n bounds the sum of |coefficients| of the Laurent
+    polynomial at q^n.  The width B is one bit more than the majorant's
+    largest coefficient, so every coefficient and every residue sum is
+    below 2^(B-1) and the ring's digits are exact.
 
     The ring's offset is K = ``numerator_reach(order)``, and build runs
-    as it is at every t.  A builder that divides by D (SB's, the crank's)
-    does so last (``div_d_list``), so up to that division its values
-    are those of a numerator, at most (2K + 1)*B bits wide whatever t is,
-    and the division fills the t digits.  The rank's Lambert form has no
-    division by D.
+    as it is at every t.  SB's walk, the one series the CLI reads here,
+    divides by D last (``div_d_list``), so up to that division its values
+    are those of its numerator, at most (2K + 1)*B bits wide whatever t
+    is, and the division fills the t digits.
     """
     bits = max(build(ZZ, order, True)).bit_length() + 1
     ring = PackedResidueRing(bits, t, numerator_reach(order))
@@ -767,19 +749,14 @@ def _laurent(digits: list, offset: int) -> LaurentPolynomial:
     return row
 
 
-def packed_laurent(build, order: int) -> list:
-    """Rows 0..order of build's series X over Z[z,1/z] (``full_rows``),
-    as Laurent polynomials."""
-    return [_laurent(digits, o) for digits, o in full_rows(build, order)]
-
-
 def symmetric_numerator(build, order: int, bits: int) -> list[int]:
-    """Rows 0..order of build's numerator X*D, D = (z q^2, q^2/z; q^2)_inf,
-    in Z[w], w = z + 1/z: build(ring, order, False, True) on
-    ``PackedSymmetricRing(bits)``, row n the plain integer p_n(2^bits).
+    """Rows 0..order of a numerator X*D, D = (z q^2, q^2/z; q^2)_inf, in
+    Z[w], w = z + 1/z: build(ring, order) on ``PackedSymmetricRing(bits)``,
+    row n the plain integer p_n(2^bits).
 
-    build has the contract of ``_packed``, and X and D are unchanged under
-    z <-> 1/z, so every row is a polynomial in w.  The caller proves that
+    build returns the coefficient list of X*D over its ring, with the
+    ring's own z and 1/z, and X and D are unchanged under z <-> 1/z, so
+    every row is a polynomial in w.  The caller proves that
     bits bounds the rows: every w-coefficient below 2^(bits-1) in absolute
     value (``sptcrank.numerator_width``).  Row n has z-reach, and so
     w-degree, at most K - 1, K = ``numerator_reach(order)``; a row that
@@ -787,7 +764,7 @@ def symmetric_numerator(build, order: int, bits: int) -> list[int]:
     raises ``WindowError(n, K)``, as a z-row that reaches z^-K or z^K.
     """
     ring = PackedSymmetricRing(bits)
-    values = build(ring, order, False, True)
+    values = build(ring, order)
     reach = numerator_reach(order)
     lo, hi = ring.window(reach)
     for n, x in enumerate(values):
@@ -888,7 +865,8 @@ def full_rows(build, order: int):
     """Rows 0..order of build's series X over Z[z,1/z], one (digits, o)
     pair at a time (``_rows_over_d``), from its numerator X*D.
 
-    build has the contract of ``_packed``.  The width B is one bit more
+    build has the contract of ``_packed``, and build(ring, order, False,
+    True) returns the numerator X*D.  The width B is one bit more
     than the largest coefficient of X's majorant build(ZZ, N, True), N =
     order, as for X's residues.  X*D is built on the ring of offset K =
     ``numerator_reach(N)`` and t = 2K + 2 + N//B digits, and each value
@@ -932,6 +910,19 @@ def divided_by_d(rows: list) -> list:
               for p in rows]
     return [_laurent(digits, o) for digits, o in
             _rows_over_d(values, bits, base, numerator_reach(len(rows) - 1))]
+
+
+def numerator_rows(values: list, bits: int, top: int) -> list:
+    """Rows 0..top of X over Z[z,1/z] from the rows 0..N of its numerator
+    X*D in Z[w] packed at w -> 2^bits (``symmetric_numerator``), N =
+    len(values) - 1 >= top: rows 0..top, each decoded to z
+    (``PackedSymmetricRing.laurent``) to one w-degree past the window of
+    ``numerator_reach(N)``, as u = 2 - w raises the degree of SB*D by one,
+    and divided by D row by row (``divided_by_d``).  bits bounds the
+    rows: every w-coefficient below 2^(bits-1) in absolute value."""
+    ring = PackedSymmetricRing(bits)
+    digits = numerator_reach(len(values) - 1) + 1
+    return divided_by_d([ring.laurent(x, digits) for x in values[:top + 1]])
 
 
 def packed_residues(build, order: int, t: int) -> list[list[int]]:

@@ -10,7 +10,7 @@ even-smallest-part overpartition spt function.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .partitions import (
     Partition,
@@ -39,7 +39,7 @@ from .series import (  # noqa: F401
     div_w_pair_list,
     full_rows,
     mul_lists,
-    packed_laurent,
+    numerator_rows,
     packed_residues,
     pochhammer_finite,
     pochhammer_inf,
@@ -183,8 +183,9 @@ def numerator_width(order: int) -> int:
     """The width B at which a run packs SB*D, rank*D and crank*D in Z[w],
     w = z + 1/z (``sb_numerator``, ``rank_numerator``, ``crank_numerator``):
     B = max(B_SB + 2, B_rank, B_crank) + 1, each B_X one bit more than the
-    largest coefficient of its builder's majorant with cleared,
-    build(ZZ, order, True, True).
+    largest coefficient of its numerator's majorant: ``_sb_walk(ZZ, order,
+    True, True)``, ``_rank_coeffs(ZZ, order, True)`` and
+    ``_crank_coeffs(ZZ, order, True)``.
 
     Exactness.  Let |p| be the sum of the absolute values of the
     w-coefficients of p in Z[w]; it is subadditive and submultiplicative.
@@ -205,16 +206,17 @@ def numerator_width(order: int) -> int:
     base-2^B digits below 2^(B - 1): two sides whose packed integers are
     equal are equal polynomials, and two that differ pack different ones.
     """
-    sb, rank, crank = (max(build(ZZ, order, True, True)).bit_length() + 1
-                       for build in (_sb_walk, _rank_coeffs, _crank_coeffs))
+    sb, rank, crank = (max(majorant).bit_length() + 1 for majorant in (
+        _sb_walk(ZZ, order, True, True), _rank_coeffs(ZZ, order, True),
+        _crank_coeffs(ZZ, order, True)))
     return max(sb + 2, rank, crank) + 1
 
 
 def sb_numerator(order: int, bits: int) -> TruncatedSeries:
     """SB*D, D = (z q^2, q^2/z; q^2)_inf, in Z[w], w = z + 1/z: row n the
     plain integer p_n(2^bits) (``symmetric_numerator``), held over Z."""
-    return TruncatedSeries(ZZ, order,
-                           symmetric_numerator(_sb_walk, order, bits))
+    return TruncatedSeries(ZZ, order, symmetric_numerator(
+        partial(_sb_walk, cleared=True), order, bits))
 
 
 def sb_residues(order: int, t: int) -> list[list[int]]:
@@ -332,18 +334,16 @@ def _rank_term(ring, n: int, start: list, bound: bool) -> list:
         [(z, 2 * n, 1, 1), (z_inv, 2 * n, 1, 1)], bound))
 
 
-def _rank_coeffs(ring, order: int, bound: bool = False,
-                 cleared: bool = False) -> list:
-    """Coefficients 0..order of the rank generating function (see
-    ``rank_series``); with bound, over Z at z = 1, its majorant.
+def _rank_coeffs(ring, order: int, bound: bool = False) -> list:
+    """Coefficients 0..order of rank*D, D = (z q^2, q^2/z; q^2)_inf, the
+    numerator of the rank generating function (see ``rank_series``); with
+    bound, over Z at z = 1, its majorant.
 
-    With cleared, the Lambert form runs with D = (z q^2, q^2/z; q^2)_inf
-    (``d_list``) in place of 1 and returns rank*D: term n is a copy of D times
-    (1 - z)(1 - 1/z), divided by two of D's own factors, so z^k needs
-    q^{k(k-1)} in it, as in D.  Its majorant is D's,
+    The Lambert form runs with D (``d_list``) in place of 1: term n is a
+    copy of D times (1 - z)(1 - 1/z), divided by two of D's own factors,
+    so z^k needs q^{k(k-1)} in it, as in D.  Its majorant is D's,
     (-q^2; q^2)_inf^2, with 4/(1 - q^{2n})^2 per term."""
-    start = (d_list(ring, order, bound) if cleared
-             else [ring.one] + [ring.zero] * order)
+    start = d_list(ring, order, bound)
     inner = list(start)
     n = 1
     while n * n + 2 * n <= order:
@@ -361,12 +361,16 @@ def _rank_coeffs(ring, order: int, bound: bool = False,
 
 def rank_series(order: int) -> TruncatedSeries:
     """M2-rank generating function in product-plus-Lambert form over
-    Z[z,1/z], built on packed integers:
+    Z[z,1/z]:
 
     (-q;q)_inf/(q;q)_inf * (1 + 2 sum_{n>=1} (1-z)(1-1/z)(-1)^n q^{n^2+2n}
-                                / ((1-z q^{2n})(1-q^{2n}/z))).
-    """
-    return TruncatedSeries(LAURENT, order, packed_laurent(_rank_coeffs, order))
+                                / ((1-z q^{2n})(1-q^{2n}/z))),
+
+    the rows of ``rank_numerator`` (``numerator_rows``) at the width of
+    its own majorant."""
+    bits = max(_rank_coeffs(ZZ, order, True)).bit_length() + 1
+    return TruncatedSeries(LAURENT, order, numerator_rows(
+        rank_numerator(order, bits).coeffs, bits, order))
 
 
 def rank_numerator(order: int, bits: int) -> TruncatedSeries:
@@ -424,40 +428,37 @@ def rank_series_bailey_sum(ring, z, z_inv, order: int) -> TruncatedSeries:
     return acc
 
 
-def _crank_coeffs(ring, order: int, bound: bool = False,
-                  cleared: bool = False) -> list:
-    """Coefficients 0..order of the residual-crank generating function (see
-    ``crank_series``); with bound, over Z at z = 1, its majorant.  With
-    cleared, crank*D, D = (z q^2, q^2/z; q^2)_inf: the z-free part, built
-    over Z and returned as ring values."""
+def _crank_coeffs(ring, order: int, bound: bool = False) -> list:
+    """Coefficients 0..order of crank*D, D = (z q^2, q^2/z; q^2)_inf, the
+    numerator of the residual-crank generating function (see
+    ``crank_series``): the z-free (-q;q)_inf (q^2;q^2)_inf / (q;q^2)_inf,
+    built over Z and returned as ring values; with bound, its majorant."""
     w = apply_factors([1] + [0] * order, *binomials(
         [(-1, 1, 1, None), (1, 2, 2, None)], [(1, 1, 2, None)], bound))
-    start = [x * ring.one for x in w]
-    if cleared:
-        return start
-    return div_d_list(start, ring, bound)
+    return [x * ring.one for x in w]
 
 
 def crank_series(order: int) -> TruncatedSeries:
-    """Residual-crank generating function over Z[z,1/z], built on packed
-    integers:
-    (-q;q)_inf (q^2;q^2)_inf / ((q;q^2)_inf (z q^2;q^2)_inf (q^2/z;q^2)_inf).
-    """
-    return TruncatedSeries(LAURENT, order, packed_laurent(_crank_coeffs, order))
+    """Residual-crank generating function over Z[z,1/z]:
+    (-q;q)_inf (q^2;q^2)_inf / ((q;q^2)_inf (z q^2;q^2)_inf (q^2/z;q^2)_inf),
+    the rows of ``crank_numerator`` (``numerator_rows``) at the width of
+    its own majorant."""
+    bits = max(_crank_coeffs(ZZ, order, True)).bit_length() + 1
+    return TruncatedSeries(LAURENT, order, numerator_rows(
+        crank_numerator(order).coeffs, bits, order))
 
 
 def crank_numerator(order: int) -> TruncatedSeries:
     """crank*D = (-q;q)_inf (q^2;q^2)_inf / (q;q^2)_inf, z-free, over Z:
     each row a constant, so also its own packing in Z[w] at every width."""
-    return TruncatedSeries(ZZ, order, _crank_coeffs(ZZ, order, cleared=True))
+    return TruncatedSeries(ZZ, order, _crank_coeffs(ZZ, order))
 
 
 def crank_at_zeta3(order: int) -> TruncatedSeries:
     """The residual-crank generating function at z = zeta_3 over Z (see
     ``crank_series``): the z-free crank*D divided by D(zeta_3, q)
     (``div_d_at_zeta3``)."""
-    return TruncatedSeries(ZZ, order, div_d_at_zeta3(
-        _crank_coeffs(ZZ, order, cleared=True)))
+    return TruncatedSeries(ZZ, order, div_d_at_zeta3(_crank_coeffs(ZZ, order)))
 
 
 # ---------------------------------------------------------------------------

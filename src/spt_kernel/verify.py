@@ -13,26 +13,23 @@ from operator import add
 from typing import Callable
 
 from .partitions import m2_rank_distribution, residual_m2_crank_distribution
-from .rings import LAURENT, ZZ, PackedSymmetricRing
+from .rings import LAURENT, ZZ
 from .series import (
     SeriesError,
     TruncatedSeries,
     WindowError,
     apply_factors,
     div_binomial_list,
-    divided_by_d,
     mul_binomial_list,
-    numerator_reach,
+    numerator_rows,
     poch_quotient,
 )
 from .sptcrank import (
     crank_at_zeta3,
     crank_numerator,
-    crank_series,
     numerator_width,
     rank_at_zeta3,
     rank_numerator,
-    rank_series,
     sb_at_one,
     sb_at_zeta3,
     sb_numerator,
@@ -58,18 +55,6 @@ class VerificationReport(namedtuple(
         return json.dumps(self._asdict(), sort_keys=True)
 
 
-def _row_over_d(numerator: TruncatedSeries, n: int, bits: int):
-    """Row n of X, from rows 0..n of its numerator X*D in Z[w] packed at
-    w -> 2^bits: each decoded to z (``PackedSymmetricRing.laurent``), to
-    one w-degree past the window of ``numerator_reach``, as u = 2 - w
-    raises the degree of SB*D by one, and divided by D row by row
-    (``divided_by_d``)."""
-    ring = PackedSymmetricRing(bits)
-    digits = numerator_reach(numerator.order) + 1
-    return divided_by_d([ring.laurent(x, digits)
-                         for x in numerator.coeffs[:n + 1]])[n]
-
-
 def _compare(check: str, order: int, subchecks) -> VerificationReport:
     """subchecks: iterable of (label, lhs_series, rhs_series) or (label,
     lhs_series, rhs_series, bits); the two series of a subcheck must have
@@ -81,7 +66,7 @@ def _compare(check: str, order: int, subchecks) -> VerificationReport:
     proves the packing exact, so equal integers are equal rows): D = 1
     mod q, so their first difference is X's and Y's, and only then are
     rows 0..n decoded and divided by D, so that the report shows rows n of
-    X and Y as Laurent polynomials (``_row_over_d``)."""
+    X and Y as Laurent polynomials (``numerator_rows``)."""
     for label, lhs, rhs, *packed in subchecks:
         if lhs.order != rhs.order:
             raise SeriesError(f"{check} subcheck {label!r} pairs orders "
@@ -93,7 +78,8 @@ def _compare(check: str, order: int, subchecks) -> VerificationReport:
             if a != b:
                 ring = lhs.ring
                 if packed:
-                    a, b = (_row_over_d(s, n, *packed) for s in (lhs, rhs))
+                    a, b = (numerator_rows(s.coeffs, *packed, n)[n]
+                            for s in (lhs, rhs))
                     ring = LAURENT
                 return VerificationReport(check, order, "fail", {
                     "n": n,
@@ -300,19 +286,22 @@ def verify_theorem2(order: int, n_oracle: int = ORACLE_BOUND,
     (-z + 2 - 1/z) * [q^n] SB(z,q) = [q^n] rank - [q^n] crank, compared on
     the numerators times D = (z q^2, q^2/z; q^2)_inf, packed in Z[w] at
     the run's one width (see ``_compare``), plus an enumeration
-    cross-check of the rank and crank rows up to n_oracle."""
+    cross-check of the rank and crank rows up to n_oracle, read off the
+    same two numerators (``numerator_rows``)."""
     _require_order("theorem2", order)
     bits = build(numerator_width, order)
     lhs = build(u_sb_numerator, order, bits)
-    rhs = build(rank_numerator, order, bits) - build(crank_numerator, order)
-    subchecks = [("rank-crank", lhs, rhs, bits)]
+    rank = build(rank_numerator, order, bits)
+    crank = build(crank_numerator, order)
+    subchecks = [("rank-crank", lhs, rank - crank, bits)]
     top = min(n_oracle, order)
-    rank_enum = TruncatedSeries(
-        LAURENT, top, [m2_rank_distribution(n) for n in range(top + 1)])
-    crank_enum = TruncatedSeries(
-        LAURENT, top, [residual_m2_crank_distribution(n) for n in range(top + 1)])
-    subchecks.append(("rank-enumeration", rank_series(top), rank_enum))
-    subchecks.append(("crank-enumeration", crank_series(top), crank_enum))
+    for label, numerator, enumerate_row in (
+            ("rank-enumeration", rank, m2_rank_distribution),
+            ("crank-enumeration", crank, residual_m2_crank_distribution)):
+        subchecks.append((label, TruncatedSeries(
+            LAURENT, top, numerator_rows(numerator.coeffs, bits, top)),
+            TruncatedSeries(LAURENT, top,
+                            [enumerate_row(n) for n in range(top + 1)])))
     return _compare("theorem2", order, subchecks)
 
 

@@ -11,11 +11,14 @@ every row divided by D on that one ring: the reference for
 ``series.full_rows`` and ``series.divided_by_d``, which give each row its
 own width.  ``narrow_ring_numerator`` reads a numerator X*D off one ring of
 t = 2K + 1 digits, K = isqrt(N) + 2, as Laurent rows in z: the reference
-for the numerators in Z[w], w = z + 1/z, that the checks compare.  Every reference here divides by D through D's binomial passes
-(``d_factors`` in ``apply_factors``), never through Jacobi's triple
-product, so the theta kernels of ``series.d_list`` and
+for the numerators in Z[w], w = z + 1/z, that the checks compare.  Every
+reference here writes D out and divides by it through D's binomial
+passes (``d_factors`` in ``apply_factors``, which ``series.d_list``
+takes on the packed ring Z[z]/(z^t - 1) too), never through Jacobi's
+triple product, so the theta kernels of ``series.d_list`` and
 ``series.div_d_list`` are checked against a route that shares nothing
-with them.
+with them (``test_sptcrank.TestReferencesShareNoThetaKernel`` counts
+their calls).
 ``residue_class_sums`` is the dict-form reference for the residue sums the
 packed ring reads off.  ``lambert_theorem1_by_terms`` is theorem 1's
 Lambert sum built term by term, the reference for the written-out sum.
@@ -323,8 +326,7 @@ def bailey_side(ring, order: int, bound: bool = False,
     1, on ``accumulation_walk``: summand n+1 over summand n, divided by
     q^2, is
     (1 - z q^{2n}) (1 - z_inv q^{2n}) (1 - q^{2n+1})^2
-    / ((1 - q^{4n+2}) (1 - q^{4n+4})).  A builder for ``packed_laurent``
-    and ``full_rows``.
+    / ((1 - q^{4n+2}) (1 - q^{4n+4})).  A builder for ``full_rows``.
 
     With cleared, Bailey*D, D = (z q^2, z_inv q^2; q^2)_inf: the
     prefactor leaves out D, so summand n of Bailey*D is q^{2n}
@@ -419,18 +421,20 @@ def wide_ring_rows(build, order):
 
 
 def narrow_ring_numerator(build, order):
-    """Rows 0..order of build's numerator X*D over Z[z,1/z], build(ring, N,
-    False, True), read off one ring of t = 2K + 1 digits, K =
-    ``numerator_reach(order)``, offset K and the width of the numerator's
-    own majorant, build(ZZ, N, True, True): entry e of ``unpack`` is the
-    coefficient of z^e for e in [-K, K], and a row with a nonzero z^-K or
-    z^K digit raises ``WindowError(n, K)``.  The reference for
+    """Rows 0..order of a numerator X*D over Z[z,1/z], build(ring, N), read
+    off one ring of t = 2K + 1 digits, K = ``numerator_reach(order)``,
+    offset K and the width of the numerator's own majorant,
+    build(ZZ, N, True): entry e of ``unpack`` is the coefficient of z^e
+    for e in [-K, K], and a row with a nonzero z^-K or z^K digit raises
+    ``WindowError(n, K)``.  build is a numerator builder
+    (``sptcrank._rank_coeffs``, ``_crank_coeffs``) or SB's or the Bailey
+    side's numerator form, with cleared.  The reference for
     ``sptcrank.sb_numerator`` and ``rank_numerator``, which build the
     numerators in Z[w], w = z + 1/z, on plain integers."""
     reach = numerator_reach(order)
-    bits = max(build(ZZ, order, True, True)).bit_length() + 1
+    bits = max(build(ZZ, order, True)).bit_length() + 1
     ring = PackedResidueRing(bits, 2 * reach + 1, reach)
-    return _wide_rows(ring, build(ring, order, False, True), reach)
+    return _wide_rows(ring, build(ring, order), reach)
 
 
 def wide_ring_divided_by_d(rows):

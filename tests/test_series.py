@@ -51,7 +51,6 @@ from spt_kernel.series import (
     pochhammer_inf,
 )
 from spt_kernel.sptcrank import (
-    _crank_coeffs,
     _rank_coeffs,
     _sb_walk,
     crank_series,
@@ -536,8 +535,8 @@ def theta_starts(ring, with_start):
 
 class TestThetaRoute:
     """D = (z q^2, q^2/z; q^2)_inf through E = D (q^2; q^2)_inf, Jacobi's
-    triple product (``d_list``, ``div_d_list``), against plain binomial
-    passes."""
+    triple product (``d_list`` in Z[w], ``div_d_list`` on the residue
+    ring), against plain binomial passes."""
 
     def test_triple_product_identity(self):
         d_eta = binomial_passes(
@@ -569,16 +568,12 @@ class TestThetaRoute:
             factors = d_factors(ring)
             numer, denom = (factors, ()) if side > 0 else ((), factors)
             for order in range(THETA_TOP + 1):
-                # the named operations: D written out from 1, and the
-                # division by D in place; a product of D with a start has
-                # no operation of its own
-                got = None
+                # the named division by D in place; D written out takes
+                # its binomial passes on this ring, and a product of D
+                # with a start has no operation of its own
                 if side < 0:
                     got = first[:order + 1]
                     assert div_d_list(got, ring) is got
-                elif not with_start:
-                    got = d_list(ring, order)
-                if got is not None:
                     assert [ring.digits(x) for x in got] == \
                         want[:order + 1], (side, order)
                 # D's binomial passes through poch_quotient
@@ -653,16 +648,10 @@ class TestThetaRouteChoice:
         monkeypatch.setattr(series, name, counted)
         return calls
 
-    def test_residue_crank_makes_no_binomial_division(self, monkeypatch):
-        divisions = self.count(monkeypatch, "div_binomial_list")
-        thetas = self.count(monkeypatch, "div_theta_list")
-        series.packed_residues(_crank_coeffs, 300, 3)
-        assert not divisions
-        assert len(thetas) == 1
-
     def test_full_crank_rows_divide_by_d_once(self, monkeypatch):
-        # the full rows are crank*D, z-free, divided by D once through E,
-        # row by row (_rows_over_d), not on the packed ring
+        # the full rows are read off crank*D, z-free (numerator_rows), and
+        # divided by D once through E, row by row (_rows_over_d), not on
+        # the packed ring
         divisions = self.count(monkeypatch, "div_binomial_list")
         thetas = self.count(monkeypatch, "div_theta_list")
         rows = self.count(monkeypatch, "_rows_over_d")
@@ -689,11 +678,23 @@ class TestThetaRouteChoice:
     @pytest.mark.parametrize("t", [1, 3, 5, 2 * numerator_reach(300) + 1,
                                    2 * (300 // 2 + 2) + 1])
     def test_rank_times_d_writes_e(self, monkeypatch, t):
-        # rank*D starts from D written out as E once (d_list)
+        # rank*D starts from D written out as E once in Z[w] (d_list); on
+        # the residue ring, at every t, where only the tests' z read runs
+        # rank*D, D is written by its binomial passes
         written = self.count(monkeypatch, "theta_list")
-        ring = PackedResidueRing(170, t, 300 // 2 + 2)
-        _rank_coeffs(ring, 300, cleared=True)
+        passes = self.count(monkeypatch, "mul_binomial_list")
+        ring = PackedSymmetricRing(170)
+        _rank_coeffs(ring, 300)
         assert written == [(ring, 300)]
+        residue = PackedResidueRing(170, t, 300 // 2 + 2)
+        _rank_coeffs(residue, 300)
+        assert written == [(ring, 300)]
+        # D's passes, z and then 1/z at every even e; the Lambert terms'
+        # passes of (1 - z)(1 - 1/z) are at q^0
+        assert [(c, e) for _, c, e in passes
+                if c in (residue.z, residue.z_inv) and e] == [
+            (c, e) for c in (residue.z, residue.z_inv)
+            for e in range(2, 301, 2)]
 
     def test_apply_factors_takes_no_theta_kernel(self, monkeypatch):
         # D reaches E only by name (d_list, div_d_list): among other

@@ -38,7 +38,6 @@ from spt_kernel.series import (
     divided_by_d,
     full_rows,
     numerator_reach,
-    packed_laurent,
     packed_residues,
     poch_quotient,
     pochhammer_finite,
@@ -70,6 +69,10 @@ from spt_kernel.sptcrank import (
     sptbar2_series,
     vector_partition_oracle,
 )
+
+# SB's numerator SB*D: the SB walk with cleared, as every numerator
+# builder is called, build(ring, order) and build(ZZ, order, True)
+SB_NUMERATOR = partial(_sb_walk, cleared=True)
 
 ROW4 = LaurentPolynomial({1: 1, 0: 1, -1: 1})
 ROW8 = LaurentPolynomial({3: 1, 2: 1, 1: 3, 0: 5, -1: 3, -2: 1, -3: 1})
@@ -200,24 +203,35 @@ class TestSbAtRoot:
 
 class TestValuesAtRootsOverZ:
     """The values at z = zeta_3 (and SB's at z = 1) that the checks read,
-    walked over Z, against the two other routes: the residue sums mod 3 of
-    the packed ring, and the summands or products over Z[zeta_3]."""
-
-    BUILDS = [(sb_at_zeta3, _sb_walk), (rank_at_zeta3, _rank_coeffs),
-              (crank_at_zeta3, _crank_coeffs)]
+    walked over Z, against the two other routes: SB's residue sums mod 3
+    on the packed ring, or the rank's and crank's numerators in Z[w] read
+    at w = -1; and the summands or products over Z[zeta_3]."""
 
     @pytest.mark.parametrize("order", [*range(61), 300, 1000])
     def test_match_packed_residues(self, order):
         # every row is unchanged under z <-> 1/z, so its sums mod 3 have
         # s_1 = s_2, its value at zeta_3 is s_0 - s_1, and at 1 s_0 + 2 s_1
-        for at_root, build in self.BUILDS:
-            sums = packed_residues(build, order, 3)
-            assert all(s1 == s2 for _, s1, s2 in sums), build.__name__
-            assert at_root(order).coeffs == [
-                s0 - s1 for s0, s1, _ in sums], build.__name__
-            if build is _sb_walk:
-                assert sb_at_one(order).coeffs == [
-                    s0 + 2 * s1 for s0, s1, _ in sums]
+        sums = packed_residues(_sb_walk, order, 3)
+        assert all(s1 == s2 for _, s1, s2 in sums)
+        assert sb_at_zeta3(order).coeffs == [s0 - s1 for s0, s1, _ in sums]
+        assert sb_at_one(order).coeffs == [s0 + 2 * s1 for s0, s1, _ in sums]
+
+    @pytest.mark.parametrize("order", [*range(61), 300, 1000])
+    def test_match_numerators_at_w_minus_one(self, order):
+        # w = z + 1/z is -1 at z = zeta_3, so a numerator row sum_k d_k w^k
+        # is sum_k d_k (-1)^k there; it equals the value at zeta_3 times
+        # D(zeta_3, q) = (q^6; q^6)_inf / (q^2; q^2)_inf, built by
+        # poch_quotient, not by the division through E of div_d_at_zeta3
+        bits, reach = numerator_width(order), numerator_reach(order)
+        d = poch_quotient(ZZ, order, [(1, 6, 6, None)], [(1, 2, 2, None)])
+        for at_root, numerator in (
+                (rank_at_zeta3, rank_numerator(order, bits)),
+                (crank_at_zeta3, crank_numerator(order))):
+            at_minus_one = [sum(x if k % 2 == 0 else -x
+                                for k, x in enumerate(row))
+                            for row in w_digits(numerator.coeffs, bits, reach)]
+            assert at_minus_one == (at_root(order) * d).coeffs, \
+                at_root.__name__
 
     @pytest.mark.parametrize("order", [1, 2, 3, 8, 17, 30])
     def test_match_references_over_cyclotomic_integers(self, order):
@@ -299,8 +313,9 @@ def crank_by_inversion(ring, z, z_inv, order):
 
 
 def assert_within_majorant(rows, build, order):
-    """Row n's sum of |coefficients| is at most the majorant's coefficient
-    of q^n, so every coefficient is below 2^(B-1) for the packing width B."""
+    """Row n's sum of |coefficients| is at most the coefficient of q^n of
+    build's majorant, build(ZZ, order, True), so every coefficient is
+    below 2^(B-1) for the packing width B."""
     majorant = build(ZZ, order, True)
     width = max(majorant).bit_length() + 1
     for row, bound in zip(rows, majorant, strict=True):
@@ -327,27 +342,38 @@ def bailey_side_by_inversion(order):
     return pochhammer_inf(ring, 1, 2, 2, order) * den.invert() * acc
 
 
+# the Bailey side's numerator Bailey*D, as SB_NUMERATOR is SB's
+BAILEY_NUMERATOR = partial(bailey_side, cleared=True)
+
+
 def laurent_numerator(build, order):
-    """build's numerator X*D over Z[z,1/z], read off the narrow packed ring
-    (``helpers.narrow_ring_numerator``)."""
+    """A numerator X*D over Z[z,1/z], build(ring, order), read off the
+    narrow packed ring (``helpers.narrow_ring_numerator``)."""
     return TruncatedSeries(LAURENT, order, narrow_ring_numerator(build, order))
 
 
 def bailey_numerator(order):
     """Bailey*D over Z[z,1/z], read off the narrow packed ring."""
-    return laurent_numerator(bailey_side, order)
+    return laurent_numerator(BAILEY_NUMERATOR, order)
 
 
-def packing_bits(build, order, cleared=False):
+def packing_bits(build, order):
     """The width B that ``series._packed`` gives build's packed values:
     one bit more than its majorant's largest coefficient."""
-    return max(build(ZZ, order, True, cleared)).bit_length() + 1
+    return max(build(ZZ, order, True)).bit_length() + 1
+
+
+def laurent_rows(build, order):
+    """Rows 0..order of build's series X over Z[z,1/z] (``full_rows``), as
+    Laurent polynomials."""
+    return [series._laurent(digits, o) for digits, o in full_rows(build, order)]
 
 
 class TestPackedSeries:
-    """The packed rank, crank and Bailey-side rows against dict-Laurent
-    references built by another formula or by Cauchy products and
-    .invert(), and within the majorants that fixed their packing width."""
+    """The rank, crank and Bailey-side rows, read off their numerators,
+    against dict-Laurent references built by another formula or by Cauchy
+    products and .invert(), and the numerators within the majorants that
+    fixed their packing width."""
 
     @given(order=st.integers(1, 40))
     @example(order=1)
@@ -358,7 +384,8 @@ class TestPackedSeries:
         rank = rank_series(order)
         assert rank == rank_series_bailey_sum(
             LAURENT, LAURENT.z, LAURENT.z_inv, order)
-        assert_within_majorant(rank.coeffs, _rank_coeffs, order)
+        assert_within_majorant(narrow_ring_numerator(_rank_coeffs, order),
+                               _rank_coeffs, order)
 
     @given(order=st.integers(1, 40))
     @example(order=1)
@@ -368,7 +395,8 @@ class TestPackedSeries:
         crank = crank_series(order)
         assert crank == crank_by_inversion(LAURENT, LAURENT.z, LAURENT.z_inv,
                                            order)
-        assert_within_majorant(crank.coeffs, _crank_coeffs, order)
+        assert_within_majorant(crank_numerator(order).embed(LAURENT).coeffs,
+                               _crank_coeffs, order)
 
     @given(order=st.integers(1, 40))
     @example(order=1)
@@ -379,8 +407,7 @@ class TestPackedSeries:
         numerator = bailey_numerator(order).coeffs
         want = bailey_side_by_inversion(order).coeffs
         assert divided_by_d(numerator) == want
-        assert_within_majorant(numerator, partial(bailey_side, cleared=True),
-                               order)
+        assert_within_majorant(numerator, BAILEY_NUMERATOR, order)
 
     @given(order=st.integers(1, 40))
     @example(order=1)
@@ -391,7 +418,6 @@ class TestPackedSeries:
         want = rank_series_bailey_sum(CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv,
                                       order)
         assert laurent_at_zeta3(rank_series(order)) == want
-        assert at_zeta3(packed_residues(_rank_coeffs, order, 3)) == want
 
     @given(order=st.integers(1, 40))
     @example(order=1)
@@ -401,7 +427,6 @@ class TestPackedSeries:
     def test_crank_at_zeta3_matches_inverted_products(self, order):
         want = crank_by_inversion(CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv, order)
         assert laurent_at_zeta3(crank_series(order)) == want
-        assert at_zeta3(packed_residues(_crank_coeffs, order, 3)) == want
 
     def test_sb_rows_within_majorant(self):
         assert_within_majorant(sb_series(40).rows, _sb_walk, 40)
@@ -411,17 +436,17 @@ class TestPackedSeries:
 # side has no builder of its own full rows: they are divided_by_d of its
 # numerator, compared with inverted products in TestPackedSeries
 NUMERATORS = [
-    ("sb", partial(laurent_numerator, _sb_walk),
+    ("sb", partial(laurent_numerator, SB_NUMERATOR),
      lambda order: TruncatedSeries(LAURENT, order, list(sb_series(order).rows)),
-     partial(_sb_walk, cleared=True)),
+     SB_NUMERATOR),
     ("rank", partial(laurent_numerator, _rank_coeffs), rank_series,
-     partial(_rank_coeffs, cleared=True)),
+     _rank_coeffs),
     ("crank", lambda order: crank_numerator(order).embed(LAURENT),
-     crank_series, partial(_crank_coeffs, cleared=True)),
+     crank_series, _crank_coeffs),
     ("bailey", bailey_numerator,
      lambda order: TruncatedSeries(
          LAURENT, order, divided_by_d(bailey_numerator(order).coeffs)),
-     partial(bailey_side, cleared=True)),
+     BAILEY_NUMERATOR),
 ]
 
 
@@ -437,8 +462,8 @@ class TestNumerators:
         # against the Bailey-lemma walk from n = 0 with its own step
         u = LaurentPolynomial({1: -1, 0: 2, -1: -1})
         lhs = (crank_numerator(order).embed(LAURENT)
-               + laurent_numerator(_sb_walk, order).scale(u))
-        assert lhs.coeffs == narrow_ring_numerator(bailey_side, order)
+               + laurent_numerator(SB_NUMERATOR, order).scale(u))
+        assert lhs.coeffs == narrow_ring_numerator(BAILEY_NUMERATOR, order)
 
     @pytest.mark.parametrize("order", [4, 5, 9, 40, 41, 100])
     @pytest.mark.parametrize("name, numerator, full, build", NUMERATORS,
@@ -459,8 +484,8 @@ class TestNumerators:
         order = 40
         power = numerator_reach(order)
 
-        def build(ring, order, bound=False, cleared=False):
-            rows = _sb_walk(ring, order, bound, cleared)
+        def build(ring, order, bound=False):
+            rows = SB_NUMERATOR(ring, order, bound)
             x = ring.one
             for _ in range(power):
                 x = (ring.z if side == "z" else ring.z_inv) * x
@@ -469,6 +494,40 @@ class TestNumerators:
 
         with pytest.raises(RingError, match="edge"):
             narrow_ring_numerator(build, order)
+
+
+class TestReferencesShareNoThetaKernel:
+    """The z reads that the numerators in Z[w] and the full rows are
+    checked against write D out and divide by it through D's binomial
+    passes (``d_factors``), never through Jacobi's triple product, the
+    route of the kernels under test."""
+
+    @pytest.mark.parametrize("order", [12, 40])
+    def test_no_theta_call(self, monkeypatch, order):
+        calls = []
+
+        def counted(name):
+            original = getattr(series, name)
+
+            def kernel(*args):
+                calls.append(name)
+                return original(*args)
+            return kernel
+
+        for name in ("theta_list", "div_theta_list"):
+            monkeypatch.setattr(series, name, counted(name))
+        for build in (SB_NUMERATOR, _rank_coeffs, _crank_coeffs,
+                      BAILEY_NUMERATOR):
+            narrow_ring_numerator(build, order)
+        for build in (_sb_walk, bailey_side):
+            wide_ring_rows(build, order)
+        wide_ring_divided_by_d(narrow_ring_numerator(_rank_coeffs, order))
+        assert calls == []
+        # the production routes do reach them: rank*D writes E in w, and
+        # SB's residues divide by it
+        rank_numerator(order, numerator_width(order))
+        sb_residues(order, 3)
+        assert calls == ["theta_list", "div_theta_list"]
 
 
 def w_digits(values, bits, digits):
@@ -492,7 +551,7 @@ def top_numerators():
         bits = numerator_width(top)
         out[top] = bits, [
             (numerator(top, bits).coeffs, narrow_ring_numerator(build, top))
-            for numerator, build in ((sb_numerator, _sb_walk),
+            for numerator, build in ((sb_numerator, SB_NUMERATOR),
                                      (rank_numerator, _rank_coeffs))]
     return out
 
@@ -545,8 +604,8 @@ class TestSymmetricNumerators:
         for name, values in sides.items():
             for n, row in enumerate(w_digits(values, wide, digits)):
                 assert max(map(abs, row)) < 1 << (bits - 1), (name, n)
-        for values, build in ((sb, _sb_walk), (rank, _rank_coeffs)):
-            majorant = build(ZZ, order, True, True)
+        for values, build in ((sb, SB_NUMERATOR), (rank, _rank_coeffs)):
+            majorant = build(ZZ, order, True)
             for n, row in enumerate(w_digits(values, wide, digits)):
                 assert sum(map(abs, row)) <= majorant[n], (build, n)
 
@@ -555,9 +614,9 @@ class TestSymmetricNumerators:
         # B = max(B_SB + 2, B_rank, B_crank) + 1: u = 2 - w takes SB*D two
         # bits wider, and a sum of two sides one more
         assert numerator_width(order) == max(
-            packing_bits(_sb_walk, order, True) + 2,
-            packing_bits(_rank_coeffs, order, True),
-            packing_bits(_crank_coeffs, order, True)) + 1
+            packing_bits(SB_NUMERATOR, order) + 2,
+            packing_bits(_rank_coeffs, order),
+            packing_bits(_crank_coeffs, order)) + 1
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_row_at_the_reach_raises(self, sign):
@@ -566,10 +625,9 @@ class TestSymmetricNumerators:
         order = 40
         reach, bits = numerator_reach(order), numerator_width(order)
         for power in (reach - 1, reach, reach + 1):
-            def build(ring, order, bound=False, cleared=False):
-                rows = _sb_walk(ring, order, bound, cleared)
-                if not bound:
-                    rows[order] += sign << bits * power
+            def build(ring, order):
+                rows = SB_NUMERATOR(ring, order)
+                rows[order] += sign << bits * power
                 return rows
 
             if power < reach:
@@ -578,7 +636,7 @@ class TestSymmetricNumerators:
                 for _ in range(power):
                     term = term * (LAURENT.z + LAURENT.z_inv)
                 rows = symmetric_numerator(build, order, bits)
-                want = laurent_numerator(_sb_walk, order).coeffs
+                want = laurent_numerator(SB_NUMERATOR, order).coeffs
                 want[order] = want[order] + term
                 ring = PackedSymmetricRing(bits)
                 assert [ring.laurent(x, reach) for x in rows] == want
@@ -589,10 +647,10 @@ class TestSymmetricNumerators:
 
 
 class TestNumeratorShape:
-    """Builders on a ring of offset K = isqrt(N) + 2: full rows built as
-    the numerator X*D and divided by D once, and residues at every t,
-    whose builders divide by D after every other pass, so that until then
-    their values are a numerator's, at most (2K + 1)*B bits wide."""
+    """SB's walk on a ring of offset K = isqrt(N) + 2: full rows built as
+    the numerator SB*D and divided by D once, and residues at every t,
+    whose walk divides by D after every other pass, so that until then
+    its values are a numerator's, at most (2K + 1)*B bits wide."""
 
     @pytest.mark.parametrize("order", [40, 300])
     def test_walk_stays_numerator_wide(self, monkeypatch, order):
@@ -626,10 +684,9 @@ class TestNumeratorShape:
             assert max(widest) <= (2 * reach + 1) * bits, t
 
     @pytest.mark.parametrize("order", [40, 300])
-    @pytest.mark.parametrize("build", [_sb_walk, _crank_coeffs],
-                             ids=["sb", "crank"])
+    @pytest.mark.parametrize("build", [_sb_walk], ids=["sb"])
     def test_d_is_divided_last(self, monkeypatch, build, order):
-        # every eta, binomial and pair pass of the builder at t = 2S + 1,
+        # every eta, binomial and pair pass of the walk at t = 2S + 1,
         # with the width of its input: the one division by E reads values
         # at most (2K + 1)*B bits wide, and only the multiplication by
         # (q^2; q^2)_inf, D's other factor, runs after it
@@ -668,8 +725,8 @@ class TestNumeratorShape:
         sb = sb_coefficients_naive(LAURENT, LAURENT.z, LAURENT.z_inv, top)
         bailey = bailey_side_by_inversion(top).coeffs
         for order in range(1, top + 1):
-            assert packed_laurent(_sb_walk, order) == sb[:order + 1], order
-            assert packed_laurent(bailey_side, order) == \
+            assert laurent_rows(_sb_walk, order) == sb[:order + 1], order
+            assert laurent_rows(bailey_side, order) == \
                 bailey[:order + 1], order
 
 
@@ -679,7 +736,7 @@ U = LaurentPolynomial({1: -1, 0: 2, -1: -1})
 
 # the numerators whose rows a failing check divides by D
 REPORTED = [
-    ("u-sb", lambda order: laurent_numerator(_sb_walk, order).scale(U).coeffs),
+    ("u-sb", lambda order: laurent_numerator(SB_NUMERATOR, order).scale(U).coeffs),
     ("rank-minus-crank", lambda order: (
         laurent_numerator(_rank_coeffs, order)
         - crank_numerator(order).embed(LAURENT)).coeffs),
@@ -687,18 +744,31 @@ REPORTED = [
 ]
 
 
+# the full rows of each series, and their reference on one ring of
+# t = 2S + 1 digits: SB's from its walk (``full_rows``), the rank's and
+# the crank's read off their numerators in Z[w] (``numerator_rows``)
+FULL_ROWS = [
+    ("sb", partial(laurent_rows, _sb_walk), partial(wide_ring_rows, _sb_walk)),
+    ("rank", lambda order: rank_series(order).coeffs,
+     lambda order: wide_ring_divided_by_d(
+         narrow_ring_numerator(_rank_coeffs, order))),
+    ("crank", lambda order: crank_series(order).coeffs,
+     lambda order: wide_ring_divided_by_d(
+         narrow_ring_numerator(_crank_coeffs, order))),
+]
+
+
 class TestFullRows:
-    """``full_rows``, each row divided by D at its own width, against the
+    """The full rows, each row divided by D at its own width, against the
     reference that reads every row off one ring of t = 2S + 1 digits
     (``helpers.wide_ring_rows``)."""
 
     @pytest.mark.parametrize("order", [*range(1, 13), 60, 300])
-    @pytest.mark.parametrize("build", [_sb_walk, _rank_coeffs, _crank_coeffs],
-                             ids=["sb", "rank", "crank"])
-    def test_matches_wide_ring(self, build, order):
-        rows = [series._laurent(digits, o)
-                for digits, o in full_rows(build, order)]
-        assert rows == wide_ring_rows(build, order)
+    @pytest.mark.parametrize("rows, reference",
+                             [f[1:] for f in FULL_ROWS],
+                             ids=[f[0] for f in FULL_ROWS])
+    def test_matches_wide_ring(self, rows, reference, order):
+        assert rows(order) == reference(order)
 
     @pytest.mark.parametrize("order", [*range(1, 13), 60, 300])
     @pytest.mark.parametrize("name, numerator", REPORTED,
@@ -717,7 +787,7 @@ class TestFullRows:
         want = sb_series(order).rows[order]
         for power, fits in ((reach, True), (reach + 1, False),
                             (reach + 2, False)):
-            rows = laurent_numerator(_sb_walk, order).coeffs
+            rows = laurent_numerator(SB_NUMERATOR, order).coeffs
             term = LaurentPolynomial({sign * power: 1})
             rows[order] = rows[order] + term
             if fits:
@@ -752,7 +822,7 @@ class TestHornerWalk:
         assert sptbar2_series(order).coeffs == sptbar2_by_accumulation(order)
         reach = numerator_reach(order)
         bits, offset = packing_bits(_sb_walk, order), order // 2 + 2
-        numer_bits = packing_bits(_sb_walk, order, cleared=True)
+        numer_bits = packing_bits(SB_NUMERATOR, order)
         # t = 3 (the table's residues, SB itself), the numerator ring
         # t = 2K + 1 and the full rows' ring t = 2S + 1 (SB*D)
         for ring, cleared in (
@@ -765,11 +835,16 @@ class TestHornerWalk:
             assert [x % m for x in got] == [x % m for x in want], ring.t
 
 
-def laurent_residues(build, order, t):
-    return [residue_class_sums(row, t) for row in packed_laurent(build, order)]
-
-
 BUILDERS = [_sb_walk, _rank_coeffs, _crank_coeffs, bailey_side]
+
+
+def builder_rows(build, order):
+    """The Laurent rows of what build makes: SB's and the Bailey side's
+    full rows, and rank*D and crank*D, the numerators that the rank's and
+    the crank's builders make, read off the narrow ring."""
+    if build in (_rank_coeffs, _crank_coeffs):
+        return narrow_ring_numerator(build, order)
+    return laurent_rows(build, order)
 
 
 def residue_moduli(order):
@@ -783,7 +858,10 @@ def residue_moduli(order):
 
 class TestPackedResidues:
     """Residue sums built over Z[z]/(z^t - 1) against the residue sums of
-    the packed Laurent rows of the same builder."""
+    the packed Laurent rows of the same builder.  The CLI reads SB's
+    alone; the rank's and the crank's numerators run on this ring as the
+    z read of ``helpers.narrow_ring_numerator``, with z and 1/z passes of
+    their own (the rank's), which SB's walk pairs."""
 
     # every order to 12 is an example: there K = isqrt(order) + 2 sets the
     # window of the last rows of the full rows, not order//2 + 1
@@ -804,7 +882,7 @@ class TestPackedResidues:
     @example(order=12)
     @settings(max_examples=8, deadline=None)
     def test_matches_laurent_rows(self, build, order):
-        rows = packed_laurent(build, order)
+        rows = builder_rows(build, order)
         for t in residue_moduli(order):
             assert packed_residues(build, order, t) == [
                 residue_class_sums(row, t) for row in rows], t
@@ -812,7 +890,7 @@ class TestPackedResidues:
     @pytest.mark.parametrize("build", [_sb_walk, _rank_coeffs],
                              ids=["sb", "rank"])
     def test_matches_laurent_rows_at_order_300(self, build):
-        rows = packed_laurent(build, 300)
+        rows = builder_rows(build, 300)
         for t in (3, 5):
             assert packed_residues(build, 300, t) == [
                 residue_class_sums(row, t) for row in rows], t
@@ -823,7 +901,7 @@ class TestPackedResidues:
             for n in range(table.order + 1)]
 
     def test_rank_stays_as_narrow_as_its_laurent_rows(self):
-        # the rank walk hands negative values to z; at t = 2N+1, as at
+        # rank*D's builder hands negative values to z; at t = 2N+1, as at
         # t = 2S+1, nothing folds, so the packed values have the same
         # widths
         order, t = 300, 601
@@ -835,7 +913,7 @@ class TestPackedResidues:
             x.bit_length() for x in laurent]
         assert packed_residues(_rank_coeffs, order, t) == [
             residue_class_sums(row, t)
-            for row in packed_laurent(_rank_coeffs, order)]
+            for row in narrow_ring_numerator(_rank_coeffs, order)]
 
     def test_negative_residue_sum_refused(self, monkeypatch):
         import spt_kernel.sptcrank as sptcrank

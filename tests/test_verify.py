@@ -308,6 +308,44 @@ def test_fault_in_one_rank_lambert_term_is_reported_exactly(
     assert rep.first_failure == failure
 
 
+# theorem 2's enumeration subchecks, each oracle's row 5 off by z + 1/z:
+# the report shows the oracle's row as expected and, as actual, row 5 of
+# the series read off its numerator in Z[w]
+ENUMERATION_FAULTS = [
+    ("m2_rank_distribution", {
+        "n": 5, "where": "rank-enumeration",
+        "expected": "2*z^-2 + 5*z^-1 + 12 + 5*z + 2*z^2",
+        "actual": "2*z^-2 + 4*z^-1 + 12 + 4*z + 2*z^2"}),
+    ("residual_m2_crank_distribution", {
+        "n": 5, "where": "crank-enumeration",
+        "expected": "2*z^-2 + 7*z^-1 + 8 + 7*z + 2*z^2",
+        "actual": "2*z^-2 + 6*z^-1 + 8 + 6*z + 2*z^2"}),
+]
+
+
+@pytest.mark.parametrize("oracle, failure", ENUMERATION_FAULTS,
+                         ids=[f[0] for f in ENUMERATION_FAULTS])
+def test_fault_in_one_enumeration_row_is_reported_exactly(
+        monkeypatch, oracle, failure):
+    # the rows compared with the oracles are those of the run's rank*D and
+    # crank*D: run_all builds no rank or crank series of its own
+    original = getattr(verify, oracle)
+
+    def faulty(n):
+        row = original(n)
+        return row + LaurentPolynomial({1: 1, -1: 1}) if n == 5 else row
+
+    def unreachable(order):
+        raise AssertionError("a check built a rank or crank series")
+
+    monkeypatch.setattr(verify, oracle, faulty)
+    for module in (sptcrank, verify):
+        for name in ("rank_series", "crank_series"):
+            monkeypatch.setattr(module, name, unreachable, raising=False)
+    (rep,) = run_all(ORDER, oracle_bound=6, only="theorem2")
+    assert rep.first_failure == failure
+
+
 def test_fault_in_one_zeta3_rank_lambert_term_is_reported_exactly(
         monkeypatch):
     # the sign of Lambert term n = 4 of the rank at zeta_3 flipped: the
