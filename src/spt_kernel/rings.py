@@ -9,15 +9,14 @@ value at zeta_3 is an integer, walked over Z by the builders of
 only ones that multiply in it, for ``root_value`` of residue-class sums
 mod 3, and for the names the benchmark tracer wraps.  The fast series
 builders run on two packed rings with one integer per element:
-Z[z]/(z^t - 1), whose elements at t wider than a series' z-range are the
-Laurent rows themselves, and Z[w], w = z + 1/z, for the numerators that
-the checks compare, whose rows are unchanged under z <-> 1/z.
+Z[z]/(z^t - 1), for SB's residue-class sums, and Z[w], w = z + 1/z, for
+the numerators X*D, unchanged under z <-> 1/z, that the checks compare
+and that every Laurent row is read off.
 Everything is exact; no floats anywhere.
 """
 
 from __future__ import annotations
 
-from math import comb
 from typing import Mapping
 
 
@@ -365,27 +364,17 @@ class PackedResidueRing:
     in absolute value, the balanced residue mod M is that sum, and its t
     balanced digits are unique.
 
-    Any integer c with c = sum_k m_k 2^(B (k mod t)) acts as the Laurent
-    polynomial sum_k m_k z^k: x*c packs that polynomial times the one x
-    packs.  The division by D of ``series.div_d_list`` never forms such
-    a product: it grows (z^(1-n) + ... + z^(n-1)) x from the value
-    for n - 1 by the two shifts z^(n-1) x and z^(1-n) x, folds that sum
-    once mod M as it is kept, and folds the sum of a coefficient's terms
-    once more.  Only the representative changes, so the widths and the
-    proof above hold as they are.
+    The division by D of ``series.div_d_list`` grows
+    (z^(1-n) + ... + z^(n-1)) x from the value for n - 1 by the two
+    shifts z^(n-1) x and z^(1-n) x, and folds sums once mod M as it keeps
+    them: only the representative changes, so the proof above holds.
 
-    The offset need not be central.  ``series._packed`` and
-    ``series.full_rows``, which build every ring of this kind that the
-    CLI reads, all of them for SB alone, put z^0 at
-    K = ``series.numerator_reach(N)``.  A numerator X*D has its
-    z-exponents in [-K, K], so on a ring of t > 2K + 1 digits its values
-    stay (2K + 1) B bits wide.  SB's walk divides by D after every other
-    pass, so its values are a numerator's until that one division fills
-    the t digits; full rows leave the ring as SB*D and are divided by D
-    row by row, each row at its own width, on plain integers
-    (``series._rows_over_d``).  The rank and the crank do not run here:
-    their rows are read off their numerators in Z[w]
-    (``series.numerator_rows``).
+    The offset need not be central.  ``series._packed``, the one builder
+    of this ring, for SB's residue sums, puts z^0 at K =
+    ``series.numerator_reach(N)``: SB's walk divides by D after every
+    other pass, and until then its values are a numerator's, whose
+    z-exponents lie in [-K, K], (2K + 1) B bits wide at any t.  Laurent
+    rows are read off numerators in Z[w] (``series.numerator_rows``).
     """
 
     zero = 0
@@ -440,9 +429,10 @@ class PackedSymmetricRing:
     ``series.summand_walk`` pairs at one exponent: a product with either
     alone raises ``TypeError``.
 
-    ``window`` and ``laurent`` are exact when the caller proves
-    |d_k| < 2^(B-1) for every k: the k balanced base-2^B digits of an
-    integer, each in [-2^(B-1), 2^(B-1)), are unique when they exist.
+    ``window`` is exact when the caller proves |d_k| < 2^(B-1) for every
+    k: the k balanced base-2^B digits of an integer, each in
+    [-2^(B-1), 2^(B-1)), are unique when they exist.  The rows leave the
+    ring as z-rows by Horner in w (``series.numerator_rows``).
     """
 
     zero = 0
@@ -461,21 +451,6 @@ class PackedSymmetricRing:
         span = ((1 << k * self.bits) - 1) // ((1 << self.bits) - 1)
         half = 1 << (self.bits - 1)
         return -half * span, (half - 1) * span
-
-    def laurent(self, x: int, k: int) -> LaurentPolynomial:
-        """The Laurent polynomial that x packs, from its k balanced digits
-        d_j: sum_j d_j w^j, with w^j = sum_i C(j, i) z^(j - 2i).  A carry
-        out of the k digits is refused."""
-        digits, carry = _balanced_digits(x, self.bits, k)
-        if carry:
-            raise RingError(f"value does not decode into {k} digits of "
-                            f"{self.bits} bits")
-        c: dict[int, int] = {}
-        for j, d in enumerate(digits):
-            if d:
-                for i in range(j + 1):
-                    c[j - 2 * i] = c.get(j - 2 * i, 0) + d * comb(j, i)
-        return LaurentPolynomial(c)
 
 
 ZZ = IntegerRing()

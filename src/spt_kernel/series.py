@@ -27,9 +27,10 @@ class SeriesError(ValueError):
 
 
 class WindowError(RingError):
-    """The refusal of row n of a packed read (``symmetric_numerator``,
-    ``full_rows``), which reaches z^-reach or z^reach, the edge of its
-    window; in w, a row of w-degree reach or more."""
+    """The refusal of row n of a packed read, which reaches z^-reach or
+    z^reach, the edge of its window: in w, a row of w-degree reach or more
+    (``symmetric_numerator``, ``numerator_rows``), or in z, a row of X
+    divided by D (``_rows_over_d``)."""
 
     def __init__(self, n: int, reach: int):
         super().__init__(f"row {n} reaches z^-{reach} or z^{reach}, the "
@@ -661,11 +662,10 @@ def d_factors(ring) -> list:
     """D = (z q^2, q^2/z; q^2)_inf as ``apply_factors`` factors, with the
     ring's own z and 1/z (both 1 over Z): D's binomial passes, on Z, the
     dict rings and ``PackedResidueRing`` (where ``d_list`` writes D out
-    for rank*D's reference z read in the tests) and, through
-    ``binomials``, the majorants.  D is the
-    denominator of SB and of the rank and crank series; D = 1 mod q, so it
-    is a unit and X = Y to q^N exactly when X*D = Y*D to q^N, with the
-    same first differing q^n."""
+    for rank*D's z read in the tests) and, through ``binomials``, the
+    majorants.  D is the denominator of SB and of the rank and crank
+    series; D = 1 mod q, so it is a unit and X = Y to q^N exactly when
+    X*D = Y*D to q^N, with the same first differing q^n."""
     return [(ring.z, 2, 2, None), (ring.z_inv, 2, 2, None)]
 
 
@@ -731,10 +731,10 @@ def _packed(build, order: int, t: int):
     below 2^(B-1) and the ring's digits are exact.
 
     The ring's offset is K = ``numerator_reach(order)``, and build runs
-    as it is at every t.  SB's walk, the one series the CLI reads here,
-    divides by D last (``div_d_list``), so up to that division its values
-    are those of its numerator, at most (2K + 1)*B bits wide whatever t
-    is, and the division fills the t digits.
+    as it is at every t.  SB's walk, whose residue sums are all the CLI
+    reads here, divides by D last (``div_d_list``), so up to that
+    division its values are those of its numerator, at most (2K + 1)*B
+    bits wide whatever t is, and the division fills the t digits.
     """
     bits = max(build(ZZ, order, True)).bit_length() + 1
     ring = PackedResidueRing(bits, t, numerator_reach(order))
@@ -756,12 +756,11 @@ def symmetric_numerator(build, order: int, bits: int) -> list[int]:
 
     build returns the coefficient list of X*D over its ring, with the
     ring's own z and 1/z, and X and D are unchanged under z <-> 1/z, so
-    every row is a polynomial in w.  The caller proves that
-    bits bounds the rows: every w-coefficient below 2^(bits-1) in absolute
-    value (``sptcrank.numerator_width``).  Row n has z-reach, and so
-    w-degree, at most K - 1, K = ``numerator_reach(order)``; a row that
-    does not fit K balanced digits, one that needs w^K or a higher power,
-    raises ``WindowError(n, K)``, as a z-row that reaches z^-K or z^K.
+    every row is a polynomial in w.  The caller proves every w-coefficient
+    below 2^(bits-1) in absolute value (``sptcrank.numerator_width``,
+    ``sptcrank.sb_rows``).  Row n has z-reach, and so w-degree, at most
+    K - 1, K = ``numerator_reach(order)``; a row that needs w^K or a
+    higher power raises ``WindowError(n, K)``, as a z-row at z^-K or z^K.
     """
     ring = PackedSymmetricRing(bits)
     values = build(ring, order)
@@ -787,9 +786,8 @@ def _rows_over_d(values: list, bits: int, base: int, reach: int):
     numerator read to q^N, o is max(N//2 + 2, K + 1).
 
     A is multiplied by (q^2; q^2)_inf first, while its values are narrow,
-    and X = A (q^2; q^2)_inf / E is then divided by E (``_theta_terms``)
-    from the bottom up: X_i = A'_i - sum s chi_{2n-1} X_{i - n(n-1)},
-    A' = A (q^2; q^2)_inf.
+    and A' = A (q^2; q^2)_inf is then divided by E (``_theta_terms``)
+    from the bottom up: X_i = A'_i - sum s chi_{2n-1} X_{i - n(n-1)}.
     There is no modulus, so nothing folds or rotates, and every step is
     exact on plain integers:
 
@@ -861,68 +859,47 @@ def _rows_over_d(values: list, bits: int, base: int, reach: int):
         yield digits, o
 
 
-def full_rows(build, order: int):
-    """Rows 0..order of build's series X over Z[z,1/z], one (digits, o)
-    pair at a time (``_rows_over_d``), from its numerator X*D.
-
-    build has the contract of ``_packed``, and build(ring, order, False,
-    True) returns the numerator X*D.  The width B is one bit more
-    than the largest coefficient of X's majorant build(ZZ, N, True), N =
-    order, as for X's residues.  X*D is built on the ring of offset K =
-    ``numerator_reach(N)`` and t = 2K + 2 + N//B digits, and each value
-    is replaced by its balanced residue mod M = 2^(tB) - 1.  That is
-    exactly row i of X*D packed at offset K as a plain integer, whatever
-    folded or rotated on the way:
-
-    - the value is that integer mod M, as z -> 2^B is a ring map to Z/M;
-    - row i of X*D lies in [-(K - 1), K - 1] (``numerator_reach``);
-    - the sum of its |coefficients| is at most [q^i] of the majorant
-      times (-q^2; q^2)_inf^2, D's majorant, so below 2^(B-1) 4^(i/2);
-    - so the integer is below 2^(2KB + N - 1) in absolute value, under
-      M/2, as tB >= 2KB + N + 2.
-    """
-    bits = max(build(ZZ, order, True)).bit_length() + 1
-    reach = numerator_reach(order)
-    ring = PackedResidueRing(bits, 2 * reach + 2 + order // bits, reach)
-    values = build(ring, order, False, True)
-    m = ring.modulus
-    h = m >> 1
-    for i, x in enumerate(values):
-        if not -h <= x <= h:
-            values[i] = (x + h) % m - h
-    return _rows_over_d(values, bits, reach, reach)
+def _horner_in_z(digits: list, bits: int, offset: int) -> int:
+    """p(2^bits) 2^(bits*offset), p = sum_j digits[j] w^j, w = z + 1/z,
+    len(digits) <= offset, by Horner in w: x*w is (x << bits) +
+    (x >> bits), exact as x has w-degree, so z-reach, offset - 2 or less."""
+    x = 0
+    for d in reversed(digits):
+        x = (x << bits) + (x >> bits) + (d << bits * offset)
+    return x
 
 
-def divided_by_d(rows: list) -> list:
-    """Rows 0..m of X over Z[z,1/z], m = len(rows) - 1, from rows 0..m of
-    its numerator X*D, packed at one offset as plain integers and divided
-    by D row by row (``_rows_over_d``, window K = ``numerator_reach(m)``).
+def numerator_rows(values: list, bits: int, top: int):
+    """Rows 0..top of X over Z[z,1/z], one (digits, o) pair at a time
+    (``_rows_over_d``, window ``numerator_reach(top)``), from rows 0..N,
+    N >= top, of its numerator X*D in Z[w] packed at w -> 2^bits
+    (``symmetric_numerator``); every w-coefficient is below 2^(bits-1).
 
-    The width comes from the rows themselves: the sum of |coefficients|
-    of row n of X is at most [q^n] of sum_i |rows[i]| q^i / (q^2; q^2)_inf^2,
-    |p| the sum of |coefficients| of p, since 1/(1 - z q^e) has the
-    majorant 1/(1 - q^e).
-    """
-    bits = max(apply_factors([sum(map(abs, p.c.values())) for p in rows],
-                             denom=[(1, 2, 2, None)] * 2)).bit_length() + 1
-    base = max([-e for p in rows for e in p.c] + [0])
-    values = [sum(v << bits * (e + base) for e, v in p.c.items())
-              for p in rows]
-    return [_laurent(digits, o) for digits, o in
-            _rows_over_d(values, bits, base, numerator_reach(len(rows) - 1))]
+    Each row is decoded to K + 1 balanced w-digits d_j, K =
+    ``numerator_reach(N)``, one w-degree past X*D's window, as u = 2 - w
+    raises SB*D's degree by one; a carry out of them raises
+    ``WindowError(n, K + 1)``.  w^j has 2^j as its sum of |coefficients|
+    in z, so row n of X has at most [q^n] of sum_i (sum_j |d_j| 2^j) q^i
+    / (q^2; q^2)_inf^2, 1/D's majorant: X's width is one bit more than
+    its largest coefficient.  Each row is packed in z at that width and
+    offset K + 1 (``_horner_in_z``) and divided by D."""
+    reach = numerator_reach(len(values) - 1) + 1
+    rows = []
+    for n, x in enumerate(values[:top + 1]):
+        digits, carry = _balanced_digits(x, bits, reach)
+        if carry:
+            raise WindowError(n, reach)
+        rows.append(digits)
+    width = max(apply_factors(
+        [sum(abs(d) << j for j, d in enumerate(row)) for row in rows],
+        denom=[(1, 2, 2, None)] * 2)).bit_length() + 1
+    return _rows_over_d([_horner_in_z(row, width, reach) for row in rows],
+                        width, reach, numerator_reach(top))
 
 
-def numerator_rows(values: list, bits: int, top: int) -> list:
-    """Rows 0..top of X over Z[z,1/z] from the rows 0..N of its numerator
-    X*D in Z[w] packed at w -> 2^bits (``symmetric_numerator``), N =
-    len(values) - 1 >= top: rows 0..top, each decoded to z
-    (``PackedSymmetricRing.laurent``) to one w-degree past the window of
-    ``numerator_reach(N)``, as u = 2 - w raises the degree of SB*D by one,
-    and divided by D row by row (``divided_by_d``).  bits bounds the
-    rows: every w-coefficient below 2^(bits-1) in absolute value."""
-    ring = PackedSymmetricRing(bits)
-    digits = numerator_reach(len(values) - 1) + 1
-    return divided_by_d([ring.laurent(x, digits) for x in values[:top + 1]])
+def laurent_rows(values: list, bits: int, top: int) -> list:
+    """The rows of ``numerator_rows`` as Laurent polynomials."""
+    return [_laurent(*row) for row in numerator_rows(values, bits, top)]
 
 
 def packed_residues(build, order: int, t: int) -> list[list[int]]:

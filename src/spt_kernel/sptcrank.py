@@ -37,7 +37,7 @@ from .series import (  # noqa: F401
     div_d_at_zeta3,
     div_d_list,
     div_w_pair_list,
-    full_rows,
+    laurent_rows,
     mul_lists,
     numerator_rows,
     packed_residues,
@@ -73,45 +73,37 @@ def _sb_walk(ring, order: int, bound: bool = False,
     q^2)_inf: its z-free part is applied once at the walk's end, and D
     divides the finished walk (``div_d_list``).
 
-    With bound, over Z, it returns a majorant in product form, whose
-    coefficient of q^n bounds the sum of |coefficients| of row n of SB:
+    With cleared, the walk is not divided by D, so it returns SB*D,
+    whose summand n is q^{2n} (z q^2, q^2/z; q^2)_{n-1} (q^{4n+2}; q^2)_inf
+    / (q^{2n+1}; q^2)_inf^2: z^k needs q^{k(k+1)} there and q^{2k+2} more
+    in front.  On ``PackedSymmetricRing`` the walk is that of SB*D in
+    w = z + 1/z, each pair 1 - w q^{2n} + q^{4n}.
+
+    With bound, over Z, with or without cleared, SB's one majorant,
 
         q^2 (-q^6; q^2)_inf / ((1 - q^2) (q^2; q^2)_inf^2 (q^3; q^2)_inf^2),
 
     in O(order sqrt(order)) through the eta route of ``apply_factors``.
+    Its coefficient of q^n bounds the sum of |coefficients| of row n of
+    SB, and of SB*D in w (``numerator_width``) and in z, where
+    (-q^2; q^2)_inf^2 bounds the pairs that replace the two divisions.
     Coefficient-wise, for n >= 1 and |z| = 1: the numerator
     (q^{4n+2}; q^2)_inf is at most (-q^{4n+2}; q^2)_inf <= (-q^6; q^2)_inf;
     1/(z q^{2n}; q^2)_inf and 1/(q^{2n}/z; q^2)_inf are each at most
     1/(q^{2n}; q^2)_inf <= 1/(q^2; q^2)_inf; 1/(q^{2n+1}; q^2)_inf^2 <=
     1/(q^3; q^2)_inf^2; and sum_{n>=1} q^{2n} = q^2/(1 - q^2).  All these
     series have no negative coefficient, so their products keep the order.
-
-    With cleared, the walk is not divided by D, so it returns SB*D,
-    whose summand n is q^{2n} (z q^2, q^2/z; q^2)_{n-1} (q^{4n+2}; q^2)_inf
-    / (q^{2n+1}; q^2)_inf^2: z^k needs q^{k(k+1)} there and q^{2k+2} more
-    in front.  On ``PackedSymmetricRing`` the walk is that of SB*D in
-    w = z + 1/z, each pair 1 - w q^{2n} + q^{4n}.  Its majorant is this
-    walk in its uncancelled form, (1 - q^{2n+1})^2 / ((1 - c q^{4n+2})
-    (1 - c q^{4n+4})), with c = -1 and z = 1/z = -1, which turns the
-    step's z-factors into (1 + q^{2n})^2.
     """
     if order < 2:
         return [ring.zero] * (order + 1)
-    if bound and not cleared:
+    if bound:
         return [0, 0] + apply_factors(
             [1] + [0] * (order - 2), [(-1, 6, 2, None)],
             [(1, 2, 1, 1)] + [(1, 2, 2, None)] * 2 + [(1, 3, 2, None)] * 2)
-    z, z_inv, c = ring.z, ring.z_inv, 1
-    if bound:
-        z = z_inv = c = -1
-    first = ([(c, 6, 2, None)], [(1, 3, 2, None)] * 2)
-    if bound:
-        return summand_walk(ring, first, order, lambda n: (
-            [(z, 2 * n), (z_inv, 2 * n), (1, 2 * n + 1), (1, 2 * n + 1)],
-            [(c, 4 * n + 2), (c, 4 * n + 4)]))
-    walk = summand_walk(ring, first, order, lambda n: (
-        [(z, 2 * n), (z_inv, 2 * n), (1, 2 * n + 1)],
-        [(-1, 2 * n + 1), (1, 4 * n + 4)]))
+    walk = summand_walk(
+        ring, ([(1, 6, 2, None)], [(1, 3, 2, None)] * 2), order,
+        lambda n: ([(ring.z, 2 * n), (ring.z_inv, 2 * n), (1, 2 * n + 1)],
+                   [(-1, 2 * n + 1), (1, 4 * n + 4)]))
     return walk if cleared else div_d_list(walk, ring)
 
 
@@ -159,14 +151,19 @@ class SptCrankTable(namedtuple("SptCrankTable", "order rows")):
 
 
 def sb_rows(order: int):
-    """Rows 0..order of SB(z,q), one at a time, as ``full_rows`` yields
-    them: (digits, o), digits[k] the count of z^(k - o).  Each power of z
-    comes with at least q^2, so row n has z-exponents in [-n/2, n/2].  A
-    negative count is refused, as ``SptCrankTable`` refuses it, once its
-    row is reached: the rows below it have been yielded by then."""
+    """Rows 0..order of SB(z,q), one at a time, as ``numerator_rows``
+    yields them from SB*D in Z[w] (``sb_numerator``) at the width of SB's
+    majorant (``_sb_walk``, which bounds SB*D in w too): (digits, o),
+    digits[k] the count of z^(k - o).  Each power of z comes with at
+    least q^2, so row n has z-exponents in [-n/2, n/2].  A negative count
+    is refused, as ``SptCrankTable`` refuses it, once its row is reached:
+    the rows below it have been yielded by then."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    for n, (digits, o) in enumerate(full_rows(_sb_walk, order)):
+    # at least 2 bits, the least that packs in w (SB is 0 to q^1)
+    bits = max(1, *_sb_walk(ZZ, order, True)).bit_length() + 1
+    rows = numerator_rows(sb_numerator(order, bits).coeffs, bits, order)
+    for n, (digits, o) in enumerate(rows):
         if min(digits) < 0:
             m = next(k for k, c in enumerate(digits) if c < 0) - o
             raise ValueError(f"negative spt-crank count at (m={m}, n={n})")
@@ -183,21 +180,23 @@ def numerator_width(order: int) -> int:
     """The width B at which a run packs SB*D, rank*D and crank*D in Z[w],
     w = z + 1/z (``sb_numerator``, ``rank_numerator``, ``crank_numerator``):
     B = max(B_SB + 2, B_rank, B_crank) + 1, each B_X one bit more than the
-    largest coefficient of its numerator's majorant: ``_sb_walk(ZZ, order,
-    True, True)``, ``_rank_coeffs(ZZ, order, True)`` and
+    largest coefficient of a majorant: SB's, ``_sb_walk(ZZ, order, True)``,
+    and the numerators' ``_rank_coeffs(ZZ, order, True)`` and
     ``_crank_coeffs(ZZ, order, True)``.
 
     Exactness.  Let |p| be the sum of the absolute values of the
     w-coefficients of p in Z[w]; it is subadditive and submultiplicative.
-    The majorants take |z| = 1 and bound each factor 1 - c z q^e by
-    1 + q^e, so the pair (1 - z q^e)(1 - q^e/z) by (1 + q^e)^2 and
-    u = (1 - z)(1 - 1/z) by 4.  In w the pair is 1 - w q^e + q^{2e}, of
-    |.| 1 + q^e + q^{2e}, and u is 2 - w, of |.| 3: no more.  SB*D is a sum
-    of products of pairs and z-free series, and a rank term, u D over one
-    of D's pairs, is u times D's other pairs, of |.| at most
-    3 (-q^2; q^2)_inf^2 / (1 + q^{2n})^2, below the
-    4 (-q^2; q^2)_inf^2 / (1 - q^{2n})^2 of its z majorant.  So each
-    majorant bounds |row n| in w as in z: every w-coefficient of SB*D is
+    In w the pair (1 - z q^e)(1 - q^e/z) is 1 - w q^e + q^{2e}, of |.|
+    1 + q^e + q^{2e} <= 1/(1 - q^e), and u = (1 - z)(1 - 1/z) is 2 - w,
+    of |.| 3.  So summand n of SB*D, q^{2n} (z q^2, q^2/z; q^2)_{n-1}
+    (q^{4n+2}; q^2)_inf / (q^{2n+1}; q^2)_inf^2, has |.| at most q^{2n}
+    (-q^6; q^2)_inf / ((q^2; q^2)_inf (q^3; q^2)_inf^2), and the sum of
+    these is at most SB's majorant, which has one more 1/(q^2; q^2)_inf.
+    The rank's majorant takes |z| = 1, where the pair is at most
+    (1 + q^e)^2 and u at most 4.  A rank term, u D over one of D's pairs,
+    is u times D's other pairs, of |.| at most 3 (-q^2; q^2)_inf^2 /
+    (1 + q^{2n})^2, below its z majorant's 4 (-q^2; q^2)_inf^2 /
+    (1 - q^{2n})^2; crank*D is z-free.  So every w-coefficient of SB*D is
     below 2^(B_SB - 1), of u SB*D below 2^(B_SB + 1), of rank*D below
     2^(B_rank - 1) and of crank*D below 2^(B_crank - 1), and every one of
     each side that the checks compare, u SB*D, rank*D - crank*D,
@@ -207,7 +206,7 @@ def numerator_width(order: int) -> int:
     equal are equal polynomials, and two that differ pack different ones.
     """
     sb, rank, crank = (max(majorant).bit_length() + 1 for majorant in (
-        _sb_walk(ZZ, order, True, True), _rank_coeffs(ZZ, order, True),
+        _sb_walk(ZZ, order, True), _rank_coeffs(ZZ, order, True),
         _crank_coeffs(ZZ, order, True)))
     return max(sb + 2, rank, crank) + 1
 
@@ -369,7 +368,7 @@ def rank_series(order: int) -> TruncatedSeries:
     the rows of ``rank_numerator`` (``numerator_rows``) at the width of
     its own majorant."""
     bits = max(_rank_coeffs(ZZ, order, True)).bit_length() + 1
-    return TruncatedSeries(LAURENT, order, numerator_rows(
+    return TruncatedSeries(LAURENT, order, laurent_rows(
         rank_numerator(order, bits).coeffs, bits, order))
 
 
@@ -444,7 +443,7 @@ def crank_series(order: int) -> TruncatedSeries:
     the rows of ``crank_numerator`` (``numerator_rows``) at the width of
     its own majorant."""
     bits = max(_crank_coeffs(ZZ, order, True)).bit_length() + 1
-    return TruncatedSeries(LAURENT, order, numerator_rows(
+    return TruncatedSeries(LAURENT, order, laurent_rows(
         crank_numerator(order).coeffs, bits, order))
 
 

@@ -20,8 +20,8 @@ from .series import (
     WindowError,
     apply_factors,
     div_binomial_list,
+    laurent_rows,
     mul_binomial_list,
-    numerator_rows,
     poch_quotient,
 )
 from .sptcrank import (
@@ -66,7 +66,7 @@ def _compare(check: str, order: int, subchecks) -> VerificationReport:
     proves the packing exact, so equal integers are equal rows): D = 1
     mod q, so their first difference is X's and Y's, and only then are
     rows 0..n decoded and divided by D, so that the report shows rows n of
-    X and Y as Laurent polynomials (``numerator_rows``)."""
+    X and Y as Laurent polynomials (``laurent_rows``)."""
     for label, lhs, rhs, *packed in subchecks:
         if lhs.order != rhs.order:
             raise SeriesError(f"{check} subcheck {label!r} pairs orders "
@@ -78,7 +78,7 @@ def _compare(check: str, order: int, subchecks) -> VerificationReport:
             if a != b:
                 ring = lhs.ring
                 if packed:
-                    a, b = (numerator_rows(s.coeffs, *packed, n)[n]
+                    a, b = (laurent_rows(s.coeffs, *packed, n)[n]
                             for s in (lhs, rhs))
                     ring = LAURENT
                 return VerificationReport(check, order, "fail", {
@@ -299,7 +299,7 @@ def verify_theorem2(order: int, n_oracle: int = ORACLE_BOUND,
             ("rank-enumeration", rank, m2_rank_distribution),
             ("crank-enumeration", crank, residual_m2_crank_distribution)):
         subchecks.append((label, TruncatedSeries(
-            LAURENT, top, numerator_rows(numerator.coeffs, bits, top)),
+            LAURENT, top, laurent_rows(numerator.coeffs, bits, top)),
             TruncatedSeries(LAURENT, top,
                             [enumerate_row(n) for n in range(top + 1)])))
     return _compare("theorem2", order, subchecks)

@@ -8,10 +8,13 @@ the naive summands, that no check runs.  ``residue_pack`` and
 back off one ring of t = 2S + 1 digits, for the tests of that ring.
 ``wide_ring_rows`` and ``wide_ring_divided_by_d`` read full rows that way,
 every row divided by D on that one ring: the reference for
-``series.full_rows`` and ``series.divided_by_d``, which give each row its
-own width.  ``narrow_ring_numerator`` reads a numerator X*D off one ring of
-t = 2K + 1 digits, K = isqrt(N) + 2, as Laurent rows in z: the reference
-for the numerators in Z[w], w = z + 1/z, that the checks compare.  Every
+``series.numerator_rows``, which reads each row off a numerator in Z[w]
+and divides it by D at its own width.  ``narrow_ring_numerator`` reads a
+numerator X*D off one ring of t = 2K + 1 digits, K = isqrt(N) + 2, as
+Laurent rows in z: the reference for the numerators in Z[w], w = z + 1/z,
+that the checks compare.  ``w_laurent`` decodes a packed element of Z[w]
+to z by the binomial expansion of each power of w, the reference for the
+Horner packing of ``series.numerator_rows``.  Every
 reference here writes D out and divides by it through D's binomial
 passes (``d_factors`` in ``apply_factors``, which ``series.d_list``
 takes on the packed ring Z[z]/(z^t - 1) too), never through Jacobi's
@@ -30,6 +33,7 @@ instance from n = 0, with its own step: an independent route to the left
 side that ``verify_bailey_limit`` reads off SB*D and crank*D.
 """
 
+from math import comb
 from typing import Callable, Iterator
 
 from spt_kernel.partitions import (
@@ -43,6 +47,7 @@ from spt_kernel.rings import (
     LaurentPolynomial,
     PackedResidueRing,
     RingError,
+    _balanced_digits,
 )
 from spt_kernel.series import (
     SeriesError,
@@ -326,7 +331,8 @@ def bailey_side(ring, order: int, bound: bool = False,
     1, on ``accumulation_walk``: summand n+1 over summand n, divided by
     q^2, is
     (1 - z q^{2n}) (1 - z_inv q^{2n}) (1 - q^{2n+1})^2
-    / ((1 - q^{4n+2}) (1 - q^{4n+4})).  A builder for ``full_rows``.
+    / ((1 - q^{4n+2}) (1 - q^{4n+4})).  A builder with the contract of
+    ``series._packed``, and for ``wide_ring_rows``.
 
     With cleared, Bailey*D, D = (z q^2, z_inv q^2; q^2)_inf: the
     prefactor leaves out D, so summand n of Bailey*D is q^{2n}
@@ -410,8 +416,8 @@ def wide_ring_rows(build, order):
     (``apply_factors`` with ``d_factors``), and
     entry e of ``unpack`` read as the coefficient of z^e for e in [-S, S].
     A row with a nonzero z^-S or z^S digit raises ``WindowError(n, S)``.
-    The reference for ``series.full_rows``, which gives each row its own
-    width."""
+    The reference for ``series.numerator_rows``, which gives each row its
+    own width."""
     s = max(order // 2 + 2, numerator_reach(order) + 1)
     bits = max(build(ZZ, order, True, False)).bit_length() + 1
     ring = PackedResidueRing(bits, 2 * s + 1, numerator_reach(order))
@@ -438,8 +444,12 @@ def narrow_ring_numerator(build, order):
 
 
 def wide_ring_divided_by_d(rows):
-    """``series.divided_by_d`` read by ``wide_ring_rows``: the numerator
-    rows packed as they are, with the width from the same majorant."""
+    """Rows 0..m of X, m = len(rows) - 1, from rows 0..m of its numerator
+    X*D as Laurent polynomials, read by ``wide_ring_rows``: the rows
+    packed as they are, at the width of sum_i |rows[i]| q^i /
+    (q^2; q^2)_inf^2, |p| the sum of |coefficients| of p, which bounds
+    the sum of |coefficients| of each row of X, as 1/(1 - z q^e) has the
+    majorant 1/(1 - q^e)."""
     def build(ring, order, bound, cleared):
         if bound:
             return apply_factors([sum(map(abs, p.c.values()))
@@ -448,3 +458,19 @@ def wide_ring_divided_by_d(rows):
         return [pack(ring, p.c) for p in rows]
 
     return wide_ring_rows(build, len(rows) - 1)
+
+
+def w_laurent(ring, x, k):
+    """The Laurent polynomial that x packs on ``PackedSymmetricRing``,
+    from its k balanced digits d_j: sum_j d_j w^j, with w^j = sum_i
+    C(j, i) z^(j - 2i).  A carry out of the k digits is refused."""
+    digits, carry = _balanced_digits(x, ring.bits, k)
+    if carry:
+        raise RingError(f"value does not decode into {k} digits of "
+                        f"{ring.bits} bits")
+    c = {}
+    for j, d in enumerate(digits):
+        if d:
+            for i in range(j + 1):
+                c[j - 2 * i] = c.get(j - 2 * i, 0) + d * comb(j, i)
+    return LaurentPolynomial(c)

@@ -190,24 +190,25 @@ class TestExport:
 
     def test_negative_count_ends_the_export(self, capsys, tmp_path,
                                             monkeypatch):
-        # a negative count at row 90 of the SB reader ends the export with
-        # the refusal SptCrankTable gives.  The rows stream, so the blocks
-        # of _BLOCK lines that rows below 90 filled have been written by
-        # then, and no line of row 90 or above
+        # a negative count at row 90 of the rows that sb_rows reads off
+        # SB*D in Z[w] ends the export with the refusal SptCrankTable
+        # gives.  The rows stream, so the blocks of _BLOCK lines that rows
+        # below 90 filled have been written by then, and no line of row 90
+        # or above
         argv = ["export", "--what", "table", "--order", "100", "--format",
                 "csv"]
         code, out = run_cli(capsys, *argv)
         assert code == 0
         full = out.splitlines()
-        original = sptcrank.full_rows
+        original = sptcrank.numerator_rows
 
-        def negated(build, order):
-            for n, (digits, o) in enumerate(original(build, order)):
+        def negated(values, bits, top):
+            for n, (digits, o) in enumerate(original(values, bits, top)):
                 if n == 90:
                     digits[o] = -digits[o]
                 yield digits, o
 
-        monkeypatch.setattr(sptcrank, "full_rows", negated)
+        monkeypatch.setattr(sptcrank, "numerator_rows", negated)
         target = tmp_path / "rows.csv"
         with pytest.raises(ValueError, match=(
                 r"negative spt-crank count at \(m=0, n=90\)")):

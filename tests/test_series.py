@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -13,6 +13,7 @@ from helpers import (
     packed_rows,
     residue_pack,
     theta_sum,
+    w_laurent,
 )
 from spt_kernel import cli, series, sptcrank, verify
 from spt_kernel.partitions import distinct_partition_list, partition_list
@@ -29,6 +30,7 @@ from spt_kernel.rings import (
 from spt_kernel.series import (
     SeriesError,
     TruncatedSeries,
+    WindowError,
     _eta_form,
     _fold,
     _theta_terms,
@@ -383,12 +385,12 @@ class TestPairPassInW:
     def test_multiplication(self, e):
         ring = PackedSymmetricRing(40)
         a = w_values(200, 40)
-        rows = [ring.laurent(x, 3) for x in a]
+        rows = [w_laurent(ring, x, 3) for x in a]
         want = binomial_passes(binomial_passes(rows, LAURENT.z, [e], 1),
                                LAURENT.z_inv, [e], 1)
         got = list(a)
         mul_w_pair_list(got, ring, e)
-        assert [ring.laurent(x, 4) for x in got] == want
+        assert [w_laurent(ring, x, 4) for x in got] == want
 
     @pytest.mark.parametrize("e", [1, 2, 3, 7, 41])
     @pytest.mark.parametrize("length", [0, 1, 2, 5, 40])
@@ -397,12 +399,12 @@ class TestPairPassInW:
         # digits stay below 2^63 to q^40
         ring = PackedSymmetricRing(64)
         a = w_values(length, 64)
-        rows = [ring.laurent(x, 3) for x in a]
+        rows = [w_laurent(ring, x, 3) for x in a]
         want = binomial_passes(binomial_passes(rows, LAURENT.z, [e], -1),
                                LAURENT.z_inv, [e], -1)
         got = list(a)
         div_w_pair_list(got, ring, e)
-        assert [ring.laurent(x, 3 + length) for x in got] == want
+        assert [w_laurent(ring, x, 3 + length) for x in got] == want
         mul_w_pair_list(got, ring, e)
         assert got == a
 
@@ -412,6 +414,50 @@ class TestPairPassInW:
         for c in (ring.z, ring.z_inv):
             with pytest.raises(TypeError):
                 mul_binomial_list([1, 2, 3], c, 1)
+
+
+class TestHornerPacking:
+    """A row of a numerator in Z[w] packed in z by Horner in w = z + 1/z
+    (``series._horner_in_z``), against the comb decoder of the tests
+    (``helpers.w_laurent``), and the carry that ``numerator_rows``
+    refuses."""
+
+    @given(st.lists(st.integers(-512, 511), min_size=1, max_size=12))
+    @example([0, 0, 0, 0, 1])
+    @example([3, 0, -5, 0, -1])
+    @example([-512])
+    @settings(max_examples=60)
+    def test_matches_comb_decoder(self, digits):
+        # negative digits, and a top digit at w^K for K + 1 digits packed
+        # at offset K + 1, as numerator_rows packs them; the packing is a
+        # plain integer at any z-width
+        ring = PackedSymmetricRing(10)
+        x = sum(d << 10 * j for j, d in enumerate(digits))
+        offset = len(digits)
+        row = w_laurent(ring, x, offset)
+        for bits in (2, 13, 40):
+            assert series._horner_in_z(digits, bits, offset) == sum(
+                v << bits * (e + offset) for e, v in row.c.items())
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_top_digit_fits_and_a_carry_is_refused(self, sign):
+        # at order 4, K = 4: w^4 on the top row is the row of X there, as
+        # D = 1 mod q and the rows below are 0; w^5 leaves a carry out of
+        # the K + 1 digits, refused as a row at the edge of the window
+        order, bits = 4, 8
+        reach = numerator_reach(order)
+        values = [0] * (order + 1)
+        values[order] = sign << bits * reach
+        want = LaurentPolynomial({0: sign})
+        for _ in range(reach):
+            want = want * (LAURENT.z + LAURENT.z_inv)
+        rows = [series._laurent(digits, o) for digits, o in
+                series.numerator_rows(values, bits, order)]
+        assert rows == [LAURENT.zero] * order + [want]
+        values[order] <<= bits
+        with pytest.raises(WindowError) as exc:
+            series.numerator_rows(values, bits, order)
+        assert (exc.value.n, exc.value.reach) == (order, reach + 1)
 
 
 def eta_starts(name, with_start):
@@ -554,7 +600,7 @@ class TestThetaRoute:
         for order in range(THETA_TOP + 1):
             got = d_list(ring, order)
             reach = numerator_reach(order)
-            assert [ring.laurent(x, reach) for x in got] == \
+            assert [w_laurent(ring, x, reach) for x in got] == \
                 want[:order + 1], order
 
     @pytest.mark.parametrize("with_start", [False, True],

@@ -14,6 +14,7 @@ from helpers import (
     sb_by_accumulation,
     spt2,
     sptbar2_by_accumulation,
+    w_laurent,
     wide_ring_divided_by_d,
     wide_ring_rows,
 )
@@ -34,9 +35,9 @@ from spt_kernel.rings import (
 from spt_kernel.series import (
     TruncatedSeries,
     WindowError,
+    apply_factors,
     d_factors,
-    divided_by_d,
-    full_rows,
+    laurent_rows,
     numerator_reach,
     packed_residues,
     poch_quotient,
@@ -65,13 +66,16 @@ from spt_kernel.sptcrank import (
     sb_coefficients_naive,
     sb_numerator,
     sb_residues,
+    sb_rows,
     sb_series,
     sptbar2_series,
     vector_partition_oracle,
 )
+from spt_kernel.verify import u_sb_numerator
 
 # SB's numerator SB*D: the SB walk with cleared, as every numerator
-# builder is called, build(ring, order) and build(ZZ, order, True)
+# builder is called, build(ring, order) and build(ZZ, order, True); the
+# latter is SB's one majorant, which bounds SB*D too
 SB_NUMERATOR = partial(_sb_walk, cleared=True)
 
 ROW4 = LaurentPolynomial({1: 1, 0: 1, -1: 1})
@@ -363,10 +367,26 @@ def packing_bits(build, order):
     return max(build(ZZ, order, True)).bit_length() + 1
 
 
-def laurent_rows(build, order):
-    """Rows 0..order of build's series X over Z[z,1/z] (``full_rows``), as
-    Laurent polynomials."""
-    return [series._laurent(digits, o) for digits, o in full_rows(build, order)]
+def sb_laurent_rows(order):
+    """Rows 0..order of SB(z,q), read off SB*D in Z[w] (``sb_rows``), as
+    a list of Laurent polynomials."""
+    return list(sb_series(order).rows)
+
+
+def rows_over_d(rows):
+    """Rows 0..m of X over Z[z,1/z], m = len(rows) - 1, from rows 0..m of
+    its numerator X*D as Laurent polynomials, which need not be
+    symmetric: packed in z at one offset as plain integers and divided by
+    D row by row (``series._rows_over_d``, window K =
+    ``numerator_reach(m)``), at the width of
+    ``helpers.wide_ring_divided_by_d``."""
+    bits = max(apply_factors([sum(map(abs, p.c.values())) for p in rows],
+                             denom=[(1, 2, 2, None)] * 2)).bit_length() + 1
+    base = max([-e for p in rows for e in p.c] + [0])
+    values = [sum(v << bits * (e + base) for e, v in p.c.items())
+              for p in rows]
+    return [series._laurent(digits, o) for digits, o in series._rows_over_d(
+        values, bits, base, numerator_reach(len(rows) - 1))]
 
 
 class TestPackedSeries:
@@ -406,7 +426,7 @@ class TestPackedSeries:
         # the rows of the Bailey side, back from its numerator Bailey*D
         numerator = bailey_numerator(order).coeffs
         want = bailey_side_by_inversion(order).coeffs
-        assert divided_by_d(numerator) == want
+        assert wide_ring_divided_by_d(numerator) == want
         assert_within_majorant(numerator, BAILEY_NUMERATOR, order)
 
     @given(order=st.integers(1, 40))
@@ -433,19 +453,20 @@ class TestPackedSeries:
 
 
 # name, numerator X*D, the full rows of X, the builder of X*D; the Bailey
-# side has no builder of its own full rows: they are divided_by_d of its
-# numerator, compared with inverted products in TestPackedSeries
+# side has no builder of its own full rows: they are the reference read of
+# its numerator (``helpers.wide_ring_divided_by_d``), compared with
+# inverted products in TestPackedSeries
 NUMERATORS = [
     ("sb", partial(laurent_numerator, SB_NUMERATOR),
-     lambda order: TruncatedSeries(LAURENT, order, list(sb_series(order).rows)),
+     lambda order: TruncatedSeries(LAURENT, order, sb_laurent_rows(order)),
      SB_NUMERATOR),
     ("rank", partial(laurent_numerator, _rank_coeffs), rank_series,
      _rank_coeffs),
     ("crank", lambda order: crank_numerator(order).embed(LAURENT),
      crank_series, _crank_coeffs),
     ("bailey", bailey_numerator,
-     lambda order: TruncatedSeries(
-         LAURENT, order, divided_by_d(bailey_numerator(order).coeffs)),
+     lambda order: TruncatedSeries(LAURENT, order, wide_ring_divided_by_d(
+         bailey_numerator(order).coeffs)),
      BAILEY_NUMERATOR),
 ]
 
@@ -475,8 +496,8 @@ class TestNumerators:
         reach = numerator_reach(order) - 1
         assert all(abs(e) <= reach for row in num.coeffs for e in row.c)
         assert_within_majorant(num.coeffs, build, order)
-        # what a failing check reports: the rows of X, back from X*D
-        assert divided_by_d(num.coeffs) == rows.coeffs
+        # the rows of X back from X*D by the reference read
+        assert wide_ring_divided_by_d(num.coeffs) == rows.coeffs
 
     @pytest.mark.parametrize("side", ["z", "z_inv"])
     def test_row_at_the_reach_raises(self, side):
@@ -568,7 +589,7 @@ class TestSymmetricNumerators:
         ring = PackedSymmetricRing(bits)
         reach = numerator_reach(top)
         for values, rows in numerators:
-            assert [ring.laurent(x, reach) for x in values] == rows
+            assert [w_laurent(ring, x, reach) for x in values] == rows
 
     @pytest.mark.parametrize("order", range(0, 401))
     def test_every_order_matches_z_reference(self, top_numerators, order):
@@ -588,7 +609,8 @@ class TestSymmetricNumerators:
         # each side the checks compare, built 16 bits wider than the run's
         # width B: every w-digit is below 2^(B-1), so at B the packing is
         # exact, and SB*D's and rank*D's digits sum to at most their
-        # majorants, as the proof in numerator_width's docstring has it
+        # majorants (SB's product majorant for SB*D), as the proof in
+        # numerator_width's docstring has it
         bits = numerator_width(order)
         wide = bits + 16
         digits = numerator_reach(order) + 1
@@ -639,18 +661,55 @@ class TestSymmetricNumerators:
                 want = laurent_numerator(SB_NUMERATOR, order).coeffs
                 want[order] = want[order] + term
                 ring = PackedSymmetricRing(bits)
-                assert [ring.laurent(x, reach) for x in rows] == want
+                assert [w_laurent(ring, x, reach) for x in rows] == want
                 continue
             with pytest.raises(WindowError) as exc:
                 symmetric_numerator(build, order, bits)
             assert (exc.value.n, exc.value.reach) == (order, reach)
 
 
+class TestSbMajorant:
+    """SB's one majorant, the product of ``_sb_walk(ZZ, N, True)``, as the
+    bound of SB*D in Z[w] that ``numerator_width`` proves: it dominates
+    the majorant of SB*D's walk (``helpers.sb_by_accumulation`` with bound
+    and cleared, z = 1/z = -1 in the uncancelled step), and gives the
+    run the width that walk gave."""
+
+    def test_dominates_the_walk_majorant(self):
+        for order in range(301):
+            product = _sb_walk(ZZ, order, True)
+            walk = sb_by_accumulation(ZZ, order, True, True)
+            assert len(product) == len(walk) == order + 1
+            assert all(p >= w for p, w in zip(product, walk)), order
+
+    def test_bounds_every_w_row(self):
+        # Sigma |w-digits| of every row of SB*D to q^300, packed 16 bits
+        # wider than the width the product sets
+        order = 300
+        majorant = _sb_walk(ZZ, order, True)
+        bits = max(majorant).bit_length() + 1
+        rows = w_digits(sb_numerator(order, bits + 16).coeffs, bits + 16,
+                        numerator_reach(order))
+        for n, row in enumerate(rows):
+            assert sum(map(abs, row)) <= majorant[n], n
+            assert max(map(abs, row)) < 1 << (bits - 1), n
+
+    def test_width_is_the_walk_majorants(self):
+        # the width max(B_SB + 2, B_rank, B_crank) + 1 with B_SB from the
+        # walk majorant, at every order 4..400
+        for order in range(4, 401):
+            walk = sb_by_accumulation(ZZ, order, True, True)
+            assert numerator_width(order) == max(
+                max(walk).bit_length() + 3,
+                packing_bits(_rank_coeffs, order),
+                packing_bits(_crank_coeffs, order)) + 1, order
+
+
 class TestNumeratorShape:
-    """SB's walk on a ring of offset K = isqrt(N) + 2: full rows built as
-    the numerator SB*D and divided by D once, and residues at every t,
-    whose walk divides by D after every other pass, so that until then
-    its values are a numerator's, at most (2K + 1)*B bits wide."""
+    """SB's walk on a ring of offset K = isqrt(N) + 2: the numerator SB*D
+    that the tests read in z, and residues at every t, whose walk divides
+    by D after every other pass, so that until then its values are a
+    numerator's, at most (2K + 1)*B bits wide."""
 
     @pytest.mark.parametrize("order", [40, 300])
     def test_walk_stays_numerator_wide(self, monkeypatch, order):
@@ -720,13 +779,15 @@ class TestNumeratorShape:
         # orders 1..40 take in rows whose window [-r, r],
         # r = max(n//2 + 1, K), is set by K = isqrt(order) + 2 (the low
         # rows, and every row at orders 1 to 5) and by n//2 + 1; the
-        # references to order 40 truncate to each lower order
+        # references to order 40 truncate to each lower order.  SB's rows
+        # are read off SB*D in Z[w], the Bailey side's by the reference
+        # read of one wide ring
         top = 40
         sb = sb_coefficients_naive(LAURENT, LAURENT.z, LAURENT.z_inv, top)
         bailey = bailey_side_by_inversion(top).coeffs
         for order in range(1, top + 1):
-            assert laurent_rows(_sb_walk, order) == sb[:order + 1], order
-            assert laurent_rows(bailey_side, order) == \
+            assert sb_laurent_rows(order) == sb[:order + 1], order
+            assert wide_ring_rows(bailey_side, order) == \
                 bailey[:order + 1], order
 
 
@@ -734,21 +795,31 @@ class TestNumeratorShape:
 # power of z further than SB's
 U = LaurentPolynomial({1: -1, 0: 2, -1: -1})
 
-# the numerators whose rows a failing check divides by D
+# the numerators whose rows a failing check divides by D: as Laurent rows
+# from the narrow ring or the Bailey side's own walk, and in Z[w] at a
+# run's width, as the checks build them (bailey_limit's left side
+# crank*D + u SB*D)
 REPORTED = [
-    ("u-sb", lambda order: laurent_numerator(SB_NUMERATOR, order).scale(U).coeffs),
+    ("u-sb",
+     lambda order: laurent_numerator(SB_NUMERATOR, order).scale(U).coeffs,
+     lambda order, bits: u_sb_numerator(order, bits).coeffs),
     ("rank-minus-crank", lambda order: (
         laurent_numerator(_rank_coeffs, order)
-        - crank_numerator(order).embed(LAURENT)).coeffs),
-    ("bailey", lambda order: bailey_numerator(order).coeffs),
+        - crank_numerator(order).embed(LAURENT)).coeffs,
+     lambda order, bits: (rank_numerator(order, bits)
+                          - crank_numerator(order)).coeffs),
+    ("bailey", lambda order: bailey_numerator(order).coeffs,
+     lambda order, bits: (crank_numerator(order)
+                          + u_sb_numerator(order, bits)).coeffs),
 ]
 
 
-# the full rows of each series, and their reference on one ring of
-# t = 2S + 1 digits: SB's from its walk (``full_rows``), the rank's and
-# the crank's read off their numerators in Z[w] (``numerator_rows``)
+# the full rows of each series, read off their numerators in Z[w]
+# (``numerator_rows``), and their reference on one ring of t = 2S + 1
+# digits: SB's from its walk, the rank's and the crank's from the z read
+# of their numerators
 FULL_ROWS = [
-    ("sb", partial(laurent_rows, _sb_walk), partial(wide_ring_rows, _sb_walk)),
+    ("sb", sb_laurent_rows, partial(wide_ring_rows, _sb_walk)),
     ("rank", lambda order: rank_series(order).coeffs,
      lambda order: wide_ring_divided_by_d(
          narrow_ring_numerator(_rank_coeffs, order))),
@@ -759,9 +830,9 @@ FULL_ROWS = [
 
 
 class TestFullRows:
-    """The full rows, each row divided by D at its own width, against the
-    reference that reads every row off one ring of t = 2S + 1 digits
-    (``helpers.wide_ring_rows``)."""
+    """The full rows, each read off a numerator in Z[w] and divided by D
+    at its own width, against the reference that reads every row off one
+    ring of t = 2S + 1 digits (``helpers.wide_ring_rows``)."""
 
     @pytest.mark.parametrize("order", [*range(1, 13), 60, 300])
     @pytest.mark.parametrize("rows, reference",
@@ -771,18 +842,25 @@ class TestFullRows:
         assert rows(order) == reference(order)
 
     @pytest.mark.parametrize("order", [*range(1, 13), 60, 300])
-    @pytest.mark.parametrize("name, numerator", REPORTED,
+    @pytest.mark.parametrize("name, numerator, packed", REPORTED,
                              ids=[r[0] for r in REPORTED])
-    def test_divided_by_d_matches_wide_ring(self, name, numerator, order):
-        rows = numerator(order)
-        assert divided_by_d(rows) == wide_ring_divided_by_d(rows)
+    def test_divided_by_d_matches_wide_ring(self, name, numerator, packed,
+                                            order):
+        # the rows a failing check reports (``numerator_rows``), against
+        # the reference read of the same numerator built in z
+        bits = numerator_width(order)
+        assert laurent_rows(packed(order, bits), bits, order) == \
+            wide_ring_divided_by_d(numerator(order))
 
     @pytest.mark.parametrize("order", [4, 5, 9, 12, 40, 41, 100])
     @pytest.mark.parametrize("sign", [1, -1], ids=["z", "z_inv"])
     def test_last_row_window(self, order, sign):
-        # the window of row n is [-r, r], r = max(n//2 + 1, K): at the
-        # orders below 12, K = isqrt(n) + 2 is the larger.  A term two
-        # powers out is refused too, wherever the row is held
+        # the window of row n of the division by D is [-r, r],
+        # r = max(n//2 + 1, K): at the orders below 12, K = isqrt(n) + 2
+        # is the larger.  A term two powers out is refused too, wherever
+        # the row is held.  Rows in Z[w] are symmetric, so the one-sided
+        # term goes on a z-row of SB*D, divided by D as numerator_rows
+        # divides its rows (rows_over_d)
         reach = max(order // 2 + 1, numerator_reach(order))
         want = sb_series(order).rows[order]
         for power, fits in ((reach, True), (reach + 1, False),
@@ -791,16 +869,16 @@ class TestFullRows:
             term = LaurentPolynomial({sign * power: 1})
             rows[order] = rows[order] + term
             if fits:
-                assert divided_by_d(rows)[order] == want + term
+                assert rows_over_d(rows)[order] == want + term
                 continue
             with pytest.raises(WindowError) as exc:
-                divided_by_d(rows)
+                rows_over_d(rows)
             assert (exc.value.n, exc.value.reach) == (order, reach + 1)
 
     def test_each_row_has_its_own_offset(self):
         # o = max(i//2 + 1, K) + 1: K + 1 for the first rows, N//2 + 2 for
         # the last, rising by at most one from row to row
-        rows = full_rows(_sb_walk, 300)
+        rows = sb_rows(300)
         digits, o = next(rows)
         assert (digits, o) == ([0] * (2 * o + 1), numerator_reach(300) + 1)
         offsets = [o for _, o in rows]
@@ -815,7 +893,8 @@ class TestHornerWalk:
 
     @pytest.mark.parametrize("order", [*range(1, 61), 301])
     def test_matches_accumulation(self, order):
-        for bound, cleared in ((True, True), (False, True), (False, False)):
+        # SB's majorant is a product, not a walk (TestSbMajorant)
+        for bound, cleared in ((False, True), (False, False)):
             assert _sb_walk(ZZ, order, bound, cleared) == \
                 sb_by_accumulation(ZZ, order, bound, cleared), \
                 (bound, cleared)
@@ -839,12 +918,15 @@ BUILDERS = [_sb_walk, _rank_coeffs, _crank_coeffs, bailey_side]
 
 
 def builder_rows(build, order):
-    """The Laurent rows of what build makes: SB's and the Bailey side's
-    full rows, and rank*D and crank*D, the numerators that the rank's and
-    the crank's builders make, read off the narrow ring."""
-    if build in (_rank_coeffs, _crank_coeffs):
-        return narrow_ring_numerator(build, order)
-    return laurent_rows(build, order)
+    """The Laurent rows of what build makes: SB's rows, the Bailey side's
+    full rows by the reference read, and rank*D and crank*D, the
+    numerators that the rank's and the crank's builders make, read off
+    the narrow ring."""
+    if build is _sb_walk:
+        return sb_laurent_rows(order)
+    if build is bailey_side:
+        return wide_ring_rows(bailey_side, order)
+    return narrow_ring_numerator(build, order)
 
 
 def residue_moduli(order):
