@@ -4,6 +4,12 @@
     spt-kernel verify [--order N] [--oracle-bound B] [--only CHECK] ...
     spt-kernel export --what TARGET [--order N] [--format ...] [--out PATH]
 
+An option takes its value as ``--opt value`` or ``--opt=value``, may be
+shortened to any unique prefix of its name, and when repeated the last
+occurrence wins; ``-h``/``--help`` prints the usage, before or after the
+command.  The options of each command are one table, ``_COMMANDS``, which
+the parser and the help text both read.
+
 Exit codes: 0 success, 1 verification failure or output that could not be
 written (including a reader that closed the pipe), 2 usage error.
 All emitted numbers are exact decimal strings; there are no floats.
@@ -11,16 +17,17 @@ All emitted numbers are exact decimal strings; there are no floats.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from itertools import chain, islice
+from types import SimpleNamespace
 
 from . import verify as verify_mod
 from .sptcrank import sb_residues, sb_rows, sptbar2_series
 from .verify import (
     a2_formula,
     crank_component,
+    json_string,
     rank_component,
     run_all,
 )
@@ -36,43 +43,164 @@ _EXPORT_TARGETS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spt-kernel",
-        description="Exact q-series tables and identity verification for the "
-                    "overpartition spt2 crank.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The options of each command, one entry each: (name, destination, type,
+# default, help).  The type is int, str or the tuple of accepted values; the
+# default _REQUIRED makes the option required.  ``_parse`` and the --help
+# text both read this table.
+_REQUIRED = ...
+_COMMON = (
+    ("--order", "order", int, 100, "truncation order N (default 100)"),
+    ("--format", "format", ("json", "csv", "text"), "text",
+     "output format (default text)"),
+    ("--out", "out", str, None,
+     "output path (default stdout; relative paths resolve under "
+     "$SPT_KERNEL_OUT_DIR if set)"),
+)
+_COMMANDS = {
+    "table": ("spt2bar values and residue-class rows", _COMMON + (
+        ("--t", "t", int, 3, "residue-class modulus (default 3)"),
+    )),
+    "verify": ("run the identity/congruence checks", _COMMON + (
+        ("--oracle-bound", "oracle_bound", int, verify_mod.ORACLE_BOUND,
+         f"enumeration cross-check bound (default {verify_mod.ORACLE_BOUND}"
+         f", max {verify_mod.MAX_ORACLE_BOUND})"),
+        ("--only", "only", str, None, "run a single named check"),
+    )),
+    "export": ("dump dissection components or the table", _COMMON + (
+        ("--what", "what", ("spt2", "table", *sorted(_EXPORT_TARGETS)),
+         _REQUIRED, "the series to dump"),
+    )),
+}
+_DESCRIPTION = ("Exact q-series tables and identity verification for the "
+                "overpartition spt2 crank.")
 
-    def common(p):
-        p.add_argument("--order", type=int, default=100,
-                       help="truncation order N (default 100)")
-        p.add_argument("--format", choices=("json", "csv", "text"),
-                       default="text")
-        p.add_argument("--out", default=None,
-                       help="output path (default stdout; relative paths "
-                            "resolve under $SPT_KERNEL_OUT_DIR if set)")
 
-    p_table = sub.add_parser("table", help="spt2bar values and residue-class rows")
-    common(p_table)
-    p_table.add_argument("--t", type=int, default=3,
-                         help="residue-class modulus (default 3)")
+def _invocation(name: str, dest: str, kind) -> str:
+    """How --help and the usage line show an option and its value."""
+    if isinstance(kind, tuple):
+        return f"{name} {{{','.join(kind)}}}"
+    return f"{name} {dest.upper()}"
 
-    p_verify = sub.add_parser("verify", help="run the identity/congruence checks")
-    common(p_verify)
-    p_verify.add_argument("--oracle-bound", type=int,
-                          default=verify_mod.ORACLE_BOUND,
-                          help=f"enumeration cross-check bound (default "
-                               f"{verify_mod.ORACLE_BOUND}, max "
-                               f"{verify_mod.MAX_ORACLE_BOUND})")
-    p_verify.add_argument("--only", default=None,
-                          help="run a single named check")
 
-    p_export = sub.add_parser("export", help="dump dissection components or the table")
-    common(p_export)
-    p_export.add_argument("--what", required=True,
-                          choices=("spt2", "table", *sorted(_EXPORT_TARGETS)))
-    return parser
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: spt-kernel [-h] {{{','.join(_COMMANDS)}}} ..."
+    words = [f"usage: spt-kernel {command} [-h]"]
+    for name, dest, kind, default, _ in _COMMANDS[command][1]:
+        shown = _invocation(name, dest, kind)
+        words.append(shown if default is _REQUIRED else f"[{shown}]")
+    return " ".join(words)
+
+
+def _usage_error(command: str | None, message: str):
+    """Exit 2 with the usage line and the message on stderr."""
+    sys.stderr.write(f"{_usage(command)}\nspt-kernel: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help_line(invocation: str, text: str) -> str:
+    if len(invocation) > 20:
+        return f"  {invocation}\n{' ' * 24}{text}"
+    return f"  {invocation:<20}  {text}"
+
+
+def _print_help(command: str | None):
+    """Print the usage and every command, or every option of command, and
+    exit 0."""
+    if command is None:
+        about = [_DESCRIPTION, "", "commands:"] + [
+            _help_line(name, text) for name, (text, _) in _COMMANDS.items()]
+        options = []
+    else:
+        about = [_COMMANDS[command][0]]
+        options = [_help_line(_invocation(name, dest, kind), text)
+                   for name, dest, kind, _, text in _COMMANDS[command][1]]
+    sys.stdout.write("\n".join([
+        _usage(command), "", *about, "", "options:",
+        _help_line("-h, --help", "show this help message and exit"),
+        *options]) + "\n")
+    raise SystemExit(0)
+
+
+def _option(command: str | None, word: str, names) -> str:
+    """The option name that word (without any "=value") stands for: an
+    exact name, -h, or a unique prefix of a name, as argparse allows."""
+    if word == "-h" or word in names:
+        return "--help" if word == "-h" else word
+    found = ([name for name in names if name.startswith(word)]
+             if word.startswith("--") and word != "--" else [])
+    if not found:
+        _usage_error(command, f"unrecognized arguments: {word}")
+    if len(found) > 1:
+        _usage_error(command, f"ambiguous option: {word} could match "
+                              f"{', '.join(found)}")
+    return found[0]
+
+
+def _is_value(word: str) -> bool:
+    """Whether word, after an option that takes a value, is that value.
+    As in argparse, a word that starts with "-" is the next option unless
+    it is "-" alone, holds a space or reads as a negative number."""
+    if not word.startswith("-") or word == "-" or " " in word:
+        return True
+    whole, dot, frac = word[1:].partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return frac.isdecimal() and (not whole or whole.isdecimal())
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command and its option values, or exit 2 with a usage error
+    (0 after --help)."""
+    if not argv:
+        _usage_error(None, "the following arguments are required: command")
+    command, *words = argv
+    if command.startswith("-"):
+        _option(None, command, ("--help",))
+        _print_help(None)
+    if command not in _COMMANDS:
+        choices = ", ".join(repr(name) for name in _COMMANDS)
+        _usage_error(None, f"argument command: invalid choice: {command!r} "
+                           f"(choose from {choices})")
+    options = {name: (dest, kind)
+               for name, dest, kind, _, _ in _COMMANDS[command][1]}
+    values = {dest: default
+              for _, dest, _, default, _ in _COMMANDS[command][1]}
+    words = iter(words)
+    for word in words:
+        word, inline, value = word.partition("=")
+        if not word.startswith("--") and word != "-h":
+            _usage_error(command, f"unrecognized arguments: {word}{inline}"
+                                  f"{value}")
+        name = _option(command, word, (*options, "--help"))
+        if name == "--help":
+            if inline:
+                _usage_error(command, f"argument -h/--help: ignored explicit "
+                                      f"argument {value!r}")
+            _print_help(command)
+        if not inline:
+            value = next(words, None)
+            if value is None or not _is_value(value):
+                _usage_error(command, f"argument {name}: expected one "
+                                      f"argument")
+        dest, kind = options[name]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(command, f"argument {name}: invalid int value: "
+                                      f"{value!r}")
+        elif kind is not str and value not in kind:
+            choices = ", ".join(repr(choice) for choice in kind)
+            _usage_error(command, f"argument {name}: invalid choice: "
+                                  f"{value!r} (choose from {choices})")
+        values[dest] = value
+    missing = [name for name, dest, _, default, _ in _COMMANDS[command][1]
+               if values[dest] is _REQUIRED]
+    if missing:
+        _usage_error(command, f"the following arguments are required: "
+                              f"{', '.join(missing)}")
+    return SimpleNamespace(command=command, **values)
 
 
 def _out_path(path: str) -> str:
@@ -104,9 +232,10 @@ def _probe_out(path: str) -> bool:
 
 
 # One record per line.  Every field is an int or the decimal string of an
-# int, so these f-strings print exactly what json.dumps does for the same
-# dict (same key order, ", " and ": " separators, nothing to escape), at a
-# fraction of its cost per record.
+# int (the component target is quoted by ``json_string``), so these
+# f-strings print exactly what json.dumps does for the same dict (same key
+# order, ", " and ": " separators, nothing to escape), at a fraction of its
+# cost per record, and no CLI path loads json.
 def _row_json(n: int, digits, o: int) -> list[str]:
     """The records of row n, one per nonzero digits[k], the count at
     m = k - o."""
@@ -122,6 +251,13 @@ def _table_json(n: int, v: int, t: int, classes) -> str:
     """Keys in sort_keys order."""
     quoted = ", ".join(f'"{c}"' for c in classes)
     return f'{{"classes": [{quoted}], "n": {n}, "spt2": "{v}", "t": {t}}}'
+
+
+def _component_json(target: str, order: int, coeffs) -> str:
+    """Keys in insertion order, as json.dumps writes the dict."""
+    quoted = ", ".join(f'"{c}"' for c in coeffs)
+    return (f'{{"target": {json_string(target)}, "order": {order}, '
+            f'"coefficients": [{quoted}]}}')
 
 
 # Lines per write: one write call per block, not per line (a write call is
@@ -223,11 +359,8 @@ def cmd_export(args) -> int:
     series = _EXPORT_TARGETS[args.what](args.order)
     coeffs = [(n, series.coefficient(n)) for n in range(series.order + 1)]
     if args.format == "json":
-        import json  # imported here: the text outputs never load it
-        lines = [json.dumps({
-            "target": args.what, "order": series.order,
-            "coefficients": [str(c) for _, c in coeffs],
-        })]
+        lines = [_component_json(args.what, series.order,
+                                 (c for _, c in coeffs))]
     elif args.format == "csv":
         lines = ["n,coefficient"] + [f"{n},{c}" for n, c in coeffs]
     else:
@@ -236,21 +369,21 @@ def cmd_export(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    command = args.command
     if args.order < 1:
-        parser.error("--order must be >= 1")
+        _usage_error(command, "--order must be >= 1")
     # a coefficient list holds order + 1 references of 8 bytes, and no
     # object may exceed sys.maxsize bytes
     if args.order > sys.maxsize // 8:
-        parser.error(f"--order must be at most {sys.maxsize // 8}")
-    if args.command == "verify":
+        _usage_error(command, f"--order must be at most {sys.maxsize // 8}")
+    if command == "verify":
         if not 0 <= args.oracle_bound <= verify_mod.MAX_ORACLE_BOUND:
-            parser.error(f"--oracle-bound must be between 0 and "
-                         f"{verify_mod.MAX_ORACLE_BOUND}")
+            _usage_error(command, f"--oracle-bound must be between 0 and "
+                                  f"{verify_mod.MAX_ORACLE_BOUND}")
         if args.only is not None and args.only not in verify_mod.CHECKS:
-            parser.error(f"unknown check {args.only!r}; choose from "
-                         f"{sorted(verify_mod.CHECKS)}")
+            _usage_error(command, f"unknown check {args.only!r}; choose "
+                                  f"from {sorted(verify_mod.CHECKS)}")
         try:
             verify_mod.selected_checks(args.order, args.only)
         except ValueError as exc:
@@ -259,13 +392,13 @@ def main(argv=None) -> int:
     # Row n of SB has z-exponents in [-n/2, n/2] (see sb_rows), so a
     # modulus above N+1 only pads every row with zero classes; up to 2N+1
     # is accepted.
-    if args.command == "table" and not 1 <= args.t <= 2 * args.order + 1:
-        parser.error("--t must be between 1 and 2*order+1")
+    if command == "table" and not 1 <= args.t <= 2 * args.order + 1:
+        _usage_error(command, "--t must be between 1 and 2*order+1")
     # an unwritable --out fails before any work
     if args.out is not None and not _probe_out(args.out):
         return 1
     handler = {"table": cmd_table, "verify": cmd_verify, "export": cmd_export}
-    return handler[args.command](args)
+    return handler[command](args)
 
 
 if __name__ == "__main__":

@@ -51,8 +51,44 @@ class VerificationReport(namedtuple(
         return self.status == "pass"
 
     def to_json(self) -> str:
-        import json  # imported here: the text outputs never load it
-        return json.dumps(self._asdict(), sort_keys=True)
+        """The report as ``json.dumps(self._asdict(), sort_keys=True)``
+        writes it, without loading json: the fields are strings, ints and
+        None, and first_failure is None or a dict of strings and ints."""
+        failure = "null" if self.first_failure is None else "{" + ", ".join(
+            f"{json_string(k)}: "
+            + (json_string(v) if isinstance(v, str) else str(v))
+            for k, v in sorted(self.first_failure.items())) + "}"
+        return (f'{{"check": {json_string(self.check)}, '
+                f'"first_failure": {failure}, '
+                f'"order": {self.order}, '
+                f'"status": {json_string(self.status)}}}')
+
+
+# json's escapes; any other character outside " " .. "~" is written as
+# \uXXXX, one UTF-16 code unit each
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r",
+                 "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+
+
+def _json_char(c: str) -> str:
+    if c in _JSON_ESCAPES:
+        return _JSON_ESCAPES[c]
+    if " " <= c <= "~":
+        return c
+    n = ord(c)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000
+    return f"\\u{0xd800 | n >> 10:04x}\\u{0xdc00 | n & 0x3ff:04x}"
+
+
+def json_string(s: str) -> str:
+    """s as ``json.dumps`` writes it (ensure_ascii, the default): quoted,
+    every character outside " " .. "~" and every quote and backslash
+    escaped.  Printable ASCII without either is written as it is."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    return '"' + "".join(map(_json_char, s)) + '"'
 
 
 def _compare(check: str, order: int, subchecks) -> VerificationReport:

@@ -1,7 +1,11 @@
+import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -10,16 +14,23 @@ from hypothesis import strategies as st
 
 from helpers import residue_class_sums
 import spt_kernel
-from spt_kernel import sptcrank
+from spt_kernel import cli, sptcrank
 from spt_kernel.cli import (
     _BLOCK,
+    _component_json,
     _emit,
+    _parse,
     _row_json,
     _spt2_json,
     _table_json,
     main,
 )
 from spt_kernel.sptcrank import sb_series
+
+
+def src_env() -> dict:
+    return dict(os.environ,
+                PYTHONPATH=str(Path(spt_kernel.__file__).resolve().parents[1]))
 
 
 def run_cli(capsys, *argv):
@@ -326,7 +337,8 @@ def test_output_probe_creates_and_truncates_nothing(capsys, tmp_path):
     (["table"], True),
     (["export", "--what", "table"], False),
     (["export", "--what", "spt2"], False),
-], ids=["table", "export-table", "export-spt2"])
+    (["export", "--what", "A2"], False),
+], ids=["table", "export-table", "export-spt2", "export-A2"])
 @pytest.mark.parametrize("order", [1, 8, 60])
 def test_json_records_match_the_encoder(capsys, argv, sort_keys, order):
     code, out = run_cli(capsys, *argv, "--order", str(order), "--format", "json")
@@ -344,6 +356,13 @@ def test_row_record_is_json_dumps(n, m, c):
     # digits [0, c] at offset 1 - m: one record for c at m, none for 0
     assert _row_json(n, [0, c], 1 - m) == ([json.dumps(
         {"n": n, "m": m, "coefficient": str(c)})] if c else [])
+
+
+@given(st.text(), wide_ints, st.lists(wide_ints))
+def test_component_record_is_json_dumps(target, order, coeffs):
+    assert _component_json(target, order, coeffs) == json.dumps({
+        "target": target, "order": order,
+        "coefficients": [str(c) for c in coeffs]})
 
 
 @given(wide_ints, wide_ints)
@@ -377,8 +396,7 @@ def test_closed_pipe_exits_one_and_writes_no_stderr(argv, lines_read,
     # the pipe inside the write loop; the short outputs, whose reader closes
     # before they are written, break it at the final flush, or, with
     # PYTHONUNBUFFERED set, at their one write.
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(spt_kernel.__file__).resolve().parents[1]))
+    env = src_env()
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"  # each write goes straight to the fd
     else:
@@ -411,11 +429,10 @@ def test_blocks_write_every_line_once(tmp_path):
 def cold_import_modules():
     """The modules a cold ``import spt_kernel.cli`` loads; -S leaves out
     whatever the site packages import."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(spt_kernel.__file__).resolve().parents[1]))
     run = subprocess.run([sys.executable, "-S", "-X", "importtime", "-c",
                           "import spt_kernel.cli"],
-                         env=env, capture_output=True, text=True, timeout=60)
+                         env=src_env(), capture_output=True, text=True,
+                         timeout=60)
     assert run.returncode == 0, run.stderr
     loaded = {line.rsplit("|", 1)[-1].strip()
               for line in run.stderr.splitlines()}
@@ -431,6 +448,214 @@ def test_cold_import_loads_no_introspection_modules():
 
 
 def test_cold_import_loads_no_json():
-    # json is imported where a JSON string is built, so the text outputs
-    # never pay for it
+    # the JSON lines are written without json (json_string and the record
+    # f-strings), so no CLI path pays for its import
     assert "json" not in cold_import_modules()
+
+
+# One run of each JSON output in a fresh interpreter (-S: no site
+# packages), which reports the modules that importing the CLI and running
+# it added to sys.modules.
+FOOTPRINT = """
+import sys
+before = set(sys.modules)
+from spt_kernel.cli import main
+for argv in (["verify", "--order", "12", "--oracle-bound", "4",
+              "--format", "json"],
+             ["table", "--order", "10", "--format", "csv"],
+             ["export", "--what", "A2", "--order", "10", "--format", "json"]):
+    if main(argv):
+        sys.exit(f"{argv} failed")
+sys.stderr.write(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_runs_load_no_argparse_gettext_locale_or_json():
+    # argparse and the gettext and locale imports of its messages took
+    # about 5 ms of every cold process, json 2.3 ms of a JSON output
+    run = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT],
+                         env=src_env(), capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    added = set(run.stderr.split())
+    assert "spt_kernel.cli" in added
+    assert not added & {"argparse", "gettext", "locale", "json"}
+
+
+# -- the argv contract --------------------------------------------------------
+
+# every argv the parser or main refuses, and a part of its message
+USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["--bogus", "verify"], "unrecognized arguments: --bogus"),
+    (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+    (["verify", "extra"], "unrecognized arguments: extra"),
+    (["verify", "--or", "5"],
+     "ambiguous option: --or could match --order, --oracle-bound"),
+    (["table", "--o=5"], "ambiguous option: --o could match --order, --out"),
+    (["verify", "--order"], "argument --order: expected one argument"),
+    (["verify", "--out", "--order", "5"],
+     "argument --out: expected one argument"),
+    (["table", "--order", "x"], "argument --order: invalid int value: 'x'"),
+    (["table", "--t=1.5"], "argument --t: invalid int value: '1.5'"),
+    (["table", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'json', 'csv', "
+     "'text')"),
+    (["export", "--what", "B7"], "argument --what: invalid choice: 'B7'"),
+    (["export"], "the following arguments are required: --what"),
+    (["verify", "--help=x"],
+     "argument -h/--help: ignored explicit argument 'x'"),
+    (["table", "--order", "0"], "--order must be >= 1"),
+    (["table", "--order", "5", "--t", "12"],
+     "--t must be between 1 and 2*order+1"),
+    (["verify", "--oracle-bound", "-1"],
+     "--oracle-bound must be between 0 and 30"),
+    (["verify", "--only", "theorem9"], "unknown check 'theorem9'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[" ".join(a) or "no-arguments"
+                              for a, _ in USAGE_ERRORS])
+def test_usage_error_exits_two_with_usage_and_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: spt-kernel")
+    assert error.startswith("spt-kernel: error: ") and message in error
+
+
+@cache
+def argparse_reference() -> argparse.ArgumentParser:
+    """argparse configured from the same option table: the reference for
+    the syntax the table parser accepts."""
+    parser = argparse.ArgumentParser(prog="spt-kernel")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (text, options) in cli._COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, dest, kind, default, help in options:
+            kw = ({"choices": kind} if isinstance(kind, tuple)
+                  else {"type": kind})
+            if default is cli._REQUIRED:
+                kw["required"] = True
+            else:
+                kw["default"] = default
+            p.add_argument(name, dest=dest, help=help, **kw)
+    return parser
+
+
+def parse_outcome(parse, argv):
+    """The parsed values as a dict, or the exit code parse raised."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+SYNTAX = [
+    ["verify", "--order=12", "--only=theorem1", "--format=json"],
+    ["verify", "--ord", "12", "--on", "theorem1", "--f", "csv"],
+    ["verify", "--ora=7", "--orde", "-3"],
+    ["verify", "--order", "12", "--order", "13", "--format", "csv",
+     "--format", "json"],
+    ["table", "--t", "5", "--t=7", "--out", "-", "--out="],
+    ["export", "--wh=table", "--what", "spt2", "--out", "-1.5"],
+    ["table", "--out", "a b", "--order", " 8 "],
+]
+
+
+@pytest.mark.parametrize("argv", SYNTAX, ids=" ".join)
+def test_option_syntax_parses_as_argparse_did(argv):
+    assert parse_outcome(_parse, argv) == parse_outcome(
+        argparse_reference().parse_args, argv)
+
+
+def test_defaults():
+    common = {"order": 100, "format": "text", "out": None}
+    assert vars(_parse(["table"])) == {"command": "table", **common, "t": 3}
+    assert vars(_parse(["verify"])) == {
+        "command": "verify", **common, "oracle_bound": 20, "only": None}
+    assert vars(_parse(["export", "--what", "A2"])) == {
+        "command": "export", **common, "what": "A2"}
+
+
+# An argv is a command and a list of items, each an option with a value
+# it accepts (whole names, prefixes, "=value") or a noise word: unknown or
+# ambiguous options, values that are not ints, choices or values at all;
+# or it is any words at all.  No -h, whose place among errors argparse
+# decides differently, and no "--", since no command takes a positional
+# argument.
+COMMON_ITEMS = [("--order", "12"), ("--ord", "-5"), ("--order", " 8 "),
+                ("--order=7",), ("--format", "json"), ("--f", "csv"),
+                ("--format=text",), ("--out", "a b"), ("--out", "-"),
+                ("--out", "-.5"), ("--out=",)]
+ITEMS = {
+    "table": COMMON_ITEMS + [("--t", "5"), ("--t=2",)],
+    "verify": COMMON_ITEMS + [("--oracle-bound", "7"), ("--ora=3",),
+                              ("--only", "theorem1"), ("--on", "x")],
+    "export": COMMON_ITEMS + [("--what", "A2"), ("--w", "table"),
+                              ("--what=spt2",)],
+}
+NOISE = ["--or", "--o", "--o=7", "--t", "--what", "--bogus", "x", "", "-",
+         "-x", "-5", "xml", "table"]
+
+
+def argv_of(command):
+    # an option with a value three times as often as a noise word
+    items = st.sampled_from(3 * ITEMS[command] + [(w,) for w in NOISE])
+    return st.lists(items, max_size=5).map(
+        lambda items: [command, *(word for item in items for word in item)])
+
+
+ARGVS = st.one_of(
+    st.sampled_from(list(ITEMS)).flatmap(argv_of),
+    st.lists(st.sampled_from([*ITEMS, *NOISE, "--order=7", "--only"]),
+             max_size=6),
+)
+
+
+@given(ARGVS)
+def test_any_argv_parses_or_fails_as_argparse_did(argv):
+    assert parse_outcome(_parse, argv) == parse_outcome(
+        argparse_reference().parse_args, argv)
+
+
+OPTIONS = {
+    "table": ["--order", "--format", "--out", "--t"],
+    "verify": ["--order", "--format", "--out", "--oracle-bound", "--only"],
+    "export": ["--order", "--format", "--out", "--what"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["--he"],
+    *([command, flag] for command in OPTIONS for flag in ("-h", "--help")),
+    ["verify", "--order", "5", "--he"], ["export", "-h", "--what", "B7"],
+], ids=" ".join)
+def test_help_exits_zero_and_names_every_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: spt-kernel")
+    for name in ["-h, --help", *OPTIONS.get(argv[0], OPTIONS)]:
+        assert name in out
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["verify", "--bogus"], ["table", "--order", "x"], ["export"],
+    ["verify", "--order", "5"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_usage_error_in_a_process_leaves_no_traceback(argv):
+    run = subprocess.run([sys.executable, "-m", "spt_kernel.cli", *argv],
+                         env=src_env(), capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.startswith(("usage: spt-kernel", "spt-kernel: "))
+    assert "Traceback" not in run.stderr

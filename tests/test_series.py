@@ -775,13 +775,15 @@ class TestThetaRouteChoice:
         # numerator proof gives (K = 9 at order 60); reading them is
         # refused, and the check fails at the first such row
         for check in ("theorem2", "bailey_limit"):
-            assert verify.run_all(60, only=check) == [
-                verify.VerificationReport(check, 60, "fail", {
-                    "n": 21,
-                    "expected": "z-exponents within [-8, 8]",
-                    "actual": "a nonzero digit at z^-9 or z^9",
-                    "where": "z-window",
-                })]
+            (report,) = verify.run_all(60, only=check)
+            assert report == verify.VerificationReport(check, 60, "fail", {
+                "n": 21,
+                "expected": "z-exponents within [-8, 8]",
+                "actual": "a nonzero digit at z^-9 or z^9",
+                "where": "z-window",
+            })
+            assert report.to_json() == json.dumps(report._asdict(),
+                                                  sort_keys=True)
 
     def test_row_outside_window_is_a_report(self, monkeypatch, capsys):
         # the refusal ends the command with exit code 1 and a report on

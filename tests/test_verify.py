@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import bailey_pair_rhs_from_scratch, gauss_theta
 from spt_kernel import series, sptcrank, verify
@@ -14,6 +16,7 @@ from spt_kernel.verify import (
     bailey_betas,
     bailey_pair_rhs,
     gauss_psi,
+    json_string,
     jtp_psi_dissection,
     run_all,
     verify_bailey_limit,
@@ -71,6 +74,41 @@ def test_report_is_an_immutable_value():
         '{"check": "theorem2", "first_failure": {"actual": "-2", '
         '"expected": "1", "n": 3, "where": "rank"}, "order": 60, '
         '"status": "fail"}')
+
+
+def encoded(report):
+    """The reference encoding that ``to_json`` must equal byte for byte."""
+    return json.dumps(report._asdict(), sort_keys=True)
+
+
+def test_every_report_of_a_run_is_json_dumps():
+    for report in run_all(24, oracle_bound=6):
+        assert report.to_json() == encoded(report)
+
+
+# every character class json escapes: quote, backslash, the short escapes,
+# other controls, DEL, non-ASCII in the BMP and beyond it (a surrogate
+# pair), and a lone surrogate
+ESCAPED = 'a"b\\c\n\r\t\b\f\x00\x1f\x7f\u00e9\u2028\U0001f600\ud800'
+
+
+@given(st.text(), st.integers(), st.text(), st.one_of(
+    st.none(), st.fixed_dictionaries({
+        "n": st.integers(), "expected": st.text(), "actual": st.text(),
+        "where": st.text()})))
+@example(ESCAPED, 7, ESCAPED, {"n": -1, "expected": ESCAPED,
+                               "actual": "", "where": ESCAPED})
+def test_report_json_is_json_dumps_of_any_text(check, order, status,
+                                               failure):
+    report = VerificationReport(check, order, status, failure)
+    assert report.to_json() == encoded(report)
+
+
+@given(st.text(st.characters(exclude_categories=())))
+@example(ESCAPED)
+def test_json_string_is_json_dumps(s):
+    # surrogates included, which st.text() leaves out by default
+    assert json_string(s) == json.dumps(s)
 
 
 def test_a2_low_coefficients():
@@ -265,6 +303,7 @@ def test_fault_in_one_coefficient_is_reported_exactly(
     assert rep.status == "fail"
     assert (rep.first_failure["n"], rep.first_failure["where"]) == (n, where)
     assert rep.first_failure["expected"] != rep.first_failure["actual"]
+    assert rep.to_json() == encoded(rep)
 
 
 # rows 24 of u*SB and of rank - crank with the faulty term, u = -z + 2 - 1/z,
@@ -344,6 +383,7 @@ def test_fault_in_one_enumeration_row_is_reported_exactly(
             monkeypatch.setattr(module, name, unreachable, raising=False)
     (rep,) = run_all(ORDER, oracle_bound=6, only="theorem2")
     assert rep.first_failure == failure
+    assert rep.to_json() == encoded(rep)
 
 
 def test_fault_in_one_zeta3_rank_lambert_term_is_reported_exactly(
