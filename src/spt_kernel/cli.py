@@ -291,10 +291,11 @@ def _emit(lines, out_path, block_lines: int = _BLOCK) -> int:
 
 def cmd_table(args) -> int:
     """Rows n = 1..order: spt2bar(n) and the residue-class sums mod t of
-    row n of SB.  SB(1, q) is the spt2bar series, so spt2 is the z = 1
-    total of the classes, read off the one walk, and refused with them if
-    negative (``sb_residues``); the ``congruences`` check and CI compare
-    it with the separate ``sptbar2_series`` walk.  The lines are made as
+    row n of SB, read off SB*D's walk in Z[w], the walk ``export`` reads
+    (``sb_residues``).  SB(1, q) is the spt2bar series, so spt2 is the
+    z = 1 total of the classes, refused with them if negative; the
+    ``congruences`` check and CI compare it with the separate
+    ``sptbar2_series`` walk.  The lines are made as
     ``_emit`` writes them, as ``export`` makes its own, in blocks of about
     ``_BLOCK`` classes: a line holds t of them."""
     residues = sb_residues(args.order, args.t)

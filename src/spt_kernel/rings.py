@@ -8,10 +8,11 @@ value at zeta_3 is an integer, walked over Z by the builders of
 ``sptcrank``.  Z[zeta_3] stays for the naive reference builders, the
 only ones that multiply in it, for ``root_value`` of residue-class sums
 mod 3, and for the names the benchmark tracer wraps.  The fast series
-builders run on two packed rings with one integer per element:
-Z[z]/(z^t - 1), for SB's residue-class sums, and Z[w], w = z + 1/z, for
+builders run on Z[w], w = z + 1/z, packed with one integer per element:
 the numerators X*D, unchanged under z <-> 1/z, that the checks compare
-and that every Laurent row is read off.
+and that every Laurent row and residue sum is read off.  SB's
+residue-class sums mod t are read on a second packed ring,
+Z[z]/(z^t - 1), into which SB*D's finished rows are carried.
 Everything is exact; no floats anywhere.
 """
 
@@ -369,12 +370,12 @@ class PackedResidueRing:
     shifts z^(n-1) x and z^(1-n) x, and folds sums once mod M as it keeps
     them: only the representative changes, so the proof above holds.
 
-    The offset need not be central.  ``series._packed``, the one builder
-    of this ring, for SB's residue sums, puts z^0 at K =
-    ``series.numerator_reach(N)``: SB's walk divides by D after every
-    other pass, and until then its values are a numerator's, whose
-    z-exponents lie in [-K, K], (2K + 1) B bits wide at any t.  Laurent
-    rows are read off numerators in Z[w] (``series.numerator_rows``).
+    The offset need not be central.  ``series.numerator_residues``, the
+    one reader into this ring, for SB's residue sums, puts z^0 at K =
+    ``series.numerator_reach(N)``, the z-reach of a numerator X*D, whose
+    rows it carries in from Z[w] by w -> z + 1/z, a ring map, and divides
+    by D once.  No walk runs on this ring; Laurent rows are read off
+    numerators in Z[w] (``series.numerator_rows``).
     """
 
     zero = 0
@@ -432,7 +433,8 @@ class PackedSymmetricRing:
     ``window`` is exact when the caller proves |d_k| < 2^(B-1) for every
     k: the k balanced base-2^B digits of an integer, each in
     [-2^(B-1), 2^(B-1)), are unique when they exist.  The rows leave the
-    ring as z-rows by Horner in w (``series.numerator_rows``).
+    ring as z-rows by Horner in w (``series.numerator_rows``), or as
+    residue sums mod t by w -> z + 1/z (``series.numerator_residues``).
     """
 
     zero = 0

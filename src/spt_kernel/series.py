@@ -13,7 +13,6 @@ from operator import add, neg, sub
 from typing import Sequence
 
 from .rings import (
-    ZZ,
     LaurentPolynomial,
     PackedResidueRing,
     PackedSymmetricRing,
@@ -118,28 +117,6 @@ def div_binomial_list(a, c, e):
     for i in range(e, len(a), step):
         a[i:i + step] = map(op, a[i:i + step],
                             _times(c, a[i - e:i - e + step]))
-
-
-def mul_pair_list(a, ring, e):
-    """In place: a *= (1 - z q^e)(1 - q^e/z) = 1 - (z + 1/z) q^e + q^{2e}
-    on ``PackedResidueRing``, from the top down in slices of at most
-    ``_CHUNK`` coefficients: one comprehension per slice makes z*x + x/z
-    with the fold of ``_ZFold`` and the rotate of ``_ZRotate`` inline,
-    subtracted from the slice, and the slice 2e below is added.  One pass
-    in place of the two of ``mul_binomial_list`` with z and then 1/z."""
-    bits, width, high = ring.z.bits, ring.z.width, ring.z.high
-    low, top = ring.z_inv.low, ring.z_inv.top
-    for hi in range(len(a), e, -_CHUNK):
-        lo = max(hi - _CHUNK, e)
-        new = list(map(sub, a[lo:hi], [
-            ((y & high) + (y >> width) if (y := x << bits).bit_length() > width
-             else y)
-            + ((x >> bits) + (r << top) if (r := x & low) else x >> bits)
-            for x in a[lo - e:hi - e]]))
-        cut = max(2 * e - lo, 0)
-        if cut < hi - lo:
-            new[cut:] = map(add, new[cut:], a[lo + cut - 2 * e:hi - 2 * e])
-        a[lo:hi] = new
 
 
 def mul_w_pair_list(a, ring, e):
@@ -611,18 +588,18 @@ def summand_walk(ring, first, order: int, step) -> list:
     held to q^{order-2n-2}, one O(order) binomial pass per factor, and puts
     [1, 0] in front.  s_1 is applied once, to T_1, by ``apply_factors``
     on the walk's own list; a caller whose s_1 has D in its denominator
-    leaves D out of first and divides the finished walk (``div_d_list``).
+    leaves D out of first: its walk is the numerator X*D.
     No summand is added into a total, and no series is wrapped.
 
-    On a packed ring a numerator that holds the ring's own z and 1/z at
-    one exponent e, matched by identity, applies the two as one pass:
-    ``mul_pair_list`` on ``PackedResidueRing``, ``mul_w_pair_list`` on
-    ``PackedSymmetricRing``, where z and 1/z exist only as that pair.
+    On ``PackedSymmetricRing``, where z and 1/z exist only as the pair,
+    a numerator that holds the ring's own z and 1/z at one exponent e,
+    matched by identity, applies the two as one pass
+    (``mul_w_pair_list``).  On every other ring z and 1/z are binomial
+    passes like any others.
     """
     if order < 2:
         return [ring.zero] * (order + 1)
-    pair = {PackedResidueRing: mul_pair_list,
-            PackedSymmetricRing: mul_w_pair_list}.get(type(ring))
+    pair = type(ring) is PackedSymmetricRing
     tail = [ring.one] + [ring.zero] * (order % 2)
     for n in range(order // 2 - 1, 0, -1):
         numer, denom = step(n)
@@ -632,7 +609,7 @@ def summand_walk(ring, first, order: int, step) -> list:
                 if (ring.z_inv, e) in numer:
                     numer.remove((ring.z, e))
                     numer.remove((ring.z_inv, e))
-                    pair(tail, ring, e)
+                    mul_w_pair_list(tail, ring, e)
         for c, e in numer:
             mul_binomial_list(tail, c, e)
         for c, e in denom:
@@ -685,20 +662,16 @@ def d_list(ring, order: int, bound: bool = False) -> list:
 
 
 def div_d_list(a, ring) -> list:
-    """In place: a /= D, z the ring's own; returns a itself.
+    """In place: a /= D on ``PackedResidueRing``; returns a itself.
 
-    On ``PackedResidueRing`` through Jacobi's triple product,
-    D = E / (q^2; q^2)_inf: a division by E (``div_theta_list``), then a
-    multiplication by (q^2; q^2)_inf.  Its ~(2/3) N^{3/2} term applications
-    each cost O(t*B) bit operations, at any t, where D's ~N binomial passes
-    make ~N^2/2 coefficient updates of that cost.  On any other ring, D's
-    factors (``d_factors``).  SB's walk divides by D last, after every
-    z-free pass, so those passes run on a numerator's narrow values."""
-    if type(ring) is PackedResidueRing:
-        div_theta_list(a, ring)
-        mul_eta_list(a, 2)
-        return a
-    return apply_factors(a, denom=d_factors(ring))
+    Through Jacobi's triple product, D = E / (q^2; q^2)_inf: a division
+    by E (``div_theta_list``), then a multiplication by (q^2; q^2)_inf.
+    Its ~(2/3) N^{3/2} term applications each cost O(t*B) bit operations,
+    at any t, where D's ~N binomial passes make ~N^2/2 coefficient updates
+    of that cost."""
+    div_theta_list(a, ring)
+    mul_eta_list(a, 2)
+    return a
 
 
 def numerator_reach(order: int) -> int:
@@ -715,30 +688,6 @@ def numerator_reach(order: int) -> int:
     of w-degree K or more, which needs more than K digits.
     """
     return isqrt(order) + 2
-
-
-def _packed(build, order: int, t: int):
-    """(ring, values): coefficients 0..order of build's series over
-    Z[z,1/z] on ``PackedResidueRing`` at modulus t, the one place that
-    picks the width and the ring.
-
-    build(ring, order, bound) returns a coefficient list over ring, with
-    z and 1/z the ring's own ``ring.z`` and ``ring.z_inv``;
-    build(ZZ, order, True), where z = 1, must return a majorant, whose
-    coefficient of q^n bounds the sum of |coefficients| of the Laurent
-    polynomial at q^n.  The width B is one bit more than the majorant's
-    largest coefficient, so every coefficient and every residue sum is
-    below 2^(B-1) and the ring's digits are exact.
-
-    The ring's offset is K = ``numerator_reach(order)``, and build runs
-    as it is at every t.  SB's walk, whose residue sums are all the CLI
-    reads here, divides by D last (``div_d_list``), so up to that
-    division its values are those of its numerator, at most (2K + 1)*B
-    bits wide whatever t is, and the division fills the t digits.
-    """
-    bits = max(build(ZZ, order, True)).bit_length() + 1
-    ring = PackedResidueRing(bits, t, numerator_reach(order))
-    return ring, build(ring, order, False)
 
 
 def _laurent(digits: list, offset: int) -> LaurentPolynomial:
@@ -869,6 +818,17 @@ def _horner_in_z(digits: list, bits: int, offset: int) -> int:
     return x
 
 
+def _w_digits(values: list, bits: int, reach: int):
+    """The reach balanced base-2^bits digits of each packed value, one row
+    at a time, the w-coefficients d_0, ..., d_(reach-1) of its row; a
+    carry out of them raises ``WindowError(n, reach)`` for row n."""
+    for n, x in enumerate(values):
+        digits, carry = _balanced_digits(x, bits, reach)
+        if carry:
+            raise WindowError(n, reach)
+        yield digits
+
+
 def numerator_rows(values: list, bits: int, top: int):
     """Rows 0..top of X over Z[z,1/z], one (digits, o) pair at a time
     (``_rows_over_d``, window ``numerator_reach(top)``), from rows 0..N,
@@ -884,12 +844,7 @@ def numerator_rows(values: list, bits: int, top: int):
     its largest coefficient.  Each row is packed in z at that width and
     offset K + 1 (``_horner_in_z``) and divided by D."""
     reach = numerator_reach(len(values) - 1) + 1
-    rows = []
-    for n, x in enumerate(values[:top + 1]):
-        digits, carry = _balanced_digits(x, bits, reach)
-        if carry:
-            raise WindowError(n, reach)
-        rows.append(digits)
+    rows = list(_w_digits(values[:top + 1], bits, reach))
     width = max(apply_factors(
         [sum(abs(d) << j for j, d in enumerate(row)) for row in rows],
         denom=[(1, 2, 2, None)] * 2)).bit_length() + 1
@@ -902,10 +857,31 @@ def laurent_rows(values: list, bits: int, top: int) -> list:
     return [_laurent(*row) for row in numerator_rows(values, bits, top)]
 
 
-def packed_residues(build, order: int, t: int) -> list[list[int]]:
-    """Residue-class sums mod t of coefficients 0..order of build's series
-    over Z[z,1/z] (``_packed``): entry k of row n is the sum of the
-    coefficients of the Laurent polynomial at q^n on the exponents
-    congruent to k mod t."""
-    ring, values = _packed(build, order, t)
-    return [ring.unpack(x) for x in values]
+def numerator_residues(values: list, bits: int, t: int) -> list[list[int]]:
+    """Residue-class sums mod t of rows 0..N of X, N = len(values) - 1,
+    from rows 0..N of its numerator X*D in Z[w] packed at w -> 2^bits
+    (``symmetric_numerator``): entry k of row n is the sum of the
+    coefficients of row n of X on the z-exponents congruent to k mod t.
+    The caller proves every w-coefficient of X*D and every residue sum of
+    X below 2^(bits-1) in absolute value (``sptcrank.sb_residues``).
+
+    Each row is decoded into K balanced w-digits d_j, K =
+    ``numerator_reach(N)`` (``_w_digits``; a carry raises
+    ``WindowError(n, K)``), and carried into Z[z]/(z^t - 1) by the ring
+    map w -> z + 1/z as sum_j d_j P_j, folded mod M = 2^(tB) - 1, with
+    P_j = (z + 1/z)^j on ``PackedResidueRing(bits, t, K)``, each made
+    from the last by the ring's ``z`` and ``z_inv``.  Any integer
+    congruent mod M packs the same element, so nothing reduces before the
+    one division by D (``div_d_list``), and the unpacked sums are exact.
+    """
+    reach = numerator_reach(len(values) - 1)
+    ring = PackedResidueRing(bits, t, reach)
+    powers = [ring.one]
+    for _ in range(reach - 1):
+        x = powers[-1]
+        powers.append(ring.z * x + ring.z_inv * x)
+    width, mask = t * bits, ring.modulus
+    packed = [_fold(sum(d * p for d, p in zip(row, powers) if d),
+                    width, mask)
+              for row in _w_digits(values, bits, reach)]
+    return [ring.unpack(x) for x in div_d_list(packed, ring)]

@@ -10,7 +10,7 @@ even-smallest-part overpartition spt function.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .partitions import (
     Partition,
@@ -35,12 +35,11 @@ from .series import (  # noqa: F401
     binomials,
     d_list,
     div_d_at_zeta3,
-    div_d_list,
     div_w_pair_list,
     laurent_rows,
     mul_lists,
+    numerator_residues,
     numerator_rows,
-    packed_residues,
     pochhammer_finite,
     pochhammer_inf,
     summand_walk,
@@ -52,12 +51,11 @@ from .series import (  # noqa: F401
 # Series construction
 # ---------------------------------------------------------------------------
 
-def _sb_walk(ring, order: int, bound: bool = False,
-             cleared: bool = False) -> list:
-    """Coefficients 0..order of
+def _sb_walk(ring, order: int, bound: bool = False) -> list:
+    """Coefficients 0..order of SB*D, D = (z q^2, q^2/z; q^2)_inf, where
 
-        sum_{n>=1} q^{2n} (q^{4n+2}; q^2)_inf
-                   / ((z q^{2n}, q^{2n}/z; q^2)_inf (q^{2n+1}; q^2)_inf^2)
+        SB = sum_{n>=1} q^{2n} (q^{4n+2}; q^2)_inf
+                       / ((z q^{2n}, q^{2n}/z; q^2)_inf (q^{2n+1}; q^2)_inf^2),
 
     in one ``summand_walk``, z the ring's own, whose step from summand n
     to n+1 is q^2 times
@@ -66,20 +64,17 @@ def _sb_walk(ring, order: int, bound: bool = False,
         / ((1 + q^{2n+1}) (1 - q^{4n+4})),
 
     (1 - q^{2n+1})^2 / ((1 - q^{4n+2}) (1 - q^{4n+4})) with the common
-    factor 1 - q^{2n+1} cancelled: four passes, the z pair one of them on
-    the packed ring.  This is SB(z,q), since (-q^{2n+1};q)_inf
-    (q^{2n+1};q)_inf equals (q^{4n+2};q^2)_inf.  The walk's first summand
-    over q^2 is (q^6; q^2)_inf / ((q^3; q^2)_inf^2 D), D = (z q^2, q^2/z;
-    q^2)_inf: its z-free part is applied once at the walk's end, and D
-    divides the finished walk (``div_d_list``).
+    factor 1 - q^{2n+1} cancelled: four passes, the z pair one of them in
+    w.  This is SB(z,q), since (-q^{2n+1};q)_inf (q^{2n+1};q)_inf equals
+    (q^{4n+2};q^2)_inf.  The walk's first summand over q^2 is (q^6;
+    q^2)_inf / ((q^3; q^2)_inf^2 D): its z-free part is applied once at the
+    walk's end, and D is left out, so summand n of SB*D is q^{2n}
+    (z q^2, q^2/z; q^2)_{n-1} (q^{4n+2}; q^2)_inf / (q^{2n+1}; q^2)_inf^2:
+    z^k needs q^{k(k+1)} there and q^{2k+2} more in front.  On
+    ``PackedSymmetricRing`` the walk is that of SB*D in w = z + 1/z, each
+    pair 1 - w q^{2n} + q^{4n}.
 
-    With cleared, the walk is not divided by D, so it returns SB*D,
-    whose summand n is q^{2n} (z q^2, q^2/z; q^2)_{n-1} (q^{4n+2}; q^2)_inf
-    / (q^{2n+1}; q^2)_inf^2: z^k needs q^{k(k+1)} there and q^{2k+2} more
-    in front.  On ``PackedSymmetricRing`` the walk is that of SB*D in
-    w = z + 1/z, each pair 1 - w q^{2n} + q^{4n}.
-
-    With bound, over Z, with or without cleared, SB's one majorant,
+    With bound, over Z, SB's one majorant,
 
         q^2 (-q^6; q^2)_inf / ((1 - q^2) (q^2; q^2)_inf^2 (q^3; q^2)_inf^2),
 
@@ -100,11 +95,10 @@ def _sb_walk(ring, order: int, bound: bool = False,
         return [0, 0] + apply_factors(
             [1] + [0] * (order - 2), [(-1, 6, 2, None)],
             [(1, 2, 1, 1)] + [(1, 2, 2, None)] * 2 + [(1, 3, 2, None)] * 2)
-    walk = summand_walk(
+    return summand_walk(
         ring, ([(1, 6, 2, None)], [(1, 3, 2, None)] * 2), order,
         lambda n: ([(ring.z, 2 * n), (ring.z_inv, 2 * n), (1, 2 * n + 1)],
                    [(-1, 2 * n + 1), (1, 4 * n + 4)]))
-    return walk if cleared else div_d_list(walk, ring)
 
 
 def sb_coefficients_naive(ring, z, z_inv, order: int) -> list:
@@ -150,18 +144,26 @@ class SptCrankTable(namedtuple("SptCrankTable", "order rows")):
         return f"SptCrankTable(order={self.order!r})"
 
 
+def _sb_bits(order: int) -> int:
+    """The width at which SB*D is packed in Z[w] for its rows and its
+    residue sums: one bit more than the largest coefficient of SB's
+    majorant (``_sb_walk``), which bounds the sum of |coefficients| of
+    each row of SB, and so each residue sum, and of SB*D in w
+    (``numerator_width``); at least 2 bits, the least that packs in w
+    (SB is 0 to q^1)."""
+    return max(1, *_sb_walk(ZZ, order, True)).bit_length() + 1
+
+
 def sb_rows(order: int):
     """Rows 0..order of SB(z,q), one at a time, as ``numerator_rows``
-    yields them from SB*D in Z[w] (``sb_numerator``) at the width of SB's
-    majorant (``_sb_walk``, which bounds SB*D in w too): (digits, o),
-    digits[k] the count of z^(k - o).  Each power of z comes with at
-    least q^2, so row n has z-exponents in [-n/2, n/2].  A negative count
-    is refused, as ``SptCrankTable`` refuses it, once its row is reached:
-    the rows below it have been yielded by then."""
+    yields them from SB*D in Z[w] (``sb_numerator``) at ``_sb_bits``:
+    (digits, o), digits[k] the count of z^(k - o).  Each power of z comes
+    with at least q^2, so row n has z-exponents in [-n/2, n/2].  A
+    negative count is refused, as ``SptCrankTable`` refuses it, once its
+    row is reached: the rows below it have been yielded by then."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    # at least 2 bits, the least that packs in w (SB is 0 to q^1)
-    bits = max(1, *_sb_walk(ZZ, order, True)).bit_length() + 1
+    bits = _sb_bits(order)
     rows = numerator_rows(sb_numerator(order, bits).coeffs, bits, order)
     for n, (digits, o) in enumerate(rows):
         if min(digits) < 0:
@@ -215,18 +217,21 @@ def sb_numerator(order: int, bits: int) -> TruncatedSeries:
     """SB*D, D = (z q^2, q^2/z; q^2)_inf, in Z[w], w = z + 1/z: row n the
     plain integer p_n(2^bits) (``symmetric_numerator``), held over Z."""
     return TruncatedSeries(ZZ, order, symmetric_numerator(
-        partial(_sb_walk, cleared=True), order, bits))
+        _sb_walk, order, bits))
 
 
 def sb_residues(order: int, t: int) -> list[list[int]]:
-    """Residue-class sums mod t of rows 0..order of SB(z,q), built over
-    Z[z]/(z^t - 1) (``packed_residues``) without the rows, for the
-    ``table`` command.  A residue sum adds counts, so a negative one is
-    refused like a negative count in ``SptCrankTable``.  The checks read
-    SB's sums mod 3 off its values at z = 1 and z = zeta_3 over Z
-    (``sb_at_one``, ``sb_at_zeta3``) instead.
+    """Residue-class sums mod t of rows 0..order of SB(z,q), for the
+    ``table`` command: read off SB*D in Z[w] (``sb_numerator``) at
+    ``_sb_bits``, the walk that ``sb_rows`` and the checks read, without
+    the rows: its rows are carried into Z[z]/(z^t - 1) and divided by D
+    there (``numerator_residues``).  A residue sum adds counts, so a
+    negative one is refused like a negative count in ``SptCrankTable``.
+    The checks read SB's sums mod 3 off its values at z = 1 and
+    z = zeta_3 over Z (``sb_at_one``, ``sb_at_zeta3``) instead.
     """
-    sums = packed_residues(_sb_walk, order, t)
+    bits = _sb_bits(order)
+    sums = numerator_residues(sb_numerator(order, bits).coeffs, bits, t)
     for n, row in enumerate(sums):
         if min(row) < 0:
             raise ValueError(f"negative spt-crank residue sum at n={n}: {row}")
@@ -294,8 +299,8 @@ def sptbar2_series(order: int) -> TruncatedSeries:
     two factorings of the first summand agree through ``apply_factors``
     (its eta rewriting), not the shared step: it is no independent route
     to SB's z = 1 specialization.  ``table`` prints SB's z = 1 total, the
-    sum of its residue classes, from SB's own walk with z on the packed
-    ring, and CI compares that total with this walk.
+    sum of its residue classes, read off SB*D's walk in Z[w], and CI
+    compares that total with this walk.
     """
     if order < 1:
         raise ValueError("order must be >= 1")

@@ -3,9 +3,11 @@
 Most were members of the package with no production caller; each is a
 direct definition, kept independent of the fast builders.
 ``pair_crank_series`` is a third route to SB(z,q), beside the fast walk and
-the naive summands, that no check runs.  ``residue_pack`` and
-``packed_rows`` pack Laurent polynomials on the packed ring and read them
-back off one ring of t = 2S + 1 digits, for the tests of that ring.
+the naive summands, that no check runs.  ``sb_side`` is SB itself off
+``sptcrank._sb_walk``, which walks SB*D, divided by D's binomial passes.
+``residue_pack`` and ``packed_rows`` pack Laurent polynomials on the
+packed ring and read them back off one ring of t = 2S + 1 digits, for the
+tests of that ring.
 ``wide_ring_rows`` and ``wide_ring_divided_by_d`` read full rows that way,
 every row divided by D on that one ring: the reference for
 ``series.numerator_rows``, which reads each row off a numerator in Z[w]
@@ -63,6 +65,7 @@ from spt_kernel.series import (
     numerator_reach,
     pochhammer_inf,
 )
+from spt_kernel.sptcrank import _sb_walk
 
 
 def one(ring, order):
@@ -280,16 +283,13 @@ def accumulation_walk(ring, state: list, n: int, order: int, step) -> list:
     return total
 
 
-def sb_by_accumulation(ring, order: int, bound: bool = False,
-                       cleared: bool = False) -> list:
-    """``sptcrank._sb_walk``'s walk (SB, SB*D with cleared, and the cleared
-    majorant with bound) on ``accumulation_walk``: the first summand over
-    q^2 built first, over Z, and the step
+def sb_by_accumulation(ring, order: int, bound: bool = False) -> list:
+    """``sptcrank._sb_walk``'s walk of SB*D (and, with bound, the majorant
+    of that walk) on ``accumulation_walk``: the first summand over q^2
+    built first, over Z, and the step
     (1 - z q^{2n}) (1 - z_inv q^{2n}) (1 - q^{2n+1})^2
     / ((1 - c q^{4n+2}) (1 - c q^{4n+4})) in six passes, c = 1, or -1
-    with z = z_inv = -1 for the majorant, z the ring's own.  Without
-    cleared the first summand is divided by D through D's binomial passes
-    (``d_factors``), not the theta kernels of ``series.div_d_list``."""
+    with z = z_inv = -1 for the majorant, z the ring's own."""
     if order < 2:
         return [ring.zero] * (order + 1)
     z, z_inv, c = ring.z, ring.z_inv, 1
@@ -298,12 +298,22 @@ def sb_by_accumulation(ring, order: int, bound: bool = False,
     top = order - 2
     w = poch_quotient(ZZ, top, [(c, 6, 2, None)], [(1, 3, 2, None)] * 2)
     state = [x * ring.one for x in w.coeffs]
-    if not cleared:
-        state = poch_quotient(ring, top, denom=d_factors(ring),
-                              start=TruncatedSeries(ring, top, state)).coeffs
     return accumulation_walk(ring, state, 1, order, lambda n: (
         [(z, 2 * n), (z_inv, 2 * n), (1, 2 * n + 1), (1, 2 * n + 1)],
         [(c, 4 * n + 2), (c, 4 * n + 4)]))
+
+
+def sb_side(ring, order: int, bound: bool = False,
+            cleared: bool = False) -> list:
+    """Coefficients 0..order of SB(z,q), z the ring's own, or of SB*D with
+    cleared: ``sptcrank._sb_walk``, which walks SB*D, divided by D through
+    D's binomial passes (``d_factors``), not the theta kernels of
+    ``series.div_d_list``.  With bound, over Z, SB's one majorant, which
+    bounds SB*D too.  A builder for ``wide_ring_rows``."""
+    walk = _sb_walk(ring, order, bound)
+    if bound or cleared:
+        return walk
+    return apply_factors(walk, denom=d_factors(ring))
 
 
 def sptbar2_by_accumulation(order: int) -> list:
@@ -331,8 +341,7 @@ def bailey_side(ring, order: int, bound: bool = False,
     1, on ``accumulation_walk``: summand n+1 over summand n, divided by
     q^2, is
     (1 - z q^{2n}) (1 - z_inv q^{2n}) (1 - q^{2n+1})^2
-    / ((1 - q^{4n+2}) (1 - q^{4n+4})).  A builder with the contract of
-    ``series._packed``, and for ``wide_ring_rows``.
+    / ((1 - q^{4n+2}) (1 - q^{4n+4})).  A builder for ``wide_ring_rows``.
 
     With cleared, Bailey*D, D = (z q^2, z_inv q^2; q^2)_inf: the
     prefactor leaves out D, so summand n of Bailey*D is q^{2n}
@@ -410,8 +419,8 @@ def _wide_rows(ring, values, s):
 def wide_ring_rows(build, order):
     """Rows 0..order of build's series over Z[z,1/z] read as one ring of
     t = 2S + 1 digits, S = max(order//2 + 2, K + 1), K =
-    ``numerator_reach(order)``, offset K and the width of ``series._packed``
-    (one bit more than X's majorant): its numerator X*D, build(ring, N,
+    ``numerator_reach(order)``, offset K and one bit more than X's
+    majorant, build(ZZ, N, True, False): its numerator X*D, build(ring, N,
     False, True), divided by D once on that ring by D's binomial passes
     (``apply_factors`` with ``d_factors``), and
     entry e of ``unpack`` read as the coefficient of z^e for e in [-S, S].
@@ -433,10 +442,12 @@ def narrow_ring_numerator(build, order):
     build(ZZ, N, True): entry e of ``unpack`` is the coefficient of z^e
     for e in [-K, K], and a row with a nonzero z^-K or z^K digit raises
     ``WindowError(n, K)``.  build is a numerator builder
-    (``sptcrank._rank_coeffs``, ``_crank_coeffs``) or SB's or the Bailey
-    side's numerator form, with cleared.  The reference for
-    ``sptcrank.sb_numerator`` and ``rank_numerator``, which build the
-    numerators in Z[w], w = z + 1/z, on plain integers."""
+    (``sptcrank._sb_walk``, ``_rank_coeffs``, ``_crank_coeffs``) or the
+    Bailey side's numerator form, with cleared; on this ring SB*D's walk
+    takes z and 1/z as two binomial passes through the ring's ``z`` and
+    ``z_inv``.  The reference for ``sptcrank.sb_numerator`` and
+    ``rank_numerator``, which build the numerators in Z[w], w = z + 1/z,
+    on plain integers."""
     reach = numerator_reach(order)
     bits = max(build(ZZ, order, True)).bit_length() + 1
     ring = PackedResidueRing(bits, 2 * reach + 1, reach)

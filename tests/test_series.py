@@ -45,7 +45,6 @@ from spt_kernel.series import (
     div_w_pair_list,
     mul_binomial_list,
     mul_eta_list,
-    mul_pair_list,
     mul_w_pair_list,
     numerator_reach,
     poch_quotient,
@@ -54,7 +53,6 @@ from spt_kernel.series import (
 )
 from spt_kernel.sptcrank import (
     _rank_coeffs,
-    _sb_walk,
     crank_series,
 )
 
@@ -289,8 +287,8 @@ ETA_TOP = 60
 
 @st.composite
 def pair_cases(draw):
-    """A packed ring, a list of its values and an exponent e for
-    ``mul_pair_list``: t = 3 and 5, where z folds and 1/z rotates, or a
+    """A packed ring, a list of its values and an exponent e for the pair
+    (``TestPairPass``): t = 3 and 5, where z folds and 1/z rotates, or a
     wide ring; coefficients small enough that every result decodes, some
     representatives shifted by multiples of the modulus, negative ones
     too; lists over two slices of ``_CHUNK`` long; e up to past the end
@@ -340,15 +338,32 @@ class TestGeometricDivision:
 
 
 class TestPairPass:
+    """The pair (1 - z q^e)(1 - q^e/z) on ``PackedResidueRing`` as the
+    tests' z reads of SB*D's walk apply it
+    (``helpers.narrow_ring_numerator``, ``wide_ring_rows``): two
+    ``mul_binomial_list`` passes, through the ring's ``z`` and then its
+    ``z_inv``."""
+
+    @staticmethod
+    def pair_passes(ring, a, e):
+        got = list(a)
+        mul_binomial_list(got, ring.z, e)
+        mul_binomial_list(got, ring.z_inv, e)
+        return got
+
     @given(pair_cases())
     @settings(max_examples=100, deadline=None)
     def test_matches_two_binomial_passes(self, case):
+        # against the pair written out, 1 - (z + 1/z) q^e + q^{2e}: z*x +
+        # x/z subtracted e up and x added 2e up, from the unchanged input
         ring, a, e = case
         want = list(a)
-        mul_binomial_list(want, ring.z, e)
-        mul_binomial_list(want, ring.z_inv, e)
-        got = list(a)
-        mul_pair_list(got, ring, e)
+        for i in range(e, len(a)):
+            x = a[i - e]
+            want[i] -= ring.z * x + ring.z_inv * x
+            if i >= 2 * e:
+                want[i] += a[i - 2 * e]
+        got = self.pair_passes(ring, a, e)
         assert [ring.digits(x) for x in got] == \
             [ring.digits(x) for x in want]
 
@@ -361,8 +376,7 @@ class TestPairPass:
                          i % 3: i % 4 - 1}) for i in range(200)]
         want = binomial_passes(binomial_passes(a, ring.z, [e], 1),
                                ring.z_inv, [e], 1)
-        got = list(a)
-        mul_pair_list(got, ring, e)
+        got = self.pair_passes(ring, a, e)
         assert [ring.digits(x) for x in got] == \
             [ring.digits(x) for x in want]
 
@@ -708,16 +722,16 @@ class TestThetaRouteChoice:
 
     @pytest.mark.parametrize("t", [3, 2 * numerator_reach(300) + 2, 601])
     def test_sb_makes_no_binomial_division_by_z(self, monkeypatch, t):
-        # SB's walk divides only by z-free binomials, and its D goes
-        # through E, at every modulus of the residues, and for the rows
+        # SB's residues at every modulus, and its rows, divide only by
+        # z-free binomials, in SB*D's walk in w; D goes through E, once on
+        # the residue ring for the residues and row by row for the rows
         divisions = self.count(monkeypatch, "div_binomial_list")
         thetas = self.count(monkeypatch, "div_theta_list")
         rows = self.count(monkeypatch, "_rows_over_d")
-        series.packed_residues(_sb_walk, 300, t)
+        sptcrank.sb_residues(300, t)
         if t == 601:
             sptcrank.sb_series(300)
-        assert not [c for _, c, _ in divisions
-                    if isinstance(c, (_ZFold, _ZRotate))]
+        assert not [c for _, c, _ in divisions if type(c) is not int]
         assert len(thetas) == 1
         assert len(rows) == (1 if t == 601 else 0)
 

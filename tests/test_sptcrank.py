@@ -12,13 +12,14 @@ from helpers import (
     pair_crank_series,
     residue_class_sums,
     sb_by_accumulation,
+    sb_side,
     spt2,
     sptbar2_by_accumulation,
     w_laurent,
     wide_ring_divided_by_d,
     wide_ring_rows,
 )
-from spt_kernel import series
+from spt_kernel import series, sptcrank
 from spt_kernel.partitions import (
     enumerate_overpartitions,
     spt_family,
@@ -28,7 +29,6 @@ from spt_kernel.rings import (
     LAURENT,
     ZZ,
     LaurentPolynomial,
-    PackedResidueRing,
     PackedSymmetricRing,
     RingError,
 )
@@ -39,7 +39,7 @@ from spt_kernel.series import (
     d_factors,
     laurent_rows,
     numerator_reach,
-    packed_residues,
+    numerator_residues,
     poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
@@ -73,11 +73,6 @@ from spt_kernel.sptcrank import (
 )
 from spt_kernel.verify import u_sb_numerator
 
-# SB's numerator SB*D: the SB walk with cleared, as every numerator
-# builder is called, build(ring, order) and build(ZZ, order, True); the
-# latter is SB's one majorant, which bounds SB*D too
-SB_NUMERATOR = partial(_sb_walk, cleared=True)
-
 ROW4 = LaurentPolynomial({1: 1, 0: 1, -1: 1})
 ROW8 = LaurentPolynomial({3: 1, 2: 1, 1: 3, 0: 5, -1: 3, -2: 1, -3: 1})
 
@@ -103,7 +98,7 @@ class TestSbSeries:
             assert is_symmetric(table.rows[n])
 
     def test_incremental_matches_naive_laurent(self):
-        assert (_sb_walk(LAURENT, 24)
+        assert (sb_side(LAURENT, 24)
                 == sb_coefficients_naive(LAURENT, LAURENT.z, LAURENT.z_inv, 24))
 
     def test_incremental_matches_naive_cyclotomic(self):
@@ -116,7 +111,7 @@ class TestSbSeries:
     @pytest.mark.parametrize("build, ring, z, z_inv", [
         (lambda order: sb_at_root(order).coeffs,
          CYCLO3, CYCLO3.zeta, CYCLO3.zeta_inv),
-        (lambda order: _sb_walk(LAURENT, order),
+        (lambda order: sb_side(LAURENT, order),
          LAURENT, LAURENT.z, LAURENT.z_inv),
     ], ids=["zeta3", "laurent"])
     @given(order=st.integers(1, 40))
@@ -208,14 +203,15 @@ class TestSbAtRoot:
 class TestValuesAtRootsOverZ:
     """The values at z = zeta_3 (and SB's at z = 1) that the checks read,
     walked over Z, against the two other routes: SB's residue sums mod 3
-    on the packed ring, or the rank's and crank's numerators in Z[w] read
-    at w = -1; and the summands or products over Z[zeta_3]."""
+    read off SB*D in Z[w] (``sb_residues``), or the rank's and crank's
+    numerators in Z[w] read at w = -1; and the summands or products over
+    Z[zeta_3]."""
 
     @pytest.mark.parametrize("order", [*range(61), 300, 1000])
     def test_match_packed_residues(self, order):
         # every row is unchanged under z <-> 1/z, so its sums mod 3 have
         # s_1 = s_2, its value at zeta_3 is s_0 - s_1, and at 1 s_0 + 2 s_1
-        sums = packed_residues(_sb_walk, order, 3)
+        sums = sb_residues(order, 3)
         assert all(s1 == s2 for _, s1, s2 in sums)
         assert sb_at_zeta3(order).coeffs == [s0 - s1 for s0, s1, _ in sums]
         assert sb_at_one(order).coeffs == [s0 + 2 * s1 for s0, s1, _ in sums]
@@ -346,7 +342,7 @@ def bailey_side_by_inversion(order):
     return pochhammer_inf(ring, 1, 2, 2, order) * den.invert() * acc
 
 
-# the Bailey side's numerator Bailey*D, as SB_NUMERATOR is SB's
+# the Bailey side's numerator Bailey*D, as _sb_walk builds SB*D
 BAILEY_NUMERATOR = partial(bailey_side, cleared=True)
 
 
@@ -362,8 +358,7 @@ def bailey_numerator(order):
 
 
 def packing_bits(build, order):
-    """The width B that ``series._packed`` gives build's packed values:
-    one bit more than its majorant's largest coefficient."""
+    """One bit more than the largest coefficient of build's majorant."""
     return max(build(ZZ, order, True)).bit_length() + 1
 
 
@@ -457,9 +452,9 @@ class TestPackedSeries:
 # its numerator (``helpers.wide_ring_divided_by_d``), compared with
 # inverted products in TestPackedSeries
 NUMERATORS = [
-    ("sb", partial(laurent_numerator, SB_NUMERATOR),
+    ("sb", partial(laurent_numerator, _sb_walk),
      lambda order: TruncatedSeries(LAURENT, order, sb_laurent_rows(order)),
-     SB_NUMERATOR),
+     _sb_walk),
     ("rank", partial(laurent_numerator, _rank_coeffs), rank_series,
      _rank_coeffs),
     ("crank", lambda order: crank_numerator(order).embed(LAURENT),
@@ -483,7 +478,7 @@ class TestNumerators:
         # against the Bailey-lemma walk from n = 0 with its own step
         u = LaurentPolynomial({1: -1, 0: 2, -1: -1})
         lhs = (crank_numerator(order).embed(LAURENT)
-               + laurent_numerator(SB_NUMERATOR, order).scale(u))
+               + laurent_numerator(_sb_walk, order).scale(u))
         assert lhs.coeffs == narrow_ring_numerator(BAILEY_NUMERATOR, order)
 
     @pytest.mark.parametrize("order", [4, 5, 9, 40, 41, 100])
@@ -506,7 +501,7 @@ class TestNumerators:
         power = numerator_reach(order)
 
         def build(ring, order, bound=False):
-            rows = SB_NUMERATOR(ring, order, bound)
+            rows = _sb_walk(ring, order, bound)
             x = ring.one
             for _ in range(power):
                 x = (ring.z if side == "z" else ring.z_inv) * x
@@ -537,10 +532,10 @@ class TestReferencesShareNoThetaKernel:
 
         for name in ("theta_list", "div_theta_list"):
             monkeypatch.setattr(series, name, counted(name))
-        for build in (SB_NUMERATOR, _rank_coeffs, _crank_coeffs,
+        for build in (_sb_walk, _rank_coeffs, _crank_coeffs,
                       BAILEY_NUMERATOR):
             narrow_ring_numerator(build, order)
-        for build in (_sb_walk, bailey_side):
+        for build in (sb_side, bailey_side):
             wide_ring_rows(build, order)
         wide_ring_divided_by_d(narrow_ring_numerator(_rank_coeffs, order))
         assert calls == []
@@ -572,7 +567,7 @@ def top_numerators():
         bits = numerator_width(top)
         out[top] = bits, [
             (numerator(top, bits).coeffs, narrow_ring_numerator(build, top))
-            for numerator, build in ((sb_numerator, SB_NUMERATOR),
+            for numerator, build in ((sb_numerator, _sb_walk),
                                      (rank_numerator, _rank_coeffs))]
     return out
 
@@ -626,7 +621,7 @@ class TestSymmetricNumerators:
         for name, values in sides.items():
             for n, row in enumerate(w_digits(values, wide, digits)):
                 assert max(map(abs, row)) < 1 << (bits - 1), (name, n)
-        for values, build in ((sb, SB_NUMERATOR), (rank, _rank_coeffs)):
+        for values, build in ((sb, _sb_walk), (rank, _rank_coeffs)):
             majorant = build(ZZ, order, True)
             for n, row in enumerate(w_digits(values, wide, digits)):
                 assert sum(map(abs, row)) <= majorant[n], (build, n)
@@ -636,7 +631,7 @@ class TestSymmetricNumerators:
         # B = max(B_SB + 2, B_rank, B_crank) + 1: u = 2 - w takes SB*D two
         # bits wider, and a sum of two sides one more
         assert numerator_width(order) == max(
-            packing_bits(SB_NUMERATOR, order) + 2,
+            packing_bits(_sb_walk, order) + 2,
             packing_bits(_rank_coeffs, order),
             packing_bits(_crank_coeffs, order)) + 1
 
@@ -648,7 +643,7 @@ class TestSymmetricNumerators:
         reach, bits = numerator_reach(order), numerator_width(order)
         for power in (reach - 1, reach, reach + 1):
             def build(ring, order):
-                rows = SB_NUMERATOR(ring, order)
+                rows = _sb_walk(ring, order)
                 rows[order] += sign << bits * power
                 return rows
 
@@ -658,7 +653,7 @@ class TestSymmetricNumerators:
                 for _ in range(power):
                     term = term * (LAURENT.z + LAURENT.z_inv)
                 rows = symmetric_numerator(build, order, bits)
-                want = laurent_numerator(SB_NUMERATOR, order).coeffs
+                want = laurent_numerator(_sb_walk, order).coeffs
                 want[order] = want[order] + term
                 ring = PackedSymmetricRing(bits)
                 assert [w_laurent(ring, x, reach) for x in rows] == want
@@ -671,14 +666,14 @@ class TestSymmetricNumerators:
 class TestSbMajorant:
     """SB's one majorant, the product of ``_sb_walk(ZZ, N, True)``, as the
     bound of SB*D in Z[w] that ``numerator_width`` proves: it dominates
-    the majorant of SB*D's walk (``helpers.sb_by_accumulation`` with bound
-    and cleared, z = 1/z = -1 in the uncancelled step), and gives the
-    run the width that walk gave."""
+    the majorant of SB*D's walk (``helpers.sb_by_accumulation`` with
+    bound, z = 1/z = -1 in the uncancelled step), and gives the run the
+    width that walk gave."""
 
     def test_dominates_the_walk_majorant(self):
         for order in range(301):
             product = _sb_walk(ZZ, order, True)
-            walk = sb_by_accumulation(ZZ, order, True, True)
+            walk = sb_by_accumulation(ZZ, order, True)
             assert len(product) == len(walk) == order + 1
             assert all(p >= w for p, w in zip(product, walk)), order
 
@@ -698,82 +693,96 @@ class TestSbMajorant:
         # the width max(B_SB + 2, B_rank, B_crank) + 1 with B_SB from the
         # walk majorant, at every order 4..400
         for order in range(4, 401):
-            walk = sb_by_accumulation(ZZ, order, True, True)
+            walk = sb_by_accumulation(ZZ, order, True)
             assert numerator_width(order) == max(
                 max(walk).bit_length() + 3,
                 packing_bits(_rank_coeffs, order),
                 packing_bits(_crank_coeffs, order)) + 1, order
 
 
-class TestNumeratorShape:
-    """SB's walk on a ring of offset K = isqrt(N) + 2: the numerator SB*D
-    that the tests read in z, and residues at every t, whose walk divides
-    by D after every other pass, so that until then its values are a
-    numerator's, at most (2K + 1)*B bits wide."""
+def record_sb_residues(build, order, t):
+    """build(order, t), ``sb_residues``, recorded: (walks, calls), the ring
+    and the widest value of every summand walk, and every list kernel
+    called inside ``numerator_residues``, as (name, its arguments after
+    the list, the widest value handed in)."""
+    walks, calls, inside = [], [], []
+    with pytest.MonkeyPatch.context() as patch:
+        walk = sptcrank.summand_walk
 
-    @pytest.mark.parametrize("order", [40, 300])
-    def test_walk_stays_numerator_wide(self, monkeypatch, order):
-        # every state of SB*D's walk, after each of its binomial and pair
-        # passes, and the walk's total: at most (2K + 1)*B bits, at
-        # t = 2S + 1 as at t = 2N + 1, though the ring's modulus has t*B bits
-        widest = []
+        def walked(ring, *args):
+            values = walk(ring, *args)
+            walks.append((ring, max(abs(x).bit_length() for x in values)))
+            return values
+
+        residues = sptcrank.numerator_residues
+
+        def read(*args):
+            inside.append(True)
+            try:
+                return residues(*args)
+            finally:
+                inside.pop()
 
         def recorded(name):
             original = getattr(series, name)
 
-            def apply(a, c, e):
-                original(a, c, e)
-                widest.append(max((abs(x).bit_length() for x in a),
-                                  default=0))
-            return apply
+            def kernel(a, *args):
+                if inside:
+                    calls.append((name, args, max(
+                        (abs(x).bit_length() for x in a), default=0)))
+                return original(a, *args)
+            return kernel
 
+        patch.setattr(sptcrank, "summand_walk", walked)
+        patch.setattr(sptcrank, "numerator_residues", read)
         for name in ("mul_binomial_list", "div_binomial_list",
-                     "mul_pair_list"):
-            monkeypatch.setattr(series, name, recorded(name))
-        bits, offset = packing_bits(_sb_walk, order), order // 2 + 2
-        reach = numerator_reach(order)
-        for t in (2 * offset + 1, 2 * order + 1):
-            ring = PackedResidueRing(bits, t, reach)
-            widest.clear()
-            total = _sb_walk(ring, order, cleared=True)
-            # steps n = order//2 - 1 .. 1, four passes each: the z pair,
-            # 1 - q^{2n+1}, 1/(1 + q^{2n+1}) and 1/(1 - q^{4n+4})
-            assert len(widest) >= 4 * (order // 2 - 1)
-            widest.append(max(abs(x).bit_length() for x in total))
-            assert max(widest) <= (2 * reach + 1) * bits, t
+                     "mul_w_pair_list", "div_w_pair_list", "mul_eta_list",
+                     "div_eta_list", "div_theta_list"):
+            patch.setattr(series, name, recorded(name))
+        build(order, t)
+    return walks, calls
+
+
+def structure_moduli(order):
+    """t = 1, 3, 2K + 2 (the first ring wider than a numerator's window,
+    K = ``numerator_reach(order)``) and 2N + 1, the widest."""
+    return 1, 3, 2 * numerator_reach(order) + 2, 2 * order + 1
+
+
+class TestNumeratorShape:
+    """SB's residue sums at every t, read off one walk, SB*D in Z[w],
+    whose values hold K = isqrt(N) + 2 w-digits whatever t is, and
+    divided by D once on the residue ring; and SB's full rows against the
+    dict references."""
 
     @pytest.mark.parametrize("order", [40, 300])
-    @pytest.mark.parametrize("build", [_sb_walk], ids=["sb"])
-    def test_d_is_divided_last(self, monkeypatch, build, order):
-        # every eta, binomial and pair pass of the walk at t = 2S + 1,
-        # with the width of its input: the one division by E reads values
-        # at most (2K + 1)*B bits wide, and only the multiplication by
-        # (q^2; q^2)_inf, D's other factor, runs after it
-        passes = []
+    def test_walk_stays_numerator_wide(self, order):
+        # one summand walk, on PackedSymmetricRing, at most K*B bits wide;
+        # on the residue ring no binomial or pair pass
+        reach = numerator_reach(order)
+        for t in structure_moduli(order):
+            walks, calls = record_sb_residues(sb_residues, order, t)
+            assert [type(ring) for ring, _ in walks] == \
+                [PackedSymmetricRing], t
+            ((ring, widest),) = walks
+            assert widest <= reach * ring.bits, t
+            assert not [name for name, _, _ in calls
+                        if "binomial" in name or "pair" in name], t
 
-        def recorded(name):
-            original = getattr(series, name)
-
-            def apply(a, *args):
-                k = args[0] if name.endswith("_eta_list") else None
-                passes.append((name, k, max((abs(x).bit_length() for x in a),
-                                            default=0)))
-                original(a, *args)
-            return apply
-
-        for name in ("mul_eta_list", "div_eta_list", "mul_binomial_list",
-                     "div_binomial_list", "mul_pair_list", "div_theta_list"):
-            monkeypatch.setattr(series, name, recorded(name))
-        bits, reach = packing_bits(build, order), numerator_reach(order)
-        ring = PackedResidueRing(bits, 2 * (order // 2 + 2) + 1, reach)
-        build(ring, order)
-        names = [name for name, _, _ in passes]
-        assert names.count("div_theta_list") == 1
-        last = names.index("div_theta_list")
-        assert [(name, k) for name, k, _ in passes[last + 1:]] == [
-            ("mul_eta_list", 2)]
-        assert max(width for _, _, width in passes[:last + 1]) <= \
-            (2 * reach + 1) * bits
+    @pytest.mark.parametrize("order", [40, 300])
+    @pytest.mark.parametrize("build", [sb_residues], ids=["sb"])
+    def test_d_is_divided_last(self, build, order):
+        # on the residue ring exactly one division by E, then the
+        # multiplication by (q^2; q^2)_inf, D's other factor, and nothing
+        # else; every value handed to the division is below 2^(tB)
+        for t in structure_moduli(order):
+            _, calls = record_sb_residues(build, order, t)
+            assert [(name, args[0] if name == "mul_eta_list" else None)
+                    for name, args, _ in calls] == [
+                ("div_theta_list", None), ("mul_eta_list", 2)], t
+            (_, (ring,), widest) = calls[0]
+            assert ring.t == t
+            assert widest <= t * ring.bits, t
 
     def test_full_rows_match_dict_references(self):
         # orders 1..40 take in rows whose window [-r, r],
@@ -801,7 +810,7 @@ U = LaurentPolynomial({1: -1, 0: 2, -1: -1})
 # crank*D + u SB*D)
 REPORTED = [
     ("u-sb",
-     lambda order: laurent_numerator(SB_NUMERATOR, order).scale(U).coeffs,
+     lambda order: laurent_numerator(_sb_walk, order).scale(U).coeffs,
      lambda order, bits: u_sb_numerator(order, bits).coeffs),
     ("rank-minus-crank", lambda order: (
         laurent_numerator(_rank_coeffs, order)
@@ -819,7 +828,7 @@ REPORTED = [
 # digits: SB's from its walk, the rank's and the crank's from the z read
 # of their numerators
 FULL_ROWS = [
-    ("sb", sb_laurent_rows, partial(wide_ring_rows, _sb_walk)),
+    ("sb", sb_laurent_rows, partial(wide_ring_rows, sb_side)),
     ("rank", lambda order: rank_series(order).coeffs,
      lambda order: wide_ring_divided_by_d(
          narrow_ring_numerator(_rank_coeffs, order))),
@@ -865,7 +874,7 @@ class TestFullRows:
         want = sb_series(order).rows[order]
         for power, fits in ((reach, True), (reach + 1, False),
                             (reach + 2, False)):
-            rows = laurent_numerator(SB_NUMERATOR, order).coeffs
+            rows = laurent_numerator(_sb_walk, order).coeffs
             term = LaurentPolynomial({sign * power: 1})
             rows[order] = rows[order] + term
             if fits:
@@ -888,45 +897,18 @@ class TestFullRows:
 
 class TestHornerWalk:
     """The Horner-form ``summand_walk`` against the summand-by-summand walk
-    of the test helpers, on every ring an SB walk runs on; packed values
-    are compared modulo the ring's modulus, the ring's own equality."""
+    of the test helpers, over Z and the dict Laurent ring, where z and 1/z
+    are two binomial passes (in Z[w] the walk pairs them:
+    ``TestSymmetricNumerators`` reads it in z)."""
 
     @pytest.mark.parametrize("order", [*range(1, 61), 301])
     def test_matches_accumulation(self, order):
         # SB's majorant is a product, not a walk (TestSbMajorant)
-        for bound, cleared in ((False, True), (False, False)):
-            assert _sb_walk(ZZ, order, bound, cleared) == \
-                sb_by_accumulation(ZZ, order, bound, cleared), \
-                (bound, cleared)
+        assert _sb_walk(ZZ, order) == sb_by_accumulation(ZZ, order)
         assert sptbar2_series(order).coeffs == sptbar2_by_accumulation(order)
-        reach = numerator_reach(order)
-        bits, offset = packing_bits(_sb_walk, order), order // 2 + 2
-        numer_bits = packing_bits(SB_NUMERATOR, order)
-        # t = 3 (the table's residues, SB itself), the numerator ring
-        # t = 2K + 1 and the full rows' ring t = 2S + 1 (SB*D)
-        for ring, cleared in (
-                (PackedResidueRing(bits, 3, reach), False),
-                (PackedResidueRing(numer_bits, 2 * reach + 1, reach), True),
-                (PackedResidueRing(bits, 2 * offset + 1, reach), True)):
-            m = ring.modulus
-            got = _sb_walk(ring, order, cleared=cleared)
-            want = sb_by_accumulation(ring, order, cleared=cleared)
-            assert [x % m for x in got] == [x % m for x in want], ring.t
-
-
-BUILDERS = [_sb_walk, _rank_coeffs, _crank_coeffs, bailey_side]
-
-
-def builder_rows(build, order):
-    """The Laurent rows of what build makes: SB's rows, the Bailey side's
-    full rows by the reference read, and rank*D and crank*D, the
-    numerators that the rank's and the crank's builders make, read off
-    the narrow ring."""
-    if build is _sb_walk:
-        return sb_laurent_rows(order)
-    if build is bailey_side:
-        return wide_ring_rows(bailey_side, order)
-    return narrow_ring_numerator(build, order)
+        if order <= 60:
+            assert _sb_walk(LAURENT, order) == \
+                sb_by_accumulation(LAURENT, order)
 
 
 def residue_moduli(order):
@@ -938,17 +920,53 @@ def residue_moduli(order):
                    2 * order + 1})
 
 
+def residue_width(order, rows):
+    """A width for ``numerator_residues`` of a numerator whose quotient
+    has these Laurent rows: ``numerator_width(order)``, which bounds the
+    w-digits of each numerator the checks compare, or one bit more than
+    the largest sum of |coefficients| of a row, which bounds its residue
+    sums, whichever is wider."""
+    return max(numerator_width(order), max(
+        sum(map(abs, row.c.values())) for row in rows).bit_length() + 1)
+
+
+# the numerators X*D in Z[w] whose residue sums ``numerator_residues``
+# reads, each named after the builder of X*D, with X's rows by another
+# route: SB's off the same walk by the row reader (``sb_rows``), the
+# rank's and the crank's by the reference read of their numerators in z,
+# and the Bailey side's, crank*D + u SB*D, off its own walk
+RESIDUE_NUMERATORS = [
+    ("_sb_walk", lambda order, bits: sb_numerator(order, bits).coeffs,
+     sb_laurent_rows),
+    ("_rank_coeffs", lambda order, bits: rank_numerator(order, bits).coeffs,
+     lambda order: wide_ring_divided_by_d(
+         narrow_ring_numerator(_rank_coeffs, order))),
+    ("_crank_coeffs", lambda order, bits: crank_numerator(order).coeffs,
+     lambda order: wide_ring_divided_by_d(
+         narrow_ring_numerator(_crank_coeffs, order))),
+    ("bailey_side", lambda order, bits: (
+        crank_numerator(order) + u_sb_numerator(order, bits)).coeffs,
+     partial(wide_ring_rows, bailey_side)),
+]
+
+
+@pytest.fixture(scope="module")
+def naive_rows():
+    """SB's rows to q^40, every summand built from scratch; row n is the
+    same at every order from n up."""
+    return sb_coefficients_naive(LAURENT, LAURENT.z, LAURENT.z_inv, 40)
+
+
 class TestPackedResidues:
-    """Residue sums built over Z[z]/(z^t - 1) against the residue sums of
-    the packed Laurent rows of the same builder.  The CLI reads SB's
-    alone; the rank's and the crank's numerators run on this ring as the
-    z read of ``helpers.narrow_ring_numerator``, with z and 1/z passes of
-    their own (the rank's), which SB's walk pairs."""
+    """Residue sums mod t read off a numerator X*D in Z[w], its rows
+    carried into Z[z]/(z^t - 1) and divided by D there
+    (``numerator_residues``, ``sb_residues``), against the residue sums of
+    X's Laurent rows from other routes."""
 
     # every order to 12 is an example: there K = isqrt(order) + 2 sets the
     # window of the last rows of the full rows, not order//2 + 1
-    @pytest.mark.parametrize("build", BUILDERS,
-                             ids=[b.__name__ for b in BUILDERS])
+    @pytest.mark.parametrize("name, numerator, rows", RESIDUE_NUMERATORS,
+                             ids=[r[0] for r in RESIDUE_NUMERATORS])
     @given(order=st.integers(1, 60))
     @example(order=1)
     @example(order=2)
@@ -963,44 +981,67 @@ class TestPackedResidues:
     @example(order=11)
     @example(order=12)
     @settings(max_examples=8, deadline=None)
-    def test_matches_laurent_rows(self, build, order):
-        rows = builder_rows(build, order)
+    def test_matches_laurent_rows(self, name, numerator, rows, order):
+        want = rows(order)
+        bits = residue_width(order, want)
+        values = numerator(order, bits)
         for t in residue_moduli(order):
-            assert packed_residues(build, order, t) == [
-                residue_class_sums(row, t) for row in rows], t
+            assert numerator_residues(values, bits, t) == [
+                residue_class_sums(row, t) for row in want], t
 
-    @pytest.mark.parametrize("build", [_sb_walk, _rank_coeffs],
-                             ids=["sb", "rank"])
-    def test_matches_laurent_rows_at_order_300(self, build):
-        rows = builder_rows(build, 300)
-        for t in (3, 5):
-            assert packed_residues(build, 300, t) == [
-                residue_class_sums(row, t) for row in rows], t
+    @pytest.mark.parametrize("name", ["sb", "rank"])
+    def test_matches_laurent_rows_at_order_300(self, name):
+        # t = 3, 5, 2K + 1, 2K + 2 and 2N + 1; SB's through sb_residues
+        order = 300
+        reach = numerator_reach(order)
+        if name == "sb":
+            want = sb_laurent_rows(order)
+            read = partial(sb_residues, order)
+        else:
+            want = rank_series(order).coeffs
+            bits = residue_width(order, want)
+            read = partial(numerator_residues,
+                           rank_numerator(order, bits).coeffs, bits)
+        for t in (3, 5, 2 * reach + 1, 2 * reach + 2, 2 * order + 1):
+            assert read(t) == [residue_class_sums(row, t) for row in want], t
+
+    def test_sb_residues_match_naive_rows(self, naive_rows):
+        # an independent route: SB*D's walk shares nothing with the
+        # summands built one by one over the dict Laurent ring
+        for order in range(1, 41):
+            for t in residue_moduli(order):
+                assert sb_residues(order, t) == [
+                    residue_class_sums(row, t)
+                    for row in naive_rows[:order + 1]], (order, t)
 
     def test_sb_residues_match_table(self, table):
         assert sb_residues(table.order, 5) == [
             residue_class_sums(table.rows[n], 5)
             for n in range(table.order + 1)]
 
-    def test_rank_stays_as_narrow_as_its_laurent_rows(self):
-        # rank*D's builder hands negative values to z; at t = 2N+1, as at
-        # t = 2S+1, nothing folds, so the packed values have the same
-        # widths
-        order, t = 300, 601
-        bits, offset = packing_bits(_rank_coeffs, order), order // 2 + 2
-        rings = (PackedResidueRing(bits, 2 * offset + 1, offset),
-                 PackedResidueRing(bits, t, offset))
-        laurent, residue = (_rank_coeffs(r, order) for r in rings)
-        assert [x.bit_length() for x in residue] == [
-            x.bit_length() for x in laurent]
-        assert packed_residues(_rank_coeffs, order, t) == [
-            residue_class_sums(row, t)
-            for row in narrow_ring_numerator(_rank_coeffs, order)]
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_digit_at_the_reach_raises(self, sign):
+        # at order 4, K = 4, with the rows below zero: w^(K-1) on the top
+        # row of X*D is the top row of X, as D = 1 mod q; a w-digit at w^K
+        # on row 2 leaves a carry out of the K digits, refused as a row at
+        # the edge of the window
+        order, bits = 4, 8
+        reach = numerator_reach(order)
+        values = [0] * (order + 1)
+        values[order] = sign << bits * (reach - 1)
+        top = LaurentPolynomial({0: sign})
+        for _ in range(reach - 1):
+            top = top * (LAURENT.z + LAURENT.z_inv)
+        for t in (1, 3, 2 * reach + 1):
+            assert numerator_residues(values, bits, t) == \
+                [[0] * t] * order + [residue_class_sums(top, t)], t
+        values[2] = sign << bits * reach
+        with pytest.raises(WindowError) as exc:
+            numerator_residues(values, bits, 3)
+        assert (exc.value.n, exc.value.reach) == (2, reach)
 
     def test_negative_residue_sum_refused(self, monkeypatch):
-        import spt_kernel.sptcrank as sptcrank
-
-        monkeypatch.setattr(sptcrank, "packed_residues",
-                            lambda build, order, t: [[0] * t, [1, -1, 0]])
+        monkeypatch.setattr(sptcrank, "numerator_residues",
+                            lambda values, bits, t: [[0] * t, [1, -1, 0]])
         with pytest.raises(ValueError, match="negative"):
             sb_residues(1, 3)

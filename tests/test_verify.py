@@ -216,8 +216,8 @@ def test_run_builds_each_shared_series_once(monkeypatch):
     # the builders by name: SB(zeta_3, q) is shared by theorem1 and the
     # congruences, and the numerators' width, u*SB*D, rank*D and crank*D
     # by theorem2 and bailey_limit, u*SB*D reading SB*D once; the values
-    # at zeta_3 are walks over Z, and no check reads residue sums off the
-    # packed ring
+    # at zeta_3 are walks over Z, and no check reads residue sums
+    # (sb_residues, numerator_residues)
     names = ("crank_at_zeta3", "crank_numerator", "numerator_width",
              "rank_at_zeta3", "rank_numerator", "sb_at_one", "sb_at_zeta3",
              "sb_numerator", "u_sb_numerator")
@@ -237,8 +237,9 @@ def test_run_builds_each_shared_series_once(monkeypatch):
 
     for name in names:
         monkeypatch.setattr(verify, name, counted(name))
-    monkeypatch.setattr(series, "packed_residues", unreachable)
-    monkeypatch.setattr(sptcrank, "packed_residues", unreachable)
+    monkeypatch.setattr(series, "numerator_residues", unreachable)
+    monkeypatch.setattr(sptcrank, "numerator_residues", unreachable)
+    monkeypatch.setattr(sptcrank, "sb_residues", unreachable)
     assert all(r.passed for r in run_all(60, oracle_bound=6))
     assert calls == dict.fromkeys(names, 1)
     # the memo is per run: a second run builds every series again
