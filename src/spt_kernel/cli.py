@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain, compress, count
 from types import SimpleNamespace
 
 from . import verify as verify_mod
@@ -233,14 +233,26 @@ def _probe_out(path: str) -> bool:
 
 # One record per line.  Every field is an int or the decimal string of an
 # int (the component target is quoted by ``json_string``), so these
-# f-strings print exactly what json.dumps does for the same dict (same key
-# order, ", " and ": " separators, nothing to escape), at a fraction of its
-# cost per record, and no CLI path loads json.
-def _row_json(n: int, digits, o: int) -> list[str]:
+# f-strings and templates print exactly what json.dumps does for the same
+# dict (same key order, ", " and ": " separators, nothing to escape), at a
+# fraction of its cost per record, and no CLI path loads json.
+#
+# The records of a row of ``export --what table``, one bytes template per
+# format: n is filled in first, then one (m, count) pair per record.
+_ROW_RECORDS = {
+    "json": b'{"n": %d, "m": %%d, "coefficient": "%%d"}\n',
+    "csv": b"%d,%%d,%%d\n",
+    "text": b"N_SB(m=%%d, n=%d) = %%d\n",
+}
+
+
+def _row_records(template: bytes, n: int, digits, o: int) -> bytes:
     """The records of row n, one per nonzero digits[k], the count at
-    m = k - o."""
-    return [f'{{"n": {n}, "m": {k - o}, "coefficient": "{c}"}}'
-            for k, c in enumerate(digits) if c]
+    m = k - o, in (n, m) order: one ``%`` of the template, repeated once
+    a record, over the (m, count) pairs, with no Python step a record."""
+    pairs = tuple(chain.from_iterable(
+        compress(zip(count(-o), digits), digits)))
+    return (template % n) * (len(pairs) // 2) % pairs
 
 
 def _spt2_json(n: int, v: int) -> str:
@@ -260,21 +272,52 @@ def _component_json(target: str, order: int, coeffs) -> str:
             f'"coefficients": [{quoted}]}}')
 
 
-# Lines per write: one write call per block, not per line (a write call is
-# a system call when stdout is unbuffered), and no copy of the whole output.
-_BLOCK = 1024
+def _encoded(lines):
+    """Each line as bytes, newline included."""
+    return (f"{line}\n".encode() for line in lines)
 
 
-def _emit(lines, out_path, block_lines: int = _BLOCK) -> int:
-    """Write lines, any iterable of strings, in blocks of block_lines; a
-    generator is consumed block by block, so the output is never held."""
-    fh = sys.stdout if out_path is None else _open_out(out_path, "w")
-    if fh is None:
-        return 1
-    lines = iter(lines)
+# Bytes per write: a block is written once it holds this many (the last
+# may hold fewer), so a write call, a system call when stdout is
+# unbuffered, is made per block, not per line, and the output is never
+# held whole.  Half a Linux pipe's 64 KiB: a reader that keeps what it
+# reads, as bench/run.py does, ended a few hundred export-rows runs with
+# a heap 0.9 MiB larger when the blocks were 40 KiB or more.
+_BLOCK = 1 << 15
+
+
+def _write_all(fh, data: bytes):
+    """Write every byte of data: a raw stream, as stdout's binary layer is
+    under PYTHONUNBUFFERED, may take fewer bytes a call than it is given."""
+    view = memoryview(data)
+    while view:
+        view = view[fh.write(view):]
+
+
+def _emit(chunks, out_path) -> int:
+    """Write chunks, any iterable of ASCII bytes that each end on a line
+    end, to stdout's binary layer or to the --out file opened binary,
+    joined into blocks of ``_BLOCK`` bytes or a little more: a block ends
+    where a chunk ends, so no line is split between writes, and a
+    generator is consumed block by block."""
+    if out_path is None:
+        fh = sys.stdout
+    else:
+        fh = _open_out(out_path, "wb")
+        if fh is None:
+            return 1
     try:
-        for block in iter(lambda: list(islice(lines, block_lines)), []):
-            fh.write("\n".join(block) + "\n")
+        if out_path is None:
+            fh.flush()  # what the text layer holds goes first
+            fh = fh.buffer
+        block, size = [], 0
+        for chunk in chunks:
+            block.append(chunk)
+            size += len(chunk)
+            if size >= _BLOCK:
+                _write_all(fh, b"".join(block))
+                block, size = [], 0
+        _write_all(fh, b"".join(block))
         fh.flush()
     except BrokenPipeError:
         # The reader is gone.  Point the descriptor at /dev/null, so that
@@ -284,7 +327,7 @@ def _emit(lines, out_path, block_lines: int = _BLOCK) -> int:
         os.close(devnull)
         return 1
     finally:
-        if fh is not sys.stdout:
+        if out_path is not None:
             fh.close()
     return 0
 
@@ -295,9 +338,8 @@ def cmd_table(args) -> int:
     (``sb_residues``).  SB(1, q) is the spt2bar series, so spt2 is the
     z = 1 total of the classes, refused with them if negative; the
     ``congruences`` check and CI compare it with the separate
-    ``sptbar2_series`` walk.  The lines are made as
-    ``_emit`` writes them, as ``export`` makes its own, in blocks of about
-    ``_BLOCK`` classes: a line holds t of them."""
+    ``sptbar2_series`` walk.  The lines are made as ``_emit`` writes
+    them, as ``export`` makes its own."""
     residues = sb_residues(args.order, args.t)
     rows = ((n, sum(residues[n]), residues[n])
             for n in range(1, args.order + 1))
@@ -311,7 +353,7 @@ def cmd_table(args) -> int:
     else:
         lines = (f"n={n:<4d} spt2={v:<12d} classes(mod {args.t})={classes}"
                  for n, v, classes in rows)
-    return _emit(lines, args.out, max(1, _BLOCK // args.t))
+    return _emit(_encoded(lines), args.out)
 
 
 def cmd_verify(args) -> int:
@@ -323,7 +365,7 @@ def cmd_verify(args) -> int:
                  for r in reports]
     else:
         lines = [r.to_json() for r in reports]
-    rc = _emit(lines, args.out)
+    rc = _emit(_encoded(lines), args.out)
     if rc:
         return rc
     return 0 if all(r.passed for r in reports) else 1
@@ -331,22 +373,14 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     if args.what == "table":
-        # the lines of each row as soon as ``sb_rows`` has it: one line per
-        # nonzero count, in (n, m) order
-        rows = enumerate(sb_rows(args.order))
-        if args.format == "json":
-            lines = chain.from_iterable(
-                _row_json(n, digits, o) for n, (digits, o) in rows)
-        elif args.format == "csv":
-            lines = chain(["n,m,coefficient"], chain.from_iterable(
-                [f"{n},{k - o},{c}" for k, c in enumerate(digits) if c]
-                for n, (digits, o) in rows))
-        else:
-            lines = chain.from_iterable(
-                [f"N_SB(m={k - o}, n={n}) = {c}"
-                 for k, c in enumerate(digits) if c]
-                for n, (digits, o) in rows)
-        return _emit(lines, args.out)
+        # the records of each row as soon as ``sb_rows`` has it: one line
+        # per nonzero count, in (n, m) order, one bytes chunk a row
+        template = _ROW_RECORDS[args.format]
+        chunks = (_row_records(template, n, digits, o)
+                  for n, (digits, o) in enumerate(sb_rows(args.order)))
+        if args.format == "csv":
+            chunks = chain([b"n,m,coefficient\n"], chunks)
+        return _emit(chunks, args.out)
     if args.what == "spt2":
         s2 = sptbar2_series(args.order)
         pairs = [(n, s2.coefficient(n)) for n in range(1, args.order + 1)]
@@ -356,7 +390,7 @@ def cmd_export(args) -> int:
             lines = ["n,spt2"] + [f"{n},{v}" for n, v in pairs]
         else:
             lines = [f"spt2({n}) = {v}" for n, v in pairs]
-        return _emit(lines, args.out)
+        return _emit(_encoded(lines), args.out)
     series = _EXPORT_TARGETS[args.what](args.order)
     coeffs = [(n, series.coefficient(n)) for n in range(series.order + 1)]
     if args.format == "json":
@@ -366,7 +400,7 @@ def cmd_export(args) -> int:
         lines = ["n,coefficient"] + [f"{n},{c}" for n, c in coeffs]
     else:
         lines = [f"[q^{n}] {args.what} = {c}" for n, c in coeffs]
-    return _emit(lines, args.out)
+    return _emit(_encoded(lines), args.out)
 
 
 def main(argv=None) -> int:

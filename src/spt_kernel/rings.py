@@ -18,6 +18,7 @@ Everything is exact; no floats anywhere.
 
 from __future__ import annotations
 
+import sys
 from typing import Mapping
 
 
@@ -291,12 +292,36 @@ class CyclotomicRing:
 # Z[z]/(z^t - 1) packed into integers (Kronecker substitution)
 # ---------------------------------------------------------------------------
 
+# 2^63 in one little-endian 64-bit word; H, 2^63 in each of k words, is
+# int.from_bytes(_HALF_WORD * k, "little"), built per call.  The cast of
+# ``_balanced_digits`` reads native words, so a big-endian host keeps the
+# digit loop at every width.
+_HALF_WORD = bytes(7) + b"\x80"
+_WORDS = sys.byteorder == "little"
+
+
 def _balanced_digits(x: int, b: int, k: int) -> tuple[list[int], int]:
     """The k lowest balanced base-2^b digits of x, lowest first, each in
     [-2^(b-1), 2^(b-1)), and the carry c with x = sum_j d_j 2^(bj) + c 2^(bk);
-    b >= 2.  Runs above 24 digits split in halves: O(k log k), not O(k^2)."""
+    b >= 2.
+
+    At b = 64 no digit is taken in Python.  With H = sum_j 2^63 2^(64j),
+    x + H = sum_j (d_j + 2^63) 2^(64j) + c 2^(64k), each d_j + 2^63 in
+    [0, 2^64), so c = (x + H) >> 64k, and d_j + 2^63 XOR 2^63 is d_j as a
+    signed 64-bit word: one ``to_bytes`` of the low 64k bits of
+    (x + H) ^ H, read through a ``memoryview`` cast to "q", is every
+    digit.  Any other width takes the digits one at a time, and runs
+    above 24 digits split in halves: O(k log k), not O(k^2)."""
     if not x:
         return [0] * k, 0
+    if b == 64 and _WORDS:
+        half = int.from_bytes(_HALF_WORD * k, "little")
+        y = x + half
+        carry = y >> 64 * k
+        if carry:
+            y -= carry << 64 * k
+        words = (y ^ half).to_bytes(8 * k, "little")
+        return memoryview(words).cast("q").tolist(), carry
     if k > 24:
         h = k // 2
         low, c = _balanced_digits(x & ((1 << b * h) - 1), b, h)

@@ -841,13 +841,19 @@ def numerator_rows(values: list, bits: int, top: int):
     ``WindowError(n, K + 1)``.  w^j has 2^j as its sum of |coefficients|
     in z, so row n of X has at most [q^n] of sum_i (sum_j |d_j| 2^j) q^i
     / (q^2; q^2)_inf^2, 1/D's majorant: X's width is one bit more than
-    its largest coefficient.  Each row is packed in z at that width and
-    offset K + 1 (``_horner_in_z``) and divided by D."""
+    its largest coefficient.  Any wider packing is exact too, so a width
+    of at most 64 bits is raised to 64, one signed machine word a digit,
+    which ``_balanced_digits`` reads with no Python step per digit (SB's
+    rows to about order 270); a wider one stays as proven, as rounding it
+    up to whole words costs the division by D more than the decode saves.
+    Each row is packed in z at that width and offset K + 1
+    (``_horner_in_z``) and divided by D."""
     reach = numerator_reach(len(values) - 1) + 1
     rows = list(_w_digits(values[:top + 1], bits, reach))
     width = max(apply_factors(
         [sum(abs(d) << j for j, d in enumerate(row)) for row in rows],
         denom=[(1, 2, 2, None)] * 2)).bit_length() + 1
+    width = max(width, 64)
     return _rows_over_d([_horner_in_z(row, width, reach) for row in rows],
                         width, reach, numerator_reach(top))
 

@@ -33,6 +33,11 @@ took Horner's; the references below run on it, never on the production
 walk.  ``bailey_side`` walks the Bailey side of the limiting Bailey
 instance from n = 0, with its own step: an independent route to the left
 side that ``verify_bailey_limit`` reads off SB*D and crank*D.
+``balanced_digits_by_loop`` takes balanced digits one at a time, the
+reference for the 64-bit word route of ``rings._balanced_digits``.
+``row_json`` and ``export_table_lines`` write the records of ``export
+--what table`` one f-string a record: the reference for the CLI's bytes
+template a row.
 """
 
 from math import comb
@@ -485,3 +490,39 @@ def w_laurent(ring, x, k):
             for i in range(j + 1):
                 c[j - 2 * i] = c.get(j - 2 * i, 0) + d * comb(j, i)
     return LaurentPolynomial(c)
+
+
+def balanced_digits_by_loop(x: int, b: int, k: int) -> tuple[list[int], int]:
+    """The k lowest balanced base-2^b digits of x and the carry, one
+    digit a step."""
+    mask, half = (1 << b) - 1, 1 << (b - 1)
+    digits = []
+    for _ in range(k):
+        d = x & mask
+        if d >= half:
+            d -= 1 << b
+        digits.append(d)
+        x = (x - d) >> b
+    return digits, x
+
+
+def row_json(n: int, digits, o: int) -> list[str]:
+    """The JSON records of row n, one per nonzero digits[k], the count at
+    m = k - o."""
+    return [f'{{"n": {n}, "m": {k - o}, "coefficient": "{c}"}}'
+            for k, c in enumerate(digits) if c]
+
+
+def export_table_lines(rows, fmt: str) -> list[str]:
+    """The lines of ``export --what table`` in format fmt for rows, the
+    (digits, o) pairs of ``sptcrank.sb_rows``, one f-string a record."""
+    rows = list(enumerate(rows))
+    if fmt == "json":
+        return [line for n, (digits, o) in rows
+                for line in row_json(n, digits, o)]
+    if fmt == "csv":
+        return ["n,m,coefficient"] + [
+            f"{n},{k - o},{c}" for n, (digits, o) in rows
+            for k, c in enumerate(digits) if c]
+    return [f"N_SB(m={k - o}, n={n}) = {c}" for n, (digits, o) in rows
+            for k, c in enumerate(digits) if c]

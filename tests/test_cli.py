@@ -6,26 +6,29 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
+from itertools import accumulate
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import residue_class_sums
+from helpers import export_table_lines, residue_class_sums
 import spt_kernel
 from spt_kernel import cli, sptcrank
 from spt_kernel.cli import (
     _BLOCK,
+    _ROW_RECORDS,
     _component_json,
     _emit,
     _parse,
-    _row_json,
+    _row_records,
     _spt2_json,
     _table_json,
     main,
 )
-from spt_kernel.sptcrank import sb_series
+from spt_kernel.sptcrank import sb_rows, sb_series
 
 
 def src_env() -> dict:
@@ -203,11 +206,11 @@ class TestExport:
                                             monkeypatch):
         # a negative count at row 90 of the rows that sb_rows reads off
         # SB*D in Z[w] ends the export with the refusal SptCrankTable
-        # gives.  The rows stream, so the blocks of _BLOCK lines that rows
-        # below 90 filled have been written by then, and no line of row 90
-        # or above
+        # gives.  The rows stream, so the blocks of at least _BLOCK bytes
+        # that rows below 90 filled have been written by then, each ending
+        # where a row ends, and no line of row 90 or above
         argv = ["export", "--what", "table", "--order", "100", "--format",
-                "csv"]
+                "json"]
         code, out = run_cli(capsys, *argv)
         assert code == 0
         full = out.splitlines()
@@ -220,14 +223,16 @@ class TestExport:
                 yield digits, o
 
         monkeypatch.setattr(sptcrank, "numerator_rows", negated)
-        target = tmp_path / "rows.csv"
+        target = tmp_path / "rows.json"
         with pytest.raises(ValueError, match=(
                 r"negative spt-crank count at \(m=0, n=90\)")):
             main([*argv, "--out", str(target)])
+        assert len(target.read_bytes()) >= _BLOCK
         written = target.read_text().splitlines()
-        assert written and len(written) % _BLOCK == 0
         assert written == full[:len(written)]
-        assert all(int(line.split(",")[0]) < 90 for line in written[1:])
+        rows = [json.loads(line)["n"] for line in full]
+        assert rows[len(written) - 1] < rows[len(written)]  # a row boundary
+        assert rows[len(written) - 1] < 90
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "a2.csv"
@@ -351,11 +356,37 @@ def test_json_records_match_the_encoder(capsys, argv, sort_keys, order):
 wide_ints = st.integers(min_value=-(2**200), max_value=2**200)
 
 
-@given(wide_ints, wide_ints, wide_ints)
-def test_row_record_is_json_dumps(n, m, c):
-    # digits [0, c] at offset 1 - m: one record for c at m, none for 0
-    assert _row_json(n, [0, c], 1 - m) == ([json.dumps(
-        {"n": n, "m": m, "coefficient": str(c)})] if c else [])
+@given(wide_ints, st.lists(wide_ints, max_size=5), wide_ints)
+def test_row_record_is_json_dumps(n, digits, o):
+    # one record per nonzero digits[k], the count at m = k - o, none for 0
+    assert _row_records(_ROW_RECORDS["json"], n, digits, o) == "".join(
+        json.dumps({"n": n, "m": k - o, "coefficient": str(c)}) + "\n"
+        for k, c in enumerate(digits) if c).encode()
+
+
+TABLE_ORDERS = [*range(1, 41), 200, 300]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_export_table_matches_the_record_writers(capsysbinary, tmp_path, fmt,
+                                                 to_file):
+    # one bytes template a row prints the bytes of one f-string a record
+    # (helpers.export_table_lines), at X's 64-bit rows (orders up to about
+    # 270) and wider ones
+    for order in TABLE_ORDERS:
+        want = "".join(line + "\n" for line in
+                       export_table_lines(sb_rows(order), fmt)).encode()
+        argv = ["export", "--what", "table", "--order", str(order),
+                "--format", fmt]
+        if to_file:
+            target = tmp_path / "rows"
+            assert main([*argv, "--out", str(target)]) == 0
+            got = target.read_bytes()
+        else:
+            assert main(argv) == 0
+            got = capsysbinary.readouterr().out
+        assert got == want, f"order {order}"
 
 
 @given(st.text(), wide_ints, st.lists(wide_ints))
@@ -413,17 +444,82 @@ def test_closed_pipe_exits_one_and_writes_no_stderr(argv, lines_read,
     assert err == b""
 
 
-def test_blocks_write_every_line_once(tmp_path):
-    # two full blocks and a partial one: no line lost or merged at a seam
-    lines = [f"line {i}" for i in range(2 * _BLOCK + 3)]
+class RawRecorder(io.RawIOBase):
+    """A raw binary stream that keeps the bytes of each write call and
+    takes at most limit bytes a call, as a raw stream may."""
+
+    def __init__(self, limit=None):
+        self.writes, self.limit = [], limit
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        data = bytes(data)[:self.limit]
+        self.writes.append(data)
+        return len(data)
+
+
+def raw_stdout(monkeypatch, raw):
+    """Point sys.stdout at a text layer with raw as its binary layer."""
+    monkeypatch.setattr(sys, "stdout",
+                        SimpleNamespace(buffer=raw, flush=lambda: None))
+
+
+def test_blocks_write_every_line_once(monkeypatch, tmp_path):
+    # rows of 0 to 299 lines, so that block seams fall between rows of
+    # every size: each write holds whole rows, at least _BLOCK bytes but
+    # the last, and the writes are the rows, each once, in order
+    rows = [b"".join(b"%d,%d\n" % (n, m) for m in range(n % 300))
+            for n in range(400)]
+    pulled = []
+
+    def streamed():
+        for row in rows:
+            pulled.append(len(raw.writes))
+            yield row
+
+    raw = RawRecorder()
+    raw_stdout(monkeypatch, raw)
+    assert _emit(streamed(), None) == 0
+    assert b"".join(raw.writes) == b"".join(rows)
+    assert len(raw.writes) > 2
+    assert all(len(data) >= _BLOCK for data in raw.writes[:-1])
+    assert set(accumulate(map(len, raw.writes))) <= set(
+        accumulate(map(len, rows)))
+    # the generator is consumed block by block, not held
+    assert pulled[-1] == len(raw.writes) - 1
+    # the --out file gets the same bytes
     out = tmp_path / "out.txt"
-    assert _emit(lines, str(out)) == 0
-    assert out.read_text() == "".join(line + "\n" for line in lines)
-    # a generator is written the same, block by block
-    assert _emit((line for line in lines), str(out)) == 0
-    assert out.read_text() == "".join(line + "\n" for line in lines)
+    assert _emit(iter(rows), str(out)) == 0
+    assert out.read_bytes() == b"".join(rows)
     assert _emit([], str(out)) == 0
-    assert out.read_text() == ""
+    assert out.read_bytes() == b""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_short_writes_lose_no_byte(monkeypatch, fmt):
+    # stdout's binary layer is a raw FileIO under PYTHONUNBUFFERED, whose
+    # write may take fewer bytes than it is given: every byte is written
+    raw = RawRecorder(limit=1000)
+    raw_stdout(monkeypatch, raw)
+    argv = ["export", "--what", "table", "--order", "60", "--format", fmt]
+    assert main(argv) == 0
+    assert max(map(len, raw.writes)) == 1000
+    assert b"".join(raw.writes) == "".join(
+        line + "\n" for line in export_table_lines(sb_rows(60), fmt)).encode()
+
+
+def test_unbuffered_stdout_prints_every_record():
+    # PYTHONUNBUFFERED, as the benchmark's children inherit it, through a
+    # real pipe
+    env = dict(src_env(), PYTHONUNBUFFERED="1")
+    run = subprocess.run([sys.executable, "-m", "spt_kernel.cli", "export",
+                          "--what", "table", "--order", "200", "--format",
+                          "json"], env=env, capture_output=True, timeout=60)
+    assert run.returncode == 0 and run.stderr == b""
+    assert run.stdout == "".join(line + "\n" for line in export_table_lines(
+        sb_rows(200), "json")).encode()
 
 
 def cold_import_modules():

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    balanced_digits_by_loop,
     eval_at_one,
     packed_rows,
     residue_class_sums,
@@ -18,6 +19,7 @@ from spt_kernel.rings import (
     PackedResidueRing,
     PackedSymmetricRing,
     RingError,
+    _balanced_digits,
     root_value,
 )
 
@@ -302,3 +304,42 @@ class TestPackedSymmetric:
                 3 * half
         with pytest.raises(RingError):
             PackedSymmetricRing(1)
+
+
+# signed 64-bit words, the edges -2^63 and 2^63 - 1 drawn often
+words = st.one_of(st.sampled_from([-2**63, -1, 0, 1, 2**63 - 1]),
+                  st.integers(-2**63, 2**63 - 1))
+
+
+class TestBalancedDigits:
+    """The 64-bit word route of ``_balanced_digits``, one ``to_bytes`` and
+    one ``memoryview`` cast, against the loop that takes one digit a
+    step (``helpers.balanced_digits_by_loop``)."""
+
+    @given(st.lists(words, min_size=1, max_size=300), st.integers(-3, 3))
+    @settings(max_examples=60)
+    def test_words_match_the_loop(self, digits, carry):
+        k = len(digits)
+        x = sum(d << 64 * j for j, d in enumerate(digits)) + (carry << 64 * k)
+        assert _balanced_digits(x, 64, k) == (digits, carry)
+        assert balanced_digits_by_loop(x, 64, k) == (digits, carry)
+
+    @given(st.integers(-2**800, 2**800), st.integers(1, 12))
+    def test_any_integer_matches_the_loop(self, x, k):
+        assert _balanced_digits(x, 64, k) == balanced_digits_by_loop(x, 64, k)
+
+    def test_edges_at_every_length(self):
+        # every digit at an edge, negative x, and a carry out of the top
+        # digit, k = 1..300
+        for k in range(1, 301):
+            top = 1 << 64 * k
+            lows = sum(-2**63 << 64 * j for j in range(k))
+            highs = sum((2**63 - 1) << 64 * j for j in range(k))
+            for x in (lows, highs, lows - 1, highs + 1, -1, -top, top,
+                      top // 2, -top // 2, top // 2 - 1, 3 * top - 5):
+                assert (_balanced_digits(x, 64, k)
+                        == balanced_digits_by_loop(x, 64, k)), (k, x)
+            assert _balanced_digits(lows, 64, k) == ([-2**63] * k, 0)
+            assert _balanced_digits(highs, 64, k) == ([2**63 - 1] * k, 0)
+            assert _balanced_digits(top // 2, 64, k) == (
+                [0] * (k - 1) + [-2**63], 1)

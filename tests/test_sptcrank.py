@@ -447,6 +447,37 @@ class TestPackedSeries:
         assert_within_majorant(sb_series(40).rows, _sb_walk, 40)
 
 
+class TestWordRows:
+    """Rows of X whose proven width is at most 64 bits are packed at 64,
+    where ``rings._balanced_digits`` reads whole machine words; read at
+    the proven width plus one bit, where it takes one digit a step, the
+    same numerator gives the same rows."""
+
+    @pytest.mark.parametrize("order", [200, 250])
+    def test_sb_rows_match_the_digit_loop(self, monkeypatch, order):
+        original = series._rows_over_d
+        widths = []
+
+        def recorded(values, bits, base, reach):
+            widths.append(bits)
+            return original(values, bits, base, reach)
+
+        monkeypatch.setattr(series, "_rows_over_d", recorded)
+        rows = list(sb_rows(order))
+        assert widths == [64]
+        bits = sptcrank._sb_bits(order)
+        reach = numerator_reach(order) + 1
+        w_rows = list(series._w_digits(sb_numerator(order, bits).coeffs,
+                                       bits, reach))
+        width = max(apply_factors(
+            [sum(abs(d) << j for j, d in enumerate(row)) for row in w_rows],
+            denom=[(1, 2, 2, None)] * 2)).bit_length() + 2
+        assert width < 64
+        assert rows == list(original(
+            [series._horner_in_z(row, width, reach) for row in w_rows],
+            width, reach, numerator_reach(order)))
+
+
 # name, numerator X*D, the full rows of X, the builder of X*D; the Bailey
 # side has no builder of its own full rows: they are the reference read of
 # its numerator (``helpers.wide_ring_divided_by_d``), compared with
