@@ -11,8 +11,17 @@ command.  The options of each command are one table, ``_COMMANDS``, which
 the parser and the help text both read.
 
 Exit codes: 0 success, 1 verification failure or output that could not be
-written (including a reader that closed the pipe), 2 usage error.
+written (a reader that closed the pipe, silently; any other write error
+with one line ``spt-kernel: cannot write output: <error>`` on stderr),
+2 usage error.
 All emitted numbers are exact decimal strings; there are no floats.
+
+A process, ``python -m spt_kernel.cli`` or the ``spt-kernel`` script,
+enters through ``run``, which ends it at its last byte: the atexit
+handlers run, stdout and stderr are flushed, and the interpreter's
+teardown (its final GC passes and module teardown) is skipped.  ``main``
+returns its code and never ends the interpreter; usage errors and
+``--help`` exit the ordinary way.
 """
 
 from __future__ import annotations
@@ -319,9 +328,14 @@ def _emit(chunks, out_path) -> int:
                 block, size = [], 0
         _write_all(fh, b"".join(block))
         fh.flush()
-    except BrokenPipeError:
-        # The reader is gone.  Point the descriptor at /dev/null, so that
-        # neither close() nor the interpreter's final flush raises again.
+    except OSError as exc:
+        # A reader that closed the pipe is gone and told nothing; any other
+        # error (a full disk) is one line.  Point the descriptor at
+        # /dev/null, so that neither close() nor a final flush, ``run``'s
+        # or the interpreter's, raises again and turns the exit code into
+        # 120.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"spt-kernel: cannot write output: {exc}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, fh.fileno())
         os.close(devnull)
@@ -436,5 +450,43 @@ def main(argv=None) -> int:
     return handler[command](args)
 
 
+def _exit_now(code: int):
+    """End the process with code once the interpreter reaches its atexit
+    step: unregister this handler, run every other registered handler once,
+    flush stdout and stderr, and ``os._exit(code)``, which skips the final
+    GC passes and module teardown that would follow.  If a flush raises,
+    or a stream is gone, return, and the process ends the ordinary way."""
+    import atexit
+
+    atexit.unregister(_exit_now)
+    atexit._run_exitfuncs()
+    if sys.stdout is None or sys.stderr is None:
+        # set so by a runner whose reader went away (cProfile after a
+        # closed pipe), which then exits with a code of its own
+        return
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        return
+    os._exit(code)
+
+
+def run() -> int:
+    """The process entry point of ``python -m spt_kernel.cli`` and the
+    ``spt-kernel`` script: ``main``'s code, with ``_exit_now(code)``
+    registered to end the process at the atexit step.  The exit goes
+    through atexit, not ``os._exit`` here, so a tool that runs this module
+    and reports after it returns (``python -m cProfile -m``, ``coverage
+    run -m``) still reports, and handlers registered before it still run.
+    A usage error, ``--help`` or an unexpected exception leaves ``main``
+    by raising, registers nothing and exits the ordinary way."""
+    code = main()
+    import atexit
+
+    atexit.register(_exit_now, code)
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

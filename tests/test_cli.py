@@ -1,4 +1,5 @@
 import argparse
+import atexit
 import io
 import json
 import os
@@ -22,6 +23,7 @@ from spt_kernel.cli import (
     _ROW_RECORDS,
     _component_json,
     _emit,
+    _exit_now,
     _parse,
     _row_records,
     _spt2_json,
@@ -510,16 +512,181 @@ def test_short_writes_lose_no_byte(monkeypatch, fmt):
         line + "\n" for line in export_table_lines(sb_rows(60), fmt)).encode()
 
 
-def test_unbuffered_stdout_prints_every_record():
-    # PYTHONUNBUFFERED, as the benchmark's children inherit it, through a
-    # real pipe
-    env = dict(src_env(), PYTHONUNBUFFERED="1")
-    run = subprocess.run([sys.executable, "-m", "spt_kernel.cli", "export",
-                          "--what", "table", "--order", "200", "--format",
-                          "json"], env=env, capture_output=True, timeout=60)
-    assert run.returncode == 0 and run.stderr == b""
-    assert run.stdout == "".join(line + "\n" for line in export_table_lines(
+@pytest.mark.parametrize("out, unbuffered", [
+    (False, False), (False, True), (True, False), (True, True),
+], ids=["stdout", "stdout-unbuffered", "out", "out-unbuffered"])
+def test_large_output_arrives_whole(capsysbinary, tmp_path, out, unbuffered):
+    # 903 KB through a real pipe or into --out, block-buffered or, as the
+    # benchmark's children inherit it, with PYTHONUNBUFFERED: the process
+    # ends by os._exit, and every byte the in-process main writes arrives
+    argv = ["export", "--what", "table", "--order", "200", "--format", "json"]
+    assert main(argv) == 0
+    expected = capsysbinary.readouterr().out
+    assert expected == "".join(line + "\n" for line in export_table_lines(
         sb_rows(200), "json")).encode()
+    env = src_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    else:
+        env.pop("PYTHONUNBUFFERED", None)
+    path = tmp_path / "rows.json"
+    run = subprocess.run([sys.executable, "-m", "spt_kernel.cli", *argv,
+                          *(["--out", str(path)] if out else [])],
+                         env=env, capture_output=True, timeout=60)
+    assert run.returncode == 0 and run.stderr == b""
+    assert (path.read_bytes() if out else run.stdout) == expected
+    assert run.stdout == (b"" if out else expected)
+
+
+# -- how a process ends -------------------------------------------------------
+
+def cli_process(argv, **kwargs):
+    """``python -m spt_kernel.cli argv`` run to its end."""
+    return subprocess.run([sys.executable, "-m", "spt_kernel.cli", *argv],
+                          env=src_env(), capture_output=True, text=True,
+                          timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--order", "12", "--only", "theorem1"], 0),
+    (["verify", "--order", "1"], 2),
+    (["verify", "--bogus"], 2),
+    (["--help"], 0),
+    (["export", "--help"], 0),
+], ids=["pass", "returned-usage-code", "usage-error", "help", "command-help"])
+def test_process_exit_code(argv, code):
+    # a code main returns leaves through run's handler, os._exit(code); a
+    # usage error and --help raise SystemExit inside main and exit the
+    # ordinary way
+    run = cli_process(argv)
+    assert run.returncode == code
+    assert "Traceback" not in run.stderr
+    assert (run.stdout != "") == (code == 0)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv, out", [
+    (["verify", "--order", "12", "--only", "theorem1"], False),
+    (EXPORT_TABLE, False),
+    (EXPORT_TABLE, True),
+], ids=["stdout-at-flush", "stdout-in-loop", "out"])
+def test_write_error_is_one_line_and_exit_one(argv, out):
+    # /dev/full refuses every write with ENOSPC: a short report fails at
+    # the final flush, the rows inside the write loop
+    if out:
+        run = cli_process([*argv, "--out", "/dev/full"])
+        assert run.stdout == ""
+    else:
+        with open("/dev/full", "wb") as full:
+            run = subprocess.run(
+                [sys.executable, "-m", "spt_kernel.cli", *argv],
+                env=src_env(), stdout=full, stderr=subprocess.PIPE,
+                text=True, timeout=60)
+    assert run.returncode == 1
+    assert run.stderr.startswith("spt-kernel: cannot write output: ")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+
+
+def test_profiler_reports_after_the_run():
+    # cProfile runs the module through runpy and prints its stats after it
+    # returns, before the atexit step that ends the process
+    run = subprocess.run([sys.executable, "-m", "cProfile", "-m",
+                          "spt_kernel.cli", "verify", "--order", "12",
+                          "--only", "theorem1"],
+                         env=src_env(), capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0 and run.stderr == ""
+    report, stats = run.stdout.split("\n", 1)
+    assert report.startswith("theorem1") and report.endswith("pass")
+    assert "function calls" in stats
+
+
+# The module run as __main__ by runpy, as a profiler or coverage tool runs
+# it, after {setup} and an atexit handler that writes to stdout and leaves
+# the line in its buffer for the final flush to write.
+RUNPY = """
+import atexit, runpy, sys
+{setup}
+atexit.register(sys.stdout.write, "earlier handler\\n")
+sys.argv = ["spt-kernel", "verify", "--order", "12", "--only", "theorem1"]
+runpy.run_module("spt_kernel.cli", run_name="__main__")
+"""
+
+# raised by the verify command in place of its checks
+RAISE_IN_COMMAND = """
+import spt_kernel.verify
+
+def run_all(*args, **kwargs):
+    raise RuntimeError("raised inside the command")
+
+spt_kernel.verify.run_all = run_all
+"""
+
+
+@pytest.mark.parametrize("setup, code", [
+    ("", 0),
+    # a handler that runs after the earlier one closes stdout, so that
+    # _exit_now's flush raises ValueError: it returns, and the process
+    # ends the ordinary way
+    ("atexit.register(sys.stdout.close)", 0),
+    (RAISE_IN_COMMAND, 1),
+], ids=["handler-exit", "failed-flush", "unexpected-exception"])
+def test_earlier_handlers_run_once(setup, code):
+    # atexit._run_exitfuncs is private: this pins, on each Python the
+    # suite runs on, that each earlier handler runs exactly once and that
+    # what it wrote is flushed
+    run = subprocess.run([sys.executable, "-c", RUNPY.format(setup=setup)],
+                         env=src_env(), capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == code
+    assert run.stdout.endswith("earlier handler\n")
+    assert run.stdout.count("earlier handler") == 1
+    if code:
+        # the exception leaves main: its traceback, and no report
+        assert run.stdout == "earlier handler\n"
+        assert "Traceback" in run.stderr
+        assert "RuntimeError: raised inside the command" in run.stderr
+    else:
+        assert run.stdout.startswith("theorem1") and run.stderr == ""
+
+
+def test_only_run_registers_the_exit(capsys, monkeypatch):
+    # in process, main returns its code and registers nothing; run
+    # registers _exit_now with main's code (recorded here, not registered)
+    registered = []
+    monkeypatch.setattr(atexit, "register",
+                        lambda *args: registered.append(args))
+    assert main(["verify", "--order", "12", "--only", "theorem1"]) == 0
+    assert main(["verify", "--order", "1"]) == 2
+    assert registered == []
+    monkeypatch.setattr(sys, "argv", ["spt-kernel", "verify", "--order", "1"])
+    assert cli.run() == 2
+    assert registered == [(_exit_now, 2)]
+
+
+@pytest.mark.parametrize("stream, error", [
+    ("stdout", ValueError), ("stderr", OSError), ("stdout", None),
+], ids=["stdout-closed", "stderr-unwritable", "stdout-gone"])
+def test_exit_now_returns_when_a_stream_cannot_flush(monkeypatch, stream,
+                                                     error):
+    # error None: the stream is None, as cProfile leaves stdout when its
+    # reader went away
+    def flush():
+        raise error("cannot flush")
+
+    steps = []
+    monkeypatch.setattr(atexit, "_run_exitfuncs",
+                        lambda: steps.append("handlers"))
+    monkeypatch.setattr(os, "_exit", lambda code: steps.append(code))
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(flush=lambda: None))
+    monkeypatch.setattr(sys, "stderr", SimpleNamespace(flush=lambda: None))
+    monkeypatch.setattr(sys, stream,
+                        error and SimpleNamespace(flush=flush))
+    _exit_now(3)
+    assert steps == ["handlers"]
+    monkeypatch.setattr(sys, stream, SimpleNamespace(flush=lambda: None))
+    _exit_now(3)
+    assert steps == ["handlers", "handlers", 3]
 
 
 def cold_import_modules():
