@@ -6,24 +6,26 @@ free of generating-function shortcuts.  A partition is the tuple of its
 parts, and an overpartition the tuple of its (value, overlined) parts, in
 the canonical order of ``Overpartition``.  The part lists are memoized by
 (size, largest part allowed, smallest part allowed), so a suffix list is
-built once.  ``m2_statistics`` still reads every part list one at a time:
-an ordinary one once, through the list of its even parts, which gives its
-class (largest part, #even parts) and its residual crank.  It multiplies
-the sizes of statistic classes where it would pair each overlined list
-with each ordinary one, and pairs each overlined class, of largest part
-T, with the ordinary classes split at T: those whose largest part is at
-most T, where the M2-rank reads T, summed into one count per #even parts,
-and those above T, where it reads their own largest part, summed by the
-rank they give.
+built once; the spt oracles read them.
+
+The M2-rank and residual-crank oracles build no part list.  ``m2_rows``
+walks the partition tree once for every size up to its bound, adding parts
+in nondecreasing order, so each partition is one node, visited once, and
+each node carries what the two statistics read of it: its largest part,
+its even parts and its 2s (``_ordinary_walk``).  A second walk visits the
+partitions into distinct parts, the overlined parts, by largest part and
+number of parts (``_distinct_walk``).  Each overlined class, of largest
+part T, is paired with the ordinary classes split at T: those whose
+largest part is at most T, where the M2-rank reads T, and those above T,
+where it reads their own largest part.  The class counts are multiplied
+as rows packed in ints, not pair by pair.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter
 from functools import lru_cache
-from math import ceil
-from operator import neg
+from math import ceil, isqrt
+from operator import mul
 from typing import Iterator
 
 from .rings import LaurentPolynomial
@@ -162,9 +164,9 @@ def m2_rank(op: Overpartition) -> int:
 
 def m2_rank_distribution(n: int) -> LaurentPolynomial:
     """Sum of z^{m2_rank(pi)} over overpartitions of n; 1 for n = 0."""
-    if n == 0:
-        return LaurentPolynomial.from_int(1)
-    return m2_statistics(n)[0]
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return m2_rows(n)[n][0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,108 +210,193 @@ def residual_m2_crank_distribution(n: int) -> LaurentPolynomial:
     Matches the coefficient of q^n in the residual crank generating
     function exactly, including the repaired failure case.
     """
-    if n == 0:
-        return LaurentPolynomial.from_int(1)
-    return m2_statistics(n)[1]
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return m2_rows(n)[n][1]
 
 
-@lru_cache(maxsize=None)
-def _plain_classes(k: int) -> tuple:
-    """The partitions of k, each read once through the list of its even
-    parts: (below, above, weights).
+# ---------------------------------------------------------------------------
+# The enumeration oracle: one walk of the partition tree
+# ---------------------------------------------------------------------------
 
-    The M2-rank reads only (largest part top, #even parts) of the ordinary
-    parts, split at the overlined largest part T (``m2_statistics``):
-    below[T], for T = 0..k, is ((-#evens, how many), ...) over the
-    partitions with top <= T, and above[T] is ((top//2 - #evens, how
-    many), ...) over those with top > T; an overlined largest part above k
-    reads below[k] and above[k] = ().  weights is the sum of their
-    residual-crank weights (``ag_crank`` of the halved even parts,
-    inlined) as (exponent, coefficient) pairs.  Every n > k reuses them."""
-    tops = []  # (largest part, #even parts) of each partition
-    cranks = []  # ag_crank of its halved even parts, but for (1,)
-    failures = 0  # partitions whose even parts halve to (1,)
-    for plain in partition_list(k):
-        evens = [v for v in plain if not v & 1]
-        tops.append((plain[0] if plain else 0, len(evens)))
-        if not evens:
-            cranks.append(0)
-        elif ones := evens.count(2):
-            if len(evens) == 1:
-                failures += 1
+def _ordinary_walk(bound: int) -> tuple[list, list]:
+    """Every partition of every k <= bound, each visited once, as a node of
+    a depth-first walk that adds its parts in nondecreasing order.
+
+    Returns (tops, cranks).  tops[k][top][evens] counts the partitions of
+    k by largest part and number of even parts: all that the M2-rank reads
+    of the ordinary parts of an overpartition.  cranks[k][half + c], with
+    half = bound // 2, counts them by the crank c of their halved even
+    parts (``ag_crank``, 0 when there are none), and cranks[k][-1] those
+    whose even parts halve to (1,), which weigh ``_FAILURE_WEIGHT``.
+
+    A node carries (size, largest part, #even parts, #2s, #even parts
+    above twice the #2s, crank slot), and the crank is read off these,
+    not off the parts.  With no 2s the halved parts have no ones, and the
+    crank is the largest even part halved, the last one added; otherwise
+    it is the number of halved parts greater than the #2s, less that
+    number.  Every 2 comes before any larger part, so the #2s is final
+    when a larger even part is compared with it.  An odd part leaves the
+    even parts, and so the crank slot, as they are."""
+    half = bound // 2
+    fail = 2 * half + 1
+    tops = [[[0] * (k // 2 + 1) for _ in range(k + 1)]
+            for k in range(bound + 1)]
+    cranks = [[0] * (fail + 1) for _ in range(bound + 1)]
+    tops[0][0][0] = cranks[0][half] = 1  # the empty partition, the root
+    stack = [(0, 1, 0, 0, 0, half)]  # the root's parts start at 1
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        size, low, evens, twos, above, slot = pop()
+        rest = bound - size
+        # the child that adds part v has children of its own if 2v <= rest
+        for v in range(low | 1, rest + 1, 2):
+            k = size + v
+            tops[k][v][evens] += 1
+            cranks[k][slot] += 1
+            if 2 * v <= rest:
+                push((k, v, evens, twos, above, slot))
+        evens += 1
+        for v in range(low + (low & 1), rest + 1, 2):
+            k = size + v
+            tops[k][v][evens] += 1
+            if v == 2:
+                # every even part is a 2: one halves to (1,), the failure,
+                # and more to ones only, of crank -#2s
+                s = half - evens if twos else fail
+                cranks[k][s] += 1
+                if 4 <= rest:
+                    push((k, 2, evens, twos + 1, 0, s))
                 continue
-            # #halved parts greater than the number of ones, less that
-            # number; the even parts decrease, so a bisection counts them
-            cranks.append(bisect_left(evens, -2 * ones, key=neg) - ones)
-        else:
-            cranks.append(evens[0] >> 1)
-    weights = Counter(cranks)
-    for e, v in _FAILURE_WEIGHT.c.items():
-        weights[e] += failures * v
-    by_top: list[list] = [[] for _ in range(k + 1)]
-    for (top, evens), c in Counter(tops).items():
-        by_top[top].append((evens, c))
-    below, above = [], [()] * (k + 1)
-    acc: dict[int, int] = {}
-    for counts in by_top:
-        for evens, c in counts:
-            acc[-evens] = acc.get(-evens, 0) + c
-        below.append(tuple(acc.items()))
-    acc = {}
-    for top in range(k, -1, -1):
-        above[top] = tuple(acc.items())
-        for evens, c in by_top[top]:
-            acc[top // 2 - evens] = acc.get(top // 2 - evens, 0) + c
-    return below, above, tuple(weights.items())
+            if twos:
+                a = above + (v > 2 * twos)
+                s = half + a - twos
+            else:
+                a = 0
+                s = half + (v >> 1)
+            cranks[k][s] += 1
+            if 2 * v <= rest:
+                push((k, v, evens, twos, a, s))
+    return tops, cranks
+
+
+def _distinct_walk(bound: int) -> list:
+    """Every partition into distinct parts of every m <= bound, each
+    visited once, as a node of a depth-first walk that adds its parts in
+    increasing order: classes[m][T][P] counts those of m with largest part
+    T and P parts, all that the M2-rank reads of the overlined parts of an
+    overpartition.  P(P + 1)/2 <= m <= bound bounds P, so each list of
+    counts by P has ``most`` + 1 entries."""
+    most = (isqrt(8 * bound + 1) - 1) // 2
+    classes = [[[0] * (most + 1) for _ in range(m + 1)]
+               for m in range(bound + 1)]
+    stack = [(0, 0, 0)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        size, top, parts = pop()
+        classes[size][top][parts] += 1
+        parts += 1
+        for v in range(top + 1, bound - size + 1):
+            push((size + v, v, parts))
+    return classes
+
+
+def _pack(row: list[int], width: int) -> int:
+    """The counts of row, row[0] lowest, width bits each, in one int.
+
+    The oracle keeps its own packing, apart from ``rings``' decoders: the
+    rows it is compared with are read through those."""
+    x = 0
+    for c in reversed(row):
+        x = x << width | c
+    return x
+
+
+def _unpack(x: int, width: int, count: int) -> list[int]:
+    """The lowest count slots of x, width bits each, lowest first."""
+    mask = (1 << width) - 1
+    out = []
+    for _ in range(count):
+        out.append(x & mask)
+        x >>= width
+    return out
 
 
 @lru_cache(maxsize=None)
-def _overlined_classes(m: int) -> tuple:
-    """((largest part, #parts), how many) over the partitions of m into
-    distinct parts, read one at a time: all that the M2-rank reads of the
-    overlined parts of an overpartition."""
-    return tuple(Counter(((over[0] if over else 0), len(over))
-                         for over in distinct_partition_list(m)).items())
+def m2_rows(bound: int) -> tuple[
+        tuple[LaurentPolynomial, LaurentPolynomial, int], ...]:
+    """(M2-rank distribution, residual-crank distribution, overpartitions
+    counted) of each n = 0..bound, from one walk over the partitions and
+    one over the partitions into distinct parts of every size up to bound.
+
+    Each overpartition of n is a pair (distinct overlined parts of size m,
+    ordinary parts of size k = n - m), as in ``enumerate_overpartitions``.
+    The M2-rank reads only (largest part T, #parts P) of the overlined
+    parts and (largest part, #even parts e) of the ordinary ones, so the
+    pairs are counted by class, split at T.  Where the ordinary largest
+    part is at most T the largest part is overlined (the overlined copy
+    comes first among equal values) and the rank is ceil(T/2) - P - e;
+    above T it is ceil(top/2) - P - e - chi, with chi = 1 for odd top,
+    which is top//2 - P - e.  So the ordinary classes of k give, at each
+    T, one row S[k][T] by exponent: z^ceil(T/2) z^-e over those with top
+    <= T and z^(top//2 - e) over those above; the overlined classes of m
+    with largest part T give one row O[m][T], of z^-P; and the ranks of n
+    are the sum over m and T of O[m][T] S[n - m][T].  Each row is packed
+    in one int, a count to a slot as wide as the p̄(bound) overpartitions
+    of bound (every count is >= 0 and none is larger), so one product of two
+    ints is the product of two rows.  The residual crank reads the
+    ordinary parts alone: the row of n sums, over m, the row of n - m
+    once for each distinct partition of m.
+    """
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    tops, cranks = _ordinary_walk(bound)
+    classes = _distinct_walk(bound)
+    plain = [sum(map(sum, by_top)) for by_top in tops]
+    distinct = [sum(map(sum, by_top)) for by_top in classes]
+    counted = [sum(map(mul, distinct[:n + 1], plain[n::-1]))
+               for n in range(bound + 1)]
+    width = counted[-1].bit_length()
+    half = bound // 2  # the slot of exponent 0 in S and in the crank rows
+    most = len(classes[0][0]) - 1  # the slot of exponent 0 in O
+    base = most + half  # the slot of exponent 0 in their products
+    over = [[_pack(by_parts[::-1], width) for by_parts in by_top]
+            for by_top in classes]
+    split = []
+    for k, by_top in enumerate(tops):
+        lift = (half - k // 2) * width
+        rows = [_pack(by_evens[::-1], width) << lift for by_evens in by_top]
+        below = sum(rows)  # the classes with top <= T; all of them for T >= k
+        row = [below << ((t + 1) // 2 * width) for t in range(bound + 1)]
+        above = 0  # the classes with top > T
+        for t in range(k, -1, -1):
+            row[t] = (below << ((t + 1) // 2 * width)) + above
+            below -= rows[t]
+            above += rows[t] << (t // 2 * width)
+        split.append(row)
+    weights = [_pack(row, width) for row in cranks]
+    out = []
+    for n in range(bound + 1):
+        ranks = sum(sum(map(mul, over[m], split[n - m]))
+                    for m in range(n + 1))
+        crank = _unpack(sum(map(mul, distinct[:n + 1], weights[n::-1])),
+                        width, 2 * half + 2)
+        failures = crank.pop()
+        crank = {e - half: c for e, c in enumerate(crank)}
+        for e, v in _FAILURE_WEIGHT.c.items():
+            crank[e] = crank.get(e, 0) + failures * v
+        out.append((LaurentPolynomial({r - base: c for r, c in enumerate(
+                        _unpack(ranks, width, base + n + 1))}),
+                    LaurentPolynomial(crank), counted[n]))
+    return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def m2_statistics(n: int) -> tuple[LaurentPolynomial, LaurentPolynomial, int]:
     """(M2-rank distribution, residual-crank distribution, overpartitions
-    counted) over the overpartitions of n >= 1, in one enumeration.
-
-    Each overpartition is a pair (distinct overlined parts of size m,
-    ordinary parts of size n - m), as in ``enumerate_overpartitions``.
-    Every part list is still generated and read one at a time, but no
-    overpartition tuple is built and the pairs are counted by class.  The
-    M2-rank reads only (largest part T, #parts P) of the overlined list
-    and (largest part top, #even parts) of the ordinary one, so each
-    overlined class is paired with the ordinary classes split at T
-    (``_plain_classes``).  Where top <= T the largest part is overlined
-    (the overlined copy comes first among equal values) and the rank is
-    ceil(T/2) - P - #evens; above T it is ceil(top/2) - P - #evens - chi,
-    with chi = 1 for odd top, which is top//2 - P - #evens.  The residual
-    crank reads the ordinary parts alone, so the sum of its weights over
-    the partitions of n - m counts once for each distinct partition of m.
-    """
+    counted) over the overpartitions of n >= 1: the last row of
+    ``m2_rows(n)``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ranks = [0] * (2 * n + 1)  # ranks[n + r]: every M2-rank is in [-n, n]
-    cranks: dict[int, int] = {}
-    visits = 0
-    for m in range(n + 1):
-        k = n - m
-        below, above, weights = _plain_classes(k)
-        overs = len(distinct_partition_list(m))
-        visits += overs * len(partition_list(k))
-        for (top_over, parts_over), c_over in _overlined_classes(m):
-            t = min(top_over, k)
-            h = n + (top_over + 1) // 2 - parts_over
-            for d, c in below[t]:
-                ranks[h + d] += c_over * c
-            h = n - parts_over
-            for d, c in above[t]:
-                ranks[h + d] += c_over * c
-        for e, v in weights:
-            cranks[e] = cranks.get(e, 0) + overs * v
-    return (LaurentPolynomial({r - n: c for r, c in enumerate(ranks) if c}),
-            LaurentPolynomial(cranks), visits)
+    return m2_rows(n)[n]

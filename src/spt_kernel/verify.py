@@ -12,7 +12,7 @@ from functools import cache
 from operator import add
 from typing import Callable
 
-from .partitions import m2_rank_distribution, residual_m2_crank_distribution
+from .partitions import m2_rows
 from .rings import LAURENT, ZZ
 from .series import (
     SeriesError,
@@ -323,7 +323,8 @@ def verify_theorem2(order: int, n_oracle: int = ORACLE_BOUND,
     the numerators times D = (z q^2, q^2/z; q^2)_inf, packed in Z[w] at
     the run's one width (see ``_compare``), plus an enumeration
     cross-check of the rank and crank rows up to n_oracle, read off the
-    same two numerators (``numerator_rows``)."""
+    same two numerators (``numerator_rows``), against both oracles' rows
+    from one enumeration (``m2_rows``)."""
     _require_order("theorem2", order)
     bits = build(numerator_width, order)
     lhs = build(u_sb_numerator, order, bits)
@@ -331,13 +332,13 @@ def verify_theorem2(order: int, n_oracle: int = ORACLE_BOUND,
     crank = build(crank_numerator, order)
     subchecks = [("rank-crank", lhs, rank - crank, bits)]
     top = min(n_oracle, order)
-    for label, numerator, enumerate_row in (
-            ("rank-enumeration", rank, m2_rank_distribution),
-            ("crank-enumeration", crank, residual_m2_crank_distribution)):
+    enumerated = m2_rows(top)
+    for label, numerator, column in (
+            ("rank-enumeration", rank, 0), ("crank-enumeration", crank, 1)):
         subchecks.append((label, TruncatedSeries(
             LAURENT, top, laurent_rows(numerator.coeffs, bits, top)),
             TruncatedSeries(LAURENT, top,
-                            [enumerate_row(n) for n in range(top + 1)])))
+                            [row[column] for row in enumerated])))
     return _compare("theorem2", order, subchecks)
 
 

@@ -12,12 +12,16 @@ from helpers import (
     is_symmetric,
 )
 from spt_kernel.partitions import (
+    _distinct_walk,
+    _ordinary_walk,
     ag_crank,
     distinct_partition_list,
     enumerate_overpartitions,
     m2_rank,
     m2_rank_distribution,
+    m2_rows,
     m2_statistics,
+    num_even_parts,
     partition_list,
     residual_crank_weight,
     residual_m2_crank_distribution,
@@ -26,6 +30,7 @@ from spt_kernel.partitions import (
 from spt_kernel.rings import ZZ, LaurentPolynomial
 from spt_kernel.series import pochhammer_inf
 from spt_kernel.sptcrank import crank_series, rank_series
+from spt_kernel.verify import MAX_ORACLE_BOUND
 
 
 class TestEnumeration:
@@ -116,6 +121,12 @@ class TestM2Rank:
     def test_distribution_n0(self):
         assert m2_rank_distribution(0) == 1
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            m2_rank_distribution(-1)
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            m2_rows(-1)
+
     def test_distribution_matches_series(self):
         rank = rank_series(12)
         for n in range(13):
@@ -146,6 +157,10 @@ class TestResidualCrank:
     def test_distribution_n0(self):
         assert residual_m2_crank_distribution(0) == 1
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            residual_m2_crank_distribution(-1)
+
     def test_distribution_matches_series(self):
         # the failure-case weight z + 1/z - 1 is what makes this exact
         crank = crank_series(12)
@@ -159,18 +174,47 @@ class TestResidualCrank:
 
 
 def test_shared_walk_matches_enumeration():
-    # one walk gives both oracles; it must agree with the statistics of each
-    # overpartition that enumerate_overpartitions yields, visiting each
-    # once, up to n = 20, the oracle bound of a default verify run
-    for n in range(1, 21):
+    # one walk gives both oracles' rows 0..MAX_ORACLE_BOUND; each row must
+    # agree with the statistics of each overpartition that
+    # enumerate_overpartitions yields, visiting each once, up to n = 20,
+    # the oracle bound of a default verify run, and at n = 25 and at the
+    # largest bound the CLI accepts
+    rows = m2_rows(MAX_ORACLE_BOUND)
+    assert rows[0] == (1, 1, 1)
+    for n in [*range(1, 21), 25, MAX_ORACLE_BOUND]:
         ranks = Counter()
         cranks = Counter()
         for op in enumerate_overpartitions(n):
             ranks[m2_rank(op)] += 1
             cranks.update(residual_crank_weight(op).c)
-        assert m2_statistics(n) == (LaurentPolynomial(ranks),
-                                    LaurentPolynomial(cranks),
-                                    count_overpartitions(n)), n
+        assert rows[n] == (LaurentPolynomial(ranks),
+                           LaurentPolynomial(cranks),
+                           count_overpartitions(n)), n
+        assert m2_statistics(n) == rows[n], n
+
+
+def test_walks_visit_each_partition_once():
+    # every node adds 1 to one class and, for an ordinary partition, to one
+    # crank slot: the counts of size k are its nodes, and the classes are
+    # those of the part lists, (largest part, #even parts) of each
+    # partition and (largest part, #parts) of each into distinct parts
+    tops, cranks = _ordinary_walk(MAX_ORACLE_BOUND)
+    classes = _distinct_walk(MAX_ORACLE_BOUND)
+    for k in range(MAX_ORACLE_BOUND + 1):
+        plain = partition_list(k)
+        distinct = distinct_partition_list(k)
+        assert sum(map(sum, tops[k])) == sum(cranks[k]) == len(plain), k
+        assert sum(map(sum, classes[k])) == len(distinct), k
+        walked = Counter({(top, evens): c
+                          for top, by_evens in enumerate(tops[k])
+                          for evens, c in enumerate(by_evens) if c})
+        assert walked == Counter((p[0] if p else 0, num_even_parts(p))
+                                 for p in plain), k
+        walked = Counter({(top, parts): c
+                          for top, by_parts in enumerate(classes[k])
+                          for parts, c in enumerate(by_parts) if c})
+        assert walked == Counter((p[0] if p else 0, len(p))
+                                 for p in distinct), k
 
 
 @pytest.mark.parametrize("min_part", [1, 2, 3, 4])

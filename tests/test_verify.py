@@ -350,35 +350,38 @@ def test_fault_in_one_rank_lambert_term_is_reported_exactly(
 
 # theorem 2's enumeration subchecks, each oracle's row 5 off by z + 1/z:
 # the report shows the oracle's row as expected and, as actual, row 5 of
-# the series read off its numerator in Z[w]
+# the series read off its numerator in Z[w]; each oracle is named by its
+# function of one n and read from its column of m2_rows, the one walk
+# that gives theorem 2 every row
 ENUMERATION_FAULTS = [
-    ("m2_rank_distribution", {
+    ("m2_rank_distribution", 0, {
         "n": 5, "where": "rank-enumeration",
         "expected": "2*z^-2 + 5*z^-1 + 12 + 5*z + 2*z^2",
         "actual": "2*z^-2 + 4*z^-1 + 12 + 4*z + 2*z^2"}),
-    ("residual_m2_crank_distribution", {
+    ("residual_m2_crank_distribution", 1, {
         "n": 5, "where": "crank-enumeration",
         "expected": "2*z^-2 + 7*z^-1 + 8 + 7*z + 2*z^2",
         "actual": "2*z^-2 + 6*z^-1 + 8 + 6*z + 2*z^2"}),
 ]
 
 
-@pytest.mark.parametrize("oracle, failure", ENUMERATION_FAULTS,
+@pytest.mark.parametrize("oracle, column, failure", ENUMERATION_FAULTS,
                          ids=[f[0] for f in ENUMERATION_FAULTS])
 def test_fault_in_one_enumeration_row_is_reported_exactly(
-        monkeypatch, oracle, failure):
+        monkeypatch, oracle, column, failure):
     # the rows compared with the oracles are those of the run's rank*D and
     # crank*D: run_all builds no rank or crank series of its own
-    original = getattr(verify, oracle)
+    original = verify.m2_rows
 
-    def faulty(n):
-        row = original(n)
-        return row + LaurentPolynomial({1: 1, -1: 1}) if n == 5 else row
+    def faulty(top):
+        rows = [list(row) for row in original(top)]
+        rows[5][column] += LaurentPolynomial({1: 1, -1: 1})
+        return tuple(map(tuple, rows))
 
     def unreachable(order):
         raise AssertionError("a check built a rank or crank series")
 
-    monkeypatch.setattr(verify, oracle, faulty)
+    monkeypatch.setattr(verify, "m2_rows", faulty)
     for module in (sptcrank, verify):
         for name in ("rank_series", "crank_series"):
             monkeypatch.setattr(module, name, unreachable, raising=False)
