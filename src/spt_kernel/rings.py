@@ -235,7 +235,7 @@ class IntegerRing:
 
     zero = 0
     one = 1
-    z = z_inv = 1  # the builders' majorants run over Z at z = 1
+    z = z_inv = 1  # only the tests walk the builders over Z at z = 1
 
     def coerce(self, n: int):
         return int(n)

@@ -618,37 +618,19 @@ def summand_walk(ring, first, order: int, step) -> list:
     return [ring.zero] * 2 + apply_factors(tail, *first)
 
 
-def binomials(numer, denom, bound: bool):
-    """The factor lists (numer, denom) of a product, or, with bound, those
-    of its majorant over Z at z = 1.
-
-    A factor is a tuple whose first entry is the c of (1 - c*q^e); in the
-    majorant each numerator factor becomes (1 + |c| q^e) and each
-    denominator 1/(1 - |c| q^e).  Since the sum of |coefficients| of a
-    Laurent polynomial is subadditive and submultiplicative, and |z| counts
-    as 1, the majorant's coefficient of q^n bounds that sum for the
-    product's coefficient of q^n -- whether or not its factors cancel.
-    """
-    if not bound:
-        return numer, denom
-    return ([(-abs(c), *rest) for c, *rest in numer],
-            [(abs(c), *rest) for c, *rest in denom])
-
-
 def d_factors(ring) -> list:
     """D = (z q^2, q^2/z; q^2)_inf as ``apply_factors`` factors, with the
     ring's own z and 1/z (both 1 over Z): D's binomial passes, on Z, the
     dict rings and ``PackedResidueRing`` (where ``d_list`` writes D out
-    for rank*D's z read in the tests) and, through ``binomials``, the
-    majorants.  D is the denominator of SB and of the rank and crank
-    series; D = 1 mod q, so it is a unit and X = Y to q^N exactly when
-    X*D = Y*D to q^N, with the same first differing q^n."""
+    for rank*D's z read in the tests).  D is the denominator of SB and of
+    the rank and crank series; D = 1 mod q, so it is a unit and X = Y to
+    q^N exactly when X*D = Y*D to q^N, with the same first differing
+    q^n."""
     return [(ring.z, 2, 2, None), (ring.z_inv, 2, 2, None)]
 
 
-def d_list(ring, order: int, bound: bool = False) -> list:
-    """Coefficients 0..order of D, z the ring's own; with bound, over Z,
-    its majorant (-q^2; q^2)_inf^2 (``binomials``).  On
+def d_list(ring, order: int) -> list:
+    """Coefficients 0..order of D, z the ring's own.  On
     ``PackedSymmetricRing``, where rank*D starts from it,
     E = D (q^2; q^2)_inf is written out (``theta_list``) and divided by
     (q^2; q^2)_inf; on any other ring D's factors are applied to 1
@@ -657,8 +639,7 @@ def d_list(ring, order: int, bound: bool = False) -> list:
         a = theta_list(ring, order)
         div_eta_list(a, 2)
         return a
-    return apply_factors([ring.one] + [ring.zero] * order,
-                         *binomials(d_factors(ring), (), bound))
+    return apply_factors([ring.one] + [ring.zero] * order, d_factors(ring))
 
 
 def div_d_list(a, ring) -> list:

@@ -32,7 +32,6 @@ from .series import (  # noqa: F401
     TruncatedSeries,
     _laurent,
     apply_factors,
-    binomials,
     d_list,
     div_d_at_zeta3,
     div_w_pair_list,
@@ -51,7 +50,7 @@ from .series import (  # noqa: F401
 # Series construction
 # ---------------------------------------------------------------------------
 
-def _sb_walk(ring, order: int, bound: bool = False) -> list:
+def _sb_walk(ring, order: int) -> list:
     """Coefficients 0..order of SB*D, D = (z q^2, q^2/z; q^2)_inf, where
 
         SB = sum_{n>=1} q^{2n} (q^{4n+2}; q^2)_inf
@@ -72,33 +71,35 @@ def _sb_walk(ring, order: int, bound: bool = False) -> list:
     (z q^2, q^2/z; q^2)_{n-1} (q^{4n+2}; q^2)_inf / (q^{2n+1}; q^2)_inf^2:
     z^k needs q^{k(k+1)} there and q^{2k+2} more in front.  On
     ``PackedSymmetricRing`` the walk is that of SB*D in w = z + 1/z, each
-    pair 1 - w q^{2n} + q^{4n}.
+    pair 1 - w q^{2n} + q^{4n}.  Its majorant is ``_sb_majorant``.
+    """
+    return summand_walk(
+        ring, ([(1, 6, 2, None)], [(1, 3, 2, None)] * 2), order,
+        lambda n: ([(ring.z, 2 * n), (ring.z_inv, 2 * n), (1, 2 * n + 1)],
+                   [(-1, 2 * n + 1), (1, 4 * n + 4)]))
 
-    With bound, over Z, SB's one majorant,
+
+def _sb_majorant(order: int) -> list[int]:
+    """Coefficients 0..order of SB's one majorant, over Z,
 
         q^2 (-q^6; q^2)_inf / ((1 - q^2) (q^2; q^2)_inf^2 (q^3; q^2)_inf^2),
 
     in O(order sqrt(order)) through the eta route of ``apply_factors``.
     Its coefficient of q^n bounds the sum of |coefficients| of row n of
-    SB, and of SB*D in w (``numerator_width``) and in z, where
-    (-q^2; q^2)_inf^2 bounds the pairs that replace the two divisions.
-    Coefficient-wise, for n >= 1 and |z| = 1: the numerator
-    (q^{4n+2}; q^2)_inf is at most (-q^{4n+2}; q^2)_inf <= (-q^6; q^2)_inf;
-    1/(z q^{2n}; q^2)_inf and 1/(q^{2n}/z; q^2)_inf are each at most
-    1/(q^{2n}; q^2)_inf <= 1/(q^2; q^2)_inf; 1/(q^{2n+1}; q^2)_inf^2 <=
-    1/(q^3; q^2)_inf^2; and sum_{n>=1} q^{2n} = q^2/(1 - q^2).  All these
-    series have no negative coefficient, so their products keep the order.
+    SB, and of SB*D (``_sb_walk``) in z and in w (``numerator_width``).
+    Coefficient-wise, for n >= 1: (q^{4n+2}; q^2)_inf is at most
+    (-q^6; q^2)_inf, 1/(q^{2n+1}; q^2)_inf^2 at most 1/(q^3; q^2)_inf^2,
+    and sum_{n>=1} q^{2n} = q^2/(1 - q^2); SB's divisions by (z q^{2n},
+    q^{2n}/z; q^2)_inf at |z| = 1, and SB*D's pairs (z q^2, q^2/z;
+    q^2)_{n-1}, of norm (1 + q^e)^2 in z and 1 + q^e + q^{2e} in w, are
+    each at most 1/(q^2; q^2)_inf^2.  All these series have no negative
+    coefficient, so their products keep the order.
     """
     if order < 2:
-        return [ring.zero] * (order + 1)
-    if bound:
-        return [0, 0] + apply_factors(
-            [1] + [0] * (order - 2), [(-1, 6, 2, None)],
-            [(1, 2, 1, 1)] + [(1, 2, 2, None)] * 2 + [(1, 3, 2, None)] * 2)
-    return summand_walk(
-        ring, ([(1, 6, 2, None)], [(1, 3, 2, None)] * 2), order,
-        lambda n: ([(ring.z, 2 * n), (ring.z_inv, 2 * n), (1, 2 * n + 1)],
-                   [(-1, 2 * n + 1), (1, 4 * n + 4)]))
+        return [0] * (order + 1)
+    return [0, 0] + apply_factors(
+        [1] + [0] * (order - 2), [(-1, 6, 2, None)],
+        [(1, 2, 1, 1)] + [(1, 2, 2, None)] * 2 + [(1, 3, 2, None)] * 2)
 
 
 def sb_coefficients_naive(ring, z, z_inv, order: int) -> list:
@@ -147,11 +148,11 @@ class SptCrankTable(namedtuple("SptCrankTable", "order rows")):
 def _sb_bits(order: int) -> int:
     """The width at which SB*D is packed in Z[w] for its rows and its
     residue sums: one bit more than the largest coefficient of SB's
-    majorant (``_sb_walk``), which bounds the sum of |coefficients| of
+    majorant (``_sb_majorant``), which bounds the sum of |coefficients| of
     each row of SB, and so each residue sum, and of SB*D in w
     (``numerator_width``); at least 2 bits, the least that packs in w
     (SB is 0 to q^1)."""
-    return max(1, *_sb_walk(ZZ, order, True)).bit_length() + 1
+    return max(1, *_sb_majorant(order)).bit_length() + 1
 
 
 def sb_rows(order: int):
@@ -182,34 +183,38 @@ def numerator_width(order: int) -> int:
     """The width B at which a run packs SB*D, rank*D and crank*D in Z[w],
     w = z + 1/z (``sb_numerator``, ``rank_numerator``, ``crank_numerator``):
     B = max(B_SB + 2, B_rank, B_crank) + 1, each B_X one bit more than the
-    largest coefficient of a majorant: SB's, ``_sb_walk(ZZ, order, True)``,
-    and the numerators' ``_rank_coeffs(ZZ, order, True)`` and
-    ``_crank_coeffs(ZZ, order, True)``.
+    largest coefficient of its numerator's majorant, ``_sb_majorant``,
+    ``_rank_majorant`` and ``_crank_majorant``.
 
     Exactness.  Let |p| be the sum of the absolute values of the
     w-coefficients of p in Z[w]; it is subadditive and submultiplicative.
-    In w the pair (1 - z q^e)(1 - q^e/z) is 1 - w q^e + q^{2e}, of |.|
-    1 + q^e + q^{2e} <= 1/(1 - q^e), and u = (1 - z)(1 - 1/z) is 2 - w,
-    of |.| 3.  So summand n of SB*D, q^{2n} (z q^2, q^2/z; q^2)_{n-1}
-    (q^{4n+2}; q^2)_inf / (q^{2n+1}; q^2)_inf^2, has |.| at most q^{2n}
-    (-q^6; q^2)_inf / ((q^2; q^2)_inf (q^3; q^2)_inf^2), and the sum of
-    these is at most SB's majorant, which has one more 1/(q^2; q^2)_inf.
-    The rank's majorant takes |z| = 1, where the pair is at most
-    (1 + q^e)^2 and u at most 4.  A rank term, u D over one of D's pairs,
-    is u times D's other pairs, of |.| at most 3 (-q^2; q^2)_inf^2 /
-    (1 + q^{2n})^2, below its z majorant's 4 (-q^2; q^2)_inf^2 /
-    (1 - q^{2n})^2; crank*D is z-free.  So every w-coefficient of SB*D is
-    below 2^(B_SB - 1), of u SB*D below 2^(B_SB + 1), of rank*D below
-    2^(B_rank - 1) and of crank*D below 2^(B_crank - 1), and every one of
-    each side that the checks compare, u SB*D, rank*D - crank*D,
-    crank*D + u SB*D or rank*D, is below 2^(B - 1).  Z[w] -> Z, w -> 2^B,
-    is a ring map, and an integer has at most one expansion in balanced
-    base-2^B digits below 2^(B - 1): two sides whose packed integers are
-    equal are equal polynomials, and two that differ pack different ones.
+    In w the pair (1 - z q^e)(1 - q^e/z) is 1 - w q^e + q^{2e}, whose |.|,
+    1 + q^e + q^{2e}, is at most the pair's sum of |z-coefficients|,
+    (1 + q^e)^2, and u = (1 - z)(1 - 1/z) is 2 - w, of |.| 3: a majorant
+    built factor by factor at |z| = 1 bounds |.| too.  SB*D is within
+    ``_sb_majorant`` (the proof is there).  rank*D, built from the
+    Lambert form (``_rank_coeffs``), is Lovejoy's definition of the M2-rank
+    generating function, sum_{n>=0} (-1;q)_{2n} q^n / (z q^2, q^2/z;
+    q^2)_n (Ann. Comb. 12 (2008)), times D: summand n is (-1;q)_{2n} q^n
+    (z q^{2n+2}, q^{2n+2}/z; q^2)_inf, its pairs within (-q^2; q^2)_inf^2,
+    (-1;q)_{2n} <= 2 (-q;q)_inf and sum_{n>=0} q^n = 1/(1 - q), so rank*D
+    is within ``_rank_majorant``, in z and in w.
+    This rests on the identity of the two forms, which the tests check
+    (``rank_series`` against ``rank_series_bailey_sum``), as does theorem
+    2's enumeration; ``symmetric_numerator``'s window check guards each
+    run.  crank*D is z-free, within ``_crank_majorant``.
+    So every w-coefficient of SB*D is below 2^(B_SB - 1), of u SB*D
+    below 2^(B_SB + 1), of rank*D below 2^(B_rank - 1) and of crank*D
+    below 2^(B_crank - 1), and every one of each side that the checks
+    compare, u SB*D, rank*D - crank*D, crank*D + u SB*D or rank*D, is
+    below 2^(B - 1).  Z[w] -> Z, w -> 2^B, is a ring map, and an integer
+    has at most one expansion in balanced base-2^B digits below
+    2^(B - 1): two sides whose packed integers are equal are equal
+    polynomials, and two that differ pack different ones.
     """
-    sb, rank, crank = (max(majorant).bit_length() + 1 for majorant in (
-        _sb_walk(ZZ, order, True), _rank_coeffs(ZZ, order, True),
-        _crank_coeffs(ZZ, order, True)))
+    sb, rank, crank = (max(majorant(order)).bit_length() + 1
+                       for majorant in (_sb_majorant, _rank_majorant,
+                                        _crank_majorant))
     return max(sb + 2, rank, crank) + 1
 
 
@@ -317,50 +322,55 @@ def sptbar2_series(order: int) -> TruncatedSeries:
 # Rank and residual-crank generating functions
 # ---------------------------------------------------------------------------
 
-def _rank_term(ring, n: int, start: list, bound: bool) -> list:
+def _rank_term(ring, n: int, start: list) -> list:
     """Lambert term n of the rank series over q^{n^2+2n}, with start in
     place of 1:
 
         2 (-1)^n (1 - z)(1 - 1/z) start / ((1 - z q^{2n})(1 - q^{2n}/z)),
 
-    coefficients 0..len(start) - 1, z the ring's own; with bound, its
-    majorant (see ``binomials``).  On ``PackedSymmetricRing``,
-    (1 - z)(1 - 1/z) x is 2x - (x << B), and the pair's division its
-    recurrence (``div_w_pair_list``)."""
-    sign = -2 if n % 2 and not bound else 2
+    coefficients 0..len(start) - 1, z the ring's own.  On
+    ``PackedSymmetricRing``, (1 - z)(1 - 1/z) x is 2x - (x << B), and the
+    pair's division its recurrence (``div_w_pair_list``)."""
+    sign = -2 if n % 2 else 2
     if type(ring) is PackedSymmetricRing:
         term = [sign * ((x << 1) - (x << ring.bits)) for x in start]
         div_w_pair_list(term, ring, 2 * n)
         return term
     z, z_inv = ring.z, ring.z_inv
-    return apply_factors([sign * x for x in start], *binomials(
-        [(z, 0, 1, 1), (z_inv, 0, 1, 1)],
-        [(z, 2 * n, 1, 1), (z_inv, 2 * n, 1, 1)], bound))
+    return apply_factors([sign * x for x in start],
+                         [(z, 0, 1, 1), (z_inv, 0, 1, 1)],
+                         [(z, 2 * n, 1, 1), (z_inv, 2 * n, 1, 1)])
 
 
-def _rank_coeffs(ring, order: int, bound: bool = False) -> list:
+def _rank_coeffs(ring, order: int) -> list:
     """Coefficients 0..order of rank*D, D = (z q^2, q^2/z; q^2)_inf, the
-    numerator of the rank generating function (see ``rank_series``); with
-    bound, over Z at z = 1, its majorant.
+    numerator of the rank generating function (see ``rank_series``).
 
     The Lambert form runs with D (``d_list``) in place of 1: term n is a
     copy of D times (1 - z)(1 - 1/z), divided by two of D's own factors,
-    so z^k needs q^{k(k-1)} in it, as in D.  Its majorant is D's,
-    (-q^2; q^2)_inf^2, with 4/(1 - q^{2n})^2 per term."""
-    start = d_list(ring, order, bound)
+    so z^k needs q^{k(k-1)} in it, as in D.  Its majorant is
+    ``_rank_majorant``."""
+    start = d_list(ring, order)
     inner = list(start)
     n = 1
     while n * n + 2 * n <= order:
         e = n * n + 2 * n
-        term = _rank_term(ring, n, start[:order - e + 1], bound)
+        term = _rank_term(ring, n, start[:order - e + 1])
         for i, x in enumerate(term, e):
             if x:
                 inner[i] = inner[i] + x
         n += 1
     # the prefactor (-q;q)_inf/(q;q)_inf = (q^2;q^2)_inf/(q;q)_inf^2 on the
     # ring: one pentagonal multiplication and two divisions (apply_factors)
-    return apply_factors(inner, *binomials(
-        [(-1, 1, 1, None)], [(1, 1, 1, None)], bound))
+    return apply_factors(inner, [(-1, 1, 1, None)], [(1, 1, 1, None)])
+
+
+def _rank_majorant(order: int) -> list[int]:
+    """rank*D's one majorant over Z, 2 (-q;q)_inf (-q^2;q^2)_inf^2 / (1 - q),
+    read off the rank's definition, in z and in w (``numerator_width``)."""
+    return apply_factors([2] + [0] * order,
+                         [(-1, 1, 1, None)] + [(-1, 2, 2, None)] * 2,
+                         [(1, 1, 1, 1)])
 
 
 def rank_series(order: int) -> TruncatedSeries:
@@ -371,8 +381,8 @@ def rank_series(order: int) -> TruncatedSeries:
                                 / ((1-z q^{2n})(1-q^{2n}/z))),
 
     the rows of ``rank_numerator`` (``numerator_rows``) at the width of
-    its own majorant."""
-    bits = max(_rank_coeffs(ZZ, order, True)).bit_length() + 1
+    rank*D's majorant (``_rank_majorant``)."""
+    bits = max(_rank_majorant(order)).bit_length() + 1
     return TruncatedSeries(LAURENT, order, laurent_rows(
         rank_numerator(order, bits).coeffs, bits, order))
 
@@ -432,22 +442,30 @@ def rank_series_bailey_sum(ring, z, z_inv, order: int) -> TruncatedSeries:
     return acc
 
 
-def _crank_coeffs(ring, order: int, bound: bool = False) -> list:
+def _crank_coeffs(ring, order: int) -> list:
     """Coefficients 0..order of crank*D, D = (z q^2, q^2/z; q^2)_inf, the
     numerator of the residual-crank generating function (see
     ``crank_series``): the z-free (-q;q)_inf (q^2;q^2)_inf / (q;q^2)_inf,
-    built over Z and returned as ring values; with bound, its majorant."""
-    w = apply_factors([1] + [0] * order, *binomials(
-        [(-1, 1, 1, None), (1, 2, 2, None)], [(1, 1, 2, None)], bound))
+    built over Z and returned as ring values."""
+    w = apply_factors([1] + [0] * order,
+                      [(-1, 1, 1, None), (1, 2, 2, None)], [(1, 1, 2, None)])
     return [x * ring.one for x in w]
+
+
+def _crank_majorant(order: int) -> list[int]:
+    """crank*D's one majorant over Z, (-q;q)_inf (-q^2;q^2)_inf / (q;q^2)_inf:
+    crank*D's numerator factors (1 - c q^e) taken as 1 + |c| q^e."""
+    return apply_factors([1] + [0] * order,
+                         [(-1, 1, 1, None), (-1, 2, 2, None)],
+                         [(1, 1, 2, None)])
 
 
 def crank_series(order: int) -> TruncatedSeries:
     """Residual-crank generating function over Z[z,1/z]:
     (-q;q)_inf (q^2;q^2)_inf / ((q;q^2)_inf (z q^2;q^2)_inf (q^2/z;q^2)_inf),
     the rows of ``crank_numerator`` (``numerator_rows``) at the width of
-    its own majorant."""
-    bits = max(_crank_coeffs(ZZ, order, True)).bit_length() + 1
+    crank*D's majorant (``_crank_majorant``)."""
+    bits = max(_crank_majorant(order)).bit_length() + 1
     return TruncatedSeries(LAURENT, order, laurent_rows(
         crank_numerator(order).coeffs, bits, order))
 

@@ -14,7 +14,9 @@ every row divided by D on that one ring: the reference for
 and divides it by D at its own width.  ``narrow_ring_numerator`` reads a
 numerator X*D off one ring of t = 2K + 1 digits, K = isqrt(N) + 2, as
 Laurent rows in z: the reference for the numerators in Z[w], w = z + 1/z,
-that the checks compare.  ``w_laurent`` decodes a packed element of Z[w]
+that the checks compare.  Each reader takes the numerator's majorant by
+name (``sptcrank._sb_majorant``, ``_rank_majorant``, ``_crank_majorant``,
+``bailey_majorant``).  ``w_laurent`` decodes a packed element of Z[w]
 to z by the binomial expansion of each power of w, the reference for the
 Horner packing of ``series.numerator_rows``.  Every
 reference here writes D out and divides by it through D's binomial
@@ -31,8 +33,8 @@ Lambert sum built term by term, the reference for the written-out sum.
 one by one into a total, the form ``series.summand_walk`` had before it
 took Horner's; the references below run on it, never on the production
 walk.  ``bailey_side`` walks the Bailey side of the limiting Bailey
-instance from n = 0, with its own step: an independent route to the left
-side that ``verify_bailey_limit`` reads off SB*D and crank*D.
+instance times D from n = 0, with its own step: an independent route to
+the left side that ``verify_bailey_limit`` reads off SB*D and crank*D.
 ``balanced_digits_by_loop`` takes balanced digits one at a time, the
 reference for the 64-bit word route of ``rings._balanced_digits``.
 ``row_json`` and ``export_table_lines`` write the records of ``export
@@ -61,7 +63,6 @@ from spt_kernel.series import (
     TruncatedSeries,
     WindowError,
     apply_factors,
-    binomials,
     d_factors,
     div_binomial_list,
     poch_quotient,
@@ -70,7 +71,7 @@ from spt_kernel.series import (
     numerator_reach,
     pochhammer_inf,
 )
-from spt_kernel.sptcrank import _sb_walk
+from spt_kernel.sptcrank import _crank_majorant, _sb_majorant, _sb_walk
 
 
 def one(ring, order):
@@ -308,17 +309,12 @@ def sb_by_accumulation(ring, order: int, bound: bool = False) -> list:
         [(c, 4 * n + 2), (c, 4 * n + 4)]))
 
 
-def sb_side(ring, order: int, bound: bool = False,
-            cleared: bool = False) -> list:
-    """Coefficients 0..order of SB(z,q), z the ring's own, or of SB*D with
-    cleared: ``sptcrank._sb_walk``, which walks SB*D, divided by D through
-    D's binomial passes (``d_factors``), not the theta kernels of
-    ``series.div_d_list``.  With bound, over Z, SB's one majorant, which
-    bounds SB*D too.  A builder for ``wide_ring_rows``."""
-    walk = _sb_walk(ring, order, bound)
-    if bound or cleared:
-        return walk
-    return apply_factors(walk, denom=d_factors(ring))
+def sb_side(ring, order: int) -> list:
+    """Coefficients 0..order of SB(z,q), z the ring's own:
+    ``sptcrank._sb_walk``, which walks SB*D, divided by D through D's
+    binomial passes (``d_factors``), not the theta kernels of
+    ``series.div_d_list``."""
+    return apply_factors(_sb_walk(ring, order), denom=d_factors(ring))
 
 
 def sptbar2_by_accumulation(order: int) -> list:
@@ -333,48 +329,43 @@ def sptbar2_by_accumulation(order: int) -> list:
         [(-1, 2 * n + 1), (1, 4 * n + 4)]))
 
 
-def bailey_side(ring, order: int, bound: bool = False,
-                cleared: bool = False) -> list:
-    """Coefficients 0..order of the Bailey side of the limiting Bailey
-    Lemma instance (rho_1 = z, rho_2 = 1/z, a = 1, base q^2, z the ring's
-    own) times its prefactor:
+def bailey_side(ring, order: int) -> list:
+    """Coefficients 0..order of Bailey*D, D = (z q^2, z_inv q^2; q^2)_inf,
+    the Bailey side of the limiting Bailey Lemma instance (rho_1 = z,
+    rho_2 = 1/z, a = 1, base q^2, z the ring's own) times its prefactor
+    and D:
 
-        (q^2;q^2)_inf / ((z q^2, z_inv q^2; q^2)_inf (q;q^2)_inf^2)
+        (q^2;q^2)_inf / (q;q^2)_inf^2
         * sum_{n>=0} q^{2n} (z, z_inv; q^2)_n beta_n,
 
     beta_n = (q;q^2)_n^2 / (q^2;q^2)_{2n}, walked from the n = 0 summand,
     1, on ``accumulation_walk``: summand n+1 over summand n, divided by
     q^2, is
     (1 - z q^{2n}) (1 - z_inv q^{2n}) (1 - q^{2n+1})^2
-    / ((1 - q^{4n+2}) (1 - q^{4n+4})).  A builder for ``wide_ring_rows``.
-
-    With cleared, Bailey*D, D = (z q^2, z_inv q^2; q^2)_inf: the
-    prefactor leaves out D, so summand n of Bailey*D is q^{2n}
-    (z, z_inv; q^2)_n (q^{4n+2}; q^2)_inf / (q^{2n+1}; q^2)_inf^2: z^k needs
-    q^{k(k-1)} in (z; q^2)_n and q^{2k} more in front.
-
-    With bound, over Z, it returns a majorant.  Bailey*D's is the formula
-    at z = z_inv = -1 with (-q^2; q^2)_inf for (q^2; q^2)_inf.  Summand n
-    then becomes q^{2n} (-1, -1; q^2)_n (-q^2; q^2)_inf / ((q^2; q^2)_{2n}
-    (q^{2n+1}; q^2)_inf^2), which has no negative coefficient and bounds
-    summand n's, as (-q^2; q^2)_inf / (q^2; q^2)_{2n} >= (-q^{4n+2}; q^2)_inf
-    coefficient-wise.  The Bailey side's own majorant divides it by
-    (q^2; q^2)_inf^2, since 1/D has the majorant 1/(q^2; q^2)_inf^2.
-    Without cleared, D divides through its binomial passes
-    (``d_factors``), not the theta kernels of ``series.div_d_list``.
+    / ((1 - q^{4n+2}) (1 - q^{4n+4})).  Summand n of Bailey*D is q^{2n}
+    (z, z_inv; q^2)_n (q^{4n+2}; q^2)_inf / (q^{2n+1}; q^2)_inf^2: z^k
+    needs q^{k(k-1)} in (z; q^2)_n and q^{2k} more in front.  A builder
+    for ``narrow_ring_numerator`` and ``wide_ring_rows``, within
+    ``bailey_majorant``.
     """
-    z, z_inv, c = ring.z, ring.z_inv, 1
-    if bound:
-        z = z_inv = c = -1
+    z, z_inv = ring.z, ring.z_inv
     start = [ring.one] + [ring.zero] * order
     acc = accumulation_walk(ring, start, 0, order, lambda n: (
         [(z, 2 * n), (z_inv, 2 * n), (1, 2 * n + 1), (1, 2 * n + 1)],
         [(1, 4 * n + 2), (1, 4 * n + 4)]))
-    denom = [(1, 1, 2, None)] * 2
-    if not cleared:
-        denom += binomials((), d_factors(ring), bound)[1]
-    return poch_quotient(ring, order, [(c, 2, 2, None)], denom,
+    return poch_quotient(ring, order, [(1, 2, 2, None)],
+                         [(1, 1, 2, None)] * 2,
                          start=TruncatedSeries(ring, order, acc)).coeffs
+
+
+def bailey_majorant(order: int) -> list[int]:
+    """A majorant of Bailey*D (``bailey_side``) in z:
+    ``sptcrank._crank_majorant`` + 4 ``sptcrank._sb_majorant``, as
+    Bailey*D = crank*D + (2 - z - 1/z) SB*D term by term (the proof is in
+    ``verify.verify_bailey_limit``), and 2 - z - 1/z sums to 4 in
+    |coefficients|."""
+    return [c + 4 * s for c, s in zip(_crank_majorant(order),
+                                      _sb_majorant(order))]
 
 
 def pack(ring, coeffs):
@@ -421,40 +412,39 @@ def _wide_rows(ring, values, s):
     return rows
 
 
-def wide_ring_rows(build, order):
-    """Rows 0..order of build's series over Z[z,1/z] read as one ring of
-    t = 2S + 1 digits, S = max(order//2 + 2, K + 1), K =
-    ``numerator_reach(order)``, offset K and one bit more than X's
-    majorant, build(ZZ, N, True, False): its numerator X*D, build(ring, N,
-    False, True), divided by D once on that ring by D's binomial passes
-    (``apply_factors`` with ``d_factors``), and
+def wide_ring_rows(build, majorant, order):
+    """Rows 0..order of X over Z[z,1/z] read as one ring of t = 2S + 1
+    digits, S = max(order//2 + 2, K + 1), K = ``numerator_reach(order)``,
+    offset K and one bit more than X's majorant, majorant(N) / (q^2;
+    q^2)_inf^2, as majorant bounds the numerator X*D and 1/(q^2; q^2)_inf^2
+    bounds 1/D: the numerator, build(ring, N), divided by D once on that
+    ring by D's binomial passes (``apply_factors`` with ``d_factors``), and
     entry e of ``unpack`` read as the coefficient of z^e for e in [-S, S].
     A row with a nonzero z^-S or z^S digit raises ``WindowError(n, S)``.
     The reference for ``series.numerator_rows``, which gives each row its
     own width."""
     s = max(order // 2 + 2, numerator_reach(order) + 1)
-    bits = max(build(ZZ, order, True, False)).bit_length() + 1
+    bits = max(apply_factors(majorant(order), denom=[(1, 2, 2, None)] * 2)
+               ).bit_length() + 1
     ring = PackedResidueRing(bits, 2 * s + 1, numerator_reach(order))
-    values = apply_factors(build(ring, order, False, True),
-                           denom=d_factors(ring))
+    values = apply_factors(build(ring, order), denom=d_factors(ring))
     return _wide_rows(ring, values, s)
 
 
-def narrow_ring_numerator(build, order):
+def narrow_ring_numerator(build, majorant, order):
     """Rows 0..order of a numerator X*D over Z[z,1/z], build(ring, N), read
     off one ring of t = 2K + 1 digits, K = ``numerator_reach(order)``,
-    offset K and the width of the numerator's own majorant,
-    build(ZZ, N, True): entry e of ``unpack`` is the coefficient of z^e
-    for e in [-K, K], and a row with a nonzero z^-K or z^K digit raises
-    ``WindowError(n, K)``.  build is a numerator builder
-    (``sptcrank._sb_walk``, ``_rank_coeffs``, ``_crank_coeffs``) or the
-    Bailey side's numerator form, with cleared; on this ring SB*D's walk
-    takes z and 1/z as two binomial passes through the ring's ``z`` and
-    ``z_inv``.  The reference for ``sptcrank.sb_numerator`` and
-    ``rank_numerator``, which build the numerators in Z[w], w = z + 1/z,
-    on plain integers."""
+    offset K and the width of the numerator's majorant, majorant(N): entry
+    e of ``unpack`` is the coefficient of z^e for e in [-K, K], and a row
+    with a nonzero z^-K or z^K digit raises ``WindowError(n, K)``.  build
+    is a numerator builder (``sptcrank._sb_walk``, ``_rank_coeffs``,
+    ``_crank_coeffs``) or the Bailey side's numerator (``bailey_side``);
+    on this ring SB*D's walk takes z and 1/z as two binomial passes
+    through the ring's ``z`` and ``z_inv``.  The reference for
+    ``sptcrank.sb_numerator`` and ``rank_numerator``, which build the
+    numerators in Z[w], w = z + 1/z, on plain integers."""
     reach = numerator_reach(order)
-    bits = max(build(ZZ, order, True)).bit_length() + 1
+    bits = max(majorant(order)).bit_length() + 1
     ring = PackedResidueRing(bits, 2 * reach + 1, reach)
     return _wide_rows(ring, build(ring, order), reach)
 
@@ -462,18 +452,12 @@ def narrow_ring_numerator(build, order):
 def wide_ring_divided_by_d(rows):
     """Rows 0..m of X, m = len(rows) - 1, from rows 0..m of its numerator
     X*D as Laurent polynomials, read by ``wide_ring_rows``: the rows
-    packed as they are, at the width of sum_i |rows[i]| q^i /
-    (q^2; q^2)_inf^2, |p| the sum of |coefficients| of p, which bounds
-    the sum of |coefficients| of each row of X, as 1/(1 - z q^e) has the
-    majorant 1/(1 - q^e)."""
-    def build(ring, order, bound, cleared):
-        if bound:
-            return apply_factors([sum(map(abs, p.c.values()))
-                                  for p in rows],
-                                 denom=[(1, 2, 2, None)] * 2)
-        return [pack(ring, p.c) for p in rows]
-
-    return wide_ring_rows(build, len(rows) - 1)
+    packed as they are, within the majorant sum_i |rows[i]| q^i, |p| the
+    sum of |coefficients| of p."""
+    return wide_ring_rows(
+        lambda ring, order: [pack(ring, p.c) for p in rows],
+        lambda order: [sum(map(abs, p.c.values())) for p in rows],
+        len(rows) - 1)
 
 
 def w_laurent(ring, x, k):

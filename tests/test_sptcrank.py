@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bailey_majorant,
     bailey_side,
     eval_at_one,
     is_symmetric,
@@ -48,7 +49,10 @@ from spt_kernel.series import (
 from spt_kernel.sptcrank import (
     SptCrankTable,
     _crank_coeffs,
+    _crank_majorant,
     _rank_coeffs,
+    _rank_majorant,
+    _sb_majorant,
     _sb_walk,
     at_zeta3,
     crank_at_zeta3,
@@ -312,11 +316,11 @@ def crank_by_inversion(ring, z, z_inv, order):
     return num * den.invert()
 
 
-def assert_within_majorant(rows, build, order):
+def assert_within_majorant(rows, majorant, order):
     """Row n's sum of |coefficients| is at most the coefficient of q^n of
-    build's majorant, build(ZZ, order, True), so every coefficient is
-    below 2^(B-1) for the packing width B."""
-    majorant = build(ZZ, order, True)
+    majorant(order), so every coefficient is below 2^(B-1) for the
+    packing width B."""
+    majorant = majorant(order)
     width = max(majorant).bit_length() + 1
     for row, bound in zip(rows, majorant, strict=True):
         assert sum(abs(c) for c in row.c.values()) <= bound
@@ -342,24 +346,21 @@ def bailey_side_by_inversion(order):
     return pochhammer_inf(ring, 1, 2, 2, order) * den.invert() * acc
 
 
-# the Bailey side's numerator Bailey*D, as _sb_walk builds SB*D
-BAILEY_NUMERATOR = partial(bailey_side, cleared=True)
-
-
-def laurent_numerator(build, order):
+def laurent_numerator(build, majorant, order):
     """A numerator X*D over Z[z,1/z], build(ring, order), read off the
     narrow packed ring (``helpers.narrow_ring_numerator``)."""
-    return TruncatedSeries(LAURENT, order, narrow_ring_numerator(build, order))
+    return TruncatedSeries(LAURENT, order,
+                           narrow_ring_numerator(build, majorant, order))
 
 
 def bailey_numerator(order):
     """Bailey*D over Z[z,1/z], read off the narrow packed ring."""
-    return laurent_numerator(BAILEY_NUMERATOR, order)
+    return laurent_numerator(bailey_side, bailey_majorant, order)
 
 
-def packing_bits(build, order):
-    """One bit more than the largest coefficient of build's majorant."""
-    return max(build(ZZ, order, True)).bit_length() + 1
+def packing_bits(majorant, order):
+    """One bit more than the largest coefficient of majorant(order)."""
+    return max(majorant(order)).bit_length() + 1
 
 
 def sb_laurent_rows(order):
@@ -399,8 +400,9 @@ class TestPackedSeries:
         rank = rank_series(order)
         assert rank == rank_series_bailey_sum(
             LAURENT, LAURENT.z, LAURENT.z_inv, order)
-        assert_within_majorant(narrow_ring_numerator(_rank_coeffs, order),
-                               _rank_coeffs, order)
+        assert_within_majorant(
+            narrow_ring_numerator(_rank_coeffs, _rank_majorant, order),
+            _rank_majorant, order)
 
     @given(order=st.integers(1, 40))
     @example(order=1)
@@ -411,7 +413,7 @@ class TestPackedSeries:
         assert crank == crank_by_inversion(LAURENT, LAURENT.z, LAURENT.z_inv,
                                            order)
         assert_within_majorant(crank_numerator(order).embed(LAURENT).coeffs,
-                               _crank_coeffs, order)
+                               _crank_majorant, order)
 
     @given(order=st.integers(1, 40))
     @example(order=1)
@@ -422,7 +424,7 @@ class TestPackedSeries:
         numerator = bailey_numerator(order).coeffs
         want = bailey_side_by_inversion(order).coeffs
         assert wide_ring_divided_by_d(numerator) == want
-        assert_within_majorant(numerator, BAILEY_NUMERATOR, order)
+        assert_within_majorant(numerator, bailey_majorant, order)
 
     @given(order=st.integers(1, 40))
     @example(order=1)
@@ -444,7 +446,7 @@ class TestPackedSeries:
         assert laurent_at_zeta3(crank_series(order)) == want
 
     def test_sb_rows_within_majorant(self):
-        assert_within_majorant(sb_series(40).rows, _sb_walk, 40)
+        assert_within_majorant(sb_series(40).rows, _sb_majorant, 40)
 
 
 class TestWordRows:
@@ -478,22 +480,22 @@ class TestWordRows:
             width, reach, numerator_reach(order)))
 
 
-# name, numerator X*D, the full rows of X, the builder of X*D; the Bailey
+# name, numerator X*D, the full rows of X, the majorant of X*D; the Bailey
 # side has no builder of its own full rows: they are the reference read of
 # its numerator (``helpers.wide_ring_divided_by_d``), compared with
 # inverted products in TestPackedSeries
 NUMERATORS = [
-    ("sb", partial(laurent_numerator, _sb_walk),
+    ("sb", partial(laurent_numerator, _sb_walk, _sb_majorant),
      lambda order: TruncatedSeries(LAURENT, order, sb_laurent_rows(order)),
-     _sb_walk),
-    ("rank", partial(laurent_numerator, _rank_coeffs), rank_series,
-     _rank_coeffs),
+     _sb_majorant),
+    ("rank", partial(laurent_numerator, _rank_coeffs, _rank_majorant),
+     rank_series, _rank_majorant),
     ("crank", lambda order: crank_numerator(order).embed(LAURENT),
-     crank_series, _crank_coeffs),
+     crank_series, _crank_majorant),
     ("bailey", bailey_numerator,
      lambda order: TruncatedSeries(LAURENT, order, wide_ring_divided_by_d(
          bailey_numerator(order).coeffs)),
-     BAILEY_NUMERATOR),
+     bailey_majorant),
 ]
 
 
@@ -509,19 +511,20 @@ class TestNumerators:
         # against the Bailey-lemma walk from n = 0 with its own step
         u = LaurentPolynomial({1: -1, 0: 2, -1: -1})
         lhs = (crank_numerator(order).embed(LAURENT)
-               + laurent_numerator(_sb_walk, order).scale(u))
-        assert lhs.coeffs == narrow_ring_numerator(BAILEY_NUMERATOR, order)
+               + laurent_numerator(_sb_walk, _sb_majorant, order).scale(u))
+        assert lhs.coeffs == narrow_ring_numerator(bailey_side,
+                                                   bailey_majorant, order)
 
     @pytest.mark.parametrize("order", [4, 5, 9, 40, 41, 100])
-    @pytest.mark.parametrize("name, numerator, full, build", NUMERATORS,
+    @pytest.mark.parametrize("name, numerator, full, majorant", NUMERATORS,
                              ids=[n[0] for n in NUMERATORS])
-    def test_full_rows_times_d(self, name, numerator, full, build, order):
+    def test_full_rows_times_d(self, name, numerator, full, majorant, order):
         num, rows = numerator(order), full(order)
         d = poch_quotient(LAURENT, order, d_factors(LAURENT))
         assert num == rows * d
         reach = numerator_reach(order) - 1
         assert all(abs(e) <= reach for row in num.coeffs for e in row.c)
-        assert_within_majorant(num.coeffs, build, order)
+        assert_within_majorant(num.coeffs, majorant, order)
         # the rows of X back from X*D by the reference read
         assert wide_ring_divided_by_d(num.coeffs) == rows.coeffs
 
@@ -531,8 +534,8 @@ class TestNumerators:
         order = 40
         power = numerator_reach(order)
 
-        def build(ring, order, bound=False):
-            rows = _sb_walk(ring, order, bound)
+        def build(ring, order):
+            rows = _sb_walk(ring, order)
             x = ring.one
             for _ in range(power):
                 x = (ring.z if side == "z" else ring.z_inv) * x
@@ -540,7 +543,7 @@ class TestNumerators:
             return rows
 
         with pytest.raises(RingError, match="edge"):
-            narrow_ring_numerator(build, order)
+            narrow_ring_numerator(build, _sb_majorant, order)
 
 
 class TestReferencesShareNoThetaKernel:
@@ -563,12 +566,14 @@ class TestReferencesShareNoThetaKernel:
 
         for name in ("theta_list", "div_theta_list"):
             monkeypatch.setattr(series, name, counted(name))
-        for build in (_sb_walk, _rank_coeffs, _crank_coeffs,
-                      BAILEY_NUMERATOR):
-            narrow_ring_numerator(build, order)
-        for build in (sb_side, bailey_side):
-            wide_ring_rows(build, order)
-        wide_ring_divided_by_d(narrow_ring_numerator(_rank_coeffs, order))
+        numerators = [(_sb_walk, _sb_majorant), (_rank_coeffs, _rank_majorant),
+                      (_crank_coeffs, _crank_majorant),
+                      (bailey_side, bailey_majorant)]
+        for build, majorant in numerators:
+            narrow_ring_numerator(build, majorant, order)
+        for build, majorant in (numerators[0], numerators[3]):
+            wide_ring_rows(build, majorant, order)
+        wide_ring_divided_by_d(narrow_ring_numerator(_rank_coeffs, _rank_majorant, order))
         assert calls == []
         # the production routes do reach them: rank*D writes E in w, and
         # SB's residues divide by it
@@ -597,9 +602,11 @@ def top_numerators():
     for top in (400, 1000):
         bits = numerator_width(top)
         out[top] = bits, [
-            (numerator(top, bits).coeffs, narrow_ring_numerator(build, top))
-            for numerator, build in ((sb_numerator, _sb_walk),
-                                     (rank_numerator, _rank_coeffs))]
+            (numerator(top, bits).coeffs,
+             narrow_ring_numerator(build, majorant, top))
+            for numerator, build, majorant in (
+                (sb_numerator, _sb_walk, _sb_majorant),
+                (rank_numerator, _rank_coeffs, _rank_majorant))]
     return out
 
 
@@ -652,19 +659,19 @@ class TestSymmetricNumerators:
         for name, values in sides.items():
             for n, row in enumerate(w_digits(values, wide, digits)):
                 assert max(map(abs, row)) < 1 << (bits - 1), (name, n)
-        for values, build in ((sb, _sb_walk), (rank, _rank_coeffs)):
-            majorant = build(ZZ, order, True)
+        for values, majorant in ((sb, _sb_majorant), (rank, _rank_majorant)):
+            bound = majorant(order)
             for n, row in enumerate(w_digits(values, wide, digits)):
-                assert sum(map(abs, row)) <= majorant[n], (build, n)
+                assert sum(map(abs, row)) <= bound[n], (majorant, n)
 
     @pytest.mark.parametrize("order", [0, 1, 4, 40, 300])
     def test_width_is_one_bit_above_the_widest_side(self, order):
         # B = max(B_SB + 2, B_rank, B_crank) + 1: u = 2 - w takes SB*D two
         # bits wider, and a sum of two sides one more
         assert numerator_width(order) == max(
-            packing_bits(_sb_walk, order) + 2,
-            packing_bits(_rank_coeffs, order),
-            packing_bits(_crank_coeffs, order)) + 1
+            packing_bits(_sb_majorant, order) + 2,
+            packing_bits(_rank_majorant, order),
+            packing_bits(_crank_majorant, order)) + 1
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_row_at_the_reach_raises(self, sign):
@@ -684,7 +691,7 @@ class TestSymmetricNumerators:
                 for _ in range(power):
                     term = term * (LAURENT.z + LAURENT.z_inv)
                 rows = symmetric_numerator(build, order, bits)
-                want = laurent_numerator(_sb_walk, order).coeffs
+                want = laurent_numerator(_sb_walk, _sb_majorant, order).coeffs
                 want[order] = want[order] + term
                 ring = PackedSymmetricRing(bits)
                 assert [w_laurent(ring, x, reach) for x in rows] == want
@@ -695,15 +702,15 @@ class TestSymmetricNumerators:
 
 
 class TestSbMajorant:
-    """SB's one majorant, the product of ``_sb_walk(ZZ, N, True)``, as the
-    bound of SB*D in Z[w] that ``numerator_width`` proves: it dominates
-    the majorant of SB*D's walk (``helpers.sb_by_accumulation`` with
-    bound, z = 1/z = -1 in the uncancelled step), and gives the run the
-    width that walk gave."""
+    """SB's one majorant, the product ``_sb_majorant``, as the bound of
+    SB*D in Z[w] that ``numerator_width`` proves: it dominates the
+    majorant of SB*D's walk (``helpers.sb_by_accumulation`` with bound,
+    z = 1/z = -1 in the uncancelled step), and with the other two
+    products it gives the run its width."""
 
     def test_dominates_the_walk_majorant(self):
         for order in range(301):
-            product = _sb_walk(ZZ, order, True)
+            product = _sb_majorant(order)
             walk = sb_by_accumulation(ZZ, order, True)
             assert len(product) == len(walk) == order + 1
             assert all(p >= w for p, w in zip(product, walk)), order
@@ -712,7 +719,7 @@ class TestSbMajorant:
         # Sigma |w-digits| of every row of SB*D to q^300, packed 16 bits
         # wider than the width the product sets
         order = 300
-        majorant = _sb_walk(ZZ, order, True)
+        majorant = _sb_majorant(order)
         bits = max(majorant).bit_length() + 1
         rows = w_digits(sb_numerator(order, bits + 16).coeffs, bits + 16,
                         numerator_reach(order))
@@ -720,15 +727,82 @@ class TestSbMajorant:
             assert sum(map(abs, row)) <= majorant[n], n
             assert max(map(abs, row)) < 1 << (bits - 1), n
 
-    def test_width_is_the_walk_majorants(self):
-        # the width max(B_SB + 2, B_rank, B_crank) + 1 with B_SB from the
-        # walk majorant, at every order 4..400
+    def test_width_is_the_product_majorants(self):
+        # the width max(B_SB + 2, B_rank, B_crank) + 1 from the three
+        # products, at every order 4..400
         for order in range(4, 401):
-            walk = sb_by_accumulation(ZZ, order, True)
             assert numerator_width(order) == max(
-                max(walk).bit_length() + 3,
-                packing_bits(_rank_coeffs, order),
-                packing_bits(_crank_coeffs, order)) + 1, order
+                packing_bits(_sb_majorant, order) + 2,
+                packing_bits(_rank_majorant, order),
+                packing_bits(_crank_majorant, order)) + 1, order
+
+
+def lambert_rank_majorant(order):
+    """The majorant that rank*D's Lambert form gives term by term, over Z
+    at |z| = 1: D's (-q^2; q^2)_inf^2 plus, for each n >= 1 with
+    n^2 + 2n <= order, 8 q^{n^2+2n} (-q^2; q^2)_inf^2 / (1 - q^{2n})^2,
+    times the prefactor's (-q;q)_inf / (q;q)_inf."""
+    d = poch_quotient(ZZ, order, [(-1, 2, 2, None)] * 2).coeffs
+    inner = list(d)
+    n = 1
+    while n * n + 2 * n <= order:
+        e = n * n + 2 * n
+        term = apply_factors([8 * x for x in d[:order - e + 1]],
+                             denom=[(1, 2 * n, 1, 1)] * 2)
+        for i, x in enumerate(term, e):
+            inner[i] += x
+        n += 1
+    return apply_factors(inner, [(-1, 1, 1, None)], [(1, 1, 1, None)])
+
+
+class TestRankMajorant:
+    """rank*D's one majorant, the product ``_rank_majorant`` read off the
+    rank's definition, as the bound of rank*D in z and in Z[w] that
+    ``numerator_width`` proves, and the run's width that it leaves to
+    SB's product from order 18 up."""
+
+    def test_bounds_every_z_row(self):
+        for order in range(61):
+            majorant = _rank_majorant(order)
+            rows = _rank_coeffs(LAURENT, order)
+            assert len(rows) == len(majorant) == order + 1
+            for n, (row, bound) in enumerate(zip(rows, majorant)):
+                assert sum(map(abs, row.c.values())) <= bound, (order, n)
+
+    @pytest.mark.parametrize("order", [*range(61), 300])
+    def test_bounds_every_w_row(self, order):
+        # Sigma |w-digits| of every row of rank*D, packed 16 bits wider
+        # than the run's width
+        majorant = _rank_majorant(order)
+        wide = numerator_width(order) + 16
+        rows = w_digits(rank_numerator(order, wide).coeffs, wide,
+                        numerator_reach(order))
+        for n, row in enumerate(rows):
+            assert sum(map(abs, row)) <= majorant[n], n
+
+    def test_width_is_sb_majorant_from_order_18(self):
+        # B_SB + 2 + 1 with B_SB one bit more than SB's largest coefficient
+        for order in range(18, 401):
+            assert numerator_width(order) == \
+                max(_sb_majorant(order)).bit_length() + 4, order
+
+    def test_never_wider_than_the_lambert_width(self):
+        # the width with rank*D's Lambert majorant in place of the product:
+        # never narrower from order 3 up, and 1 bit narrower at orders 1
+        # and 2, below every check's least order
+        for order in range(1, 401):
+            lambert = max(packing_bits(_sb_majorant, order) + 2,
+                          max(lambert_rank_majorant(order)).bit_length() + 1,
+                          packing_bits(_crank_majorant, order)) + 1
+            assert numerator_width(order) <= lambert + (order < 3), order
+            if order < 3:
+                assert numerator_width(order) == lambert + 1, order
+
+    @pytest.mark.parametrize("order, bits", [
+        (4, 8), (10, 11), (18, 15), (40, 25), (100, 43), (300, 81),
+        (1000, 157), (2000, 228), (4000, 329), (6000, 407)])
+    def test_pinned_widths(self, order, bits):
+        assert numerator_width(order) == bits
 
 
 def record_sb_residues(build, order, t):
@@ -827,7 +901,7 @@ class TestNumeratorShape:
         bailey = bailey_side_by_inversion(top).coeffs
         for order in range(1, top + 1):
             assert sb_laurent_rows(order) == sb[:order + 1], order
-            assert wide_ring_rows(bailey_side, order) == \
+            assert wide_ring_rows(bailey_side, bailey_majorant, order) == \
                 bailey[:order + 1], order
 
 
@@ -841,10 +915,10 @@ U = LaurentPolynomial({1: -1, 0: 2, -1: -1})
 # crank*D + u SB*D)
 REPORTED = [
     ("u-sb",
-     lambda order: laurent_numerator(_sb_walk, order).scale(U).coeffs,
+     lambda order: laurent_numerator(_sb_walk, _sb_majorant, order).scale(U).coeffs,
      lambda order, bits: u_sb_numerator(order, bits).coeffs),
     ("rank-minus-crank", lambda order: (
-        laurent_numerator(_rank_coeffs, order)
+        laurent_numerator(_rank_coeffs, _rank_majorant, order)
         - crank_numerator(order).embed(LAURENT)).coeffs,
      lambda order, bits: (rank_numerator(order, bits)
                           - crank_numerator(order)).coeffs),
@@ -859,13 +933,13 @@ REPORTED = [
 # digits: SB's from its walk, the rank's and the crank's from the z read
 # of their numerators
 FULL_ROWS = [
-    ("sb", sb_laurent_rows, partial(wide_ring_rows, sb_side)),
+    ("sb", sb_laurent_rows, partial(wide_ring_rows, _sb_walk, _sb_majorant)),
     ("rank", lambda order: rank_series(order).coeffs,
      lambda order: wide_ring_divided_by_d(
-         narrow_ring_numerator(_rank_coeffs, order))),
+         narrow_ring_numerator(_rank_coeffs, _rank_majorant, order))),
     ("crank", lambda order: crank_series(order).coeffs,
      lambda order: wide_ring_divided_by_d(
-         narrow_ring_numerator(_crank_coeffs, order))),
+         narrow_ring_numerator(_crank_coeffs, _crank_majorant, order))),
 ]
 
 
@@ -905,7 +979,7 @@ class TestFullRows:
         want = sb_series(order).rows[order]
         for power, fits in ((reach, True), (reach + 1, False),
                             (reach + 2, False)):
-            rows = laurent_numerator(_sb_walk, order).coeffs
+            rows = laurent_numerator(_sb_walk, _sb_majorant, order).coeffs
             term = LaurentPolynomial({sign * power: 1})
             rows[order] = rows[order] + term
             if fits:
@@ -971,13 +1045,13 @@ RESIDUE_NUMERATORS = [
      sb_laurent_rows),
     ("_rank_coeffs", lambda order, bits: rank_numerator(order, bits).coeffs,
      lambda order: wide_ring_divided_by_d(
-         narrow_ring_numerator(_rank_coeffs, order))),
+         narrow_ring_numerator(_rank_coeffs, _rank_majorant, order))),
     ("_crank_coeffs", lambda order, bits: crank_numerator(order).coeffs,
      lambda order: wide_ring_divided_by_d(
-         narrow_ring_numerator(_crank_coeffs, order))),
+         narrow_ring_numerator(_crank_coeffs, _crank_majorant, order))),
     ("bailey_side", lambda order, bits: (
         crank_numerator(order) + u_sb_numerator(order, bits)).coeffs,
-     partial(wide_ring_rows, bailey_side)),
+     partial(wide_ring_rows, bailey_side, bailey_majorant)),
 ]
 
 

@@ -334,14 +334,14 @@ RANK_TERM_FAULTS = [
 def test_fault_in_one_rank_lambert_term_is_reported_exactly(
         monkeypatch, check, failure):
     # the sign of Lambert term n = 4, which starts at q^{4^2 + 2*4} = q^24,
-    # flipped in the rank series (not in its majorant): the rank changes by
-    # 4 (2 - z - 1/z) there, and both checks report rows of the series
-    # themselves, not of their numerators
+    # flipped in the rank series: the rank changes by 4 (2 - z - 1/z)
+    # there, and both checks report rows of the series themselves, not of
+    # their numerators
     original = sptcrank._rank_term
 
-    def faulty(ring, n, start, bound):
-        term = original(ring, n, start, bound)
-        return [-x for x in term] if n == 4 and not bound else term
+    def faulty(ring, n, start):
+        term = original(ring, n, start)
+        return [-x for x in term] if n == 4 else term
 
     monkeypatch.setattr(sptcrank, "_rank_term", faulty)
     (rep,) = run_all(ORDER, oracle_bound=6, only=check)
