@@ -844,6 +844,18 @@ def laurent_rows(values: list, bits: int, top: int) -> list:
     return [_laurent(*row) for row in numerator_rows(values, bits, top)]
 
 
+def numerator_values(values: list, bits: int, w: int) -> list[int]:
+    """The value p(w) at an integer w of each row p of a numerator in
+    Z[w], packed as p(2^bits) (``symmetric_numerator``): 2^bits = w mod
+    M = 2^bits - w, so p(2^bits) = p(w) mod M, read as its balanced
+    remainder, exact when |p(w)| < M/2.  The caller proves that bound
+    (``verify.verify_congruences`` reads w = 2, z = 1, and w = -1,
+    z = zeta_3)."""
+    m = (1 << bits) - w
+    half = m >> 1
+    return [(x + half) % m - half for x in values]
+
+
 def numerator_residues(values: list, bits: int, t: int) -> list[list[int]]:
     """Residue-class sums mod t of rows 0..N of X, N = len(values) - 1,
     from rows 0..N of its numerator X*D in Z[w] packed at w -> 2^bits

@@ -232,8 +232,9 @@ def sb_residues(order: int, t: int) -> list[list[int]]:
     the rows: its rows are carried into Z[z]/(z^t - 1) and divided by D
     there (``numerator_residues``).  A residue sum adds counts, so a
     negative one is refused like a negative count in ``SptCrankTable``.
-    The checks read SB's sums mod 3 off its values at z = 1 and
-    z = zeta_3 over Z (``sb_at_one``, ``sb_at_zeta3``) instead.
+    The congruences read SB's sums mod 3 off the run's SB*D instead, its
+    rows' values at w = 2 and w = -1 (``numerator_values``), z = 1 and
+    z = zeta_3.
     """
     bits = _sb_bits(order)
     sums = numerator_residues(sb_numerator(order, bits).coeffs, bits, t)
@@ -247,8 +248,8 @@ def at_zeta3(sums) -> TruncatedSeries:
     """The series over Z[zeta_3] whose coefficient of q^n is ``root_value``
     of sums[n], the residue-class sums mod 3 of the Laurent row at q^n.
     The tests read Laurent rows at zeta_3 with it; the checks read values
-    at zeta_3 over Z (``sb_at_zeta3``, ``rank_at_zeta3``,
-    ``crank_at_zeta3``)."""
+    at zeta_3 over Z (``sb_at_zeta3``, ``rank_at_zeta3``, and crank*D and
+    SB*D read at w = -1)."""
     return TruncatedSeries(CYCLO3, len(sums) - 1, [root_value(s) for s in sums])
 
 
@@ -258,24 +259,6 @@ def sb_at_root(order: int) -> TruncatedSeries:
     this name stays for the benchmark tracer's ``sptcrank.sb_cyclo`` span,
     which wraps it."""
     return sb_at_zeta3(order).embed(CYCLO3)
-
-
-# Row n of SB(z,q) is unchanged under z <-> 1/z, so its residue sums mod 3
-# have s_1 = s_2, and its values at z = 1 and z = zeta_3 are the integers
-# s_0 + 2 s_1 and s_0 - s_1: the two walks below give SB's sums mod 3 with
-# no ring but Z.  In both, the summand walk's first summand over q^2 is
-# ``_sb_walk``'s, (q^6; q^2)_inf / ((q^3; q^2)_inf^2 D).
-
-def sb_at_one(order: int) -> TruncatedSeries:
-    """SB(1, q) over Z: ``_sb_walk`` at z = 1, where the pair
-    (1 - z q^{2n})(1 - q^{2n}/z) is (1 - q^{2n})^2 and D is
-    (q^2; q^2)_inf^2, z-free, so D goes into the first summand."""
-    walk = summand_walk(ZZ, ([(1, 6, 2, None)],
-                             [(1, 3, 2, None)] * 2 + [(1, 2, 2, None)] * 2),
-                        order, lambda n: (
-                            [(1, 2 * n), (1, 2 * n), (1, 2 * n + 1)],
-                            [(-1, 2 * n + 1), (1, 4 * n + 4)]))
-    return TruncatedSeries(ZZ, order, walk)
 
 
 def sb_at_zeta3(order: int) -> TruncatedSeries:
@@ -296,16 +279,16 @@ def sptbar2_series(order: int) -> TruncatedSeries:
     sum_{n>=1} q^{2n} (-q^{2n+1};q)_inf / ((1-q^{2n})^2 (q^{2n+1};q)_inf).
 
     A ``summand_walk`` over Z from the first summand over q^2,
-    (-q^3; q)_inf / ((q^3; q)_inf (1 - q^2)^2).  Its step is the step of
-    ``sb_at_one``, SB(z,q) at z = 1, factor for factor; only the first
-    summand is factored differently there, as (q^6; q^2)_inf /
-    ((q^3; q^2)_inf^2 (q^2; q^2)_inf^2).  So the congruences check
-    (``z=1-consistency``), which compares the two walks, checks that the
-    two factorings of the first summand agree through ``apply_factors``
-    (its eta rewriting), not the shared step: it is no independent route
-    to SB's z = 1 specialization.  ``table`` prints SB's z = 1 total, the
-    sum of its residue classes, read off SB*D's walk in Z[w], and CI
-    compares that total with this walk.
+    (-q^3; q)_inf / ((q^3; q)_inf (1 - q^2)^2).  Its step is ``_sb_walk``'s
+    at z = 1, factor for factor; only the first summand is factored
+    differently there, as (q^6; q^2)_inf / ((q^3; q^2)_inf^2 (q^2;
+    q^2)_inf^2).  So the congruences check (``z=1-consistency``), which
+    compares this walk with SB(1, q) read off SB*D, checks SB*D's walk in
+    Z[w], its read-off and the two factorings of the first summand, not
+    the shared step: it is no independent route to SB's z = 1
+    specialization.  ``table`` prints SB's z = 1 total, the sum of its
+    residue classes read off the same walk, and CI compares that total
+    with this walk.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -474,13 +457,6 @@ def crank_numerator(order: int) -> TruncatedSeries:
     """crank*D = (-q;q)_inf (q^2;q^2)_inf / (q;q^2)_inf, z-free, over Z:
     each row a constant, so also its own packing in Z[w] at every width."""
     return TruncatedSeries(ZZ, order, _crank_coeffs(ZZ, order))
-
-
-def crank_at_zeta3(order: int) -> TruncatedSeries:
-    """The residual-crank generating function at z = zeta_3 over Z (see
-    ``crank_series``): the z-free crank*D divided by D(zeta_3, q)
-    (``div_d_at_zeta3``)."""
-    return TruncatedSeries(ZZ, order, div_d_at_zeta3(_crank_coeffs(ZZ, order)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 from operator import add
-from typing import Callable
+from typing import Callable, Iterator
 
 from .partitions import m2_rows
 from .rings import LAURENT, ZZ
@@ -20,17 +20,17 @@ from .series import (
     WindowError,
     apply_factors,
     div_binomial_list,
+    div_d_at_zeta3,
     laurent_rows,
     mul_binomial_list,
+    numerator_values,
     poch_quotient,
 )
 from .sptcrank import (
-    crank_at_zeta3,
     crank_numerator,
     numerator_width,
     rank_at_zeta3,
     rank_numerator,
-    sb_at_one,
     sb_at_zeta3,
     sb_numerator,
     sptbar2_series,
@@ -244,26 +244,24 @@ def bailey_beta(n: int, order: int) -> TruncatedSeries:
     return poch_quotient(ZZ, order, [(1, 1, 2, n)] * 2, [(1, 2, 2, 2 * n)])
 
 
-def bailey_betas(order: int, n_max: int) -> list[TruncatedSeries]:
-    """beta_n for n = 0..n_max, walked in n: beta_0 = 1 and
-    beta_n = beta_{n-1} (1 - q^{2n-1})^2 / ((1 - q^{4n-2}) (1 - q^{4n})),
-    four binomial passes on a copy of beta_{n-1}."""
+def bailey_betas(order: int, n_max: int) -> Iterator[TruncatedSeries]:
+    """beta_n for n = 0..n_max, yielded as they are walked in n: beta_0 = 1
+    and beta_n = beta_{n-1} (1 - q^{2n-1})^2 / ((1 - q^{4n-2}) (1 - q^{4n})),
+    four binomial passes on beta_{n-1} in place; each series holds a copy."""
     beta = [0] * (order + 1)
     beta[0] = 1
-    out = [TruncatedSeries(ZZ, order, beta)]
+    yield TruncatedSeries(ZZ, order, beta)
     for n in range(1, n_max + 1):
-        beta = list(beta)
         mul_binomial_list(beta, 1, 2 * n - 1)
         mul_binomial_list(beta, 1, 2 * n - 1)
         div_binomial_list(beta, 1, 4 * n - 2)
         div_binomial_list(beta, 1, 4 * n)
-        out.append(TruncatedSeries(ZZ, order, beta))
-    return out
+        yield TruncatedSeries(ZZ, order, beta)
 
 
-def bailey_pair_rhs(order: int, n_max: int) -> list[TruncatedSeries]:
+def bailey_pair_rhs(order: int, n_max: int) -> Iterator[TruncatedSeries]:
     """sum_{r<=n} alpha_r / ((q^2;q^2)_{n-r} (q^2;q^2)_{n+r}) for
-    n = 0..n_max, walked in n.
+    n = 0..n_max, walked in n and yielded one at a time.
 
     Term r starts at n = r as alpha_r / (q^2;q^2)_{2r}; going from n - 1
     to n divides it by (1 - q^{2(n-r)}) (1 - q^{2(n+r)}), two binomial
@@ -273,7 +271,6 @@ def bailey_pair_rhs(order: int, n_max: int) -> list[TruncatedSeries]:
     offsets.  Terms with r^2 > order are zero and never start.
     """
     tails: list[list[int]] = []
-    out = []
     for n in range(n_max + 1):
         for r, tail in enumerate(tails):
             div_binomial_list(tail, 1, 2 * (n - r))
@@ -284,30 +281,21 @@ def bailey_pair_rhs(order: int, n_max: int) -> list[TruncatedSeries]:
         total = [0] * (order + 1)
         for r, tail in enumerate(tails):
             total[r * r:] = map(add, total[r * r:], tail)
-        out.append(TruncatedSeries(ZZ, order, total))
-    return out
+        yield TruncatedSeries(ZZ, order, total)
 
 
 # ---------------------------------------------------------------------------
 # The checks
 # ---------------------------------------------------------------------------
 
-def u_sb_numerator(order: int, bits: int) -> TruncatedSeries:
-    """u SB*D, u = 2 - z - 1/z = (1 - z)(1 - 1/z) = 2 - w, in Z[w] at
-    w -> 2^bits: 2x - (x << bits) for each row x of ``sb_numerator``.
-    Theorem 2's left side, and the part of the Bailey side that
-    ``verify_bailey_limit`` reads off SB*D; built once per run for both."""
-    return TruncatedSeries(ZZ, order, [
-        (x << 1) - (x << bits) for x in sb_numerator(order, bits).coeffs])
-
-
 def verify_theorem1(order: int, n_oracle: int = 0,
                     build=_call) -> VerificationReport:
     """3-dissection of SB(zeta_3,q): components 0 and 1 vanish, component 2
     is the product-plus-Lambert formula, all over Z.  SB(zeta_3, q) is
-    its walk over Z (``sb_at_zeta3``), shared with the congruences."""
+    its own walk over Z (``sb_at_zeta3``), not read off SB*D as the
+    congruences read it: the two routes to it are checked apart."""
     _require_order("theorem1", order)
-    comps = build(sb_at_zeta3, order).dissect(3)
+    comps = sb_at_zeta3(order).dissect(3)
     subchecks = [
         ("A0", comps[0], TruncatedSeries(ZZ, comps[0].order)),
         ("A1", comps[1], TruncatedSeries(ZZ, comps[1].order)),
@@ -321,13 +309,16 @@ def verify_theorem2(order: int, n_oracle: int = ORACLE_BOUND,
     """Cleared-denominator rank-minus-crank identity:
     (-z + 2 - 1/z) * [q^n] SB(z,q) = [q^n] rank - [q^n] crank, compared on
     the numerators times D = (z q^2, q^2/z; q^2)_inf, packed in Z[w] at
-    the run's one width (see ``_compare``), plus an enumeration
-    cross-check of the rank and crank rows up to n_oracle, read off the
-    same two numerators (``numerator_rows``), against both oracles' rows
+    the run's one width B (see ``_compare``): u SB*D, u = 2 - w, is
+    2x - (x << B) for each row x of the run's SB*D.  An enumeration
+    cross-check compares the rank and crank rows up to n_oracle, read off
+    the same two numerators (``numerator_rows``), with both oracles' rows
     from one enumeration (``m2_rows``)."""
     _require_order("theorem2", order)
     bits = build(numerator_width, order)
-    lhs = build(u_sb_numerator, order, bits)
+    lhs = TruncatedSeries(ZZ, order, [
+        (x << 1) - (x << bits)
+        for x in build(sb_numerator, order, bits).coeffs])
     rank = build(rank_numerator, order, bits)
     crank = build(crank_numerator, order)
     subchecks = [("rank-crank", lhs, rank - crank, bits)]
@@ -362,9 +353,11 @@ def verify_theorem4(order: int, n_oracle: int = 0,
     M2crank0 = N2rank0 needs no subcheck of its own: ``crank_component(0)``
     is ``rank_component(0)``, so ``M2crank0`` here and ``N2rank0`` in
     theorem3 compare both sides of it with the same product formula.  The
-    crank at zeta_3 is read over Z (``crank_at_zeta3``)."""
+    crank at zeta_3 is the run's crank*D, z-free over Z, divided by
+    D(zeta_3, q) (``div_d_at_zeta3``) on a copy."""
     _require_order("theorem4", order)
-    lhs = crank_at_zeta3(order)
+    lhs = TruncatedSeries(ZZ, order, div_d_at_zeta3(
+        list(build(crank_numerator, order).coeffs)))
     psi = gauss_psi(order)
     simplified = poch_quotient(ZZ, order, [(1, 2, 2, None)],
                                [(1, 1, 2, None), (1, 6, 6, None)], start=psi)
@@ -387,11 +380,11 @@ def verify_bailey_pair(order: int, n_oracle: int = 0,
     n = 0..min(30, order // 4), at least to n = 1.  Both sides are walked
     in n, each by its own step: beta_n by four binomial passes from
     beta_{n-1} (``bailey_betas``), the right side term by term
-    (``bailey_pair_rhs``)."""
+    (``bailey_pair_rhs``), and each pair is compared as it is walked."""
     _require_order("bailey_pair", order)
     n_max = min(30, max(1, order // 4))
-    subchecks = [(f"n={n}", beta, rhs) for n, (beta, rhs) in enumerate(
-        zip(bailey_betas(order, n_max), bailey_pair_rhs(order, n_max)))]
+    subchecks = ((f"n={n}", beta, rhs) for n, (beta, rhs) in enumerate(
+        zip(bailey_betas(order, n_max), bailey_pair_rhs(order, n_max))))
     return _compare("bailey_pair", order, subchecks)
 
 
@@ -409,11 +402,15 @@ def verify_bailey_limit(order: int, n_oracle: int = 0,
     crank*D; for n >= 1, (z, 1/z; q^2)_n = (1 - z)(1 - 1/z)
     (z q^2, q^2/z; q^2)_{n-1}, and the prefactor times beta_n is
     (q^{4n+2};q^2)_inf / (q^{2n+1};q^2)_inf^2, which makes summand n of
-    SB*D.
+    SB*D.  The left side is one list, c + 2x - (x << B) for the rows c of
+    crank*D and x of SB*D.
     """
     _require_order("bailey_limit", order)
     bits = build(numerator_width, order)
-    lhs = build(crank_numerator, order) + build(u_sb_numerator, order, bits)
+    lhs = TruncatedSeries(ZZ, order, [
+        c + (x << 1) - (x << bits) for c, x in zip(
+            build(crank_numerator, order).coeffs,
+            build(sb_numerator, order, bits).coeffs)])
     rhs = build(rank_numerator, order, bits)
     return _compare("bailey_limit", order, [("bailey-vs-rank", lhs, rhs, bits)])
 
@@ -426,19 +423,31 @@ def verify_congruences(order: int, n_oracle: int = 0,
 
     Row n of SB is unchanged under z <-> 1/z, so its residue sums mod 3
     have s_1 = s_2, and A = SB(1, q) and C = SB(zeta_3, q) at q^n are
-    s_0 + 2 s_1 and s_0 - s_1 (``sb_at_one``, ``sb_at_zeta3``, both over
-    Z): s_1 = s_2 = (A - C)/3 and s_0 = A - 2 s_1.  A is compared with
-    ``sptbar2_series`` (``z=1-consistency``), a walk with the same step
-    whose first summand is factored differently (see its docstring).  An
-    A - C that is not a multiple of 3, at any n, has no such s_1 and fails
-    ``mod3-refinement``; at 3n and 3n+1 the classes are equal exactly
-    when C = 0.  theorem1 checks C's components A0 and A1 against zero on
-    its own.
+    s_0 + 2 s_1 and s_0 - s_1: s_1 = s_2 = (A - C)/3 and s_0 = A - 2 s_1.
+    Both are read off the run's SB*D, packed in Z[w] at the run's width
+    B: w = z + 1/z is 2 at z = 1 and -1 at z = zeta_3, where a row p is
+    p(2^B) mod 2^B - w (``numerator_values``).  That is exact: |p(2)| is
+    at most the row's sum of |z-coefficients| and |p(-1)| its sum of
+    |w-coefficients|, both below 2^(B_SB - 1) (``sptcrank._sb_majorant``),
+    and B >= B_SB + 3 (``numerator_width``), so both are below half their
+    modulus.  The lists are divided by D(1, q) = (q^2; q^2)_inf^2, two eta
+    passes, and by D(zeta_3, q) (``div_d_at_zeta3``).  As 2 = -1 mod 3,
+    A = C mod 3 at every n, so the ``mod3-refinement`` failure of an
+    A - C that is no multiple of 3 guards the read-off; at 3n and 3n+1
+    the classes are equal exactly when C = 0.  theorem1 checks C's
+    components A0 and A1 against zero on its own walk over Z.
+
+    A is compared with ``sptbar2_series`` (``z=1-consistency``), whose
+    step is SB*D's walk's at z = 1, factor for factor (see its
+    docstring): the route to A is other code, not another formula.
     """
     _require_order("congruences", order)
     s2 = sptbar2_series(order)
-    ones = sb_at_one(order).coeffs
-    roots = build(sb_at_zeta3, order).coeffs
+    bits = build(numerator_width, order)
+    sb = build(sb_numerator, order, bits).coeffs
+    ones = apply_factors(numerator_values(sb, bits, 2),
+                         denom=[(1, 2, 2, None)] * 2)
+    roots = div_d_at_zeta3(numerator_values(sb, bits, -1))
 
     def fail(n, expected, actual, where):
         return VerificationReport("congruences", order, "fail", {

@@ -160,14 +160,14 @@ class TestVerify:
 
     def test_error_inside_a_check_is_not_a_usage_error(self, monkeypatch):
         # the arguments are valid; a ValueError raised while a check runs
-        # (here from SB(zeta_3, q), which the congruences read) is a fault,
+        # (here from the spt2bar walk, which the congruences read) is a fault,
         # not exit code 2
         import spt_kernel.verify as verify
 
         def broken(order):
-            raise ValueError("negative spt-crank residue sum")
+            raise ValueError("negative spt2bar count")
 
-        monkeypatch.setattr(verify, "sb_at_zeta3", broken)
+        monkeypatch.setattr(verify, "sptbar2_series", broken)
         with pytest.raises(ValueError, match="negative"):
             main(["verify", "--order", "20", "--only", "congruences"])
 

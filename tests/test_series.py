@@ -47,6 +47,7 @@ from spt_kernel.series import (
     mul_eta_list,
     mul_w_pair_list,
     numerator_reach,
+    numerator_values,
     poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
@@ -428,6 +429,24 @@ class TestPairPassInW:
         for c in (ring.z, ring.z_inv):
             with pytest.raises(TypeError):
                 mul_binomial_list([1, 2, 3], c, 1)
+
+
+class TestNumeratorValues:
+    """``numerator_values`` reads a row p of Z[w], packed as p(2^B), at an
+    integer w as the balanced remainder of p(2^B) mod 2^B - w: exact when
+    |p(w)| is below half the modulus, and only then.  The rows of SB*D and
+    rank*D are read against their decoded digits in ``test_sptcrank``."""
+
+    @pytest.mark.parametrize("w", [2, -1])
+    def test_half_the_modulus_is_the_edge(self, w):
+        # M = 2^8 - w; a value just inside half of M reads back, one just
+        # past it reads as its balanced remainder, v - M
+        m = (1 << 8) - w
+        inside = (m - 1) // 2
+        rows = [inside, -inside]
+        assert numerator_values(rows, 8, w) == rows
+        past = m // 2 + 1
+        assert numerator_values([past], 8, w) == [past - m]
 
 
 class TestHornerPacking:

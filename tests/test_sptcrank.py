@@ -1,4 +1,5 @@
 from functools import partial
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,9 +39,11 @@ from spt_kernel.series import (
     WindowError,
     apply_factors,
     d_factors,
+    div_d_at_zeta3,
     laurent_rows,
     numerator_reach,
     numerator_residues,
+    numerator_values,
     poch_quotient,
     pochhammer_finite,
     pochhammer_inf,
@@ -55,7 +58,6 @@ from spt_kernel.sptcrank import (
     _sb_majorant,
     _sb_walk,
     at_zeta3,
-    crank_at_zeta3,
     crank_numerator,
     crank_series,
     numerator_width,
@@ -64,7 +66,6 @@ from spt_kernel.sptcrank import (
     rank_numerator,
     rank_series,
     rank_series_bailey_sum,
-    sb_at_one,
     sb_at_root,
     sb_at_zeta3,
     sb_coefficients_naive,
@@ -75,7 +76,6 @@ from spt_kernel.sptcrank import (
     sptbar2_series,
     vector_partition_oracle,
 )
-from spt_kernel.verify import u_sb_numerator
 
 ROW4 = LaurentPolynomial({1: 1, 0: 1, -1: 1})
 ROW8 = LaurentPolynomial({3: 1, 2: 1, 1: 3, 0: 5, -1: 3, -2: 1, -3: 1})
@@ -84,6 +84,31 @@ ROW8 = LaurentPolynomial({3: 1, 2: 1, 1: 3, 0: 5, -1: 3, -2: 1, -3: 1})
 @pytest.fixture(scope="module")
 def table():
     return sb_series(30)
+
+
+def sb_read_off(order, w):
+    """SB(z, q) over Z at w = z + 1/z = 2 (z = 1) or -1 (z = zeta_3), as
+    the congruences read it: the rows of SB*D at the run's width read at w
+    (``numerator_values``) and divided by D there, (q^2; q^2)_inf^2 at
+    z = 1 and D(zeta_3, q) (``div_d_at_zeta3``) at zeta_3."""
+    bits = numerator_width(order)
+    values = numerator_values(sb_numerator(order, bits).coeffs, bits, w)
+    if w == 2:
+        return apply_factors(values, denom=[(1, 2, 2, None)] * 2)
+    return div_d_at_zeta3(values)
+
+
+def crank_read_at_zeta3(order):
+    """The crank at zeta_3 over Z as theorem 4 reads it: crank*D, z-free,
+    divided by D(zeta_3, q)."""
+    return TruncatedSeries(ZZ, order,
+                           div_d_at_zeta3(crank_numerator(order).coeffs))
+
+
+def u_sb(order, bits):
+    """u SB*D, u = 2 - w, in Z[w] at w -> 2^bits: 2x - (x << bits) for each
+    row x of SB*D, as theorem 2 and bailey_limit form it."""
+    return [(x << 1) - (x << bits) for x in sb_numerator(order, bits).coeffs]
 
 
 class TestSbSeries:
@@ -206,10 +231,10 @@ class TestSbAtRoot:
 
 class TestValuesAtRootsOverZ:
     """The values at z = zeta_3 (and SB's at z = 1) that the checks read,
-    walked over Z, against the two other routes: SB's residue sums mod 3
-    read off SB*D in Z[w] (``sb_residues``), or the rank's and crank's
-    numerators in Z[w] read at w = -1; and the summands or products over
-    Z[zeta_3]."""
+    walked over Z or read off the numerators in Z[w], against the other
+    routes: SB's residue sums mod 3 read off SB*D in Z[w]
+    (``sb_residues``), or the numerators' decoded w-digits at w = -1; and
+    the summands or products over Z[zeta_3]."""
 
     @pytest.mark.parametrize("order", [*range(61), 300, 1000])
     def test_match_packed_residues(self, order):
@@ -218,7 +243,8 @@ class TestValuesAtRootsOverZ:
         sums = sb_residues(order, 3)
         assert all(s1 == s2 for _, s1, s2 in sums)
         assert sb_at_zeta3(order).coeffs == [s0 - s1 for s0, s1, _ in sums]
-        assert sb_at_one(order).coeffs == [s0 + 2 * s1 for s0, s1, _ in sums]
+        assert sb_read_off(order, -1) == [s0 - s1 for s0, s1, _ in sums]
+        assert sb_read_off(order, 2) == [s0 + 2 * s1 for s0, s1, _ in sums]
 
     @pytest.mark.parametrize("order", [*range(61), 300, 1000])
     def test_match_numerators_at_w_minus_one(self, order):
@@ -229,8 +255,9 @@ class TestValuesAtRootsOverZ:
         bits, reach = numerator_width(order), numerator_reach(order)
         d = poch_quotient(ZZ, order, [(1, 6, 6, None)], [(1, 2, 2, None)])
         for at_root, numerator in (
+                (sb_at_zeta3, sb_numerator(order, bits)),
                 (rank_at_zeta3, rank_numerator(order, bits)),
-                (crank_at_zeta3, crank_numerator(order))):
+                (crank_read_at_zeta3, crank_numerator(order))):
             at_minus_one = [sum(x if k % 2 == 0 else -x
                                 for k, x in enumerate(row))
                             for row in w_digits(numerator.coeffs, bits, reach)]
@@ -244,10 +271,33 @@ class TestValuesAtRootsOverZ:
                 == sb_coefficients_naive(*zeta))
         assert (rank_at_zeta3(order).embed(CYCLO3)
                 == rank_series_bailey_sum(*zeta))
-        assert (crank_at_zeta3(order).embed(CYCLO3)
+        assert (crank_read_at_zeta3(order).embed(CYCLO3)
                 == crank_by_inversion(*zeta))
-        assert sb_at_one(order).coeffs == sb_coefficients_naive(
+        assert sb_read_off(order, 2) == sb_coefficients_naive(
             ZZ, 1, 1, order)
+
+
+class TestNumeratorValues:
+    """``numerator_values`` reads a packed row p(2^B) at w = 2 and w = -1
+    as its balanced remainder mod 2^B - w; it must equal the row's decoded
+    w-digits evaluated there, and SB read off SB*D that way must equal
+    its walks over Z."""
+
+    @pytest.mark.parametrize("order", [*range(8, 61), 300])
+    def test_match_decoded_digits(self, order):
+        bits, reach = numerator_width(order), numerator_reach(order)
+        for numerator in (sb_numerator(order, bits),
+                          rank_numerator(order, bits)):
+            rows = w_digits(numerator.coeffs, bits, reach)
+            for w in (2, -1):
+                assert numerator_values(numerator.coeffs, bits, w) == [
+                    sum(d * w ** k for k, d in enumerate(row))
+                    for row in rows], w
+
+    @pytest.mark.parametrize("order", [8, 9, 10, 50, 100, 301, 1000])
+    def test_sb_read_off_matches_walks(self, order):
+        assert sb_read_off(order, 2) == sptbar2_series(order).coeffs
+        assert sb_read_off(order, -1) == sb_at_zeta3(order).coeffs
 
 
 class TestOracles:
@@ -916,15 +966,15 @@ U = LaurentPolynomial({1: -1, 0: 2, -1: -1})
 REPORTED = [
     ("u-sb",
      lambda order: laurent_numerator(_sb_walk, _sb_majorant, order).scale(U).coeffs,
-     lambda order, bits: u_sb_numerator(order, bits).coeffs),
+     u_sb),
     ("rank-minus-crank", lambda order: (
         laurent_numerator(_rank_coeffs, _rank_majorant, order)
         - crank_numerator(order).embed(LAURENT)).coeffs,
      lambda order, bits: (rank_numerator(order, bits)
                           - crank_numerator(order)).coeffs),
     ("bailey", lambda order: bailey_numerator(order).coeffs,
-     lambda order, bits: (crank_numerator(order)
-                          + u_sb_numerator(order, bits)).coeffs),
+     lambda order, bits: list(map(add, crank_numerator(order).coeffs,
+                                  u_sb(order, bits)))),
 ]
 
 
@@ -1049,8 +1099,8 @@ RESIDUE_NUMERATORS = [
     ("_crank_coeffs", lambda order, bits: crank_numerator(order).coeffs,
      lambda order: wide_ring_divided_by_d(
          narrow_ring_numerator(_crank_coeffs, _crank_majorant, order))),
-    ("bailey_side", lambda order, bits: (
-        crank_numerator(order) + u_sb_numerator(order, bits)).coeffs,
+    ("bailey_side", lambda order, bits: list(map(
+        add, crank_numerator(order).coeffs, u_sb(order, bits))),
      partial(wide_ring_rows, bailey_side, bailey_majorant)),
 ]
 

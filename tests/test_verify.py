@@ -139,14 +139,14 @@ def test_bailey_checks_at_spot_orders():
 
 
 def test_walked_bailey_rhs_matches_from_scratch_sum():
-    walked = bailey_pair_rhs(120, 30)
+    walked = list(bailey_pair_rhs(120, 30))
     assert len(walked) == 31
     for n, rhs in enumerate(walked):
         assert rhs == bailey_pair_rhs_from_scratch(n, 120), n
 
 
 def test_walked_bailey_betas_match_definition():
-    walked = bailey_betas(120, 30)
+    walked = list(bailey_betas(120, 30))
     assert len(walked) == 31
     for n, beta in enumerate(walked):
         assert beta == bailey_beta(n, 120), n
@@ -156,7 +156,7 @@ def test_fault_in_one_beta_coefficient_is_reported_exactly(monkeypatch):
     original = verify.bailey_betas
 
     def faulty(order, n_max):
-        betas = original(order, n_max)
+        betas = list(original(order, n_max))
         betas[3].coeffs[11] += 1
         return betas
 
@@ -212,16 +212,28 @@ def test_fault_at_the_head_of_an_alpha_tail_is_reported_exactly(
         "where": f"n={r}"}
 
 
-def test_run_builds_each_shared_series_once(monkeypatch):
-    # the builders by name: SB(zeta_3, q) is shared by theorem1 and the
-    # congruences, and the numerators' width, u*SB*D, rank*D and crank*D
-    # by theorem2 and bailey_limit, u*SB*D reading SB*D once; the values
-    # at zeta_3 are walks over Z, and no check reads residue sums
-    # (sb_residues, numerator_residues)
-    names = ("crank_at_zeta3", "crank_numerator", "numerator_width",
-             "rank_at_zeta3", "rank_numerator", "sb_at_one", "sb_at_zeta3",
-             "sb_numerator", "u_sb_numerator")
-    calls = dict.fromkeys(names, 0)
+# the builders each check calls, by name: the numerators' width, SB*D,
+# rank*D and crank*D are shared through the run's memo, and the walks over
+# Z at zeta_3 are theorem 1's and theorem 3's own
+BUILDS = {
+    "bailey_limit": {"crank_numerator", "numerator_width",
+                     "rank_numerator", "sb_numerator"},
+    "bailey_pair": set(),
+    "congruences": {"numerator_width", "sb_numerator"},
+    "theorem1": {"sb_at_zeta3"},
+    "theorem2": {"crank_numerator", "numerator_width",
+                 "rank_numerator", "sb_numerator"},
+    "theorem3": {"rank_at_zeta3"},
+    "theorem4": {"crank_numerator"},
+}
+BUILDERS = sorted(set().union(*BUILDS.values()))
+
+
+def count_builds(monkeypatch):
+    """Count each call of every builder in ``BUILDERS`` made through
+    verify, and refuse any read of packed residue sums (``sb_residues``,
+    ``numerator_residues``), which no check makes."""
+    calls = dict.fromkeys(BUILDERS, 0)
 
     def counted(name):
         original = getattr(verify, name)
@@ -235,16 +247,34 @@ def test_run_builds_each_shared_series_once(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a check read packed residue sums")
 
-    for name in names:
+    for name in BUILDERS:
         monkeypatch.setattr(verify, name, counted(name))
     monkeypatch.setattr(series, "numerator_residues", unreachable)
     monkeypatch.setattr(sptcrank, "numerator_residues", unreachable)
     monkeypatch.setattr(sptcrank, "sb_residues", unreachable)
+    return calls
+
+
+def test_run_builds_each_shared_series_once(monkeypatch):
+    calls = count_builds(monkeypatch)
     assert all(r.passed for r in run_all(60, oracle_bound=6))
-    assert calls == dict.fromkeys(names, 1)
+    assert calls == dict.fromkeys(BUILDERS, 1)
     # the memo is per run: a second run builds every series again
     assert all(r.passed for r in run_all(60, oracle_bound=6))
-    assert calls == dict.fromkeys(names, 2)
+    assert calls == dict.fromkeys(BUILDERS, 2)
+    # SB at z = 1 and the crank at zeta_3 are read off SB*D and crank*D,
+    # and u*SB*D is formed from SB*D where it is compared
+    for name in ("sb_at_one", "crank_at_zeta3", "u_sb_numerator"):
+        for module in (series, sptcrank, verify):
+            assert not hasattr(module, name), (module.__name__, name)
+
+
+@pytest.mark.parametrize("check", sorted(BUILDS))
+def test_each_check_reads_the_series_it_needs(monkeypatch, check):
+    calls = count_builds(monkeypatch)
+    (rep,) = run_all(60, oracle_bound=6, only=check)
+    assert rep.passed, rep.to_json()
+    assert calls == {name: int(name in BUILDS[check]) for name in BUILDERS}
 
 
 @pytest.mark.parametrize("check", ["theorem2", "bailey_limit"])
@@ -305,6 +335,64 @@ def test_fault_in_one_coefficient_is_reported_exactly(
     assert (rep.first_failure["n"], rep.first_failure["where"]) == (n, where)
     assert rep.first_failure["expected"] != rep.first_failure["actual"]
     assert rep.to_json() == encoded(rep)
+
+
+# a numerator's row off by one in its w^0 digit, and every check that reads
+# it fails at that row: SB*D at q^7 (spt2bar(7) = 6) and crank*D at q^9
+# (the crank at zeta_3 is 4 there); theorem 1's own SB(zeta_3, q) at q^6,
+# which only theorem 1 reads, fails its component A0 at q^{3*2}
+SHARED_FAULTS = [
+    ("sb_numerator", 7, {
+        "bailey_limit": {
+            "n": 7, "where": "bailey-vs-rank",
+            "expected": "2*z^-3 + 4*z^-2 + 16*z^-1 + 20 + 16*z + 4*z^2 + "
+                        "2*z^3",
+            "actual": "2*z^-3 + 4*z^-2 + 15*z^-1 + 22 + 15*z + 4*z^2 + "
+                      "2*z^3"},
+        "congruences": {
+            "n": 7, "where": "z=1-consistency",
+            "expected": "6", "actual": "7"},
+        "theorem2": {
+            "n": 7, "where": "rank-crank",
+            "expected": "-2*z^-2 + 2*z^-1 + 2*z + -2*z^2",
+            "actual": "-2*z^-2 + z^-1 + 2 + z + -2*z^2"},
+    }),
+    ("crank_numerator", 9, {
+        "bailey_limit": {
+            "n": 9, "where": "bailey-vs-rank",
+            "expected": "2*z^-4 + 4*z^-3 + 16*z^-2 + 32*z^-1 + 46 + 32*z + "
+                        "16*z^2 + 4*z^3 + 2*z^4",
+            "actual": "2*z^-4 + 4*z^-3 + 16*z^-2 + 32*z^-1 + 47 + 32*z + "
+                      "16*z^2 + 4*z^3 + 2*z^4"},
+        "theorem2": {
+            "n": 9, "where": "rank-crank",
+            "expected": "-2*z^-3 + 3 + -2*z^3",
+            "actual": "-2*z^-3 + 4 + -2*z^3"},
+        "theorem4": {
+            "n": 9, "where": "zeta3-simplification",
+            "expected": "4", "actual": "5"},
+    }),
+    ("sb_at_zeta3", 6, {
+        "theorem1": {"n": 2, "where": "A0", "expected": "0", "actual": "1"},
+    }),
+]
+
+
+@pytest.mark.parametrize("builder, n, failures", SHARED_FAULTS,
+                         ids=[f[0] for f in SHARED_FAULTS])
+def test_fault_in_a_shared_series_fails_every_check_that_reads_it(
+        monkeypatch, builder, n, failures):
+    original = getattr(verify, builder)
+
+    def faulty(*args):
+        s = original(*args)
+        s.coeffs[n] += 1
+        return s
+
+    monkeypatch.setattr(verify, builder, faulty)
+    reports = run_all(ORDER, oracle_bound=6)
+    assert {r.check: r.first_failure for r in reports} == {
+        check: failures.get(check) for check in verify.CHECKS}
 
 
 # rows 24 of u*SB and of rank - crank with the faulty term, u = -z + 2 - 1/z,
@@ -410,7 +498,8 @@ def test_fault_in_one_zeta3_rank_lambert_term_is_reported_exactly(
         "n": 8, "where": "N2rank0", "expected": "20", "actual": "8"}
 
 
-# SB(zeta_3, q) off by d at q^6, where SB(1, q) is spt2bar(6) = 6 and
+# SB*D's row 6 read at w = -1 off by d: D(zeta_3, q) = 1 mod q, so
+# SB(zeta_3, q) is off by d at q^6, where SB(1, q) is spt2bar(6) = 6 and
 # SB(zeta_3, q) is 0: for d = 1, A - C = 5 is no multiple of 3, and for
 # d = 3 the classes read s_1 = s_2 = (6 - 3)/3 = 1 and s_0 = 6 - 2 = 4
 ZETA3_SB_FAULTS = [
@@ -422,14 +511,15 @@ ZETA3_SB_FAULTS = [
 @pytest.mark.parametrize("d, actual", ZETA3_SB_FAULTS,
                          ids=[str(f[0]) for f in ZETA3_SB_FAULTS])
 def test_fault_in_sb_at_zeta3_fails_the_refinement(monkeypatch, d, actual):
-    original = verify.sb_at_zeta3
+    original = verify.numerator_values
 
-    def faulty(order):
-        s = original(order)
-        s.coeffs[6] += d
-        return s
+    def faulty(values, bits, w):
+        out = original(values, bits, w)
+        if w == -1:
+            out[6] += d
+        return out
 
-    monkeypatch.setattr(verify, "sb_at_zeta3", faulty)
+    monkeypatch.setattr(verify, "numerator_values", faulty)
     (rep,) = run_all(ORDER, oracle_bound=6, only="congruences")
     assert rep.first_failure == {
         "n": 6, "where": "mod3-refinement",
